@@ -36,15 +36,6 @@ def probe_columns(op_vec, n: int) -> np.ndarray:
     return np.array(cols).T
 
 
-def face_operator_matrix(grid: GridSpec, coeff: CoefficientSet) -> np.ndarray:
-    nu = sum(grid.n_face_unknowns(a) for a in range(grid.dim))
-    if nu > MAX_DENSE_DOFS:
-        raise ValueError(f"{nu} velocity unknowns exceed dense cap {MAX_DENSE_DOFS}")
-    return probe_columns(
-        lambda v: pack_face(apply_A(unpack_face(grid, v), coeff)), nu
-    )
-
-
 def lrho_matrix(grid: GridSpec, coeff: CoefficientSet) -> np.ndarray:
     n = grid.n_cell_unknowns()
     if n > MAX_DENSE_DOFS:
@@ -64,19 +55,30 @@ def _null_shift(A: np.ndarray, null_vectors: list[np.ndarray]) -> np.ndarray:
     return A
 
 
+def shifted_face_operator_matrix(grid: GridSpec, coeff: CoefficientSet) -> np.ndarray:
+    """Dense A with each constant-velocity null component shifted out."""
+    sizes = [grid.n_face_unknowns(a) for a in range(grid.dim)]
+    nu = sum(sizes)
+    if nu > MAX_DENSE_DOFS:
+        raise ValueError(f"{nu} velocity unknowns exceed dense cap {MAX_DENSE_DOFS}")
+    A = probe_columns(
+        lambda v: pack_face(apply_A(unpack_face(grid, v), coeff)), nu
+    )
+    offsets = np.cumsum([0] + sizes)
+    nulls = []
+    for a in velocity_null_components(grid, coeff):
+        v = np.zeros(nu)
+        v[offsets[a] : offsets[a + 1]] = 1.0 / np.sqrt(sizes[a])
+        nulls.append(v)
+    return _null_shift(A, nulls)
+
+
 class DenseFaceSolver:
     """Exact velocity subsolver (A^{-1}) on the unknown faces."""
 
     def __init__(self, grid: GridSpec, coeff: CoefficientSet):
         self.grid = grid
-        A = face_operator_matrix(grid, coeff)
-        nulls = []
-        offsets = np.cumsum([0] + [grid.n_face_unknowns(a) for a in range(grid.dim)])
-        for a in velocity_null_components(grid, coeff):
-            v = np.zeros(A.shape[0])
-            v[offsets[a] : offsets[a + 1]] = 1.0 / np.sqrt(grid.n_face_unknowns(a))
-            nulls.append(v)
-        self._lu = scipy.linalg.lu_factor(_null_shift(A, nulls))
+        self._lu = scipy.linalg.lu_factor(shifted_face_operator_matrix(grid, coeff))
 
     def solve(self, b: FaceField) -> FaceField:
         return unpack_face(self.grid, scipy.linalg.lu_solve(self._lu, pack_face(b)))

@@ -26,6 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._exact import MAX_DENSE_DOFS
 from .grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -36,15 +37,8 @@ from .grid import (
     norm2,
 )
 from .krylov import GmresConfig, gmres_solve
-from .multigrid import SmootherParams, build_hierarchy, vcycle
-from .operators import (
-    LAPLACIAN,
-    STRESS,
-    STRESS_BULK,
-    apply_A,
-    apply_Lrho,
-    rescale,
-)
+from .multigrid import SmootherParams, build_hierarchy, field_kind, mg_cycles
+from .operators import LAPLACIAN, STRESS, STRESS_BULK, rescale
 from .precond import PrecondConfig, PrecondKind
 from .problems import (
     PRNG_NAME,
@@ -333,16 +327,12 @@ def _run_point(args):
     index, cfg, seed_override = args
     grid, coeff, rhs, seed = build_problem(cfg.get("problem", {}), seed_override)
     pcfg, gcfg, smoother = build_solver(cfg.get("solver", {}))
-    if pcfg.exact_subsolvers and grid.n_unknowns() > 20_000:
-        raise ConfigError(
-            f"exact subsolvers capped at 20000 DOFs, grid has {grid.n_unknowns()}"
-        )
     do_rescale = bool(cfg.get("problem", {}).get("rescale", True))
-    t0 = time.time()
+    t0 = time.perf_counter()
     if do_rescale:
         coeff, rhs, _ = rescale(coeff, rhs)
     x, history = gmres_solve(rhs, coeff, pcfg, gcfg, smoother)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     row = {
         "index": index,
         "file": f"run_{index:03d}.csv",
@@ -367,9 +357,10 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
         validate_keys(cfg)
         grid, _, _, _ = build_problem(cfg.get("problem", {}), seed_override)
         pcfg, _, _ = build_solver(cfg.get("solver", {}))
-        if pcfg.exact_subsolvers and grid.n_unknowns() > 20_000:
+        if pcfg.exact_subsolvers and grid.n_unknowns() > MAX_DENSE_DOFS:
             raise ConfigError(
-                f"exact subsolvers capped at 20000 DOFs, grid has {grid.n_unknowns()}"
+                f"exact subsolvers capped at {MAX_DENSE_DOFS} DOFs, grid has "
+                f"{grid.n_unknowns()}"
             )
     os.makedirs(outdir, exist_ok=True)
     tasks = [(i, cfg, seed_override) for i, cfg in enumerate(points)]
@@ -393,29 +384,22 @@ def _mg_bench_rows(grid, coeff, target: str, sweeps: int, max_cycles: int,
     params = SmootherParams(sweeps_down=sweeps, sweeps_up=sweeps)
     hier = build_hierarchy(grid, coeff)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    rows = []
     if target == "pressure":
+        kind = "cell"
         rhs = CellField(grid, gen.standard_normal(grid.cells))
         rhs.data -= rhs.data.mean()
-        x = CellField.zeros(grid)
-        resid = lambda: CellField(grid, rhs.data - apply_Lrho(x, coeff).data)
     else:
+        kind = "face"
         rhs = FaceField.zeros(grid)
         for a in range(grid.dim):
             view = rhs.interior(a)
             view[...] = gen.standard_normal(view.shape)
-        x = FaceField.zeros(grid)
-        resid = lambda: rhs - apply_A(x, coeff)
+    operator = field_kind(kind).operator
     r0 = norm2(rhs)
-    rows.append((target, sweeps, 0, r0, 1.0))
-    for cycle in range(1, max_cycles + 1):
-        corr = vcycle(resid(), hier, params, "cell" if target == "pressure" else "face")
-        if target == "pressure":
-            x.data += corr.data
-        else:
-            for a in range(grid.dim):
-                x.components[a][...] += corr.components[a]
-        rn = norm2(resid())
+    rows = [(target, sweeps, 0, r0, 1.0)]
+    # the range comes first so zip stops before asking for an extra cycle
+    for cycle, x in zip(range(1, max_cycles + 1), mg_cycles(rhs, hier, params, kind)):
+        rn = norm2(rhs - operator(x, coeff))
         rows.append((target, sweeps, cycle, rn, rn / r0))
         if rn <= rtol * r0:
             break

@@ -8,12 +8,13 @@ relaxations so that a cycle is a constant linear operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import (
-    FREE_SLIP,
     CellField,
     FaceField,
     GridSpec,
@@ -23,6 +24,7 @@ from .grid import (
 from .operators import (
     CoefficientSet,
     apply_A,
+    apply_A_row,
     apply_Lrho,
     helmholtz_diagonal,
     lrho_diagonal,
@@ -300,19 +302,10 @@ def prolong_face(coarse: FaceField) -> FaceField:
 # ---------------------------------------------------------------------------
 
 
-def _parity_mask(shape, offset_parity: int) -> np.ndarray:
-    grids = np.indices(shape).sum(axis=0)
-    return (grids % 2) == offset_parity
-
-
-_mask_cache: dict = {}
-
-
-def _cached_mask(shape, parity):
-    key = (shape, parity)
-    if key not in _mask_cache:
-        _mask_cache[key] = _parity_mask(shape, parity)
-    return _mask_cache[key]
+@functools.cache
+def _parity_mask(shape, parity: int) -> np.ndarray:
+    """Entries whose index sum has the given parity (one Gauss-Seidel color)."""
+    return np.indices(shape).sum(axis=0) % 2 == parity
 
 
 def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
@@ -320,7 +313,7 @@ def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
     """One red-black Gauss-Seidel sweep on the pressure operator, in place."""
     for parity in (0, 1):
         res = rhs.data - apply_Lrho(phi, coeff).data
-        mask = _cached_mask(phi.data.shape, parity)
+        mask = _parity_mask(phi.data.shape, parity)
         phi.data[mask] += omega * res[mask] / diag.data[mask]
 
 
@@ -334,58 +327,41 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
     for a in range(grid.dim):
         interior = grid.interior_slices(a)
         for parity in (0, 1):
-            res = rhs.components[a] - _apply_A_component(u, coeff, a)
+            res = rhs.components[a] - apply_A_row(u, coeff, a)
             view = u.components[a][interior]
-            mask = _cached_mask(view.shape, parity)
+            mask = _parity_mask(view.shape, parity)
             view[mask] += omega * (res[interior][mask] / diag.components[a][interior][mask])
-
-
-def _apply_A_component(u: FaceField, coeff: CoefficientSet, a: int) -> np.ndarray:
-    """Row block ``a`` of apply_A; avoids computing the other components."""
-    from .operators import (
-        LAPLACIAN,
-        STRESS_BULK,
-        _cross_gradient,
-        _diff_center_to_stagger,
-        _diff_stagger_to_center,
-        _tangential_gradient,
-        _zero_boundary,
-        div,
-    )
-
-    grid = u.grid
-    h = grid.h
-    form = coeff.viscous_form
-    mu_c = coeff.mu_cell.data
-    normal_coef = mu_c if form is LAPLACIAN else 2.0 * mu_c
-    ua = u.components[a]
-    flux_n = normal_coef * _diff_stagger_to_center(ua, a, grid.periodic(a)) / h
-    if form is STRESS_BULK:
-        flux_n = flux_n + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c) * div(u).data
-    res = _diff_center_to_stagger(flux_n, a, grid.periodic(a)) / h
-    for b in range(grid.dim):
-        if b == a:
-            continue
-        mu_e = coeff.mu_node_edge.plane(a, b)
-        flux_t = _tangential_gradient(ua, a, b, grid, None)
-        if form is not LAPLACIAN:
-            flux_t = flux_t + _cross_gradient(u.components[b], a, grid)
-        flux_t = mu_e * flux_t
-        if not grid.periodic(b):
-            if grid.bc[b][0] is FREE_SLIP:
-                flux_t[_sl(flux_t.ndim, b, 0)] = 0.0
-            if grid.bc[b][1] is FREE_SLIP:
-                flux_t[_sl(flux_t.ndim, b, -1)] = 0.0
-        res += _diff_stagger_to_center(flux_t, b, grid.periodic(b)) / h
-    out = coeff.theta * coeff.rho_face.components[a] * ua - res
-    if not grid.periodic(a):
-        _zero_boundary(out, a)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # V-cycle
 # ---------------------------------------------------------------------------
+
+
+class FieldKind(NamedTuple):
+    """What the V-cycle needs of one field kind."""
+
+    zeros: Callable
+    operator: Callable
+    restrict: Callable
+    prolong: Callable
+    smooth: Callable
+    diagonal: Callable
+
+
+def field_kind(kind: str) -> FieldKind:
+    """The V-cycle's pieces for cell-centered or staggered fields.
+
+    Built per call, not at import, so every piece is this module's current
+    attribute (wrappers installed on the module see each call).
+    """
+    if kind == "cell":
+        return FieldKind(CellField.zeros, apply_Lrho, restrict_cell,
+                         prolong_cell, smooth_cell, MgHierarchy.diag_cell)
+    if kind == "face":
+        return FieldKind(FaceField.zeros, apply_A, restrict_face,
+                         prolong_face, smooth_face, MgHierarchy.diag_face)
+    raise ValueError("kind must be 'cell' or 'face'")
 
 
 def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
@@ -395,48 +371,44 @@ def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
     velocity solver.  With fixed sweep counts the cycle is a constant
     linear operator in ``rhs``.
     """
-    if kind not in ("cell", "face"):
-        raise ValueError("kind must be 'cell' or 'face'")
-    return _vcycle_level(rhs, hierarchy, params, kind, 0)
+    return _vcycle_level(rhs, hierarchy, params, field_kind(kind), 0)
 
 
-def _residual(x, rhs, grid, coeff, kind):
-    if kind == "cell":
-        return CellField(grid, rhs.data - apply_Lrho(x, coeff).data)
-    return rhs - apply_A(x, coeff)
-
-
-def _vcycle_level(rhs, hierarchy, params, kind, level):
+def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):
     grid, coeff = hierarchy.levels[level]
-    if kind == "cell":
-        x = CellField.zeros(grid)
-        diag = hierarchy.diag_cell(level)
-        smooth = lambda: smooth_cell(x, rhs, grid, coeff, diag, params.omega)
-    else:
-        x = FaceField.zeros(grid)
-        diag = hierarchy.diag_face(level)
-        smooth = lambda: smooth_face(x, rhs, grid, coeff, diag, params.omega)
+    x = fk.zeros(grid)
+    diag = fk.diagonal(hierarchy, level)
+
+    def smooth(x, sweeps):
+        for _ in range(sweeps):
+            fk.smooth(x, rhs, grid, coeff, diag, params.omega)
 
     if level == len(hierarchy) - 1:
-        for _ in range(params.bottom_sweeps):
-            smooth()
+        smooth(x, params.bottom_sweeps)
         return x
 
-    for _ in range(params.sweeps_down):
-        smooth()
-    res = _residual(x, rhs, grid, coeff, kind)
-    coarse_rhs = restrict_cell(res) if kind == "cell" else restrict_face(res)
-    # rebind to the hierarchy's coarse grid instance (same value)
-    correction = _vcycle_level(coarse_rhs, hierarchy, params, kind, level + 1)
-    fine_corr = prolong_cell(correction) if kind == "cell" else prolong_face(correction)
-    if kind == "cell":
-        x.data += fine_corr.data
-    else:
-        for a in range(grid.dim):
-            x.components[a][...] += fine_corr.components[a]
-    for _ in range(params.sweeps_up):
-        smooth()
+    smooth(x, params.sweeps_down)
+    coarse_rhs = fk.restrict(rhs - fk.operator(x, coeff))
+    correction = _vcycle_level(coarse_rhs, hierarchy, params, fk, level + 1)
+    x = x + fk.prolong(correction)
+    smooth(x, params.sweeps_up)
     return x
+
+
+def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
+    """Repeated V-cycles from a zero guess; yields the iterate after each.
+
+    The residual feeding the next cycle is formed only when the next
+    iterate is requested, so stopping after any cycle costs nothing extra.
+    """
+    fk = field_kind(kind)
+    grid, coeff = hierarchy.levels[0]
+    x = fk.zeros(grid)
+    res = rhs
+    while True:
+        x = x + _vcycle_level(res, hierarchy, params, fk, 0)
+        yield x
+        res = rhs - fk.operator(x, coeff)
 
 
 def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams,
@@ -444,17 +416,7 @@ def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams,
     """Apply ``n_cycles`` V-cycles from a zero guess; linear in ``rhs``."""
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
-    grid, coeff = hierarchy.levels[0]
-    x = CellField.zeros(grid) if kind == "cell" else FaceField.zeros(grid)
-    for cycle in range(n_cycles):
-        if cycle == 0:
-            res = rhs
-        else:
-            res = _residual(x, rhs, grid, coeff, kind)
-        corr = vcycle(res, hierarchy, params, kind)
-        if kind == "cell":
-            x.data += corr.data
-        else:
-            for a in range(grid.dim):
-                x.components[a][...] += corr.components[a]
+    cycles = mg_cycles(rhs, hierarchy, params, kind)
+    for _ in range(n_cycles):
+        x = next(cycles)
     return x

@@ -300,6 +300,44 @@ def _cross_gradient(ub: np.ndarray, a: int, grid: GridSpec) -> np.ndarray:
     return _diff_center_to_stagger(ub, a, grid.periodic(a)) / grid.h
 
 
+def viscous_row(u: FaceField, coeff: CoefficientSet, a: int,
+                bvals: BoundaryValues | None = None,
+                div_u: CellField | None = None) -> np.ndarray:
+    """Row block ``a`` of :func:`apply_viscous`, evaluating only its rows.
+
+    The stress-bulk form reads ``div_u``; callers assembling several rows
+    pass it to share one divergence, otherwise it is computed here.
+    """
+    grid = u.grid
+    h = grid.h
+    form = coeff.viscous_form
+    mu_c = coeff.mu_cell.data
+    normal_coef = mu_c if form is LAPLACIAN else 2.0 * mu_c
+    ua = u.components[a]
+    flux_n = normal_coef * _diff_stagger_to_center(ua, a, grid.periodic(a)) / h
+    if form is STRESS_BULK:
+        div_u = div(u) if div_u is None else div_u
+        flux_n = flux_n + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c) * div_u.data
+    res = _diff_center_to_stagger(flux_n, a, grid.periodic(a)) / h
+    for b in range(grid.dim):
+        if b == a:
+            continue
+        mu_e = coeff.mu_node_edge.plane(a, b)
+        flux_t = _tangential_gradient(ua, a, b, grid, bvals)
+        if form is not LAPLACIAN:
+            flux_t = flux_t + _cross_gradient(u.components[b], a, grid)
+        flux_t = mu_e * flux_t
+        if not grid.periodic(b):
+            if grid.bc[b][0] is FREE_SLIP:
+                flux_t[_sl(flux_t.ndim, b, 0)] = 0.0
+            if grid.bc[b][1] is FREE_SLIP:
+                flux_t[_sl(flux_t.ndim, b, -1)] = 0.0
+        res += _diff_stagger_to_center(flux_t, b, grid.periodic(b)) / h
+    if not grid.periodic(a):
+        _zero_boundary(res, a)
+    return res
+
+
 def apply_viscous(u: FaceField, coeff: CoefficientSet,
                   bvals: BoundaryValues | None = None) -> FaceField:
     """Discrete viscous term in the requested form.
@@ -310,54 +348,30 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     zero on free-slip walls; stencils reaching outside the domain use
     one-sided differences against the wall values.
     """
-    grid = u.grid
-    h = grid.h
-    form = coeff.viscous_form
-    mu_c = coeff.mu_cell.data
-    normal_coef = mu_c if form is LAPLACIAN else 2.0 * mu_c
-    if form is STRESS_BULK:
-        bulk_flux = (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c) * div(u).data
+    div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
+    return FaceField(u.grid, tuple(
+        viscous_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)
+    ))
 
-    out = []
-    for a in range(grid.dim):
-        ua = u.components[a]
-        flux_n = normal_coef * _diff_stagger_to_center(ua, a, grid.periodic(a)) / h
-        if form is STRESS_BULK:
-            flux_n = flux_n + bulk_flux
-        res = _diff_center_to_stagger(flux_n, a, grid.periodic(a)) / h
-        for b in range(grid.dim):
-            if b == a:
-                continue
-            mu_e = coeff.mu_node_edge.plane(a, b)
-            flux_t = _tangential_gradient(ua, a, b, grid, bvals)
-            if form is not LAPLACIAN:
-                flux_t = flux_t + _cross_gradient(u.components[b], a, grid)
-            flux_t = mu_e * flux_t
-            if not grid.periodic(b):
-                if grid.bc[b][0] is FREE_SLIP:
-                    flux_t[_sl(flux_t.ndim, b, 0)] = 0.0
-                if grid.bc[b][1] is FREE_SLIP:
-                    flux_t[_sl(flux_t.ndim, b, -1)] = 0.0
-            res += _diff_stagger_to_center(flux_t, b, grid.periodic(b)) / h
-        if not grid.periodic(a):
-            _zero_boundary(res, a)
-        out.append(res)
-    return FaceField(grid, tuple(out))
+
+def apply_A_row(u: FaceField, coeff: CoefficientSet, a: int,
+                bvals: BoundaryValues | None = None,
+                div_u: CellField | None = None) -> np.ndarray:
+    """Row block ``a`` of :func:`apply_A` (see :func:`viscous_row`)."""
+    out = (coeff.theta * coeff.rho_face.components[a] * u.components[a]
+           - viscous_row(u, coeff, a, bvals, div_u))
+    if not u.grid.periodic(a):
+        _zero_boundary(out, a)
+    return out
 
 
 def apply_A(u: FaceField, coeff: CoefficientSet,
             bvals: BoundaryValues | None = None) -> FaceField:
     """Velocity operator theta*rho*u - L_mu u on the unknown faces."""
-    grid = u.grid
-    visc = apply_viscous(u, coeff, bvals)
-    comps = []
-    for a in range(grid.dim):
-        arr = coeff.theta * coeff.rho_face.components[a] * u.components[a]
-        arr -= visc.components[a]
-        if not grid.periodic(a):
-            _zero_boundary(arr, a)
-        comps.append(arr)
-    return FaceField(grid, tuple(comps))
+    div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
+    return FaceField(u.grid, tuple(
+        apply_A_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)
+    ))
 
 
 def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
@@ -386,6 +400,16 @@ def velocity_null_components(grid: GridSpec, coeff: CoefficientSet) -> tuple[int
         ):
             out.append(a)
     return tuple(out)
+
+
+def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
+    """Remove the pressure constant and any velocity constants from x."""
+    out = x.copy()
+    out.p.data -= out.p.data.mean()
+    for a in velocity_null_components(x.grid, coeff):
+        view = out.u.interior(a)
+        view -= view.mean()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .grid import CellField, FaceField, GridSpec, StokesVector, subtract_mean
+from .grid import CellField, FaceField, GridSpec, StokesVector
 from .multigrid import MgHierarchy, SmootherParams, build_hierarchy, mg_solve
 from .operators import (
     CoefficientSet,
+    _zero_boundary,
     apply_A,
     div,
     grad,
-    velocity_null_components,
+    project_nulls,
 )
 from .schur import MINUS, SchurConfig, apply_schur_inv, schur_diagonal
 
@@ -68,7 +69,6 @@ class Preconditioner:
         self.cfg = cfg
         self.smoother = smoother if smoother is not None else SmootherParams()
         self.scalar_vcycles = 0
-        self._null_comps = velocity_null_components(self.grid, coeff)
         self._hierarchy: MgHierarchy | None = None
         self._face_solver = None
         self._cell_solver = None
@@ -126,8 +126,7 @@ class Preconditioner:
                     gphi.components[a] / coeff.rho_face.components[a]
                 )
                 if not self.grid.periodic(a):
-                    xu.components[a][self._boundary_index(a, 0)] = 0.0
-                    xu.components[a][self._boundary_index(a, -1)] = 0.0
+                    _zero_boundary(xu.components[a], a)
             # reuse the single Poisson solve inside the Schur inverse
             s_inv = CellField(
                 self.grid,
@@ -153,16 +152,4 @@ class Preconditioner:
         else:
             raise ValueError(f"unknown preconditioner kind {kind}")
 
-        return self._project_nulls(x)
-
-    def _boundary_index(self, axis: int, side: int):
-        sl = [slice(None)] * self.grid.dim
-        sl[axis] = side
-        return tuple(sl)
-
-    def _project_nulls(self, x: StokesVector) -> StokesVector:
-        x = StokesVector(x.u, subtract_mean(x.p))
-        for a in self._null_comps:
-            view = x.u.interior(a)
-            view -= view.mean()
-        return x
+        return project_nulls(x, coeff)

@@ -21,7 +21,7 @@ from .operators import (
     average_cell_to_faces,
     average_cell_to_node_edge,
     make_coefficients,
-    velocity_null_components,
+    project_nulls,
 )
 
 #: bit-generator identifier recorded in output metadata for reproducibility
@@ -165,16 +165,6 @@ def cfl_to_theta(spec: CflSpec, mu0: float, rho0: float, h: float) -> float:
     if spec.inviscid:
         return 1.0
     return mu0 / (spec.beta * rho0 * h * h)
-
-
-def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
-    """Remove the pressure constant and any velocity constants from x."""
-    out = x.copy()
-    out.p.data -= out.p.data.mean()
-    for a in velocity_null_components(x.grid, coeff):
-        view = out.u.interior(a)
-        view -= view.mean()
-    return out
 
 
 def make_rhs(grid: GridSpec, coeff: CoefficientSet, seed: int = 0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._exact import MAX_DENSE_DOFS, face_operator_matrix, probe_columns
+from ._exact import MAX_DENSE_DOFS, probe_columns, shifted_face_operator_matrix
 from .grid import (
     GridSpec,
     pack_cell,
@@ -138,17 +138,7 @@ class SpectrumReport:
 
 def schur_complement_matrix(grid: GridSpec, coeff: CoefficientSet) -> DenseMatrix:
     """S = -D A^{-1} G as a dense matrix (steady small grids)."""
-    from ._exact import _null_shift
-    from .operators import velocity_null_components
-
-    A = face_operator_matrix(grid, coeff)
-    nulls = []
-    offsets = np.cumsum([0] + [grid.n_face_unknowns(a) for a in range(grid.dim)])
-    for a in velocity_null_components(grid, coeff):
-        v = np.zeros(A.shape[0])
-        v[offsets[a]: offsets[a + 1]] = 1.0 / np.sqrt(grid.n_face_unknowns(a))
-        nulls.append(v)
-    A = _null_shift(A, nulls)
+    A = shifted_face_operator_matrix(grid, coeff)
     G = assemble_dense(lambda p: grad(p), grid, domain="cell", codomain="face")
     D = assemble_dense(lambda u: div(u), grid, domain="face", codomain="cell")
     return -D @ np.linalg.solve(A, G)

@@ -120,6 +120,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_exact_subsolvers_over_dense_cap_exit_2_no_outputs(self, tmp_path, capsys):
+        # 96^2 periodic: 2 * 96^2 faces + 96^2 cells = 27648 unknowns
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": {"cells": 96, "kind": "constant", "bc": "periodic"},
+            "solver": {"precond": {"kind": "P1", "exact_subsolvers": True}},
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "capped at 20000 DOFs, grid has 27648" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergence_exit_1_history_written(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -23,7 +23,9 @@ from stokesmg.multigrid import (
     vcycle,
 )
 from stokesmg.operators import (
+    LAPLACIAN,
     STRESS,
+    STRESS_BULK,
     apply_A,
     apply_Lrho,
     helmholtz_diagonal,
@@ -227,6 +229,44 @@ class TestSmoothers:
             rn = norm2(CellField(g, rhs.data - apply_Lrho(x, coeff).data))
             assert rn <= prev * (1 + 1e-12)
             prev = rn
+
+
+
+def reference_face_sweep(u, rhs, grid, coeff, diag, omega):
+    """smooth_face's colour order and parity masks, residuals from apply_A."""
+    for a in range(grid.dim):
+        interior = grid.interior_slices(a)
+        for parity in (0, 1):
+            res = (rhs - apply_A(u, coeff)).components[a][interior]
+            view = u.components[a][interior]
+            mask = np.indices(view.shape).sum(axis=0) % 2 == parity
+            view[mask] += omega * res[mask] / diag.components[a][interior][mask]
+
+
+MIXED_WALLS = {
+    2: ((8, 6), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC)]),
+    3: ((4, 6, 4), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
+                    (FREE_SLIP, NO_SLIP)]),
+}
+
+
+class TestSmootherMatchesOperator:
+    @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_sweep_matches_full_operator_sweep(self, form, dim, rng):
+        cells, bc = MIXED_WALLS[dim]
+        g = mkgrid(cells, bc=bc, h=0.5)
+        mu = CellField(g, 1.0 + rng.random(g.cells))
+        rho = CellField(g, 1.0 + rng.random(g.cells))
+        gamma = CellField(g, rng.random(g.cells))
+        coeff = make_coefficients(g, 0.4, rho, mu, gamma, viscous_form=form)
+        diag = helmholtz_diagonal(g, coeff)
+        rhs = random_face(g, rng)
+        u = random_face(g, rng)
+        ref = u.copy()
+        smooth_face(u, rhs, g, coeff, diag, omega=0.8)
+        reference_face_sweep(ref, rhs, g, coeff, diag, omega=0.8)
+        assert norm2(u - ref) <= 1e-13 * norm2(ref)
 
 
 class TestVcycle:
