@@ -8,7 +8,8 @@ are single JSON trees (schema in the README); outputs are plot-ready CSV
 files plus a JSON manifest, written atomically with the manifest last.
 
 Exit codes: 0 success, 1 solver non-convergence (history still written),
-2 invalid config or cap violation (no partial outputs).
+2 invalid config or cap violation (no partial outputs), 3 a solve hit
+non-finite values (NaN or infinity; history still written).
 """
 
 from __future__ import annotations
@@ -376,6 +377,8 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
     manifest = _manifest("run", config, rows)
     _atomic_write(os.path.join(outdir, "manifest.json"),
                   json.dumps(manifest, indent=2) + "\n")
+    if any(r["status"] == "nonfinite" for r in rows):
+        return 3
     return 0 if all(r["status"] in ("converged", "breakdown") for r in rows) else 1
 
 

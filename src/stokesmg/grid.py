@@ -16,6 +16,7 @@ Index conventions, fixed for the whole package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,8 +63,8 @@ class GridSpec:
             raise ValueError("need one (low, high) bc pair per axis")
         if any(n < 2 for n in cells):
             raise ValueError(f"cell counts must be >= 2, got {cells}")
-        if not self.h > 0:
-            raise ValueError("grid spacing must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError("grid spacing must be positive and finite")
         for axis, (lo, hi) in enumerate(self.bc):
             if (lo is PERIODIC) != (hi is PERIODIC):
                 raise ValueError(

@@ -83,9 +83,11 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
     """Restarted GMRES on flat vectors for the system ``apply_op(x) = b``.
 
     Returns ``(x, status, iterations)`` where status is ``converged``,
-    ``breakdown`` (invariant Krylov space reached) or ``maxiter``.  The
-    Givens estimate of the residual norm is nonincreasing within a restart
-    window; each restart recomputes the residual from the current iterate.
+    ``breakdown`` (invariant Krylov space reached), ``maxiter`` or
+    ``nonfinite`` (a residual norm, Arnoldi norm or Givens estimate turned
+    NaN or infinite; ``x`` is then the last finite iterate).  The Givens
+    estimate of the residual norm is nonincreasing within a restart window;
+    each restart recomputes the residual from the current iterate.
     """
     n = len(b)
     x = np.zeros(n)
@@ -96,6 +98,8 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
         beta = float(np.linalg.norm(r))
         if beta == 0.0:
             return x, "converged", k
+        if not math.isfinite(beta):
+            return x, "nonfinite", k
         V = np.zeros((restart + 1, n))
         H = np.zeros((restart + 1, restart))
         cs = np.zeros(restart)
@@ -128,6 +132,8 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
             rp = abs(g[j + 1])
+            if not (math.isfinite(rp) and math.isfinite(arnoldi_norm)):
+                return xk, "nonfinite", k
 
             y = _solve_upper(H[: j + 1, : j + 1], g[: j + 1])
             xk = x + V[: j + 1].T @ y
@@ -174,7 +180,9 @@ def gmres_solve(
     The right-hand side must already be homogenized (and, for dimensional
     problems, rescaled).  Termination tests the preconditioned residual
     against ``rtol * r_P(0) + atol``; the history carries both residuals
-    per iteration plus the cumulative scalar-V-cycle count.
+    per iteration plus the cumulative scalar-V-cycle count.  A non-finite
+    preconditioned right-hand side ends the solve with status ``nonfinite``
+    before any iteration.
     """
     grid: GridSpec = rhs.grid
     P = precond if precond is not None else Preconditioner(coeff, pcfg, smoother)
@@ -192,6 +200,9 @@ def gmres_solve(
     history.add(0, P.scalar_vcycles, rp0, rhs_norm, False)
     if rp0 <= gcfg.atol or rp0 == 0.0:
         history.status = "converged"
+        return StokesVector.zeros(grid), history
+    if not math.isfinite(rp0):
+        history.status = "nonfinite"
         return StokesVector.zeros(grid), history
 
     target = gcfg.rtol * rp0 + gcfg.atol

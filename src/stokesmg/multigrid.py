@@ -9,6 +9,7 @@ relaxations so that a cycle is a constant linear operator.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -28,6 +29,8 @@ from .operators import (
     apply_Lrho,
     helmholtz_diagonal,
     lrho_diagonal,
+    lrho_weights,
+    viscous_self_weights,
     _sl,
 )
 
@@ -303,18 +306,64 @@ def prolong_face(coarse: FaceField) -> FaceField:
 
 
 @functools.cache
-def _parity_mask(shape, parity: int) -> np.ndarray:
-    """Entries whose index sum has the given parity (one Gauss-Seidel color)."""
-    return np.indices(shape).sum(axis=0) % 2 == parity
+def _color(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:
+    """One Gauss-Seidel color: the strided sub-lattices ``[o0::2, o1::2, ...]``
+    whose offset sum has the given parity (entries with that index-sum parity)."""
+    return tuple(
+        tuple(slice(o, None, 2) for o in offsets)
+        for offsets in itertools.product((0, 1), repeat=ndim)
+        if sum(offsets) % 2 == parity
+    )
+
+
+def _relax(x, res, diag, omega, parity, delta=None) -> None:
+    """``x += omega * res / diag`` on one color, in place; the correction
+    is also stored in ``delta`` when given.  All arguments are views of the
+    unknowns."""
+    for s in _color(x.ndim, parity):
+        step = omega * (res[s] / diag[s])
+        x[s] += step
+        if delta is not None:
+            delta[s] = step
+
+
+def _add_neighbors(out, delta, w, axis: int, periodic: bool, lower: bool) -> None:
+    """Add each entry's two ``w``-weighted axis neighbors in ``delta`` to ``out``.
+
+    ``w[k]`` couples entries ``k`` and ``k + 1``, or ``k - 1`` and ``k`` when
+    ``lower``; a bounded axis then has two wall entries that couple nothing.
+    Full arrays, so the sum stays exact where an odd periodic count makes a
+    color touch itself across the wrap.
+    """
+    if periodic:
+        s = 1 if lower else -1
+        out += w * np.roll(delta, s, axis=axis) + np.roll(w * delta, -s, axis=axis)
+        return
+    if lower:
+        w = w[_sl(w.ndim, axis, slice(1, -1))]
+    lo = _sl(delta.ndim, axis, slice(None, -1))
+    hi = _sl(delta.ndim, axis, slice(1, None))
+    out[lo] += w * delta[hi]
+    out[hi] += w * delta[lo]
 
 
 def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
                 coeff: CoefficientSet, diag: CellField, omega: float) -> None:
-    """One red-black Gauss-Seidel sweep on the pressure operator, in place."""
-    for parity in (0, 1):
-        res = rhs.data - apply_Lrho(phi, coeff).data
-        mask = _parity_mask(phi.data.shape, parity)
-        phi.data[mask] += omega * res[mask] / diag.data[mask]
+    """One red-black Gauss-Seidel sweep on the pressure operator, in place.
+
+    The residual is formed once: after the red relaxation it is brought up
+    to date at black cells from red's correction through the 1/(rho h^2)
+    face couplings.
+    """
+    res = rhs.data - apply_Lrho(phi, coeff).data
+    delta = np.zeros_like(res)
+    _relax(phi.data, res, diag.data, omega, 0, delta)
+    coupled = np.zeros_like(res)
+    for a in range(grid.dim):
+        _add_neighbors(coupled, delta, lrho_weights(grid, coeff, a), a,
+                       grid.periodic(a), lower=True)
+    res -= coupled
+    _relax(phi.data, res, diag.data, omega, 1)
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -322,15 +371,23 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
     """One 2d-colored Gauss-Seidel sweep on the velocity operator, in place.
 
     Colors are relaxed in the order red-x, black-x, red-y, black-y(,
-    red-z, black-z); updates are visible across colors.
+    red-z, black-z); updates are visible across colors.  Each component's
+    residual is formed once; after its red relaxation it is brought up to
+    date from red's correction through the component's own neighbor
+    couplings (:func:`viscous_self_weights`).
     """
     for a in range(grid.dim):
         interior = grid.interior_slices(a)
-        for parity in (0, 1):
-            res = rhs.components[a] - apply_A_row(u, coeff, a)
-            view = u.components[a][interior]
-            mask = _parity_mask(view.shape, parity)
-            view[mask] += omega * (res[interior][mask] / diag.components[a][interior][mask])
+        view = u.components[a][interior]
+        d = diag.components[a][interior]
+        res = rhs.components[a] - apply_A_row(u, coeff, a)
+        delta = np.zeros_like(res)
+        _relax(view, res[interior], d, omega, 0, delta[interior])
+        normal, tangential = viscous_self_weights(grid, coeff, a)
+        _add_neighbors(res, delta, normal, a, grid.periodic(a), lower=False)
+        for b, w in tangential.items():
+            _add_neighbors(res, delta, w, b, grid.periodic(b), lower=True)
+        _relax(view, res[interior], d, omega, 1)
 
 
 # ---------------------------------------------------------------------------

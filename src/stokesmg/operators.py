@@ -68,6 +68,8 @@ class CoefficientSet:
             raise ValueError("viscosity must be nonnegative")
         if self.theta == 0 and not np.any(self.mu_cell.data > 0):
             raise ValueError("steady flow (theta = 0) needs nonzero viscosity")
+        if any(c.min() <= 0 for c in self.rho_face.components):
+            raise ValueError("face density must be positive")
 
     @property
     def grid(self) -> GridSpec:
@@ -206,8 +208,6 @@ def lap_pressure(p: CellField) -> CellField:
 def apply_Lrho(p: CellField, coeff: CoefficientSet) -> CellField:
     """Density-weighted pressure Poisson operator D (1/rho) G."""
     grid = p.grid
-    if np.any([np.any(c <= 0) for c in coeff.rho_face.components]):
-        raise ValueError("face density must be positive")
     g = grad(p)
     comps = tuple(
         g.components[a] / coeff.rho_face.components[a] for a in range(grid.dim)
@@ -413,49 +413,73 @@ def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
 
 
 # ---------------------------------------------------------------------------
-# operator diagonals (needed by the multigrid smoothers)
+# operator couplings and diagonals (needed by the multigrid smoothers)
 # ---------------------------------------------------------------------------
 
 
+def lrho_weights(grid: GridSpec, coeff: CoefficientSet, a: int) -> np.ndarray:
+    """Coupling 1/(rho h^2) across each axis-``a`` face in D (1/rho) G.
+
+    Entry ``k`` couples cells ``k - 1`` and ``k``; wall faces carry no flux
+    and couple nothing.
+    """
+    return (1.0 / grid.h**2) / coeff.rho_face.components[a]
+
+
 def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
-    """Diagonal of D (1/rho) G; wall faces carry no flux."""
+    """Diagonal of D (1/rho) G: minus each cell's interior face couplings."""
     out = np.zeros(grid.cells)
     for a in range(grid.dim):
-        beta = 1.0 / coeff.rho_face.components[a]
+        beta = lrho_weights(grid, coeff, a)
         if not grid.periodic(a):
-            beta = beta.copy()
             _zero_boundary(beta, a)
         out -= _edge_pair_sum(beta, a, grid.periodic(a))
-    return CellField(grid, out / grid.h**2)
+    return CellField(grid, out)
+
+
+def viscous_self_weights(grid: GridSpec, coeff: CoefficientSet, a: int):
+    """Couplings of the axis-``a`` velocity to its own neighbors in -L_mu.
+
+    Returns ``(normal, tangential)``, all divided by h^2.  ``normal`` is
+    the cell-centered normal coefficient of the viscous form: entry ``k``
+    couples a-faces ``k`` and ``k + 1``.  ``tangential[b]`` is the ``(a, b)``
+    node/edge viscosity: entry ``k`` couples rows ``k - 1`` and ``k`` along
+    ``b``.  On a wall along ``b`` that entry is the one-sided wall coupling,
+    which reaches no neighbor and enters only the diagonal.
+    """
+    inv_h2 = 1.0 / grid.h**2
+    mu_c = coeff.mu_cell.data
+    form = coeff.viscous_form
+    if form is LAPLACIAN:
+        normal = inv_h2 * mu_c
+    elif form is STRESS:
+        normal = (2.0 * inv_h2) * mu_c
+    else:
+        normal = inv_h2 * (2.0 * mu_c + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c))
+    tangential = {
+        b: inv_h2 * coeff.mu_node_edge.plane(a, b)
+        for b in range(grid.dim) if b != a
+    }
+    return normal, tangential
 
 
 def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
-    """Diagonal of A = theta*rho - L_mu; boundary faces are set to one."""
-    h2 = grid.h**2
-    mu_c = coeff.mu_cell.data
-    normal_coef = mu_c if coeff.viscous_form is LAPLACIAN else 2.0 * mu_c
-    if coeff.viscous_form is STRESS_BULK:
-        normal_coef = normal_coef + (
-            coeff.gamma_cell.data - (2.0 / 3.0) * mu_c
-        )
+    """Diagonal of A = theta*rho - L_mu; boundary faces are set to one.
+
+    The couplings of :func:`viscous_self_weights` summed per face, with each
+    wall coupling doubled on no-slip walls (one-sided difference over h/2)
+    and dropped on free-slip walls (no tangential flux).
+    """
     comps = []
     for a in range(grid.dim):
-        diag = coeff.theta * coeff.rho_face.components[a].copy()
-        diag += _pair_sum(normal_coef, a, grid.periodic(a)) / h2
-        for b in range(grid.dim):
-            if b == a:
-                continue
-            w = coeff.mu_node_edge.plane(a, b).copy()
+        normal, tangential = viscous_self_weights(grid, coeff, a)
+        diag = (coeff.theta * coeff.rho_face.components[a]
+                + _pair_sum(normal, a, grid.periodic(a)))
+        for b, w in tangential.items():
             if not grid.periodic(b):
-                if grid.bc[b][0] is NO_SLIP:
-                    w[_sl(w.ndim, b, 0)] *= 2.0
-                elif grid.bc[b][0] is FREE_SLIP:
-                    w[_sl(w.ndim, b, 0)] = 0.0
-                if grid.bc[b][1] is NO_SLIP:
-                    w[_sl(w.ndim, b, -1)] *= 2.0
-                elif grid.bc[b][1] is FREE_SLIP:
-                    w[_sl(w.ndim, b, -1)] = 0.0
-            diag += _edge_pair_sum(w, b, grid.periodic(b)) / h2
+                for end, bc in ((0, grid.bc[b][0]), (-1, grid.bc[b][1])):
+                    w[_sl(w.ndim, b, end)] *= 2.0 if bc is NO_SLIP else 0.0
+            diag += _edge_pair_sum(w, b, grid.periodic(b))
         if not grid.periodic(a):
             diag[_sl(diag.ndim, a, 0)] = 1.0
             diag[_sl(diag.ndim, a, -1)] = 1.0

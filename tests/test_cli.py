@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from stokesmg import cli
 from stokesmg.cli import (
     CSV_HEADER,
     PRESETS,
@@ -144,6 +145,28 @@ class TestRunCommand:
         rows = read_csv(out / "run_000.csv")
         assert len(rows) == 4  # header + initial + 2 iterations
         assert read_manifest(out)["runs"][0]["status"] == "maxiter"
+
+    def test_nonfinite_solve_exit_3_history_written(self, tmp_path, monkeypatch):
+        real_make_rhs = cli.make_rhs
+
+        def nan_rhs(grid, coeff, seed=0):
+            rhs, x = real_make_rhs(grid, coeff, seed)
+            rhs.p.data[0, 0] = np.nan
+            return rhs, x
+
+        monkeypatch.setattr(cli, "make_rhs", nan_rhs)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": {"kind": "constant", "cells": 8, "bc": "no_slip",
+                        "beta": "inf"},
+            "solver": {"gmres": {"max_iters": 50}},
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        rows = read_csv(out / "run_000.csv")
+        assert len(rows) == 2  # header + initial residuals, no iterations
+        run = read_manifest(out)["runs"][0]
+        assert run["status"] == "nonfinite" and run["iterations"] == 0
 
     def test_seed_override(self, tmp_path):
         cfg = {"problem": {"kind": "bubble", "cells": 16, "bc": "no_slip",

@@ -36,6 +36,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             mkgrid(8, h=0.0)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan, -np.inf])
+    def test_nonfinite_spacing_rejected(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mkgrid(8, h=h)
+
     def test_periodic_pairing(self):
         with pytest.raises(ValueError):
             GridSpec((8, 8), 1.0, ((PERIODIC, NO_SLIP), (NO_SLIP, NO_SLIP)))

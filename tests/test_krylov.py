@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stokesmg import krylov
 from stokesmg.grid import CellField, StokesVector, norm2
 from stokesmg.krylov import (
     GmresConfig,
@@ -69,6 +70,29 @@ class TestKernel:
         two_d = [s for s in allocs if isinstance(s, tuple) and len(s) == 2 and s[1] == 20]
         assert set(two_d) == {(5, 20)}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("restart, stop_at", [(10, 3), (2, 2)])
+    def test_nonfinite_stops_at_once(self, bad, restart, stop_at):
+        # the third operator call returns a non-finite entry: inside a
+        # restart window the Givens/Arnoldi checks catch it, at a restart
+        # (restart=2) the recomputed residual norm does
+        A = np.diag(np.arange(1.0, 21.0))
+        b = np.ones(20)
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            out = A @ v
+            if len(calls) == 3:
+                out[0] = bad
+            return out
+
+        x, status, k = gmres_kernel(op, b, restart=restart, max_iters=50,
+                                    target=1e-14, breakdown_tol=0.0)
+        assert status == "nonfinite"
+        assert (k, len(calls)) == (stop_at, 3)
+        assert np.all(np.isfinite(x))
+
 
 class TestSolveIdentities:
     def test_p1_exact_single_iteration(self, rng):
@@ -96,6 +120,32 @@ class TestSolveIdentities:
         x, hist = gmres_solve(StokesVector.zeros(g), coeff, PrecondConfig(kind=P2),
                               GmresConfig())
         assert hist.iterations == 0 and hist.status == "converged"
+        assert norm2(x) == 0.0
+
+    def test_nan_rhs_stops_before_iterating(self, monkeypatch):
+        g = mkgrid(16, bc=NO_SLIP)
+        coeff = constant_coefficients(g)
+        rhs, _ = make_rhs(g, coeff, seed=4)
+        rhs.u.components[0][3, 5] = np.nan
+        pre = Preconditioner(coeff, PrecondConfig(kind=P2))
+        applications = []
+        real_apply = pre.apply
+
+        def counted_M(x, c):
+            applications.append("M")
+            return apply_M(x, c)
+
+        def counted_P(r):
+            applications.append("P")
+            return real_apply(r)
+
+        monkeypatch.setattr(krylov, "apply_M", counted_M)
+        monkeypatch.setattr(pre, "apply", counted_P)
+        x, hist = gmres_solve(rhs, coeff, PrecondConfig(kind=P2),
+                              GmresConfig(max_iters=50), precond=pre)
+        assert hist.status == "nonfinite" and not hist.converged
+        assert hist.iterations == 0
+        assert applications == ["P"]
         assert norm2(x) == 0.0
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stokesmg import multigrid
 from stokesmg.grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -243,23 +244,38 @@ def reference_face_sweep(u, rhs, grid, coeff, diag, omega):
             view[mask] += omega * res[mask] / diag.components[a][interior][mask]
 
 
+def reference_cell_sweep(phi, rhs, coeff, diag, omega):
+    """Red-black masks with a full apply_Lrho residual per colour."""
+    for parity in (0, 1):
+        res = rhs.data - apply_Lrho(phi, coeff).data
+        mask = np.indices(phi.data.shape).sum(axis=0) % 2 == parity
+        phi.data[mask] += omega * res[mask] / diag.data[mask]
+
+
 MIXED_WALLS = {
     2: ((8, 6), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC)]),
     3: ((4, 6, 4), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
                     (FREE_SLIP, NO_SLIP)]),
 }
+# odd periodic counts: each colour touches itself across the wrap
+ODD_PERIODIC = {
+    2: ((6, 3), [(PERIODIC, PERIODIC)] * 2),
+    3: ((3, 3, 3), [(PERIODIC, PERIODIC)] * 3),
+}
+
+
+def smoother_case(grids, dim, form, rng):
+    cells, bc = grids[dim]
+    g = mkgrid(cells, bc=bc, h=0.5)
+    mu = CellField(g, 1.0 + rng.random(g.cells))
+    rho = CellField(g, 1.0 + rng.random(g.cells))
+    gamma = CellField(g, rng.random(g.cells))
+    return g, make_coefficients(g, 0.4, rho, mu, gamma, viscous_form=form)
 
 
 class TestSmootherMatchesOperator:
-    @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_one_sweep_matches_full_operator_sweep(self, form, dim, rng):
-        cells, bc = MIXED_WALLS[dim]
-        g = mkgrid(cells, bc=bc, h=0.5)
-        mu = CellField(g, 1.0 + rng.random(g.cells))
-        rho = CellField(g, 1.0 + rng.random(g.cells))
-        gamma = CellField(g, rng.random(g.cells))
-        coeff = make_coefficients(g, 0.4, rho, mu, gamma, viscous_form=form)
+    def check_face_sweep(self, grids, form, dim, rng):
+        g, coeff = smoother_case(grids, dim, form, rng)
         diag = helmholtz_diagonal(g, coeff)
         rhs = random_face(g, rng)
         u = random_face(g, rng)
@@ -267,6 +283,54 @@ class TestSmootherMatchesOperator:
         smooth_face(u, rhs, g, coeff, diag, omega=0.8)
         reference_face_sweep(ref, rhs, g, coeff, diag, omega=0.8)
         assert norm2(u - ref) <= 1e-13 * norm2(ref)
+
+    @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_sweep_matches_full_operator_sweep(self, form, dim, rng):
+        self.check_face_sweep(MIXED_WALLS, form, dim, rng)
+
+    @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_sweep_matches_on_odd_periodic_grid(self, form, dim, rng):
+        self.check_face_sweep(ODD_PERIODIC, form, dim, rng)
+
+    @pytest.mark.parametrize("grids", [MIXED_WALLS, ODD_PERIODIC],
+                             ids=["mixed_walls", "odd_periodic"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_cell_sweep_matches_full_operator_sweep(self, grids, dim, rng):
+        g, coeff = smoother_case(grids, dim, STRESS, rng)
+        diag = lrho_diagonal(g, coeff)
+        rhs = random_cell(g, rng)
+        phi = random_cell(g, rng)
+        ref = phi.copy()
+        smooth_cell(phi, rhs, g, coeff, diag, omega=0.8)
+        reference_cell_sweep(ref, rhs, coeff, diag, omega=0.8)
+        assert norm2(phi - ref) <= 1e-13 * norm2(ref)
+
+
+class TestSmootherCost:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_operator_evaluation_per_component(self, dim, rng, monkeypatch):
+        # one residual per component (face) and per sweep (cell), not per colour
+        calls = {"apply_A_row": 0, "apply_Lrho": 0}
+
+        def counted(name):
+            original = getattr(multigrid, name)
+
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(multigrid, name, counted(name))
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS, rng)
+        smooth_face(random_face(g, rng), random_face(g, rng), g, coeff,
+                    helmholtz_diagonal(g, coeff), omega=1.0)
+        smooth_cell(random_cell(g, rng), random_cell(g, rng), g, coeff,
+                    lrho_diagonal(g, coeff), omega=1.0)
+        assert calls == {"apply_A_row": dim, "apply_Lrho": 1}
 
 
 class TestVcycle:
