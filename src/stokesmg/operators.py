@@ -60,16 +60,23 @@ class CoefficientSet:
     viscous_form: ViscousForm = STRESS
 
     def __post_init__(self):
+        # min/max propagate NaN, and a NaN fails every comparison below
         if self.theta < 0:
             raise ValueError("theta must be >= 0")
-        if self.theta > 0 and np.any(self.rho_cell.data <= 0):
+        rho_lo, rho_hi = self.rho_cell.data.min(), self.rho_cell.data.max()
+        if not -np.inf < rho_lo <= rho_hi < np.inf:
+            raise ValueError("density must be finite")
+        if self.theta > 0 and not rho_lo > 0:
             raise ValueError("density must be positive for unsteady flow")
-        if np.any(self.mu_cell.data < 0):
-            raise ValueError("viscosity must be nonnegative")
-        if self.theta == 0 and not np.any(self.mu_cell.data > 0):
+        mu_lo, mu_hi = self.mu_cell.data.min(), self.mu_cell.data.max()
+        if not 0 <= mu_lo <= mu_hi < np.inf:
+            raise ValueError("viscosity must be nonnegative and finite")
+        if self.theta == 0 and not mu_hi > 0:
             raise ValueError("steady flow (theta = 0) needs nonzero viscosity")
-        if any(c.min() <= 0 for c in self.rho_face.components):
-            raise ValueError("face density must be positive")
+        if not -np.inf < self.gamma_cell.data.min() <= self.gamma_cell.data.max() < np.inf:
+            raise ValueError("bulk viscosity must be finite")
+        if not all(0 < c.min() <= c.max() < np.inf for c in self.rho_face.components):
+            raise ValueError("face density must be positive and finite")
 
     @property
     def grid(self) -> GridSpec:

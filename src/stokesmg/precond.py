@@ -1,8 +1,8 @@
 """The five Schur-complement preconditioners.
 
 Every preconditioner is a constant linear operator built from a velocity
-subsolver (a fixed number of staggered multigrid V-cycles, or a dense
-factorization for small-grid studies) and the approximate Schur inverse.
+subsolver (a fixed number of staggered multigrid V-cycles, or a sparse
+LU factorization for small-grid studies) and the approximate Schur inverse.
 Applications are tallied in scalar-V-cycle units, the cost proxy used by
 all benchmarks.
 """
@@ -58,7 +58,7 @@ class Preconditioner:
     """Applies P^{-1} for the configured preconditioner kind.
 
     With mg subsolvers the scalar-V-cycle counter advances by d cycles per
-    velocity solve and by ``pressure_cycles`` per Poisson solve; dense exact
+    velocity solve and by ``pressure_cycles`` per Poisson solve; exact
     subsolvers run no cycles and leave the counter untouched.
     """
 

@@ -79,7 +79,7 @@ def apply_schur_inv(
 
 
 def exact_schur_apply(p: CellField, coeff: CoefficientSet, face_solver=None) -> CellField:
-    """Reference -D A^{-1} G p via dense factorization (small grids only).
+    """Reference -D A^{-1} G p via the exact velocity subsolver (small grids).
 
     Pass a prebuilt :class:`stokesmg._exact.DenseFaceSolver` to amortize the
     factorization over repeated applications.

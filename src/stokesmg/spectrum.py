@@ -1,7 +1,8 @@
 """Dense small-grid assembly and eigenvalue analysis.
 
 Reproduces the saddle-operator and Schur-complement spectrum studies:
-operators are assembled column-by-column with unit vectors, and the
+operators are assembled column-by-column with unit vectors, A^{-1} in the
+Schur complement is the sparse exact velocity subsolver, and the
 preconditioned Schur spectrum is obtained from the similar symmetric
 matrix V^{1/2} S V^{1/2} with V the diagonal viscous Schur approximation.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._exact import MAX_DENSE_DOFS, probe_columns, shifted_face_operator_matrix
+from ._exact import MAX_DENSE_DOFS, DenseFaceSolver, probe_columns
 from .grid import (
     GridSpec,
     pack_cell,
@@ -137,11 +138,14 @@ class SpectrumReport:
 
 
 def schur_complement_matrix(grid: GridSpec, coeff: CoefficientSet) -> DenseMatrix:
-    """S = -D A^{-1} G as a dense matrix (steady small grids)."""
-    A = shifted_face_operator_matrix(grid, coeff)
+    """S = -D A^{-1} G as a dense matrix (steady small grids).
+
+    A^{-1} is :class:`stokesmg._exact.DenseFaceSolver`, applied to all
+    columns of G at once.
+    """
     G = assemble_dense(lambda p: grad(p), grid, domain="cell", codomain="face")
     D = assemble_dense(lambda u: div(u), grid, domain="face", codomain="cell")
-    return -D @ np.linalg.solve(A, G)
+    return -D @ DenseFaceSolver(grid, coeff).solve_packed(G)
 
 
 def analyze_stokes_spectrum(grid: GridSpec, coeff: CoefficientSet,

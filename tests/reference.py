@@ -8,6 +8,7 @@ package code so the two paths share no machinery.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from stokesmg.grid import FREE_SLIP, NO_SLIP, CellField, FaceField
@@ -289,3 +290,22 @@ def stress_symbol_matrix(k, h, mu0, gamma0=None) -> np.ndarray:
             for b in range(dim):
                 L[a, b] += (gamma0 - 2.0 / 3.0 * mu0) * d[a] * d[b]
     return L
+
+
+# ---------------------------------------------------------------------------
+# dense shift-and-LU inverse of a singular symmetric operator
+# ---------------------------------------------------------------------------
+
+
+def dense_shifted_solve(A: np.ndarray, null_vectors: list[np.ndarray],
+                        b: np.ndarray) -> np.ndarray:
+    """``(A + sigma sum_v v v^T)^{-1} b`` by dense LU, sigma = max|diag A|.
+
+    The null vectors are orthonormal; the shift makes A invertible without
+    changing its inverse on the complement of their span.
+    """
+    shifted = A.copy()
+    sigma = np.abs(np.diag(A)).max()
+    for v in null_vectors:
+        shifted += sigma * np.outer(v, v)
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), b)

@@ -436,6 +436,19 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             make_coefficients(g, 0.0, ones, CellField.zeros(g))  # steady inviscid
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mu_cell", "rho_cell", "gamma_cell", "rho_face"])
+    def test_nonfinite_rejected(self, name, bad, theta):
+        g = mkgrid(4)
+        ones = CellField(g, np.ones(g.cells))
+        coeff = make_coefficients(g, theta, ones, ones, ones)
+        field = getattr(coeff, name)
+        arr = field.components[1] if name == "rho_face" else field.data
+        arr[1, 2] = bad
+        with pytest.raises(ValueError):
+            dataclasses.replace(coeff)
+
     def test_velocity_null_components(self):
         ones = lambda g: CellField(g, np.ones(g.cells))
         g = mkgrid(4, bc=PERIODIC)
