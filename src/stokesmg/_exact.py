@@ -33,6 +33,14 @@ from .operators import CoefficientSet, apply_A, apply_Lrho, velocity_null_compon
 MAX_DENSE_DOFS = 20_000
 
 
+def require_exact_size(grid: GridSpec) -> None:
+    """The one exact-subsolver cap: at most ``MAX_DENSE_DOFS`` Stokes
+    unknowns (velocity plus pressure) on ``grid``, else ``ValueError``."""
+    n = grid.n_unknowns()
+    if n > MAX_DENSE_DOFS:
+        raise ValueError(f"exact subsolvers capped at {MAX_DENSE_DOFS} DOFs, grid has {n}")
+
+
 def probe_columns(op_vec, n: int) -> np.ndarray:
     """Dense matrix whose column j is ``op_vec(e_j)``."""
     cols = []
@@ -136,8 +144,6 @@ class _SparseSolver:
 
         sizes = [math.prod(s) for s in shapes]
         n = sum(sizes)
-        if n > MAX_DENSE_DOFS:
-            raise ValueError(f"{n} unknowns exceed exact-subsolver cap {MAX_DENSE_DOFS}")
         A = probe_sparse(op_vec, grid, shapes)
         offsets = np.cumsum([0] + sizes)
         self._nulls = np.zeros((n, len(null_blocks)))
@@ -168,6 +174,7 @@ class DenseFaceSolver(_SparseSolver):
     """
 
     def __init__(self, grid: GridSpec, coeff: CoefficientSet):
+        require_exact_size(grid)
         self.grid = grid
         u = FaceField.zeros(grid)
         super().__init__(
@@ -184,6 +191,7 @@ class DenseCellSolver(_SparseSolver):
     """Exact pressure Poisson subsolver (L_rho^{-1}) on the mean-zero space."""
 
     def __init__(self, grid: GridSpec, coeff: CoefficientSet):
+        require_exact_size(grid)
         self.grid = grid
         super().__init__(
             lambda v: pack_cell(apply_Lrho(unpack_cell(grid, v), coeff)),

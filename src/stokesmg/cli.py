@@ -8,8 +8,11 @@ are single JSON trees (schema in the README); outputs are plot-ready CSV
 files plus a JSON manifest, written atomically with the manifest last.
 
 Exit codes: 0 success, 1 solver non-convergence (history still written),
-2 invalid config or cap violation (no partial outputs), 3 a solve hit
-non-finite values (NaN or infinity; history still written).
+2 invalid config, cap violation, or input the library refuses (no partial
+outputs), 3 a solve hit non-finite values (NaN or infinity; history still
+written).  Library modules check their own inputs (``ValueError``); this
+module checks only config keys, names, booleans and even cell counts, and
+runs every check before it writes anything.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__
-from ._exact import MAX_DENSE_DOFS
+from ._exact import require_exact_size
 from .grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -71,8 +74,8 @@ CSV_HEADER = "iteration,scalar_vcycles,resid_precond,resid_true,restart_flag"
 MG_CSV_HEADER = "solver,sweeps,cycle,resid,resid_rel"
 
 
-class ConfigError(Exception):
-    """Invalid configuration; maps to exit code 2."""
+class ConfigError(ValueError):
+    """Invalid configuration; like any ``ValueError``, maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,13 @@ def _set(tree: dict, path: str, value) -> None:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _flag(node: dict, key: str, default: bool) -> bool:
+    """A boolean config key: JSON ``true`` or ``false`` only."""
+    value = node.get(key, default)
+    _require(isinstance(value, bool), f"{key} must be true or false, got {value!r}")
+    return value
 
 
 _LEAF = None
@@ -139,7 +149,6 @@ def validate_keys(tree: dict, schema=None, prefix: str = "") -> None:
 
 def build_grid(problem: dict) -> GridSpec:
     dim = int(problem.get("dim", 2))
-    _require(dim in (2, 3), f"dim must be 2 or 3, got {dim}")
     cells = problem.get("cells", 64)
     if isinstance(cells, int):
         cells = (cells,) * dim
@@ -157,10 +166,7 @@ def build_grid(problem: dict) -> GridSpec:
     for name in bc_spec:
         _require(name in _BC, f"unknown boundary condition {name!r}")
         bc.append((_BC[name], _BC[name]))
-    try:
-        return GridSpec(cells, h, tuple(bc))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return GridSpec(cells, h, tuple(bc))
 
 
 def _parse_beta(problem: dict) -> CflSpec:
@@ -168,9 +174,7 @@ def _parse_beta(problem: dict) -> CflSpec:
     if isinstance(raw, str):
         _require(raw in ("inf", "infinity"), f"beta must be a number or 'inf', got {raw!r}")
         return CflSpec(math.inf)
-    beta = float(raw)
-    _require(beta >= 0, "beta must be >= 0")
-    return CflSpec(beta)
+    return CflSpec(float(raw))
 
 
 def build_problem(problem: dict, seed_override: int | None = None):
@@ -196,7 +200,7 @@ def build_problem(problem: dict, seed_override: int | None = None):
         radius=bubble_cfg.get("radius"),
         noise_amp=float(bubble_cfg.get("noise_amp", 0.1)),
         seed=seed,
-        positive_outside=bool(bubble_cfg.get("positive_outside", True)),
+        positive_outside=_flag(bubble_cfg, "positive_outside", True),
     )
 
     if cfl.inviscid:
@@ -217,41 +221,28 @@ def build_problem(problem: dict, seed_override: int | None = None):
 
 def build_solver(solver: dict):
     pre = solver.get("precond", {})
-    kind_name = pre.get("kind", "P2")
-    try:
-        kind = PrecondKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown preconditioner {kind_name!r}") from exc
-    sign_name = pre.get("schur_sign", "minus")
-    try:
-        sign = SchurSign(sign_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown Schur sign {sign_name!r}") from exc
-    try:
-        pcfg = PrecondConfig(
-            kind=kind,
-            velocity_cycles=int(pre.get("velocity_cycles", 1)),
-            schur=SchurConfig(sign=sign,
-                              pressure_cycles=int(pre.get("pressure_cycles", 1))),
-            exact_subsolvers=bool(pre.get("exact_subsolvers", False)),
-        )
-        gm = solver.get("gmres", {})
-        gcfg = GmresConfig(
-            restart=int(gm.get("restart", 10)),
-            max_iters=int(gm.get("max_iters", 200)),
-            rtol=float(gm.get("rtol", 1e-9)),
-            atol=float(gm.get("atol", 0.0)),
-            track_true_residual=bool(gm.get("track_true_residual", True)),
-        )
-        sm = solver.get("smoother", {})
-        smoother = SmootherParams(
-            omega=float(sm.get("omega", 1.0)),
-            sweeps_down=int(sm.get("sweeps_down", 2)),
-            sweeps_up=int(sm.get("sweeps_up", 2)),
-            bottom_sweeps=int(sm.get("bottom_sweeps", 8)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pcfg = PrecondConfig(
+        kind=PrecondKind(pre.get("kind", "P2")),
+        velocity_cycles=int(pre.get("velocity_cycles", 1)),
+        schur=SchurConfig(sign=SchurSign(pre.get("schur_sign", "minus")),
+                          pressure_cycles=int(pre.get("pressure_cycles", 1))),
+        exact_subsolvers=_flag(pre, "exact_subsolvers", False),
+    )
+    gm = solver.get("gmres", {})
+    gcfg = GmresConfig(
+        restart=int(gm.get("restart", 10)),
+        max_iters=int(gm.get("max_iters", 200)),
+        rtol=float(gm.get("rtol", 1e-9)),
+        atol=float(gm.get("atol", 0.0)),
+        track_true_residual=_flag(gm, "track_true_residual", True),
+    )
+    sm = solver.get("smoother", {})
+    smoother = SmootherParams(
+        omega=float(sm.get("omega", 1.0)),
+        sweeps_down=int(sm.get("sweeps_down", 2)),
+        sweeps_up=int(sm.get("sweeps_up", 2)),
+        bottom_sweeps=int(sm.get("bottom_sweeps", 8)),
+    )
     return pcfg, gcfg, smoother
 
 
@@ -328,9 +319,8 @@ def _run_point(args):
     index, cfg, seed_override = args
     grid, coeff, rhs, seed = build_problem(cfg.get("problem", {}), seed_override)
     pcfg, gcfg, smoother = build_solver(cfg.get("solver", {}))
-    do_rescale = bool(cfg.get("problem", {}).get("rescale", True))
     t0 = time.perf_counter()
-    if do_rescale:
+    if _flag(cfg.get("problem", {}), "rescale", True):
         coeff, rhs, _ = rescale(coeff, rhs)
     x, history = gmres_solve(rhs, coeff, pcfg, gcfg, smoother)
     wall = time.perf_counter() - t0
@@ -356,13 +346,12 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
     # output is written
     for cfg in points:
         validate_keys(cfg)
-        grid, _, _, _ = build_problem(cfg.get("problem", {}), seed_override)
+        problem = cfg.get("problem", {})
+        grid, _, _, _ = build_problem(problem, seed_override)
+        _flag(problem, "rescale", True)
         pcfg, _, _ = build_solver(cfg.get("solver", {}))
-        if pcfg.exact_subsolvers and grid.n_unknowns() > MAX_DENSE_DOFS:
-            raise ConfigError(
-                f"exact subsolvers capped at {MAX_DENSE_DOFS} DOFs, grid has "
-                f"{grid.n_unknowns()}"
-            )
+        if pcfg.exact_subsolvers:
+            require_exact_size(grid)
     os.makedirs(outdir, exist_ok=True)
     tasks = [(i, cfg, seed_override) for i, cfg in enumerate(points)]
     if jobs > 1:
@@ -440,22 +429,12 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
 
 
 def cmd_spectrum(config: dict, outdir: str) -> int:
-    from .spectrum import MAX_SPECTRUM_CELLS, analyze_stokes_spectrum
+    from .spectrum import analyze_stokes_spectrum
 
     validate_keys(config)
-    problem = config.get("problem", {})
     which = config.get("spectrum", {}).get("which", "precondS")
-    grid = build_grid(problem)
-    if grid.n_cell_unknowns() > MAX_SPECTRUM_CELLS:
-        raise ConfigError(
-            f"spectrum cap is {MAX_SPECTRUM_CELLS} cells, grid has "
-            f"{grid.n_cell_unknowns()}"
-        )
-    grid, coeff, _, _ = build_problem(problem)
-    try:
-        report = analyze_stokes_spectrum(grid, coeff, which)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid, coeff, _, _ = build_problem(config.get("problem", {}))
+    report = analyze_stokes_spectrum(grid, coeff, which)
     os.makedirs(outdir, exist_ok=True)
     _atomic_write(os.path.join(outdir, "spectrum.json"), report.to_json(indent=2) + "\n")
     manifest = _manifest("spectrum", config, [{"file": "spectrum.json"}])
@@ -659,7 +638,7 @@ def main(argv=None) -> int:
         if args.command == "mg-bench":
             return cmd_mg_bench(config, outdir)
         return cmd_spectrum(config, outdir)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,7 @@ class GmresConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.rtol > 0:
             raise ValueError("rtol must be positive")
-        if self.atol < 0:
+        if not self.atol >= 0:
             raise ValueError("atol must be nonnegative")
 
 

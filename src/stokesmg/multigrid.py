@@ -182,8 +182,6 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
 def restrict_cell(fine: CellField) -> CellField:
     """Simple averaging of the 2^d fine children."""
     grid = fine.grid
-    if any(n % 2 for n in grid.cells):
-        raise ValueError(f"cannot restrict odd cell counts {grid.cells}")
     return CellField(grid.coarsened(), _block_mean(fine.data, range(grid.dim)))
 
 
@@ -224,8 +222,6 @@ def restrict_face(fine: FaceField) -> FaceField:
     coarse result stay zero (they are not unknowns).
     """
     grid = fine.grid
-    if any(n % 2 for n in grid.cells):
-        raise ValueError(f"cannot restrict odd cell counts {grid.cells}")
     coarse_grid = grid.coarsened()
     comps = []
     for a in range(grid.dim):

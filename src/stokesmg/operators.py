@@ -61,8 +61,8 @@ class CoefficientSet:
 
     def __post_init__(self):
         # min/max propagate NaN, and a NaN fails every comparison below
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not 0 <= self.theta < np.inf:
+            raise ValueError("theta must be nonnegative and finite")
         rho_lo, rho_hi = self.rho_cell.data.min(), self.rho_cell.data.max()
         if not -np.inf < rho_lo <= rho_hi < np.inf:
             raise ValueError("density must be finite")

@@ -22,7 +22,7 @@ from .operators import (
     grad,
     project_nulls,
 )
-from .schur import MINUS, SchurConfig, apply_schur_inv, schur_diagonal
+from .schur import MINUS, SchurConfig, apply_schur_inv
 
 
 class PrecondKind(enum.Enum):
@@ -128,10 +128,7 @@ class Preconditioner:
                 if not self.grid.periodic(a):
                     _zero_boundary(xu.components[a], a)
             # reuse the single Poisson solve inside the Schur inverse
-            s_inv = CellField(
-                self.grid,
-                schur_diagonal(coeff) * b_c.data - coeff.theta * phi.data,
-            )
+            s_inv = apply_schur_inv(b_c, coeff, self.cfg.schur, lambda _: phi)
             x = StokesVector(xu, sign * s_inv)
         elif kind is P2:
             xu = self.velocity_solve(r.u)

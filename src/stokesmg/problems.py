@@ -18,8 +18,6 @@ from .operators import (
     CoefficientSet,
     ViscousForm,
     apply_M,
-    average_cell_to_faces,
-    average_cell_to_node_edge,
     make_coefficients,
     project_nulls,
 )
@@ -84,11 +82,10 @@ def bubble_coefficients(
     gamma0: float = 0.0,
 ) -> CoefficientSet:
     """Bubble viscosity/density fields with independent noise streams."""
-    gen_mu, gen_rho = _generators(spec.seed, 2)
+    gen_mu, _ = _generators(spec.seed, 2)
     noise_mu = gen_mu.random(grid.cells) if spec.noise_amp else None
-    noise_rho = gen_rho.random(grid.cells) if spec.noise_amp else None
     mu = CellField(grid, mu0 * bubble_profile(grid, spec.r_mu, spec, noise_mu))
-    rho = CellField(grid, rho0 * bubble_profile(grid, spec.r_rho, spec, noise_rho))
+    rho = bubble_density(grid, spec, rho0)
     gamma = CellField.full(grid, gamma0) if gamma0 else CellField.zeros(grid)
     return make_coefficients(grid, theta, rho, mu, gamma, viscous_form)
 
@@ -96,8 +93,8 @@ def bubble_coefficients(
 def bubble_density(grid: GridSpec, spec: BubbleSpec, rho0: float = 1.0) -> CellField:
     """Only the density field of the bubble problem (for inviscid runs).
 
-    Draws from the same noise stream as :func:`bubble_coefficients`, so a
-    given seed describes one bubble across the whole viscous-CFL sweep.
+    :func:`bubble_coefficients` draws its density here too, so a given seed
+    describes one bubble across the whole viscous-CFL sweep.
     """
     _, gen_rho = _generators(spec.seed, 2)
     noise = gen_rho.random(grid.cells) if spec.noise_amp else None
@@ -123,16 +120,7 @@ def constant_coefficients(
 def inviscid_coefficients(grid: GridSpec, rho_cell: CellField,
                           theta: float = 1.0) -> CoefficientSet:
     """A = theta*rho only; the viscous operator vanishes identically."""
-    zero = CellField.zeros(grid)
-    return CoefficientSet(
-        theta=theta,
-        rho_cell=rho_cell,
-        rho_face=average_cell_to_faces(rho_cell),
-        mu_cell=zero,
-        mu_node_edge=average_cell_to_node_edge(zero),
-        gamma_cell=CellField.zeros(grid),
-        viscous_form=STRESS,
-    )
+    return make_coefficients(grid, theta, rho_cell, CellField.zeros(grid))
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,7 @@ class CflSpec:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("viscous CFL number must be >= 0")
 
     @property

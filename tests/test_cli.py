@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,11 +112,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_invalid_sweep_value_no_partial_outputs(self, tmp_path):
+    @pytest.mark.parametrize("path, values", [
+        ("problem.cells", [8, 7]),
+        ("problem.h", [1, -1]),
+        ("problem.dim", [2, 4]),
+        ("problem.beta", [1, -1]),
+        ("solver.gmres.atol", [0, math.nan]),
+        ("solver.precond.exact_subsolvers", [False, "false"]),
+    ])
+    def test_invalid_sweep_value_no_partial_outputs(self, tmp_path, path, values):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "problem": {"cells": 8, "kind": "constant", "bc": "no_slip"},
-            "sweep": {"problem.cells": [8, 7]},
+            "sweep": {path: values},
         }))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
@@ -280,3 +289,11 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "bubble-2d" in proc.stdout
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse loads on the first exact-subsolver build, not on import
+        code = ("import sys, stokesmg, stokesmg.cli; "
+                "sys.exit('scipy.sparse' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -32,8 +32,9 @@ class TestConfig:
             GmresConfig(restart=0)
         with pytest.raises(ValueError):
             GmresConfig(rtol=0.0)
-        with pytest.raises(ValueError):
-            GmresConfig(atol=-1.0)
+        for atol in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                GmresConfig(atol=atol)
 
 
 class TestKernel:

@@ -438,11 +438,16 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["mu_cell", "rho_cell", "gamma_cell", "rho_face"])
+    @pytest.mark.parametrize("name", ["mu_cell", "rho_cell", "gamma_cell", "rho_face",
+                                      "theta"])
     def test_nonfinite_rejected(self, name, bad, theta):
         g = mkgrid(4)
         ones = CellField(g, np.ones(g.cells))
         coeff = make_coefficients(g, theta, ones, ones, ones)
+        if name == "theta":
+            with pytest.raises(ValueError):
+                dataclasses.replace(coeff, theta=bad)
+            return
         field = getattr(coeff, name)
         arr = field.components[1] if name == "rho_face" else field.data
         arr[1, 2] = bad

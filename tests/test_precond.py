@@ -189,8 +189,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrecondConfig(velocity_cycles=0)
 
-    def test_dense_cap_enforced(self):
-        g = mkgrid(128, bc=NO_SLIP)
+    @pytest.mark.parametrize("n, dim, match", [
+        (128, 2, None),
+        (18, 3, "capped at 20000 DOFs, grid has 22356"),
+    ])
+    def test_dense_cap_enforced(self, n, dim, match):
+        g = mkgrid(n, bc=NO_SLIP, dim=dim)
         coeff = constant_coefficients(g)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             Preconditioner(coeff, PrecondConfig(kind=P2, exact_subsolvers=True))

@@ -123,9 +123,10 @@ class TestCfl:
         assert spec.inviscid and not spec.steady
         assert cfl_to_theta(spec, 1.0, 1.0, 1.0) == 1.0  # unit time step
 
-    def test_negative_rejected(self):
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_negative_rejected(self, beta):
         with pytest.raises(ValueError):
-            CflSpec(-1.0)
+            CflSpec(beta)
 
 
 class TestMakeRhs:
