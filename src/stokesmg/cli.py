@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 solver non-convergence (history still written),
 2 invalid config, cap violation, or input the library refuses (no partial
 outputs), 3 a solve hit non-finite values (NaN or infinity; history still
 written).  Library modules check their own inputs (``ValueError``); this
-module checks only config keys, names, booleans and even cell counts, and
-runs every check before it writes anything.
+module checks only config keys, JSON value types, names and even cell
+counts, and runs every check before it writes anything.
 """
 
 from __future__ import annotations
@@ -98,11 +98,28 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _flag(node: dict, key: str, default: bool) -> bool:
-    """A boolean config key: JSON ``true`` or ``false`` only."""
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``: ``bool`` true or false,
+    ``int`` an integer (a count), ``float`` any number (returned as a
+    float), ``str`` a string (a name).  Only ``bool`` takes booleans."""
+    types, name = _JSON_TYPES[kind]
+    _require(isinstance(value, types) and isinstance(value, bool) == (kind is bool),
+             f"{what} must be {name}, got {value!r}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{what} is out of range") from None
+
+
+def _get(node: dict, key: str, default, kind: type, nullable: bool = False):
+    """Config key ``key`` of ``node`` (``default`` when absent), typed by
+    :func:`_typed`; ``nullable`` also lets JSON null through."""
     value = node.get(key, default)
-    _require(isinstance(value, bool), f"{key} must be true or false, got {value!r}")
-    return value
+    return value if nullable and value is None else _typed(value, kind, key)
 
 
 _LEAF = None
@@ -148,23 +165,24 @@ def validate_keys(tree: dict, schema=None, prefix: str = "") -> None:
 
 
 def build_grid(problem: dict) -> GridSpec:
-    dim = int(problem.get("dim", 2))
+    dim = _get(problem, "dim", 2, int)
     cells = problem.get("cells", 64)
-    if isinstance(cells, int):
-        cells = (cells,) * dim
+    if isinstance(cells, list):
+        cells = tuple(_typed(n, int, "cells entry") for n in cells)
     else:
-        cells = tuple(int(n) for n in cells)
+        cells = (_typed(cells, int, "cells"),) * dim
     _require(len(cells) == dim, "cells must match dim")
     _require(all(n >= 4 and n % 2 == 0 for n in cells),
              f"cell counts must be even and >= 4, got {cells}")
-    h = float(problem.get("h", 1.0))
+    h = _get(problem, "h", 1.0, float)
     bc_spec = problem.get("bc", "no_slip")
-    if isinstance(bc_spec, str):
-        bc_spec = [bc_spec] * dim
+    if not isinstance(bc_spec, list):
+        bc_spec = [_typed(bc_spec, str, "bc")] * dim
     _require(len(bc_spec) == dim, "bc must be a name or one name per axis")
     bc = []
     for name in bc_spec:
-        _require(name in _BC, f"unknown boundary condition {name!r}")
+        _require(_typed(name, str, "bc entry") in _BC,
+                 f"unknown boundary condition {name!r}")
         bc.append((_BC[name], _BC[name]))
     return GridSpec(cells, h, tuple(bc))
 
@@ -174,33 +192,33 @@ def _parse_beta(problem: dict) -> CflSpec:
     if isinstance(raw, str):
         _require(raw in ("inf", "infinity"), f"beta must be a number or 'inf', got {raw!r}")
         return CflSpec(math.inf)
-    return CflSpec(float(raw))
+    return CflSpec(_typed(raw, float, "beta"))
 
 
 def build_problem(problem: dict, seed_override: int | None = None):
     """Return (grid, coeff, rhs, seed) for a problem block."""
     grid = build_grid(problem)
-    kind = problem.get("kind", "constant")
+    kind = _get(problem, "kind", "constant", str)
     _require(kind in ("constant", "bubble"), f"unknown problem kind {kind!r}")
-    form_name = problem.get("viscous_form", "stress")
+    form_name = _get(problem, "viscous_form", "stress", str)
     _require(form_name in _FORM, f"unknown viscous form {form_name!r}")
     form = _FORM[form_name]
-    mu0 = float(problem.get("mu0", 1.0))
-    rho0 = float(problem.get("rho0", 1.0))
-    gamma0 = float(problem.get("gamma0", 0.0))
-    seed = int(problem.get("seed", 0)) if seed_override is None else int(seed_override)
+    mu0 = _get(problem, "mu0", 1.0, float)
+    rho0 = _get(problem, "rho0", 1.0, float)
+    gamma0 = _get(problem, "gamma0", 0.0, float)
+    seed = _get(problem, "seed", 0, int) if seed_override is None else int(seed_override)
     cfl = _parse_beta(problem)
     theta = cfl_to_theta(cfl, mu0, rho0, grid.h)
 
     bubble_cfg = problem.get("bubble", {})
     spec = BubbleSpec(
-        r_mu=float(bubble_cfg.get("r_mu", 100.0)),
-        r_rho=float(bubble_cfg.get("r_rho", 100.0)),
-        epsilon=bubble_cfg.get("epsilon"),
-        radius=bubble_cfg.get("radius"),
-        noise_amp=float(bubble_cfg.get("noise_amp", 0.1)),
+        r_mu=_get(bubble_cfg, "r_mu", 100.0, float),
+        r_rho=_get(bubble_cfg, "r_rho", 100.0, float),
+        epsilon=_get(bubble_cfg, "epsilon", None, float, nullable=True),
+        radius=_get(bubble_cfg, "radius", None, float, nullable=True),
+        noise_amp=_get(bubble_cfg, "noise_amp", 0.1, float),
         seed=seed,
-        positive_outside=_flag(bubble_cfg, "positive_outside", True),
+        positive_outside=_get(bubble_cfg, "positive_outside", True, bool),
     )
 
     if cfl.inviscid:
@@ -222,26 +240,26 @@ def build_problem(problem: dict, seed_override: int | None = None):
 def build_solver(solver: dict):
     pre = solver.get("precond", {})
     pcfg = PrecondConfig(
-        kind=PrecondKind(pre.get("kind", "P2")),
-        velocity_cycles=int(pre.get("velocity_cycles", 1)),
-        schur=SchurConfig(sign=SchurSign(pre.get("schur_sign", "minus")),
-                          pressure_cycles=int(pre.get("pressure_cycles", 1))),
-        exact_subsolvers=_flag(pre, "exact_subsolvers", False),
+        kind=PrecondKind(_get(pre, "kind", "P2", str)),
+        velocity_cycles=_get(pre, "velocity_cycles", 1, int),
+        schur=SchurConfig(sign=SchurSign(_get(pre, "schur_sign", "minus", str)),
+                          pressure_cycles=_get(pre, "pressure_cycles", 1, int)),
+        exact_subsolvers=_get(pre, "exact_subsolvers", False, bool),
     )
     gm = solver.get("gmres", {})
     gcfg = GmresConfig(
-        restart=int(gm.get("restart", 10)),
-        max_iters=int(gm.get("max_iters", 200)),
-        rtol=float(gm.get("rtol", 1e-9)),
-        atol=float(gm.get("atol", 0.0)),
-        track_true_residual=_flag(gm, "track_true_residual", True),
+        restart=_get(gm, "restart", 10, int),
+        max_iters=_get(gm, "max_iters", 200, int),
+        rtol=_get(gm, "rtol", 1e-9, float),
+        atol=_get(gm, "atol", 0.0, float),
+        track_true_residual=_get(gm, "track_true_residual", True, bool),
     )
     sm = solver.get("smoother", {})
     smoother = SmootherParams(
-        omega=float(sm.get("omega", 1.0)),
-        sweeps_down=int(sm.get("sweeps_down", 2)),
-        sweeps_up=int(sm.get("sweeps_up", 2)),
-        bottom_sweeps=int(sm.get("bottom_sweeps", 8)),
+        omega=_get(sm, "omega", 1.0, float),
+        sweeps_down=_get(sm, "sweeps_down", 2, int),
+        sweeps_up=_get(sm, "sweeps_up", 2, int),
+        bottom_sweeps=_get(sm, "bottom_sweeps", 8, int),
     )
     return pcfg, gcfg, smoother
 
@@ -320,7 +338,7 @@ def _run_point(args):
     grid, coeff, rhs, seed = build_problem(cfg.get("problem", {}), seed_override)
     pcfg, gcfg, smoother = build_solver(cfg.get("solver", {}))
     t0 = time.perf_counter()
-    if _flag(cfg.get("problem", {}), "rescale", True):
+    if _get(cfg.get("problem", {}), "rescale", True, bool):
         coeff, rhs, _ = rescale(coeff, rhs)
     x, history = gmres_solve(rhs, coeff, pcfg, gcfg, smoother)
     wall = time.perf_counter() - t0
@@ -348,7 +366,7 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
         validate_keys(cfg)
         problem = cfg.get("problem", {})
         grid, _, _, _ = build_problem(problem, seed_override)
-        _flag(problem, "rescale", True)
+        _get(problem, "rescale", True, bool)
         pcfg, _, _ = build_solver(cfg.get("solver", {}))
         if pcfg.exact_subsolvers:
             require_exact_size(grid)
@@ -402,13 +420,14 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     validate_keys(config)
     problem = config.get("problem", {})
     bench = config.get("mg_bench", {})
-    target = bench.get("target", "both")
+    target = _get(bench, "target", "both", str)
     _require(target in ("pressure", "velocity", "both"), f"bad mg-bench target {target!r}")
     sweeps_list = bench.get("sweeps", [1, 2, 3, 4])
-    _require(isinstance(sweeps_list, list) and all(int(s) >= 1 for s in sweeps_list),
-             "mg_bench.sweeps must be a list of positive integers")
-    max_cycles = int(bench.get("max_cycles", 15))
-    rtol = float(bench.get("rtol", 1e-12))
+    _require(isinstance(sweeps_list, list), "mg_bench.sweeps must be a list")
+    _require(all(_typed(s, int, "sweeps entry") >= 1 for s in sweeps_list),
+             "mg_bench.sweeps entries must be positive")
+    max_cycles = _get(bench, "max_cycles", 15, int)
+    rtol = _get(bench, "rtol", 1e-12, float)
     grid, coeff, _, seed = build_problem(problem)
     targets = ("pressure", "velocity") if target == "both" else (target,)
     if "velocity" in targets and coeff.theta == 0 and coeff.inviscid:
@@ -417,7 +436,7 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     lines = [MG_CSV_HEADER]
     for tgt in targets:
         for sweeps in sweeps_list:
-            for row in _mg_bench_rows(grid, coeff, tgt, int(sweeps), max_cycles,
+            for row in _mg_bench_rows(grid, coeff, tgt, sweeps, max_cycles,
                                       rtol, seed):
                 name, s, cyc, r, rel = row
                 lines.append(f"{name},{s},{cyc},{_fmt(r)},{_fmt(rel)}")
@@ -432,7 +451,7 @@ def cmd_spectrum(config: dict, outdir: str) -> int:
     from .spectrum import analyze_stokes_spectrum
 
     validate_keys(config)
-    which = config.get("spectrum", {}).get("which", "precondS")
+    which = _get(config.get("spectrum", {}), "which", "precondS", str)
     grid, coeff, _, _ = build_problem(config.get("problem", {}))
     report = analyze_stokes_spectrum(grid, coeff, which)
     os.makedirs(outdir, exist_ok=True)

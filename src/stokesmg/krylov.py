@@ -161,10 +161,9 @@ def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def true_residual(x: StokesVector, rhs: StokesVector,
                   coeff: CoefficientSet) -> float:
-    """|| M x - rhs ||_2 by a fresh operator application."""
-    from .grid import norm2
-
-    return norm2(apply_M(x, coeff) - rhs)
+    """|| rhs - M x ||_2 over the packed unknowns, by a fresh operator
+    application."""
+    return float(np.linalg.norm(pack_stokes(rhs - apply_M(x, coeff))))
 
 
 def gmres_solve(
@@ -188,8 +187,7 @@ def gmres_solve(
     P = precond if precond is not None else Preconditioner(coeff, pcfg, smoother)
     history = ConvergenceHistory()
 
-    b_raw = pack_stokes(rhs)
-    rhs_norm = float(np.linalg.norm(b_raw))
+    rhs_norm = float(np.linalg.norm(pack_stokes(rhs)))
 
     def apply_op(v: np.ndarray) -> np.ndarray:
         x = unpack_stokes(grid, v)
@@ -210,9 +208,7 @@ def gmres_solve(
 
     def callback(k, xvec, rp, restart_flag):
         if gcfg.track_true_residual:
-            rt = float(np.linalg.norm(
-                b_raw - pack_stokes(apply_M(unpack_stokes(grid, xvec), coeff))
-            ))
+            rt = true_residual(unpack_stokes(grid, xvec), rhs, coeff)
         else:
             rt = float("nan")
         history.add(k, P.scalar_vcycles, rp, rt, restart_flag)

@@ -28,9 +28,10 @@ from .operators import (
     apply_A_row,
     apply_Lrho,
     helmholtz_diagonal,
+    lrho_couplings,
     lrho_diagonal,
-    lrho_weights,
-    viscous_self_weights,
+    viscous_couplings,
+    _add_neighbors,
     _sl,
 )
 
@@ -323,43 +324,28 @@ def _relax(x, res, diag, omega, parity, delta=None) -> None:
             delta[s] = step
 
 
-def _add_neighbors(out, delta, w, axis: int, periodic: bool, lower: bool) -> None:
-    """Add each entry's two ``w``-weighted axis neighbors in ``delta`` to ``out``.
+def _sweep(grid, x, res, interior, diag, couplings, omega) -> None:
+    """One two-color Gauss-Seidel sweep of ``x[interior]``, in place.
 
-    ``w[k]`` couples entries ``k`` and ``k + 1``, or ``k - 1`` and ``k`` when
-    ``lower``; a bounded axis then has two wall entries that couple nothing.
-    Full arrays, so the sum stays exact where an odd periodic count makes a
-    color touch itself across the wrap.
+    ``res`` is the full residual, formed once: after the red relaxation it
+    is brought up to date at black entries from red's correction through
+    the operator's negated off-diagonal ``couplings`` (``res += c * delta``).
     """
-    if periodic:
-        s = 1 if lower else -1
-        out += w * np.roll(delta, s, axis=axis) + np.roll(w * delta, -s, axis=axis)
-        return
-    if lower:
-        w = w[_sl(w.ndim, axis, slice(1, -1))]
-    lo = _sl(delta.ndim, axis, slice(None, -1))
-    hi = _sl(delta.ndim, axis, slice(1, None))
-    out[lo] += w * delta[hi]
-    out[hi] += w * delta[lo]
+    view, r, d = x[interior], res[interior], diag[interior]
+    delta = np.zeros_like(res)
+    _relax(view, r, d, omega, 0, delta[interior])
+    for w, axis, lower in couplings:
+        _add_neighbors(res, delta, w, axis, grid.periodic(axis), lower)
+    _relax(view, r, d, omega, 1)
 
 
 def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
                 coeff: CoefficientSet, diag: CellField, omega: float) -> None:
-    """One red-black Gauss-Seidel sweep on the pressure operator, in place.
-
-    The residual is formed once: after the red relaxation it is brought up
-    to date at black cells from red's correction through the 1/(rho h^2)
-    face couplings.
-    """
+    """One red-black Gauss-Seidel sweep on the pressure operator, in place,
+    through the couplings of :func:`lrho_couplings`."""
     res = rhs.data - apply_Lrho(phi, coeff).data
-    delta = np.zeros_like(res)
-    _relax(phi.data, res, diag.data, omega, 0, delta)
-    coupled = np.zeros_like(res)
-    for a in range(grid.dim):
-        _add_neighbors(coupled, delta, lrho_weights(grid, coeff, a), a,
-                       grid.periodic(a), lower=True)
-    res -= coupled
-    _relax(phi.data, res, diag.data, omega, 1)
+    _sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
+           lrho_couplings(grid, coeff), omega)
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -367,23 +353,14 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
     """One 2d-colored Gauss-Seidel sweep on the velocity operator, in place.
 
     Colors are relaxed in the order red-x, black-x, red-y, black-y(,
-    red-z, black-z); updates are visible across colors.  Each component's
-    residual is formed once; after its red relaxation it is brought up to
-    date from red's correction through the component's own neighbor
-    couplings (:func:`viscous_self_weights`).
+    red-z, black-z); updates are visible across colors.  Each component is
+    swept with its own residual and the couplings of
+    :func:`viscous_couplings`.
     """
     for a in range(grid.dim):
-        interior = grid.interior_slices(a)
-        view = u.components[a][interior]
-        d = diag.components[a][interior]
         res = rhs.components[a] - apply_A_row(u, coeff, a)
-        delta = np.zeros_like(res)
-        _relax(view, res[interior], d, omega, 0, delta[interior])
-        normal, tangential = viscous_self_weights(grid, coeff, a)
-        _add_neighbors(res, delta, normal, a, grid.periodic(a), lower=False)
-        for b, w in tangential.items():
-            _add_neighbors(res, delta, w, b, grid.periodic(b), lower=True)
-        _relax(view, res[interior], d, omega, 1)
+        _sweep(grid, u.components[a], res, grid.interior_slices(a),
+               diag.components[a], viscous_couplings(grid, coeff, a), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -424,35 +424,51 @@ def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
 # ---------------------------------------------------------------------------
 
 
-def lrho_weights(grid: GridSpec, coeff: CoefficientSet, a: int) -> np.ndarray:
-    """Coupling 1/(rho h^2) across each axis-``a`` face in D (1/rho) G.
+def _add_neighbors(out, delta, w, axis: int, periodic: bool, lower: bool) -> None:
+    """Add each entry's two ``w``-weighted axis neighbors in ``delta`` to ``out``.
 
-    Entry ``k`` couples cells ``k - 1`` and ``k``; wall faces carry no flux
-    and couple nothing.
+    ``w[k]`` couples entries ``k`` and ``k + 1``, or ``k - 1`` and ``k`` when
+    ``lower``; a bounded axis then has two wall entries that couple nothing.
+    Full arrays, so the sum stays exact where an odd periodic count makes a
+    color touch itself across the wrap.
     """
-    return (1.0 / grid.h**2) / coeff.rho_face.components[a]
+    if periodic:
+        s = 1 if lower else -1
+        out += w * np.roll(delta, s, axis=axis) + np.roll(w * delta, -s, axis=axis)
+        return
+    if lower:
+        w = w[_sl(w.ndim, axis, slice(1, -1))]
+    lo = _sl(delta.ndim, axis, slice(None, -1))
+    hi = _sl(delta.ndim, axis, slice(1, None))
+    out[lo] += w * delta[hi]
+    out[hi] += w * delta[lo]
 
 
-def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
-    """Diagonal of D (1/rho) G: minus each cell's interior face couplings."""
-    out = np.zeros(grid.cells)
+def lrho_couplings(grid: GridSpec, coeff: CoefficientSet) -> list:
+    """Couplings ``(w, axis, lower)`` of D (1/rho) G, negated.
+
+    Per axis, ``w`` is -1/(rho h^2) across each face (see
+    :func:`_add_neighbors`); wall faces carry no flux, so their entries,
+    which feed only the diagonal, are zero.
+    """
+    out = []
     for a in range(grid.dim):
-        beta = lrho_weights(grid, coeff, a)
+        w = (-1.0 / grid.h**2) / coeff.rho_face.components[a]
         if not grid.periodic(a):
-            _zero_boundary(beta, a)
-        out -= _edge_pair_sum(beta, a, grid.periodic(a))
-    return CellField(grid, out)
+            _zero_boundary(w, a)
+        out.append((w, a, True))
+    return out
 
 
-def viscous_self_weights(grid: GridSpec, coeff: CoefficientSet, a: int):
-    """Couplings of the axis-``a`` velocity to its own neighbors in -L_mu.
+def viscous_couplings(grid: GridSpec, coeff: CoefficientSet, a: int) -> list:
+    """Couplings ``(w, axis, lower)`` of the axis-``a`` velocity in -L_mu.
 
-    Returns ``(normal, tangential)``, all divided by h^2.  ``normal`` is
-    the cell-centered normal coefficient of the viscous form: entry ``k``
-    couples a-faces ``k`` and ``k + 1``.  ``tangential[b]`` is the ``(a, b)``
-    node/edge viscosity: entry ``k`` couples rows ``k - 1`` and ``k`` along
-    ``b``.  On a wall along ``b`` that entry is the one-sided wall coupling,
-    which reaches no neighbor and enters only the diagonal.
+    Divided by h^2.  The normal coefficient of the viscous form couples
+    a-faces ``k`` and ``k + 1``; the ``(a, b)`` node/edge viscosity couples
+    rows ``k - 1`` and ``k`` along each ``b != a``.  On a wall along ``b``
+    that entry is the one-sided wall coupling, which reaches no neighbor and
+    enters only the diagonal: doubled on no-slip walls (difference over
+    h/2), dropped on free-slip walls (no tangential flux).
     """
     inv_h2 = 1.0 / grid.h**2
     mu_c = coeff.mu_cell.data
@@ -463,59 +479,49 @@ def viscous_self_weights(grid: GridSpec, coeff: CoefficientSet, a: int):
         normal = (2.0 * inv_h2) * mu_c
     else:
         normal = inv_h2 * (2.0 * mu_c + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c))
-    tangential = {
-        b: inv_h2 * coeff.mu_node_edge.plane(a, b)
-        for b in range(grid.dim) if b != a
-    }
-    return normal, tangential
-
-
-def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
-    """Diagonal of A = theta*rho - L_mu; boundary faces are set to one.
-
-    The couplings of :func:`viscous_self_weights` summed per face, with each
-    wall coupling doubled on no-slip walls (one-sided difference over h/2)
-    and dropped on free-slip walls (no tangential flux).
-    """
-    comps = []
-    for a in range(grid.dim):
-        normal, tangential = viscous_self_weights(grid, coeff, a)
-        diag = (coeff.theta * coeff.rho_face.components[a]
-                + _pair_sum(normal, a, grid.periodic(a)))
-        for b, w in tangential.items():
-            if not grid.periodic(b):
-                for end, bc in ((0, grid.bc[b][0]), (-1, grid.bc[b][1])):
-                    w[_sl(w.ndim, b, end)] *= 2.0 if bc is NO_SLIP else 0.0
-            diag += _edge_pair_sum(w, b, grid.periodic(b))
-        if not grid.periodic(a):
-            diag[_sl(diag.ndim, a, 0)] = 1.0
-            diag[_sl(diag.ndim, a, -1)] = 1.0
-        comps.append(diag)
-    return FaceField(grid, tuple(comps))
-
-
-def _pair_sum(cell_arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """cell_arr[i-1] + cell_arr[i] at the staggered positions (wall rows 0)."""
-    if periodic:
-        return cell_arr + np.roll(cell_arr, 1, axis=axis)
-    shape = list(cell_arr.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    out[_sl(cell_arr.ndim, axis, slice(1, -1))] = (
-        cell_arr[_sl(cell_arr.ndim, axis, slice(1, None))]
-        + cell_arr[_sl(cell_arr.ndim, axis, slice(None, -1))]
-    )
+    out = [(normal, a, False)]
+    for b in range(grid.dim):
+        if b == a:
+            continue
+        w = inv_h2 * coeff.mu_node_edge.plane(a, b)
+        if not grid.periodic(b):
+            for end, bc in ((0, grid.bc[b][0]), (-1, grid.bc[b][1])):
+                w[_sl(w.ndim, b, end)] *= 2.0 if bc is NO_SLIP else 0.0
+        out.append((w, b, True))
     return out
 
 
-def _edge_pair_sum(edge_arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """edge_arr[j] + edge_arr[j+1] at the centered positions along ``axis``."""
-    if periodic:
-        return edge_arr + np.roll(edge_arr, -1, axis=axis)
-    return (
-        edge_arr[_sl(edge_arr.ndim, axis, slice(None, -1))]
-        + edge_arr[_sl(edge_arr.ndim, axis, slice(1, None))]
-    )
+def _coupling_diagonal(grid: GridSpec, diag: np.ndarray, couplings) -> np.ndarray:
+    """Add each coupling's neighbor sums and wall entries to ``diag`` (the
+    operator's shift), in place; each coupling is summed on its own first."""
+    ones = np.ones_like(diag)
+    for w, axis, lower in couplings:
+        part = np.zeros_like(diag)
+        _add_neighbors(part, ones, w, axis, grid.periodic(axis), lower)
+        if lower and not grid.periodic(axis):
+            for end in (0, -1):
+                part[_sl(part.ndim, axis, end)] += w[_sl(w.ndim, axis, end)]
+        diag += part
+    return diag
+
+
+def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
+    """Diagonal of D (1/rho) G, summed from :func:`lrho_couplings`."""
+    return CellField(grid, _coupling_diagonal(
+        grid, np.zeros(grid.cells), lrho_couplings(grid, coeff)))
+
+
+def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
+    """Diagonal of A = theta*rho - L_mu, summed from :func:`viscous_couplings`;
+    boundary faces are set to one."""
+    comps = []
+    for a in range(grid.dim):
+        diag = _coupling_diagonal(grid, coeff.theta * coeff.rho_face.components[a],
+                                  viscous_couplings(grid, coeff, a))
+        if not grid.periodic(a):
+            diag[_sl(diag.ndim, a, [0, -1])] = 1.0
+        comps.append(diag)
+    return FaceField(grid, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

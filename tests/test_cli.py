@@ -119,6 +119,13 @@ class TestRunCommand:
         ("problem.beta", [1, -1]),
         ("solver.gmres.atol", [0, math.nan]),
         ("solver.precond.exact_subsolvers", [False, "false"]),
+        ("problem.cells", [8, 8.0]),
+        ("problem.beta", [1, None]),
+        ("problem.bc", ["no_slip", 5]),
+        ("solver.precond.velocity_cycles", [1, 1.9]),
+        ("problem.mu0", [1, "1"]),
+        ("solver.gmres.restart", [10, True]),
+        ("problem.mu0", [1, 10**400]),
     ])
     def test_invalid_sweep_value_no_partial_outputs(self, tmp_path, path, values):
         cfg = tmp_path / "cfg.json"

@@ -71,6 +71,7 @@ class TestKernel:
         two_d = [s for s in allocs if isinstance(s, tuple) and len(s) == 2 and s[1] == 20]
         assert set(two_d) == {(5, 20)}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("restart, stop_at", [(10, 3), (2, 2)])
     def test_nonfinite_stops_at_once(self, bad, restart, stop_at):

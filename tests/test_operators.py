@@ -469,14 +469,26 @@ class TestCoefficients:
         assert velocity_null_components(g, c) == (0,)
 
 
+# one wall kind on a 4^2 grid (ids: the boundary condition), mixed walls, and
+# odd periodic counts such as a 6 -> 3 coarsening produces
+DIAGONAL_GRIDS = [pytest.param(mkgrid(4, bc=bc), id=str(bc))
+                  for bc in (PERIODIC, NO_SLIP, FREE_SLIP)] + [
+    pytest.param(mkgrid((8, 6), bc=[(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC)]),
+                 id="mixed_walls_2d"),
+    pytest.param(mkgrid((4, 6, 4), bc=[(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
+                                       (FREE_SLIP, NO_SLIP)]), id="mixed_walls_3d"),
+    pytest.param(mkgrid((6, 3)), id="odd_periodic_2d"),
+    pytest.param(mkgrid((3, 3, 3)), id="odd_periodic_3d"),
+]
+
+
 class TestDiagonals:
-    @pytest.mark.parametrize("bc", [PERIODIC, NO_SLIP, FREE_SLIP])
+    @pytest.mark.parametrize("g", DIAGONAL_GRIDS)
     @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_helmholtz_diagonal_matches_probing(self, bc, form, rng):
-        g = mkgrid(4, bc=bc)
+    def test_helmholtz_diagonal_matches_probing(self, g, form, rng):
         coeff = make_variable_coeff(g, rng, theta=0.3, form=form)
         diag = helmholtz_diagonal(g, coeff)
-        for a in range(2):
+        for a in range(g.dim):
             for idx in np.ndindex(g.face_shape(a)):
                 if not g.periodic(a) and idx[a] in (0, g.cells[a]):
                     continue
@@ -485,8 +497,8 @@ class TestDiagonals:
                 assert apply_A(e, coeff).components[a][idx] == pytest.approx(
                     diag.components[a][idx], rel=1e-12)
 
-    def test_lrho_diagonal_matches_probing(self, rng):
-        g = mkgrid(4, bc=NO_SLIP)
+    @pytest.mark.parametrize("g", DIAGONAL_GRIDS)
+    def test_lrho_diagonal_matches_probing(self, g, rng):
         coeff = make_variable_coeff(g, rng)
         diag = lrho_diagonal(g, coeff)
         for idx in np.ndindex(g.cells):
