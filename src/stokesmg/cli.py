@@ -360,12 +360,16 @@ def _run_point(args):
 def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> int:
     validate_keys(config)
     points = expand_sweep(config)
-    # validate every sweep point (including problem construction) before any
-    # output is written
+    # validate every sweep point before any output is written; each distinct
+    # problem block is built once
+    grids = {}
     for cfg in points:
         validate_keys(cfg)
         problem = cfg.get("problem", {})
-        grid, _, _, _ = build_problem(problem, seed_override)
+        key = json.dumps(problem, sort_keys=True)
+        if key not in grids:
+            grids[key] = build_problem(problem, seed_override)[0]
+        grid = grids[key]
         _get(problem, "rescale", True, bool)
         pcfg, _, _ = build_solver(cfg.get("solver", {}))
         if pcfg.exact_subsolvers:
@@ -604,8 +608,14 @@ def load_config(args) -> tuple[str | None, dict]:
     preset = PRESETS[args.preset]
     config = copy.deepcopy(preset["config"])
     if getattr(args, "paper_scale", False):
+        # a path the preset sweeps over takes the scaled list in the sweep
+        # itself, which would otherwise override it at every point
+        sweep = config.get("sweep", {})
         for path, value in preset["paper_scale"].items():
-            _set(config, path, value)
+            if path in sweep:
+                sweep[path] = value
+            else:
+                _set(config, path, value)
     return preset["command"], config
 
 

@@ -319,24 +319,25 @@ def _check_same_layout(a, b):
         raise LayoutError("fields live on different grids")
 
 
+def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def dot(a, b) -> float:
     """Euclidean inner product over unknown DOFs.
 
     Boundary-held Dirichlet faces are excluded, so only true unknowns
-    contribute; symmetric and bilinear by construction.
+    contribute; symmetric and bilinear by construction.  Summed by numpy's
+    single-threaded ``einsum`` loop rather than BLAS, so the result does
+    not depend on the BLAS thread count.
     """
     _check_same_layout(a, b)
     if isinstance(a, CellField):
-        return float(np.dot(a.data.ravel(order="F"), b.data.ravel(order="F")))
+        return _sum_products(a.data, b.data)
     if isinstance(a, FaceField):
         total = 0.0
         for axis in range(a.grid.dim):
-            total += float(
-                np.dot(
-                    a.interior(axis).ravel(order="F"),
-                    b.interior(axis).ravel(order="F"),
-                )
-            )
+            total += _sum_products(a.interior(axis), b.interior(axis))
         return total
     if isinstance(a, StokesVector):
         return dot(a.u, b.u) + dot(a.p, b.p)

@@ -4,6 +4,11 @@ The Arnoldi kernel works on flat vectors (modified Gram-Schmidt, plane
 rotations for the least-squares solve) and is wrapped for Stokes systems;
 every iteration logs the Givens residual estimate, the cumulative
 scalar-V-cycle count and, by default, a freshly recomputed true residual.
+
+Inner products, norms and basis combinations use numpy's own
+single-threaded ``einsum`` loops, never BLAS: a threaded BLAS would change
+the summation order with its thread count (so the output bits with it) and
+oversubscribe the cores of parallel sweep workers.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ class ConvergenceHistory:
         ]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(_dot(v, v))
+
+
 def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
                  target: float, breakdown_tol: float, callback=None):
     """Restarted GMRES on flat vectors for the system ``apply_op(x) = b``.
@@ -95,7 +108,7 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
     k = 0
     first_cycle = True
     while True:
-        beta = float(np.linalg.norm(r))
+        beta = _norm(r)
         if beta == 0.0:
             return x, "converged", k
         if not math.isfinite(beta):
@@ -113,9 +126,9 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
             w = apply_op(V[j])
             k += 1
             for i in range(j + 1):
-                H[i, j] = float(V[i] @ w)
+                H[i, j] = _dot(V[i], w)
                 w -= H[i, j] * V[i]
-            arnoldi_norm = float(np.linalg.norm(w))
+            arnoldi_norm = _norm(w)
             H[j + 1, j] = arnoldi_norm
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -136,7 +149,7 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
                 return xk, "nonfinite", k
 
             y = _solve_upper(H[: j + 1, : j + 1], g[: j + 1])
-            xk = x + V[: j + 1].T @ y
+            xk = x + np.einsum("ij,i->j", V[: j + 1], y)
             if callback is not None:
                 callback(k, xk, rp, j == 0 and not first_cycle)
             if rp <= target:
@@ -155,7 +168,7 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
 def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
     y = np.zeros_like(g)
     for i in range(len(g) - 1, -1, -1):
-        y[i] = (g[i] - R[i, i + 1 :] @ y[i + 1 :]) / R[i, i]
+        y[i] = (g[i] - _dot(R[i, i + 1 :], y[i + 1 :])) / R[i, i]
     return y
 
 
@@ -163,7 +176,7 @@ def true_residual(x: StokesVector, rhs: StokesVector,
                   coeff: CoefficientSet) -> float:
     """|| rhs - M x ||_2 over the packed unknowns, by a fresh operator
     application."""
-    return float(np.linalg.norm(pack_stokes(rhs - apply_M(x, coeff))))
+    return _norm(pack_stokes(rhs - apply_M(x, coeff)))
 
 
 def gmres_solve(
@@ -187,14 +200,14 @@ def gmres_solve(
     P = precond if precond is not None else Preconditioner(coeff, pcfg, smoother)
     history = ConvergenceHistory()
 
-    rhs_norm = float(np.linalg.norm(pack_stokes(rhs)))
+    rhs_norm = _norm(pack_stokes(rhs))
 
     def apply_op(v: np.ndarray) -> np.ndarray:
         x = unpack_stokes(grid, v)
         return pack_stokes(P.apply(apply_M(x, coeff)))
 
     z0 = pack_stokes(P.apply(rhs))
-    rp0 = float(np.linalg.norm(z0))
+    rp0 = _norm(z0)
     history.add(0, P.scalar_vcycles, rp0, rhs_norm, False)
     if rp0 <= gcfg.atol or rp0 == 0.0:
         history.status = "converged"

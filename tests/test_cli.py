@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -29,6 +30,16 @@ def read_csv(path):
 def read_manifest(outdir):
     with open(os.path.join(outdir, "manifest.json")) as handle:
         return json.load(handle)
+
+
+def run_cli(args, blas_threads):
+    """Run the CLI in a fresh interpreter with OpenBLAS limited to
+    ``blas_threads`` threads (the limit is read once, when numpy loads)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "stokesmg.cli", *args],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigHandling:
@@ -91,6 +102,18 @@ class TestPresets:
         manifest = read_manifest(out)
         assert manifest["runs"][0]["status"] in ("converged", "breakdown")
         assert manifest["prng"] == "philox4x64-10"
+
+    def test_paper_scale_replaces_swept_paths(self):
+        args = argparse.Namespace(config=None, preset="fig6-scaling",
+                                  paper_scale=True)
+        _, config = cli.load_config(args)
+        cells = [p["problem"]["cells"] for p in expand_sweep(config)]
+        assert cells == [128, 128, 256, 256, 512, 512]
+        args.preset = "fig4-precond-compare"
+        _, config = cli.load_config(args)
+        points = expand_sweep(config)
+        assert len(points) == 5
+        assert all(p["problem"]["cells"] == 512 for p in points)
 
     def test_bubble_2d_monotone_within_restart(self, tmp_path):
         out = tmp_path / "bubble"
@@ -210,6 +233,66 @@ class TestRunCommand:
                      "--jobs", "2"]) == 0
         for name in ("run_000.csv", "run_001.csv"):
             assert (seq / name).read_text() == (par / name).read_text()
+
+    def test_outputs_independent_of_blas_threads_and_jobs(self, tmp_path):
+        # 64^2 no-slip: 12160 unknowns, and the mg-bench 128^2 pressure field
+        # has 16384, both above the length where OpenBLAS threads dot
+        # products, so a BLAS call on the run path would show here
+        cfg = {"problem": {"kind": "bubble", "cells": 64, "bc": "no_slip",
+                           "beta": "inf", "seed": 0},
+               "solver": {"gmres": {"rtol": 1e-10, "max_iters": 300}},
+               "sweep": {"solver.precond.kind": ["P1", "P2"]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        seq, par = tmp_path / "seq", tmp_path / "par"
+        run_cli(["run", "--config", str(path), "--out", str(seq)], 1)
+        run_cli(["run", "--config", str(path), "--out", str(par),
+                 "--jobs", "2"], 4)
+        for name in ("run_000.csv", "run_001.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+        def stable(manifest):
+            manifest.pop("created_unix")
+            for run in manifest["runs"]:
+                run.pop("wall_time_s")
+            return manifest
+
+        assert stable(read_manifest(seq)) == stable(read_manifest(par))
+
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({
+            "problem": {"kind": "constant", "cells": 128, "bc": "no_slip",
+                        "beta": "inf", "seed": 0},
+            "mg_bench": {"target": "pressure", "sweeps": [2],
+                         "max_cycles": 3},
+        }))
+        one, four = tmp_path / "mg1", tmp_path / "mg4"
+        run_cli(["mg-bench", "--config", str(bench), "--out", str(one)], 1)
+        run_cli(["mg-bench", "--config", str(bench), "--out", str(four)], 4)
+        assert ((one / "mg_bench.csv").read_bytes()
+                == (four / "mg_bench.csv").read_bytes())
+
+    def test_each_distinct_problem_built_once_in_validation(
+            self, tmp_path, monkeypatch):
+        calls = []
+        real_build_problem = cli.build_problem
+
+        def counting(problem, seed_override=None):
+            calls.append(problem["cells"])
+            return real_build_problem(problem, seed_override)
+
+        monkeypatch.setattr(cli, "build_problem", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": {"kind": "constant", "bc": "no_slip", "beta": "inf"},
+            "solver": {"gmres": {"rtol": 1e-6, "max_iters": 40}},
+            "sweep": {"problem.cells": [8, 16],
+                      "solver.precond.kind": ["P1", "P2"]},
+        }))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        # validation builds each grid size once, then each point builds its own
+        assert calls == [8, 16, 8, 8, 16, 16]
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -123,6 +123,16 @@ class TestAlgebra:
         for x in (random_cell(g, rng), random_face(g, rng), random_stokes(g, rng)):
             assert abs(dot(x, x) - norm2(x) ** 2) <= 1e-14 * max(dot(x, x), 1.0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dot_matches_blas_reference(self, dim, rng):
+        # dot sums in numpy's einsum order, not BLAS's: equal up to the
+        # standard rounding bound n * eps * sum |a_i b_i|
+        g = mkgrid(8, bc=NO_SLIP, dim=dim)
+        a, b = pack_stokes(random_stokes(g, rng)), pack_stokes(random_stokes(g, rng))
+        x, y = unpack_stokes(g, a), unpack_stokes(g, b)
+        bound = len(a) * np.finfo(float).eps * np.dot(np.abs(a), np.abs(b))
+        assert abs(dot(x, y) - np.dot(a, b)) <= bound
+
     def test_dot_symmetric_bilinear(self, rng):
         g = mkgrid(8, bc=NO_SLIP)
         x, y, z = (random_face(g, rng) for _ in range(3))

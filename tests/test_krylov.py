@@ -54,6 +54,12 @@ class TestKernel:
         assert np.allclose(x, [1.0, 2.0], atol=1e-12)
         assert seen[0][1] == pytest.approx(2.0 * np.sqrt(141525.0) / 629.0, rel=1e-12)
 
+    def test_solve_upper_matches_dense_reference(self, rng):
+        R = np.triu(rng.standard_normal((8, 8))) + 8.0 * np.eye(8)
+        g = rng.standard_normal(8)
+        y = krylov._solve_upper(R, g)
+        assert np.allclose(y, np.linalg.solve(R, g), rtol=1e-13, atol=1e-15)
+
     def test_memory_basis_is_restart_plus_one(self, monkeypatch):
         # the kernel allocates exactly one (m+1, n) basis block
         allocs = []
