@@ -104,7 +104,8 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
     """
     n = len(b)
     x = np.zeros(n)
-    r = b.copy()
+    r = b
+    V = np.zeros((restart + 1, n))  # the basis, reused by every restart
     k = 0
     first_cycle = True
     while True:
@@ -113,21 +114,23 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
             return x, "converged", k
         if not math.isfinite(beta):
             return x, "nonfinite", k
-        V = np.zeros((restart + 1, n))
         H = np.zeros((restart + 1, restart))
         cs = np.zeros(restart)
         sn = np.zeros(restart)
         g = np.zeros(restart + 1)
-        V[0] = r / beta
+        np.divide(r, beta, out=V[0])
         g[0] = beta
         j = 0
         xk = x
         while j < restart and k < max_iters:
             w = apply_op(V[j])
             k += 1
+            # row j + 1 is free until w is normalized into it
+            prod = V[j + 1]
             for i in range(j + 1):
                 H[i, j] = _dot(V[i], w)
-                w -= H[i, j] * V[i]
+                np.multiply(H[i, j], V[i], out=prod)
+                w -= prod
             arnoldi_norm = _norm(w)
             H[j + 1, j] = arnoldi_norm
             for i in range(j):
@@ -149,14 +152,15 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
                 return xk, "nonfinite", k
 
             y = _solve_upper(H[: j + 1, : j + 1], g[: j + 1])
-            xk = x + np.einsum("ij,i->j", V[: j + 1], y)
+            xk = np.einsum("ij,i->j", V[: j + 1], y)
+            xk += x
             if callback is not None:
                 callback(k, xk, rp, j == 0 and not first_cycle)
             if rp <= target:
                 return xk, "converged", k
             if arnoldi_norm <= breakdown_tol:
                 return xk, "breakdown", k
-            V[j + 1] = w / arnoldi_norm
+            np.divide(w, arnoldi_norm, out=V[j + 1])
             j += 1
         x = xk
         first_cycle = False

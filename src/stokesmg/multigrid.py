@@ -314,22 +314,25 @@ def _color(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:
 
 
 def _relax(x, res, diag, omega, parity, delta=None) -> None:
-    """``x += omega * res / diag`` on one color, in place; the correction
-    is also stored in ``delta`` when given.  All arguments are views of the
-    unknowns."""
+    """``x += omega * res / diag`` on one color, in place.  The correction
+    is formed in ``delta`` when given (and kept there), else in ``res``,
+    which it overwrites.  All arguments are views of the unknowns."""
+    step = res if delta is None else delta
     for s in _color(x.ndim, parity):
-        step = omega * (res[s] / diag[s])
-        x[s] += step
-        if delta is not None:
-            delta[s] = step
+        st, xs = step[s], x[s]
+        np.divide(res[s], diag[s], out=st)
+        if omega != 1.0:
+            st *= omega
+        xs += st
 
 
 def _sweep(grid, x, res, interior, diag, couplings, omega) -> None:
     """One two-color Gauss-Seidel sweep of ``x[interior]``, in place.
 
-    ``res`` is the full residual, formed once: after the red relaxation it
-    is brought up to date at black entries from red's correction through
-    the operator's negated off-diagonal ``couplings`` (``res += c * delta``).
+    ``res`` is the full residual, formed once and owned by the sweep: after
+    the red relaxation it is brought up to date at black entries from red's
+    correction through the operator's negated off-diagonal ``couplings``
+    (``res += c * delta``), and the black relaxation consumes it.
     """
     view, r, d = x[interior], res[interior], diag[interior]
     delta = np.zeros_like(res)
@@ -340,25 +343,44 @@ def _sweep(grid, x, res, interior, diag, couplings, omega) -> None:
 
 
 def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
-                coeff: CoefficientSet, diag: CellField, omega: float) -> None:
+                coeff: CoefficientSet, diag: CellField, omega: float,
+                zero_guess: bool = False) -> None:
     """One red-black Gauss-Seidel sweep on the pressure operator, in place,
-    through the couplings of :func:`lrho_couplings`."""
-    res = rhs.data - apply_Lrho(phi, coeff).data
+    through the couplings of :func:`lrho_couplings`.
+
+    ``zero_guess`` promises that ``phi`` is zero, so the residual is ``rhs``
+    and the operator is not applied.  With finite coefficients the operator
+    maps zero to exactly +0 and ``r - (+0)`` is ``r``, so the result is
+    bitwise the same.
+    """
+    if zero_guess:
+        res = rhs.data.copy()
+    else:
+        res = apply_Lrho(phi, coeff).data
+        np.subtract(rhs.data, res, out=res)
     _sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
            lrho_couplings(grid, coeff), omega)
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
-                coeff: CoefficientSet, diag: FaceField, omega: float) -> None:
+                coeff: CoefficientSet, diag: FaceField, omega: float,
+                zero_guess: bool = False) -> None:
     """One 2d-colored Gauss-Seidel sweep on the velocity operator, in place.
 
     Colors are relaxed in the order red-x, black-x, red-y, black-y(,
     red-z, black-z); updates are visible across colors.  Each component is
     swept with its own residual and the couplings of
-    :func:`viscous_couplings`.
+    :func:`viscous_couplings`.  ``zero_guess`` promises that ``u`` is zero,
+    so the first component's residual is ``rhs`` and its operator row is
+    not applied; later components see the first one's update and apply
+    theirs.  The result is bitwise the same (see :func:`smooth_cell`).
     """
     for a in range(grid.dim):
-        res = rhs.components[a] - apply_A_row(u, coeff, a)
+        if zero_guess and a == 0:
+            res = rhs.components[a].copy()
+        else:
+            res = apply_A_row(u, coeff, a)
+            np.subtract(rhs.components[a], res, out=res)
         _sweep(grid, u.components[a], res, grid.interior_slices(a),
                diag.components[a], viscous_couplings(grid, coeff, a), omega)
 
@@ -404,24 +426,42 @@ def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
     return _vcycle_level(rhs, hierarchy, params, field_kind(kind), 0)
 
 
+def _arrays(field) -> tuple[np.ndarray, ...]:
+    """The data arrays of a cell or face field."""
+    return (field.data,) if isinstance(field, CellField) else field.components
+
+
+def _residual(rhs, x, coeff, fk: FieldKind):
+    """``rhs - A x``, formed in the operator's output."""
+    res = fk.operator(x, coeff)
+    for r, b in zip(_arrays(res), _arrays(rhs)):
+        np.subtract(b, r, out=r)
+    return res
+
+
 def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):
     grid, coeff = hierarchy.levels[level]
     x = fk.zeros(grid)
     diag = fk.diagonal(hierarchy, level)
 
-    def smooth(x, sweeps):
-        for _ in range(sweeps):
-            fk.smooth(x, rhs, grid, coeff, diag, params.omega)
+    def smooth(sweeps, from_zero):
+        # the first sweep of a smoothing pass that starts from x = 0 skips
+        # the operator (the flag is positional for wrappers reading the
+        # smoother's arguments by position)
+        for k in range(sweeps):
+            fk.smooth(x, rhs, grid, coeff, diag, params.omega, from_zero and k == 0)
 
     if level == len(hierarchy) - 1:
-        smooth(x, params.bottom_sweeps)
+        smooth(params.bottom_sweeps, True)
         return x
 
-    smooth(x, params.sweeps_down)
-    coarse_rhs = fk.restrict(rhs - fk.operator(x, coeff))
+    smooth(params.sweeps_down, True)
+    # the fine residual is a temporary, freed before the coarse recursion
+    coarse_rhs = fk.restrict(_residual(rhs, x, coeff, fk))
     correction = _vcycle_level(coarse_rhs, hierarchy, params, fk, level + 1)
-    x = x + fk.prolong(correction)
-    smooth(x, params.sweeps_up)
+    for xa, ca in zip(_arrays(x), _arrays(fk.prolong(correction))):
+        xa += ca
+    smooth(params.sweeps_up, False)
     return x
 
 
@@ -438,7 +478,7 @@ def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
     while True:
         x = x + _vcycle_level(res, hierarchy, params, fk, 0)
         yield x
-        res = rhs - fk.operator(x, coeff)
+        res = _residual(rhs, x, coeff, fk)
 
 
 def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams,

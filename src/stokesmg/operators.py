@@ -10,7 +10,9 @@ output rows are zeroed because boundary faces are not unknowns.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,27 +162,55 @@ def _sl(ndim: int, axis: int, what) -> tuple:
     return tuple(sl)
 
 
+class _Cuts(NamedTuple):
+    """Index tuples picking ``[:-1]``, ``[1:]``, ``[1:-1]``, ``[0]`` and
+    ``[-1]`` along one axis."""
+
+    head: tuple
+    tail: tuple
+    inner: tuple
+    first: tuple
+    last: tuple
+
+
+@functools.cache
+def _cuts(ndim: int, axis: int) -> _Cuts:
+    """The stencils' index tuples, built once per (ndim, axis)."""
+    return _Cuts(*(_sl(ndim, axis, what) for what in
+                   (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
+
+
 def _diff_stagger_to_center(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     """arr[i+1] - arr[i] where arr is axis-staggered; result is centered."""
-    if periodic:
-        return np.roll(arr, -1, axis=axis) - arr
-    return np.diff(arr, axis=axis)
+    cut = _cuts(arr.ndim, axis)
+    if not periodic:
+        return np.subtract(arr[cut.tail], arr[cut.head])
+    out = np.empty_like(arr)
+    np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.head])
+    np.subtract(arr[cut.first], arr[cut.last], out=out[cut.last])
+    return out
 
 
 def _diff_center_to_stagger(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     """arr[i] - arr[i-1] at staggered positions; wall rows are zero."""
+    cut = _cuts(arr.ndim, axis)
     if periodic:
-        return arr - np.roll(arr, 1, axis=axis)
+        out = np.empty_like(arr)
+        np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.tail])
+        np.subtract(arr[cut.first], arr[cut.last], out=out[cut.first])
+        return out
     shape = list(arr.shape)
     shape[axis] += 1
-    out = np.zeros(shape)
-    out[_sl(arr.ndim, axis, slice(1, -1))] = np.diff(arr, axis=axis)
+    out = np.empty(shape)
+    np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.inner])
+    _zero_boundary(out, axis)
     return out
 
 
 def _zero_boundary(arr: np.ndarray, axis: int) -> None:
-    arr[_sl(arr.ndim, axis, 0)] = 0.0
-    arr[_sl(arr.ndim, axis, -1)] = 0.0
+    cut = _cuts(arr.ndim, axis)
+    arr[cut.first] = 0.0
+    arr[cut.last] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +224,19 @@ def div(u: FaceField) -> CellField:
     out = np.zeros(grid.cells)
     for a in range(grid.dim):
         out += _diff_stagger_to_center(u.components[a], a, grid.periodic(a))
-    return CellField(grid, out / grid.h)
+    out /= grid.h
+    return CellField(grid, out)
 
 
 def grad(p: CellField) -> FaceField:
     """Face-centered pressure gradient; wall-normal faces are zero."""
     grid = p.grid
     comps = tuple(
-        _diff_center_to_stagger(p.data, a, grid.periodic(a)) / grid.h
+        _diff_center_to_stagger(p.data, a, grid.periodic(a))
         for a in range(grid.dim)
     )
+    for c in comps:
+        c /= grid.h
     return FaceField(grid, comps)
 
 
@@ -214,12 +247,10 @@ def lap_pressure(p: CellField) -> CellField:
 
 def apply_Lrho(p: CellField, coeff: CoefficientSet) -> CellField:
     """Density-weighted pressure Poisson operator D (1/rho) G."""
-    grid = p.grid
     g = grad(p)
-    comps = tuple(
-        g.components[a] / coeff.rho_face.components[a] for a in range(grid.dim)
-    )
-    return div(FaceField(grid, comps))
+    for c, rho in zip(g.components, coeff.rho_face.components):
+        c /= rho
+    return div(g)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +314,17 @@ def _tangential_gradient(
     Wall rows use the one-sided difference between the first interior value
     and the prescribed wall velocity (distance h/2, hence the factor two).
     """
-    h = grid.h
-    ndim = ua.ndim
-    if grid.periodic(b):
-        return (ua - np.roll(ua, 1, axis=b)) / h
-    shape = list(ua.shape)
-    shape[b] += 1
-    out = np.zeros(shape)
-    out[_sl(ndim, b, slice(1, -1))] = np.diff(ua, axis=b) / h
-    lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
-    hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
-    out[_sl(ndim, b, 0)] = 2.0 * (ua[_sl(ndim, b, 0)] - lo) / h
-    out[_sl(ndim, b, -1)] = 2.0 * (hi - ua[_sl(ndim, b, -1)]) / h
+    out = _diff_center_to_stagger(ua, b, grid.periodic(b))
+    if not grid.periodic(b):
+        cut = _cuts(ua.ndim, b)
+        lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
+        hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
+        first, last = out[cut.first], out[cut.last]
+        np.subtract(ua[cut.first], lo, out=first)
+        first *= 2.0
+        np.subtract(hi, ua[cut.last], out=last)
+        last *= 2.0
+    out /= grid.h
     return out
 
 
@@ -304,7 +334,9 @@ def _cross_gradient(ub: np.ndarray, a: int, grid: GridSpec) -> np.ndarray:
     ``u_b`` is cell-centered along ``a``, so the wall planes normal to ``a``
     are never consumed by interior rows; they are left zero.
     """
-    return _diff_center_to_stagger(ub, a, grid.periodic(a)) / grid.h
+    out = _diff_center_to_stagger(ub, a, grid.periodic(a))
+    out /= grid.h
+    return out
 
 
 def viscous_row(u: FaceField, coeff: CoefficientSet, a: int,
@@ -319,27 +351,36 @@ def viscous_row(u: FaceField, coeff: CoefficientSet, a: int,
     h = grid.h
     form = coeff.viscous_form
     mu_c = coeff.mu_cell.data
-    normal_coef = mu_c if form is LAPLACIAN else 2.0 * mu_c
     ua = u.components[a]
-    flux_n = normal_coef * _diff_stagger_to_center(ua, a, grid.periodic(a)) / h
+    flux_n = _diff_stagger_to_center(ua, a, grid.periodic(a))
+    if form is not LAPLACIAN:
+        flux_n *= 2.0  # exact, so (2 d) mu rounds like d (2 mu)
+    flux_n *= mu_c
+    flux_n /= h
     if form is STRESS_BULK:
         div_u = div(u) if div_u is None else div_u
-        flux_n = flux_n + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c) * div_u.data
-    res = _diff_center_to_stagger(flux_n, a, grid.periodic(a)) / h
+        bulk = (2.0 / 3.0) * mu_c
+        np.subtract(coeff.gamma_cell.data, bulk, out=bulk)
+        bulk *= div_u.data
+        flux_n += bulk
+    res = _diff_center_to_stagger(flux_n, a, grid.periodic(a))
+    res /= h
     for b in range(grid.dim):
         if b == a:
             continue
-        mu_e = coeff.mu_node_edge.plane(a, b)
         flux_t = _tangential_gradient(ua, a, b, grid, bvals)
         if form is not LAPLACIAN:
-            flux_t = flux_t + _cross_gradient(u.components[b], a, grid)
-        flux_t = mu_e * flux_t
+            flux_t += _cross_gradient(u.components[b], a, grid)
+        flux_t *= coeff.mu_node_edge.plane(a, b)
         if not grid.periodic(b):
+            cut = _cuts(flux_t.ndim, b)
             if grid.bc[b][0] is FREE_SLIP:
-                flux_t[_sl(flux_t.ndim, b, 0)] = 0.0
+                flux_t[cut.first] = 0.0
             if grid.bc[b][1] is FREE_SLIP:
-                flux_t[_sl(flux_t.ndim, b, -1)] = 0.0
-        res += _diff_stagger_to_center(flux_t, b, grid.periodic(b)) / h
+                flux_t[cut.last] = 0.0
+        dflux = _diff_stagger_to_center(flux_t, b, grid.periodic(b))
+        dflux /= h
+        res += dflux
     if not grid.periodic(a):
         _zero_boundary(res, a)
     return res
@@ -365,8 +406,9 @@ def apply_A_row(u: FaceField, coeff: CoefficientSet, a: int,
                 bvals: BoundaryValues | None = None,
                 div_u: CellField | None = None) -> np.ndarray:
     """Row block ``a`` of :func:`apply_A` (see :func:`viscous_row`)."""
-    out = (coeff.theta * coeff.rho_face.components[a] * u.components[a]
-           - viscous_row(u, coeff, a, bvals, div_u))
+    out = coeff.theta * coeff.rho_face.components[a]
+    out *= u.components[a]
+    out -= viscous_row(u, coeff, a, bvals, div_u)
     if not u.grid.periodic(a):
         _zero_boundary(out, a)
     return out
@@ -383,7 +425,12 @@ def apply_A(u: FaceField, coeff: CoefficientSet,
 
 def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
     """Saddle operator: (A u + G p, -D u)."""
-    return StokesVector(apply_A(x.u, coeff) + grad(x.p), -div(x.u))
+    au = apply_A(x.u, coeff)
+    for c, gp in zip(au.components, grad(x.p).components):
+        c += gp
+    du = div(x.u)
+    np.negative(du.data, out=du.data)
+    return StokesVector(au, du)
 
 
 def velocity_null_components(grid: GridSpec, coeff: CoefficientSet) -> tuple[int, ...]:
@@ -434,14 +481,21 @@ def _add_neighbors(out, delta, w, axis: int, periodic: bool, lower: bool) -> Non
     """
     if periodic:
         s = 1 if lower else -1
-        out += w * np.roll(delta, s, axis=axis) + np.roll(w * delta, -s, axis=axis)
+        prod = np.multiply(w, delta)
+        other = np.roll(prod, -s, axis=axis)
+        np.multiply(w, np.roll(delta, s, axis=axis), out=prod)
+        prod += other
+        out += prod
         return
+    cut = _cuts(delta.ndim, axis)
     if lower:
-        w = w[_sl(w.ndim, axis, slice(1, -1))]
-    lo = _sl(delta.ndim, axis, slice(None, -1))
-    hi = _sl(delta.ndim, axis, slice(1, None))
-    out[lo] += w * delta[hi]
-    out[hi] += w * delta[lo]
+        w = w[cut.inner]
+    prod = np.multiply(w, delta[cut.tail])
+    below = out[cut.head]
+    below += prod
+    np.multiply(w, delta[cut.head], out=prod)
+    above = out[cut.tail]
+    above += prod
 
 
 def lrho_couplings(grid: GridSpec, coeff: CoefficientSet) -> list:

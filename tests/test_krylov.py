@@ -61,7 +61,8 @@ class TestKernel:
         assert np.allclose(y, np.linalg.solve(R, g), rtol=1e-13, atol=1e-15)
 
     def test_memory_basis_is_restart_plus_one(self, monkeypatch):
-        # the kernel allocates exactly one (m+1, n) basis block
+        # the kernel allocates exactly one (m+1, n) basis block per call,
+        # however many restarts reuse it
         allocs = []
         orig = np.zeros
 
@@ -72,10 +73,11 @@ class TestKernel:
         monkeypatch.setattr(np, "zeros", spy)
         A = np.diag(np.arange(1.0, 21.0))
         b = np.ones(20)
-        gmres_kernel(lambda v: A @ v, b, restart=4, max_iters=40,
-                     target=1e-10 * np.linalg.norm(b), breakdown_tol=0.0)
+        _, status, k = gmres_kernel(lambda v: A @ v, b, restart=4, max_iters=40,
+                                    target=1e-10 * np.linalg.norm(b), breakdown_tol=0.0)
+        assert k > 2 * 4  # at least two restarts
         two_d = [s for s in allocs if isinstance(s, tuple) and len(s) == 2 and s[1] == 20]
-        assert set(two_d) == {(5, 20)}
+        assert two_d == [(5, 20)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -264,13 +264,13 @@ ODD_PERIODIC = {
 }
 
 
-def smoother_case(grids, dim, form, rng):
+def smoother_case(grids, dim, form, rng, theta=0.4):
     cells, bc = grids[dim]
     g = mkgrid(cells, bc=bc, h=0.5)
     mu = CellField(g, 1.0 + rng.random(g.cells))
     rho = CellField(g, 1.0 + rng.random(g.cells))
     gamma = CellField(g, rng.random(g.cells))
-    return g, make_coefficients(g, 0.4, rho, mu, gamma, viscous_form=form)
+    return g, make_coefficients(g, theta, rho, mu, gamma, viscous_form=form)
 
 
 class TestSmootherMatchesOperator:
@@ -331,6 +331,81 @@ class TestSmootherCost:
         smooth_cell(random_cell(g, rng), random_cell(g, rng), g, coeff,
                     lrho_diagonal(g, coeff), omega=1.0)
         assert calls == {"apply_A_row": dim, "apply_Lrho": 1}
+
+    @staticmethod
+    def count_in_smoothers(monkeypatch):
+        """Count smoother calls and the operator calls made inside them."""
+        calls = dict.fromkeys(
+            ["smooth_face", "smooth_cell", "apply_A_row", "apply_Lrho"], 0)
+        depth = [0]
+
+        def counted(name):
+            original = getattr(multigrid, name)
+            smoother = name.startswith("smooth")
+
+            def run(*args, **kwargs):
+                if smoother or depth[0]:
+                    calls[name] += 1
+                depth[0] += smoother
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= smoother
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(multigrid, name, counted(name))
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_iterate_sweeps_skip_the_operator(self, dim, rng, monkeypatch):
+        # every level's pre-smoothing (and the bottom relaxation) starts
+        # from x = 0, so its first sweep takes rhs as the residual
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
+        hier = build_hierarchy(g, coeff)
+        levels = len(hier)
+        assert levels >= 2
+        calls = self.count_in_smoothers(monkeypatch)
+        vcycle(random_face(g, rng), hier, SmootherParams(), "face")
+        assert calls["apply_A_row"] == dim * calls["smooth_face"] - levels
+        vcycle(random_cell(g, rng), hier, SmootherParams(), "cell")
+        assert calls["apply_Lrho"] == calls["smooth_cell"] - levels
+
+    @pytest.mark.parametrize("omega", [1.0, 0.8])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_iterate_skip_is_exact_in_vcycles(self, dim, omega, rng, monkeypatch):
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
+        hier = build_hierarchy(g, coeff)
+        params = SmootherParams(omega=omega)
+        rhs = {"face": random_face(g, rng), "cell": random_cell(g, rng)}
+        skipped = {kind: vcycle(r, hier, params, kind) for kind, r in rhs.items()}
+        for name in ("smooth_face", "smooth_cell"):
+            original = getattr(multigrid, name)
+            # drop the positional zero-iterate flag: every sweep applies A
+            monkeypatch.setattr(multigrid, name,
+                                lambda *args, _f=original: _f(*args[:6]))
+        for kind, r in rhs.items():
+            full = vcycle(r, hier, params, kind)
+            arrays = (full.data,) if kind == "cell" else full.components
+            ref = (skipped[kind].data,) if kind == "cell" else skipped[kind].components
+            for x, y in zip(arrays, ref):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("grids", [MIXED_WALLS, ODD_PERIODIC],
+                             ids=["mixed_walls", "odd_periodic"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_iterate_sweep_is_exact(self, grids, dim, rng):
+        g, coeff = smoother_case(grids, dim, STRESS_BULK, rng, theta=0.7)
+        rhs_f, rhs_c = random_face(g, rng), random_cell(g, rng)
+        out = {}
+        for zero_guess in (False, True):
+            u, phi = FaceField.zeros(g), CellField.zeros(g)
+            smooth_face(u, rhs_f, g, coeff, helmholtz_diagonal(g, coeff), 0.8, zero_guess)
+            smooth_cell(phi, rhs_c, g, coeff, lrho_diagonal(g, coeff), 0.8, zero_guess)
+            out[zero_guess] = (*u.components, phi.data)
+        for x, y in zip(out[False], out[True]):
+            assert np.array_equal(x, y)
 
 
 class TestVcycle:

@@ -91,3 +91,34 @@ def test_guard_sees_each_blas_construct():
         "grid.dot(a, b)",
     ])
     assert sorted(line for line, _ in blas_uses(source)) == list(range(1, 12))
+
+
+def diff_calls(source):
+    """Lines of every ``np.diff`` call in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and dotted(node.func) in (["np", "diff"], ["numpy", "diff"])]
+
+
+@pytest.mark.parametrize("module", RUN_PATH)
+def test_run_path_module_calls_no_np_diff(module):
+    """``np.diff`` stays off the run path.
+
+    Every call goes through a Python wrapper and returns a fresh output
+    array, and the stencils difference several arrays per operator row.
+    The run path's idiom is slice subtraction into an output the kernel
+    already owns: ``np.subtract(arr[1:], arr[:-1], out=...)``.
+    """
+    path = os.path.join(os.path.dirname(stokesmg.__file__), module)
+    with open(path) as handle:
+        assert diff_calls(handle.read()) == []
+
+
+def test_guard_sees_np_diff():
+    source = "\n".join([
+        "np.diff(a, axis=0)",
+        "numpy.diff(a)",
+        "np.subtract(a[1:], a[:-1])",
+        "a.diff()",
+    ])
+    assert diff_calls(source) == [1, 2]
