@@ -25,12 +25,12 @@ from .grid import (
 from .operators import (
     CoefficientSet,
     apply_A,
-    apply_A_row,
     apply_Lrho,
     helmholtz_diagonal,
     lrho_couplings,
     lrho_diagonal,
     viscous_couplings,
+    viscous_row,
     _add_neighbors,
     _sl,
 )
@@ -379,8 +379,14 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
         if zero_guess and a == 0:
             res = rhs.components[a].copy()
         else:
-            res = apply_A_row(u, coeff, a)
-            np.subtract(rhs.components[a], res, out=res)
+            # rhs - A u in the viscous row's array; v - m is exactly
+            # -(m - v), so this rounds like rhs - apply_A_row
+            res = viscous_row(u, coeff, a)
+            if coeff.theta > 0:
+                m = coeff.theta * coeff.rho_face.components[a]
+                m *= u.components[a]
+                res -= m
+            res += rhs.components[a]
         _sweep(grid, u.components[a], res, grid.interior_slices(a),
                diag.components[a], viscous_couplings(grid, coeff, a), omega)
 

@@ -246,11 +246,16 @@ def lap_pressure(p: CellField) -> CellField:
 
 
 def apply_Lrho(p: CellField, coeff: CoefficientSet) -> CellField:
-    """Density-weighted pressure Poisson operator D (1/rho) G."""
-    g = grad(p)
-    for c, rho in zip(g.components, coeff.rho_face.components):
-        c /= rho
-    return div(g)
+    """Density-weighted pressure Poisson operator D (1/rho) G, summed from
+    unscaled differences and scaled once (see :func:`viscous_row`)."""
+    grid = p.grid
+    out = np.zeros(grid.cells)
+    for a in range(grid.dim):
+        flux = _diff_center_to_stagger(p.data, a, grid.periodic(a))
+        flux /= coeff.rho_face.components[a]
+        out += _diff_stagger_to_center(flux, a, grid.periodic(a))
+    out *= 1.0 / grid.h**2
+    return CellField(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,50 +307,15 @@ class BoundaryValues:
         return vals
 
 
-def _tangential_gradient(
-    ua: np.ndarray,
-    a: int,
-    b: int,
-    grid: GridSpec,
-    bvals: BoundaryValues | None,
-) -> np.ndarray:
-    """(d u_a / d x_b) at the (a, b)-staggered positions.
-
-    Wall rows use the one-sided difference between the first interior value
-    and the prescribed wall velocity (distance h/2, hence the factor two).
-    """
-    out = _diff_center_to_stagger(ua, b, grid.periodic(b))
-    if not grid.periodic(b):
-        cut = _cuts(ua.ndim, b)
-        lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
-        hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
-        first, last = out[cut.first], out[cut.last]
-        np.subtract(ua[cut.first], lo, out=first)
-        first *= 2.0
-        np.subtract(hi, ua[cut.last], out=last)
-        last *= 2.0
-    out /= grid.h
-    return out
-
-
-def _cross_gradient(ub: np.ndarray, a: int, grid: GridSpec) -> np.ndarray:
-    """(d u_b / d x_a) at the (a, b)-staggered positions.
-
-    ``u_b`` is cell-centered along ``a``, so the wall planes normal to ``a``
-    are never consumed by interior rows; they are left zero.
-    """
-    out = _diff_center_to_stagger(ub, a, grid.periodic(a))
-    out /= grid.h
-    return out
-
-
 def viscous_row(u: FaceField, coeff: CoefficientSet, a: int,
                 bvals: BoundaryValues | None = None,
                 div_u: CellField | None = None) -> np.ndarray:
     """Row block ``a`` of :func:`apply_viscous`, evaluating only its rows.
 
-    The stress-bulk form reads ``div_u``; callers assembling several rows
-    pass it to share one divergence, otherwise it is computed here.
+    Unscaled fluxes are summed and the row is multiplied by 1/h^2 once,
+    which for a power-of-two h rounds exactly like dividing each difference
+    by h.  The stress-bulk form reads ``div_u``; callers assembling several
+    rows pass it to share one divergence, otherwise it is computed here.
     """
     grid = u.grid
     h = grid.h
@@ -356,31 +326,42 @@ def viscous_row(u: FaceField, coeff: CoefficientSet, a: int,
     if form is not LAPLACIAN:
         flux_n *= 2.0  # exact, so (2 d) mu rounds like d (2 mu)
     flux_n *= mu_c
-    flux_n /= h
     if form is STRESS_BULK:
         div_u = div(u) if div_u is None else div_u
         bulk = (2.0 / 3.0) * mu_c
         np.subtract(coeff.gamma_cell.data, bulk, out=bulk)
         bulk *= div_u.data
+        bulk *= h  # div_u carries 1/h
         flux_n += bulk
     res = _diff_center_to_stagger(flux_n, a, grid.periodic(a))
-    res /= h
     for b in range(grid.dim):
         if b == a:
             continue
-        flux_t = _tangential_gradient(ua, a, b, grid, bvals)
+        # d u_a / d x_b at the (a, b)-staggered positions; a wall row takes
+        # the one-sided difference against the wall velocity (distance h/2,
+        # hence the factor two)
+        flux_t = _diff_center_to_stagger(ua, b, grid.periodic(b))
+        if not grid.periodic(b):
+            cut = _cuts(ua.ndim, b)
+            lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
+            hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
+            first, last = flux_t[cut.first], flux_t[cut.last]
+            np.subtract(ua[cut.first], lo, out=first)
+            first *= 2.0
+            np.subtract(hi, ua[cut.last], out=last)
+            last *= 2.0
         if form is not LAPLACIAN:
-            flux_t += _cross_gradient(u.components[b], a, grid)
+            # d u_b / d x_a; u_b is cell-centered along a, so the wall
+            # planes normal to a (left zero) feed no interior row
+            flux_t += _diff_center_to_stagger(u.components[b], a, grid.periodic(a))
         flux_t *= coeff.mu_node_edge.plane(a, b)
         if not grid.periodic(b):
-            cut = _cuts(flux_t.ndim, b)
             if grid.bc[b][0] is FREE_SLIP:
                 flux_t[cut.first] = 0.0
             if grid.bc[b][1] is FREE_SLIP:
                 flux_t[cut.last] = 0.0
-        dflux = _diff_stagger_to_center(flux_t, b, grid.periodic(b))
-        dflux /= h
-        res += dflux
+        res += _diff_stagger_to_center(flux_t, b, grid.periodic(b))
+    res *= 1.0 / h**2
     if not grid.periodic(a):
         _zero_boundary(res, a)
     return res
@@ -405,13 +386,17 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
 def apply_A_row(u: FaceField, coeff: CoefficientSet, a: int,
                 bvals: BoundaryValues | None = None,
                 div_u: CellField | None = None) -> np.ndarray:
-    """Row block ``a`` of :func:`apply_A` (see :func:`viscous_row`)."""
-    out = coeff.theta * coeff.rho_face.components[a]
-    out *= u.components[a]
-    out -= viscous_row(u, coeff, a, bvals, div_u)
+    """Row block ``a`` of :func:`apply_A` (see :func:`viscous_row`); steady
+    flow forms no mass term."""
+    out = viscous_row(u, coeff, a, bvals, div_u)
+    if coeff.theta == 0:
+        return np.negative(out, out=out)
+    m = coeff.theta * coeff.rho_face.components[a]
+    m *= u.components[a]  # (theta rho) u: the smoother's residual repeats it
+    m -= out
     if not u.grid.periodic(a):
-        _zero_boundary(out, a)
-    return out
+        _zero_boundary(m, a)  # the mass term reads the boundary faces
+    return m
 
 
 def apply_A(u: FaceField, coeff: CoefficientSet,

@@ -12,6 +12,14 @@ from stokesmg.grid import (
 )
 
 
+# every boundary kind at once: no-slip, free-slip and periodic axes
+MIXED_WALLS = {
+    2: ((8, 6), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC)]),
+    3: ((4, 6, 4), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
+                    (FREE_SLIP, NO_SLIP)]),
+}
+
+
 def mkgrid(n, bc=PERIODIC, dim=2, h=1.0):
     """Cube grid with the same boundary condition on every side."""
     if isinstance(n, int):

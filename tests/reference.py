@@ -2,7 +2,9 @@
 
 Everything here is written as plain scalar loops or algebraic (Kronecker /
 Fourier) constructions, deliberately avoiding the vectorized slicing of the
-package code so the two paths share no machinery.
+package code so the two paths share no machinery.  The exception is the
+flux-scaled operator section, whose whole-array formulas fix the rounding
+the package's row scaling must reproduce.
 """
 
 from __future__ import annotations
@@ -209,6 +211,90 @@ def ref_apply_Lrho(p: CellField, coeff) -> np.ndarray:
                 sl[a] = side
                 scaled.components[a][tuple(sl)] = 0.0
     return ref_div(scaled)
+
+
+# ---------------------------------------------------------------------------
+# flux-scaled operators: bitwise oracle for the row scaling
+# ---------------------------------------------------------------------------
+# These divide every difference by h, in the package's operation order
+# otherwise; the package sums unscaled differences and scales each row once
+# by 1/h^2.  Power-of-two scalings are exact, so for a power-of-two h both
+# round identically.
+
+
+def _at(ndim: int, axis: int, end: int) -> tuple:
+    idx = [slice(None)] * ndim
+    idx[axis] = end
+    return tuple(idx)
+
+
+def _to_center(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+    """arr[i+1] - arr[i] of an axis-staggered array."""
+    if periodic:
+        return np.roll(arr, -1, axis=axis) - arr
+    return np.diff(arr, axis=axis)
+
+
+def _to_stagger(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+    """arr[i] - arr[i-1] at the axis-staggered positions; wall rows zero."""
+    if periodic:
+        return arr - np.roll(arr, 1, axis=axis)
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (1, 1)
+    return np.pad(np.diff(arr, axis=axis), pad)
+
+
+def flux_scaled_apply_A(u: FaceField, coeff, bvals=None) -> list[np.ndarray]:
+    grid = u.grid
+    h = grid.h
+    form = coeff.viscous_form
+    mu_c = coeff.mu_cell.data
+    div_u = np.zeros(grid.cells)
+    for a in range(grid.dim):
+        div_u = div_u + _to_center(u.components[a], a, grid.periodic(a))
+    div_u = div_u / h
+    out = []
+    for a in range(grid.dim):
+        ua = u.components[a]
+        flux_n = _to_center(ua, a, grid.periodic(a))
+        if form is not LAPLACIAN:
+            flux_n = flux_n * 2.0
+        flux_n = flux_n * mu_c / h
+        if form is STRESS_BULK:
+            flux_n = flux_n + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c) * div_u
+        visc = _to_stagger(flux_n, a, grid.periodic(a)) / h
+        for b in range(grid.dim):
+            if b == a:
+                continue
+            flux_t = _to_stagger(ua, b, grid.periodic(b))
+            if not grid.periodic(b):
+                lo, hi = ((0.0, 0.0) if bvals is None else
+                          (bvals.tangential_values(b, side, a) for side in (0, 1)))
+                flux_t[_at(ua.ndim, b, 0)] = (ua[_at(ua.ndim, b, 0)] - lo) * 2.0
+                flux_t[_at(ua.ndim, b, -1)] = (hi - ua[_at(ua.ndim, b, -1)]) * 2.0
+            flux_t = flux_t / h
+            if form is not LAPLACIAN:
+                flux_t = flux_t + _to_stagger(u.components[b], a, grid.periodic(a)) / h
+            flux_t = flux_t * coeff.mu_node_edge.plane(a, b)
+            for side, end in ((0, 0), (1, -1)):
+                if not grid.periodic(b) and grid.bc[b][side] is FREE_SLIP:
+                    flux_t[_at(ua.ndim, b, end)] = 0.0
+            visc = visc + _to_center(flux_t, b, grid.periodic(b)) / h
+        row = coeff.theta * coeff.rho_face.components[a] * ua - visc
+        if not grid.periodic(a):
+            row[_at(ua.ndim, a, 0)] = row[_at(ua.ndim, a, -1)] = 0.0
+        out.append(row)
+    return out
+
+
+def flux_scaled_apply_Lrho(p: CellField, coeff) -> np.ndarray:
+    grid = p.grid
+    out = np.zeros(grid.cells)
+    for a in range(grid.dim):
+        flux = _to_stagger(p.data, a, grid.periodic(a)) / grid.h
+        flux = flux / coeff.rho_face.components[a]
+        out = out + _to_center(flux, a, grid.periodic(a))
+    return out / grid.h
 
 
 # ---------------------------------------------------------------------------

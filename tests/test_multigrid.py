@@ -30,12 +30,14 @@ from stokesmg.operators import (
     apply_A,
     apply_Lrho,
     helmholtz_diagonal,
+    lrho_couplings,
     lrho_diagonal,
     make_coefficients,
+    viscous_couplings,
 )
 from stokesmg.problems import constant_coefficients, inviscid_coefficients
 
-from conftest import mkgrid, random_cell, random_face
+from conftest import MIXED_WALLS, mkgrid, random_cell, random_face
 
 
 def poisson_coeff(grid, theta=1.0):
@@ -252,11 +254,21 @@ def reference_cell_sweep(phi, rhs, coeff, diag, omega):
         phi.data[mask] += omega * res[mask] / diag.data[mask]
 
 
-MIXED_WALLS = {
-    2: ((8, 6), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC)]),
-    3: ((4, 6, 4), [(NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
-                    (FREE_SLIP, NO_SLIP)]),
-}
+def operator_face_sweep(u, rhs, grid, coeff, diag, omega):
+    """smooth_face's relaxation, each component's residual from apply_A."""
+    for a in range(grid.dim):
+        res = rhs.components[a] - apply_A(u, coeff).components[a]
+        multigrid._sweep(grid, u.components[a], res, grid.interior_slices(a),
+                         diag.components[a], viscous_couplings(grid, coeff, a), omega)
+
+
+def operator_cell_sweep(phi, rhs, grid, coeff, diag, omega):
+    """smooth_cell's relaxation, its residual from apply_Lrho."""
+    res = rhs.data - apply_Lrho(phi, coeff).data
+    multigrid._sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
+                     lrho_couplings(grid, coeff), omega)
+
+
 # odd periodic counts: each colour touches itself across the wrap
 ODD_PERIODIC = {
     2: ((6, 3), [(PERIODIC, PERIODIC)] * 2),
@@ -274,25 +286,38 @@ def smoother_case(grids, dim, form, rng, theta=0.4):
 
 
 class TestSmootherMatchesOperator:
-    def check_face_sweep(self, grids, form, dim, rng):
-        g, coeff = smoother_case(grids, dim, form, rng)
+    # smoother_case's h = 0.5 is a power of two, so the smoothers' residuals
+    # round exactly like rhs - A x formed from the operators
+    def check_face_sweep(self, grids, form, dim, theta, rng):
+        g, coeff = smoother_case(grids, dim, form, rng, theta)
         diag = helmholtz_diagonal(g, coeff)
         rhs = random_face(g, rng)
         u = random_face(g, rng)
-        ref = u.copy()
+        ref, exact = u.copy(), u.copy()
         smooth_face(u, rhs, g, coeff, diag, omega=0.8)
         reference_face_sweep(ref, rhs, g, coeff, diag, omega=0.8)
         assert norm2(u - ref) <= 1e-13 * norm2(ref)
+        operator_face_sweep(exact, rhs, g, coeff, diag, 0.8)
+        for x, y in zip(u.components, exact.components):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_sweep_matches_full_operator_sweep(self, form, dim, rng):
-        self.check_face_sweep(MIXED_WALLS, form, dim, rng)
+        self.check_face_sweep(MIXED_WALLS, form, dim, 0.4, rng)
 
     @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_sweep_matches_on_odd_periodic_grid(self, form, dim, rng):
-        self.check_face_sweep(ODD_PERIODIC, form, dim, rng)
+        self.check_face_sweep(ODD_PERIODIC, form, dim, 0.4, rng)
+
+    @pytest.mark.parametrize("grids", [MIXED_WALLS, ODD_PERIODIC],
+                             ids=["mixed_walls", "odd_periodic"])
+    @pytest.mark.parametrize("form", [LAPLACIAN, STRESS, STRESS_BULK])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_steady_sweep_matches_full_operator_sweep(self, grids, form, dim, rng):
+        # theta = 0: the smoother's residual forms no mass term
+        self.check_face_sweep(grids, form, dim, 0.0, rng)
 
     @pytest.mark.parametrize("grids", [MIXED_WALLS, ODD_PERIODIC],
                              ids=["mixed_walls", "odd_periodic"])
@@ -302,17 +327,19 @@ class TestSmootherMatchesOperator:
         diag = lrho_diagonal(g, coeff)
         rhs = random_cell(g, rng)
         phi = random_cell(g, rng)
-        ref = phi.copy()
+        ref, exact = phi.copy(), phi.copy()
         smooth_cell(phi, rhs, g, coeff, diag, omega=0.8)
         reference_cell_sweep(ref, rhs, coeff, diag, omega=0.8)
         assert norm2(phi - ref) <= 1e-13 * norm2(ref)
+        operator_cell_sweep(exact, rhs, g, coeff, diag, 0.8)
+        assert np.array_equal(phi.data, exact.data)
 
 
 class TestSmootherCost:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_operator_evaluation_per_component(self, dim, rng, monkeypatch):
         # one residual per component (face) and per sweep (cell), not per colour
-        calls = {"apply_A_row": 0, "apply_Lrho": 0}
+        calls = {"viscous_row": 0, "apply_Lrho": 0}
 
         def counted(name):
             original = getattr(multigrid, name)
@@ -330,13 +357,13 @@ class TestSmootherCost:
                     helmholtz_diagonal(g, coeff), omega=1.0)
         smooth_cell(random_cell(g, rng), random_cell(g, rng), g, coeff,
                     lrho_diagonal(g, coeff), omega=1.0)
-        assert calls == {"apply_A_row": dim, "apply_Lrho": 1}
+        assert calls == {"viscous_row": dim, "apply_Lrho": 1}
 
     @staticmethod
     def count_in_smoothers(monkeypatch):
         """Count smoother calls and the operator calls made inside them."""
         calls = dict.fromkeys(
-            ["smooth_face", "smooth_cell", "apply_A_row", "apply_Lrho"], 0)
+            ["smooth_face", "smooth_cell", "viscous_row", "apply_Lrho"], 0)
         depth = [0]
 
         def counted(name):
@@ -368,7 +395,7 @@ class TestSmootherCost:
         assert levels >= 2
         calls = self.count_in_smoothers(monkeypatch)
         vcycle(random_face(g, rng), hier, SmootherParams(), "face")
-        assert calls["apply_A_row"] == dim * calls["smooth_face"] - levels
+        assert calls["viscous_row"] == dim * calls["smooth_face"] - levels
         vcycle(random_cell(g, rng), hier, SmootherParams(), "cell")
         assert calls["apply_Lrho"] == calls["smooth_cell"] - levels
 
@@ -406,6 +433,33 @@ class TestSmootherCost:
             out[zero_guess] = (*u.components, phi.data)
         for x, y in zip(out[False], out[True]):
             assert np.array_equal(x, y)
+
+
+class TestSmootherArguments:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_smoothers_are_called_positionally(self, dim, rng, monkeypatch):
+        # span tracers wrap the smoothers as (x, rhs, grid, *rest), with no
+        # keyword arguments, so the library must pass every argument by position
+        calls = dict.fromkeys(["smooth_face", "smooth_cell"], 0)
+
+        def positional(name):
+            original = getattr(multigrid, name)
+
+            def run(x, rhs, grid, *rest):
+                calls[name] += 1
+                return original(x, rhs, grid, *rest)
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(multigrid, name, positional(name))
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
+        hier = build_hierarchy(g, coeff)
+        params = SmootherParams()
+        for kind, rhs in (("face", random_face(g, rng)), ("cell", random_cell(g, rng))):
+            vcycle(rhs, hier, params, kind)
+            mg_solve(rhs, hier, params, 2, kind)
+        assert all(calls.values())
 
 
 class TestVcycle:

@@ -38,7 +38,14 @@ from stokesmg.operators import (
 )
 
 import reference
-from conftest import divergence_free_face, mkgrid, random_cell, random_face, random_stokes
+from conftest import (
+    MIXED_WALLS,
+    divergence_free_face,
+    mkgrid,
+    random_cell,
+    random_face,
+    random_stokes,
+)
 
 ALL_FORMS = [LAPLACIAN, STRESS, STRESS_BULK]
 
@@ -319,6 +326,58 @@ class TestApplyA:
         want = reference.ref_apply_A(u, coeff)
         for a in range(dim):
             assert np.allclose(got.components[a], want[a], atol=1e-12)
+
+
+class TestRowScaling:
+    """Rows scaled once by 1/h^2 against the flux-scaled formulas."""
+
+    @staticmethod
+    def case(dim, form, theta, h, rng):
+        cells, bc = MIXED_WALLS[dim]
+        g = mkgrid(cells, bc=bc, h=h)
+        coeff = make_variable_coeff(g, rng, theta=theta, form=form)
+        normal, tangential = {}, {}
+        for b in range(dim):
+            if g.periodic(b):
+                continue
+            for side in (0, 1):
+                normal[(b, side)] = rng.standard_normal(
+                    tuple(n for ax, n in enumerate(g.cells) if ax != b))
+                for c in range(dim):
+                    if c != b:
+                        tangential[(b, side, c)] = rng.standard_normal(
+                            tuple(n for ax, n in enumerate(g.face_shape(c)) if ax != b))
+        bvals = BoundaryValues(g, normal, tangential)
+        # nonzero wall faces and wall values: the homogenize path
+        u_b = boundary_lift(bvals)
+        for a in range(dim):
+            u_b.interior(a)[...] = rng.standard_normal(u_b.interior(a).shape)
+        return g, coeff, bvals, u_b, random_face(g, rng), random_cell(g, rng)
+
+    @staticmethod
+    def pairs(coeff, bvals, u_b, u, p):
+        """(package, oracle) arrays for A with and without wall data, and L_rho."""
+        for args in ((u_b, coeff, bvals), (u, coeff)):
+            yield from zip(apply_A(*args).components, reference.flux_scaled_apply_A(*args))
+        yield apply_Lrho(p, coeff).data, reference.flux_scaled_apply_Lrho(p, coeff)
+
+    @pytest.mark.parametrize("h", [1.0, 2.0**-6])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_for_power_of_two_h(self, dim, form, theta, h, rng):
+        _, *fields = self.case(dim, form, theta, h, rng)
+        for got, want in self.pairs(*fields):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("h", [1.0 / 48.0, 0.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rounding_level_for_other_h(self, dim, form, theta, h, rng):
+        _, *fields = self.case(dim, form, theta, h, rng)
+        for got, want in self.pairs(*fields):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestApplyM:
