@@ -10,9 +10,13 @@ files plus a JSON manifest, written atomically with the manifest last.
 Exit codes: 0 success, 1 solver non-convergence (history still written),
 2 invalid config, cap violation, or input the library refuses (no partial
 outputs), 3 a solve hit non-finite values (NaN or infinity; history still
-written).  Library modules check their own inputs (``ValueError``); this
-module checks only config keys, JSON value types, names and even cell
-counts, and runs every check before it writes anything.
+written), 4 the compiled smoother library could not be built (no C
+compiler, or the compiler failed; no outputs).  Library modules check their
+own inputs (``ValueError``); this module checks only config keys, JSON value
+types, names and even cell counts, and runs every check before it writes
+anything.  ``run`` and ``mg-bench`` load the smoother library before they
+write anything, and ``run`` before its ``--jobs`` workers fork, so the
+workers share one build.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from ._exact import require_exact_size
 from .grid import (
     FREE_SLIP,
@@ -374,6 +378,7 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
         pcfg, _, _ = build_solver(cfg.get("solver", {}))
         if pcfg.exact_subsolvers:
             require_exact_size(grid)
+    kernels.load()
     os.makedirs(outdir, exist_ok=True)
     tasks = [(i, cfg, seed_override) for i, cfg in enumerate(points)]
     if jobs > 1:
@@ -436,6 +441,7 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     targets = ("pressure", "velocity") if target == "both" else (target,)
     if "velocity" in targets and coeff.theta == 0 and coeff.inviscid:
         raise ConfigError("velocity benchmark needs a nonsingular operator")
+    kernels.load()
     os.makedirs(outdir, exist_ok=True)
     lines = [MG_CSV_HEADER]
     for tgt in targets:
@@ -670,6 +676,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except kernels.KernelBuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

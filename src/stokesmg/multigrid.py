@@ -8,13 +8,12 @@ relaxations so that a cycle is a constant linear operator.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .grid import (
     CellField,
     FaceField,
@@ -27,11 +26,7 @@ from .operators import (
     apply_A,
     apply_Lrho,
     helmholtz_diagonal,
-    lrho_couplings,
     lrho_diagonal,
-    viscous_couplings,
-    viscous_row,
-    _add_neighbors,
     _sl,
 )
 
@@ -302,64 +297,18 @@ def prolong_face(coarse: FaceField) -> FaceField:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _color(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:
-    """One Gauss-Seidel color: the strided sub-lattices ``[o0::2, o1::2, ...]``
-    whose offset sum has the given parity (entries with that index-sum parity)."""
-    return tuple(
-        tuple(slice(o, None, 2) for o in offsets)
-        for offsets in itertools.product((0, 1), repeat=ndim)
-        if sum(offsets) % 2 == parity
-    )
-
-
-def _relax(x, res, diag, omega, parity, delta=None) -> None:
-    """``x += omega * res / diag`` on one color, in place.  The correction
-    is formed in ``delta`` when given (and kept there), else in ``res``,
-    which it overwrites.  All arguments are views of the unknowns."""
-    step = res if delta is None else delta
-    for s in _color(x.ndim, parity):
-        st, xs = step[s], x[s]
-        np.divide(res[s], diag[s], out=st)
-        if omega != 1.0:
-            st *= omega
-        xs += st
-
-
-def _sweep(grid, x, res, interior, diag, couplings, omega) -> None:
-    """One two-color Gauss-Seidel sweep of ``x[interior]``, in place.
-
-    ``res`` is the full residual, formed once and owned by the sweep: after
-    the red relaxation it is brought up to date at black entries from red's
-    correction through the operator's negated off-diagonal ``couplings``
-    (``res += c * delta``), and the black relaxation consumes it.
-    """
-    view, r, d = x[interior], res[interior], diag[interior]
-    delta = np.zeros_like(res)
-    _relax(view, r, d, omega, 0, delta[interior])
-    for w, axis, lower in couplings:
-        _add_neighbors(res, delta, w, axis, grid.periodic(axis), lower)
-    _relax(view, r, d, omega, 1)
-
-
 def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
                 coeff: CoefficientSet, diag: CellField, omega: float,
                 zero_guess: bool = False) -> None:
-    """One red-black Gauss-Seidel sweep on the pressure operator, in place,
-    through the couplings of :func:`lrho_couplings`.
+    """One red-black Gauss-Seidel sweep on the pressure operator, in place
+    (the compiled sweep of :mod:`kernels`).
 
     ``zero_guess`` promises that ``phi`` is zero, so the residual is ``rhs``
     and the operator is not applied.  With finite coefficients the operator
     maps zero to exactly +0 and ``r - (+0)`` is ``r``, so the result is
     bitwise the same.
     """
-    if zero_guess:
-        res = rhs.data.copy()
-    else:
-        res = apply_Lrho(phi, coeff).data
-        np.subtract(rhs.data, res, out=res)
-    _sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
-           lrho_couplings(grid, coeff), omega)
+    kernels.cell_sweep(phi, rhs, grid, coeff, diag, omega, zero_guess)
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -369,26 +318,14 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
 
     Colors are relaxed in the order red-x, black-x, red-y, black-y(,
     red-z, black-z); updates are visible across colors.  Each component is
-    swept with its own residual and the couplings of
-    :func:`viscous_couplings`.  ``zero_guess`` promises that ``u`` is zero,
-    so the first component's residual is ``rhs`` and its operator row is
-    not applied; later components see the first one's update and apply
-    theirs.  The result is bitwise the same (see :func:`smooth_cell`).
+    swept by the compiled kernel with its own residual.  ``zero_guess``
+    promises that ``u`` is zero, so the first component's residual is
+    ``rhs`` and its operator row is not applied; later components see the
+    first one's update and apply theirs.  The result is bitwise the same
+    (see :func:`smooth_cell`).
     """
     for a in range(grid.dim):
-        if zero_guess and a == 0:
-            res = rhs.components[a].copy()
-        else:
-            # rhs - A u in the viscous row's array; v - m is exactly
-            # -(m - v), so this rounds like rhs - apply_A_row
-            res = viscous_row(u, coeff, a)
-            if coeff.theta > 0:
-                m = coeff.theta * coeff.rho_face.components[a]
-                m *= u.components[a]
-                res -= m
-            res += rhs.components[a]
-        _sweep(grid, u.components[a], res, grid.interior_slices(a),
-               diag.components[a], viscous_couplings(grid, coeff, a), omega)
+        kernels.face_sweep(u, rhs, grid, coeff, diag, omega, a, zero_guess and a == 0)
 
 
 # ---------------------------------------------------------------------------

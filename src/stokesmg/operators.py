@@ -452,7 +452,8 @@ def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
 
 
 # ---------------------------------------------------------------------------
-# operator couplings and diagonals (needed by the multigrid smoothers)
+# operator couplings and the smoother diagonals summed from them (the
+# compiled sweeps recompute the same weights)
 # ---------------------------------------------------------------------------
 
 

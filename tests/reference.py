@@ -2,19 +2,30 @@
 
 Everything here is written as plain scalar loops or algebraic (Kronecker /
 Fourier) constructions, deliberately avoiding the vectorized slicing of the
-package code so the two paths share no machinery.  The exception is the
+package code so the two paths share no machinery.  The exceptions are the
 flux-scaled operator section, whose whole-array formulas fix the rounding
-the package's row scaling must reproduce.
+the package's row scaling must reproduce, and the numpy two-colour sweep,
+which fixes the rounding of the compiled smoothers.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from stokesmg.grid import FREE_SLIP, NO_SLIP, CellField, FaceField
-from stokesmg.operators import LAPLACIAN, STRESS_BULK
+from stokesmg.operators import (
+    LAPLACIAN,
+    STRESS_BULK,
+    _add_neighbors,
+    apply_Lrho,
+    lrho_couplings,
+    viscous_couplings,
+    viscous_row,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +306,84 @@ def flux_scaled_apply_Lrho(p: CellField, coeff) -> np.ndarray:
         flux = flux / coeff.rho_face.components[a]
         out = out + _to_center(flux, a, grid.periodic(a))
     return out / grid.h
+
+
+# ---------------------------------------------------------------------------
+# numpy two-colour sweep: bitwise oracle for the compiled smoothers
+# ---------------------------------------------------------------------------
+# Whole-array formulation of the sweeps in stokesmg/sweeps.c: the residual
+# from the package's operator rows, the red relaxation, the black residual
+# brought up to date by _add_neighbors over the coupling lists, and the
+# black relaxation.  The kernels must round every entry as these do.
+
+
+def _color(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:
+    """One Gauss-Seidel color: the strided sub-lattices ``[o0::2, o1::2, ...]``
+    whose offset sum has the given parity (entries with that index-sum parity)."""
+    return tuple(
+        tuple(slice(o, None, 2) for o in offsets)
+        for offsets in itertools.product((0, 1), repeat=ndim)
+        if sum(offsets) % 2 == parity
+    )
+
+
+def _relax(x, res, diag, omega, parity, delta=None) -> None:
+    """``x += omega * res / diag`` on one color, in place.  The correction
+    is formed in ``delta`` when given (and kept there), else in ``res``,
+    which it overwrites.  All arguments are views of the unknowns."""
+    step = res if delta is None else delta
+    for s in _color(x.ndim, parity):
+        st, xs = step[s], x[s]
+        np.divide(res[s], diag[s], out=st)
+        if omega != 1.0:
+            st *= omega
+        xs += st
+
+
+def _sweep(grid, x, res, interior, diag, couplings, omega) -> None:
+    """One two-color Gauss-Seidel sweep of ``x[interior]``, in place.
+
+    ``res`` is the full residual, formed once and owned by the sweep: after
+    the red relaxation it is brought up to date at black entries from red's
+    correction through the operator's negated off-diagonal ``couplings``
+    (``res += c * delta``), and the black relaxation consumes it.
+    """
+    view, r, d = x[interior], res[interior], diag[interior]
+    delta = np.zeros_like(res)
+    _relax(view, r, d, omega, 0, delta[interior])
+    for w, axis, lower in couplings:
+        _add_neighbors(res, delta, w, axis, grid.periodic(axis), lower)
+    _relax(view, r, d, omega, 1)
+
+
+def smooth_cell(phi, rhs, grid, coeff, diag, omega, zero_guess=False) -> None:
+    """The numpy red-black sweep on the pressure operator, in place."""
+    if zero_guess:
+        res = rhs.data.copy()
+    else:
+        res = apply_Lrho(phi, coeff).data
+        np.subtract(rhs.data, res, out=res)
+    _sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
+           lrho_couplings(grid, coeff), omega)
+
+
+def smooth_face(u, rhs, grid, coeff, diag, omega, zero_guess=False) -> None:
+    """The numpy 2d-colored sweep on the velocity operator, in place: one
+    residual and one :func:`_sweep` per component, in axis order."""
+    for a in range(grid.dim):
+        if zero_guess and a == 0:
+            res = rhs.components[a].copy()
+        else:
+            # rhs - A u in the viscous row's array; v - m is exactly
+            # -(m - v), so this rounds like rhs - apply_A_row
+            res = viscous_row(u, coeff, a)
+            if coeff.theta > 0:
+                m = coeff.theta * coeff.rho_face.components[a]
+                m *= u.components[a]
+                res -= m
+            res += rhs.components[a]
+        _sweep(grid, u.components[a], res, grid.interior_slices(a),
+               diag.components[a], viscous_couplings(grid, coeff, a), omega)
 
 
 # ---------------------------------------------------------------------------

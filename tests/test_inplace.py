@@ -1,17 +1,18 @@
 """No kernel writes its inputs.
 
-The operators, smoothers, V-cycles and transfers scale and accumulate in
-place on arrays they allocate themselves.  A slip that lets such an
-in-place step land on an input (a coefficient array, the right-hand side,
-a boundary value, the field being differenced) would corrupt the caller's
-data without changing the returned value of that call.  Each test takes a
-byte copy of every input array before the call and compares afterwards.
+The operators, smoothers, compiled sweep kernels, V-cycles and transfers
+scale and accumulate in place on arrays they allocate themselves.  A slip
+that lets such an in-place step land on an input (a coefficient array, the
+right-hand side, a boundary value, the field being differenced) would
+corrupt the caller's data without changing the returned value of that
+call.  Each test takes a byte copy of every input array before the call and
+compares afterwards.
 """
 
 import numpy as np
 import pytest
 
-from stokesmg import multigrid
+from stokesmg import kernels, multigrid
 from stokesmg.grid import FREE_SLIP, NO_SLIP, PERIODIC, CellField, FaceField, StokesVector
 from stokesmg.multigrid import (
     SmootherParams,
@@ -183,6 +184,39 @@ def test_cell_smoother_moves_only_x(walls, dim, zero_guess, rng):
     phi = CellField.zeros(g) if zero_guess else random_cell(g, rng)
     before, start = snapshot(rhs, diag, coeff), snapshot(phi)
     smooth_cell(phi, rhs, g, coeff, diag, 0.8, zero_guess)
+    assert_unchanged(before, rhs, diag, coeff)
+    assert snapshot(phi) != start
+
+
+@walls
+@dims
+@forms
+@pytest.mark.parametrize("zero_guess", [False, True])
+def test_face_kernel_moves_only_its_component(walls, dim, form, zero_guess, rng):
+    g, coeff = case(walls, dim, form, rng)
+    diag = helmholtz_diagonal(g, coeff)
+    rhs = random_face(g, rng)
+    for a in range(dim):
+        u = random_face(g, rng)
+        if zero_guess:
+            u.components[a][...] = 0.0
+        others = [c for b, c in enumerate(u.components) if b != a]
+        before, start = snapshot(rhs, diag, coeff, *others), snapshot(u.components[a])
+        kernels.face_sweep(u, rhs, g, coeff, diag, 0.8, a, zero_guess)
+        assert_unchanged(before, rhs, diag, coeff, *others)
+        assert snapshot(u.components[a]) != start
+
+
+@walls
+@dims
+@pytest.mark.parametrize("zero_guess", [False, True])
+def test_cell_kernel_moves_only_x(walls, dim, zero_guess, rng):
+    g, coeff = case(walls, dim, STRESS, rng)
+    diag = lrho_diagonal(g, coeff)
+    rhs = random_cell(g, rng)
+    phi = CellField.zeros(g) if zero_guess else random_cell(g, rng)
+    before, start = snapshot(rhs, diag, coeff), snapshot(phi)
+    kernels.cell_sweep(phi, rhs, g, coeff, diag, 0.8, zero_guess)
     assert_unchanged(before, rhs, diag, coeff)
     assert snapshot(phi) != start
 

@@ -1,0 +1,223 @@
+"""The compiled smoother sweeps: bitwise contract, build and cache.
+
+The property tests draw grids, walls, viscous forms, coefficients and
+relaxation settings and require the compiled sweeps to equal the numpy
+oracle in ``reference.py`` bit for bit.  The build tests run the CLI in
+fresh processes with their own cache directories.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stokesmg
+from stokesmg import kernels, multigrid
+from stokesmg.grid import FREE_SLIP, NO_SLIP, PERIODIC, CellField, FaceField, GridSpec
+from stokesmg.operators import (
+    LAPLACIAN,
+    STRESS,
+    STRESS_BULK,
+    helmholtz_diagonal,
+    lrho_diagonal,
+    make_coefficients,
+)
+
+import reference
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(stokesmg.__file__)))
+REPO = os.path.dirname(SRC)
+
+# deterministic, no example database on disk, and a fixed budget of a few
+# seconds per property
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A grid with 2-9 cells per axis and its coefficients, a right-hand
+    side and an iterate, and the sweep's settings."""
+    dim = draw(st.sampled_from([2, 3]))
+    cells = tuple(draw(st.integers(2, 9)) for _ in range(dim))
+    bc = []
+    for _ in range(dim):
+        lo = draw(st.sampled_from([NO_SLIP, FREE_SLIP, PERIODIC]))
+        hi = lo if lo is PERIODIC else draw(st.sampled_from([NO_SLIP, FREE_SLIP]))
+        bc.append((lo, hi))
+    h = draw(st.sampled_from([2.0**-k for k in range(8)] + [1 / 48, 0.3]))
+    grid = GridSpec(cells, h, tuple(bc))
+    form = draw(st.sampled_from([LAPLACIAN, STRESS, STRESS_BULK]))
+    theta = draw(st.sampled_from([0.0, 0.7, 3.0]))
+    contrast = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    omega = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0))
+    zero_guess = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = CellField(grid, contrast ** rng.random(cells))
+    rho = CellField(grid, contrast ** rng.random(cells))
+    gamma = CellField(grid, contrast * rng.random(cells))
+    coeff = make_coefficients(grid, theta, rho, mu, gamma, viscous_form=form)
+    return grid, coeff, omega, zero_guess, rng
+
+
+def random_face(grid, rng, zero=False):
+    u = FaceField.zeros(grid)
+    if not zero:
+        for a in range(grid.dim):
+            view = u.interior(a)
+            view[...] = rng.standard_normal(view.shape)
+    return u
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_face_sweep_equals_oracle(case):
+    grid, coeff, omega, zero_guess, rng = case
+    diag = helmholtz_diagonal(grid, coeff)
+    rhs = random_face(grid, rng)
+    u = random_face(grid, rng, zero=zero_guess)
+    want = u.copy()
+    multigrid.smooth_face(u, rhs, grid, coeff, diag, omega, zero_guess)
+    reference.smooth_face(want, rhs, grid, coeff, diag, omega, zero_guess)
+    for got, ref in zip(u.components, want.components):
+        assert np.array_equal(got, ref)
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_cell_sweep_equals_oracle(case):
+    grid, coeff, omega, zero_guess, rng = case
+    diag = lrho_diagonal(grid, coeff)
+    rhs = CellField(grid, rng.standard_normal(grid.cells))
+    phi = CellField(grid, np.zeros(grid.cells) if zero_guess
+                    else rng.standard_normal(grid.cells))
+    want = phi.copy()
+    multigrid.smooth_cell(phi, rhs, grid, coeff, diag, omega, zero_guess)
+    reference.smooth_cell(want, rhs, grid, coeff, diag, omega, zero_guess)
+    assert np.array_equal(phi.data, want.data)
+
+
+# ---------------------------------------------------------------------------
+# build and cache
+# ---------------------------------------------------------------------------
+
+CONFIG = """{"problem": {"kind": "bubble", "dim": 2, "cells": 8, "bc": "no_slip",
+              "seed": 0},
+ "solver": {"gmres": {"max_iters": 60}},
+ "sweep": {"solver.precond.kind": ["P1", "P2"]}}"""
+
+
+def run_cli(tmp_path, cache, *args, path=None, env=None):
+    env = dict(env or os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC)
+    if path is not None:
+        env["PATH"] = path
+    config = tmp_path / "config.json"
+    config.write_text(CONFIG)
+    return subprocess.run(
+        [sys.executable, "-m", "stokesmg.cli", "run", "--config", str(config), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+def tree(root):
+    """Every file under ``root`` except bytecode and the test caches."""
+    out = set()
+    for base, dirs, files in os.walk(root):
+        dirs[:] = [d for d in dirs if d not in (".git", "__pycache__", ".pytest_cache")]
+        out.update(os.path.join(base, f) for f in files)
+    return out
+
+
+def libraries(cache):
+    folder = cache / "stokesmg"
+    return sorted(p.name for p in folder.iterdir()) if folder.exists() else []
+
+
+def test_missing_compiler_exits_4_without_outputs(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    done = run_cli(tmp_path, tmp_path / "cache", "--out", str(tmp_path / "out"),
+                   path=str(empty))
+    assert done.returncode == 4, done.stderr
+    assert f"'{kernels.COMPILER}'" in done.stderr
+    assert not (tmp_path / "out").exists()
+    assert libraries(tmp_path / "cache") == []
+
+
+def test_failed_build_names_the_command_and_quotes_stderr(tmp_path, monkeypatch):
+    broken = tmp_path / "sweeps.c"
+    broken.write_text("int broken(void) { return }\n")
+    monkeypatch.setattr(kernels, "SOURCE", str(broken))
+    monkeypatch.setattr(kernels, "_library", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(kernels.KernelBuildError) as err:
+        kernels.load()
+    message = str(err.value)
+    assert message.startswith(f"'{kernels.COMPILER} ")
+    assert str(broken) in message and "error" in message
+    assert kernels._library is None
+
+
+def test_jobs_build_once_in_the_parent_and_match_sequential(tmp_path):
+    cache = tmp_path / "cache"
+    before = tree(REPO)
+    parallel = run_cli(tmp_path, cache, "--jobs", "2", "--out", str(tmp_path / "p"))
+    assert parallel.returncode == 0, parallel.stderr
+    assert [name.endswith(".so") for name in libraries(cache)] == [True]
+    sequential = run_cli(tmp_path, cache, "--jobs", "1", "--out", str(tmp_path / "s"))
+    assert sequential.returncode == 0, sequential.stderr
+    assert len(libraries(cache)) == 1
+    for name in ("run_000.csv", "run_001.csv"):
+        assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+    # the build writes into the cache only, never into the sources or repo
+    assert tree(REPO) == before
+
+
+def tiny_sweep_matches_oracle():
+    """One compiled face sweep, checked against the oracle."""
+    grid = GridSpec((4, 6), 0.5, ((NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC)))
+    rng = np.random.default_rng(3)
+    coeff = make_coefficients(grid, 0.7, CellField(grid, 1 + rng.random(grid.cells)),
+                              CellField(grid, 1 + rng.random(grid.cells)))
+    diag, rhs, u = helmholtz_diagonal(grid, coeff), random_face(grid, rng), random_face(grid, rng)
+    want = u.copy()
+    multigrid.smooth_face(u, rhs, grid, coeff, diag, 0.8)
+    reference.smooth_face(want, rhs, grid, coeff, diag, 0.8)
+    return all(np.array_equal(x, y) for x, y in zip(u.components, want.components))
+
+
+def test_library_with_another_key_is_rebuilt_not_loaded(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(kernels, "_library", None)
+    key = kernels.library_key()
+    folder = tmp_path / "stokesmg"
+    folder.mkdir()
+    # not a loadable library at all: loading it would fail
+    stale = folder / f"sweeps-{key}.so"
+    stale.write_bytes(b"\x7fELF" + kernels.KEY_TAG + b"0" * len(key))
+    kernels.load()
+    assert kernels.KEY_TAG + key.encode() in stale.read_bytes()
+    assert libraries(tmp_path) == [stale.name]
+    assert tiny_sweep_matches_oracle()
+
+
+def test_unwritable_cache_builds_in_a_temporary_directory(tmp_path):
+    # a file where the cache directory belongs: nothing can be written there
+    # (a read-only mode does not bind for the superuser)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "stokesmg").write_text("occupied")
+    temporary = tmp_path / "tmp"
+    temporary.mkdir()
+    env = dict(os.environ, TMPDIR=str(temporary))
+    done = run_cli(tmp_path, cache, "--out", str(tmp_path / "out"), env=env)
+    assert done.returncode == 0, done.stderr
+    assert (cache / "stokesmg").read_text() == "occupied"
+    assert sorted(p.name for p in cache.iterdir()) == ["stokesmg"]
+    # the per-process build directory is gone
+    assert list(temporary.iterdir()) == []
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [r["status"] for r in manifest["runs"]] == ["converged", "converged"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokesmg import multigrid
+from stokesmg import kernels, multigrid
 from stokesmg.grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -38,6 +38,7 @@ from stokesmg.operators import (
 from stokesmg.problems import constant_coefficients, inviscid_coefficients
 
 from conftest import MIXED_WALLS, mkgrid, random_cell, random_face
+from reference import _sweep
 
 
 def poisson_coeff(grid, theta=1.0):
@@ -258,15 +259,15 @@ def operator_face_sweep(u, rhs, grid, coeff, diag, omega):
     """smooth_face's relaxation, each component's residual from apply_A."""
     for a in range(grid.dim):
         res = rhs.components[a] - apply_A(u, coeff).components[a]
-        multigrid._sweep(grid, u.components[a], res, grid.interior_slices(a),
-                         diag.components[a], viscous_couplings(grid, coeff, a), omega)
+        _sweep(grid, u.components[a], res, grid.interior_slices(a),
+               diag.components[a], viscous_couplings(grid, coeff, a), omega)
 
 
 def operator_cell_sweep(phi, rhs, grid, coeff, diag, omega):
     """smooth_cell's relaxation, its residual from apply_Lrho."""
     res = rhs.data - apply_Lrho(phi, coeff).data
-    multigrid._sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
-                     lrho_couplings(grid, coeff), omega)
+    _sweep(grid, phi.data, res, (slice(None),) * grid.dim, diag.data,
+           lrho_couplings(grid, coeff), omega)
 
 
 # odd periodic counts: each colour touches itself across the wrap
@@ -336,10 +337,39 @@ class TestSmootherMatchesOperator:
 
 
 class TestSmootherCost:
+    # the compiled sweeps form their own residuals; a kernel call with
+    # zero_guess false is one operator evaluation
+    KERNELS = {"face_sweep": "face", "cell_sweep": "cell"}
+
+    @classmethod
+    def count_residuals(cls, monkeypatch, calls):
+        """Count kernel calls that form a residual (``zero_guess``, the last
+        positional argument, false) into ``calls``."""
+        for name, kind in cls.KERNELS.items():
+            original = getattr(kernels, name)
+
+            def run(*args, _f=original, _kind=kind):
+                calls[_kind] += not args[-1]
+                return _f(*args)
+
+            monkeypatch.setattr(kernels, name, run)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_operator_evaluation_per_component(self, dim, rng, monkeypatch):
         # one residual per component (face) and per sweep (cell), not per colour
-        calls = {"viscous_row": 0, "apply_Lrho": 0}
+        calls = {"face": 0, "cell": 0}
+        self.count_residuals(monkeypatch, calls)
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS, rng)
+        smooth_face(random_face(g, rng), random_face(g, rng), g, coeff,
+                    helmholtz_diagonal(g, coeff), omega=1.0)
+        smooth_cell(random_cell(g, rng), random_cell(g, rng), g, coeff,
+                    lrho_diagonal(g, coeff), omega=1.0)
+        assert calls == {"face": dim, "cell": 1}
+
+    @classmethod
+    def count_in_smoothers(cls, monkeypatch):
+        """Count smoother calls and the residuals their kernels form."""
+        calls = dict.fromkeys(["smooth_face", "smooth_cell", "face", "cell"], 0)
 
         def counted(name):
             original = getattr(multigrid, name)
@@ -350,39 +380,9 @@ class TestSmootherCost:
 
             return run
 
-        for name in calls:
+        for name in ("smooth_face", "smooth_cell"):
             monkeypatch.setattr(multigrid, name, counted(name))
-        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS, rng)
-        smooth_face(random_face(g, rng), random_face(g, rng), g, coeff,
-                    helmholtz_diagonal(g, coeff), omega=1.0)
-        smooth_cell(random_cell(g, rng), random_cell(g, rng), g, coeff,
-                    lrho_diagonal(g, coeff), omega=1.0)
-        assert calls == {"viscous_row": dim, "apply_Lrho": 1}
-
-    @staticmethod
-    def count_in_smoothers(monkeypatch):
-        """Count smoother calls and the operator calls made inside them."""
-        calls = dict.fromkeys(
-            ["smooth_face", "smooth_cell", "viscous_row", "apply_Lrho"], 0)
-        depth = [0]
-
-        def counted(name):
-            original = getattr(multigrid, name)
-            smoother = name.startswith("smooth")
-
-            def run(*args, **kwargs):
-                if smoother or depth[0]:
-                    calls[name] += 1
-                depth[0] += smoother
-                try:
-                    return original(*args, **kwargs)
-                finally:
-                    depth[0] -= smoother
-
-            return run
-
-        for name in calls:
-            monkeypatch.setattr(multigrid, name, counted(name))
+        cls.count_residuals(monkeypatch, calls)
         return calls
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -395,9 +395,9 @@ class TestSmootherCost:
         assert levels >= 2
         calls = self.count_in_smoothers(monkeypatch)
         vcycle(random_face(g, rng), hier, SmootherParams(), "face")
-        assert calls["viscous_row"] == dim * calls["smooth_face"] - levels
+        assert calls["face"] == dim * calls["smooth_face"] - levels
         vcycle(random_cell(g, rng), hier, SmootherParams(), "cell")
-        assert calls["apply_Lrho"] == calls["smooth_cell"] - levels
+        assert calls["cell"] == calls["smooth_cell"] - levels
 
     @pytest.mark.parametrize("omega", [1.0, 0.8])
     @pytest.mark.parametrize("dim", [2, 3])

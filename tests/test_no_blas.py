@@ -23,8 +23,8 @@ import pytest
 
 import stokesmg
 
-RUN_PATH = ("grid.py", "krylov.py", "multigrid.py", "operators.py",
-            "precond.py", "schur.py")
+RUN_PATH = ("grid.py", "kernels.py", "krylov.py", "multigrid.py",
+            "operators.py", "precond.py", "schur.py")
 BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "tensordot"}
 NUMPY = {"np", "numpy"}
 
