@@ -463,6 +463,7 @@ def cmd_spectrum(config: dict, outdir: str) -> int:
     validate_keys(config)
     which = _get(config.get("spectrum", {}), "which", "precondS", str)
     grid, coeff, _, _ = build_problem(config.get("problem", {}))
+    kernels.load()
     report = analyze_stokes_spectrum(grid, coeff, which)
     os.makedirs(outdir, exist_ok=True)
     _atomic_write(os.path.join(outdir, "spectrum.json"), report.to_json(indent=2) + "\n")

@@ -1,13 +1,16 @@
-"""The compiled smoother sweeps: build, cache and load ``sweeps.c``.
+"""The compiled stencils: build, cache and load ``sweeps.c``.
 
-The library is built on first use with the system C compiler (``cc``) at
-``-O2 -ffp-contract=off`` (no fused multiply-add, no fast-math, no
-host-specific code), so its sweeps round exactly as the numpy formulation
-in ``tests/reference.py`` does.  It is kept in the user cache directory,
-``$XDG_CACHE_HOME/stokesmg`` or ``~/.cache/stokesmg``, under a name keyed
-by a hash of the source, the flags and the compiler version; a build is
-written to a temporary file and renamed into place, so concurrent builders
-never load a partial file.  When that directory cannot be written the
+The library holds the multigrid smoother sweeps, the operators (``A``,
+``L_mu``, ``D (1/rho) G``, ``D``, ``G``, the saddle operator and the
+residuals the V-cycle forms) and the grid transfers; the package has no
+other implementation of them.  It is built on first use with the system C
+compiler (``cc``) at ``-O2 -ffp-contract=off`` (no fused multiply-add, no
+fast-math, no host-specific code), so every entry rounds exactly as the
+numpy formulation in ``tests/reference.py`` does.  It is kept in the user
+cache directory, ``$XDG_CACHE_HOME/stokesmg`` or ``~/.cache/stokesmg``,
+under a name keyed by a hash of the source, the flags and the compiler
+version; a build is written to a temporary file and renamed into place, so
+concurrent builders never load a partial file.  When that directory cannot be written the
 library is built in a per-process temporary directory instead.  Each
 process loads the library once; :func:`load` before forking workers shares
 it with them.
@@ -30,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import FREE_SLIP, NO_SLIP, GridSpec, LayoutError, edge_planes
-from .operators import LAPLACIAN, STRESS, STRESS_BULK
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -38,14 +40,15 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweeps.c")
 #: marks the key compiled into a library, checked before it is loaded
 KEY_TAG = b"stokesmg-sweeps-key:"
 
-_FORMS = {LAPLACIAN: 0, STRESS: 1, STRESS_BULK: 2}
+#: sweeps.c's codes of the viscous forms, by ``ViscousForm`` value
+_FORMS = {"laplacian": 0, "stress": 1, "stress_bulk": 2}
 _BC = {NO_SLIP: 1, FREE_SLIP: 2}
 
 _library = None
 
 
 class KernelBuildError(RuntimeError):
-    """The sweep library could not be built: no compiler, or it failed."""
+    """The stencil library could not be built: no compiler, or it failed."""
 
 
 class _Grid3(ctypes.Structure):
@@ -75,7 +78,7 @@ def _compiler_version(compiler: str) -> str:
     except OSError as exc:
         raise KernelBuildError(
             f"no C compiler: '{compiler} --version' failed ({exc}); the "
-            "multigrid smoothers need one to build sweeps.c") from None
+            "operators, transfers and smoothers need one to build sweeps.c") from None
     if done.returncode != 0:
         raise KernelBuildError(
             f"'{compiler} --version' exited {done.returncode}: "
@@ -88,8 +91,8 @@ def library_key() -> str:
     compiler = shutil.which(COMPILER)
     if compiler is None:
         raise KernelBuildError(
-            f"no C compiler: '{COMPILER}' is not on PATH; the multigrid "
-            "smoothers need one to build sweeps.c")
+            f"no C compiler: '{COMPILER}' is not on PATH; the operators, "
+            "transfers and smoothers need one to build sweeps.c")
     digest = hashlib.sha256()
     with open(SOURCE, "rb") as handle:
         digest.update(handle.read())
@@ -132,19 +135,30 @@ def _compile(key: str, directory: str) -> str:
 def _bind(path: str):
     lib = ctypes.CDLL(path)
     ptr, dbl, int_ = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
-    grid = ctypes.POINTER(_Grid3)
-    lib.smg_face_sweep.argtypes = [grid, int_, int_, dbl, dbl, int_,
-                                   *[ptr] * 11]
-    lib.smg_face_sweep.restype = int_
-    lib.smg_cell_sweep.argtypes = [grid, dbl, int_, *[ptr] * 6]
-    lib.smg_cell_sweep.restype = int_
+    ptrs, grid = ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3)
+    signatures = {
+        "smg_face_sweep": (int_, [grid, int_, int_, dbl, dbl, int_, *[ptr] * 11]),
+        "smg_cell_sweep": (int_, [grid, dbl, int_, *[ptr] * 6]),
+        "smg_face_apply": (int_, [grid, int_, dbl, int_, ptrs, ptr, ptrs, ptr, ptr,
+                                  ptrs, ptrs, ptrs, ptrs, ptr]),
+        "smg_cell_apply": (int_, [grid, ptr, ptr, ptrs, ptr]),
+        "smg_grad": (None, [grid, ptr, ptrs]),
+        "smg_div": (None, [grid, ptrs, ptr]),
+        "smg_restrict_cell": (int_, [grid, ptr, ptr]),
+        "smg_restrict_face": (int_, [grid, ptrs, ptrs]),
+        "smg_prolong_cell": (int_, [grid, ptr, ptr]),
+        "smg_prolong_face": (int_, [grid, ptrs, ptrs]),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        entry = getattr(lib, name)
+        entry.restype, entry.argtypes = restype, argtypes
     return lib
 
 
 def load():
-    """The loaded sweep library, built first if the cache lacks it.
+    """The loaded stencil library, built first if the cache lacks it.
 
-    A cold build takes under a second; a cached load takes a few
+    A cold build takes about a second; a cached load takes a few
     milliseconds, most of them the compiler version check of the key.
     """
     global _library
@@ -170,7 +184,7 @@ def load():
 
 
 class _Layout(NamedTuple):
-    """A grid as the sweeps see it: its C description and the shape of
+    """A grid as the kernels see it: its C description and the shape of
     each array they read, with the 3D (dummy-led) plane slots of sweeps.c."""
 
     grid3: _Grid3
@@ -202,7 +216,7 @@ def _layout(grid: GridSpec) -> _Layout:
                    tuple(grid.face_shape(a) for a in range(grid.dim)), tuple(planes))
 
 
-#: id(obj) -> (weak reference to obj, value) of the objects sweeps read
+#: id(obj) -> (weak reference to obj, value) of the objects kernels read
 _memo: dict[int, tuple] = {}
 
 
@@ -211,7 +225,9 @@ def _remember(obj, make):
 
     A grid description or an array's data address costs microseconds to
     build, as much as a whole sweep on a coarse level, and the V-cycle
-    passes the same grids, coefficients and diagonals again and again.
+    passes the same grids, coefficients and diagonals again and again, and
+    hands each level's residual, restriction and prolongation on from one
+    kernel to the next.
     """
     key = id(obj)
     hit = _memo.get(key)
@@ -235,7 +251,7 @@ def _address(arr: np.ndarray, shape: tuple, owners: list, iterate=False) -> int:
     alive in ``owners``; the iterate is written in place, so it must be
     C-contiguous and writable."""
     if arr.shape != shape or arr.dtype is not _F64:
-        raise LayoutError(f"sweep array of shape {arr.shape} and type {arr.dtype}, "
+        raise LayoutError(f"kernel array of shape {arr.shape} and type {arr.dtype}, "
                           f"expected {shape} float64")
     if iterate and not (arr.flags.c_contiguous and arr.flags.writeable):
         raise LayoutError("smoother iterate must be writable and C-contiguous")
@@ -247,7 +263,7 @@ def _address(arr: np.ndarray, shape: tuple, owners: list, iterate=False) -> int:
 
 def _check(status: int) -> None:
     if status != 0:
-        raise MemoryError("sweep workspace allocation failed")
+        raise MemoryError("kernel workspace allocation failed")
 
 
 def face_sweep(u, rhs, grid: GridSpec, coeff, diag, omega: float, a: int,
@@ -267,7 +283,7 @@ def face_sweep(u, rhs, grid: GridSpec, coeff, diag, omega: float, a: int,
     planes = coeff.mu_node_edge.arrays
     ne = [slot and _address(planes[slot[0]], slot[1], owners) for slot in lay.planes]
     _check(lib.smg_face_sweep(
-        lay.grid3, a + lay.lead, _FORMS[coeff.viscous_form], coeff.theta, omega,
+        lay.grid3, a + lay.lead, _FORMS[coeff.viscous_form.value], coeff.theta, omega,
         zero_guess, *[None] * lay.lead, *comps, *inputs, *ne))
 
 
@@ -282,3 +298,141 @@ def cell_sweep(phi, rhs, grid: GridSpec, coeff, diag, omega: float,
     rho = [_address(c, s, owners) for c, s in zip(coeff.rho_face.components, lay.faces)]
     _check(lib.smg_cell_sweep(lay.grid3, omega, zero_guess, x, *inputs,
                               *[None] * lay.lead, *rho))
+
+
+# ---------------------------------------------------------------------------
+# operators and transfers: each returns fresh output arrays
+# ---------------------------------------------------------------------------
+
+#: what :func:`face_apply` gives (``OUT_*`` of sweeps.c): ``L_mu u``,
+#: ``A u``, the residual ``base - A u`` and the saddle operator
+#: ``(A u + G p, -D u)``
+VISCOUS, OPERATOR, RESIDUAL, SADDLE = range(4)
+
+_Axes = ctypes.c_void_p * 3
+
+
+def _output(shape: tuple) -> tuple[np.ndarray, int]:
+    arr = np.empty(shape)
+    return arr, _remember(arr, _data)
+
+
+def _per_axis(lay: _Layout, addresses) -> _Axes:
+    """One pointer per 3D axis, NULL on a 2D grid's leading one."""
+    return _Axes(*[None] * lay.lead, *addresses)
+
+
+def _faces(lay: _Layout, arrays, owners: list) -> _Axes:
+    return _per_axis(lay, [_address(c, s, owners) for c, s in zip(arrays, lay.faces)])
+
+
+def _outputs(lay: _Layout, shapes) -> tuple[list, _Axes]:
+    pairs = [_output(s) for s in shapes]
+    return [arr for arr, _ in pairs], _per_axis(lay, [addr for _, addr in pairs])
+
+
+def _walls(bvals, lay: _Layout, owners: list):
+    """Pointers to the tangential wall velocities the operator reads, at
+    ``(3 a + b) 2 + side`` in 3D axes; missing ones stay NULL (zero)."""
+    grid = bvals.grid
+    walls = (ctypes.c_void_p * 18)()
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            for side in (0, 1):
+                if b != a and not grid.periodic(b) and (b, side, a) in bvals.tangential:
+                    vals = bvals.tangential_values(b, side, a)
+                    owners.append(vals)
+                    slot = (3 * (a + lay.lead) + b + lay.lead) * 2 + side
+                    walls[slot] = _address(vals, vals.shape, owners)
+    return walls
+
+
+def face_apply(u, coeff, out: int, base=None, p=None, bvals=None):
+    """The velocity operator ``out`` (see :data:`VISCOUS`) on every
+    component: the output components, and ``-D u`` for :data:`SADDLE`
+    (else None).  ``base`` is the residual's right-hand side, ``p`` the
+    saddle operator's pressure, ``bvals`` the wall velocities (zero when
+    None)."""
+    if (out == RESIDUAL and base is None) or (out == SADDLE and p is None):
+        raise ValueError("the residual needs base and the saddle operator p")
+    lib = _library or load()
+    lay = _remember(u.grid, _layout)
+    owners = []
+    planes = coeff.mu_node_edge.arrays
+    res, res_ptrs = _outputs(lay, lay.faces)
+    res_p, p_ptr = _output(lay.cells) if out == SADDLE else (None, None)
+    _check(lib.smg_face_apply(
+        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, out,
+        _faces(lay, u.components, owners),
+        p and _address(p.data, lay.cells, owners),
+        base and _faces(lay, base.components, owners),
+        _address(coeff.mu_cell.data, lay.cells, owners),
+        _address(coeff.gamma_cell.data, lay.cells, owners),
+        _faces(lay, coeff.rho_face.components, owners),
+        _Axes(*[slot and _address(planes[slot[0]], slot[1], owners)
+                for slot in lay.planes]),
+        bvals and _walls(bvals, lay, owners), res_ptrs, p_ptr))
+    return res, res_p
+
+
+def cell_apply(p, coeff, rhs=None) -> np.ndarray:
+    """``D (1/rho) G p``, or ``rhs - D (1/rho) G p`` with ``rhs``."""
+    lib = _library or load()
+    lay = _remember(p.grid, _layout)
+    owners = []
+    out, addr = _output(lay.cells)
+    _check(lib.smg_cell_apply(
+        lay.grid3, _address(p.data, lay.cells, owners),
+        rhs and _address(rhs.data, lay.cells, owners),
+        _faces(lay, coeff.rho_face.components, owners), addr))
+    return out
+
+
+def grad(p) -> list:
+    lib = _library or load()
+    lay, owners = _remember(p.grid, _layout), []
+    out, ptrs = _outputs(lay, lay.faces)
+    lib.smg_grad(lay.grid3, _address(p.data, lay.cells, owners), ptrs)
+    return out
+
+
+def div(u) -> np.ndarray:
+    lib = _library or load()
+    lay, owners = _remember(u.grid, _layout), []
+    out, addr = _output(lay.cells)
+    lib.smg_div(lay.grid3, _faces(lay, u.components, owners), addr)
+    return out
+
+
+def _cell_transfer(entry: str, src, target: GridSpec) -> np.ndarray:
+    """Library transfer ``entry`` of a cell field onto ``target``."""
+    lib = _library or load()
+    lay, owners = _remember(src.grid, _layout), []
+    out, addr = _output(target.cells)
+    _check(getattr(lib, entry)(lay.grid3, _address(src.data, lay.cells, owners), addr))
+    return out
+
+
+def _face_transfer(entry: str, src, target: GridSpec) -> list:
+    """Library transfer ``entry`` of a face field onto ``target``."""
+    lib = _library or load()
+    lay, owners = _remember(src.grid, _layout), []
+    out, ptrs = _outputs(lay, [target.face_shape(a) for a in range(target.dim)])
+    _check(getattr(lib, entry)(lay.grid3, _faces(lay, src.components, owners), ptrs))
+    return out
+
+
+def restrict_cell(fine, coarse: GridSpec) -> np.ndarray:
+    return _cell_transfer("smg_restrict_cell", fine, coarse)
+
+
+def prolong_cell(coarse, fine: GridSpec) -> np.ndarray:
+    return _cell_transfer("smg_prolong_cell", coarse, fine)
+
+
+def restrict_face(fine, coarse: GridSpec) -> list:
+    return _face_transfer("smg_restrict_face", fine, coarse)
+
+
+def prolong_face(coarse, fine: GridSpec) -> list:
+    return _face_transfer("smg_prolong_face", coarse, fine)

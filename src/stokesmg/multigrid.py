@@ -156,7 +156,8 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
         rest = [b for b in all_axes if b not in axes]
         if rest:
             arr = _block_mean(arr, rest)
-        arrays[axes] = arr
+        # a 2D node plane is injected only, a strided view until copied
+        arrays[axes] = np.ascontiguousarray(arr)
     mu_ne = NodeEdgeField(coarse_grid, arrays)
 
     return CoefficientSet(
@@ -175,39 +176,20 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
 # ---------------------------------------------------------------------------
 
 
+def _fine_grid(grid: GridSpec) -> GridSpec:
+    return GridSpec(tuple(2 * n for n in grid.cells), grid.h / 2, grid.bc)
+
+
 def restrict_cell(fine: CellField) -> CellField:
     """Simple averaging of the 2^d fine children."""
-    grid = fine.grid
-    return CellField(grid.coarsened(), _block_mean(fine.data, range(grid.dim)))
+    coarse = fine.grid.coarsened()
+    return CellField(coarse, kernels.restrict_cell(fine, coarse))
 
 
 def prolong_cell(coarse: CellField) -> CellField:
     """Direct injection of each coarse value into its 2^d children."""
-    grid = coarse.grid
-    out = coarse.data
-    for a in range(grid.dim):
-        out = np.repeat(out, 2, axis=a)
-    fine_grid = GridSpec(tuple(2 * n for n in grid.cells), grid.h / 2, grid.bc)
-    return CellField(fine_grid, out)
-
-
-def _restrict_normal(arr: np.ndarray, axis: int, periodic: bool,
-                     n_coarse: int) -> np.ndarray:
-    """[1/4, 1/2, 1/4] weighting onto the coarse staggered positions."""
-    if periodic:
-        lo = np.roll(arr, 1, axis=axis)[_sl(arr.ndim, axis, slice(0, None, 2))]
-        mid = arr[_sl(arr.ndim, axis, slice(0, None, 2))]
-        hi = np.roll(arr, -1, axis=axis)[_sl(arr.ndim, axis, slice(0, None, 2))]
-        return 0.25 * lo + 0.5 * mid + 0.25 * hi
-    shape = list(arr.shape)
-    shape[axis] = n_coarse + 1
-    out = np.zeros(shape)
-    # interior coarse faces i read fine faces 2i-1, 2i, 2i+1
-    lo = arr[_sl(arr.ndim, axis, slice(1, -2, 2))]
-    mid = arr[_sl(arr.ndim, axis, slice(2, -1, 2))]
-    hi = arr[_sl(arr.ndim, axis, slice(3, None, 2))]
-    out[_sl(arr.ndim, axis, slice(1, -1))] = 0.25 * lo + 0.5 * mid + 0.25 * hi
-    return out
+    fine = _fine_grid(coarse.grid)
+    return CellField(fine, kernels.prolong_cell(coarse, fine))
 
 
 def restrict_face(fine: FaceField) -> FaceField:
@@ -217,79 +199,21 @@ def restrict_face(fine: FaceField) -> FaceField:
     direction applies the 1/4, 1/2, 1/4 stencil.  Boundary faces of the
     coarse result stay zero (they are not unknowns).
     """
-    grid = fine.grid
-    coarse_grid = grid.coarsened()
-    comps = []
-    for a in range(grid.dim):
-        arr = _block_mean(
-            fine.components[a], [b for b in range(grid.dim) if b != a]
-        )
-        comps.append(
-            _restrict_normal(arr, a, grid.periodic(a), coarse_grid.cells[a])
-        )
-    return FaceField(coarse_grid, tuple(comps))
-
-
-def _prolong_tangential(arr: np.ndarray, axis: int, grid_c: GridSpec) -> np.ndarray:
-    """3/4-1/4 interpolation doubling a tangential (cell-centered) axis.
-
-    Wall rows clamp to the nearest interior row so every weight row still
-    sums to one (constants prolong to constants).
-    """
-    if grid_c.periodic(axis):
-        prev_ = np.roll(arr, 1, axis=axis)
-        next_ = np.roll(arr, -1, axis=axis)
-    else:
-        prev_ = np.concatenate(
-            [arr[_sl(arr.ndim, axis, slice(0, 1))],
-             arr[_sl(arr.ndim, axis, slice(None, -1))]], axis=axis)
-        next_ = np.concatenate(
-            [arr[_sl(arr.ndim, axis, slice(1, None))],
-             arr[_sl(arr.ndim, axis, slice(-1, None))]], axis=axis)
-    shape = list(arr.shape)
-    shape[axis] *= 2
-    out = np.zeros(shape)
-    out[_sl(arr.ndim, axis, slice(0, None, 2))] = 0.75 * arr + 0.25 * prev_
-    out[_sl(arr.ndim, axis, slice(1, None, 2))] = 0.75 * arr + 0.25 * next_
-    return out
-
-
-def _prolong_normal(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """Copy overlaying faces, average for in-between faces."""
-    ndim = arr.ndim
-    if periodic:
-        n = arr.shape[axis]
-        shape = list(arr.shape)
-        shape[axis] = 2 * n
-        out = np.zeros(shape)
-        out[_sl(ndim, axis, slice(0, None, 2))] = arr
-        out[_sl(ndim, axis, slice(1, None, 2))] = 0.5 * (arr + np.roll(arr, -1, axis=axis))
-        return out
-    n = arr.shape[axis] - 1
-    shape = list(arr.shape)
-    shape[axis] = 2 * n + 1
-    out = np.zeros(shape)
-    out[_sl(ndim, axis, slice(0, None, 2))] = arr
-    out[_sl(ndim, axis, slice(1, None, 2))] = 0.5 * (
-        arr[_sl(ndim, axis, slice(None, -1))] + arr[_sl(ndim, axis, slice(1, None))]
-    )
-    return out
+    coarse = fine.grid.coarsened()
+    return FaceField(coarse, tuple(kernels.restrict_face(fine, coarse)))
 
 
 def prolong_face(coarse: FaceField) -> FaceField:
     """Staggered prolongation: linear where fine faces overlay coarse ones,
-    bilinear (trilinear normal+tangential products in 3D) elsewhere."""
-    grid_c = coarse.grid
-    fine_grid = GridSpec(tuple(2 * n for n in grid_c.cells), grid_c.h / 2, grid_c.bc)
-    comps = []
-    for a in range(grid_c.dim):
-        arr = coarse.components[a]
-        for b in range(grid_c.dim):
-            if b != a:
-                arr = _prolong_tangential(arr, b, grid_c)
-        arr = _prolong_normal(arr, a, grid_c.periodic(a))
-        comps.append(arr)
-    return FaceField(fine_grid, tuple(comps))
+    bilinear (trilinear normal+tangential products in 3D) elsewhere.
+
+    Tangential (cell-centered) axes interpolate 3/4-1/4, clamping wall rows
+    to the nearest interior row so every weight row still sums to one
+    (constants prolong to constants); along the normal axis overlaying
+    faces copy and the faces between average.
+    """
+    fine = _fine_grid(coarse.grid)
+    return FaceField(fine, tuple(kernels.prolong_face(coarse, fine)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +299,8 @@ def _arrays(field) -> tuple[np.ndarray, ...]:
 
 
 def _residual(rhs, x, coeff, fk: FieldKind):
-    """``rhs - A x``, formed in the operator's output."""
-    res = fk.operator(x, coeff)
-    for r, b in zip(_arrays(res), _arrays(rhs)):
-        np.subtract(b, r, out=r)
-    return res
+    """``rhs - A x``, formed by the operator in one pass."""
+    return fk.operator(x, coeff, rhs=rhs)
 
 
 def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):

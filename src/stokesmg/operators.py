@@ -4,7 +4,10 @@ Divergence, gradient, pressure Laplacians, the three viscous forms, the
 velocity operator combining inertial and viscous effects, the full saddle
 operator, coefficient averaging, boundary homogenization and system
 rescaling.  All operators are pure functions of their inputs; wall-normal
-output rows are zeroed because boundary faces are not unknowns.
+output rows are zeroed because boundary faces are not unknowns.  The
+stencils run in the compiled library of :mod:`kernels`; their numpy
+formulation, which fixes every output bit, is the oracle in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -175,36 +179,9 @@ class _Cuts(NamedTuple):
 
 @functools.cache
 def _cuts(ndim: int, axis: int) -> _Cuts:
-    """The stencils' index tuples, built once per (ndim, axis)."""
+    """The numpy helpers' index tuples, built once per (ndim, axis)."""
     return _Cuts(*(_sl(ndim, axis, what) for what in
                    (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
-
-
-def _diff_stagger_to_center(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """arr[i+1] - arr[i] where arr is axis-staggered; result is centered."""
-    cut = _cuts(arr.ndim, axis)
-    if not periodic:
-        return np.subtract(arr[cut.tail], arr[cut.head])
-    out = np.empty_like(arr)
-    np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.head])
-    np.subtract(arr[cut.first], arr[cut.last], out=out[cut.last])
-    return out
-
-
-def _diff_center_to_stagger(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """arr[i] - arr[i-1] at staggered positions; wall rows are zero."""
-    cut = _cuts(arr.ndim, axis)
-    if periodic:
-        out = np.empty_like(arr)
-        np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.tail])
-        np.subtract(arr[cut.first], arr[cut.last], out=out[cut.first])
-        return out
-    shape = list(arr.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
-    np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.inner])
-    _zero_boundary(out, axis)
-    return out
 
 
 def _zero_boundary(arr: np.ndarray, axis: int) -> None:
@@ -220,24 +197,12 @@ def _zero_boundary(arr: np.ndarray, axis: int) -> None:
 
 def div(u: FaceField) -> CellField:
     """Cell-centered divergence; reads stored boundary faces."""
-    grid = u.grid
-    out = np.zeros(grid.cells)
-    for a in range(grid.dim):
-        out += _diff_stagger_to_center(u.components[a], a, grid.periodic(a))
-    out /= grid.h
-    return CellField(grid, out)
+    return CellField(u.grid, kernels.div(u))
 
 
 def grad(p: CellField) -> FaceField:
     """Face-centered pressure gradient; wall-normal faces are zero."""
-    grid = p.grid
-    comps = tuple(
-        _diff_center_to_stagger(p.data, a, grid.periodic(a))
-        for a in range(grid.dim)
-    )
-    for c in comps:
-        c /= grid.h
-    return FaceField(grid, comps)
+    return FaceField(p.grid, tuple(kernels.grad(p)))
 
 
 def lap_pressure(p: CellField) -> CellField:
@@ -245,17 +210,12 @@ def lap_pressure(p: CellField) -> CellField:
     return div(grad(p))
 
 
-def apply_Lrho(p: CellField, coeff: CoefficientSet) -> CellField:
+def apply_Lrho(p: CellField, coeff: CoefficientSet,
+               rhs: CellField | None = None) -> CellField:
     """Density-weighted pressure Poisson operator D (1/rho) G, summed from
-    unscaled differences and scaled once (see :func:`viscous_row`)."""
-    grid = p.grid
-    out = np.zeros(grid.cells)
-    for a in range(grid.dim):
-        flux = _diff_center_to_stagger(p.data, a, grid.periodic(a))
-        flux /= coeff.rho_face.components[a]
-        out += _diff_stagger_to_center(flux, a, grid.periodic(a))
-    out *= 1.0 / grid.h**2
-    return CellField(grid, out)
+    unscaled differences and scaled once by 1/h^2; with ``rhs``, the
+    residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
+    return CellField(p.grid, kernels.cell_apply(p, coeff, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -307,66 +267,6 @@ class BoundaryValues:
         return vals
 
 
-def viscous_row(u: FaceField, coeff: CoefficientSet, a: int,
-                bvals: BoundaryValues | None = None,
-                div_u: CellField | None = None) -> np.ndarray:
-    """Row block ``a`` of :func:`apply_viscous`, evaluating only its rows.
-
-    Unscaled fluxes are summed and the row is multiplied by 1/h^2 once,
-    which for a power-of-two h rounds exactly like dividing each difference
-    by h.  The stress-bulk form reads ``div_u``; callers assembling several
-    rows pass it to share one divergence, otherwise it is computed here.
-    """
-    grid = u.grid
-    h = grid.h
-    form = coeff.viscous_form
-    mu_c = coeff.mu_cell.data
-    ua = u.components[a]
-    flux_n = _diff_stagger_to_center(ua, a, grid.periodic(a))
-    if form is not LAPLACIAN:
-        flux_n *= 2.0  # exact, so (2 d) mu rounds like d (2 mu)
-    flux_n *= mu_c
-    if form is STRESS_BULK:
-        div_u = div(u) if div_u is None else div_u
-        bulk = (2.0 / 3.0) * mu_c
-        np.subtract(coeff.gamma_cell.data, bulk, out=bulk)
-        bulk *= div_u.data
-        bulk *= h  # div_u carries 1/h
-        flux_n += bulk
-    res = _diff_center_to_stagger(flux_n, a, grid.periodic(a))
-    for b in range(grid.dim):
-        if b == a:
-            continue
-        # d u_a / d x_b at the (a, b)-staggered positions; a wall row takes
-        # the one-sided difference against the wall velocity (distance h/2,
-        # hence the factor two)
-        flux_t = _diff_center_to_stagger(ua, b, grid.periodic(b))
-        if not grid.periodic(b):
-            cut = _cuts(ua.ndim, b)
-            lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
-            hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
-            first, last = flux_t[cut.first], flux_t[cut.last]
-            np.subtract(ua[cut.first], lo, out=first)
-            first *= 2.0
-            np.subtract(hi, ua[cut.last], out=last)
-            last *= 2.0
-        if form is not LAPLACIAN:
-            # d u_b / d x_a; u_b is cell-centered along a, so the wall
-            # planes normal to a (left zero) feed no interior row
-            flux_t += _diff_center_to_stagger(u.components[b], a, grid.periodic(a))
-        flux_t *= coeff.mu_node_edge.plane(a, b)
-        if not grid.periodic(b):
-            if grid.bc[b][0] is FREE_SLIP:
-                flux_t[cut.first] = 0.0
-            if grid.bc[b][1] is FREE_SLIP:
-                flux_t[cut.last] = 0.0
-        res += _diff_stagger_to_center(flux_t, b, grid.periodic(b))
-    res *= 1.0 / h**2
-    if not grid.periodic(a):
-        _zero_boundary(res, a)
-    return res
-
-
 def apply_viscous(u: FaceField, coeff: CoefficientSet,
                   bvals: BoundaryValues | None = None) -> FaceField:
     """Discrete viscous term in the requested form.
@@ -375,47 +275,31 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     form with node/edge viscosities on the cross fluxes.  StressBulk adds
     the (gamma - 2/3 mu)(div u) isotropic flux.  Tangential momentum flux is
     zero on free-slip walls; stencils reaching outside the domain use
-    one-sided differences against the wall values.
+    one-sided differences against the wall values (distance h/2, hence a
+    factor two).  Unscaled fluxes are summed and each row is multiplied by
+    1/h^2 once, which for a power-of-two h rounds exactly like dividing
+    each difference by h.
     """
-    div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
-    return FaceField(u.grid, tuple(
-        viscous_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)
-    ))
-
-
-def apply_A_row(u: FaceField, coeff: CoefficientSet, a: int,
-                bvals: BoundaryValues | None = None,
-                div_u: CellField | None = None) -> np.ndarray:
-    """Row block ``a`` of :func:`apply_A` (see :func:`viscous_row`); steady
-    flow forms no mass term."""
-    out = viscous_row(u, coeff, a, bvals, div_u)
-    if coeff.theta == 0:
-        return np.negative(out, out=out)
-    m = coeff.theta * coeff.rho_face.components[a]
-    m *= u.components[a]  # (theta rho) u: the smoother's residual repeats it
-    m -= out
-    if not u.grid.periodic(a):
-        _zero_boundary(m, a)  # the mass term reads the boundary faces
-    return m
+    comps, _ = kernels.face_apply(u, coeff, kernels.VISCOUS, bvals=bvals)
+    return FaceField(u.grid, tuple(comps))
 
 
 def apply_A(u: FaceField, coeff: CoefficientSet,
-            bvals: BoundaryValues | None = None) -> FaceField:
-    """Velocity operator theta*rho*u - L_mu u on the unknown faces."""
-    div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
-    return FaceField(u.grid, tuple(
-        apply_A_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)
-    ))
+            bvals: BoundaryValues | None = None,
+            rhs: FaceField | None = None) -> FaceField:
+    """Velocity operator theta*rho*u - L_mu u on the unknown faces (steady
+    flow forms no mass term: -L_mu u); with ``rhs``, the residual
+    ``rhs - A u`` instead, in the same pass, whose boundary faces carry
+    ``rhs``."""
+    out = kernels.OPERATOR if rhs is None else kernels.RESIDUAL
+    comps, _ = kernels.face_apply(u, coeff, out, base=rhs, bvals=bvals)
+    return FaceField(u.grid, tuple(comps))
 
 
 def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
     """Saddle operator: (A u + G p, -D u)."""
-    au = apply_A(x.u, coeff)
-    for c, gp in zip(au.components, grad(x.p).components):
-        c += gp
-    du = div(x.u)
-    np.negative(du.data, out=du.data)
-    return StokesVector(au, du)
+    comps, minus_div = kernels.face_apply(x.u, coeff, kernels.SADDLE, p=x.p)
+    return StokesVector(FaceField(x.grid, tuple(comps)), CellField(x.grid, minus_div))
 
 
 def velocity_null_components(grid: GridSpec, coeff: CoefficientSet) -> tuple[int, ...]:

@@ -143,7 +143,7 @@ class Preconditioner:
             xu_star = self.velocity_solve(r.u)
             xp = sign * self._schur_inv(div(xu_star) + r.p)
             # second solve restarted from xu_star: correct its residual
-            b2 = r.u - grad(xp) - apply_A(xu_star, coeff)
+            b2 = apply_A(xu_star, coeff, rhs=r.u - grad(xp))
             xu = xu_star + self.velocity_solve(b2)
             x = StokesVector(xu, xp)
         else:

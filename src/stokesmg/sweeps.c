@@ -1,4 +1,5 @@
-/* Two-colour Gauss-Seidel sweeps of the multigrid smoothers.
+/* The compiled stencils: the two-colour Gauss-Seidel sweeps of the multigrid
+ * smoothers, the operators and the grid transfers.
  *
  * smg_face_sweep relaxes one velocity component of A = theta rho - L_mu and
  * smg_cell_sweep the density-weighted pressure operator D (1/rho) G, in
@@ -7,15 +8,23 @@
  * up to date at the black entries from the red corrections alone, and
  * relaxes the black entries.
  *
+ * The operators run the stages the sweeps form their residuals with:
+ * smg_face_apply gives L_mu u, A u, rhs - A u or the saddle operator
+ * (A u + G p, -D u), smg_cell_apply D (1/rho) G p or its residual, and
+ * smg_div and smg_grad D and G.  smg_restrict_* and smg_prolong_* are the
+ * multigrid transfers, one pass per axis.
+ *
  * Every entry is rounded as the numpy formulation rounds it: the same
  * operations in the same order, with no fused multiply-add (the library is
- * built with -ffp-contract=off), so the sweeps are bitwise equal to the
+ * built with -ffp-contract=off), so every output is bitwise equal to the
  * whole-array reference in tests/reference.py.  Coupling weights are
  * recomputed from mu and rho with the same scalar products.
  *
  * Arrays are C-contiguous float64 in the package's layouts.  A 2D grid is
  * addressed as a 3D grid whose leading axis has one cell and couples
- * nothing.  The caller passes the scalars it rounds itself (1/h^2, h).
+ * nothing; per-axis pointer arrays hold three entries, the unused one NULL.
+ * The caller passes the scalars it rounds itself (1/h^2, h).  No entry
+ * writes its inputs.
  *
  * Each pass runs row by row along the contiguous last axis.  A row function
  * takes its neighbour offsets and wall tests for one column "at" (see
@@ -147,31 +156,6 @@ static void relax_red(const long *s, const long *lo3, const long *hi3, long shif
     }
 }
 
-/* ------------------------------------------------------------------------
- * velocity component a
- * ------------------------------------------------------------------------ */
-
-typedef struct {
-    const grid3 *g;
-    int a, form, bounded, nb, bs[2]; /* bs: the other coupled axes */
-    double theta, omega;
-    double *u[3], *ua;
-    const double *rhs, *diag, *mu, *gamma, *rho, *w[2]; /* w[m]: (a, bs[m]) */
-    double *delta, *r, *fn, *divu, *ft[2];
-    long sc[3], sf[3][3], sn[2][3]; /* cells, faces, (a, bs[m]) nodes/edges */
-} face_sweep_t;
-
-/* The normal coupling weight of the viscous form at one cell, as
- * viscous_couplings rounds it. */
-static inline double normal_weight(int form, double inv_h2, double mu, double gamma)
-{
-    if (form == LAPLACIAN)
-        return inv_h2 * mu;
-    if (form == STRESS)
-        return (2.0 * inv_h2) * mu;
-    return inv_h2 * (2.0 * mu + (gamma - (2.0 / 3.0) * mu));
-}
-
 /* r plus one axis' two neighbour terms in _add_neighbors' order: a
  * periodic axis adds their sum, a bounded axis the upper term and then the
  * lower one, each where that neighbour exists. */
@@ -187,10 +171,324 @@ static inline double add_pair(double r, int periodic_axis, int has_lo, int has_h
     return r;
 }
 
-/* div(u) of the current iterate at the cells */
+/* ------------------------------------------------------------------------
+ * pressure
+ * ------------------------------------------------------------------------ */
+
+typedef struct {
+    const grid3 *g;
+    double omega;
+    double *p; /* written by the sweep only */
+    const double *rhs, *diag, *rho[3];
+    double *delta, *r, *flux[3];
+    long sc[3], sf[3][3];
+} cell_t;
+
+static void cell_shapes(cell_t *c)
+{
+    shape_of(c->g, -1, -1, c->sc);
+    for (int x = c->g->first; x < 3; x++)
+        shape_of(c->g, x, x, c->sf[x]);
+}
+
+/* G p at the faces along x, divided by rho (by h when rho is NULL); wall
+ * faces carry no flux */
+typedef struct { long rf, rc, rc1; int inner; } gradient_at;
+
+static void gradient_setup(const cell_t *c, int x, long i, long j, long at,
+                           gradient_at *o)
+{
+    long jx = idx_along(i, j, at, x);
+    o->rf = row(c->sf[x], i, j, -1, 0);
+    o->rc = row(c->sc, i, j, -1, 0);
+    o->rc1 = nbr(c->sc, i, j, at, x, -1);
+    o->inner = periodic(c->g, x) || (jx > 0 && jx < c->g->n[x]);
+}
+
+ROW_FUNCTION gradient_row(const cell_t *c, int x, const gradient_at *o,
+                          long k0, long k1)
+{
+    const double *p = c->p, *rho = c->rho[x];
+    const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
+    const int inner = o->inner;
+    const double h = c->g->h;
+    double *out = c->flux[x];
+    if (rho) {
+        for (long k = k0; k < k1; k++) {
+            double d = inner ? p[rc + k] - p[rc1 + k] : 0.0;
+            out[rf + k] = d / rho[rf + k];
+        }
+    } else {
+        for (long k = k0; k < k1; k++) {
+            double d = inner ? p[rc + k] - p[rc1 + k] : 0.0;
+            out[rf + k] = d / h;
+        }
+    }
+}
+
+/* c->flux[x] for every coupled axis x */
+static void gradient_rows(const cell_t *c)
+{
+    long zero3[3] = {0, 0, 0};
+    for (int x = c->g->first; x < 3; x++) {
+        const long *s = c->sf[x];
+        ROWS(zero3, s) {
+            gradient_at o;
+            LINE(0, s[2], 0, 1, gradient_setup(c, x, i, j, at, &o),
+                 gradient_row(c, x, &o, k0, k1));
+        }
+    }
+}
+
+/* D (1/rho) G p from the fluxes, scaled once by 1/h^2: r = rhs - it, or r
+ * = it when rhs is NULL */
+typedef struct { long rc, r0[3], r1[3]; } poisson_at;
+
+static void poisson_setup(const cell_t *c, long i, long j, long at, poisson_at *o)
+{
+    o->rc = row(c->sc, i, j, -1, 0);
+    for (int x = c->g->first; x < 3; x++) {
+        o->r0[x] = row(c->sf[x], i, j, -1, 0);
+        o->r1[x] = nbr(c->sf[x], i, j, at, x, 1);
+    }
+}
+
+ROW_FUNCTION poisson_row(const cell_t *c, const poisson_at *o, long k0, long k1)
+{
+    const double *f0 = c->flux[0], *f1 = c->flux[1], *f2 = c->flux[2], *rhs = c->rhs;
+    const long a0 = o->r0[0], b0 = o->r1[0], a1 = o->r0[1], b1 = o->r1[1];
+    const long a2 = o->r0[2], b2 = o->r1[2], rc = o->rc;
+    const int three = c->g->first == 0;
+    const double inv_h2 = c->g->inv_h2;
+    double *r = c->r;
+    for (long k = k0; k < k1; k++) {
+        double v = 0.0;
+        if (three)
+            v += f0[b0 + k] - f0[a0 + k];
+        v += f1[b1 + k] - f1[a1 + k];
+        v += f2[b2 + k] - f2[a2 + k];
+        v *= inv_h2;
+        r[rc + k] = rhs ? rhs[rc + k] - v : v;
+    }
+}
+
+static void poisson_rows(const cell_t *c)
+{
+    long zero3[3] = {0, 0, 0};
+    ROWS(zero3, c->sc) {
+        poisson_at o = {0};
+        LINE(0, c->sc[2], 0, 1, poisson_setup(c, i, j, at, &o),
+             poisson_row(c, &o, k0, k1));
+    }
+}
+
+/* black entries: face k joins cells k - 1 and k along x, with weight
+ * -1/(rho h^2) */
+typedef struct { long rc, r0[3], r1[3], rlo[3], rhi[3]; int has_lo[3], has_hi[3]; } black_cell_at;
+
+static void black_cell_setup(const cell_t *c, long i, long j, long at,
+                             black_cell_at *o)
+{
+    o->rc = row(c->sc, i, j, -1, 0);
+    for (int x = c->g->first; x < 3; x++) {
+        long jx = idx_along(i, j, at, x);
+        o->r0[x] = row(c->sf[x], i, j, -1, 0);
+        o->r1[x] = nbr(c->sf[x], i, j, at, x, 1);
+        o->rlo[x] = nbr(c->sc, i, j, at, x, -1);
+        o->rhi[x] = nbr(c->sc, i, j, at, x, 1);
+        o->has_lo[x] = periodic(c->g, x) || jx >= 1;
+        o->has_hi[x] = periodic(c->g, x) || jx <= c->g->n[x] - 2;
+    }
+}
+
+ROW_FUNCTION black_cell_row(const cell_t *c, const black_cell_at *o,
+                            long k0, long k1)
+{
+    const grid3 *g = c->g;
+    const double *delta = c->delta, *res = c->r, *diag = c->diag;
+    const double *q0 = c->rho[0], *q1 = c->rho[1], *q2 = c->rho[2];
+    const long rc = o->rc;
+    const long a0 = o->r0[0], b0 = o->r1[0], lo0 = o->rlo[0], hi0 = o->rhi[0];
+    const long a1 = o->r0[1], b1 = o->r1[1], lo1 = o->rlo[1], hi1 = o->rhi[1];
+    const long a2 = o->r0[2], b2 = o->r1[2], lo2 = o->rlo[2], hi2 = o->rhi[2];
+    const int p0 = periodic(g, 0), p1 = periodic(g, 1), p2 = periodic(g, 2);
+    const int hl0 = o->has_lo[0], hh0 = o->has_hi[0], hl1 = o->has_lo[1];
+    const int hh1 = o->has_hi[1], hl2 = o->has_lo[2], hh2 = o->has_hi[2];
+    const int three = g->first == 0;
+    const double neg_inv_h2 = g->neg_inv_h2, omega = c->omega;
+    double *p = c->p;
+    for (long k = k0; k < k1; k += 2) {
+        double r = res[rc + k];
+        if (three)
+            r = add_pair(r, p0, hl0, hh0, (neg_inv_h2 / q0[a0 + k]) * delta[lo0 + k],
+                         (neg_inv_h2 / q0[b0 + k]) * delta[hi0 + k]);
+        r = add_pair(r, p1, hl1, hh1, (neg_inv_h2 / q1[a1 + k]) * delta[lo1 + k],
+                     (neg_inv_h2 / q1[b1 + k]) * delta[hi1 + k]);
+        r = add_pair(r, p2, hl2, hh2, (neg_inv_h2 / q2[a2 + k]) * delta[lo2 + k],
+                     (neg_inv_h2 / q2[b2 + k]) * delta[hi2 + k]);
+        r /= diag[rc + k];
+        if (omega != 1.0)
+            r *= omega;
+        p[rc + k] += r;
+    }
+}
+
+int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
+                   const double *rhs, const double *diag,
+                   const double *rho0, const double *rho1, const double *rho2)
+{
+    cell_t c = {.g = g, .omega = omega, .p = p, .rhs = rhs, .diag = diag,
+                .rho = {rho0, rho1, rho2}};
+    const long *sc = c.sc;
+    long nf = 0, zero3[3] = {0, 0, 0};
+    cell_shapes(&c);
+    for (int x = g->first; x < 3; x++)
+        nf += count(c.sf[x]);
+    long nc = count(sc);
+
+    double *work = malloc((nc + (zero_guess ? 0 : nc + nf)) * sizeof(double));
+    if (!work)
+        return -1;
+    c.delta = work;
+    memset(c.delta, 0, nc * sizeof(double));
+
+    if (zero_guess) {
+        c.r = (double *)rhs;
+    } else {
+        c.r = work + nc;
+        double *next = c.r + nc;
+        for (int x = g->first; x < 3; x++) {
+            c.flux[x] = next;
+            next += count(c.sf[x]);
+        }
+        gradient_rows(&c);
+        poisson_rows(&c);
+    }
+
+    relax_red(sc, zero3, sc, 0, omega, c.r, diag, c.delta, p);
+    ROWS(zero3, sc) {
+        black_cell_at o = {0};
+        LINE(0, sc[2], COLOUR_START(0, 0, 1), 2, black_cell_setup(&c, i, j, at, &o),
+             black_cell_row(&c, &o, k0, k1));
+    }
+
+    free(work);
+    return 0;
+}
+
+/* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
+int smg_cell_apply(const grid3 *g, const double *p, const double *rhs,
+                   const double *const *rho, double *out)
+{
+    cell_t c = {.g = g, .p = (double *)p, .rhs = rhs, .r = out,
+                .rho = {rho[0], rho[1], rho[2]}};
+    long nf = 0;
+    cell_shapes(&c);
+    for (int x = g->first; x < 3; x++)
+        nf += count(c.sf[x]);
+    double *work = malloc(nf * sizeof(double));
+    if (!work)
+        return -1;
+    double *next = work;
+    for (int x = g->first; x < 3; x++) {
+        c.flux[x] = next;
+        next += count(c.sf[x]);
+    }
+    gradient_rows(&c);
+    poisson_rows(&c);
+    free(work);
+    return 0;
+}
+
+/* out[x] = G p along each coupled axis x */
+void smg_grad(const grid3 *g, const double *p, double *const *out)
+{
+    cell_t c = {.g = g, .p = (double *)p, .flux = {out[0], out[1], out[2]}};
+    cell_shapes(&c);
+    gradient_rows(&c);
+}
+
+/* ------------------------------------------------------------------------
+ * velocity
+ * ------------------------------------------------------------------------ */
+
+/* What the operator stage stores at the rows of component a. */
+enum { OUT_VISCOUS = 0, OUT_A = 1, OUT_RESIDUAL = 2, OUT_SADDLE = 3 };
+
+typedef struct {
+    const grid3 *g;
+    int a, form, out, bounded, nb, bs[2]; /* bs: the other coupled axes */
+    double theta, omega;
+    const double *u[3];
+    double *ua; /* component a; written by the sweep only */
+    const double *base, *diag, *mu, *gamma, *rho, *w[2]; /* w[m]: (a, bs[m]) */
+    const double *wall[2][2]; /* [m][side]: wall velocities, NULL for zero */
+    double *delta, *r, *fn, *divu, *ft[2];
+    long sc[3], sf[3][3], sn[2][3]; /* cells, faces, (a, bs[m]) nodes/edges */
+} face_t;
+
+static void face_shapes(face_t *f)
+{
+    shape_of(f->g, -1, -1, f->sc);
+    for (int x = f->g->first; x < 3; x++)
+        shape_of(f->g, x, x, f->sf[x]);
+}
+
+/* Points f at component a: its other coupled axes, their node/edge
+ * viscosities (ne[x + y - 1] is the (x, y) plane) and wall velocities
+ * (walls[(3 a + b) 2 + side], or none).  Returns the entries of its
+ * tangential flux arrays. */
+static long face_component(face_t *f, int a, const double *const *ne,
+                           const double *const *walls)
+{
+    const grid3 *g = f->g;
+    long nn = 0;
+    f->a = a;
+    f->bounded = !periodic(g, a);
+    f->ua = (double *)f->u[a];
+    f->nb = 0;
+    for (int b = g->first; b < 3; b++) {
+        if (b == a)
+            continue;
+        int m = f->nb++;
+        f->bs[m] = b;
+        f->w[m] = ne[a + b - 1];
+        for (int side = 0; side < 2; side++)
+            f->wall[m][side] = walls ? walls[(3 * a + b) * 2 + side] : NULL;
+        shape_of(g, a, b, f->sn[m]);
+        nn += count(f->sn[m]);
+    }
+    return nn;
+}
+
+/* The box of component a's unknowns: the interior along a, everything
+ * along the other axes. */
+static void unknowns(const face_t *f, long lo3[3], long hi3[3])
+{
+    const long *sa = f->sf[f->a];
+    for (int k = 0; k < 3; k++) {
+        lo3[k] = 0;
+        hi3[k] = sa[k];
+    }
+    lo3[f->a] = f->bounded;
+    hi3[f->a] = sa[f->a] - f->bounded;
+}
+
+/* The normal coupling weight of the viscous form at one cell, as
+ * viscous_couplings rounds it. */
+static inline double normal_weight(int form, double inv_h2, double mu, double gamma)
+{
+    if (form == LAPLACIAN)
+        return inv_h2 * mu;
+    if (form == STRESS)
+        return (2.0 * inv_h2) * mu;
+    return inv_h2 * (2.0 * mu + (gamma - (2.0 / 3.0) * mu));
+}
+
+/* D u at the cells */
 typedef struct { long rc, r0[3], r1[3]; } div_at;
 
-static void div_setup(const face_sweep_t *f, long i, long j, long at, div_at *o)
+static void div_setup(const face_t *f, long i, long j, long at, div_at *o)
 {
     o->rc = row(f->sc, i, j, -1, 0);
     for (int b = f->g->first; b < 3; b++) {
@@ -199,7 +497,7 @@ static void div_setup(const face_sweep_t *f, long i, long j, long at, div_at *o)
     }
 }
 
-ROW_FUNCTION div_row(const face_sweep_t *f, const div_at *o, long k0, long k1)
+ROW_FUNCTION div_row(const face_t *f, const div_at *o, long k0, long k1)
 {
     const double *u0 = f->u[0], *u1 = f->u[1], *u2 = f->u[2];
     const long a0 = o->r0[0], b0 = o->r1[0], a1 = o->r0[1], b1 = o->r1[1];
@@ -216,17 +514,27 @@ ROW_FUNCTION div_row(const face_sweep_t *f, const div_at *o, long k0, long k1)
     }
 }
 
+/* f->divu = D u */
+static void div_rows(const face_t *f)
+{
+    long zero3[3] = {0, 0, 0};
+    ROWS(zero3, f->sc) {
+        div_at o = {0};
+        LINE(0, f->sc[2], 0, 1, div_setup(f, i, j, at, &o), div_row(f, &o, k0, k1));
+    }
+}
+
 /* normal fluxes at the cells */
 typedef struct { long rc, rf, r1; } normal_at;
 
-static void normal_setup(const face_sweep_t *f, long i, long j, long at, normal_at *o)
+static void normal_setup(const face_t *f, long i, long j, long at, normal_at *o)
 {
     o->rc = row(f->sc, i, j, -1, 0);
     o->rf = row(f->sf[f->a], i, j, -1, 0);
     o->r1 = nbr(f->sf[f->a], i, j, at, f->a, 1);
 }
 
-ROW_FUNCTION normal_row(const face_sweep_t *f, const normal_at *o, long k0, long k1)
+ROW_FUNCTION normal_row(const face_t *f, const normal_at *o, long k0, long k1)
 {
     const double *ua = f->ua, *mu = f->mu, *gamma = f->gamma, *divu = f->divu;
     const long rc = o->rc, rf = o->rf, r1 = o->r1;
@@ -254,30 +562,35 @@ ROW_FUNCTION normal_row(const face_sweep_t *f, const normal_at *o, long k0, long
 }
 
 /* tangential fluxes at the (a, b) nodes or edges; a wall row takes the
- * one-sided difference against the wall, a free-slip wall no flux */
-typedef struct { long rn, rf, rb, ra1, rb1; int lo_wall, hi_wall, slip; } tangent_at;
+ * one-sided difference against the wall velocity, a free-slip wall no
+ * flux */
+typedef struct { long rn, rf, rb, ra1, rb1, rw; int lo_wall, hi_wall, slip; } tangent_at;
 
-static void tangent_setup(const face_sweep_t *f, int m, long i, long j, long at,
+static void tangent_setup(const face_t *f, int m, long i, long j, long at,
                           tangent_at *o)
 {
     const grid3 *g = f->g;
+    const long *sa = f->sf[f->a];
     int a = f->a, b = f->bs[m];
     long jb = idx_along(i, j, at, b);
     o->rn = row(f->sn[m], i, j, -1, 0);
-    o->rf = row(f->sf[a], i, j, -1, 0);
+    o->rf = row(sa, i, j, -1, 0);
     o->rb = row(f->sf[b], i, j, -1, 0);
-    o->ra1 = nbr(f->sf[a], i, j, at, b, -1);
+    o->ra1 = nbr(sa, i, j, at, b, -1);
     o->rb1 = nbr(f->sf[b], i, j, at, a, -1);
+    /* the wall planes have component a's shape without axis b */
+    o->rw = b == 0 ? j * sa[2] : (b == 1 ? i * sa[2] : i * sa[1] + j - at);
     o->lo_wall = !periodic(g, b) && jb == 0;
     o->hi_wall = !periodic(g, b) && jb == g->n[b];
     o->slip = (o->lo_wall && g->lo[b] == FREE_SLIP) || (o->hi_wall && g->hi[b] == FREE_SLIP);
 }
 
-ROW_FUNCTION tangent_row(const face_sweep_t *f, int m, const tangent_at *o,
+ROW_FUNCTION tangent_row(const face_t *f, int m, const tangent_at *o,
                          long k0, long k1)
 {
     const double *ua = f->ua, *ub = f->u[f->bs[m]], *w = f->w[m];
-    const long rn = o->rn, rf = o->rf, rb = o->rb, ra1 = o->ra1, rb1 = o->rb1;
+    const double *lo = f->wall[m][0], *hi = f->wall[m][1];
+    const long rn = o->rn, rf = o->rf, rb = o->rb, ra1 = o->ra1, rb1 = o->rb1, rw = o->rw;
     const int lo_wall = o->lo_wall, hi_wall = o->hi_wall, slip = o->slip;
     const int cross = f->form != LAPLACIAN;
     double *out = f->ft[m];
@@ -292,7 +605,8 @@ ROW_FUNCTION tangent_row(const face_sweep_t *f, int m, const tangent_at *o,
         return;
     }
     for (long k = k0; k < k1; k++) { /* a wall row */
-        double t = lo_wall ? (ua[rf + k] - 0.0) * 2.0 : (0.0 - ua[ra1 + k]) * 2.0;
+        double t = lo_wall ? (ua[rf + k] - (lo ? lo[rw + k] : 0.0)) * 2.0
+                           : ((hi ? hi[rw + k] : 0.0) - ua[ra1 + k]) * 2.0;
         if (cross)
             t += ub[rb + k] - ub[rb1 + k];
         t *= w[rn + k];
@@ -302,10 +616,22 @@ ROW_FUNCTION tangent_row(const face_sweep_t *f, int m, const tangent_at *o,
     }
 }
 
-/* r = ((flux differences) / h^2 - theta rho u) + rhs at the unknowns */
+/* The stage's output from the operator row Au: Au itself, the residual
+ * base - Au, or Au + base with G p stored in base. */
+static inline double finish(const face_t *f, double Au, long at)
+{
+    if (f->out == OUT_RESIDUAL)
+        return f->base[at] - Au;
+    if (f->out == OUT_SADDLE)
+        return Au + f->base[at];
+    return Au;
+}
+
+/* L_mu u = (flux differences) / h^2 at the unknowns, then A u = theta rho u
+ * - L_mu u (no mass term in steady flow: -L_mu u) and what f->out asks */
 typedef struct { long rf, rc, rc1, rn[2], rn1[2]; } residual_at;
 
-static void residual_setup(const face_sweep_t *f, long i, long j, long at, residual_at *o)
+static void residual_setup(const face_t *f, long i, long j, long at, residual_at *o)
 {
     o->rf = row(f->sf[f->a], i, j, -1, 0);
     o->rc = row(f->sc, i, j, -1, 0);
@@ -316,14 +642,15 @@ static void residual_setup(const face_sweep_t *f, long i, long j, long at, resid
     }
 }
 
-ROW_FUNCTION residual_row(const face_sweep_t *f, const residual_at *o, long k0, long k1)
+ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k1)
 {
-    const double *fn = f->fn, *ua = f->ua, *rho = f->rho, *rhs = f->rhs;
+    const double *fn = f->fn, *ua = f->ua, *rho = f->rho;
     const double *t0 = f->ft[0], *t1 = f->nb == 2 ? f->ft[1] : f->ft[0];
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
     const long n0 = o->rn[0], m0 = o->rn1[0];
     const long n1 = f->nb == 2 ? o->rn[1] : n0, m1 = f->nb == 2 ? o->rn1[1] : m0;
     const int two = f->nb == 2, mass_term = f->theta > 0;
+    const int viscous = f->out == OUT_VISCOUS;
     const double theta = f->theta, inv_h2 = f->g->inv_h2;
     double *r = f->r;
     for (long k = k0; k < k1; k++) {
@@ -332,12 +659,70 @@ ROW_FUNCTION residual_row(const face_sweep_t *f, const residual_at *o, long k0, 
         if (two)
             v += t1[m1 + k] - t1[n1 + k];
         v *= inv_h2;
+        if (viscous) {
+            r[rf + k] = v;
+            continue;
+        }
         if (mass_term) {
             double mass = theta * rho[rf + k];
             mass *= ua[rf + k];
-            v -= mass;
+            v = mass - v;
+        } else {
+            v = -v;
         }
-        r[rf + k] = v + rhs[rf + k];
+        r[rf + k] = finish(f, v, rf + k);
+    }
+}
+
+/* The stage over component a's unknowns into f->r, from f->fn and f->ft
+ * as workspace (and f->divu in the stress-bulk form). */
+static void operator_rows(const face_t *f)
+{
+    const int a = f->a;
+    const long *sc = f->sc;
+    long zero3[3] = {0, 0, 0}, lo3[3], hi3[3];
+    unknowns(f, lo3, hi3);
+    ROWS(zero3, sc) {
+        normal_at o;
+        LINE(0, sc[2], 0, 1, normal_setup(f, i, j, at, &o),
+             normal_row(f, &o, k0, k1));
+    }
+    for (int m = 0; m < f->nb; m++) {
+        /* the node/edge rows of the unknowns */
+        const long *s = f->sn[m];
+        long nlo[3] = {0, 0, 0}, nhi[3] = {s[0], s[1], s[2]};
+        nlo[a] = lo3[a];
+        nhi[a] = s[a] - f->bounded;
+        ROWS(nlo, nhi) {
+            tangent_at o;
+            LINE(nlo[2], nhi[2], nlo[2], 1, tangent_setup(f, m, i, j, at, &o),
+                 tangent_row(f, m, &o, k0, k1));
+        }
+    }
+    ROWS(lo3, hi3) {
+        residual_at o;
+        LINE(lo3[2], hi3[2], lo3[2], 1, residual_setup(f, i, j, at, &o),
+             residual_row(f, &o, k0, k1));
+    }
+}
+
+/* Component a's boundary faces (not unknowns), into f->r: the viscous row
+ * is zero there, and so is A u, negated in steady flow (-L_mu u). */
+static void wall_rows(const face_t *f)
+{
+    if (!f->bounded)
+        return;
+    const long *s = f->sf[f->a];
+    double zero = f->out != OUT_VISCOUS && !(f->theta > 0) ? -0.0 : 0.0;
+    for (int end = 0; end < 2; end++) {
+        long lo3[3] = {0, 0, 0}, hi3[3] = {s[0], s[1], s[2]};
+        lo3[f->a] = end ? s[f->a] - 1 : 0;
+        hi3[f->a] = lo3[f->a] + 1;
+        ROWS(lo3, hi3) {
+            long r = row(s, i, j, -1, 0);
+            for (long k = lo3[2]; k < hi3[2]; k++)
+                f->r[r + k] = finish(f, zero, r + k);
+        }
     }
 }
 
@@ -347,7 +732,7 @@ typedef struct {
     int has_lo[2], has_hi[2];
 } black_face_at;
 
-static void black_face_setup(const face_sweep_t *f, long i, long j, long at,
+static void black_face_setup(const face_t *f, long i, long j, long at,
                              black_face_at *o)
 {
     const long *sa = f->sf[f->a];
@@ -368,7 +753,7 @@ static void black_face_setup(const face_sweep_t *f, long i, long j, long at,
     }
 }
 
-ROW_FUNCTION black_face_row(const face_sweep_t *f, const black_face_at *o,
+ROW_FUNCTION black_face_row(const face_t *f, const black_face_at *o,
                             long k0, long k1)
 {
     const double *mu = f->mu, *gamma = f->gamma, *delta = f->delta;
@@ -409,29 +794,15 @@ int smg_face_sweep(const grid3 *g, int a, int form, double theta, double omega,
                    const double *gamma, const double *rho,
                    const double *ne01, const double *ne02, const double *ne12)
 {
-    const double *ne[3][3] = {{0, ne01, ne02}, {ne01, 0, ne12}, {ne02, ne12, 0}};
-    face_sweep_t f = {.g = g, .a = a, .form = form, .bounded = !periodic(g, a),
-                      .theta = theta, .omega = omega, .u = {u0, u1, u2},
-                      .rhs = rhs, .diag = diag, .mu = mu, .gamma = gamma, .rho = rho};
-    f.ua = f.u[a];
-    shape_of(g, -1, -1, f.sc);
-    for (int x = g->first; x < 3; x++)
-        shape_of(g, x, x, f.sf[x]);
-    long nn = 0;
-    for (int b = g->first; b < 3; b++) {
-        if (b == a)
-            continue;
-        f.bs[f.nb] = b;
-        f.w[f.nb] = ne[a][b];
-        shape_of(g, a, b, f.sn[f.nb]);
-        nn += count(f.sn[f.nb++]);
-    }
-    const long *sa = f.sf[a], *sc = f.sc;
-    long nc = count(sc), nf = count(sa), zero3[3] = {0, 0, 0};
-    /* unknowns: the interior along a, everything along the other axes */
-    long lo3[3] = {0, 0, 0}, hi3[3] = {sa[0], sa[1], sa[2]};
-    lo3[a] = f.bounded;
-    hi3[a] = sa[a] - f.bounded;
+    const double *ne[3] = {ne01, ne02, ne12};
+    face_t f = {.g = g, .form = form, .out = OUT_RESIDUAL, .theta = theta,
+                .omega = omega, .u = {u0, u1, u2}, .base = rhs, .diag = diag,
+                .mu = mu, .gamma = gamma, .rho = rho};
+    face_shapes(&f);
+    long nn = face_component(&f, a, ne, NULL);
+    const long *sa = f.sf[a];
+    long nc = count(f.sc), nf = count(sa), lo3[3], hi3[3];
+    unknowns(&f, lo3, hi3);
 
     double *work = malloc((nf + (zero_guess ? 0 : nf + 2 * nc + nn)) * sizeof(double));
     if (!work)
@@ -446,37 +817,10 @@ int smg_face_sweep(const grid3 *g, int a, int form, double theta, double omega,
         f.fn = f.r + nf;
         f.divu = f.fn + nc;
         f.ft[0] = f.divu + nc;
-        if (f.nb == 2)
-            f.ft[1] = f.ft[0] + count(f.sn[0]);
-
+        f.ft[1] = f.ft[0] + count(f.sn[0]);
         if (form == STRESS_BULK)
-            ROWS(zero3, sc) {
-                div_at o = {0};
-                LINE(0, sc[2], 0, 1, div_setup(&f, i, j, at, &o),
-                     div_row(&f, &o, k0, k1));
-            }
-        ROWS(zero3, sc) {
-            normal_at o;
-            LINE(0, sc[2], 0, 1, normal_setup(&f, i, j, at, &o),
-                 normal_row(&f, &o, k0, k1));
-        }
-        for (int m = 0; m < f.nb; m++) {
-            /* the node/edge rows of the unknowns */
-            const long *s = f.sn[m];
-            long nlo[3] = {0, 0, 0}, nhi[3] = {s[0], s[1], s[2]};
-            nlo[a] = lo3[a];
-            nhi[a] = s[a] - f.bounded;
-            ROWS(nlo, nhi) {
-                tangent_at o;
-                LINE(nlo[2], nhi[2], nlo[2], 1, tangent_setup(&f, m, i, j, at, &o),
-                     tangent_row(&f, m, &o, k0, k1));
-            }
-        }
-        ROWS(lo3, hi3) {
-            residual_at o;
-            LINE(lo3[2], hi3[2], lo3[2], 1, residual_setup(&f, i, j, at, &o),
-                 residual_row(&f, &o, k0, k1));
-        }
+            div_rows(&f);
+        operator_rows(&f);
     }
 
     relax_red(sa, lo3, hi3, -f.bounded, omega, f.r, diag, f.delta, f.ua);
@@ -490,179 +834,275 @@ int smg_face_sweep(const grid3 *g, int a, int form, double theta, double omega,
     return 0;
 }
 
-/* ------------------------------------------------------------------------
- * pressure
- * ------------------------------------------------------------------------ */
-
-typedef struct {
-    const grid3 *g;
-    double omega;
-    double *p;
-    const double *rhs, *diag, *rho[3];
-    double *delta, *r, *flux[3];
-    long sc[3], sf[3][3];
-} cell_sweep_t;
-
-/* (1/rho) G p at the faces along x; wall faces carry no flux */
-typedef struct { long rf, rc, rc1; int inner; } gradient_at;
-
-static void gradient_setup(const cell_sweep_t *c, int x, long i, long j, long at,
-                           gradient_at *o)
+/* Every component a of the velocity operator into res[a], as "out" asks:
+ * L_mu u, A u, base - A u (base[a] the residual's right-hand side), or the
+ * saddle operator's A u + G p, with -D u into res_p.  walls may be NULL
+ * (zero wall velocities). */
+int smg_face_apply(const grid3 *g, int form, double theta, int out,
+                   const double *const *u, const double *p,
+                   const double *const *base, const double *mu, const double *gamma,
+                   const double *const *rho, const double *const *ne,
+                   const double *const *walls, double *const *res, double *res_p)
 {
-    long jx = idx_along(i, j, at, x);
-    o->rf = row(c->sf[x], i, j, -1, 0);
-    o->rc = row(c->sc, i, j, -1, 0);
-    o->rc1 = nbr(c->sc, i, j, at, x, -1);
-    o->inner = periodic(c->g, x) || (jx > 0 && jx < c->g->n[x]);
-}
-
-ROW_FUNCTION gradient_row(const cell_sweep_t *c, int x, const gradient_at *o,
-                          long k0, long k1)
-{
-    const double *p = c->p, *rho = c->rho[x];
-    const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
-    const int inner = o->inner;
-    double *out = c->flux[x];
-    for (long k = k0; k < k1; k++) {
-        double d = 0.0;
-        if (inner)
-            d = p[rc + k] - p[rc1 + k];
-        out[rf + k] = d / rho[rf + k];
+    face_t f = {.g = g, .form = form, .out = out, .theta = theta, .mu = mu,
+                .gamma = gamma, .u = {u[0], u[1], u[2]}};
+    face_shapes(&f);
+    long nc = count(f.sc), nn = 0;
+    for (int a = g->first; a < 3; a++) {
+        long n = face_component(&f, a, ne, walls);
+        nn = n > nn ? n : nn;
     }
-}
-
-/* r = rhs - D (1/rho) G p */
-typedef struct { long rc, r0[3], r1[3]; } poisson_at;
-
-static void poisson_setup(const cell_sweep_t *c, long i, long j, long at, poisson_at *o)
-{
-    o->rc = row(c->sc, i, j, -1, 0);
-    for (int x = c->g->first; x < 3; x++) {
-        o->r0[x] = row(c->sf[x], i, j, -1, 0);
-        o->r1[x] = nbr(c->sf[x], i, j, at, x, 1);
-    }
-}
-
-ROW_FUNCTION poisson_row(const cell_sweep_t *c, const poisson_at *o, long k0, long k1)
-{
-    const double *f0 = c->flux[0], *f1 = c->flux[1], *f2 = c->flux[2], *rhs = c->rhs;
-    const long a0 = o->r0[0], b0 = o->r1[0], a1 = o->r0[1], b1 = o->r1[1];
-    const long a2 = o->r0[2], b2 = o->r1[2], rc = o->rc;
-    const int three = c->g->first == 0;
-    const double inv_h2 = c->g->inv_h2;
-    double *r = c->r;
-    for (long k = k0; k < k1; k++) {
-        double v = 0.0;
-        if (three)
-            v += f0[b0 + k] - f0[a0 + k];
-        v += f1[b1 + k] - f1[a1 + k];
-        v += f2[b2 + k] - f2[a2 + k];
-        v *= inv_h2;
-        r[rc + k] = rhs[rc + k] - v;
-    }
-}
-
-/* black entries: face k joins cells k - 1 and k along x, with weight
- * -1/(rho h^2) */
-typedef struct { long rc, r0[3], r1[3], rlo[3], rhi[3]; int has_lo[3], has_hi[3]; } black_cell_at;
-
-static void black_cell_setup(const cell_sweep_t *c, long i, long j, long at,
-                             black_cell_at *o)
-{
-    o->rc = row(c->sc, i, j, -1, 0);
-    for (int x = c->g->first; x < 3; x++) {
-        long jx = idx_along(i, j, at, x);
-        o->r0[x] = row(c->sf[x], i, j, -1, 0);
-        o->r1[x] = nbr(c->sf[x], i, j, at, x, 1);
-        o->rlo[x] = nbr(c->sc, i, j, at, x, -1);
-        o->rhi[x] = nbr(c->sc, i, j, at, x, 1);
-        o->has_lo[x] = periodic(c->g, x) || jx >= 1;
-        o->has_hi[x] = periodic(c->g, x) || jx <= c->g->n[x] - 2;
-    }
-}
-
-ROW_FUNCTION black_cell_row(const cell_sweep_t *c, const black_cell_at *o,
-                            long k0, long k1)
-{
-    const grid3 *g = c->g;
-    const double *delta = c->delta, *res = c->r, *diag = c->diag;
-    const double *q0 = c->rho[0], *q1 = c->rho[1], *q2 = c->rho[2];
-    const long rc = o->rc;
-    const long a0 = o->r0[0], b0 = o->r1[0], lo0 = o->rlo[0], hi0 = o->rhi[0];
-    const long a1 = o->r0[1], b1 = o->r1[1], lo1 = o->rlo[1], hi1 = o->rhi[1];
-    const long a2 = o->r0[2], b2 = o->r1[2], lo2 = o->rlo[2], hi2 = o->rhi[2];
-    const int p0 = periodic(g, 0), p1 = periodic(g, 1), p2 = periodic(g, 2);
-    const int hl0 = o->has_lo[0], hh0 = o->has_hi[0], hl1 = o->has_lo[1];
-    const int hh1 = o->has_hi[1], hl2 = o->has_lo[2], hh2 = o->has_hi[2];
-    const int three = g->first == 0;
-    const double neg_inv_h2 = g->neg_inv_h2, omega = c->omega;
-    double *p = c->p;
-    for (long k = k0; k < k1; k += 2) {
-        double r = res[rc + k];
-        if (three)
-            r = add_pair(r, p0, hl0, hh0, (neg_inv_h2 / q0[a0 + k]) * delta[lo0 + k],
-                         (neg_inv_h2 / q0[b0 + k]) * delta[hi0 + k]);
-        r = add_pair(r, p1, hl1, hh1, (neg_inv_h2 / q1[a1 + k]) * delta[lo1 + k],
-                     (neg_inv_h2 / q1[b1 + k]) * delta[hi1 + k]);
-        r = add_pair(r, p2, hl2, hh2, (neg_inv_h2 / q2[a2 + k]) * delta[lo2 + k],
-                     (neg_inv_h2 / q2[b2 + k]) * delta[hi2 + k]);
-        r /= diag[rc + k];
-        if (omega != 1.0)
-            r *= omega;
-        p[rc + k] += r;
-    }
-}
-
-int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
-                   const double *rhs, const double *diag,
-                   const double *rho0, const double *rho1, const double *rho2)
-{
-    cell_sweep_t c = {.g = g, .omega = omega, .p = p, .rhs = rhs, .diag = diag,
-                      .rho = {rho0, rho1, rho2}};
-    const long *sc = c.sc;
-    long nf = 0, zero3[3] = {0, 0, 0};
-    shape_of(g, -1, -1, c.sc);
-    for (int x = g->first; x < 3; x++) {
-        shape_of(g, x, x, c.sf[x]);
-        nf += count(c.sf[x]);
-    }
-    long nc = count(sc);
-
-    double *work = malloc((nc + (zero_guess ? 0 : nc + nf)) * sizeof(double));
+    int own_div = form == STRESS_BULK && out != OUT_SADDLE;
+    double *work = malloc((nc * (1 + own_div) + nn) * sizeof(double));
     if (!work)
         return -1;
-    c.delta = work;
-    memset(c.delta, 0, nc * sizeof(double));
+    f.fn = work;
+    f.divu = out == OUT_SADDLE ? res_p : work + nc;
+    if (form == STRESS_BULK || out == OUT_SADDLE)
+        div_rows(&f);
+    if (out == OUT_SADDLE) {
+        cell_t c = {.g = g, .p = (double *)p, .flux = {res[0], res[1], res[2]}};
+        cell_shapes(&c);
+        gradient_rows(&c);
+    }
+    for (int a = g->first; a < 3; a++) {
+        face_component(&f, a, ne, walls);
+        f.rho = rho[a];
+        f.r = res[a];
+        f.base = out == OUT_SADDLE ? res[a] : (base ? base[a] : NULL);
+        f.ft[0] = work + nc * (1 + own_div);
+        f.ft[1] = f.ft[0] + count(f.sn[0]);
+        operator_rows(&f);
+        wall_rows(&f);
+    }
+    if (out == OUT_SADDLE)
+        for (long k = 0; k < nc; k++)
+            res_p[k] = -res_p[k];
+    free(work);
+    return 0;
+}
 
-    if (zero_guess) {
-        c.r = (double *)rhs;
-    } else {
-        c.r = work + nc;
-        double *next = c.r + nc;
-        for (int x = g->first; x < 3; x++) {
-            const long *s = c.sf[x];
-            c.flux[x] = next;
-            next += count(s);
-            ROWS(zero3, s) {
-                gradient_at o;
-                LINE(0, s[2], 0, 1, gradient_setup(&c, x, i, j, at, &o),
-                     gradient_row(&c, x, &o, k0, k1));
+/* out = D u */
+void smg_div(const grid3 *g, const double *const *u, double *out)
+{
+    face_t f = {.g = g, .u = {u[0], u[1], u[2]}, .divu = out};
+    face_shapes(&f);
+    div_rows(&f);
+}
+
+/* ------------------------------------------------------------------------
+ * grid transfers
+ * ------------------------------------------------------------------------
+ * A transfer is a sequence of passes, each along one axis x, as the numpy
+ * formulation applies them: every line of the array along x maps to a line
+ * of the output by the same taps, an output entry t combining up to three
+ * source entries q[] in one of the forms below. */
+
+enum { ZERO, COPY, MEAN, MIX, W3 };
+enum { PAIR_MEAN, RESTRICT_NORMAL, PROLONG_TANGENT, PROLONG_NORMAL };
+
+typedef struct { int how; long q[3]; } tap_t;
+
+/* The taps of output entry t of a pass from n source entries. */
+static tap_t tap(int pass, int per, long t, long n)
+{
+    long i = t >> 1;
+    switch (pass) {
+    case PAIR_MEAN: /* 0.5 (in[2t] + in[2t + 1]) */
+        return (tap_t){MEAN, {2 * t, 2 * t + 1, 0}};
+    case RESTRICT_NORMAL: /* 1/4, 1/2, 1/4; boundary faces zero */
+        if (!per && (t == 0 || 2 * t == n - 1))
+            return (tap_t){ZERO, {0, 0, 0}};
+        return (tap_t){W3, {wrap(2 * t - 1, n), 2 * t, 2 * t + 1}};
+    case PROLONG_TANGENT: /* 3/4 of the parent, 1/4 of its neighbour on t's side; walls clamp */
+        if (t & 1)
+            return (tap_t){MIX, {i, per ? wrap(i + 1, n) : (i + 1 < n ? i + 1 : i), 0}};
+        return (tap_t){MIX, {i, per ? wrap(i - 1, n) : (i > 0 ? i - 1 : i), 0}};
+    default: /* PROLONG_NORMAL: overlaying faces copy, the others average */
+        if (t & 1)
+            return (tap_t){MEAN, {i, wrap(i + 1, n), 0}};
+        return (tap_t){COPY, {i, 0, 0}};
+    }
+}
+
+/* Output entries of a pass from n source entries. */
+static long pass_length(int pass, int per, long n)
+{
+    if (pass == PAIR_MEAN)
+        return n / 2;
+    if (pass == RESTRICT_NORMAL)
+        return per ? n / 2 : n / 2 + 1;
+    if (pass == PROLONG_TANGENT)
+        return 2 * n;
+    return per ? 2 * n : 2 * n - 1;
+}
+
+/* y[l ys] from the taps' source entries p*[l ps], for lanes l. */
+static inline __attribute__((always_inline)) void
+combine(int how, double *y, long ys, const double *p0, const double *p1, const double *p2,
+        long ps, long lanes)
+{
+    switch (how) {
+    case ZERO:
+        for (long l = 0; l < lanes; l++)
+            y[l * ys] = 0.0;
+        break;
+    case COPY:
+        for (long l = 0; l < lanes; l++)
+            y[l * ys] = p0[l * ps];
+        break;
+    case MEAN:
+        for (long l = 0; l < lanes; l++)
+            y[l * ys] = 0.5 * (p0[l * ps] + p1[l * ps]);
+        break;
+    case MIX:
+        for (long l = 0; l < lanes; l++)
+            y[l * ys] = 0.75 * p0[l * ps] + 0.25 * p1[l * ps];
+        break;
+    default:
+        for (long l = 0; l < lanes; l++)
+            y[l * ys] = 0.25 * p0[l * ps] + 0.5 * p1[l * ps] + 0.25 * p2[l * ps];
+    }
+}
+
+/* lines along the contiguous axis taken together by a pass */
+#define LINE_BLOCK 16
+
+/* One pass along x from src (shape s) into dst.  Every line along x has
+ * the same taps: along axis 0 or 1 each tap combines the contiguous runs
+ * of entries that follow x, along axis 2 a block of lines at a time. */
+static int transfer_pass(int pass, int per, int x, const double *src, const long *s,
+                         double *dst)
+{
+    long n = s[x], m = pass_length(pass, per, n);
+    long run = x == 0 ? s[1] * s[2] : (x == 1 ? s[2] : 1);
+    long outer = x == 0 ? 1 : (x == 1 ? s[0] : s[0] * s[1]);
+    tap_t *taps = malloc(m * sizeof(tap_t));
+    if (!taps)
+        return -1;
+    for (long t = 0; t < m; t++)
+        taps[t] = tap(pass, per, t, n);
+    if (x < 2) {
+        for (long o = 0; o < outer; o++) {
+            const double *in = src + o * n * run;
+            for (long t = 0; t < m; t++) {
+                const long *q = taps[t].q;
+                combine(taps[t].how, dst + (o * m + t) * run, 1, in + q[0] * run,
+                        in + q[1] * run, in + q[2] * run, 1, run);
             }
         }
-        ROWS(zero3, sc) {
-            poisson_at o = {0};
-            LINE(0, sc[2], 0, 1, poisson_setup(&c, i, j, at, &o),
-                 poisson_row(&c, &o, k0, k1));
+    } else {
+        for (long o = 0; o < outer; o += LINE_BLOCK) {
+            long lanes = outer - o < LINE_BLOCK ? outer - o : LINE_BLOCK;
+            const double *in = src + o * n;
+            for (long t = 0; t < m; t++) {
+                const long *q = taps[t].q;
+                combine(taps[t].how, dst + o * m + t, m, in + q[0], in + q[1], in + q[2],
+                        n, lanes);
+            }
         }
     }
+    free(taps);
+    return 0;
+}
 
-    relax_red(sc, zero3, sc, 0, omega, c.r, diag, c.delta, p);
-    ROWS(zero3, sc) {
-        black_cell_at o = {0};
-        LINE(0, sc[2], COLOUR_START(0, 0, 1), 2, black_cell_setup(&c, i, j, at, &o),
-             black_cell_row(&c, &o, k0, k1));
+/* Runs passes[k] along axes[k], k < np, from src of shape s into dst,
+ * through temporaries. */
+static int transfer(const grid3 *g, int np, const int *passes, const int *axes,
+                    const double *src, const long *s, double *dst)
+{
+    const double *in = src;
+    long shape[3] = {s[0], s[1], s[2]};
+    for (int k = 0; k < np; k++) {
+        int x = axes[k], per = periodic(g, x);
+        long next[3] = {shape[0], shape[1], shape[2]};
+        next[x] = pass_length(passes[k], per, shape[x]);
+        double *out = k == np - 1 ? dst : malloc(count(next) * sizeof(double));
+        int status = out ? transfer_pass(passes[k], per, x, in, shape, out) : -1;
+        if (in != src)
+            free((double *)in);
+        if (status) {
+            if (out != dst)
+                free(out);
+            return -1;
+        }
+        in = out;
+        memcpy(shape, next, sizeof shape);
     }
+    return 0;
+}
 
-    free(work);
+/* coarse = the 2^d-child means of fine; g is the fine grid */
+int smg_restrict_cell(const grid3 *g, const double *fine, double *coarse)
+{
+    int passes[3], axes[3], np = 0;
+    long s[3];
+    shape_of(g, -1, -1, s);
+    for (int x = g->first; x < 3; x++) {
+        passes[np] = PAIR_MEAN;
+        axes[np++] = x;
+    }
+    return transfer(g, np, passes, axes, fine, s, coarse);
+}
+
+/* coarse[a] = means over the axes tangential to a, then the 1/4, 1/2, 1/4
+ * stencil along a; g is the fine grid */
+int smg_restrict_face(const grid3 *g, const double *const *fine, double *const *coarse)
+{
+    for (int a = g->first; a < 3; a++) {
+        int passes[3], axes[3], np = 0;
+        long s[3];
+        shape_of(g, a, a, s);
+        for (int b = g->first; b < 3; b++) {
+            if (b != a) {
+                passes[np] = PAIR_MEAN;
+                axes[np++] = b;
+            }
+        }
+        passes[np] = RESTRICT_NORMAL;
+        axes[np++] = a;
+        if (transfer(g, np, passes, axes, fine[a], s, coarse[a]))
+            return -1;
+    }
+    return 0;
+}
+
+/* fine = each coarse value injected into its 2^d children; g is the
+ * coarse grid */
+int smg_prolong_cell(const grid3 *g, const double *coarse, double *fine)
+{
+    long s[3], d[3];
+    shape_of(g, -1, -1, s);
+    for (int k = 0; k < 3; k++)
+        d[k] = k < g->first ? s[k] : 2 * s[k];
+    for (long i = 0; i < d[0]; i++)
+        for (long j = 0; j < d[1]; j++) {
+            const double *in = coarse + row(s, i >> 1, j >> 1, -1, 0);
+            double *out = fine + row(d, i, j, -1, 0);
+            for (long k = 0; k < d[2]; k++)
+                out[k] = in[k >> 1];
+        }
+    return 0;
+}
+
+/* fine[a] = 3/4-1/4 interpolation along the axes tangential to a, then
+ * copies and means along a; g is the coarse grid */
+int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const *fine)
+{
+    for (int a = g->first; a < 3; a++) {
+        int passes[3], axes[3], np = 0;
+        long s[3];
+        shape_of(g, a, a, s);
+        for (int b = g->first; b < 3; b++) {
+            if (b != a) {
+                passes[np] = PROLONG_TANGENT;
+                axes[np++] = b;
+            }
+        }
+        passes[np] = PROLONG_NORMAL;
+        axes[np++] = a;
+        if (transfer(g, np, passes, axes, coarse[a], s, fine[a]))
+            return -1;
+    }
     return 0;
 }

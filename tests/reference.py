@@ -4,8 +4,9 @@ Everything here is written as plain scalar loops or algebraic (Kronecker /
 Fourier) constructions, deliberately avoiding the vectorized slicing of the
 package code so the two paths share no machinery.  The exceptions are the
 flux-scaled operator section, whose whole-array formulas fix the rounding
-the package's row scaling must reproduce, and the numpy two-colour sweep,
-which fixes the rounding of the compiled smoothers.
+the package's row scaling must reproduce, and the numpy operators,
+transfers and two-colour sweep, which fix the rounding of the compiled
+library.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from stokesmg.grid import FREE_SLIP, NO_SLIP, CellField, FaceField
+from stokesmg.grid import FREE_SLIP, NO_SLIP, CellField, FaceField, GridSpec, StokesVector
+from stokesmg.multigrid import _block_mean
 from stokesmg.operators import (
     LAPLACIAN,
     STRESS_BULK,
     _add_neighbors,
-    apply_Lrho,
+    _cuts,
+    _sl,
+    _zero_boundary,
     lrho_couplings,
     viscous_couplings,
-    viscous_row,
 )
 
 
@@ -309,10 +312,272 @@ def flux_scaled_apply_Lrho(p: CellField, coeff) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# numpy operators and transfers: bitwise oracle for the compiled library
+# ---------------------------------------------------------------------------
+# Whole-array formulation of the operators and transfers in
+# stokesmg/sweeps.c (unscaled differences, each row scaled once by 1/h^2).
+# The compiled entries must round every entry, signed zeros included, as
+# these do.
+
+
+def _diff_stagger_to_center(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+    """arr[i+1] - arr[i] where arr is axis-staggered; result is centered."""
+    cut = _cuts(arr.ndim, axis)
+    if not periodic:
+        return np.subtract(arr[cut.tail], arr[cut.head])
+    out = np.empty_like(arr)
+    np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.head])
+    np.subtract(arr[cut.first], arr[cut.last], out=out[cut.last])
+    return out
+
+
+def _diff_center_to_stagger(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+    """arr[i] - arr[i-1] at staggered positions; wall rows are zero."""
+    cut = _cuts(arr.ndim, axis)
+    if periodic:
+        out = np.empty_like(arr)
+        np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.tail])
+        np.subtract(arr[cut.first], arr[cut.last], out=out[cut.first])
+        return out
+    shape = list(arr.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    np.subtract(arr[cut.tail], arr[cut.head], out=out[cut.inner])
+    _zero_boundary(out, axis)
+    return out
+
+
+def div(u: FaceField) -> CellField:
+    grid = u.grid
+    out = np.zeros(grid.cells)
+    for a in range(grid.dim):
+        out += _diff_stagger_to_center(u.components[a], a, grid.periodic(a))
+    out /= grid.h
+    return CellField(grid, out)
+
+
+def grad(p: CellField) -> FaceField:
+    grid = p.grid
+    comps = tuple(
+        _diff_center_to_stagger(p.data, a, grid.periodic(a))
+        for a in range(grid.dim)
+    )
+    for c in comps:
+        c /= grid.h
+    return FaceField(grid, comps)
+
+
+def apply_Lrho(p: CellField, coeff) -> CellField:
+    grid = p.grid
+    out = np.zeros(grid.cells)
+    for a in range(grid.dim):
+        flux = _diff_center_to_stagger(p.data, a, grid.periodic(a))
+        flux /= coeff.rho_face.components[a]
+        out += _diff_stagger_to_center(flux, a, grid.periodic(a))
+    out *= 1.0 / grid.h**2
+    return CellField(grid, out)
+
+
+def viscous_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarray:
+    """Row block ``a`` of :func:`apply_viscous`.  The stress-bulk form reads
+    ``div_u``, computed here when not given."""
+    grid = u.grid
+    h = grid.h
+    form = coeff.viscous_form
+    mu_c = coeff.mu_cell.data
+    ua = u.components[a]
+    flux_n = _diff_stagger_to_center(ua, a, grid.periodic(a))
+    if form is not LAPLACIAN:
+        flux_n *= 2.0  # exact, so (2 d) mu rounds like d (2 mu)
+    flux_n *= mu_c
+    if form is STRESS_BULK:
+        div_u = div(u) if div_u is None else div_u
+        bulk = (2.0 / 3.0) * mu_c
+        np.subtract(coeff.gamma_cell.data, bulk, out=bulk)
+        bulk *= div_u.data
+        bulk *= h  # div_u carries 1/h
+        flux_n += bulk
+    res = _diff_center_to_stagger(flux_n, a, grid.periodic(a))
+    for b in range(grid.dim):
+        if b == a:
+            continue
+        # d u_a / d x_b at the (a, b)-staggered positions; a wall row takes
+        # the one-sided difference against the wall velocity (distance h/2,
+        # hence the factor two)
+        flux_t = _diff_center_to_stagger(ua, b, grid.periodic(b))
+        if not grid.periodic(b):
+            cut = _cuts(ua.ndim, b)
+            lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
+            hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
+            first, last = flux_t[cut.first], flux_t[cut.last]
+            np.subtract(ua[cut.first], lo, out=first)
+            first *= 2.0
+            np.subtract(hi, ua[cut.last], out=last)
+            last *= 2.0
+        if form is not LAPLACIAN:
+            # d u_b / d x_a; u_b is cell-centered along a, so the wall
+            # planes normal to a (left zero) feed no interior row
+            flux_t += _diff_center_to_stagger(u.components[b], a, grid.periodic(a))
+        flux_t *= coeff.mu_node_edge.plane(a, b)
+        if not grid.periodic(b):
+            if grid.bc[b][0] is FREE_SLIP:
+                flux_t[cut.first] = 0.0
+            if grid.bc[b][1] is FREE_SLIP:
+                flux_t[cut.last] = 0.0
+        res += _diff_stagger_to_center(flux_t, b, grid.periodic(b))
+    res *= 1.0 / h**2
+    if not grid.periodic(a):
+        _zero_boundary(res, a)
+    return res
+
+
+def apply_viscous(u: FaceField, coeff, bvals=None) -> FaceField:
+    div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
+    return FaceField(u.grid, tuple(
+        viscous_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)
+    ))
+
+
+def apply_A_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarray:
+    """Row block ``a`` of :func:`apply_A`; steady flow forms no mass term."""
+    out = viscous_row(u, coeff, a, bvals, div_u)
+    if coeff.theta == 0:
+        return np.negative(out, out=out)
+    m = coeff.theta * coeff.rho_face.components[a]
+    m *= u.components[a]
+    m -= out
+    if not u.grid.periodic(a):
+        _zero_boundary(m, a)  # the mass term reads the boundary faces
+    return m
+
+
+def apply_A(u: FaceField, coeff, bvals=None, rhs=None) -> FaceField:
+    """theta*rho*u - L_mu u, or ``rhs`` minus it."""
+    div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
+    comps = [apply_A_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)]
+    if rhs is not None:
+        for c, b in zip(comps, rhs.components):
+            np.subtract(b, c, out=c)
+    return FaceField(u.grid, tuple(comps))
+
+
+def apply_M(x: StokesVector, coeff) -> StokesVector:
+    au = apply_A(x.u, coeff)
+    for c, gp in zip(au.components, grad(x.p).components):
+        c += gp
+    du = div(x.u)
+    np.negative(du.data, out=du.data)
+    return StokesVector(au, du)
+
+
+def restrict_cell(fine: CellField) -> CellField:
+    grid = fine.grid
+    return CellField(grid.coarsened(), _block_mean(fine.data, range(grid.dim)))
+
+
+def prolong_cell(coarse: CellField) -> CellField:
+    grid = coarse.grid
+    out = coarse.data
+    for a in range(grid.dim):
+        out = np.repeat(out, 2, axis=a)
+    return CellField(GridSpec(tuple(2 * n for n in grid.cells), grid.h / 2, grid.bc), out)
+
+
+def _restrict_normal(arr: np.ndarray, axis: int, periodic: bool,
+                     n_coarse: int) -> np.ndarray:
+    """[1/4, 1/2, 1/4] weighting onto the coarse staggered positions."""
+    if periodic:
+        lo = np.roll(arr, 1, axis=axis)[_sl(arr.ndim, axis, slice(0, None, 2))]
+        mid = arr[_sl(arr.ndim, axis, slice(0, None, 2))]
+        hi = np.roll(arr, -1, axis=axis)[_sl(arr.ndim, axis, slice(0, None, 2))]
+        return 0.25 * lo + 0.5 * mid + 0.25 * hi
+    shape = list(arr.shape)
+    shape[axis] = n_coarse + 1
+    out = np.zeros(shape)
+    # interior coarse faces i read fine faces 2i-1, 2i, 2i+1
+    lo = arr[_sl(arr.ndim, axis, slice(1, -2, 2))]
+    mid = arr[_sl(arr.ndim, axis, slice(2, -1, 2))]
+    hi = arr[_sl(arr.ndim, axis, slice(3, None, 2))]
+    out[_sl(arr.ndim, axis, slice(1, -1))] = 0.25 * lo + 0.5 * mid + 0.25 * hi
+    return out
+
+
+def restrict_face(fine: FaceField) -> FaceField:
+    grid = fine.grid
+    coarse_grid = grid.coarsened()
+    comps = []
+    for a in range(grid.dim):
+        arr = _block_mean(
+            fine.components[a], [b for b in range(grid.dim) if b != a]
+        )
+        comps.append(
+            _restrict_normal(arr, a, grid.periodic(a), coarse_grid.cells[a])
+        )
+    return FaceField(coarse_grid, tuple(comps))
+
+
+def _prolong_tangential(arr: np.ndarray, axis: int, grid_c) -> np.ndarray:
+    """3/4-1/4 interpolation doubling a tangential (cell-centered) axis;
+    wall rows clamp to the nearest interior row."""
+    if grid_c.periodic(axis):
+        prev_ = np.roll(arr, 1, axis=axis)
+        next_ = np.roll(arr, -1, axis=axis)
+    else:
+        prev_ = np.concatenate(
+            [arr[_sl(arr.ndim, axis, slice(0, 1))],
+             arr[_sl(arr.ndim, axis, slice(None, -1))]], axis=axis)
+        next_ = np.concatenate(
+            [arr[_sl(arr.ndim, axis, slice(1, None))],
+             arr[_sl(arr.ndim, axis, slice(-1, None))]], axis=axis)
+    shape = list(arr.shape)
+    shape[axis] *= 2
+    out = np.zeros(shape)
+    out[_sl(arr.ndim, axis, slice(0, None, 2))] = 0.75 * arr + 0.25 * prev_
+    out[_sl(arr.ndim, axis, slice(1, None, 2))] = 0.75 * arr + 0.25 * next_
+    return out
+
+
+def _prolong_normal(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+    """Copy overlaying faces, average for in-between faces."""
+    ndim = arr.ndim
+    if periodic:
+        n = arr.shape[axis]
+        shape = list(arr.shape)
+        shape[axis] = 2 * n
+        out = np.zeros(shape)
+        out[_sl(ndim, axis, slice(0, None, 2))] = arr
+        out[_sl(ndim, axis, slice(1, None, 2))] = 0.5 * (arr + np.roll(arr, -1, axis=axis))
+        return out
+    n = arr.shape[axis] - 1
+    shape = list(arr.shape)
+    shape[axis] = 2 * n + 1
+    out = np.zeros(shape)
+    out[_sl(ndim, axis, slice(0, None, 2))] = arr
+    out[_sl(ndim, axis, slice(1, None, 2))] = 0.5 * (
+        arr[_sl(ndim, axis, slice(None, -1))] + arr[_sl(ndim, axis, slice(1, None))]
+    )
+    return out
+
+
+def prolong_face(coarse: FaceField) -> FaceField:
+    grid_c = coarse.grid
+    fine_grid = GridSpec(tuple(2 * n for n in grid_c.cells), grid_c.h / 2, grid_c.bc)
+    comps = []
+    for a in range(grid_c.dim):
+        arr = coarse.components[a]
+        for b in range(grid_c.dim):
+            if b != a:
+                arr = _prolong_tangential(arr, b, grid_c)
+        arr = _prolong_normal(arr, a, grid_c.periodic(a))
+        comps.append(arr)
+    return FaceField(fine_grid, tuple(comps))
+
+
+# ---------------------------------------------------------------------------
 # numpy two-colour sweep: bitwise oracle for the compiled smoothers
 # ---------------------------------------------------------------------------
 # Whole-array formulation of the sweeps in stokesmg/sweeps.c: the residual
-# from the package's operator rows, the red relaxation, the black residual
+# from the operator rows above, the red relaxation, the black residual
 # brought up to date by _add_neighbors over the coupling lists, and the
 # black relaxation.  The kernels must round every entry as these do.
 
@@ -374,14 +639,7 @@ def smooth_face(u, rhs, grid, coeff, diag, omega, zero_guess=False) -> None:
         if zero_guess and a == 0:
             res = rhs.components[a].copy()
         else:
-            # rhs - A u in the viscous row's array; v - m is exactly
-            # -(m - v), so this rounds like rhs - apply_A_row
-            res = viscous_row(u, coeff, a)
-            if coeff.theta > 0:
-                m = coeff.theta * coeff.rho_face.components[a]
-                m *= u.components[a]
-                res -= m
-            res += rhs.components[a]
+            res = np.subtract(rhs.components[a], apply_A_row(u, coeff, a))
         _sweep(grid, u.components[a], res, grid.interior_slices(a),
                diag.components[a], viscous_couplings(grid, coeff, a), omega)
 

@@ -1,7 +1,7 @@
 """No kernel writes its inputs.
 
-The operators, smoothers, compiled sweep kernels, V-cycles and transfers
-scale and accumulate in place on arrays they allocate themselves.  A slip
+The operators, smoothers, every entry of the compiled library, V-cycles and
+transfers scale and accumulate in place on arrays they allocate themselves.  A slip
 that lets such an in-place step land on an input (a coefficient array, the
 right-hand side, a boundary value, the field being differenced) would
 corrupt the caller's data without changing the returned value of that
@@ -32,7 +32,6 @@ from stokesmg.operators import (
     STRESS_BULK,
     BoundaryValues,
     apply_A,
-    apply_A_row,
     apply_Lrho,
     apply_M,
     apply_viscous,
@@ -41,10 +40,9 @@ from stokesmg.operators import (
     helmholtz_diagonal,
     lrho_diagonal,
     make_coefficients,
-    viscous_row,
 )
 
-from conftest import mkgrid, random_cell, random_face
+from conftest import mkgrid, random_bvals, random_cell, random_face
 
 # (cells, bc) per wall kind and dimension; the odd periodic counts make a
 # colour touch itself across the wrap and cannot be coarsened
@@ -73,23 +71,6 @@ def case(walls, dim, form, rng):
     mu = CellField(g, 1.0 + rng.random(g.cells))
     gamma = CellField(g, rng.random(g.cells))
     return g, make_coefficients(g, 0.7, rho, mu, gamma, viscous_form=form)
-
-
-def random_bvals(g, rng):
-    """Nonzero normal and tangential wall values on every bounded axis."""
-    bvals = BoundaryValues.zeros(g)
-    for axis in range(g.dim):
-        if g.periodic(axis):
-            continue
-        for side in (0, 1):
-            shape = tuple(n for b, n in enumerate(g.cells) if b != axis)
-            bvals.normal[(axis, side)] = rng.standard_normal(shape)
-            for comp in range(g.dim):
-                if comp != axis:
-                    shape = tuple(n for b, n in enumerate(g.face_shape(comp))
-                                  if b != axis)
-                    bvals.tangential[(axis, side, comp)] = rng.standard_normal(shape)
-    return bvals
 
 
 def arrays_of(obj):
@@ -131,19 +112,14 @@ def assert_unchanged(before, *objs):
 @forms
 def test_velocity_operators_leave_inputs(walls, dim, form, rng):
     g, coeff = case(walls, dim, form, rng)
-    u = random_face(g, rng)
+    u, rhs = random_face(g, rng), random_face(g, rng)
     bvals = random_bvals(g, rng)
-    div_u = div(u)
-    before = snapshot(u, coeff, bvals, div_u)
+    before = snapshot(u, rhs, coeff, bvals)
     apply_A(u, coeff)
     apply_A(u, coeff, bvals)
+    apply_A(u, coeff, rhs=rhs)
     apply_viscous(u, coeff, bvals)
-    for a in range(dim):
-        viscous_row(u, coeff, a, bvals)
-        viscous_row(u, coeff, a, bvals, div_u)
-        apply_A_row(u, coeff, a, bvals)
-        apply_A_row(u, coeff, a, None, div_u)
-    assert_unchanged(before, u, coeff, bvals, div_u)
+    assert_unchanged(before, u, rhs, coeff, bvals)
 
 
 @walls
@@ -151,12 +127,32 @@ def test_velocity_operators_leave_inputs(walls, dim, form, rng):
 def test_saddle_and_pressure_operators_leave_inputs(walls, dim, rng):
     g, coeff = case(walls, dim, STRESS_BULK, rng)
     x = StokesVector(random_face(g, rng), random_cell(g, rng))
-    before = snapshot(x, coeff)
+    rhs = random_cell(g, rng)
+    before = snapshot(x, rhs, coeff)
     apply_M(x, coeff)
     grad(x.p)
     div(x.u)
     apply_Lrho(x.p, coeff)
-    assert_unchanged(before, x, coeff)
+    apply_Lrho(x.p, coeff, rhs)
+    assert_unchanged(before, x, rhs, coeff)
+
+
+@walls
+@dims
+@forms
+def test_operator_kernels_leave_inputs(walls, dim, form, rng):
+    # every operator entry of the library, each output mode of the face one
+    g, coeff = case(walls, dim, form, rng)
+    u, base, p, rhs = random_face(g, rng), random_face(g, rng), random_cell(g, rng), random_cell(g, rng)
+    bvals = random_bvals(g, rng)
+    before = snapshot(u, base, p, rhs, coeff, bvals)
+    for out in (kernels.VISCOUS, kernels.OPERATOR, kernels.RESIDUAL, kernels.SADDLE):
+        kernels.face_apply(u, coeff, out, base=base, p=p, bvals=bvals)
+    kernels.cell_apply(p, coeff)
+    kernels.cell_apply(p, coeff, rhs)
+    kernels.grad(p)
+    kernels.div(u)
+    assert_unchanged(before, u, base, p, rhs, coeff, bvals)
 
 
 @walls
@@ -243,7 +239,13 @@ def test_transfers_leave_inputs(walls, dim, rng):
     before = snapshot(*fields)
     prolong_face(fields[0])
     prolong_cell(fields[1])
+    fine = multigrid._fine_grid(g)
+    kernels.prolong_face(fields[0], fine)
+    kernels.prolong_cell(fields[1], fine)
     if g.can_coarsen():
         restrict_face(fields[0])
         restrict_cell(fields[1])
+        coarse = g.coarsened()
+        kernels.restrict_face(fields[0], coarse)
+        kernels.restrict_cell(fields[1], coarse)
     assert_unchanged(before, *fields)

@@ -1,9 +1,12 @@
-"""The compiled smoother sweeps: bitwise contract, build and cache.
+"""The compiled library: bitwise contract, operator structure, build and
+cache.
 
 The property tests draw grids, walls, viscous forms, coefficients and
-relaxation settings and require the compiled sweeps to equal the numpy
-oracle in ``reference.py`` bit for bit.  The build tests run the CLI in
-fresh processes with their own cache directories.
+relaxation settings and require the compiled sweeps, operators and
+transfers to equal the numpy oracle in ``reference.py`` bit for bit,
+signed zeros included; others assemble the compiled operators densely and
+check D = -G^T and the symmetry of A and L_rho.  The build tests run the
+CLI in fresh processes with their own cache directories.
 """
 
 import json
@@ -18,17 +21,33 @@ from hypothesis import strategies as st
 
 import stokesmg
 from stokesmg import kernels, multigrid
-from stokesmg.grid import FREE_SLIP, NO_SLIP, PERIODIC, CellField, FaceField, GridSpec
+from stokesmg.grid import (
+    FREE_SLIP,
+    NO_SLIP,
+    PERIODIC,
+    CellField,
+    FaceField,
+    GridSpec,
+    StokesVector,
+)
 from stokesmg.operators import (
     LAPLACIAN,
     STRESS,
     STRESS_BULK,
+    apply_A,
+    apply_Lrho,
+    apply_M,
+    apply_viscous,
+    div,
+    grad,
     helmholtz_diagonal,
     lrho_diagonal,
     make_coefficients,
 )
+from stokesmg.spectrum import assemble_dense
 
 import reference
+from conftest import random_bvals
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stokesmg.__file__)))
 REPO = os.path.dirname(SRC)
@@ -36,21 +55,26 @@ REPO = os.path.dirname(SRC)
 # deterministic, no example database on disk, and a fixed budget of a few
 # seconds per property
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+DENSE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
-@st.composite
-def sweep_cases(draw):
-    """A grid with 2-9 cells per axis and its coefficients, a right-hand
-    side and an iterate, and the sweep's settings."""
-    dim = draw(st.sampled_from([2, 3]))
-    cells = tuple(draw(st.integers(2, 9)) for _ in range(dim))
+def draw_walls(draw, dim):
     bc = []
     for _ in range(dim):
         lo = draw(st.sampled_from([NO_SLIP, FREE_SLIP, PERIODIC]))
         hi = lo if lo is PERIODIC else draw(st.sampled_from([NO_SLIP, FREE_SLIP]))
         bc.append((lo, hi))
+    return tuple(bc)
+
+
+@st.composite
+def sweep_cases(draw, counts=st.integers(2, 9)):
+    """A grid with 2-9 cells per axis (``counts``) and its coefficients, a
+    random generator for fields, and the sweep's settings."""
+    dim = draw(st.sampled_from([2, 3]))
+    cells = tuple(draw(counts) for _ in range(dim))
     h = draw(st.sampled_from([2.0**-k for k in range(8)] + [1 / 48, 0.3]))
-    grid = GridSpec(cells, h, tuple(bc))
+    grid = GridSpec(cells, h, draw_walls(draw, dim))
     form = draw(st.sampled_from([LAPLACIAN, STRESS, STRESS_BULK]))
     theta = draw(st.sampled_from([0.0, 0.7, 3.0]))
     contrast = draw(st.sampled_from([1.0, 1e2, 1e4]))
@@ -101,6 +125,112 @@ def test_cell_sweep_equals_oracle(case):
     assert np.array_equal(phi.data, want.data)
 
 
+def same_bits(got, want) -> bool:
+    """Equal shapes and bytes: every entry rounded alike, signed zeros too."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(got, want, strict=True))
+
+
+def full_face(grid, rng):
+    """Random on every face, the boundary faces included."""
+    return FaceField(grid, tuple(rng.standard_normal(grid.face_shape(a))
+                                 for a in range(grid.dim)))
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_velocity_operators_equal_oracle(case):
+    grid, coeff, _, _, rng = case
+    u, rhs, bvals = full_face(grid, rng), full_face(grid, rng), random_bvals(grid, rng)
+    x = StokesVector(u, CellField(grid, rng.standard_normal(grid.cells)))
+    pairs = [
+        (apply_A(u, coeff), reference.apply_A(u, coeff)),
+        (apply_A(u, coeff, bvals), reference.apply_A(u, coeff, bvals)),
+        (apply_A(u, coeff, rhs=rhs), reference.apply_A(u, coeff, rhs=rhs)),
+        (apply_viscous(u, coeff, bvals), reference.apply_viscous(u, coeff, bvals)),
+        (apply_M(x, coeff).u, reference.apply_M(x, coeff).u),
+    ]
+    for got, want in pairs:
+        assert same_bits(got.components, want.components)
+    assert same_bits([apply_M(x, coeff).p.data], [reference.apply_M(x, coeff).p.data])
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_pressure_operators_equal_oracle(case):
+    grid, coeff, _, _, rng = case
+    u = full_face(grid, rng)
+    p, rhs = (CellField(grid, rng.standard_normal(grid.cells)) for _ in range(2))
+    assert same_bits([div(u).data], [reference.div(u).data])
+    assert same_bits(grad(p).components, reference.grad(p).components)
+    assert same_bits([apply_Lrho(p, coeff).data], [reference.apply_Lrho(p, coeff).data])
+    assert same_bits([apply_Lrho(p, coeff, rhs).data],
+                     [rhs.data - reference.apply_Lrho(p, coeff).data])
+
+
+@PROPERTY
+@given(sweep_cases(counts=st.sampled_from([4, 6, 8, 10])))
+def test_transfers_equal_oracle(case):
+    # even counts: the fine grid restricts, and its coarse grid (2-5 cells
+    # per axis, odd ones included) prolongs
+    grid, _, _, _, rng = case
+    coarse = grid.coarsened()
+    fine_u, coarse_u = full_face(grid, rng), full_face(coarse, rng)
+    fine_p = CellField(grid, rng.standard_normal(grid.cells))
+    coarse_p = CellField(coarse, rng.standard_normal(coarse.cells))
+    pairs = [
+        (multigrid.restrict_face(fine_u), reference.restrict_face(fine_u)),
+        (multigrid.prolong_face(coarse_u), reference.prolong_face(coarse_u)),
+    ]
+    for got, want in pairs:
+        assert got.grid == want.grid
+        assert same_bits(got.components, want.components)
+    for got, want in ((multigrid.restrict_cell(fine_p), reference.restrict_cell(fine_p)),
+                      (multigrid.prolong_cell(coarse_p), reference.prolong_cell(coarse_p))):
+        assert got.grid == want.grid
+        assert same_bits([got.data], [want.data])
+
+
+# ---------------------------------------------------------------------------
+# structure of the assembled operators
+# ---------------------------------------------------------------------------
+
+
+def off_diagonal_asymmetry(M: np.ndarray) -> np.ndarray:
+    """|M_ij - M_ji| over ``n eps sum |terms|``, entry by entry.
+
+    Each term of an off-diagonal entry is one coupling weight, and that
+    weight enters the diagonal of both rows with the same sign as all of
+    that diagonal's terms (the viscous weights, the bulk weight
+    gamma - 2/3 mu inside the normal weight gamma + 4/3 mu, the density
+    weights) and at least its magnitude; an entry sums at most four terms.
+    So ``4 min(|M_ii|, |M_jj|)`` bounds its ``sum |terms|``, and a few dozen
+    operations per entry give ``n``.
+    """
+    d = np.abs(np.diag(M))
+    bound = 64 * np.finfo(float).eps * 4 * np.minimum.outer(d, d)
+    return np.abs(M - M.T) / bound
+
+
+@DENSE
+@given(sweep_cases(counts=st.integers(2, 6)))
+def test_divergence_is_minus_gradient_transpose(case):
+    grid = case[0]
+    D = assemble_dense(div, grid, domain="face", codomain="cell")
+    G = assemble_dense(grad, grid, domain="cell", codomain="face")
+    assert np.array_equal(D, -G.T)
+
+
+@DENSE
+@given(sweep_cases(counts=st.integers(2, 6)))
+def test_velocity_and_pressure_operators_are_symmetric(case):
+    grid, coeff = case[:2]
+    A = assemble_dense(lambda u: apply_A(u, coeff), grid, domain="face", codomain="face")
+    L = assemble_dense(lambda p: apply_Lrho(p, coeff), grid, domain="cell", codomain="cell")
+    assert off_diagonal_asymmetry(A).max() <= 1.0
+    assert off_diagonal_asymmetry(L).max() <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # build and cache
 # ---------------------------------------------------------------------------
@@ -111,14 +241,14 @@ CONFIG = """{"problem": {"kind": "bubble", "dim": 2, "cells": 8, "bc": "no_slip"
  "sweep": {"solver.precond.kind": ["P1", "P2"]}}"""
 
 
-def run_cli(tmp_path, cache, *args, path=None, env=None):
+def run_cli(tmp_path, cache, *args, path=None, env=None, command="run"):
     env = dict(env or os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC)
     if path is not None:
         env["PATH"] = path
     config = tmp_path / "config.json"
     config.write_text(CONFIG)
     return subprocess.run(
-        [sys.executable, "-m", "stokesmg.cli", "run", "--config", str(config), *args],
+        [sys.executable, "-m", "stokesmg.cli", command, "--config", str(config), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True)
 
 
@@ -136,11 +266,12 @@ def libraries(cache):
     return sorted(p.name for p in folder.iterdir()) if folder.exists() else []
 
 
-def test_missing_compiler_exits_4_without_outputs(tmp_path):
+@pytest.mark.parametrize("command", ["run", "mg-bench", "spectrum"])
+def test_missing_compiler_exits_4_without_outputs(tmp_path, command):
     empty = tmp_path / "bin"
     empty.mkdir()
     done = run_cli(tmp_path, tmp_path / "cache", "--out", str(tmp_path / "out"),
-                   path=str(empty))
+                   path=str(empty), command=command)
     assert done.returncode == 4, done.stderr
     assert f"'{kernels.COMPILER}'" in done.stderr
     assert not (tmp_path / "out").exists()

@@ -138,6 +138,22 @@ class TestCoarsenCoefficients:
         got = out.mu_node_edge.plane(0, 1)
         assert got[1, 1, 0] == pytest.approx(0.5 * (fine[2, 2, 0] + fine[2, 2, 1]))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bc", [PERIODIC, NO_SLIP, FREE_SLIP])
+    def test_every_level_array_is_c_contiguous(self, dim, bc, rng):
+        # the compiled kernels read coefficients in place and copy a strided
+        # view on every call
+        g = mkgrid(16 if dim == 2 else 8, bc=bc, dim=dim)
+        coeff = make_coefficients(g, 0.5, CellField(g, 1.0 + rng.random(g.cells)),
+                                  CellField(g, 1.0 + rng.random(g.cells)),
+                                  CellField(g, rng.random(g.cells)))
+        hier = build_hierarchy(g, coeff)
+        assert len(hier) >= 3
+        for _, c in hier.levels:
+            arrays = [c.rho_cell.data, c.mu_cell.data, c.gamma_cell.data,
+                      *c.rho_face.components, *c.mu_node_edge.arrays.values()]
+            assert all(arr.flags.c_contiguous for arr in arrays)
+
 
 class TestTransfers:
     def test_restrict_cell_children(self):
