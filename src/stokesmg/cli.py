@@ -8,15 +8,15 @@ are single JSON trees (schema in the README); outputs are plot-ready CSV
 files plus a JSON manifest, written atomically with the manifest last.
 
 Exit codes: 0 success, 1 solver non-convergence (history still written),
-2 invalid config, cap violation, or input the library refuses (no partial
-outputs), 3 a solve hit non-finite values (NaN or infinity; history still
-written), 4 the compiled smoother library could not be built (no C
-compiler, or the compiler failed; no outputs).  Library modules check their
-own inputs (``ValueError``); this module checks only config keys, JSON value
-types, names and even cell counts, and runs every check before it writes
-anything.  ``run`` and ``mg-bench`` load the smoother library before they
-write anything, and ``run`` before its ``--jobs`` workers fork, so the
-workers share one build.
+2 invalid config or option, cap violation, or input the library refuses
+(no partial outputs), 3 a solve hit non-finite values (NaN or infinity;
+history still written), 4 the compiled stencil library could not be built
+(no C compiler, or the compiler failed; no outputs).  Library modules check
+their own inputs (``ValueError``); this module checks only config keys,
+JSON value types, names, even cell counts and ``--jobs``, and runs every
+check before it writes anything.  ``run``, ``mg-bench`` and ``spectrum``
+load the stencil library before they write anything, and ``run`` before its
+``--jobs`` workers fork, so the workers share one build.
 """
 
 from __future__ import annotations
@@ -669,8 +669,9 @@ def main(argv=None) -> int:
             )
         outdir = args.out or os.environ.get(OUT_ENV_VAR) or "./stokesmg-out"
         if args.command == "run":
-            jobs = max(1, int(args.jobs))
-            return cmd_run(config, outdir, jobs, args.seed)
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+            return cmd_run(config, outdir, args.jobs, args.seed)
         if args.command == "mg-bench":
             return cmd_mg_bench(config, outdir)
         return cmd_spectrum(config, outdir)

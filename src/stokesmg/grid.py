@@ -65,6 +65,12 @@ class GridSpec:
             raise ValueError(f"cell counts must be >= 2, got {cells}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError("grid spacing must be positive and finite")
+        # the stencils scale by 1/h^2, which must neither overflow nor vanish;
+        # Python floats overflow to inf without a warning
+        h2 = float(self.h) * float(self.h)
+        if not (0 < h2 < math.inf and 0 < 1.0 / h2 < math.inf):
+            raise ValueError(
+                f"grid spacing {self.h!r}: h*h and 1/(h*h) must be positive and finite")
         for axis, (lo, hi) in enumerate(self.bc):
             if (lo is PERIODIC) != (hi is PERIODIC):
                 raise ValueError(

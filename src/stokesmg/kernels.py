@@ -1,16 +1,17 @@
 """The compiled stencils: build, cache and load ``sweeps.c``.
 
-The library holds the multigrid smoother sweeps, the operators (``A``,
-``L_mu``, ``D (1/rho) G``, ``D``, ``G``, the saddle operator and the
-residuals the V-cycle forms) and the grid transfers; the package has no
-other implementation of them.  It is built on first use with the system C
-compiler (``cc``) at ``-O2 -ffp-contract=off`` (no fused multiply-add, no
-fast-math, no host-specific code), so every entry rounds exactly as the
-numpy formulation in ``tests/reference.py`` does.  It is kept in the user
-cache directory, ``$XDG_CACHE_HOME/stokesmg`` or ``~/.cache/stokesmg``,
-under a name keyed by a hash of the source, the flags and the compiler
-version; a build is written to a temporary file and renamed into place, so
-concurrent builders never load a partial file.  When that directory cannot be written the
+The library holds the multigrid smoother sweeps and their diagonals, the
+operators (``A``, ``L_mu``, ``D (1/rho) G``, ``D``, ``G``, the saddle
+operator and the V-cycle's residuals) and the grid transfers; the package
+has no other copy of them or of their coupling weights and wall rules.  It
+is built on first use with the system C compiler (``cc``) at ``-O2
+-ffp-contract=off`` (no fused multiply-add, no fast-math, no host-specific
+code), so every entry rounds exactly as the numpy formulation in
+``tests/reference.py`` does.  It is kept in the user cache directory,
+``$XDG_CACHE_HOME/stokesmg`` or ``~/.cache/stokesmg``, under a name keyed by
+a hash of the source, the flags and the compiler version; a build is
+written to a temporary file and renamed into place, so concurrent builders
+never load a partial file.  When that directory cannot be written the
 library is built in a per-process temporary directory instead.  Each
 process loads the library once; :func:`load` before forking workers shares
 it with them.
@@ -142,6 +143,8 @@ def _bind(path: str):
         "smg_face_apply": (int_, [grid, int_, dbl, int_, ptrs, ptr, ptrs, ptr, ptr,
                                   ptrs, ptrs, ptrs, ptrs, ptr]),
         "smg_cell_apply": (int_, [grid, ptr, ptr, ptrs, ptr]),
+        "smg_face_diag": (None, [grid, int_, dbl, ptr, ptr, ptrs, ptrs, ptrs]),
+        "smg_cell_diag": (None, [grid, ptrs, ptr]),
         "smg_grad": (None, [grid, ptr, ptrs]),
         "smg_div": (None, [grid, ptrs, ptr]),
         "smg_restrict_cell": (int_, [grid, ptr, ptr]),
@@ -280,11 +283,9 @@ def face_sweep(u, rhs, grid: GridSpec, coeff, diag, omega: float, a: int,
         (rhs.components[a], face), (diag.components[a], face),
         (coeff.mu_cell.data, lay.cells), (coeff.gamma_cell.data, lay.cells),
         (coeff.rho_face.components[a], face))]
-    planes = coeff.mu_node_edge.arrays
-    ne = [slot and _address(planes[slot[0]], slot[1], owners) for slot in lay.planes]
     _check(lib.smg_face_sweep(
         lay.grid3, a + lay.lead, _FORMS[coeff.viscous_form.value], coeff.theta, omega,
-        zero_guess, *[None] * lay.lead, *comps, *inputs, *ne))
+        zero_guess, *[None] * lay.lead, *comps, *inputs, *_node_edges(lay, coeff, owners)))
 
 
 def cell_sweep(phi, rhs, grid: GridSpec, coeff, diag, omega: float,
@@ -301,7 +302,7 @@ def cell_sweep(phi, rhs, grid: GridSpec, coeff, diag, omega: float,
 
 
 # ---------------------------------------------------------------------------
-# operators and transfers: each returns fresh output arrays
+# operators, diagonals and transfers: each returns fresh output arrays
 # ---------------------------------------------------------------------------
 
 #: what :func:`face_apply` gives (``OUT_*`` of sweeps.c): ``L_mu u``,
@@ -331,6 +332,12 @@ def _outputs(lay: _Layout, shapes) -> tuple[list, _Axes]:
     return [arr for arr, _ in pairs], _per_axis(lay, [addr for _, addr in pairs])
 
 
+def _node_edges(lay: _Layout, coeff, owners: list) -> list:
+    """Node/edge viscosity addresses per 3D plane slot (None: no plane)."""
+    planes = coeff.mu_node_edge.arrays
+    return [slot and _address(planes[slot[0]], slot[1], owners) for slot in lay.planes]
+
+
 def _walls(bvals, lay: _Layout, owners: list):
     """Pointers to the tangential wall velocities the operator reads, at
     ``(3 a + b) 2 + side`` in 3D axes; missing ones stay NULL (zero)."""
@@ -358,7 +365,6 @@ def face_apply(u, coeff, out: int, base=None, p=None, bvals=None):
     lib = _library or load()
     lay = _remember(u.grid, _layout)
     owners = []
-    planes = coeff.mu_node_edge.arrays
     res, res_ptrs = _outputs(lay, lay.faces)
     res_p, p_ptr = _output(lay.cells) if out == SADDLE else (None, None)
     _check(lib.smg_face_apply(
@@ -369,8 +375,7 @@ def face_apply(u, coeff, out: int, base=None, p=None, bvals=None):
         _address(coeff.mu_cell.data, lay.cells, owners),
         _address(coeff.gamma_cell.data, lay.cells, owners),
         _faces(lay, coeff.rho_face.components, owners),
-        _Axes(*[slot and _address(planes[slot[0]], slot[1], owners)
-                for slot in lay.planes]),
+        _Axes(*_node_edges(lay, coeff, owners)),
         bvals and _walls(bvals, lay, owners), res_ptrs, p_ptr))
     return res, res_p
 
@@ -385,6 +390,28 @@ def cell_apply(p, coeff, rhs=None) -> np.ndarray:
         lay.grid3, _address(p.data, lay.cells, owners),
         rhs and _address(rhs.data, lay.cells, owners),
         _faces(lay, coeff.rho_face.components, owners), addr))
+    return out
+
+
+def face_diag(grid: GridSpec, coeff) -> list:
+    """The diagonal of ``A`` per component; boundary faces hold 1."""
+    lib = _library or load()
+    lay, owners = _remember(grid, _layout), []
+    out, ptrs = _outputs(lay, lay.faces)
+    lib.smg_face_diag(lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
+                      _address(coeff.mu_cell.data, lay.cells, owners),
+                      _address(coeff.gamma_cell.data, lay.cells, owners),
+                      _faces(lay, coeff.rho_face.components, owners),
+                      _Axes(*_node_edges(lay, coeff, owners)), ptrs)
+    return out
+
+
+def cell_diag(grid: GridSpec, coeff) -> np.ndarray:
+    """The diagonal of ``D (1/rho) G``."""
+    lib = _library or load()
+    lay, owners = _remember(grid, _layout), []
+    out, addr = _output(lay.cells)
+    lib.smg_cell_diag(lay.grid3, _faces(lay, coeff.rho_face.components, owners), addr)
     return out
 
 

@@ -2,27 +2,25 @@
 
 Divergence, gradient, pressure Laplacians, the three viscous forms, the
 velocity operator combining inertial and viscous effects, the full saddle
-operator, coefficient averaging, boundary homogenization and system
-rescaling.  All operators are pure functions of their inputs; wall-normal
-output rows are zeroed because boundary faces are not unknowns.  The
-stencils run in the compiled library of :mod:`kernels`; their numpy
-formulation, which fixes every output bit, is the oracle in
-``tests/reference.py``.
+operator, the diagonals the multigrid smoothers divide by, coefficient
+averaging, boundary homogenization and system rescaling.  All operators are
+pure functions of their inputs; wall-normal output rows are zeroed because
+boundary faces are not unknowns.  The stencils, the diagonals included, run
+in the compiled library of :mod:`kernels`, which alone holds their coupling
+weights and wall rules; their numpy formulation, which fixes every output
+bit, is the oracle in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .grid import (
     FREE_SLIP,
-    NO_SLIP,
     CellField,
     FaceField,
     GridSpec,
@@ -166,28 +164,9 @@ def _sl(ndim: int, axis: int, what) -> tuple:
     return tuple(sl)
 
 
-class _Cuts(NamedTuple):
-    """Index tuples picking ``[:-1]``, ``[1:]``, ``[1:-1]``, ``[0]`` and
-    ``[-1]`` along one axis."""
-
-    head: tuple
-    tail: tuple
-    inner: tuple
-    first: tuple
-    last: tuple
-
-
-@functools.cache
-def _cuts(ndim: int, axis: int) -> _Cuts:
-    """The numpy helpers' index tuples, built once per (ndim, axis)."""
-    return _Cuts(*(_sl(ndim, axis, what) for what in
-                   (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
-
-
 def _zero_boundary(arr: np.ndarray, axis: int) -> None:
-    cut = _cuts(arr.ndim, axis)
-    arr[cut.first] = 0.0
-    arr[cut.last] = 0.0
+    arr[_sl(arr.ndim, axis, 0)] = 0.0
+    arr[_sl(arr.ndim, axis, -1)] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +195,12 @@ def apply_Lrho(p: CellField, coeff: CoefficientSet,
     unscaled differences and scaled once by 1/h^2; with ``rhs``, the
     residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
     return CellField(p.grid, kernels.cell_apply(p, coeff, rhs))
+
+
+def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
+    """Diagonal of D (1/rho) G, which the pressure smoother divides by: each
+    cell sums -1/(rho h^2) over its faces, a wall face adding nothing."""
+    return CellField(grid, kernels.cell_diag(grid, coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +281,12 @@ def apply_A(u: FaceField, coeff: CoefficientSet,
     return FaceField(u.grid, tuple(comps))
 
 
+def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
+    """Diagonal of A, which the velocity smoother divides by; boundary faces
+    are set to one."""
+    return FaceField(grid, tuple(kernels.face_diag(grid, coeff)))
+
+
 def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
     """Saddle operator: (A u + G p, -D u)."""
     comps, minus_div = kernels.face_apply(x.u, coeff, kernels.SADDLE, p=x.p)
@@ -333,119 +324,6 @@ def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
         view = out.u.interior(a)
         view -= view.mean()
     return out
-
-
-# ---------------------------------------------------------------------------
-# operator couplings and the smoother diagonals summed from them (the
-# compiled sweeps recompute the same weights)
-# ---------------------------------------------------------------------------
-
-
-def _add_neighbors(out, delta, w, axis: int, periodic: bool, lower: bool) -> None:
-    """Add each entry's two ``w``-weighted axis neighbors in ``delta`` to ``out``.
-
-    ``w[k]`` couples entries ``k`` and ``k + 1``, or ``k - 1`` and ``k`` when
-    ``lower``; a bounded axis then has two wall entries that couple nothing.
-    Full arrays, so the sum stays exact where an odd periodic count makes a
-    color touch itself across the wrap.
-    """
-    if periodic:
-        s = 1 if lower else -1
-        prod = np.multiply(w, delta)
-        other = np.roll(prod, -s, axis=axis)
-        np.multiply(w, np.roll(delta, s, axis=axis), out=prod)
-        prod += other
-        out += prod
-        return
-    cut = _cuts(delta.ndim, axis)
-    if lower:
-        w = w[cut.inner]
-    prod = np.multiply(w, delta[cut.tail])
-    below = out[cut.head]
-    below += prod
-    np.multiply(w, delta[cut.head], out=prod)
-    above = out[cut.tail]
-    above += prod
-
-
-def lrho_couplings(grid: GridSpec, coeff: CoefficientSet) -> list:
-    """Couplings ``(w, axis, lower)`` of D (1/rho) G, negated.
-
-    Per axis, ``w`` is -1/(rho h^2) across each face (see
-    :func:`_add_neighbors`); wall faces carry no flux, so their entries,
-    which feed only the diagonal, are zero.
-    """
-    out = []
-    for a in range(grid.dim):
-        w = (-1.0 / grid.h**2) / coeff.rho_face.components[a]
-        if not grid.periodic(a):
-            _zero_boundary(w, a)
-        out.append((w, a, True))
-    return out
-
-
-def viscous_couplings(grid: GridSpec, coeff: CoefficientSet, a: int) -> list:
-    """Couplings ``(w, axis, lower)`` of the axis-``a`` velocity in -L_mu.
-
-    Divided by h^2.  The normal coefficient of the viscous form couples
-    a-faces ``k`` and ``k + 1``; the ``(a, b)`` node/edge viscosity couples
-    rows ``k - 1`` and ``k`` along each ``b != a``.  On a wall along ``b``
-    that entry is the one-sided wall coupling, which reaches no neighbor and
-    enters only the diagonal: doubled on no-slip walls (difference over
-    h/2), dropped on free-slip walls (no tangential flux).
-    """
-    inv_h2 = 1.0 / grid.h**2
-    mu_c = coeff.mu_cell.data
-    form = coeff.viscous_form
-    if form is LAPLACIAN:
-        normal = inv_h2 * mu_c
-    elif form is STRESS:
-        normal = (2.0 * inv_h2) * mu_c
-    else:
-        normal = inv_h2 * (2.0 * mu_c + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c))
-    out = [(normal, a, False)]
-    for b in range(grid.dim):
-        if b == a:
-            continue
-        w = inv_h2 * coeff.mu_node_edge.plane(a, b)
-        if not grid.periodic(b):
-            for end, bc in ((0, grid.bc[b][0]), (-1, grid.bc[b][1])):
-                w[_sl(w.ndim, b, end)] *= 2.0 if bc is NO_SLIP else 0.0
-        out.append((w, b, True))
-    return out
-
-
-def _coupling_diagonal(grid: GridSpec, diag: np.ndarray, couplings) -> np.ndarray:
-    """Add each coupling's neighbor sums and wall entries to ``diag`` (the
-    operator's shift), in place; each coupling is summed on its own first."""
-    ones = np.ones_like(diag)
-    for w, axis, lower in couplings:
-        part = np.zeros_like(diag)
-        _add_neighbors(part, ones, w, axis, grid.periodic(axis), lower)
-        if lower and not grid.periodic(axis):
-            for end in (0, -1):
-                part[_sl(part.ndim, axis, end)] += w[_sl(w.ndim, axis, end)]
-        diag += part
-    return diag
-
-
-def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
-    """Diagonal of D (1/rho) G, summed from :func:`lrho_couplings`."""
-    return CellField(grid, _coupling_diagonal(
-        grid, np.zeros(grid.cells), lrho_couplings(grid, coeff)))
-
-
-def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
-    """Diagonal of A = theta*rho - L_mu, summed from :func:`viscous_couplings`;
-    boundary faces are set to one."""
-    comps = []
-    for a in range(grid.dim):
-        diag = _coupling_diagonal(grid, coeff.theta * coeff.rho_face.components[a],
-                                  viscous_couplings(grid, coeff, a))
-        if not grid.periodic(a):
-            diag[_sl(diag.ndim, a, [0, -1])] = 1.0
-        comps.append(diag)
-    return FaceField(grid, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

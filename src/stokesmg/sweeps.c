@@ -11,14 +11,16 @@
  * The operators run the stages the sweeps form their residuals with:
  * smg_face_apply gives L_mu u, A u, rhs - A u or the saddle operator
  * (A u + G p, -D u), smg_cell_apply D (1/rho) G p or its residual, and
- * smg_div and smg_grad D and G.  smg_restrict_* and smg_prolong_* are the
- * multigrid transfers, one pass per axis.
+ * smg_div and smg_grad D and G.  smg_face_diag and smg_cell_diag form the
+ * diagonals the sweeps divide by, on the rows of their black updates, so
+ * each coupling weight and wall rule is written once, here.
+ * smg_restrict_* and smg_prolong_* are the multigrid transfers, one pass
+ * per axis.
  *
  * Every entry is rounded as the numpy formulation rounds it: the same
  * operations in the same order, with no fused multiply-add (the library is
  * built with -ffp-contract=off), so every output is bitwise equal to the
- * whole-array reference in tests/reference.py.  Coupling weights are
- * recomputed from mu and rho with the same scalar products.
+ * whole-array reference in tests/reference.py.
  *
  * Arrays are C-contiguous float64 in the package's layouts.  A 2D grid is
  * addressed as a 3D grid whose leading axis has one cell and couples
@@ -156,9 +158,9 @@ static void relax_red(const long *s, const long *lo3, const long *hi3, long shif
     }
 }
 
-/* r plus one axis' two neighbour terms in _add_neighbors' order: a
- * periodic axis adds their sum, a bounded axis the upper term and then the
- * lower one, each where that neighbour exists. */
+/* r plus one axis' two neighbour terms in the numpy sweep's order (see
+ * tests/reference.py): a periodic axis adds their sum, a bounded axis the
+ * upper term and then the lower one, each where that neighbour exists. */
 static inline double add_pair(double r, int periodic_axis, int has_lo, int has_hi,
                               double lo, double hi)
 {
@@ -406,6 +408,36 @@ void smg_grad(const grid3 *g, const double *p, double *const *out)
     cell_t c = {.g = g, .p = (double *)p, .flux = {out[0], out[1], out[2]}};
     cell_shapes(&c);
     gradient_rows(&c);
+}
+
+/* the diagonal: per axis, 0 + (lower + upper) of the black rows' face
+ * weights, a wall face weighing zero (it carries no flux) */
+ROW_FUNCTION cell_diag_row(const cell_t *c, const black_cell_at *o, long k0, long k1)
+{
+    const double neg_inv_h2 = c->g->neg_inv_h2;
+    for (long k = k0; k < k1; k++) {
+        double d = 0.0;
+        for (int x = c->g->first; x < 3; x++) {
+            const double *q = c->rho[x];
+            double lo = o->has_lo[x] ? neg_inv_h2 / q[o->r0[x] + k] : 0.0;
+            double hi = o->has_hi[x] ? neg_inv_h2 / q[o->r1[x] + k] : 0.0;
+            d += 0.0 + (lo + hi);
+        }
+        c->r[o->rc + k] = d;
+    }
+}
+
+/* out = the diagonal of D (1/rho) G, which smg_cell_sweep divides by */
+void smg_cell_diag(const grid3 *g, const double *const *rho, double *out)
+{
+    cell_t c = {.g = g, .r = out, .rho = {rho[0], rho[1], rho[2]}};
+    long zero3[3] = {0, 0, 0};
+    cell_shapes(&c);
+    ROWS(zero3, c.sc) {
+        black_cell_at o = {0};
+        LINE(0, c.sc[2], 0, 1, black_cell_setup(&c, i, j, at, &o),
+             cell_diag_row(&c, &o, k0, k1));
+    }
 }
 
 /* ------------------------------------------------------------------------
@@ -832,6 +864,59 @@ int smg_face_sweep(const grid3 *g, int a, int form, double theta, double omega,
 
     free(work);
     return 0;
+}
+
+/* the diagonal at component a's unknowns: theta rho, then per coupling (the
+ * normal one, then each b != a) 0 + (lower + upper) of the black rows'
+ * weights.  On a wall along b the wall's one-sided coupling stands in for
+ * the missing neighbour: doubled on a no-slip wall (a difference over h/2),
+ * dropped on a free-slip wall (no tangential flux). */
+ROW_FUNCTION face_diag_row(const face_t *f, const black_face_at *o, long k0, long k1)
+{
+    const grid3 *g = f->g;
+    const double *mu = f->mu, *gamma = f->gamma, inv_h2 = g->inv_h2;
+    const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
+    for (long k = k0; k < k1; k++) {
+        double d = f->theta * f->rho[rf + k];
+        d += 0.0 + (normal_weight(f->form, inv_h2, mu[rc1 + k], gamma[rc1 + k])
+                    + normal_weight(f->form, inv_h2, mu[rc + k], gamma[rc + k]));
+        for (int m = 0; m < f->nb; m++) {
+            int b = f->bs[m];
+            double lo = inv_h2 * f->w[m][o->rn[m] + k];
+            double hi = inv_h2 * f->w[m][o->rn1[m] + k];
+            if (!o->has_lo[m])
+                lo *= g->lo[b] == NO_SLIP ? 2.0 : 0.0;
+            if (!o->has_hi[m])
+                hi *= g->hi[b] == NO_SLIP ? 2.0 : 0.0;
+            d += 0.0 + (lo + hi);
+        }
+        f->r[rf + k] = d;
+    }
+}
+
+/* out[a] = the diagonal of A = theta rho - L_mu at every component a, which
+ * smg_face_sweep divides by; boundary faces (not unknowns) hold 1 */
+void smg_face_diag(const grid3 *g, int form, double theta, const double *mu,
+                   const double *gamma, const double *const *rho,
+                   const double *const *ne, double *const *out)
+{
+    face_t f = {.g = g, .form = form, .theta = theta, .mu = mu, .gamma = gamma};
+    face_shapes(&f);
+    for (int a = g->first; a < 3; a++) {
+        long lo3[3], hi3[3];
+        face_component(&f, a, ne, NULL);
+        f.rho = rho[a];
+        f.r = out[a];
+        if (f.bounded)
+            for (long k = 0; k < count(f.sf[a]); k++)
+                f.r[k] = 1.0;
+        unknowns(&f, lo3, hi3);
+        ROWS(lo3, hi3) {
+            black_face_at o;
+            LINE(lo3[2], hi3[2], lo3[2], 1, black_face_setup(&f, i, j, at, &o),
+                 face_diag_row(&f, &o, k0, k1));
+        }
+    }
 }
 
 /* Every component a of the velocity operator into res[a], as "out" asks:

@@ -5,13 +5,15 @@ Fourier) constructions, deliberately avoiding the vectorized slicing of the
 package code so the two paths share no machinery.  The exceptions are the
 flux-scaled operator section, whose whole-array formulas fix the rounding
 the package's row scaling must reproduce, and the numpy operators,
-transfers and two-colour sweep, which fix the rounding of the compiled
-library.
+transfers, two-colour sweep and smoother diagonals, which fix the rounding
+of the compiled library.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -21,13 +23,11 @@ from stokesmg.grid import FREE_SLIP, NO_SLIP, CellField, FaceField, GridSpec, St
 from stokesmg.multigrid import _block_mean
 from stokesmg.operators import (
     LAPLACIAN,
+    STRESS,
     STRESS_BULK,
-    _add_neighbors,
-    _cuts,
+    CoefficientSet,
     _sl,
     _zero_boundary,
-    lrho_couplings,
-    viscous_couplings,
 )
 
 
@@ -320,6 +320,24 @@ def flux_scaled_apply_Lrho(p: CellField, coeff) -> np.ndarray:
 # these do.
 
 
+class _Cuts(NamedTuple):
+    """Index tuples picking ``[:-1]``, ``[1:]``, ``[1:-1]``, ``[0]`` and
+    ``[-1]`` along one axis."""
+
+    head: tuple
+    tail: tuple
+    inner: tuple
+    first: tuple
+    last: tuple
+
+
+@functools.cache
+def _cuts(ndim: int, axis: int) -> _Cuts:
+    """The numpy helpers' index tuples, built once per (ndim, axis)."""
+    return _Cuts(*(_sl(ndim, axis, what) for what in
+                   (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
+
+
 def _diff_stagger_to_center(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     """arr[i+1] - arr[i] where arr is axis-staggered; result is centered."""
     cut = _cuts(arr.ndim, axis)
@@ -579,7 +597,115 @@ def prolong_face(coarse: FaceField) -> FaceField:
 # Whole-array formulation of the sweeps in stokesmg/sweeps.c: the residual
 # from the operator rows above, the red relaxation, the black residual
 # brought up to date by _add_neighbors over the coupling lists, and the
-# black relaxation.  The kernels must round every entry as these do.
+# black relaxation; and the diagonals the sweeps divide by, summed from the
+# same coupling lists.  The kernels must round every entry as these do.
+
+
+def _add_neighbors(out, delta, w, axis: int, periodic: bool, lower: bool) -> None:
+    """Add each entry's two ``w``-weighted axis neighbors in ``delta`` to ``out``.
+
+    ``w[k]`` couples entries ``k`` and ``k + 1``, or ``k - 1`` and ``k`` when
+    ``lower``; a bounded axis then has two wall entries that couple nothing.
+    Full arrays, so the sum stays exact where an odd periodic count makes a
+    color touch itself across the wrap.
+    """
+    if periodic:
+        s = 1 if lower else -1
+        prod = np.multiply(w, delta)
+        other = np.roll(prod, -s, axis=axis)
+        np.multiply(w, np.roll(delta, s, axis=axis), out=prod)
+        prod += other
+        out += prod
+        return
+    cut = _cuts(delta.ndim, axis)
+    if lower:
+        w = w[cut.inner]
+    prod = np.multiply(w, delta[cut.tail])
+    below = out[cut.head]
+    below += prod
+    np.multiply(w, delta[cut.head], out=prod)
+    above = out[cut.tail]
+    above += prod
+
+
+def lrho_couplings(grid: GridSpec, coeff: CoefficientSet) -> list:
+    """Couplings ``(w, axis, lower)`` of D (1/rho) G, negated.
+
+    Per axis, ``w`` is -1/(rho h^2) across each face (see
+    :func:`_add_neighbors`); wall faces carry no flux, so their entries,
+    which feed only the diagonal, are zero.
+    """
+    out = []
+    for a in range(grid.dim):
+        w = (-1.0 / grid.h**2) / coeff.rho_face.components[a]
+        if not grid.periodic(a):
+            _zero_boundary(w, a)
+        out.append((w, a, True))
+    return out
+
+
+def viscous_couplings(grid: GridSpec, coeff: CoefficientSet, a: int) -> list:
+    """Couplings ``(w, axis, lower)`` of the axis-``a`` velocity in -L_mu.
+
+    Divided by h^2.  The normal coefficient of the viscous form couples
+    a-faces ``k`` and ``k + 1``; the ``(a, b)`` node/edge viscosity couples
+    rows ``k - 1`` and ``k`` along each ``b != a``.  On a wall along ``b``
+    that entry is the one-sided wall coupling, which reaches no neighbor and
+    enters only the diagonal: doubled on no-slip walls (difference over
+    h/2), dropped on free-slip walls (no tangential flux).
+    """
+    inv_h2 = 1.0 / grid.h**2
+    mu_c = coeff.mu_cell.data
+    form = coeff.viscous_form
+    if form is LAPLACIAN:
+        normal = inv_h2 * mu_c
+    elif form is STRESS:
+        normal = (2.0 * inv_h2) * mu_c
+    else:
+        normal = inv_h2 * (2.0 * mu_c + (coeff.gamma_cell.data - (2.0 / 3.0) * mu_c))
+    out = [(normal, a, False)]
+    for b in range(grid.dim):
+        if b == a:
+            continue
+        w = inv_h2 * coeff.mu_node_edge.plane(a, b)
+        if not grid.periodic(b):
+            for end, bc in ((0, grid.bc[b][0]), (-1, grid.bc[b][1])):
+                w[_sl(w.ndim, b, end)] *= 2.0 if bc is NO_SLIP else 0.0
+        out.append((w, b, True))
+    return out
+
+
+def _coupling_diagonal(grid: GridSpec, diag: np.ndarray, couplings) -> np.ndarray:
+    """Add each coupling's neighbor sums and wall entries to ``diag`` (the
+    operator's shift), in place; each coupling is summed on its own first."""
+    ones = np.ones_like(diag)
+    for w, axis, lower in couplings:
+        part = np.zeros_like(diag)
+        _add_neighbors(part, ones, w, axis, grid.periodic(axis), lower)
+        if lower and not grid.periodic(axis):
+            for end in (0, -1):
+                part[_sl(part.ndim, axis, end)] += w[_sl(w.ndim, axis, end)]
+        diag += part
+    return diag
+
+
+def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
+    """Diagonal of D (1/rho) G, summed from :func:`lrho_couplings`."""
+    return CellField(grid, _coupling_diagonal(
+        grid, np.zeros(grid.cells), lrho_couplings(grid, coeff)))
+
+
+def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
+    """Diagonal of A = theta*rho - L_mu, summed from :func:`viscous_couplings`;
+    boundary faces are set to one."""
+    comps = []
+    for a in range(grid.dim):
+        diag = _coupling_diagonal(grid, coeff.theta * coeff.rho_face.components[a],
+                                  viscous_couplings(grid, coeff, a))
+        if not grid.periodic(a):
+            diag[_sl(diag.ndim, a, [0, -1])] = 1.0
+        comps.append(diag)
+    return FaceField(grid, tuple(comps))
 
 
 def _color(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:

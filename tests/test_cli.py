@@ -138,6 +138,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("path, values", [
         ("problem.cells", [8, 7]),
         ("problem.h", [1, -1]),
+        ("problem.h", [1, 1e-200]),
         ("problem.dim", [2, 4]),
         ("problem.beta", [1, -1]),
         ("solver.gmres.atol", [0, math.nan]),
@@ -158,6 +159,19 @@ class TestRunCommand:
         }))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2_no_outputs(self, tmp_path, monkeypatch, jobs):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_worker)
+        monkeypatch.setattr(cli, "_run_point", no_worker)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": {"cells": 8, "kind": "constant"}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
         assert not out.exists()
 
     def test_exact_subsolvers_over_dense_cap_exit_2_no_outputs(self, tmp_path, capsys):

@@ -36,7 +36,8 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             mkgrid(8, h=0.0)
 
-    @pytest.mark.parametrize("h", [np.inf, np.nan, -np.inf])
+    @pytest.mark.parametrize("h", [np.inf, np.nan, -np.inf, 1e-200, 1e200, 1e-160,
+                                   np.float64(1e200)])
     def test_nonfinite_spacing_rejected(self, h):
         with pytest.raises(ValueError, match="positive and finite"):
             mkgrid(8, h=h)

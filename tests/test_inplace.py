@@ -141,7 +141,8 @@ def test_saddle_and_pressure_operators_leave_inputs(walls, dim, rng):
 @dims
 @forms
 def test_operator_kernels_leave_inputs(walls, dim, form, rng):
-    # every operator entry of the library, each output mode of the face one
+    # every operator entry of the library, each output mode of the face one,
+    # and the diagonals
     g, coeff = case(walls, dim, form, rng)
     u, base, p, rhs = random_face(g, rng), random_face(g, rng), random_cell(g, rng), random_cell(g, rng)
     bvals = random_bvals(g, rng)
@@ -152,6 +153,8 @@ def test_operator_kernels_leave_inputs(walls, dim, form, rng):
     kernels.cell_apply(p, coeff, rhs)
     kernels.grad(p)
     kernels.div(u)
+    kernels.face_diag(g, coeff)
+    kernels.cell_diag(g, coeff)
     assert_unchanged(before, u, base, p, rhs, coeff, bvals)
 
 

@@ -2,15 +2,18 @@
 cache.
 
 The property tests draw grids, walls, viscous forms, coefficients and
-relaxation settings and require the compiled sweeps, operators and
-transfers to equal the numpy oracle in ``reference.py`` bit for bit,
-signed zeros included; others assemble the compiled operators densely and
-check D = -G^T and the symmetry of A and L_rho.  The build tests run the
-CLI in fresh processes with their own cache directories.
+relaxation settings and require the compiled sweeps, operators, smoother
+diagonals and transfers to equal the numpy oracle in ``reference.py`` bit
+for bit, signed zeros included; others assemble the compiled operators
+densely and check D = -G^T and the symmetry of A and L_rho, and one checks
+that the null projection removes exactly the null components.  The build
+tests compile the source with every warning an error and run the CLI in
+fresh processes with their own cache directories.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -43,6 +46,8 @@ from stokesmg.operators import (
     helmholtz_diagonal,
     lrho_diagonal,
     make_coefficients,
+    project_nulls,
+    velocity_null_components,
 )
 from stokesmg.spectrum import assemble_dense
 
@@ -169,6 +174,16 @@ def test_pressure_operators_equal_oracle(case):
 
 
 @PROPERTY
+@given(sweep_cases())
+def test_diagonals_equal_oracle(case):
+    grid, coeff = case[:2]
+    assert same_bits(helmholtz_diagonal(grid, coeff).components,
+                     reference.helmholtz_diagonal(grid, coeff).components)
+    assert same_bits([lrho_diagonal(grid, coeff).data],
+                     [reference.lrho_diagonal(grid, coeff).data])
+
+
+@PROPERTY
 @given(sweep_cases(counts=st.sampled_from([4, 6, 8, 10])))
 def test_transfers_equal_oracle(case):
     # even counts: the fine grid restricts, and its coarse grid (2-5 cells
@@ -231,6 +246,28 @@ def test_velocity_and_pressure_operators_are_symmetric(case):
     assert off_diagonal_asymmetry(L).max() <= 1.0
 
 
+@PROPERTY
+@given(sweep_cases())
+def test_null_projection_removes_exactly_the_null_components(case):
+    grid, coeff, _, _, rng = case
+    nulls = velocity_null_components(grid, coeff)
+    for a in range(grid.dim):
+        const = FaceField.zeros(grid)
+        const.interior(a)[...] = 1.0
+        image = apply_A(const, coeff).components
+        assert all(np.all(c == 0) for c in image) == (a in nulls)
+    x = StokesVector(full_face(grid, rng), CellField(grid, rng.standard_normal(grid.cells)))
+    out = project_nulls(x, coeff)
+    eps = np.finfo(float).eps
+    for a in range(grid.dim):
+        if a not in nulls:
+            assert same_bits([out.u.components[a]], [x.u.components[a]])
+            continue
+        view, before = out.u.interior(a), x.u.interior(a)
+        assert abs(view.mean()) <= view.size * eps * np.abs(before).max()
+    assert abs(out.p.data.mean()) <= x.p.data.size * eps * np.abs(x.p.data).max()
+
+
 # ---------------------------------------------------------------------------
 # build and cache
 # ---------------------------------------------------------------------------
@@ -276,6 +313,16 @@ def test_missing_compiler_exits_4_without_outputs(tmp_path, command):
     assert f"'{kernels.COMPILER}'" in done.stderr
     assert not (tmp_path / "out").exists()
     assert libraries(tmp_path / "cache") == []
+
+
+def test_source_compiles_without_warnings():
+    # stricter than the build, which keeps its own flags and cache key
+    compiler = shutil.which(kernels.COMPILER)
+    if compiler is None:
+        pytest.skip(f"no C compiler '{kernels.COMPILER}'")
+    done = subprocess.run([compiler, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+                           "-std=c99", kernels.SOURCE], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_failed_build_names_the_command_and_quotes_stderr(tmp_path, monkeypatch):

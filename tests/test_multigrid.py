@@ -30,15 +30,13 @@ from stokesmg.operators import (
     apply_A,
     apply_Lrho,
     helmholtz_diagonal,
-    lrho_couplings,
     lrho_diagonal,
     make_coefficients,
-    viscous_couplings,
 )
 from stokesmg.problems import constant_coefficients, inviscid_coefficients
 
 from conftest import MIXED_WALLS, mkgrid, random_cell, random_face
-from reference import _sweep
+from reference import _sweep, lrho_couplings, viscous_couplings
 
 
 def poisson_coeff(grid, theta=1.0):
