@@ -381,8 +381,10 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
     kernels.load()
     os.makedirs(outdir, exist_ok=True)
     tasks = [(i, cfg, seed_override) for i, cfg in enumerate(points)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forked pool starts all its workers at once: no more than there are points
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, tasks))
     else:
         results = [_run_point(t) for t in tasks]
@@ -418,7 +420,7 @@ def _mg_bench_rows(grid, coeff, target: str, sweeps: int, max_cycles: int,
     rows = [(target, sweeps, 0, r0, 1.0)]
     # the range comes first so zip stops before asking for an extra cycle
     for cycle, x in zip(range(1, max_cycles + 1), mg_cycles(rhs, hier, params, kind)):
-        rn = norm2(rhs - operator(x, coeff))
+        rn = norm2(operator(x, coeff, rhs=rhs))
         rows.append((target, sweeps, cycle, rn, rn / r0))
         if rn <= rtol * r0:
             break

@@ -1,18 +1,26 @@
-"""The compiled stencils: build, cache and load ``sweeps.c``.
+"""The stencil functions and the compiled library that runs them.
 
-The library holds the multigrid smoother sweeps and their diagonals, the
-operators (``A``, ``L_mu``, ``D (1/rho) G``, ``D``, ``G``, the saddle
-operator and the V-cycle's residuals) and the grid transfers; the package
-has no other copy of them or of their coupling weights and wall rules.  It
-is built on first use with the system C compiler (``cc``) at ``-O2
--ffp-contract=off`` (no fused multiply-add, no fast-math, no host-specific
-code), so every entry rounds exactly as the numpy formulation in
-``tests/reference.py`` does.  It is kept in the user cache directory,
-``$XDG_CACHE_HOME/stokesmg`` or ``~/.cache/stokesmg``, under a name keyed by
-a hash of the source, the flags and the compiler version; a build is
-written to a temporary file and renamed into place, so concurrent builders
-never load a partial file.  When that directory cannot be written the
-library is built in a per-process temporary directory instead.  Each
+Every stencil of the package is one function here: the operators
+:func:`div`, :func:`grad`, :func:`apply_Lrho`, :func:`apply_viscous`,
+:func:`apply_A` (also the V-cycle's residual) and :func:`apply_M`, the
+smoother diagonals :func:`lrho_diagonal` and :func:`helmholtz_diagonal`,
+the smoother sweeps :func:`smooth_cell` and :func:`smooth_face`, and the
+grid transfers :func:`restrict_cell`, :func:`restrict_face`,
+:func:`prolong_cell` and :func:`prolong_face`.  Each checks its arrays,
+passes their addresses to one entry of ``sweeps.c`` and returns the field
+(the sweeps relax in place).  :mod:`operators` and :mod:`multigrid` import
+them; the package has no other copy of the stencils or of their coupling
+weights and wall rules.
+
+The library is built on first use with the system C compiler (``cc``) at
+``-O2 -ffp-contract=off`` (no fused multiply-add, no fast-math, no
+host-specific code), so every entry rounds exactly as the numpy
+formulation in ``tests/reference.py`` does.  It is kept in the user cache
+directory, ``$XDG_CACHE_HOME/stokesmg`` or ``~/.cache/stokesmg``, under a
+name keyed by a hash of the source, the flags and the compiler version; a
+build is written to a temporary file and renamed into place, so concurrent
+builders never load a partial file.  When that directory cannot be written
+the library is built in a per-process temporary directory instead.  Each
 process loads the library once; :func:`load` before forking workers shares
 it with them.
 
@@ -29,11 +37,23 @@ import shutil
 import subprocess
 import tempfile
 import weakref
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .grid import FREE_SLIP, NO_SLIP, GridSpec, LayoutError, edge_planes
+from .grid import (
+    FREE_SLIP,
+    NO_SLIP,
+    CellField,
+    FaceField,
+    GridSpec,
+    LayoutError,
+    StokesVector,
+    edge_planes,
+)
+
+if TYPE_CHECKING:
+    from .operators import BoundaryValues, CoefficientSet
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -269,46 +289,16 @@ def _check(status: int) -> None:
         raise MemoryError("kernel workspace allocation failed")
 
 
-def face_sweep(u, rhs, grid: GridSpec, coeff, diag, omega: float, a: int,
-               zero_guess: bool) -> None:
-    """Relax velocity component ``a`` of ``u`` by one sweep, in place.
-
-    ``zero_guess`` promises that the residual is ``rhs`` (``u`` is zero).
-    """
-    lib = _library or load()
-    lay = _remember(grid, _layout)
-    face, owners = lay.faces[a], []
-    comps = [_address(c, s, owners, True) for c, s in zip(u.components, lay.faces)]
-    inputs = [_address(arr, shape, owners) for arr, shape in (
-        (rhs.components[a], face), (diag.components[a], face),
-        (coeff.mu_cell.data, lay.cells), (coeff.gamma_cell.data, lay.cells),
-        (coeff.rho_face.components[a], face))]
-    _check(lib.smg_face_sweep(
-        lay.grid3, a + lay.lead, _FORMS[coeff.viscous_form.value], coeff.theta, omega,
-        zero_guess, *[None] * lay.lead, *comps, *inputs, *_node_edges(lay, coeff, owners)))
+def _start(grid: GridSpec):
+    """The library, ``grid``'s layout and an empty list for the input
+    copies that must outlive the call."""
+    return _library or load(), _remember(grid, _layout), []
 
 
-def cell_sweep(phi, rhs, grid: GridSpec, coeff, diag, omega: float,
-               zero_guess: bool) -> None:
-    """Relax ``phi`` by one sweep of the pressure operator, in place."""
-    lib = _library or load()
-    lay = _remember(grid, _layout)
-    owners = []
-    x = _address(phi.data, lay.cells, owners, True)
-    inputs = [_address(arr, lay.cells, owners) for arr in (rhs.data, diag.data)]
-    rho = [_address(c, s, owners) for c, s in zip(coeff.rho_face.components, lay.faces)]
-    _check(lib.smg_cell_sweep(lay.grid3, omega, zero_guess, x, *inputs,
-                              *[None] * lay.lead, *rho))
-
-
-# ---------------------------------------------------------------------------
-# operators, diagonals and transfers: each returns fresh output arrays
-# ---------------------------------------------------------------------------
-
-#: what :func:`face_apply` gives (``OUT_*`` of sweeps.c): ``L_mu u``,
+#: ``OUT_*`` of sweeps.c, what ``smg_face_apply`` gives: ``L_mu u``,
 #: ``A u``, the residual ``base - A u`` and the saddle operator
 #: ``(A u + G p, -D u)``
-VISCOUS, OPERATOR, RESIDUAL, SADDLE = range(4)
+_VISCOUS, _OPERATOR, _RESIDUAL, _SADDLE = range(4)
 
 _Axes = ctypes.c_void_p * 3
 
@@ -327,15 +317,24 @@ def _faces(lay: _Layout, arrays, owners: list) -> _Axes:
     return _per_axis(lay, [_address(c, s, owners) for c, s in zip(arrays, lay.faces)])
 
 
-def _outputs(lay: _Layout, shapes) -> tuple[list, _Axes]:
+def _outputs(lay: _Layout, shapes) -> tuple[tuple, _Axes]:
     pairs = [_output(s) for s in shapes]
-    return [arr for arr, _ in pairs], _per_axis(lay, [addr for _, addr in pairs])
+    return tuple(arr for arr, _ in pairs), _per_axis(lay, [addr for _, addr in pairs])
 
 
 def _node_edges(lay: _Layout, coeff, owners: list) -> list:
     """Node/edge viscosity addresses per 3D plane slot (None: no plane)."""
     planes = coeff.mu_node_edge.arrays
     return [slot and _address(planes[slot[0]], slot[1], owners) for slot in lay.planes]
+
+
+def _viscosity(lay: _Layout, coeff, owners: list) -> tuple:
+    """``mu``, ``gamma``, ``rho`` per face axis and the node/edge planes, as
+    the velocity operator and its diagonal read them."""
+    return (_address(coeff.mu_cell.data, lay.cells, owners),
+            _address(coeff.gamma_cell.data, lay.cells, owners),
+            _faces(lay, coeff.rho_face.components, owners),
+            _Axes(*_node_edges(lay, coeff, owners)))
 
 
 def _walls(bvals, lay: _Layout, owners: list):
@@ -354,112 +353,218 @@ def _walls(bvals, lay: _Layout, owners: list):
     return walls
 
 
-def face_apply(u, coeff, out: int, base=None, p=None, bvals=None):
-    """The velocity operator ``out`` (see :data:`VISCOUS`) on every
-    component: the output components, and ``-D u`` for :data:`SADDLE`
-    (else None).  ``base`` is the residual's right-hand side, ``p`` the
-    saddle operator's pressure, ``bvals`` the wall velocities (zero when
-    None)."""
-    if (out == RESIDUAL and base is None) or (out == SADDLE and p is None):
-        raise ValueError("the residual needs base and the saddle operator p")
-    lib = _library or load()
-    lay = _remember(u.grid, _layout)
-    owners = []
-    res, res_ptrs = _outputs(lay, lay.faces)
-    res_p, p_ptr = _output(lay.cells) if out == SADDLE else (None, None)
-    _check(lib.smg_face_apply(
-        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, out,
-        _faces(lay, u.components, owners),
-        p and _address(p.data, lay.cells, owners),
-        base and _faces(lay, base.components, owners),
-        _address(coeff.mu_cell.data, lay.cells, owners),
-        _address(coeff.gamma_cell.data, lay.cells, owners),
-        _faces(lay, coeff.rho_face.components, owners),
-        _Axes(*_node_edges(lay, coeff, owners)),
-        bvals and _walls(bvals, lay, owners), res_ptrs, p_ptr))
-    return res, res_p
+# ---------------------------------------------------------------------------
+# divergence, gradient and the pressure operator
+# ---------------------------------------------------------------------------
 
 
-def cell_apply(p, coeff, rhs=None) -> np.ndarray:
-    """``D (1/rho) G p``, or ``rhs - D (1/rho) G p`` with ``rhs``."""
-    lib = _library or load()
-    lay = _remember(p.grid, _layout)
-    owners = []
+def div(u: FaceField) -> CellField:
+    """Cell-centered divergence; reads stored boundary faces."""
+    lib, lay, owners = _start(u.grid)
+    out, addr = _output(lay.cells)
+    lib.smg_div(lay.grid3, _faces(lay, u.components, owners), addr)
+    return CellField(u.grid, out)
+
+
+def grad(p: CellField) -> FaceField:
+    """Face-centered pressure gradient; wall-normal faces are zero."""
+    lib, lay, owners = _start(p.grid)
+    out, ptrs = _outputs(lay, lay.faces)
+    lib.smg_grad(lay.grid3, _address(p.data, lay.cells, owners), ptrs)
+    return FaceField(p.grid, out)
+
+
+def apply_Lrho(p: CellField, coeff: CoefficientSet,
+               rhs: CellField | None = None) -> CellField:
+    """Density-weighted pressure Poisson operator D (1/rho) G, summed from
+    unscaled differences and scaled once by 1/h^2; with ``rhs``, the
+    residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
+    lib, lay, owners = _start(p.grid)
     out, addr = _output(lay.cells)
     _check(lib.smg_cell_apply(
         lay.grid3, _address(p.data, lay.cells, owners),
         rhs and _address(rhs.data, lay.cells, owners),
         _faces(lay, coeff.rho_face.components, owners), addr))
-    return out
+    return CellField(p.grid, out)
 
 
-def face_diag(grid: GridSpec, coeff) -> list:
-    """The diagonal of ``A`` per component; boundary faces hold 1."""
-    lib = _library or load()
-    lay, owners = _remember(grid, _layout), []
-    out, ptrs = _outputs(lay, lay.faces)
-    lib.smg_face_diag(lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
-                      _address(coeff.mu_cell.data, lay.cells, owners),
-                      _address(coeff.gamma_cell.data, lay.cells, owners),
-                      _faces(lay, coeff.rho_face.components, owners),
-                      _Axes(*_node_edges(lay, coeff, owners)), ptrs)
-    return out
-
-
-def cell_diag(grid: GridSpec, coeff) -> np.ndarray:
-    """The diagonal of ``D (1/rho) G``."""
-    lib = _library or load()
-    lay, owners = _remember(grid, _layout), []
+def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
+    """Diagonal of D (1/rho) G, which the pressure smoother divides by: each
+    cell sums -1/(rho h^2) over its faces, a wall face adding nothing."""
+    lib, lay, owners = _start(grid)
     out, addr = _output(lay.cells)
     lib.smg_cell_diag(lay.grid3, _faces(lay, coeff.rho_face.components, owners), addr)
-    return out
+    return CellField(grid, out)
 
 
-def grad(p) -> list:
-    lib = _library or load()
-    lay, owners = _remember(p.grid, _layout), []
+# ---------------------------------------------------------------------------
+# velocity operators
+# ---------------------------------------------------------------------------
+
+
+def apply_viscous(u: FaceField, coeff: CoefficientSet,
+                  bvals: BoundaryValues | None = None) -> FaceField:
+    """Discrete viscous term in the requested form.
+
+    Laplacian: component-wise div(mu grad u_a).  Stress: the strain-tensor
+    form with node/edge viscosities on the cross fluxes.  StressBulk adds
+    the (gamma - 2/3 mu)(div u) isotropic flux.  Tangential momentum flux is
+    zero on free-slip walls; stencils reaching outside the domain use
+    one-sided differences against the wall values (distance h/2, hence a
+    factor two).  Unscaled fluxes are summed and each row is multiplied by
+    1/h^2 once, which for a power-of-two h rounds exactly like dividing
+    each difference by h.
+    """
+    lib, lay, owners = _start(u.grid)
     out, ptrs = _outputs(lay, lay.faces)
-    lib.smg_grad(lay.grid3, _address(p.data, lay.cells, owners), ptrs)
-    return out
+    _check(lib.smg_face_apply(
+        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, _VISCOUS,
+        _faces(lay, u.components, owners), None, None, *_viscosity(lay, coeff, owners),
+        bvals and _walls(bvals, lay, owners), ptrs, None))
+    return FaceField(u.grid, out)
 
 
-def div(u) -> np.ndarray:
-    lib = _library or load()
-    lay, owners = _remember(u.grid, _layout), []
-    out, addr = _output(lay.cells)
-    lib.smg_div(lay.grid3, _faces(lay, u.components, owners), addr)
-    return out
+def apply_A(u: FaceField, coeff: CoefficientSet,
+            bvals: BoundaryValues | None = None,
+            rhs: FaceField | None = None) -> FaceField:
+    """Velocity operator theta*rho*u - L_mu u on the unknown faces (steady
+    flow forms no mass term: -L_mu u); with ``rhs``, the residual
+    ``rhs - A u`` instead, in the same pass, whose boundary faces carry
+    ``rhs``."""
+    lib, lay, owners = _start(u.grid)
+    out, ptrs = _outputs(lay, lay.faces)
+    _check(lib.smg_face_apply(
+        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
+        _OPERATOR if rhs is None else _RESIDUAL, _faces(lay, u.components, owners),
+        None, rhs and _faces(lay, rhs.components, owners), *_viscosity(lay, coeff, owners),
+        bvals and _walls(bvals, lay, owners), ptrs, None))
+    return FaceField(u.grid, out)
 
 
-def _cell_transfer(entry: str, src, target: GridSpec) -> np.ndarray:
-    """Library transfer ``entry`` of a cell field onto ``target``."""
-    lib = _library or load()
-    lay, owners = _remember(src.grid, _layout), []
-    out, addr = _output(target.cells)
-    _check(getattr(lib, entry)(lay.grid3, _address(src.data, lay.cells, owners), addr))
-    return out
+def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
+    """Saddle operator: (A u + G p, -D u)."""
+    lib, lay, owners = _start(x.grid)
+    out, ptrs = _outputs(lay, lay.faces)
+    minus_div, addr = _output(lay.cells)
+    _check(lib.smg_face_apply(
+        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, _SADDLE,
+        _faces(lay, x.u.components, owners), _address(x.p.data, lay.cells, owners),
+        None, *_viscosity(lay, coeff, owners), None, ptrs, addr))
+    return StokesVector(FaceField(x.grid, out), CellField(x.grid, minus_div))
 
 
-def _face_transfer(entry: str, src, target: GridSpec) -> list:
-    """Library transfer ``entry`` of a face field onto ``target``."""
-    lib = _library or load()
-    lay, owners = _remember(src.grid, _layout), []
-    out, ptrs = _outputs(lay, [target.face_shape(a) for a in range(target.dim)])
-    _check(getattr(lib, entry)(lay.grid3, _faces(lay, src.components, owners), ptrs))
-    return out
+def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
+    """Diagonal of A, which the velocity smoother divides by; boundary faces
+    are set to one."""
+    lib, lay, owners = _start(grid)
+    out, ptrs = _outputs(lay, lay.faces)
+    lib.smg_face_diag(lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
+                      *_viscosity(lay, coeff, owners), ptrs)
+    return FaceField(grid, out)
 
 
-def restrict_cell(fine, coarse: GridSpec) -> np.ndarray:
-    return _cell_transfer("smg_restrict_cell", fine, coarse)
+# ---------------------------------------------------------------------------
+# smoothers
+# ---------------------------------------------------------------------------
 
 
-def prolong_cell(coarse, fine: GridSpec) -> np.ndarray:
-    return _cell_transfer("smg_prolong_cell", coarse, fine)
+def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
+                coeff: CoefficientSet, diag: CellField, omega: float,
+                zero_guess: bool = False) -> None:
+    """One red-black Gauss-Seidel sweep on the pressure operator, in place.
+
+    ``zero_guess`` promises that ``phi`` is zero, so the residual is ``rhs``
+    and the operator is not applied.  With finite coefficients the operator
+    maps zero to exactly +0 and ``r - (+0)`` is ``r``, so the result is
+    bitwise the same.
+    """
+    lib, lay, owners = _start(grid)
+    x = _address(phi.data, lay.cells, owners, True)
+    inputs = [_address(arr, lay.cells, owners) for arr in (rhs.data, diag.data)]
+    rho = [_address(c, s, owners) for c, s in zip(coeff.rho_face.components, lay.faces)]
+    _check(lib.smg_cell_sweep(lay.grid3, omega, zero_guess, x, *inputs,
+                              *[None] * lay.lead, *rho))
 
 
-def restrict_face(fine, coarse: GridSpec) -> list:
-    return _face_transfer("smg_restrict_face", fine, coarse)
+def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
+                coeff: CoefficientSet, diag: FaceField, omega: float,
+                zero_guess: bool = False) -> None:
+    """One 2d-colored Gauss-Seidel sweep on the velocity operator, in place.
+
+    Colors are relaxed in the order red-x, black-x, red-y, black-y(,
+    red-z, black-z); updates are visible across colors.  Each component is
+    swept by one library call with its own residual.  ``zero_guess``
+    promises that ``u`` is zero, so the first component's residual is
+    ``rhs`` and its operator row is not applied; later components see the
+    first one's update and apply theirs.  The result is bitwise the same
+    (see :func:`smooth_cell`).
+    """
+    lib, lay, owners = _start(grid)
+    form = _FORMS[coeff.viscous_form.value]
+    comps = [_address(c, s, owners, True) for c, s in zip(u.components, lay.faces)]
+    mu = _address(coeff.mu_cell.data, lay.cells, owners)
+    gamma = _address(coeff.gamma_cell.data, lay.cells, owners)
+    edges = _node_edges(lay, coeff, owners)
+    for a, face in enumerate(lay.faces):
+        _check(lib.smg_face_sweep(
+            lay.grid3, a + lay.lead, form, coeff.theta, omega, zero_guess and a == 0,
+            *[None] * lay.lead, *comps, _address(rhs.components[a], face, owners),
+            _address(diag.components[a], face, owners), mu, gamma,
+            _address(coeff.rho_face.components[a], face, owners), *edges))
 
 
-def prolong_face(coarse, fine: GridSpec) -> list:
-    return _face_transfer("smg_prolong_face", coarse, fine)
+# ---------------------------------------------------------------------------
+# grid transfers
+# ---------------------------------------------------------------------------
+
+
+def _fine_grid(grid: GridSpec) -> GridSpec:
+    return GridSpec(tuple(2 * n for n in grid.cells), grid.h / 2, grid.bc)
+
+
+def restrict_cell(fine: CellField) -> CellField:
+    """Simple averaging of the 2^d fine children."""
+    coarse = fine.grid.coarsened()
+    lib, lay, owners = _start(fine.grid)
+    out, addr = _output(coarse.cells)
+    _check(lib.smg_restrict_cell(lay.grid3, _address(fine.data, lay.cells, owners), addr))
+    return CellField(coarse, out)
+
+
+def prolong_cell(coarse: CellField) -> CellField:
+    """Direct injection of each coarse value into its 2^d children."""
+    fine = _fine_grid(coarse.grid)
+    lib, lay, owners = _start(coarse.grid)
+    out, addr = _output(fine.cells)
+    _check(lib.smg_prolong_cell(lay.grid3, _address(coarse.data, lay.cells, owners), addr))
+    return CellField(fine, out)
+
+
+def restrict_face(fine: FaceField) -> FaceField:
+    """Staggered 6-point (2D) / 12-point (3D) restriction.
+
+    Tangential directions average the two overlaying rows; the normal
+    direction applies the 1/4, 1/2, 1/4 stencil.  Boundary faces of the
+    coarse result stay zero (they are not unknowns).
+    """
+    coarse = fine.grid.coarsened()
+    lib, lay, owners = _start(fine.grid)
+    out, ptrs = _outputs(lay, [coarse.face_shape(a) for a in range(coarse.dim)])
+    _check(lib.smg_restrict_face(lay.grid3, _faces(lay, fine.components, owners), ptrs))
+    return FaceField(coarse, out)
+
+
+def prolong_face(coarse: FaceField) -> FaceField:
+    """Staggered prolongation: linear where fine faces overlay coarse ones,
+    bilinear (trilinear normal+tangential products in 3D) elsewhere.
+
+    Tangential (cell-centered) axes interpolate 3/4-1/4, clamping wall rows
+    to the nearest interior row so every weight row still sums to one
+    (constants prolong to constants); along the normal axis overlaying
+    faces copy and the faces between average.
+    """
+    fine = _fine_grid(coarse.grid)
+    lib, lay, owners = _start(coarse.grid)
+    out, ptrs = _outputs(lay, [fine.face_shape(a) for a in range(fine.dim)])
+    _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components, owners), ptrs))
+    return FaceField(fine, out)

@@ -3,7 +3,10 @@
 The cell-centered solver targets the density-weighted Poisson operator and
 the staggered solver the velocity operator; both smooth with multicolored
 Gauss-Seidel, coarsen by a factor of two, and run a fixed number of bottom
-relaxations so that a cycle is a constant linear operator.
+relaxations so that a cycle is a constant linear operator.  This module
+builds the hierarchy (coarsened coefficients and per-level diagonals) and
+runs the cycle; the smoother sweeps and the grid transfers are the
+functions of :mod:`kernels`, imported here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .grid import (
     CellField,
     FaceField,
@@ -21,14 +23,19 @@ from .grid import (
     NodeEdgeField,
     edge_planes,
 )
-from .operators import (
-    CoefficientSet,
+from .kernels import (
     apply_A,
     apply_Lrho,
     helmholtz_diagonal,
     lrho_diagonal,
-    _sl,
+    prolong_cell,
+    prolong_face,
+    restrict_cell,
+    restrict_face,
+    smooth_cell,
+    smooth_face,
 )
+from .operators import CoefficientSet, _sl
 
 
 @dataclass(frozen=True)
@@ -169,87 +176,6 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
         gamma_cell=gamma_cell,
         viscous_form=coeff.viscous_form,
     )
-
-
-# ---------------------------------------------------------------------------
-# transfer operators
-# ---------------------------------------------------------------------------
-
-
-def _fine_grid(grid: GridSpec) -> GridSpec:
-    return GridSpec(tuple(2 * n for n in grid.cells), grid.h / 2, grid.bc)
-
-
-def restrict_cell(fine: CellField) -> CellField:
-    """Simple averaging of the 2^d fine children."""
-    coarse = fine.grid.coarsened()
-    return CellField(coarse, kernels.restrict_cell(fine, coarse))
-
-
-def prolong_cell(coarse: CellField) -> CellField:
-    """Direct injection of each coarse value into its 2^d children."""
-    fine = _fine_grid(coarse.grid)
-    return CellField(fine, kernels.prolong_cell(coarse, fine))
-
-
-def restrict_face(fine: FaceField) -> FaceField:
-    """Staggered 6-point (2D) / 12-point (3D) restriction.
-
-    Tangential directions average the two overlaying rows; the normal
-    direction applies the 1/4, 1/2, 1/4 stencil.  Boundary faces of the
-    coarse result stay zero (they are not unknowns).
-    """
-    coarse = fine.grid.coarsened()
-    return FaceField(coarse, tuple(kernels.restrict_face(fine, coarse)))
-
-
-def prolong_face(coarse: FaceField) -> FaceField:
-    """Staggered prolongation: linear where fine faces overlay coarse ones,
-    bilinear (trilinear normal+tangential products in 3D) elsewhere.
-
-    Tangential (cell-centered) axes interpolate 3/4-1/4, clamping wall rows
-    to the nearest interior row so every weight row still sums to one
-    (constants prolong to constants); along the normal axis overlaying
-    faces copy and the faces between average.
-    """
-    fine = _fine_grid(coarse.grid)
-    return FaceField(fine, tuple(kernels.prolong_face(coarse, fine)))
-
-
-# ---------------------------------------------------------------------------
-# smoothers
-# ---------------------------------------------------------------------------
-
-
-def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
-                coeff: CoefficientSet, diag: CellField, omega: float,
-                zero_guess: bool = False) -> None:
-    """One red-black Gauss-Seidel sweep on the pressure operator, in place
-    (the compiled sweep of :mod:`kernels`).
-
-    ``zero_guess`` promises that ``phi`` is zero, so the residual is ``rhs``
-    and the operator is not applied.  With finite coefficients the operator
-    maps zero to exactly +0 and ``r - (+0)`` is ``r``, so the result is
-    bitwise the same.
-    """
-    kernels.cell_sweep(phi, rhs, grid, coeff, diag, omega, zero_guess)
-
-
-def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
-                coeff: CoefficientSet, diag: FaceField, omega: float,
-                zero_guess: bool = False) -> None:
-    """One 2d-colored Gauss-Seidel sweep on the velocity operator, in place.
-
-    Colors are relaxed in the order red-x, black-x, red-y, black-y(,
-    red-z, black-z); updates are visible across colors.  Each component is
-    swept by the compiled kernel with its own residual.  ``zero_guess``
-    promises that ``u`` is zero, so the first component's residual is
-    ``rhs`` and its operator row is not applied; later components see the
-    first one's update and apply theirs.  The result is bitwise the same
-    (see :func:`smooth_cell`).
-    """
-    for a in range(grid.dim):
-        kernels.face_sweep(u, rhs, grid, coeff, diag, omega, a, zero_guess and a == 0)
 
 
 # ---------------------------------------------------------------------------

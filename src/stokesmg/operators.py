@@ -1,14 +1,17 @@
-"""Discrete staggered-grid operators.
+"""Coefficients, boundary data, null projection and rescaling around the
+staggered-grid operators.
 
-Divergence, gradient, pressure Laplacians, the three viscous forms, the
-velocity operator combining inertial and viscous effects, the full saddle
-operator, the diagonals the multigrid smoothers divide by, coefficient
-averaging, boundary homogenization and system rescaling.  All operators are
-pure functions of their inputs; wall-normal output rows are zeroed because
-boundary faces are not unknowns.  The stencils, the diagonals included, run
-in the compiled library of :mod:`kernels`, which alone holds their coupling
-weights and wall rules; their numpy formulation, which fixes every output
-bit, is the oracle in ``tests/reference.py``.
+The coefficient set and its averaging onto faces and nodes/edges, the
+pressure Laplacian, prescribed wall velocities and boundary
+homogenization, the null components of the velocity operator and their
+projection, and the system rescaling.  The operators themselves and the
+smoother diagonals (``div``, ``grad``, ``apply_Lrho``, ``lrho_diagonal``,
+``apply_viscous``, ``apply_A``, ``helmholtz_diagonal`` and ``apply_M``) are
+the functions of :mod:`kernels`, imported here; the compiled library alone
+holds their coupling weights and wall rules, and their numpy formulation,
+which fixes every output bit, is the oracle in ``tests/reference.py``.
+All operators are pure functions of their inputs; wall-normal output rows
+are zeroed because boundary faces are not unknowns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .grid import (
     FREE_SLIP,
     CellField,
@@ -27,6 +29,16 @@ from .grid import (
     NodeEdgeField,
     StokesVector,
     edge_planes,
+)
+from .kernels import (
+    apply_A,
+    apply_Lrho,
+    apply_M,
+    apply_viscous,
+    div,
+    grad,
+    helmholtz_diagonal,
+    lrho_diagonal,
 )
 
 
@@ -139,7 +151,7 @@ def make_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# stencil primitives on raw component arrays
+# staggered averaging and slicing on raw component arrays
 # ---------------------------------------------------------------------------
 
 
@@ -169,38 +181,9 @@ def _zero_boundary(arr: np.ndarray, axis: int) -> None:
     arr[_sl(arr.ndim, axis, -1)] = 0.0
 
 
-# ---------------------------------------------------------------------------
-# divergence / gradient / pressure operators
-# ---------------------------------------------------------------------------
-
-
-def div(u: FaceField) -> CellField:
-    """Cell-centered divergence; reads stored boundary faces."""
-    return CellField(u.grid, kernels.div(u))
-
-
-def grad(p: CellField) -> FaceField:
-    """Face-centered pressure gradient; wall-normal faces are zero."""
-    return FaceField(p.grid, tuple(kernels.grad(p)))
-
-
 def lap_pressure(p: CellField) -> CellField:
     """Scalar pressure Laplacian, exactly div(grad(p))."""
     return div(grad(p))
-
-
-def apply_Lrho(p: CellField, coeff: CoefficientSet,
-               rhs: CellField | None = None) -> CellField:
-    """Density-weighted pressure Poisson operator D (1/rho) G, summed from
-    unscaled differences and scaled once by 1/h^2; with ``rhs``, the
-    residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
-    return CellField(p.grid, kernels.cell_apply(p, coeff, rhs))
-
-
-def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
-    """Diagonal of D (1/rho) G, which the pressure smoother divides by: each
-    cell sums -1/(rho h^2) over its faces, a wall face adding nothing."""
-    return CellField(grid, kernels.cell_diag(grid, coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +233,6 @@ class BoundaryValues:
                 f"tangential values for (axis {axis}, comp {comp}) must have shape {shape}"
             )
         return vals
-
-
-def apply_viscous(u: FaceField, coeff: CoefficientSet,
-                  bvals: BoundaryValues | None = None) -> FaceField:
-    """Discrete viscous term in the requested form.
-
-    Laplacian: component-wise div(mu grad u_a).  Stress: the strain-tensor
-    form with node/edge viscosities on the cross fluxes.  StressBulk adds
-    the (gamma - 2/3 mu)(div u) isotropic flux.  Tangential momentum flux is
-    zero on free-slip walls; stencils reaching outside the domain use
-    one-sided differences against the wall values (distance h/2, hence a
-    factor two).  Unscaled fluxes are summed and each row is multiplied by
-    1/h^2 once, which for a power-of-two h rounds exactly like dividing
-    each difference by h.
-    """
-    comps, _ = kernels.face_apply(u, coeff, kernels.VISCOUS, bvals=bvals)
-    return FaceField(u.grid, tuple(comps))
-
-
-def apply_A(u: FaceField, coeff: CoefficientSet,
-            bvals: BoundaryValues | None = None,
-            rhs: FaceField | None = None) -> FaceField:
-    """Velocity operator theta*rho*u - L_mu u on the unknown faces (steady
-    flow forms no mass term: -L_mu u); with ``rhs``, the residual
-    ``rhs - A u`` instead, in the same pass, whose boundary faces carry
-    ``rhs``."""
-    out = kernels.OPERATOR if rhs is None else kernels.RESIDUAL
-    comps, _ = kernels.face_apply(u, coeff, out, base=rhs, bvals=bvals)
-    return FaceField(u.grid, tuple(comps))
-
-
-def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
-    """Diagonal of A, which the velocity smoother divides by; boundary faces
-    are set to one."""
-    return FaceField(grid, tuple(kernels.face_diag(grid, coeff)))
-
-
-def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
-    """Saddle operator: (A u + G p, -D u)."""
-    comps, minus_div = kernels.face_apply(x.u, coeff, kernels.SADDLE, p=x.p)
-    return StokesVector(FaceField(x.grid, tuple(comps)), CellField(x.grid, minus_div))
 
 
 def velocity_null_components(grid: GridSpec, coeff: CoefficientSet) -> tuple[int, ...]:

@@ -5,6 +5,8 @@ operators are assembled column-by-column with unit vectors, A^{-1} in the
 Schur complement is the sparse exact velocity subsolver, and the
 preconditioned Schur spectrum is obtained from the similar symmetric
 matrix V^{1/2} S V^{1/2} with V the diagonal viscous Schur approximation.
+scipy.linalg is imported on first use, so importing the package loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._exact import MAX_DENSE_DOFS, DenseFaceSolver, probe_columns
 from .grid import (
@@ -78,6 +79,8 @@ def sym_eigenvalues(A: DenseMatrix) -> np.ndarray:
     scale = max(np.abs(A).max(), 1.0)
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
+    import scipy.linalg
+
     return np.sort(scipy.linalg.eigvalsh(0.5 * (A + A.T)))
 
 

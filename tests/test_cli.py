@@ -174,6 +174,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kinds, jobs, pools", [(["P1", "P2"], "8", [2]), (["P2"], "4", [])],
+                             ids=["two_points", "one_point"])
+    def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch, kinds, jobs,
+                                                  pools):
+        # a forked pool starts all max_workers processes at its first submit
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": {"cells": 8, "kind": "constant"},
+                                   "sweep": {"solver.precond.kind": kinds}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+        assert started == pools
+        assert len(read_manifest(out)["runs"]) == len(kinds)
+
     def test_exact_subsolvers_over_dense_cap_exit_2_no_outputs(self, tmp_path, capsys):
         # 96^2 periodic: 2 * 96^2 faces + 96^2 cells = 27648 unknowns
         cfg = tmp_path / "cfg.json"
@@ -394,10 +423,21 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "bubble-2d" in proc.stdout
 
-    def test_import_leaves_scipy_sparse_unloaded(self):
-        # scipy.sparse loads on the first exact-subsolver build, not on import
-        code = ("import sys, stokesmg, stokesmg.cli; "
-                "sys.exit('scipy.sparse' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code],
+    def test_import_and_multigrid_solve_load_no_scipy(self):
+        # scipy.sparse loads on the first exact-subsolver build and
+        # scipy.linalg on the first dense eigenvalue solve, neither on import
+        # nor in a multigrid solve
+        code = "\n".join([
+            "import sys",
+            "import stokesmg, stokesmg.cli",
+            "from stokesmg.cli import build_problem, build_solver",
+            "grid, coeff, rhs, _ = build_problem({'kind': 'bubble', 'cells': 8})",
+            "_, history = stokesmg.gmres_solve(rhs, coeff, *build_solver({}))",
+            "assert history.status == 'converged', history.status",
+            "loaded = [m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]",
+            "sys.exit(f'loaded {loaded}' if loaded else 0)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

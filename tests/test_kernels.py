@@ -5,8 +5,9 @@ The property tests draw grids, walls, viscous forms, coefficients and
 relaxation settings and require the compiled sweeps, operators, smoother
 diagonals and transfers to equal the numpy oracle in ``reference.py`` bit
 for bit, signed zeros included; others assemble the compiled operators
-densely and check D = -G^T and the symmetry of A and L_rho, and one checks
-that the null projection removes exactly the null components.  The build
+densely and check D = -G^T and the symmetry of A and L_rho, one checks
+that the null projection removes exactly the null components, and one that
+the V-cycles and the preconditioners are linear at rounding level.  The build
 tests compile the source with every warning an error and run the CLI in
 fresh processes with their own cache directories.
 """
@@ -49,6 +50,7 @@ from stokesmg.operators import (
     project_nulls,
     velocity_null_components,
 )
+from stokesmg.precond import PrecondConfig, Preconditioner, PrecondKind
 from stokesmg.spectrum import assemble_dense
 
 import reference
@@ -266,6 +268,54 @@ def test_null_projection_removes_exactly_the_null_components(case):
         view, before = out.u.interior(a), x.u.interior(a)
         assert abs(view.mean()) <= view.size * eps * np.abs(before).max()
     assert abs(out.p.data.mean()) <= x.p.data.size * eps * np.abs(x.p.data).max()
+
+
+# ---------------------------------------------------------------------------
+# linearity of the V-cycles and the preconditioners
+# ---------------------------------------------------------------------------
+
+LINEAR = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+#: scale factors of normal magnitude: a subnormal factor or smoother weight
+#: rounds the scaled input itself to a few bits, which no linear map undoes
+SCALES = st.just(0.0) | st.floats(0.125, 8.0) | st.floats(-8.0, -0.125)
+
+
+def sup(field) -> float:
+    """Largest magnitude of a cell, face or Stokes field."""
+    if isinstance(field, StokesVector):
+        return max(sup(field.u), sup(field.p))
+    arrays = (field.data,) if isinstance(field, CellField) else field.components
+    return max(float(np.abs(arr).max()) for arr in arrays)
+
+
+@LINEAR
+@given(sweep_cases(counts=st.sampled_from([4, 6, 8, 12, 16])), SCALES, SCALES)
+def test_vcycles_and_preconditioners_are_linear(case, alpha, beta):
+    # |P(a x + b y) - a Px - b Py| <= 64 eps (|a| |Px| + |b| |Py|) in the max
+    # norm, for both V-cycles and P1-P5 over multigrid subsolvers
+    grid, coeff, _, _, rng = case
+    params = multigrid.SmootherParams()
+    hier = multigrid.build_hierarchy(grid, coeff)
+
+    def face():
+        return random_face(grid, rng)
+
+    def cell():
+        return CellField(grid, rng.standard_normal(grid.cells))
+
+    def stokes():
+        return StokesVector(face(), cell())
+
+    maps = [(lambda r, k=kind: multigrid.vcycle(r, hier, params, k), draw)
+            for kind, draw in (("face", face), ("cell", cell))]
+    maps += [(Preconditioner(coeff, PrecondConfig(kind=kind), params).apply, stokes)
+             for kind in PrecondKind if kind is not PrecondKind.IDENTITY]
+    eps = np.finfo(float).eps
+    for apply, draw in maps:
+        x, y = draw(), draw()
+        px, py = apply(x), apply(y)
+        error = sup(apply(alpha * x + beta * y) - (alpha * px + beta * py))
+        assert error <= 64 * eps * (abs(alpha) * sup(px) + abs(beta) * sup(py))
 
 
 # ---------------------------------------------------------------------------

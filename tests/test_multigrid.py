@@ -351,22 +351,23 @@ class TestSmootherMatchesOperator:
 
 
 class TestSmootherCost:
-    # the compiled sweeps form their own residuals; a kernel call with
+    # the compiled sweeps form their own residuals; a library sweep with
     # zero_guess false is one operator evaluation
-    KERNELS = {"face_sweep": "face", "cell_sweep": "cell"}
+    SWEEPS = {"smg_face_sweep": ("face", 5), "smg_cell_sweep": ("cell", 2)}
 
     @classmethod
     def count_residuals(cls, monkeypatch, calls):
-        """Count kernel calls that form a residual (``zero_guess``, the last
-        positional argument, false) into ``calls``."""
-        for name, kind in cls.KERNELS.items():
-            original = getattr(kernels, name)
+        """Count library sweeps that form a residual (their ``zero_guess``
+        argument, at the given position, false) into ``calls``."""
+        lib = kernels.load()
+        for name, (kind, flag) in cls.SWEEPS.items():
+            original = getattr(lib, name)
 
-            def run(*args, _f=original, _kind=kind):
-                calls[_kind] += not args[-1]
+            def run(*args, _f=original, _kind=kind, _flag=flag):
+                calls[_kind] += not args[_flag]
                 return _f(*args)
 
-            monkeypatch.setattr(kernels, name, run)
+            monkeypatch.setattr(lib, name, run)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_operator_evaluation_per_component(self, dim, rng, monkeypatch):
