@@ -18,10 +18,8 @@ from .grid import (
     LayoutError,
     NodeEdgeField,
     StokesVector,
-    axpy,
     dot,
     norm2,
-    subtract_mean,
 )
 from .operators import (
     LAPLACIAN,

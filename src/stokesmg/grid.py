@@ -129,9 +129,32 @@ class GridSpec:
         return all(n % 2 == 0 and n >= 4 for n in self.cells)
 
     def coarsened(self) -> GridSpec:
-        if not all(n % 2 == 0 for n in self.cells):
-            raise ValueError(f"cannot halve odd cell counts {self.cells}")
-        return replace(self, cells=tuple(n // 2 for n in self.cells), h=2 * self.h)
+        """The grid with every count halved and ``h`` doubled.  Built once
+        and linked both ways (see :meth:`refined`), so the multigrid levels
+        and the transfers between them share one object per grid."""
+        coarse = self.__dict__.get("_coarse")
+        if coarse is None:
+            if not all(n % 2 == 0 for n in self.cells):
+                raise ValueError(f"cannot halve odd cell counts {self.cells}")
+            coarse = replace(self, cells=tuple(n // 2 for n in self.cells), h=2 * self.h)
+            object.__setattr__(self, "_coarse", coarse)
+            object.__setattr__(coarse, "_fine", self)
+        return coarse
+
+    def refined(self) -> GridSpec:
+        """The grid this one was coarsened from: every count doubled and
+        ``h`` halved, built once."""
+        fine = self.__dict__.get("_fine")
+        if fine is None:
+            fine = GridSpec(tuple(2 * n for n in self.cells), self.h / 2, self.bc)
+            object.__setattr__(fine, "_coarse", self)
+            object.__setattr__(self, "_fine", fine)
+        return fine
+
+    def __getstate__(self):
+        # a grid's value is its fields; the linked coarse and fine grids
+        # are rebuilt on demand
+        return {name: self.__dict__[name] for name in ("cells", "h", "bc")}
 
     def cell_centers(self) -> tuple[np.ndarray, ...]:
         """Meshgrid (ij indexing) of cell-center coordinates."""
@@ -325,7 +348,10 @@ def _check_same_layout(a, b):
         raise LayoutError("fields live on different grids")
 
 
-def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
+def sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a * b`` over all entries, by numpy's single-threaded
+    ``einsum`` loop rather than BLAS, so the result does not depend on the
+    BLAS thread count."""
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
@@ -333,17 +359,16 @@ def dot(a, b) -> float:
     """Euclidean inner product over unknown DOFs.
 
     Boundary-held Dirichlet faces are excluded, so only true unknowns
-    contribute; symmetric and bilinear by construction.  Summed by numpy's
-    single-threaded ``einsum`` loop rather than BLAS, so the result does
-    not depend on the BLAS thread count.
+    contribute; symmetric and bilinear by construction.  Summed by
+    :func:`sum_products`.
     """
     _check_same_layout(a, b)
     if isinstance(a, CellField):
-        return _sum_products(a.data, b.data)
+        return sum_products(a.data, b.data)
     if isinstance(a, FaceField):
         total = 0.0
         for axis in range(a.grid.dim):
-            total += _sum_products(a.interior(axis), b.interior(axis))
+            total += sum_products(a.interior(axis), b.interior(axis))
         return total
     if isinstance(a, StokesVector):
         return dot(a.u, b.u) + dot(a.p, b.p)
@@ -355,31 +380,11 @@ def norm2(x) -> float:
     return float(np.sqrt(dot(x, x)))
 
 
-def axpy(alpha: float, x, y):
-    """Return ``y + alpha * x`` (same field type)."""
-    _check_same_layout(x, y)
-    return y + alpha * x
-
-
-def subtract_mean(f):
-    """Remove the mean over unknown DOFs; cell fields as a whole, face
-    fields per component (for periodic-steady velocity null spaces)."""
-    if isinstance(f, CellField):
-        return CellField(f.grid, f.data - f.data.mean())
-    if isinstance(f, FaceField):
-        out = f.copy()
-        for axis in range(f.grid.dim):
-            view = out.interior(axis)
-            view -= view.mean()
-        return out
-    raise LayoutError(f"unsupported field type {type(f).__name__}")
-
-
 # --- packing of unknown DOFs into flat vectors (dense assembly, GMRES) ----
 
 
 def pack_cell(f: CellField) -> np.ndarray:
-    return f.data.ravel(order="F").copy()
+    return f.data.flatten(order="F")
 
 
 def unpack_cell(grid: GridSpec, vec: np.ndarray) -> CellField:

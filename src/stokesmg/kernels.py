@@ -7,10 +7,12 @@ smoother diagonals :func:`lrho_diagonal` and :func:`helmholtz_diagonal`,
 the smoother sweeps :func:`smooth_cell` and :func:`smooth_face`, and the
 grid transfers :func:`restrict_cell`, :func:`restrict_face`,
 :func:`prolong_cell` and :func:`prolong_face`.  Each checks its arrays,
-passes their addresses to one entry of ``sweeps.c`` and returns the field
-(the sweeps relax in place).  :mod:`operators` and :mod:`multigrid` import
-them; the package has no other copy of the stencils or of their coupling
-weights and wall rules.
+passes their addresses to one call of one entry of ``sweeps.c`` and
+returns the field (the sweeps relax in place; the face sweep relaxes every
+velocity component).  A field's components and the node/edge planes go as
+one array of per-axis pointers.  :mod:`operators` and :mod:`multigrid`
+import them; the package has no other copy of the stencils or of their
+coupling weights and wall rules.
 
 The library is built on first use with the system C compiler (``cc``) at
 ``-O2 -ffp-contract=off`` (no fused multiply-add, no fast-math, no
@@ -153,26 +155,31 @@ def _compile(key: str, directory: str) -> str:
     return target
 
 
+_ptr, _dbl, _int = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+_ptrs, _grid = ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3)
+
+#: result and argument types of each entry of sweeps.c
+SIGNATURES = {
+    "smg_face_sweep": (_int, [_grid, _int, _dbl, _dbl, _int, _ptrs, _ptrs, _ptrs,
+                              _ptr, _ptr, _ptrs, _ptrs]),
+    "smg_cell_sweep": (_int, [_grid, _dbl, _int, _ptr, _ptr, _ptr, _ptrs]),
+    "smg_face_apply": (_int, [_grid, _int, _dbl, _int, _ptrs, _ptr, _ptrs, _ptr, _ptr,
+                              _ptrs, _ptrs, _ptrs, _ptrs, _ptr]),
+    "smg_cell_apply": (_int, [_grid, _ptr, _ptr, _ptrs, _ptr]),
+    "smg_face_diag": (None, [_grid, _int, _dbl, _ptr, _ptr, _ptrs, _ptrs, _ptrs]),
+    "smg_cell_diag": (None, [_grid, _ptrs, _ptr]),
+    "smg_grad": (None, [_grid, _ptr, _ptrs]),
+    "smg_div": (None, [_grid, _ptrs, _ptr]),
+    "smg_restrict_cell": (_int, [_grid, _ptr, _ptr]),
+    "smg_restrict_face": (_int, [_grid, _ptrs, _ptrs]),
+    "smg_prolong_cell": (_int, [_grid, _ptr, _ptr]),
+    "smg_prolong_face": (_int, [_grid, _ptrs, _ptrs]),
+}
+
+
 def _bind(path: str):
     lib = ctypes.CDLL(path)
-    ptr, dbl, int_ = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
-    ptrs, grid = ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3)
-    signatures = {
-        "smg_face_sweep": (int_, [grid, int_, int_, dbl, dbl, int_, *[ptr] * 11]),
-        "smg_cell_sweep": (int_, [grid, dbl, int_, *[ptr] * 6]),
-        "smg_face_apply": (int_, [grid, int_, dbl, int_, ptrs, ptr, ptrs, ptr, ptr,
-                                  ptrs, ptrs, ptrs, ptrs, ptr]),
-        "smg_cell_apply": (int_, [grid, ptr, ptr, ptrs, ptr]),
-        "smg_face_diag": (None, [grid, int_, dbl, ptr, ptr, ptrs, ptrs, ptrs]),
-        "smg_cell_diag": (None, [grid, ptrs, ptr]),
-        "smg_grad": (None, [grid, ptr, ptrs]),
-        "smg_div": (None, [grid, ptrs, ptr]),
-        "smg_restrict_cell": (int_, [grid, ptr, ptr]),
-        "smg_restrict_face": (int_, [grid, ptrs, ptrs]),
-        "smg_prolong_cell": (int_, [grid, ptr, ptr]),
-        "smg_prolong_face": (int_, [grid, ptrs, ptrs]),
-    }
-    for name, (restype, argtypes) in signatures.items():
+    for name, (restype, argtypes) in SIGNATURES.items():
         entry = getattr(lib, name)
         entry.restype, entry.argtypes = restype, argtypes
     return lib
@@ -295,10 +302,9 @@ def _start(grid: GridSpec):
     return _library or load(), _remember(grid, _layout), []
 
 
-#: ``OUT_*`` of sweeps.c, what ``smg_face_apply`` gives: ``L_mu u``,
-#: ``A u``, the residual ``base - A u`` and the saddle operator
-#: ``(A u + G p, -D u)``
-_VISCOUS, _OPERATOR, _RESIDUAL, _SADDLE = range(4)
+#: ``OUT_*`` of sweeps.c, what ``smg_face_apply`` gives: ``A u``, the
+#: residual ``base - A u`` and the saddle operator ``(A u + G p, -D u)``
+_OPERATOR, _RESIDUAL, _SADDLE = range(3)
 
 _Axes = ctypes.c_void_p * 3
 
@@ -313,8 +319,9 @@ def _per_axis(lay: _Layout, addresses) -> _Axes:
     return _Axes(*[None] * lay.lead, *addresses)
 
 
-def _faces(lay: _Layout, arrays, owners: list) -> _Axes:
-    return _per_axis(lay, [_address(c, s, owners) for c, s in zip(arrays, lay.faces)])
+def _faces(lay: _Layout, arrays, owners: list, iterate=False) -> _Axes:
+    return _per_axis(lay, [_address(c, s, owners, iterate)
+                           for c, s in zip(arrays, lay.faces)])
 
 
 def _outputs(lay: _Layout, shapes) -> tuple[tuple, _Axes]:
@@ -322,19 +329,16 @@ def _outputs(lay: _Layout, shapes) -> tuple[tuple, _Axes]:
     return tuple(arr for arr, _ in pairs), _per_axis(lay, [addr for _, addr in pairs])
 
 
-def _node_edges(lay: _Layout, coeff, owners: list) -> list:
-    """Node/edge viscosity addresses per 3D plane slot (None: no plane)."""
-    planes = coeff.mu_node_edge.arrays
-    return [slot and _address(planes[slot[0]], slot[1], owners) for slot in lay.planes]
-
-
 def _viscosity(lay: _Layout, coeff, owners: list) -> tuple:
-    """``mu``, ``gamma``, ``rho`` per face axis and the node/edge planes, as
-    the velocity operator and its diagonal read them."""
+    """``mu``, ``gamma``, ``rho`` per face axis and the node/edge planes per
+    3D plane slot (NULL: no plane), as the velocity operator, its diagonal
+    and its sweep read them."""
+    planes = coeff.mu_node_edge.arrays
     return (_address(coeff.mu_cell.data, lay.cells, owners),
             _address(coeff.gamma_cell.data, lay.cells, owners),
             _faces(lay, coeff.rho_face.components, owners),
-            _Axes(*_node_edges(lay, coeff, owners)))
+            _Axes(*[slot and _address(planes[slot[0]], slot[1], owners)
+                    for slot in lay.planes]))
 
 
 def _walls(bvals, lay: _Layout, owners: list):
@@ -417,10 +421,13 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     """
     lib, lay, owners = _start(u.grid)
     out, ptrs = _outputs(lay, lay.faces)
+    # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
     _check(lib.smg_face_apply(
-        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, _VISCOUS,
+        lay.grid3, _FORMS[coeff.viscous_form.value], 0.0, _OPERATOR,
         _faces(lay, u.components, owners), None, None, *_viscosity(lay, coeff, owners),
         bvals and _walls(bvals, lay, owners), ptrs, None))
+    for c in out:
+        np.negative(c, out=c)
     return FaceField(u.grid, out)
 
 
@@ -479,11 +486,10 @@ def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
     bitwise the same.
     """
     lib, lay, owners = _start(grid)
-    x = _address(phi.data, lay.cells, owners, True)
-    inputs = [_address(arr, lay.cells, owners) for arr in (rhs.data, diag.data)]
-    rho = [_address(c, s, owners) for c, s in zip(coeff.rho_face.components, lay.faces)]
-    _check(lib.smg_cell_sweep(lay.grid3, omega, zero_guess, x, *inputs,
-                              *[None] * lay.lead, *rho))
+    _check(lib.smg_cell_sweep(
+        lay.grid3, omega, zero_guess, _address(phi.data, lay.cells, owners, True),
+        _address(rhs.data, lay.cells, owners), _address(diag.data, lay.cells, owners),
+        _faces(lay, coeff.rho_face.components, owners)))
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -493,33 +499,21 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
 
     Colors are relaxed in the order red-x, black-x, red-y, black-y(,
     red-z, black-z); updates are visible across colors.  Each component is
-    swept by one library call with its own residual.  ``zero_guess``
-    promises that ``u`` is zero, so the first component's residual is
-    ``rhs`` and its operator row is not applied; later components see the
-    first one's update and apply theirs.  The result is bitwise the same
-    (see :func:`smooth_cell`).
+    relaxed from its own residual.  ``zero_guess`` promises that ``u`` is
+    zero, so the first component's residual is ``rhs`` and its operator row
+    is not applied; later components see the first one's update and apply
+    theirs.  The result is bitwise the same (see :func:`smooth_cell`).
     """
     lib, lay, owners = _start(grid)
-    form = _FORMS[coeff.viscous_form.value]
-    comps = [_address(c, s, owners, True) for c, s in zip(u.components, lay.faces)]
-    mu = _address(coeff.mu_cell.data, lay.cells, owners)
-    gamma = _address(coeff.gamma_cell.data, lay.cells, owners)
-    edges = _node_edges(lay, coeff, owners)
-    for a, face in enumerate(lay.faces):
-        _check(lib.smg_face_sweep(
-            lay.grid3, a + lay.lead, form, coeff.theta, omega, zero_guess and a == 0,
-            *[None] * lay.lead, *comps, _address(rhs.components[a], face, owners),
-            _address(diag.components[a], face, owners), mu, gamma,
-            _address(coeff.rho_face.components[a], face, owners), *edges))
+    _check(lib.smg_face_sweep(
+        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, omega, zero_guess,
+        _faces(lay, u.components, owners, True), _faces(lay, rhs.components, owners),
+        _faces(lay, diag.components, owners), *_viscosity(lay, coeff, owners)))
 
 
 # ---------------------------------------------------------------------------
 # grid transfers
 # ---------------------------------------------------------------------------
-
-
-def _fine_grid(grid: GridSpec) -> GridSpec:
-    return GridSpec(tuple(2 * n for n in grid.cells), grid.h / 2, grid.bc)
 
 
 def restrict_cell(fine: CellField) -> CellField:
@@ -533,7 +527,7 @@ def restrict_cell(fine: CellField) -> CellField:
 
 def prolong_cell(coarse: CellField) -> CellField:
     """Direct injection of each coarse value into its 2^d children."""
-    fine = _fine_grid(coarse.grid)
+    fine = coarse.grid.refined()
     lib, lay, owners = _start(coarse.grid)
     out, addr = _output(fine.cells)
     _check(lib.smg_prolong_cell(lay.grid3, _address(coarse.data, lay.cells, owners), addr))
@@ -563,7 +557,7 @@ def prolong_face(coarse: FaceField) -> FaceField:
     (constants prolong to constants); along the normal axis overlaying
     faces copy and the faces between average.
     """
-    fine = _fine_grid(coarse.grid)
+    fine = coarse.grid.refined()
     lib, lay, owners = _start(coarse.grid)
     out, ptrs = _outputs(lay, [fine.face_shape(a) for a in range(fine.dim)])
     _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components, owners), ptrs))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, StokesVector, pack_stokes, unpack_stokes
+from .grid import GridSpec, StokesVector, pack_stokes, sum_products, unpack_stokes
 from .multigrid import SmootherParams
 from .operators import CoefficientSet, apply_M
 from .precond import PrecondConfig, Preconditioner
@@ -83,12 +83,8 @@ class ConvergenceHistory:
         ]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.einsum("i,i->", a, b))
-
-
 def _norm(v: np.ndarray) -> float:
-    return math.sqrt(_dot(v, v))
+    return math.sqrt(sum_products(v, v))
 
 
 def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
@@ -128,7 +124,7 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
             # row j + 1 is free until w is normalized into it
             prod = V[j + 1]
             for i in range(j + 1):
-                H[i, j] = _dot(V[i], w)
+                H[i, j] = sum_products(V[i], w)
                 np.multiply(H[i, j], V[i], out=prod)
                 w -= prod
             arnoldi_norm = _norm(w)
@@ -172,7 +168,7 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
 def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
     y = np.zeros_like(g)
     for i in range(len(g) - 1, -1, -1):
-        y[i] = (g[i] - _dot(R[i, i + 1 :], y[i + 1 :])) / R[i, i]
+        y[i] = (g[i] - sum_products(R[i, i + 1 :], y[i + 1 :])) / R[i, i]
     return y
 
 

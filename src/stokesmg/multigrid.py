@@ -224,11 +224,6 @@ def _arrays(field) -> tuple[np.ndarray, ...]:
     return (field.data,) if isinstance(field, CellField) else field.components
 
 
-def _residual(rhs, x, coeff, fk: FieldKind):
-    """``rhs - A x``, formed by the operator in one pass."""
-    return fk.operator(x, coeff, rhs=rhs)
-
-
 def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):
     grid, coeff = hierarchy.levels[level]
     x = fk.zeros(grid)
@@ -247,7 +242,7 @@ def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):
 
     smooth(params.sweeps_down, True)
     # the fine residual is a temporary, freed before the coarse recursion
-    coarse_rhs = fk.restrict(_residual(rhs, x, coeff, fk))
+    coarse_rhs = fk.restrict(fk.operator(x, coeff, rhs=rhs))
     correction = _vcycle_level(coarse_rhs, hierarchy, params, fk, level + 1)
     for xa, ca in zip(_arrays(x), _arrays(fk.prolong(correction))):
         xa += ca
@@ -268,7 +263,7 @@ def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
     while True:
         x = x + _vcycle_level(res, hierarchy, params, fk, 0)
         yield x
-        res = _residual(rhs, x, coeff, fk)
+        res = fk.operator(x, coeff, rhs=rhs)
 
 
 def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams,

@@ -300,11 +300,12 @@ def homogenize(bvals: BoundaryValues, coeff: CoefficientSet,
     u_b = boundary_lift(bvals)
     d = grid.dim
     hd = grid.h**d
-    boundary_flux = float(div(u_b).data.sum()) * hd
+    div_b = div(u_b)
+    boundary_flux = float(div_b.data.sum()) * hd
     source_integral = -float(rhs.p.data.sum()) * hd
     scale = max(
         1.0,
-        float(np.abs(div(u_b).data).sum()) * hd,
+        float(np.abs(div_b.data).sum()) * hd,
         float(np.abs(rhs.p.data).sum()) * hd,
     )
     if abs(boundary_flux - source_integral) > 1e-10 * scale:
@@ -313,7 +314,7 @@ def homogenize(bvals: BoundaryValues, coeff: CoefficientSet,
             f"{boundary_flux:g} != divergence-source integral {source_integral:g}"
         )
     contrib_u = apply_A(u_b, coeff, bvals)
-    contrib_p = -div(u_b)
+    contrib_p = -div_b
     return StokesVector(rhs.u - contrib_u, rhs.p - contrib_p)
 
 

@@ -116,10 +116,9 @@ class Preconditioner:
         coeff = self.coeff
 
         if kind is P1:
-            xu_star = self.velocity_solve(r.u)
-            b_c = div(xu_star) + r.p
+            xu = self.velocity_solve(r.u)
+            b_c = div(xu) + r.p
             phi = self.pressure_solve(b_c)
-            xu = xu_star.copy()
             gphi = grad(phi)
             for a in range(self.grid.dim):
                 xu.components[a][...] -= (

@@ -1,15 +1,15 @@
 /* The compiled stencils: the two-colour Gauss-Seidel sweeps of the multigrid
  * smoothers, the operators and the grid transfers.
  *
- * smg_face_sweep relaxes one velocity component of A = theta rho - L_mu and
- * smg_cell_sweep the density-weighted pressure operator D (1/rho) G, in
- * place.  One sweep forms the residual r = rhs - A x once, relaxes the red
- * entries (even index sum over the unknowns) from it Jacobi-style, brings r
- * up to date at the black entries from the red corrections alone, and
- * relaxes the black entries.
+ * smg_face_sweep relaxes every velocity component of A = theta rho - L_mu,
+ * one after the other, and smg_cell_sweep the density-weighted pressure
+ * operator D (1/rho) G, in place.  Each component (or the pressure) forms
+ * the residual r = rhs - A x once, relaxes the red entries (even index sum
+ * over the unknowns) from it Jacobi-style, brings r up to date at the black
+ * entries from the red corrections alone, and relaxes the black entries.
  *
  * The operators run the stages the sweeps form their residuals with:
- * smg_face_apply gives L_mu u, A u, rhs - A u or the saddle operator
+ * smg_face_apply gives A u, rhs - A u or the saddle operator
  * (A u + G p, -D u), smg_cell_apply D (1/rho) G p or its residual, and
  * smg_div and smg_grad D and G.  smg_face_diag and smg_cell_diag form the
  * diagonals the sweeps divide by, on the rows of their black updates, so
@@ -24,7 +24,8 @@
  *
  * Arrays are C-contiguous float64 in the package's layouts.  A 2D grid is
  * addressed as a 3D grid whose leading axis has one cell and couples
- * nothing; per-axis pointer arrays hold three entries, the unused one NULL.
+ * nothing; per-axis pointer arrays (a field's components, the node/edge
+ * planes) hold three entries, the unused ones NULL.
  * The caller passes the scalars it rounds itself (1/h^2, h).  No entry
  * writes its inputs.
  *
@@ -336,11 +337,10 @@ ROW_FUNCTION black_cell_row(const cell_t *c, const black_cell_at *o,
 }
 
 int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
-                   const double *rhs, const double *diag,
-                   const double *rho0, const double *rho1, const double *rho2)
+                   const double *rhs, const double *diag, const double *const *rho)
 {
     cell_t c = {.g = g, .omega = omega, .p = p, .rhs = rhs, .diag = diag,
-                .rho = {rho0, rho1, rho2}};
+                .rho = {rho[0], rho[1], rho[2]}};
     const long *sc = c.sc;
     long nf = 0, zero3[3] = {0, 0, 0};
     cell_shapes(&c);
@@ -445,7 +445,7 @@ void smg_cell_diag(const grid3 *g, const double *const *rho, double *out)
  * ------------------------------------------------------------------------ */
 
 /* What the operator stage stores at the rows of component a. */
-enum { OUT_VISCOUS = 0, OUT_A = 1, OUT_RESIDUAL = 2, OUT_SADDLE = 3 };
+enum { OUT_A = 0, OUT_RESIDUAL = 1, OUT_SADDLE = 2 };
 
 typedef struct {
     const grid3 *g;
@@ -682,7 +682,6 @@ ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k
     const long n0 = o->rn[0], m0 = o->rn1[0];
     const long n1 = f->nb == 2 ? o->rn[1] : n0, m1 = f->nb == 2 ? o->rn1[1] : m0;
     const int two = f->nb == 2, mass_term = f->theta > 0;
-    const int viscous = f->out == OUT_VISCOUS;
     const double theta = f->theta, inv_h2 = f->g->inv_h2;
     double *r = f->r;
     for (long k = k0; k < k1; k++) {
@@ -691,10 +690,6 @@ ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k
         if (two)
             v += t1[m1 + k] - t1[n1 + k];
         v *= inv_h2;
-        if (viscous) {
-            r[rf + k] = v;
-            continue;
-        }
         if (mass_term) {
             double mass = theta * rho[rf + k];
             mass *= ua[rf + k];
@@ -738,14 +733,14 @@ static void operator_rows(const face_t *f)
     }
 }
 
-/* Component a's boundary faces (not unknowns), into f->r: the viscous row
- * is zero there, and so is A u, negated in steady flow (-L_mu u). */
+/* Component a's boundary faces (not unknowns), into f->r: A u is zero
+ * there, negated in steady flow (-L_mu u). */
 static void wall_rows(const face_t *f)
 {
     if (!f->bounded)
         return;
     const long *s = f->sf[f->a];
-    double zero = f->out != OUT_VISCOUS && !(f->theta > 0) ? -0.0 : 0.0;
+    double zero = f->theta > 0 ? 0.0 : -0.0;
     for (int end = 0; end < 2; end++) {
         long lo3[3] = {0, 0, 0}, hi3[3] = {s[0], s[1], s[2]};
         lo3[f->a] = end ? s[f->a] - 1 : 0;
@@ -820,46 +815,58 @@ ROW_FUNCTION black_face_row(const face_t *f, const black_face_at *o,
     }
 }
 
-int smg_face_sweep(const grid3 *g, int a, int form, double theta, double omega,
-                   int zero_guess, double *u0, double *u1, double *u2,
-                   const double *rhs, const double *diag, const double *mu,
-                   const double *gamma, const double *rho,
-                   const double *ne01, const double *ne02, const double *ne12)
+/* Relaxes u[a] for every coupled axis a in turn, each from its own
+ * residual, which reads the components already relaxed.  zero_guess
+ * promises that u is zero, so the first component takes rhs as its
+ * residual.  The workspace is sized for the largest component. */
+int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
+                   int zero_guess, double *const *u, const double *const *rhs,
+                   const double *const *diag, const double *mu, const double *gamma,
+                   const double *const *rho, const double *const *ne)
 {
-    const double *ne[3] = {ne01, ne02, ne12};
     face_t f = {.g = g, .form = form, .out = OUT_RESIDUAL, .theta = theta,
-                .omega = omega, .u = {u0, u1, u2}, .base = rhs, .diag = diag,
-                .mu = mu, .gamma = gamma, .rho = rho};
+                .omega = omega, .u = {u[0], u[1], u[2]}, .mu = mu, .gamma = gamma};
     face_shapes(&f);
-    long nn = face_component(&f, a, ne, NULL);
-    const long *sa = f.sf[a];
-    long nc = count(f.sc), nf = count(sa), lo3[3], hi3[3];
-    unknowns(&f, lo3, hi3);
-
-    double *work = malloc((nf + (zero_guess ? 0 : nf + 2 * nc + nn)) * sizeof(double));
+    long nc = count(f.sc), nf = 0, nn = 0;
+    for (int a = g->first; a < 3; a++) {
+        long n = face_component(&f, a, ne, NULL);
+        nn = n > nn ? n : nn;
+        nf = count(f.sf[a]) > nf ? count(f.sf[a]) : nf;
+    }
+    double *work = malloc((2 * nf + 2 * nc + nn) * sizeof(double));
     if (!work)
         return -1;
     f.delta = work;
-    memset(f.delta, 0, nf * sizeof(double));
+    f.fn = work + 2 * nf;
+    f.divu = f.fn + nc;
+    f.ft[0] = f.divu + nc;
 
-    if (zero_guess) {
-        f.r = (double *)rhs;
-    } else {
-        f.r = work + nf;
-        f.fn = f.r + nf;
-        f.divu = f.fn + nc;
-        f.ft[0] = f.divu + nc;
+    for (int a = g->first; a < 3; a++) {
+        const long *sa = f.sf[a];
+        long lo3[3], hi3[3];
+        face_component(&f, a, ne, NULL);
+        f.base = rhs[a];
+        f.diag = diag[a];
+        f.rho = rho[a];
         f.ft[1] = f.ft[0] + count(f.sn[0]);
-        if (form == STRESS_BULK)
-            div_rows(&f);
-        operator_rows(&f);
-    }
+        unknowns(&f, lo3, hi3);
+        memset(f.delta, 0, count(sa) * sizeof(double));
 
-    relax_red(sa, lo3, hi3, -f.bounded, omega, f.r, diag, f.delta, f.ua);
-    ROWS(lo3, hi3) {
-        black_face_at o;
-        LINE(lo3[2], hi3[2], COLOUR_START(lo3[2], -f.bounded, 1), 2,
-             black_face_setup(&f, i, j, at, &o), black_face_row(&f, &o, k0, k1));
+        if (zero_guess && a == g->first) {
+            f.r = (double *)rhs[a];
+        } else {
+            f.r = work + nf;
+            if (form == STRESS_BULK)
+                div_rows(&f);
+            operator_rows(&f);
+        }
+
+        relax_red(sa, lo3, hi3, -f.bounded, omega, f.r, f.diag, f.delta, f.ua);
+        ROWS(lo3, hi3) {
+            black_face_at o;
+            LINE(lo3[2], hi3[2], COLOUR_START(lo3[2], -f.bounded, 1), 2,
+                 black_face_setup(&f, i, j, at, &o), black_face_row(&f, &o, k0, k1));
+        }
     }
 
     free(work);
@@ -920,7 +927,7 @@ void smg_face_diag(const grid3 *g, int form, double theta, const double *mu,
 }
 
 /* Every component a of the velocity operator into res[a], as "out" asks:
- * L_mu u, A u, base - A u (base[a] the residual's right-hand side), or the
+ * A u, base - A u (base[a] the residual's right-hand side), or the
  * saddle operator's A u + G p, with -D u into res_p.  walls may be NULL
  * (zero wall velocities). */
 int smg_face_apply(const grid3 *g, int form, double theta, int out,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,9 @@ from stokesmg.grid import (
     LayoutError,
     NodeEdgeField,
     StokesVector,
-    axpy,
     dot,
     norm2,
     pack_stokes,
-    subtract_mean,
     unpack_face,
     unpack_stokes,
 )
@@ -71,6 +71,17 @@ class TestGridSpec:
         gc = g.coarsened()
         assert gc.cells == (4, 4) and gc.h == 2.0
         assert not mkgrid((6, 6)).coarsened().can_coarsen()  # 3 cells is terminal
+
+    def test_coarsened_and_refined_are_built_once(self):
+        g, fresh = mkgrid(8, bc=NO_SLIP), mkgrid(8, bc=NO_SLIP)
+        gc = g.coarsened()
+        assert g.coarsened() is gc and gc.refined() is g
+        made = mkgrid(4, bc=NO_SLIP, h=2.0)
+        assert made.refined() == fresh and made.refined().coarsened() is made
+        # the linked grids are no part of a grid's value
+        assert g == fresh and hash(g) == hash(fresh)
+        assert pickle.dumps(g) == pickle.dumps(fresh)
+        assert pickle.dumps(gc) == pickle.dumps(mkgrid(4, bc=NO_SLIP, h=2.0))
 
 
 class TestFieldContainers:
@@ -138,7 +149,7 @@ class TestAlgebra:
         g = mkgrid(8, bc=NO_SLIP)
         x, y, z = (random_face(g, rng) for _ in range(3))
         assert dot(x, y) == pytest.approx(dot(y, x), rel=1e-14)
-        lhs = dot(axpy(2.5, x, z), y)
+        lhs = dot(z + 2.5 * x, y)
         assert lhs == pytest.approx(2.5 * dot(x, y) + dot(z, y), rel=1e-12)
 
     def test_norm_examples(self):
@@ -148,34 +159,9 @@ class TestAlgebra:
         e.data[1, 2] = 1.0
         assert norm2(e) == 1.0
 
-    def test_axpy_example(self):
-        g = mkgrid(2)  # 4 cells
-        ones = CellField(g, np.ones(g.cells))
-        out = axpy(2.0, ones, CellField.zeros(g))
-        assert np.all(out.data == 2.0)
-        assert norm2(out) == 4.0
-
-    def test_axpy_layout_mismatch(self, rng):
-        with pytest.raises(LayoutError):
-            axpy(1.0, CellField.zeros(mkgrid(4)), CellField.zeros(mkgrid(8)))
+    def test_dot_layout_mismatch(self):
         with pytest.raises(LayoutError):
             dot(CellField.zeros(mkgrid(4)), FaceField.zeros(mkgrid(4)))
-
-    def test_subtract_mean(self):
-        g = mkgrid(2)
-        assert np.all(subtract_mean(CellField(g, np.full((2, 2), 7.0))).data == 0.0)
-        f = CellField(g, np.array([[1.0, 1.0], [3.0, 3.0]]))
-        out = subtract_mean(f)  # mean is 2
-        assert np.array_equal(out.data, [[-1.0, -1.0], [1.0, 1.0]])
-        again = subtract_mean(out)
-        assert np.array_equal(again.data, out.data)
-
-    def test_subtract_mean_face_per_component(self, rng):
-        g = mkgrid(8, bc=NO_SLIP)
-        u = random_face(g, rng)
-        out = subtract_mean(u)
-        for a in range(2):
-            assert abs(out.interior(a).mean()) < 1e-14
 
 
 class TestPacking:

@@ -8,12 +8,15 @@ for bit, signed zeros included; others assemble the compiled operators
 densely and check D = -G^T and the symmetry of A and L_rho, one checks
 that the null projection removes exactly the null components, and one that
 the V-cycles and the preconditioners are linear at rounding level.  The build
-tests compile the source with every warning an error and run the CLI in
-fresh processes with their own cache directories.
+tests compile the source with every warning an error, check the ctypes
+bindings against the C prototypes and run the CLI in fresh processes with
+their own cache directories.
 """
 
+import ctypes
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -373,6 +376,37 @@ def test_source_compiles_without_warnings():
     done = subprocess.run([compiler, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
                            "-std=c99", kernels.SOURCE], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+#: the exported definitions of sweeps.c: result, name and parameter list
+C_ENTRY = re.compile(r"^(int|void)\s+(smg_\w+)\(([^)]*)\)\s*\{", re.M)
+
+
+def c_kind(parameter: str) -> str:
+    if "*" in parameter:
+        return "pointer"
+    kind = " ".join(parameter.split()[:-1])
+    assert kind in ("int", "double"), parameter
+    return kind
+
+
+def ctypes_kind(t) -> str:
+    if t is None:
+        return "void"
+    if issubclass(t, (ctypes.c_void_p, ctypes._Pointer)):
+        return "pointer"
+    return {ctypes.c_int: "int", ctypes.c_double: "double"}[t]
+
+
+def test_bindings_match_the_c_prototypes():
+    # ctypes cannot check a call against the prototype: a binding that
+    # drifts from sweeps.c passes its arguments in the wrong places silently
+    with open(kernels.SOURCE) as handle:
+        defined = {name: (result, [c_kind(p) for p in parameters.split(",")])
+                   for result, name, parameters in C_ENTRY.findall(handle.read())}
+    bound = {name: (ctypes_kind(restype), [ctypes_kind(t) for t in argtypes])
+             for name, (restype, argtypes) in kernels.SIGNATURES.items()}
+    assert defined == bound
 
 
 def test_failed_build_names_the_command_and_quotes_stderr(tmp_path, monkeypatch):

@@ -195,6 +195,18 @@ class TestTransfers:
         assert prolong_face(c2).components[0][5, 4] == pytest.approx(4.5)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_transfers_return_the_hierarchy_grids(self, dim, rng):
+        # a transfer hands on the hierarchy's own grid objects, built once
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS, rng)
+        grids = [level[0] for level in build_hierarchy(g, coeff).levels]
+        assert len(grids) >= 2
+        for fine, coarse in zip(grids, grids[1:]):
+            assert restrict_cell(CellField.zeros(fine)).grid is coarse
+            assert restrict_face(FaceField.zeros(fine)).grid is coarse
+            assert prolong_cell(CellField.zeros(coarse)).grid is fine
+            assert prolong_face(FaceField.zeros(coarse)).grid is fine
+
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("bc", [PERIODIC, NO_SLIP, FREE_SLIP])
     def test_partition_of_unity(self, dim, bc):
         g = mkgrid(8 if dim == 2 else 4, bc=bc, dim=dim)
@@ -351,35 +363,38 @@ class TestSmootherMatchesOperator:
 
 
 class TestSmootherCost:
-    # the compiled sweeps form their own residuals; a library sweep with
-    # zero_guess false is one operator evaluation
-    SWEEPS = {"smg_face_sweep": ("face", 5), "smg_cell_sweep": ("cell", 2)}
+    # each smoother call is one library sweep, which forms its own residuals
+    # (the face sweep one per component, the first skipped under zero_guess);
+    # the position of each sweep's zero_guess argument
+    SWEEPS = {"smg_face_sweep": ("face", 4), "smg_cell_sweep": ("cell", 2)}
 
     @classmethod
-    def count_residuals(cls, monkeypatch, calls):
-        """Count library sweeps that form a residual (their ``zero_guess``
-        argument, at the given position, false) into ``calls``."""
+    def count_residuals(cls, monkeypatch, calls, flags=None):
+        """Count library sweeps whose ``zero_guess`` argument is false into
+        ``calls``, and append every sweep's flag to ``flags[kind]``."""
         lib = kernels.load()
         for name, (kind, flag) in cls.SWEEPS.items():
             original = getattr(lib, name)
 
             def run(*args, _f=original, _kind=kind, _flag=flag):
                 calls[_kind] += not args[_flag]
+                if flags is not None:
+                    flags[_kind].append(args[_flag])
                 return _f(*args)
 
             monkeypatch.setattr(lib, name, run)
 
+    @pytest.mark.parametrize("zero_guess", [False, True])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_one_operator_evaluation_per_component(self, dim, rng, monkeypatch):
-        # one residual per component (face) and per sweep (cell), not per colour
-        calls = {"face": 0, "cell": 0}
-        self.count_residuals(monkeypatch, calls)
+    def test_one_library_sweep_per_smoother_call(self, dim, zero_guess, rng, monkeypatch):
+        calls, flags = {"face": 0, "cell": 0}, {"face": [], "cell": []}
+        self.count_residuals(monkeypatch, calls, flags)
         g, coeff = smoother_case(MIXED_WALLS, dim, STRESS, rng)
         smooth_face(random_face(g, rng), random_face(g, rng), g, coeff,
-                    helmholtz_diagonal(g, coeff), omega=1.0)
+                    helmholtz_diagonal(g, coeff), 1.0, zero_guess)
         smooth_cell(random_cell(g, rng), random_cell(g, rng), g, coeff,
-                    lrho_diagonal(g, coeff), omega=1.0)
-        assert calls == {"face": dim, "cell": 1}
+                    lrho_diagonal(g, coeff), 1.0, zero_guess)
+        assert flags == {"face": [zero_guess], "cell": [zero_guess]}
 
     @classmethod
     def count_in_smoothers(cls, monkeypatch):
@@ -410,7 +425,7 @@ class TestSmootherCost:
         assert levels >= 2
         calls = self.count_in_smoothers(monkeypatch)
         vcycle(random_face(g, rng), hier, SmootherParams(), "face")
-        assert calls["face"] == dim * calls["smooth_face"] - levels
+        assert calls["face"] == calls["smooth_face"] - levels
         vcycle(random_cell(g, rng), hier, SmootherParams(), "cell")
         assert calls["cell"] == calls["smooth_cell"] - levels
 
