@@ -180,6 +180,32 @@ def test_face_smoother_moves_only_x(walls, dim, form, zero_guess, rng):
 
 @walls
 @dims
+@forms
+@pytest.mark.parametrize("zero_guess", [False, True])
+def test_face_kernel_moves_only_its_component(walls, dim, form, zero_guess, rng):
+    # the one library call relaxes the components in turn: component a's
+    # right-hand side and diagonal reach component a, and no component
+    # relaxed before it
+    g, coeff = case(walls, dim, form, rng)
+    diag = helmholtz_diagonal(g, coeff)
+    rhs = random_face(g, rng)
+    u = FaceField.zeros(g) if zero_guess else random_face(g, rng)
+    want = u.copy()
+    smooth_face(want, rhs, g, coeff, diag, 0.8, zero_guess)
+    for a in range(dim):
+        rhs_a, diag_a = rhs.copy(), diag.copy()
+        rhs_a.components[a][...] += rng.random(rhs_a.components[a].shape)
+        diag_a.components[a][...] *= 1.5
+        before, got = snapshot(rhs_a, diag_a, coeff), u.copy()
+        smooth_face(got, rhs_a, g, coeff, diag_a, 0.8, zero_guess)
+        assert_unchanged(before, rhs_a, diag_a, coeff)
+        for b in range(a):
+            assert snapshot(got.components[b]) == snapshot(want.components[b])
+        assert snapshot(got.components[a]) != snapshot(want.components[a])
+
+
+@walls
+@dims
 @pytest.mark.parametrize("zero_guess", [False, True])
 def test_cell_smoother_moves_only_x(walls, dim, zero_guess, rng):
     g, coeff = case(walls, dim, STRESS, rng)
