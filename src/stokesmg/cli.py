@@ -170,6 +170,8 @@ def validate_keys(tree: dict, schema=None, prefix: str = "") -> None:
 
 def build_grid(problem: dict) -> GridSpec:
     dim = _get(problem, "dim", 2, int)
+    # checked before (cells,) * dim is built from it
+    _require(dim in (2, 3), f"dim must be 2 or 3, got {dim}")
     cells = problem.get("cells", 64)
     if isinstance(cells, list):
         cells = tuple(_typed(n, int, "cells entry") for n in cells)

@@ -11,13 +11,17 @@ Index conventions, fixed for the whole package:
 * Node/edge arrays are staggered in two axes and cell-centered in the rest.
 * Unknown DOFs flatten axis-major (first index fastest, Fortran order), so
   dense assembly and on-disk histories are bit-reproducible.
+* A :class:`StokesVector` built by :meth:`StokesVector.zeros`,
+  :meth:`~StokesVector.copy` or :meth:`~StokesVector.view` keeps its
+  fields in one contiguous buffer, ``[u_0 | u_1 (| u_2) | p]``, each array
+  in its own C order with its boundary faces; GMRES works on that buffer.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -304,10 +308,17 @@ class NodeEdgeField:
 
 @dataclass
 class StokesVector:
-    """Paired velocity/pressure unknown (or right-hand side)."""
+    """Paired velocity/pressure unknown (or right-hand side).
+
+    ``buffer`` is the one array the fields view when the vector was built
+    by :meth:`zeros`, :meth:`copy` or :meth:`view`, and None when it was
+    built from separately stored fields.
+    """
 
     u: FaceField
     p: CellField
+    buffer: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.u.grid != self.p.grid:
@@ -317,12 +328,45 @@ class StokesVector:
     def grid(self) -> GridSpec:
         return self.u.grid
 
+    @staticmethod
+    def buffer_size(grid: GridSpec) -> int:
+        """Entries of a vector's buffer: every face of each velocity
+        component, boundary faces included, and every cell."""
+        return grid.n_cell_unknowns() + sum(
+            math.prod(grid.face_shape(a)) for a in range(grid.dim))
+
+    @classmethod
+    def view(cls, grid: GridSpec, buffer: np.ndarray) -> StokesVector:
+        """The vector whose fields view ``buffer`` (no copy), laid out
+        ``[u_0 | u_1 (| u_2) | p]``, each array in C order."""
+        if not (buffer.ndim == 1 and buffer.dtype == np.float64
+                and buffer.flags.c_contiguous):
+            raise LayoutError("a Stokes buffer must be 1-D contiguous float64")
+        shapes = [grid.face_shape(a) for a in range(grid.dim)] + [grid.cells]
+        arrays, pos = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            arrays.append(buffer[pos : pos + n].reshape(shape))
+            pos += n
+        if pos != len(buffer):
+            raise LayoutError(f"buffer length {len(buffer)} != {pos} entries")
+        out = cls(FaceField(grid, tuple(arrays[:-1])), CellField(grid, arrays[-1]))
+        out.buffer = buffer
+        return out
+
     @classmethod
     def zeros(cls, grid: GridSpec) -> StokesVector:
-        return cls(FaceField.zeros(grid), CellField.zeros(grid))
+        return cls.view(grid, np.zeros(cls.buffer_size(grid)))
 
     def copy(self) -> StokesVector:
-        return StokesVector(self.u.copy(), self.p.copy())
+        """A copy in a fresh buffer."""
+        if self.buffer is not None:
+            return StokesVector.view(self.grid, self.buffer.copy())
+        out = StokesVector.view(self.grid, np.empty(self.buffer_size(self.grid)))
+        for dst, src in zip(out.u.components, self.u.components):
+            dst[...] = src
+        out.p.data[...] = self.p.data
+        return out
 
     def __add__(self, other):
         return StokesVector(self.u + other.u, self.p + other.p)
@@ -348,20 +392,15 @@ def _check_same_layout(a, b):
         raise LayoutError("fields live on different grids")
 
 
-def sum_products(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of ``a * b`` over all entries, by numpy's single-threaded
-    ``einsum`` loop rather than BLAS, so the result does not depend on the
-    BLAS thread count."""
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
-
-
 def dot(a, b) -> float:
     """Euclidean inner product over unknown DOFs.
 
     Boundary-held Dirichlet faces are excluded, so only true unknowns
-    contribute; symmetric and bilinear by construction.  Summed by
-    :func:`sum_products`.
+    contribute; symmetric and bilinear by construction.  Each array is
+    summed by the library's dot product (:func:`kernels.sum_products`).
     """
+    from .kernels import sum_products
+
     _check_same_layout(a, b)
     if isinstance(a, CellField):
         return sum_products(a.data, b.data)

@@ -2,10 +2,11 @@
 
 Every stencil of the package is one function here: the operators
 :func:`div`, :func:`grad`, :func:`apply_Lrho`, :func:`apply_viscous`,
-:func:`apply_A` (also the V-cycle's residual) and :func:`apply_M`, the
-smoother diagonals :func:`lrho_diagonal` and :func:`helmholtz_diagonal`,
-the smoother sweeps :func:`smooth_cell` and :func:`smooth_face`, and the
-grid transfers :func:`restrict_cell`, :func:`restrict_face`,
+:func:`apply_A` (also the V-cycle's residual) and :func:`apply_M` (also
+GMRES's true residual, ``rhs - M x``, in one buffer), the smoother
+diagonals :func:`lrho_diagonal` and :func:`helmholtz_diagonal`, the
+smoother sweeps :func:`smooth_cell` and :func:`smooth_face`, and the grid
+transfers :func:`restrict_cell`, :func:`restrict_face`,
 :func:`prolong_cell` and :func:`prolong_face`.  Each checks its arrays,
 passes their addresses to one call of one entry of ``sweeps.c`` and
 returns the field (the sweeps relax in place; the face sweep relaxes every
@@ -13,6 +14,13 @@ velocity component).  A field's components and the node/edge planes go as
 one array of per-axis pointers.  :mod:`operators` and :mod:`multigrid`
 import them; the package has no other copy of the stencils or of their
 coupling weights and wall rules.
+
+The Krylov reductions are here too: :func:`sum_products` (every inner
+product and norm of the package), :func:`mgs_step` (one modified
+Gram-Schmidt step fused with the next step's dot product) and
+:func:`combine` (a GMRES iterate from its basis).  Each sums in one
+documented order that depends on the vector length alone, never through
+BLAS.
 
 The library is built on first use with the system C compiler (``cc``) at
 ``-O2 -ffp-contract=off`` (no fused multiply-add, no fast-math, no
@@ -155,7 +163,7 @@ def _compile(key: str, directory: str) -> str:
     return target
 
 
-_ptr, _dbl, _int = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+_ptr, _dbl, _int, _long = ctypes.c_void_p, ctypes.c_double, ctypes.c_int, ctypes.c_long
 _ptrs, _grid = ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3)
 
 #: result and argument types of each entry of sweeps.c
@@ -164,7 +172,7 @@ SIGNATURES = {
                               _ptr, _ptr, _ptrs, _ptrs]),
     "smg_cell_sweep": (_int, [_grid, _dbl, _int, _ptr, _ptr, _ptr, _ptrs]),
     "smg_face_apply": (_int, [_grid, _int, _dbl, _int, _ptrs, _ptr, _ptrs, _ptr, _ptr,
-                              _ptrs, _ptrs, _ptrs, _ptrs, _ptr]),
+                              _ptr, _ptrs, _ptrs, _ptrs, _ptrs, _ptr]),
     "smg_cell_apply": (_int, [_grid, _ptr, _ptr, _ptrs, _ptr]),
     "smg_face_diag": (None, [_grid, _int, _dbl, _ptr, _ptr, _ptrs, _ptrs, _ptrs]),
     "smg_cell_diag": (None, [_grid, _ptrs, _ptr]),
@@ -174,6 +182,9 @@ SIGNATURES = {
     "smg_restrict_face": (_int, [_grid, _ptrs, _ptrs]),
     "smg_prolong_cell": (_int, [_grid, _ptr, _ptr]),
     "smg_prolong_face": (_int, [_grid, _ptrs, _ptrs]),
+    "smg_dot": (_dbl, [_long, _ptr, _ptr]),
+    "smg_mgs_step": (_dbl, [_long, _dbl, _ptr, _ptr, _ptr]),
+    "smg_combine": (None, [_long, _long, _ptr, _ptr, _ptr, _ptr]),
 }
 
 
@@ -303,8 +314,9 @@ def _start(grid: GridSpec):
 
 
 #: ``OUT_*`` of sweeps.c, what ``smg_face_apply`` gives: ``A u``, the
-#: residual ``base - A u`` and the saddle operator ``(A u + G p, -D u)``
-_OPERATOR, _RESIDUAL, _SADDLE = range(3)
+#: residual ``base - A u``, the saddle operator ``(A u + G p, -D u)`` and
+#: its residual
+_OPERATOR, _RESIDUAL, _SADDLE, _SADDLE_RESIDUAL = range(4)
 
 _Axes = ctypes.c_void_p * 3
 
@@ -424,8 +436,8 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
     _check(lib.smg_face_apply(
         lay.grid3, _FORMS[coeff.viscous_form.value], 0.0, _OPERATOR,
-        _faces(lay, u.components, owners), None, None, *_viscosity(lay, coeff, owners),
-        bvals and _walls(bvals, lay, owners), ptrs, None))
+        _faces(lay, u.components, owners), None, None, None,
+        *_viscosity(lay, coeff, owners), bvals and _walls(bvals, lay, owners), ptrs, None))
     for c in out:
         np.negative(c, out=c)
     return FaceField(u.grid, out)
@@ -443,21 +455,29 @@ def apply_A(u: FaceField, coeff: CoefficientSet,
     _check(lib.smg_face_apply(
         lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
         _OPERATOR if rhs is None else _RESIDUAL, _faces(lay, u.components, owners),
-        None, rhs and _faces(lay, rhs.components, owners), *_viscosity(lay, coeff, owners),
-        bvals and _walls(bvals, lay, owners), ptrs, None))
+        None, rhs and _faces(lay, rhs.components, owners), None,
+        *_viscosity(lay, coeff, owners), bvals and _walls(bvals, lay, owners), ptrs, None))
     return FaceField(u.grid, out)
 
 
-def apply_M(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
-    """Saddle operator: (A u + G p, -D u)."""
-    lib, lay, owners = _start(x.grid)
-    out, ptrs = _outputs(lay, lay.faces)
-    minus_div, addr = _output(lay.cells)
+def apply_M(x: StokesVector, coeff: CoefficientSet,
+            rhs: StokesVector | None = None) -> StokesVector:
+    """Saddle operator (A u + G p, -D u); with ``rhs``, the residual
+    ``rhs - M x`` instead, in the same pass, whose boundary faces hold +0
+    (they are not unknowns; ``rhs``'s are not read).  The result's fields
+    view one fresh buffer."""
+    grid = x.grid
+    lib, lay, owners = _start(grid)
+    out = StokesVector.view(grid, np.empty(StokesVector.buffer_size(grid)))
     _check(lib.smg_face_apply(
-        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, _SADDLE,
+        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
+        _SADDLE if rhs is None else _SADDLE_RESIDUAL,
         _faces(lay, x.u.components, owners), _address(x.p.data, lay.cells, owners),
-        None, *_viscosity(lay, coeff, owners), None, ptrs, addr))
-    return StokesVector(FaceField(x.grid, out), CellField(x.grid, minus_div))
+        rhs and _faces(lay, rhs.u.components, owners),
+        rhs and _address(rhs.p.data, lay.cells, owners), *_viscosity(lay, coeff, owners),
+        None, _faces(lay, out.u.components, owners),
+        _address(out.p.data, lay.cells, owners)))
+    return out
 
 
 def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
@@ -562,3 +582,52 @@ def prolong_face(coarse: FaceField) -> FaceField:
     out, ptrs = _outputs(lay, [fine.face_shape(a) for a in range(fine.dim)])
     _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components, owners), ptrs))
     return FaceField(fine, out)
+
+
+# ---------------------------------------------------------------------------
+# Krylov reductions
+# ---------------------------------------------------------------------------
+
+
+def _row(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as one C-order row of float64; a strided view is copied."""
+    return np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+
+
+def sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a * b`` over all entries, in C order, by the library's dot
+    product: entry k's product is added to running partial sum k mod 4
+    (each starting at 0.0), and the four combine as ``(s0 + s1) + (s2 +
+    s3)``.  No BLAS call, so the result does not depend on the BLAS thread
+    count, and the order depends on the length alone."""
+    a, b = _row(a), _row(b)
+    if a.size != b.size:
+        raise LayoutError(f"dot of {a.size} and {b.size} entries")
+    return (_library or load()).smg_dot(a.size, a.ctypes.data, b.ctypes.data)
+
+
+def mgs_step(h: float, v: np.ndarray, w: np.ndarray, following: np.ndarray) -> float:
+    """One modified Gram-Schmidt step ``w -= h v`` in place (``h v``
+    rounded first), fused with the next step's dot product: returns
+    ``sum_products(following, w)`` of the updated ``w``, bitwise
+    (``following`` may be ``w`` itself, for its norm)."""
+    v, following = _row(v), _row(following)
+    if not (w.shape == v.shape == following.shape and w.dtype is _F64
+            and w.flags.c_contiguous and w.flags.writeable):
+        raise LayoutError("a Gram-Schmidt step needs equal lengths and a writable "
+                          "contiguous float64 w")
+    return (_library or load()).smg_mgs_step(v.size, h, v.ctypes.data, w.ctypes.data,
+                                             following.ctypes.data)
+
+
+def combine(V: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x + sum_i y[i] V[i]`` in a fresh row: per entry, the products
+    ``y[i] V[i]`` are added in order of i to 0.0, then to ``x``."""
+    V, y, x = np.ascontiguousarray(V, dtype=np.float64), _row(y), _row(x)
+    if V.ndim != 2 or V.shape != (y.size, x.size):
+        raise LayoutError(f"combination of rows {V.shape} by {y.size} weights "
+                          f"onto {x.size} entries")
+    out = np.empty(x.size)
+    (_library or load()).smg_combine(x.size, y.size, V.ctypes.data, y.ctypes.data,
+                                     x.ctypes.data, out.ctypes.data)
+    return out

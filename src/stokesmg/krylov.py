@@ -4,11 +4,16 @@ The Arnoldi kernel works on flat vectors (modified Gram-Schmidt, plane
 rotations for the least-squares solve) and is wrapped for Stokes systems;
 every iteration logs the Givens residual estimate, the cumulative
 scalar-V-cycle count and, by default, a freshly recomputed true residual.
+The flat vectors of a Stokes solve are the fields' own buffers
+(:meth:`StokesVector.view`), boundary faces included; those hold zero in
+every Krylov vector, so they add nothing to a sum.
 
-Inner products, norms and basis combinations use numpy's own
-single-threaded ``einsum`` loops, never BLAS: a threaded BLAS would change
-the summation order with its thread count (so the output bits with it) and
-oversubscribe the cores of parallel sweep workers.
+Inner products, norms, the Gram-Schmidt steps and the basis combinations
+are the compiled library's reductions (:func:`kernels.sum_products`,
+:func:`kernels.mgs_step`, :func:`kernels.combine`), each summed in one
+documented order, never BLAS: a threaded BLAS would change the summation
+order with its thread count (so the output bits with it) and oversubscribe
+the cores of parallel sweep workers.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, StokesVector, pack_stokes, sum_products, unpack_stokes
+# pack_stokes and unpack_stokes stay importable here, where tracing tools
+# wrap them, although a solve no longer copies through them
+from .grid import GridSpec, StokesVector, pack_stokes, unpack_stokes  # noqa: F401
+from .kernels import combine, mgs_step, sum_products
 from .multigrid import SmootherParams
 from .operators import CoefficientSet, apply_M
 from .precond import PrecondConfig, Preconditioner
@@ -37,10 +45,10 @@ class GmresConfig:
             raise ValueError("restart must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.rtol > 0:
-            raise ValueError("rtol must be positive")
-        if not self.atol >= 0:
-            raise ValueError("atol must be nonnegative")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError("rtol must be positive and finite")
+        if not 0 <= self.atol < math.inf:
+            raise ValueError("atol must be nonnegative and finite")
 
 
 @dataclass
@@ -121,13 +129,13 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
         while j < restart and k < max_iters:
             w = apply_op(V[j])
             k += 1
-            # row j + 1 is free until w is normalized into it
-            prod = V[j + 1]
+            # modified Gram-Schmidt, each step fused with the next step's
+            # dot product and the last with w's own
+            h = sum_products(V[0], w)
             for i in range(j + 1):
-                H[i, j] = sum_products(V[i], w)
-                np.multiply(H[i, j], V[i], out=prod)
-                w -= prod
-            arnoldi_norm = _norm(w)
+                H[i, j] = h
+                h = mgs_step(h, V[i], w, V[i + 1] if i < j else w)
+            arnoldi_norm = math.sqrt(h)
             H[j + 1, j] = arnoldi_norm
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -148,8 +156,7 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
                 return xk, "nonfinite", k
 
             y = _solve_upper(H[: j + 1, : j + 1], g[: j + 1])
-            xk = np.einsum("ij,i->j", V[: j + 1], y)
-            xk += x
+            xk = combine(V[: j + 1], y, x)
             if callback is not None:
                 callback(k, xk, rp, j == 0 and not first_cycle)
             if rp <= target:
@@ -174,9 +181,18 @@ def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def true_residual(x: StokesVector, rhs: StokesVector,
                   coeff: CoefficientSet) -> float:
-    """|| rhs - M x ||_2 over the packed unknowns, by a fresh operator
-    application."""
-    return _norm(pack_stokes(rhs - apply_M(x, coeff)))
+    """|| rhs - M x ||_2 over the unknowns, by a fresh operator application
+    in residual mode (whose boundary faces hold zero)."""
+    return _norm(apply_M(x, coeff, rhs=rhs).buffer)
+
+
+def _unknowns(x: StokesVector) -> StokesVector:
+    """A buffer-backed copy of ``x`` with zero boundary faces."""
+    out = StokesVector.zeros(x.grid)
+    for a in range(x.grid.dim):
+        out.u.interior(a)[...] = x.u.interior(a)
+    out.p.data[...] = x.p.data
+    return out
 
 
 def gmres_solve(
@@ -194,19 +210,24 @@ def gmres_solve(
     against ``rtol * r_P(0) + atol``; the history carries both residuals
     per iteration plus the cumulative scalar-V-cycle count.  A non-finite
     preconditioned right-hand side ends the solve with status ``nonfinite``
-    before any iteration.
+    before any iteration.  Values ``rhs`` holds on boundary faces, which
+    are not unknowns, are ignored.
     """
     grid: GridSpec = rhs.grid
     P = precond if precond is not None else Preconditioner(coeff, pcfg, smoother)
     history = ConvergenceHistory()
 
-    rhs_norm = _norm(pack_stokes(rhs))
+    # every Krylov vector below is a buffer whose boundary faces hold zero:
+    # apply_M and the preconditioners write zero there, the identity copies
+    # the zero of this copy, and the true residual does not read rhs's
+    unknowns = _unknowns(rhs)
+    rhs_norm = _norm(unknowns.buffer)
+    z0 = P.apply(unknowns).buffer
+    del unknowns  # not kept while GMRES runs
 
     def apply_op(v: np.ndarray) -> np.ndarray:
-        x = unpack_stokes(grid, v)
-        return pack_stokes(P.apply(apply_M(x, coeff)))
+        return P.apply(apply_M(StokesVector.view(grid, v), coeff)).buffer
 
-    z0 = pack_stokes(P.apply(rhs))
     rp0 = _norm(z0)
     history.add(0, P.scalar_vcycles, rp0, rhs_norm, False)
     if rp0 <= gcfg.atol or rp0 == 0.0:
@@ -221,7 +242,7 @@ def gmres_solve(
 
     def callback(k, xvec, rp, restart_flag):
         if gcfg.track_true_residual:
-            rt = true_residual(unpack_stokes(grid, xvec), rhs, coeff)
+            rt = true_residual(StokesVector.view(grid, xvec), rhs, coeff)
         else:
             rt = float("nan")
         history.add(k, P.scalar_vcycles, rp, rt, restart_flag)
@@ -231,4 +252,4 @@ def gmres_solve(
         callback,
     )
     history.status = status
-    return unpack_stokes(grid, xvec), history
+    return StokesVector.view(grid, xvec), history

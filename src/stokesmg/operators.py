@@ -259,7 +259,8 @@ def velocity_null_components(grid: GridSpec, coeff: CoefficientSet) -> tuple[int
 
 
 def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
-    """Remove the pressure constant and any velocity constants from x."""
+    """Remove the pressure constant and any velocity constants from a copy
+    of x in a fresh buffer (see :meth:`StokesVector.copy`)."""
     out = x.copy()
     out.p.data -= out.p.data.mean()
     for a in velocity_null_components(x.grid, coeff):
@@ -353,4 +354,8 @@ def rescale(coeff: CoefficientSet, rhs: StokesVector):
         ),
         gamma_cell=c * coeff.gamma_cell,
     )
-    return scaled, StokesVector(c * rhs.u, rhs.p), RescaleSpec(c)
+    # a fresh buffer: sharing rhs.p, a view, would keep all of rhs's alive
+    out = rhs.copy()
+    for comp in out.u.components:
+        comp *= c
+    return scaled, out, RescaleSpec(c)

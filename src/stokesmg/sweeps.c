@@ -9,13 +9,16 @@
  * entries from the red corrections alone, and relaxes the black entries.
  *
  * The operators run the stages the sweeps form their residuals with:
- * smg_face_apply gives A u, rhs - A u or the saddle operator
- * (A u + G p, -D u), smg_cell_apply D (1/rho) G p or its residual, and
- * smg_div and smg_grad D and G.  smg_face_diag and smg_cell_diag form the
- * diagonals the sweeps divide by, on the rows of their black updates, so
- * each coupling weight and wall rule is written once, here.
- * smg_restrict_* and smg_prolong_* are the multigrid transfers, one pass
- * per axis.
+ * smg_face_apply gives A u, rhs - A u, the saddle operator
+ * (A u + G p, -D u) or its residual, smg_cell_apply D (1/rho) G p or its
+ * residual, and smg_div and smg_grad D and G.  smg_face_diag and
+ * smg_cell_diag form the diagonals the sweeps divide by, on the rows of
+ * their black updates, so each coupling weight and wall rule is written
+ * once, here.  smg_restrict_* and smg_prolong_* are the multigrid
+ * transfers, one pass per axis.  smg_dot, smg_mgs_step and smg_combine
+ * are the Krylov reductions over flat vectors, each summed in one
+ * documented order (see below) that the loops in tests/reference.py
+ * repeat.
  *
  * Every entry is rounded as the numpy formulation rounds it: the same
  * operations in the same order, with no fused multiply-add (the library is
@@ -445,7 +448,7 @@ void smg_cell_diag(const grid3 *g, const double *const *rho, double *out)
  * ------------------------------------------------------------------------ */
 
 /* What the operator stage stores at the rows of component a. */
-enum { OUT_A = 0, OUT_RESIDUAL = 1, OUT_SADDLE = 2 };
+enum { OUT_A = 0, OUT_RESIDUAL = 1, OUT_SADDLE = 2, OUT_SADDLE_RESIDUAL = 3 };
 
 typedef struct {
     const grid3 *g;
@@ -454,6 +457,7 @@ typedef struct {
     const double *u[3];
     double *ua; /* component a; written by the sweep only */
     const double *base, *diag, *mu, *gamma, *rho, *w[2]; /* w[m]: (a, bs[m]) */
+    const double *rhs; /* the saddle residual's right-hand side at component a */
     const double *wall[2][2]; /* [m][side]: wall velocities, NULL for zero */
     double *delta, *r, *fn, *divu, *ft[2];
     long sc[3], sf[3][3], sn[2][3]; /* cells, faces, (a, bs[m]) nodes/edges */
@@ -649,13 +653,16 @@ ROW_FUNCTION tangent_row(const face_t *f, int m, const tangent_at *o,
 }
 
 /* The stage's output from the operator row Au: Au itself, the residual
- * base - Au, or Au + base with G p stored in base. */
+ * base - Au, Au + base with G p stored in base, or the saddle residual
+ * rhs - (Au + base). */
 static inline double finish(const face_t *f, double Au, long at)
 {
     if (f->out == OUT_RESIDUAL)
         return f->base[at] - Au;
     if (f->out == OUT_SADDLE)
         return Au + f->base[at];
+    if (f->out == OUT_SADDLE_RESIDUAL)
+        return f->rhs[at] - (Au + f->base[at]);
     return Au;
 }
 
@@ -734,7 +741,9 @@ static void operator_rows(const face_t *f)
 }
 
 /* Component a's boundary faces (not unknowns), into f->r: A u is zero
- * there, negated in steady flow (-L_mu u). */
+ * there, negated in steady flow (-L_mu u).  The saddle residual holds +0
+ * there whatever its right-hand side holds, as the saddle operator does
+ * (-0 + G p, G p being +0 on a wall). */
 static void wall_rows(const face_t *f)
 {
     if (!f->bounded)
@@ -748,7 +757,7 @@ static void wall_rows(const face_t *f)
         ROWS(lo3, hi3) {
             long r = row(s, i, j, -1, 0);
             for (long k = lo3[2]; k < hi3[2]; k++)
-                f->r[r + k] = finish(f, zero, r + k);
+                f->r[r + k] = f->out == OUT_SADDLE_RESIDUAL ? 0.0 : finish(f, zero, r + k);
         }
     }
 }
@@ -927,14 +936,16 @@ void smg_face_diag(const grid3 *g, int form, double theta, const double *mu,
 }
 
 /* Every component a of the velocity operator into res[a], as "out" asks:
- * A u, base - A u (base[a] the residual's right-hand side), or the
- * saddle operator's A u + G p, with -D u into res_p.  walls may be NULL
- * (zero wall velocities). */
+ * A u, base - A u (base[a] the residual's right-hand side), the saddle
+ * operator's A u + G p, with -D u into res_p, or the saddle residual
+ * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
+ * boundary faces.  walls may be NULL (zero wall velocities). */
 int smg_face_apply(const grid3 *g, int form, double theta, int out,
                    const double *const *u, const double *p,
-                   const double *const *base, const double *mu, const double *gamma,
-                   const double *const *rho, const double *const *ne,
-                   const double *const *walls, double *const *res, double *res_p)
+                   const double *const *base, const double *base_p, const double *mu,
+                   const double *gamma, const double *const *rho,
+                   const double *const *ne, const double *const *walls,
+                   double *const *res, double *res_p)
 {
     face_t f = {.g = g, .form = form, .out = out, .theta = theta, .mu = mu,
                 .gamma = gamma, .u = {u[0], u[1], u[2]}};
@@ -944,15 +955,16 @@ int smg_face_apply(const grid3 *g, int form, double theta, int out,
         long n = face_component(&f, a, ne, walls);
         nn = n > nn ? n : nn;
     }
-    int own_div = form == STRESS_BULK && out != OUT_SADDLE;
+    int saddle = out == OUT_SADDLE || out == OUT_SADDLE_RESIDUAL;
+    int own_div = form == STRESS_BULK && !saddle;
     double *work = malloc((nc * (1 + own_div) + nn) * sizeof(double));
     if (!work)
         return -1;
     f.fn = work;
-    f.divu = out == OUT_SADDLE ? res_p : work + nc;
-    if (form == STRESS_BULK || out == OUT_SADDLE)
+    f.divu = saddle ? res_p : work + nc;
+    if (form == STRESS_BULK || saddle)
         div_rows(&f);
-    if (out == OUT_SADDLE) {
+    if (saddle) {
         cell_t c = {.g = g, .p = (double *)p, .flux = {res[0], res[1], res[2]}};
         cell_shapes(&c);
         gradient_rows(&c);
@@ -961,7 +973,8 @@ int smg_face_apply(const grid3 *g, int form, double theta, int out,
         face_component(&f, a, ne, walls);
         f.rho = rho[a];
         f.r = res[a];
-        f.base = out == OUT_SADDLE ? res[a] : (base ? base[a] : NULL);
+        f.base = saddle ? res[a] : (base ? base[a] : NULL);
+        f.rhs = out == OUT_SADDLE_RESIDUAL ? base[a] : NULL;
         f.ft[0] = work + nc * (1 + own_div);
         f.ft[1] = f.ft[0] + count(f.sn[0]);
         operator_rows(&f);
@@ -970,6 +983,9 @@ int smg_face_apply(const grid3 *g, int form, double theta, int out,
     if (out == OUT_SADDLE)
         for (long k = 0; k < nc; k++)
             res_p[k] = -res_p[k];
+    if (out == OUT_SADDLE_RESIDUAL)
+        for (long k = 0; k < nc; k++)
+            res_p[k] = base_p[k] - -res_p[k];
     free(work);
     return 0;
 }
@@ -1197,4 +1213,101 @@ int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const 
             return -1;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Krylov reductions
+ * ------------------------------------------------------------------------
+ * Over contiguous vectors of n entries.  A dot product rounds each product
+ * a[k] b[k], adds it to running partial sum k mod 4 (each starting at 0.0,
+ * entries in increasing order) and combines the four as
+ * (s0 + s1) + (s2 + s3).  The order depends on n alone, not on the
+ * machine or on how the loop is compiled.  The loops that stream several
+ * vectors run two entries at a time in a pair of doubles (pair), which
+ * rounds each entry exactly as the scalar code does: partial sums 0 and 1
+ * share one pair, 2 and 3 the other. */
+
+typedef double pair __attribute__((vector_size(16)));
+
+static inline pair load2(const double *p)
+{
+    pair v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store2(double *p, pair v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+static inline double lanes(const double s[4])
+{
+    return (s[0] + s[1]) + (s[2] + s[3]);
+}
+
+/* a . b */
+double smg_dot(long n, const double *a, const double *b)
+{
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    long k = 0;
+    for (; k + 4 <= n; k += 4) {
+        s[0] += a[k] * b[k];
+        s[1] += a[k + 1] * b[k + 1];
+        s[2] += a[k + 2] * b[k + 2];
+        s[3] += a[k + 3] * b[k + 3];
+    }
+    for (; k < n; k++)
+        s[k & 3] += a[k] * b[k];
+    return lanes(s);
+}
+
+/* One modified Gram-Schmidt step, w -= h v entry by entry (h v rounded
+ * first), in the same pass as the next step's dot product: returns
+ * next . w of the updated w (next may be w itself).  Each entry of w is
+ * updated before it is read, so the result is bitwise smg_dot(n, next, w)
+ * after the update. */
+double smg_mgs_step(long n, double h, const double *v, double *w, const double *next)
+{
+    pair s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, hh = {h, h};
+    long k = 0;
+    for (; k + 4 <= n; k += 4) {
+        pair w01 = load2(w + k) - hh * load2(v + k);
+        pair w23 = load2(w + k + 2) - hh * load2(v + k + 2);
+        store2(w + k, w01);
+        store2(w + k + 2, w23);
+        s01 += load2(next + k) * w01;
+        s23 += load2(next + k + 2) * w23;
+    }
+    double s[4] = {s01[0], s01[1], s23[0], s23[1]};
+    for (; k < n; k++) {
+        w[k] -= h * v[k];
+        s[k & 3] += next[k] * w[k];
+    }
+    return lanes(s);
+}
+
+/* out = x + (y[0] v_0 + ... + y[m-1] v_m-1) entry by entry, the products
+ * added in order of i to 0.0; row v_i starts at V + i n, and out aliases
+ * none of the inputs */
+void smg_combine(long n, long m, const double *V, const double *y, const double *x,
+                 double *out)
+{
+    long k = 0;
+    for (; k + 4 <= n; k += 4) {
+        pair s01 = {0.0, 0.0}, s23 = {0.0, 0.0};
+        for (long i = 0; i < m; i++) {
+            pair yi = {y[i], y[i]};
+            s01 += yi * load2(V + i * n + k);
+            s23 += yi * load2(V + i * n + k + 2);
+        }
+        store2(out + k, load2(x + k) + s01);
+        store2(out + k + 2, load2(x + k + 2) + s23);
+    }
+    for (; k < n; k++) {
+        double s = 0.0;
+        for (long i = 0; i < m; i++)
+            s += y[i] * V[i * n + k];
+        out[k] = x[k] + s;
+    }
 }

@@ -88,3 +88,23 @@ def divergence_free_face(grid, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+_sanitizer_runs = []
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    # the sanitizer run (test_sanitizers.py) takes about half a minute in a
+    # child process: start it once its test is selected (last, after -k and
+    # -m deselection), so it runs beside the rest of the suite
+    for item in items:
+        if item.name == "test_kernel_properties_pass_under_sanitizers":
+            item.module.CHILD.start()
+            _sanitizer_runs.append(item.module.CHILD)
+
+
+def pytest_sessionfinish():
+    # a run stopped before the sanitizer test leaves no child behind
+    for run in _sanitizer_runs:
+        run.stop()

@@ -6,7 +6,9 @@ package code so the two paths share no machinery.  The exceptions are the
 flux-scaled operator section, whose whole-array formulas fix the rounding
 the package's row scaling must reproduce, and the numpy operators,
 transfers, two-colour sweep and smoother diagonals, which fix the rounding
-of the compiled library.
+of the compiled library, and the Krylov reduction loops, which fix the
+summation order of the library's dot product, Gram-Schmidt step and basis
+combination.
 """
 
 from __future__ import annotations
@@ -488,6 +490,19 @@ def apply_M(x: StokesVector, coeff) -> StokesVector:
     return StokesVector(au, du)
 
 
+def saddle_residual(x: StokesVector, coeff, rhs: StokesVector) -> StokesVector:
+    """``rhs - M x`` at the unknowns, +0 on the boundary faces."""
+    mx = apply_M(x, coeff)
+    comps = []
+    for a, (b, c) in enumerate(zip(rhs.u.components, mx.u.components)):
+        r = b - c
+        if not x.grid.periodic(a):
+            _zero_boundary(r, a)
+        comps.append(r)
+    return StokesVector(FaceField(x.grid, tuple(comps)),
+                        CellField(x.grid, rhs.p.data - mx.p.data))
+
+
 def restrict_cell(fine: CellField) -> CellField:
     grid = fine.grid
     return CellField(grid.coarsened(), _block_mean(fine.data, range(grid.dim)))
@@ -868,3 +883,34 @@ def dense_shifted_solve(A: np.ndarray, null_vectors: list[np.ndarray],
     for v in null_vectors:
         shifted += sigma * np.outer(v, v)
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), b)
+
+
+# ---------------------------------------------------------------------------
+# Krylov reductions, summed in the library's documented order
+# ---------------------------------------------------------------------------
+
+
+def krylov_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b``: product k into running sum k mod 4, each from 0.0 in
+    increasing k, combined as (s0 + s1) + (s2 + s3)."""
+    lanes = [0.0, 0.0, 0.0, 0.0]
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        lanes[k % 4] += x * y
+    return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+
+
+def mgs_step(h: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w - h v`` entry by entry, ``h v`` rounded first."""
+    return np.array([wk - h * vk for vk, wk in zip(v.tolist(), w.tolist())])
+
+
+def combine(V: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x + sum_i y[i] V[i]``: per entry the products are added in order
+    of i to 0.0, then the sum to x."""
+    rows, weights, out = [row.tolist() for row in V], y.tolist(), []
+    for k, xk in enumerate(x.tolist()):
+        s = 0.0
+        for yi, row in zip(weights, rows):
+            s += yi * row[k]
+        out.append(xk + s)
+    return np.array(out)

@@ -161,6 +161,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("solver.gmres.rtol", math.inf, "rtol must be positive and finite"),
+        ("solver.gmres.atol", math.inf, "atol must be nonnegative and finite"),
+        ("problem.dim", 10**12, "dim must be 2 or 3"),
+        ("problem.dim", 10**400, "dim must be 2 or 3"),
+    ], ids=["rtol_inf", "atol_inf", "dim_1e12", "dim_1e400"])
+    def test_out_of_range_value_exit_2_no_outputs(self, tmp_path, capsys, path, value,
+                                                  message):
+        # JSON's Infinity literal and huge integers: an infinite tolerance
+        # would stop at once as converged, and a huge dim would build a
+        # per-axis tuple of that length
+        config = {"problem": {"cells": 8, "kind": "constant", "bc": "no_slip"}}
+        cli._set(config, path, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2_no_outputs(self, tmp_path, monkeypatch, jobs):
         def no_worker(*args, **kwargs):

@@ -137,7 +137,7 @@ class TestAlgebra:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_dot_matches_blas_reference(self, dim, rng):
-        # dot sums in numpy's einsum order, not BLAS's: equal up to the
+        # dot sums in the library's order, not BLAS's: equal up to the
         # standard rounding bound n * eps * sum |a_i b_i|
         g = mkgrid(8, bc=NO_SLIP, dim=dim)
         a, b = pack_stokes(random_stokes(g, rng)), pack_stokes(random_stokes(g, rng))

@@ -153,6 +153,7 @@ def test_operator_kernels_leave_inputs(walls, dim, form, rng):
         kernels.apply_A(u, coeff, wall_values)
         kernels.apply_A(u, coeff, wall_values, rhs=base)
     kernels.apply_M(StokesVector(u, p), coeff)
+    kernels.apply_M(StokesVector(u, p), coeff, rhs=StokesVector(base, rhs))
     kernels.apply_Lrho(p, coeff)
     kernels.apply_Lrho(p, coeff, rhs)
     kernels.grad(p)

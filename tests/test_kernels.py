@@ -2,12 +2,15 @@
 cache.
 
 The property tests draw grids, walls, viscous forms, coefficients and
-relaxation settings and require the compiled sweeps, operators, smoother
-diagonals and transfers to equal the numpy oracle in ``reference.py`` bit
-for bit, signed zeros included; others assemble the compiled operators
-densely and check D = -G^T and the symmetry of A and L_rho, one checks
-that the null projection removes exactly the null components, and one that
-the V-cycles and the preconditioners are linear at rounding level.  The build
+relaxation settings and require the compiled sweeps, operators (the saddle
+residual included), smoother diagonals and transfers to equal the numpy
+oracle in ``reference.py`` bit for bit, signed zeros included, and the
+Krylov reductions to equal its summation loops; others assemble the
+compiled operators densely and check D = -G^T and the symmetry of A and
+L_rho, one checks that the null projection removes exactly the null
+components, and one that the V-cycles and the preconditioners are linear
+at rounding level.  ``test_sanitizers.py`` runs these properties against
+a sanitizer build.  The build
 tests compile the source with every warning an error, check the ctypes
 bindings against the C prototypes and run the CLI in fresh processes with
 their own cache directories.
@@ -153,16 +156,23 @@ def test_velocity_operators_equal_oracle(case):
     grid, coeff, _, _, rng = case
     u, rhs, bvals = full_face(grid, rng), full_face(grid, rng), random_bvals(grid, rng)
     x = StokesVector(u, CellField(grid, rng.standard_normal(grid.cells)))
+    b = StokesVector(rhs, CellField(grid, rng.standard_normal(grid.cells)))
+    saddle = [(apply_M(x, coeff), reference.apply_M(x, coeff)),
+              (apply_M(x, coeff, rhs=b), reference.saddle_residual(x, coeff, b))]
     pairs = [
         (apply_A(u, coeff), reference.apply_A(u, coeff)),
         (apply_A(u, coeff, bvals), reference.apply_A(u, coeff, bvals)),
         (apply_A(u, coeff, rhs=rhs), reference.apply_A(u, coeff, rhs=rhs)),
         (apply_viscous(u, coeff, bvals), reference.apply_viscous(u, coeff, bvals)),
-        (apply_M(x, coeff).u, reference.apply_M(x, coeff).u),
+        *[(got.u, want.u) for got, want in saddle],
     ]
     for got, want in pairs:
         assert same_bits(got.components, want.components)
-    assert same_bits([apply_M(x, coeff).p.data], [reference.apply_M(x, coeff).p.data])
+    for got, want in saddle:
+        assert same_bits([got.p.data], [want.p.data])
+        # one buffer, [u_0 | u_1 (| u_2) | p]
+        assert got.buffer.tobytes() == b"".join(
+            arr.tobytes() for arr in (*want.u.components, want.p.data))
 
 
 @PROPERTY
@@ -209,6 +219,84 @@ def test_transfers_equal_oracle(case):
                       (multigrid.prolong_cell(coarse_p), reference.prolong_cell(coarse_p))):
         assert got.grid == want.grid
         assert same_bits([got.data], [want.data])
+
+
+# ---------------------------------------------------------------------------
+# Krylov reductions
+# ---------------------------------------------------------------------------
+
+#: Stokes buffer lengths of the benchmark's bubble grids, 2D 256^2 and 3D
+#: 48^3 with no-slip walls
+BENCH_SIZES = tuple(
+    StokesVector.buffer_size(GridSpec(cells, 1.0, ((NO_SLIP, NO_SLIP),) * len(cells)))
+    for cells in ((256, 256), (48, 48, 48)))
+
+
+def krylov_vector(rng, n):
+    """Entries spread over twelve decades, so a sum in another order rounds
+    differently, with some signed zeros."""
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    v[rng.random(n) < 0.1] = 0.0
+    v[rng.random(n) < 0.1] = -0.0
+    return v
+
+
+def float_bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def reduction_cases(draw):
+    """A length of 0-9, so the lane loop ends at every tail, and a
+    generator."""
+    return draw(st.integers(0, 9)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(reduction_cases())
+def test_dot_equals_oracle(case):
+    n, rng = case
+    a, b = krylov_vector(rng, n), krylov_vector(rng, n)
+    assert float_bits(kernels.sum_products(a, b)) == float_bits(reference.krylov_dot(a, b))
+
+
+def check_mgs_step(n, rng, following):
+    h = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+    v, w = krylov_vector(rng, n), krylov_vector(rng, n)
+    want = reference.mgs_step(h, v, w)
+    nxt = w if following == "self" else krylov_vector(rng, n)
+    got = kernels.mgs_step(h, v, w, nxt)
+    assert w.tobytes() == want.tobytes()
+    oracle = reference.krylov_dot(want if following == "self" else nxt, want)
+    assert float_bits(got) == float_bits(oracle)
+
+
+def check_combine(n, m, rng):
+    V = np.array([krylov_vector(rng, n) for _ in range(m)]).reshape(m, n)
+    y, x = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3, m), krylov_vector(rng, n)
+    assert kernels.combine(V, y, x).tobytes() == reference.combine(V, y, x).tobytes()
+
+
+@PROPERTY
+@given(reduction_cases(), st.sampled_from(["other", "self"]))
+def test_mgs_step_equals_oracle(case, following):
+    check_mgs_step(*case, following)
+
+
+@PROPERTY
+@given(reduction_cases(), st.integers(0, 11))
+def test_combine_equals_oracle(case, m):
+    n, rng = case
+    check_combine(n, m, rng)
+
+
+@pytest.mark.parametrize("n", BENCH_SIZES)
+def test_reductions_equal_oracle_at_benchmark_sizes(n):
+    rng = np.random.default_rng(n)
+    a, b = krylov_vector(rng, n), krylov_vector(rng, n)
+    assert float_bits(kernels.sum_products(a, b)) == float_bits(reference.krylov_dot(a, b))
+    check_mgs_step(n, rng, "self")
+    check_combine(n, 3, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +467,14 @@ def test_source_compiles_without_warnings():
 
 
 #: the exported definitions of sweeps.c: result, name and parameter list
-C_ENTRY = re.compile(r"^(int|void)\s+(smg_\w+)\(([^)]*)\)\s*\{", re.M)
+C_ENTRY = re.compile(r"^(int|void|double)\s+(smg_\w+)\(([^)]*)\)\s*\{", re.M)
 
 
 def c_kind(parameter: str) -> str:
     if "*" in parameter:
         return "pointer"
     kind = " ".join(parameter.split()[:-1])
-    assert kind in ("int", "double"), parameter
+    assert kind in ("int", "long", "double"), parameter
     return kind
 
 
@@ -395,7 +483,7 @@ def ctypes_kind(t) -> str:
         return "void"
     if issubclass(t, (ctypes.c_void_p, ctypes._Pointer)):
         return "pointer"
-    return {ctypes.c_int: "int", ctypes.c_double: "double"}[t]
+    return {ctypes.c_int: "int", ctypes.c_long: "long", ctypes.c_double: "double"}[t]
 
 
 def test_bindings_match_the_c_prototypes():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from stokesmg import krylov
-from stokesmg.grid import CellField, StokesVector, norm2
+from stokesmg import grid, krylov
+from stokesmg.grid import FREE_SLIP, CellField, FaceField, StokesVector, norm2
 from stokesmg.krylov import (
     GmresConfig,
     gmres_kernel,
@@ -10,7 +10,7 @@ from stokesmg.krylov import (
     true_residual,
 )
 from stokesmg.operators import apply_M, rescale
-from stokesmg.precond import P1, P2, P3, PrecondConfig, Preconditioner
+from stokesmg.precond import IDENTITY, P1, P2, P3, P4, P5, PrecondConfig, Preconditioner
 from stokesmg.problems import (
     BubbleSpec,
     bubble_coefficients,
@@ -35,6 +35,13 @@ class TestConfig:
         for atol in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 GmresConfig(atol=atol)
+
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_nonfinite_tolerances_rejected(self, key, value):
+        # an infinite rtol or atol would stop every solve at once as converged
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            GmresConfig(**{key: value})
 
 
 class TestKernel:
@@ -318,5 +325,91 @@ class TestAlternativeForms:
         rhs, _ = make_rhs(g, coeff, seed=1)
         x, hist = gmres_solve(rhs, coeff, PrecondConfig(kind=P2),
                               GmresConfig(rtol=1e-10, max_iters=150))
+        assert hist.converged
+        assert true_residual(x, rhs, coeff) <= 1e-9 * norm2(rhs)
+
+
+# ---------------------------------------------------------------------------
+# boundary faces, which are not unknowns, and the Krylov buffers
+# ---------------------------------------------------------------------------
+
+WALL_KINDS = [P1, P2, P3, P4, P5]
+
+
+def wall_faces(x: StokesVector):
+    """The boundary-face slabs of each bounded velocity component."""
+    g = x.grid
+    for a in range(g.dim):
+        if not g.periodic(a):
+            comp = x.u.components[a]
+            for end in (0, -1):
+                yield comp[(slice(None),) * a + (end,)]
+
+
+def with_dirty_walls(x: StokesVector, rng) -> StokesVector:
+    """A separate copy of ``x`` with random nonzero boundary faces."""
+    out = StokesVector(FaceField(x.grid, tuple(c.copy() for c in x.u.components)),
+                       CellField(x.grid, x.p.data.copy()))
+    for face in wall_faces(out):
+        face[...] = rng.standard_normal(face.shape)
+    return out
+
+
+def wall_problem(bc, theta):
+    g = mkgrid(16, bc=bc)
+    coeff = bubble_coefficients(g, BubbleSpec(seed=41), theta=theta)
+    rhs, _ = make_rhs(g, coeff, seed=42)
+    return g, coeff, rhs
+
+
+def stokes_bits(x: StokesVector) -> list[bytes]:
+    return [arr.tobytes() for arr in (*x.u.components, x.p.data)]
+
+
+class TestWallFaces:
+    @pytest.mark.parametrize("kind", WALL_KINDS + [IDENTITY], ids=lambda k: k.value)
+    @pytest.mark.parametrize("theta", [0.0, 1.0], ids=["steady", "unsteady"])
+    @pytest.mark.parametrize("bc", [NO_SLIP, FREE_SLIP], ids=lambda bc: bc.value)
+    def test_rhs_wall_values_are_ignored(self, kind, theta, bc):
+        g, coeff, rhs = wall_problem(bc, theta)
+        dirty = with_dirty_walls(rhs, np.random.default_rng(43))
+        runs = [gmres_solve(b, coeff, PrecondConfig(kind=kind),
+                            GmresConfig(restart=4, rtol=1e-8, max_iters=10))
+                for b in (rhs, dirty)]
+        (x_clean, h_clean), (x_dirty, h_dirty) = runs
+        assert h_clean.rows() == h_dirty.rows() and h_clean.status == h_dirty.status
+        assert stokes_bits(x_clean) == stokes_bits(x_dirty)
+
+    @pytest.mark.parametrize("kind", WALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("theta", [0.0, 1.0], ids=["steady", "unsteady"])
+    @pytest.mark.parametrize("bc", [NO_SLIP, FREE_SLIP], ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("exact", [False, True], ids=["mg", "exact"])
+    def test_preconditioners_write_zero_walls(self, kind, theta, bc, exact):
+        g, coeff, rhs = wall_problem(bc, theta)
+        out = Preconditioner(coeff, PrecondConfig(kind=kind, exact_subsolvers=exact)).apply(
+            with_dirty_walls(rhs, np.random.default_rng(44)))
+        assert all(np.all(face == 0.0) for face in wall_faces(out))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0], ids=["steady", "unsteady"])
+    @pytest.mark.parametrize("bc", [NO_SLIP, FREE_SLIP], ids=lambda bc: bc.value)
+    def test_saddle_operator_and_residual_write_zero_walls(self, theta, bc):
+        g, coeff, rhs = wall_problem(bc, theta)
+        rng = np.random.default_rng(45)
+        x = with_dirty_walls(rhs, rng)
+        for out in (apply_M(x, coeff), apply_M(x, coeff, rhs=with_dirty_walls(rhs, rng))):
+            assert all(np.all(face == 0.0) for face in wall_faces(out))
+
+    def test_solve_makes_no_pack_or_unpack_copy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve copied through pack/unpack")
+
+        for module in (grid, krylov):
+            for name in ("pack_stokes", "unpack_stokes"):
+                monkeypatch.setattr(module, name, refuse)
+        g = mkgrid(32, bc=NO_SLIP)
+        coeff = bubble_coefficients(g, BubbleSpec(seed=8))
+        rhs, _ = make_rhs(g, coeff, seed=9)
+        x, hist = gmres_solve(rhs, coeff, PrecondConfig(kind=P2),
+                              GmresConfig(rtol=1e-10, max_iters=80))
         assert hist.converged
         assert true_residual(x, rhs, coeff) <= 1e-9 * norm2(rhs)

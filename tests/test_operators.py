@@ -641,6 +641,18 @@ class TestRescale:
         back = spec.unscale_solution(spec.scale_solution(x))
         assert norm2(back - x) <= 1e-15 * norm2(x)
 
+    def test_scaled_rhs_shares_no_storage(self, rng):
+        # a pressure sharing the input's buffer would keep all of it alive
+        g = mkgrid(8, bc=NO_SLIP, h=1.0)
+        coeff = make_coefficients(g, 0.0, CellField(g, np.ones(g.cells)),
+                                  CellField(g, np.full(g.cells, 100.0)))
+        rhs = random_stokes(g, rng).copy()
+        _, rhs2, spec = rescale(coeff, rhs)
+        assert not np.shares_memory(rhs2.buffer, rhs.buffer)
+        for got, comp in zip(rhs2.u.components, rhs.u.components):
+            assert got.tobytes() == (spec.c * comp).tobytes()
+        assert rhs2.p.data.tobytes() == rhs.p.data.tobytes()
+
     def test_scaled_solution_matches_unscaled(self, rng):
         from stokesmg.krylov import GmresConfig, gmres_solve
         from stokesmg.precond import PrecondConfig, PrecondKind
