@@ -360,8 +360,6 @@ class StokesVector:
 
     def copy(self) -> StokesVector:
         """A copy in a fresh buffer."""
-        if self.buffer is not None:
-            return StokesVector.view(self.grid, self.buffer.copy())
         out = StokesVector.view(self.grid, np.empty(self.buffer_size(self.grid)))
         for dst, src in zip(out.u.components, self.u.components):
             dst[...] = src

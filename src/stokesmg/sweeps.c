@@ -1222,24 +1222,7 @@ int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const 
  * a[k] b[k], adds it to running partial sum k mod 4 (each starting at 0.0,
  * entries in increasing order) and combines the four as
  * (s0 + s1) + (s2 + s3).  The order depends on n alone, not on the
- * machine or on how the loop is compiled.  The loops that stream several
- * vectors run two entries at a time in a pair of doubles (pair), which
- * rounds each entry exactly as the scalar code does: partial sums 0 and 1
- * share one pair, 2 and 3 the other. */
-
-typedef double pair __attribute__((vector_size(16)));
-
-static inline pair load2(const double *p)
-{
-    pair v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void store2(double *p, pair v)
-{
-    memcpy(p, &v, sizeof v);
-}
+ * machine or on how the loop is compiled. */
 
 static inline double lanes(const double s[4])
 {
@@ -1269,17 +1252,18 @@ double smg_dot(long n, const double *a, const double *b)
  * after the update. */
 double smg_mgs_step(long n, double h, const double *v, double *w, const double *next)
 {
-    pair s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, hh = {h, h};
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
     long k = 0;
     for (; k + 4 <= n; k += 4) {
-        pair w01 = load2(w + k) - hh * load2(v + k);
-        pair w23 = load2(w + k + 2) - hh * load2(v + k + 2);
-        store2(w + k, w01);
-        store2(w + k + 2, w23);
-        s01 += load2(next + k) * w01;
-        s23 += load2(next + k + 2) * w23;
+        w[k] -= h * v[k];
+        s[0] += next[k] * w[k];
+        w[k + 1] -= h * v[k + 1];
+        s[1] += next[k + 1] * w[k + 1];
+        w[k + 2] -= h * v[k + 2];
+        s[2] += next[k + 2] * w[k + 2];
+        w[k + 3] -= h * v[k + 3];
+        s[3] += next[k + 3] * w[k + 3];
     }
-    double s[4] = {s01[0], s01[1], s23[0], s23[1]};
     for (; k < n; k++) {
         w[k] -= h * v[k];
         s[k & 3] += next[k] * w[k];
@@ -1295,14 +1279,16 @@ void smg_combine(long n, long m, const double *V, const double *y, const double 
 {
     long k = 0;
     for (; k + 4 <= n; k += 4) {
-        pair s01 = {0.0, 0.0}, s23 = {0.0, 0.0};
+        double s[4] = {0.0, 0.0, 0.0, 0.0};
         for (long i = 0; i < m; i++) {
-            pair yi = {y[i], y[i]};
-            s01 += yi * load2(V + i * n + k);
-            s23 += yi * load2(V + i * n + k + 2);
+            const double *row = V + i * n + k;
+            s[0] += y[i] * row[0];
+            s[1] += y[i] * row[1];
+            s[2] += y[i] * row[2];
+            s[3] += y[i] * row[3];
         }
-        store2(out + k, load2(x + k) + s01);
-        store2(out + k + 2, load2(x + k + 2) + s23);
+        for (int j = 0; j < 4; j++)
+            out[k + j] = x[k + j] + s[j];
     }
     for (; k < n; k++) {
         double s = 0.0;
