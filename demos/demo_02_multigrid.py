@@ -49,8 +49,7 @@ for target in ("pressure", "velocity"):
         r0 = norm2(rhs)
         rels = []
         for _ in range(10):
-            corr = vcycle(resid(), hier, params,
-                          "cell" if target == "pressure" else "face")
+            corr = vcycle(resid(), hier, params)
             if target == "pressure":
                 x.data += corr.data
             else:

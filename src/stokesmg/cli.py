@@ -45,7 +45,7 @@ from .grid import (
     norm2,
 )
 from .krylov import GmresConfig, gmres_solve
-from .multigrid import SmootherParams, build_hierarchy, field_kind, mg_cycles
+from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, field_kind, mg_cycles
 from .operators import LAPLACIAN, STRESS, STRESS_BULK, rescale
 from .precond import PrecondConfig, PrecondKind
 from .problems import (
@@ -366,18 +366,19 @@ def _run_point(args):
 def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> int:
     validate_keys(config)
     points = expand_sweep(config)
-    # validate every sweep point before any output is written; each distinct
-    # problem block is built once
+    # validate every sweep point before any output is written, the solver
+    # block before the costlier problem block; each distinct problem block
+    # is built once
     grids = {}
     for cfg in points:
         validate_keys(cfg)
+        pcfg, _, _ = build_solver(cfg.get("solver", {}))
         problem = cfg.get("problem", {})
         key = json.dumps(problem, sort_keys=True)
         if key not in grids:
             grids[key] = build_problem(problem, seed_override)[0]
         grid = grids[key]
         _get(problem, "rescale", True, bool)
-        pcfg, _, _ = build_solver(cfg.get("solver", {}))
         if pcfg.exact_subsolvers:
             require_exact_size(grid)
     kernels.load()
@@ -402,26 +403,24 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
     return 0 if all(r["status"] in ("converged", "breakdown") for r in rows) else 1
 
 
-def _mg_bench_rows(grid, coeff, target: str, sweeps: int, max_cycles: int,
+def _mg_bench_rows(grid, coeff, target: str, params: SmootherParams, max_cycles: int,
                    rtol: float, seed: int) -> list[tuple]:
-    params = SmootherParams(sweeps_down=sweeps, sweeps_up=sweeps)
+    sweeps = params.sweeps_down
     hier = build_hierarchy(grid, coeff)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if target == "pressure":
-        kind = "cell"
         rhs = CellField(grid, gen.standard_normal(grid.cells))
         rhs.data -= rhs.data.mean()
     else:
-        kind = "face"
         rhs = FaceField.zeros(grid)
         for a in range(grid.dim):
             view = rhs.interior(a)
             view[...] = gen.standard_normal(view.shape)
-    operator = field_kind(kind).operator
+    operator = field_kind(rhs).operator
     r0 = norm2(rhs)
     rows = [(target, sweeps, 0, r0, 1.0)]
     # the range comes first so zip stops before asking for an extra cycle
-    for cycle, x in zip(range(1, max_cycles + 1), mg_cycles(rhs, hier, params, kind)):
+    for cycle, x in zip(range(1, max_cycles + 1), mg_cycles(rhs, hier, params)):
         rn = norm2(operator(x, coeff, rhs=rhs))
         rows.append((target, sweeps, cycle, rn, rn / r0))
         if rn <= rtol * r0:
@@ -437,10 +436,14 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     _require(target in ("pressure", "velocity", "both"), f"bad mg-bench target {target!r}")
     sweeps_list = bench.get("sweeps", [1, 2, 3, 4])
     _require(isinstance(sweeps_list, list), "mg_bench.sweeps must be a list")
-    _require(all(_typed(s, int, "sweeps entry") >= 1 for s in sweeps_list),
-             "mg_bench.sweeps entries must be positive")
+    smoothers = [SmootherParams(sweeps_down=n, sweeps_up=n)
+                 for n in (_typed(s, int, "sweeps entry") for s in sweeps_list)]
     max_cycles = _get(bench, "max_cycles", 15, int)
+    _require(1 <= max_cycles <= MAX_CYCLES,
+             f"mg_bench.max_cycles must lie in [1, {MAX_CYCLES}], got {max_cycles}")
     rtol = _get(bench, "rtol", 1e-12, float)
+    _require(0 <= rtol < math.inf,
+             f"mg_bench.rtol must be nonnegative and finite, got {rtol}")
     grid, coeff, _, seed = build_problem(problem)
     targets = ("pressure", "velocity") if target == "both" else (target,)
     if "velocity" in targets and coeff.theta == 0 and coeff.inviscid:
@@ -449,8 +452,8 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     lines = [MG_CSV_HEADER]
     for tgt in targets:
-        for sweeps in sweeps_list:
-            for row in _mg_bench_rows(grid, coeff, tgt, sweeps, max_cycles,
+        for params in smoothers:
+            for row in _mg_bench_rows(grid, coeff, tgt, params, max_cycles,
                                       rtol, seed):
                 name, s, cyc, r, rel = row
                 lines.append(f"{name},{s},{cyc},{_fmt(r)},{_fmt(rel)}")

@@ -15,6 +15,11 @@ Index conventions, fixed for the whole package:
   :meth:`~StokesVector.copy` or :meth:`~StokesVector.view` keeps its
   fields in one contiguous buffer, ``[u_0 | u_1 (| u_2) | p]``, each array
   in its own C order with its boundary faces; GMRES works on that buffer.
+* Every field array is C-contiguous float64 from construction:
+  :class:`CellField`, :class:`FaceField` and :class:`NodeEdgeField` store
+  ``np.ascontiguousarray(x, dtype=np.float64)`` (the same object when ``x``
+  already is one, a copy otherwise), which the compiled kernels read in
+  place and refuse in any other form.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ class CellField:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.shape != self.grid.cells:
             raise LayoutError(
                 f"cell data shape {self.data.shape} != grid cells {self.grid.cells}"
@@ -216,7 +221,7 @@ class FaceField:
     components: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        comps = tuple(np.asarray(c, dtype=np.float64) for c in self.components)
+        comps = tuple(np.ascontiguousarray(c, dtype=np.float64) for c in self.components)
         self.components = comps
         if len(comps) != self.grid.dim:
             raise LayoutError("need one component per axis")
@@ -284,7 +289,7 @@ class NodeEdgeField:
         if tuple(sorted(self.arrays)) != want:
             raise LayoutError(f"expected arrays keyed {want}, got {sorted(self.arrays)}")
         for axes, arr in self.arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
             self.arrays[axes] = arr
             if arr.shape != self.grid.node_edge_shape(axes):
                 raise LayoutError(

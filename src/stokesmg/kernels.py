@@ -286,19 +286,16 @@ def _data(arr: np.ndarray) -> int:
 _F64 = np.dtype(np.float64)
 
 
-def _address(arr: np.ndarray, shape: tuple, owners: list, iterate=False) -> int:
-    """Data address of ``arr`` once its shape and type are checked.  An
-    input held as a strided view is passed as a C-contiguous copy, kept
-    alive in ``owners``; the iterate is written in place, so it must be
-    C-contiguous and writable."""
-    if arr.shape != shape or arr.dtype is not _F64:
+def _address(arr: np.ndarray, shape: tuple, iterate=False) -> int:
+    """Data address of ``arr`` once its shape, type and C order are checked.
+    Fields hold C-contiguous arrays from construction, so a strided one was
+    put there around the constructor and is refused, never copied; the
+    iterate is written in place, so it must also be writable."""
+    if arr.shape != shape or arr.dtype is not _F64 or not arr.flags.c_contiguous:
         raise LayoutError(f"kernel array of shape {arr.shape} and type {arr.dtype}, "
-                          f"expected {shape} float64")
-    if iterate and not (arr.flags.c_contiguous and arr.flags.writeable):
-        raise LayoutError("smoother iterate must be writable and C-contiguous")
-    if not arr.flags.c_contiguous:
-        arr = np.ascontiguousarray(arr)
-        owners.append(arr)
+                          f"expected {shape} float64 in C order")
+    if iterate and not arr.flags.writeable:
+        raise LayoutError("smoother iterate must be writable")
     return _remember(arr, _data)
 
 
@@ -308,9 +305,8 @@ def _check(status: int) -> None:
 
 
 def _start(grid: GridSpec):
-    """The library, ``grid``'s layout and an empty list for the input
-    copies that must outlive the call."""
-    return _library or load(), _remember(grid, _layout), []
+    """The library and ``grid``'s layout."""
+    return _library or load(), _remember(grid, _layout)
 
 
 #: ``OUT_*`` of sweeps.c, what ``smg_face_apply`` gives: ``A u``, the
@@ -331,8 +327,8 @@ def _per_axis(lay: _Layout, addresses) -> _Axes:
     return _Axes(*[None] * lay.lead, *addresses)
 
 
-def _faces(lay: _Layout, arrays, owners: list, iterate=False) -> _Axes:
-    return _per_axis(lay, [_address(c, s, owners, iterate)
+def _faces(lay: _Layout, arrays, iterate=False) -> _Axes:
+    return _per_axis(lay, [_address(c, s, iterate)
                            for c, s in zip(arrays, lay.faces)])
 
 
@@ -341,31 +337,33 @@ def _outputs(lay: _Layout, shapes) -> tuple[tuple, _Axes]:
     return tuple(arr for arr, _ in pairs), _per_axis(lay, [addr for _, addr in pairs])
 
 
-def _viscosity(lay: _Layout, coeff, owners: list) -> tuple:
+def _viscosity(lay: _Layout, coeff) -> tuple:
     """``mu``, ``gamma``, ``rho`` per face axis and the node/edge planes per
     3D plane slot (NULL: no plane), as the velocity operator, its diagonal
     and its sweep read them."""
     planes = coeff.mu_node_edge.arrays
-    return (_address(coeff.mu_cell.data, lay.cells, owners),
-            _address(coeff.gamma_cell.data, lay.cells, owners),
-            _faces(lay, coeff.rho_face.components, owners),
-            _Axes(*[slot and _address(planes[slot[0]], slot[1], owners)
-                    for slot in lay.planes]))
+    return (_address(coeff.mu_cell.data, lay.cells),
+            _address(coeff.gamma_cell.data, lay.cells),
+            _faces(lay, coeff.rho_face.components),
+            _Axes(*[slot and _address(planes[slot[0]], slot[1]) for slot in lay.planes]))
 
 
-def _walls(bvals, lay: _Layout, owners: list):
+def _walls(bvals, lay: _Layout):
     """Pointers to the tangential wall velocities the operator reads, at
-    ``(3 a + b) 2 + side`` in 3D axes; missing ones stay NULL (zero)."""
+    ``(3 a + b) 2 + side`` in 3D axes; missing ones stay NULL (zero).  Wall
+    values are not fields: each is read from a C-contiguous copy that the
+    returned array's ``values`` keeps alive."""
     grid = bvals.grid
     walls = (ctypes.c_void_p * 18)()
+    walls.values = []
     for a in range(grid.dim):
         for b in range(grid.dim):
             for side in (0, 1):
                 if b != a and not grid.periodic(b) and (b, side, a) in bvals.tangential:
-                    vals = bvals.tangential_values(b, side, a)
-                    owners.append(vals)
+                    vals = np.ascontiguousarray(bvals.tangential_values(b, side, a))
+                    walls.values.append(vals)
                     slot = (3 * (a + lay.lead) + b + lay.lead) * 2 + side
-                    walls[slot] = _address(vals, vals.shape, owners)
+                    walls[slot] = _address(vals, vals.shape)
     return walls
 
 
@@ -376,17 +374,17 @@ def _walls(bvals, lay: _Layout, owners: list):
 
 def div(u: FaceField) -> CellField:
     """Cell-centered divergence; reads stored boundary faces."""
-    lib, lay, owners = _start(u.grid)
+    lib, lay = _start(u.grid)
     out, addr = _output(lay.cells)
-    lib.smg_div(lay.grid3, _faces(lay, u.components, owners), addr)
+    lib.smg_div(lay.grid3, _faces(lay, u.components), addr)
     return CellField(u.grid, out)
 
 
 def grad(p: CellField) -> FaceField:
     """Face-centered pressure gradient; wall-normal faces are zero."""
-    lib, lay, owners = _start(p.grid)
+    lib, lay = _start(p.grid)
     out, ptrs = _outputs(lay, lay.faces)
-    lib.smg_grad(lay.grid3, _address(p.data, lay.cells, owners), ptrs)
+    lib.smg_grad(lay.grid3, _address(p.data, lay.cells), ptrs)
     return FaceField(p.grid, out)
 
 
@@ -395,21 +393,20 @@ def apply_Lrho(p: CellField, coeff: CoefficientSet,
     """Density-weighted pressure Poisson operator D (1/rho) G, summed from
     unscaled differences and scaled once by 1/h^2; with ``rhs``, the
     residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
-    lib, lay, owners = _start(p.grid)
+    lib, lay = _start(p.grid)
     out, addr = _output(lay.cells)
     _check(lib.smg_cell_apply(
-        lay.grid3, _address(p.data, lay.cells, owners),
-        rhs and _address(rhs.data, lay.cells, owners),
-        _faces(lay, coeff.rho_face.components, owners), addr))
+        lay.grid3, _address(p.data, lay.cells), rhs and _address(rhs.data, lay.cells),
+        _faces(lay, coeff.rho_face.components), addr))
     return CellField(p.grid, out)
 
 
 def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
     """Diagonal of D (1/rho) G, which the pressure smoother divides by: each
     cell sums -1/(rho h^2) over its faces, a wall face adding nothing."""
-    lib, lay, owners = _start(grid)
+    lib, lay = _start(grid)
     out, addr = _output(lay.cells)
-    lib.smg_cell_diag(lay.grid3, _faces(lay, coeff.rho_face.components, owners), addr)
+    lib.smg_cell_diag(lay.grid3, _faces(lay, coeff.rho_face.components), addr)
     return CellField(grid, out)
 
 
@@ -431,13 +428,13 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     1/h^2 once, which for a power-of-two h rounds exactly like dividing
     each difference by h.
     """
-    lib, lay, owners = _start(u.grid)
+    lib, lay = _start(u.grid)
     out, ptrs = _outputs(lay, lay.faces)
     # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
     _check(lib.smg_face_apply(
         lay.grid3, _FORMS[coeff.viscous_form.value], 0.0, _OPERATOR,
-        _faces(lay, u.components, owners), None, None, None,
-        *_viscosity(lay, coeff, owners), bvals and _walls(bvals, lay, owners), ptrs, None))
+        _faces(lay, u.components), None, None, None,
+        *_viscosity(lay, coeff), bvals and _walls(bvals, lay), ptrs, None))
     for c in out:
         np.negative(c, out=c)
     return FaceField(u.grid, out)
@@ -450,13 +447,13 @@ def apply_A(u: FaceField, coeff: CoefficientSet,
     flow forms no mass term: -L_mu u); with ``rhs``, the residual
     ``rhs - A u`` instead, in the same pass, whose boundary faces carry
     ``rhs``."""
-    lib, lay, owners = _start(u.grid)
+    lib, lay = _start(u.grid)
     out, ptrs = _outputs(lay, lay.faces)
     _check(lib.smg_face_apply(
         lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
-        _OPERATOR if rhs is None else _RESIDUAL, _faces(lay, u.components, owners),
-        None, rhs and _faces(lay, rhs.components, owners), None,
-        *_viscosity(lay, coeff, owners), bvals and _walls(bvals, lay, owners), ptrs, None))
+        _OPERATOR if rhs is None else _RESIDUAL, _faces(lay, u.components),
+        None, rhs and _faces(lay, rhs.components), None,
+        *_viscosity(lay, coeff), bvals and _walls(bvals, lay), ptrs, None))
     return FaceField(u.grid, out)
 
 
@@ -467,26 +464,25 @@ def apply_M(x: StokesVector, coeff: CoefficientSet,
     (they are not unknowns; ``rhs``'s are not read).  The result's fields
     view one fresh buffer."""
     grid = x.grid
-    lib, lay, owners = _start(grid)
+    lib, lay = _start(grid)
     out = StokesVector.view(grid, np.empty(StokesVector.buffer_size(grid)))
     _check(lib.smg_face_apply(
         lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
         _SADDLE if rhs is None else _SADDLE_RESIDUAL,
-        _faces(lay, x.u.components, owners), _address(x.p.data, lay.cells, owners),
-        rhs and _faces(lay, rhs.u.components, owners),
-        rhs and _address(rhs.p.data, lay.cells, owners), *_viscosity(lay, coeff, owners),
-        None, _faces(lay, out.u.components, owners),
-        _address(out.p.data, lay.cells, owners)))
+        _faces(lay, x.u.components), _address(x.p.data, lay.cells),
+        rhs and _faces(lay, rhs.u.components), rhs and _address(rhs.p.data, lay.cells),
+        *_viscosity(lay, coeff), None, _faces(lay, out.u.components),
+        _address(out.p.data, lay.cells)))
     return out
 
 
 def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
     """Diagonal of A, which the velocity smoother divides by; boundary faces
     are set to one."""
-    lib, lay, owners = _start(grid)
+    lib, lay = _start(grid)
     out, ptrs = _outputs(lay, lay.faces)
     lib.smg_face_diag(lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
-                      *_viscosity(lay, coeff, owners), ptrs)
+                      *_viscosity(lay, coeff), ptrs)
     return FaceField(grid, out)
 
 
@@ -505,11 +501,11 @@ def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
     maps zero to exactly +0 and ``r - (+0)`` is ``r``, so the result is
     bitwise the same.
     """
-    lib, lay, owners = _start(grid)
+    lib, lay = _start(grid)
     _check(lib.smg_cell_sweep(
-        lay.grid3, omega, zero_guess, _address(phi.data, lay.cells, owners, True),
-        _address(rhs.data, lay.cells, owners), _address(diag.data, lay.cells, owners),
-        _faces(lay, coeff.rho_face.components, owners)))
+        lay.grid3, omega, zero_guess, _address(phi.data, lay.cells, True),
+        _address(rhs.data, lay.cells), _address(diag.data, lay.cells),
+        _faces(lay, coeff.rho_face.components)))
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -524,11 +520,11 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
     is not applied; later components see the first one's update and apply
     theirs.  The result is bitwise the same (see :func:`smooth_cell`).
     """
-    lib, lay, owners = _start(grid)
+    lib, lay = _start(grid)
     _check(lib.smg_face_sweep(
         lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, omega, zero_guess,
-        _faces(lay, u.components, owners, True), _faces(lay, rhs.components, owners),
-        _faces(lay, diag.components, owners), *_viscosity(lay, coeff, owners)))
+        _faces(lay, u.components, True), _faces(lay, rhs.components),
+        _faces(lay, diag.components), *_viscosity(lay, coeff)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +535,18 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
 def restrict_cell(fine: CellField) -> CellField:
     """Simple averaging of the 2^d fine children."""
     coarse = fine.grid.coarsened()
-    lib, lay, owners = _start(fine.grid)
+    lib, lay = _start(fine.grid)
     out, addr = _output(coarse.cells)
-    _check(lib.smg_restrict_cell(lay.grid3, _address(fine.data, lay.cells, owners), addr))
+    _check(lib.smg_restrict_cell(lay.grid3, _address(fine.data, lay.cells), addr))
     return CellField(coarse, out)
 
 
 def prolong_cell(coarse: CellField) -> CellField:
     """Direct injection of each coarse value into its 2^d children."""
     fine = coarse.grid.refined()
-    lib, lay, owners = _start(coarse.grid)
+    lib, lay = _start(coarse.grid)
     out, addr = _output(fine.cells)
-    _check(lib.smg_prolong_cell(lay.grid3, _address(coarse.data, lay.cells, owners), addr))
+    _check(lib.smg_prolong_cell(lay.grid3, _address(coarse.data, lay.cells), addr))
     return CellField(fine, out)
 
 
@@ -562,9 +558,9 @@ def restrict_face(fine: FaceField) -> FaceField:
     coarse result stay zero (they are not unknowns).
     """
     coarse = fine.grid.coarsened()
-    lib, lay, owners = _start(fine.grid)
+    lib, lay = _start(fine.grid)
     out, ptrs = _outputs(lay, [coarse.face_shape(a) for a in range(coarse.dim)])
-    _check(lib.smg_restrict_face(lay.grid3, _faces(lay, fine.components, owners), ptrs))
+    _check(lib.smg_restrict_face(lay.grid3, _faces(lay, fine.components), ptrs))
     return FaceField(coarse, out)
 
 
@@ -578,9 +574,9 @@ def prolong_face(coarse: FaceField) -> FaceField:
     faces copy and the faces between average.
     """
     fine = coarse.grid.refined()
-    lib, lay, owners = _start(coarse.grid)
+    lib, lay = _start(coarse.grid)
     out, ptrs = _outputs(lay, [fine.face_shape(a) for a in range(fine.dim)])
-    _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components, owners), ptrs))
+    _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components), ptrs))
     return FaceField(fine, out)
 
 

@@ -104,12 +104,15 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
     ``nonfinite`` (a residual norm, Arnoldi norm or Givens estimate turned
     NaN or infinite; ``x`` is then the last finite iterate).  The Givens
     estimate of the residual norm is nonincreasing within a restart window;
-    each restart recomputes the residual from the current iterate.
+    each restart recomputes the residual from the current iterate.  A
+    window holds at most ``m = min(restart, max_iters)`` iterations, so the
+    basis and the least-squares arrays are sized by ``m``.
     """
     n = len(b)
+    m = min(restart, max_iters)
     x = np.zeros(n)
     r = b
-    V = np.zeros((restart + 1, n))  # the basis, reused by every restart
+    V = np.zeros((m + 1, n))  # the basis, reused by every restart
     k = 0
     first_cycle = True
     while True:
@@ -118,15 +121,15 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
             return x, "converged", k
         if not math.isfinite(beta):
             return x, "nonfinite", k
-        H = np.zeros((restart + 1, restart))
-        cs = np.zeros(restart)
-        sn = np.zeros(restart)
-        g = np.zeros(restart + 1)
+        H = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
         np.divide(r, beta, out=V[0])
         g[0] = beta
         j = 0
         xk = x
-        while j < restart and k < max_iters:
+        while j < m and k < max_iters:
             w = apply_op(V[j])
             k += 1
             # modified Gram-Schmidt, each step fused with the next step's

@@ -20,6 +20,7 @@ from .grid import (
     CellField,
     FaceField,
     GridSpec,
+    LayoutError,
     NodeEdgeField,
     edge_planes,
 )
@@ -38,8 +39,19 @@ from .kernels import (
 from .operators import CoefficientSet, _sl
 
 
+#: most sweeps of one smoothing pass (down, up or at the bottom level)
+MAX_SWEEPS = 100
+#: most V-cycles of one multigrid solve: a subsolve's
+#: ``PrecondConfig.velocity_cycles`` or ``SchurConfig.pressure_cycles``, and
+#: the ``max_cycles`` of ``stokesmg mg-bench``
+MAX_CYCLES = 100
+
+
 @dataclass(frozen=True)
 class SmootherParams:
+    """Relaxation weight and sweep counts; every count is at most
+    :data:`MAX_SWEEPS`, so a cycle's cost is bounded."""
+
     omega: float = 1.0
     sweeps_down: int = 2
     sweeps_up: int = 2
@@ -48,10 +60,10 @@ class SmootherParams:
     def __post_init__(self):
         if not 0 < self.omega <= 1:
             raise ValueError("omega must lie in (0, 1]")
-        if self.sweeps_down < 1 or self.sweeps_up < 1:
-            raise ValueError("need at least one smoothing sweep each way")
-        if self.bottom_sweeps < 8:
-            raise ValueError("bottom level needs at least 8 relaxations")
+        if not (1 <= self.sweeps_down <= MAX_SWEEPS and 1 <= self.sweeps_up <= MAX_SWEEPS):
+            raise ValueError(f"need 1 to {MAX_SWEEPS} smoothing sweeps each way")
+        if not 8 <= self.bottom_sweeps <= MAX_SWEEPS:
+            raise ValueError(f"bottom level needs 8 to {MAX_SWEEPS} relaxations")
 
 
 class MgHierarchy:
@@ -163,8 +175,7 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
         rest = [b for b in all_axes if b not in axes]
         if rest:
             arr = _block_mean(arr, rest)
-        # a 2D node plane is injected only, a strided view until copied
-        arrays[axes] = np.ascontiguousarray(arr)
+        arrays[axes] = arr
     mu_ne = NodeEdgeField(coarse_grid, arrays)
 
     return CoefficientSet(
@@ -194,29 +205,29 @@ class FieldKind(NamedTuple):
     diagonal: Callable
 
 
-def field_kind(kind: str) -> FieldKind:
-    """The V-cycle's pieces for cell-centered or staggered fields.
+def field_kind(rhs) -> FieldKind:
+    """The V-cycle's pieces for a cell-centered or staggered right-hand side.
 
     Built per call, not at import, so every piece is this module's current
     attribute (wrappers installed on the module see each call).
     """
-    if kind == "cell":
+    if isinstance(rhs, CellField):
         return FieldKind(CellField.zeros, apply_Lrho, restrict_cell,
                          prolong_cell, smooth_cell, MgHierarchy.diag_cell)
-    if kind == "face":
+    if isinstance(rhs, FaceField):
         return FieldKind(FaceField.zeros, apply_A, restrict_face,
                          prolong_face, smooth_face, MgHierarchy.diag_face)
-    raise ValueError("kind must be 'cell' or 'face'")
+    raise LayoutError(f"no V-cycle solves for a {type(rhs).__name__} right-hand side")
 
 
-def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
+def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams):
     """One residual-correction V-cycle from a zero initial guess.
 
-    ``kind`` selects the cell-centered pressure solver or the staggered
-    velocity solver.  With fixed sweep counts the cycle is a constant
-    linear operator in ``rhs``.
+    A :class:`CellField` ``rhs`` selects the cell-centered pressure solver,
+    a :class:`FaceField` the staggered velocity solver.  With fixed sweep
+    counts the cycle is a constant linear operator in ``rhs``.
     """
-    return _vcycle_level(rhs, hierarchy, params, field_kind(kind), 0)
+    return _vcycle_level(rhs, hierarchy, params, field_kind(rhs), 0)
 
 
 def _arrays(field) -> tuple[np.ndarray, ...]:
@@ -250,28 +261,26 @@ def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):
     return x
 
 
-def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams, kind: str):
-    """Repeated V-cycles from a zero guess; yields the iterate after each.
+def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):
+    """Repeated V-cycles from a zero guess; yields the iterate after each,
+    the first being the first V-cycle itself.
 
     The residual feeding the next cycle is formed only when the next
     iterate is requested, so stopping after any cycle costs nothing extra.
     """
-    fk = field_kind(kind)
-    grid, coeff = hierarchy.levels[0]
-    x = fk.zeros(grid)
-    res = rhs
+    fk = field_kind(rhs)
+    coeff = hierarchy.levels[0][1]
+    x = _vcycle_level(rhs, hierarchy, params, fk, 0)
     while True:
-        x = x + _vcycle_level(res, hierarchy, params, fk, 0)
         yield x
-        res = fk.operator(x, coeff, rhs=rhs)
+        x = x + _vcycle_level(fk.operator(x, coeff, rhs=rhs), hierarchy, params, fk, 0)
 
 
-def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams,
-             n_cycles: int, kind: str):
+def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams, n_cycles: int):
     """Apply ``n_cycles`` V-cycles from a zero guess; linear in ``rhs``."""
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
-    cycles = mg_cycles(rhs, hierarchy, params, kind)
+    cycles = mg_cycles(rhs, hierarchy, params)
     for _ in range(n_cycles):
         x = next(cycles)
     return x

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .grid import CellField, FaceField, GridSpec, StokesVector
-from .multigrid import MgHierarchy, SmootherParams, build_hierarchy, mg_solve
+from .multigrid import MAX_CYCLES, MgHierarchy, SmootherParams, build_hierarchy, mg_solve
 from .operators import (
     CoefficientSet,
     _zero_boundary,
@@ -44,14 +44,17 @@ IDENTITY = PrecondKind.IDENTITY
 
 @dataclass(frozen=True)
 class PrecondConfig:
+    """Preconditioner kind, V-cycles per velocity solve (at most
+    :data:`multigrid.MAX_CYCLES`), Schur inverse and subsolver choice."""
+
     kind: PrecondKind = P2
     velocity_cycles: int = 1
     schur: SchurConfig = field(default_factory=SchurConfig)
     exact_subsolvers: bool = False
 
     def __post_init__(self):
-        if self.velocity_cycles < 1:
-            raise ValueError("need at least one velocity cycle")
+        if not 1 <= self.velocity_cycles <= MAX_CYCLES:
+            raise ValueError(f"need 1 to {MAX_CYCLES} velocity cycles")
 
 
 class Preconditioner:
@@ -92,19 +95,17 @@ class Preconditioner:
         if self._face_solver is not None:
             return self._face_solver.solve(b)
         self.scalar_vcycles += self.grid.dim * self.cfg.velocity_cycles
-        return mg_solve(b, self._hierarchy, self.smoother,
-                        self.cfg.velocity_cycles, "face")
+        return mg_solve(b, self._hierarchy, self.smoother, self.cfg.velocity_cycles)
 
     def pressure_solve(self, b: CellField) -> CellField:
         if self._cell_solver is not None:
             return self._cell_solver.solve(b)
         self.scalar_vcycles += self.cfg.schur.pressure_cycles
-        return mg_solve(b, self._hierarchy, self.smoother,
-                        self.cfg.schur.pressure_cycles, "cell")
+        return mg_solve(b, self._hierarchy, self.smoother, self.cfg.schur.pressure_cycles)
 
     def _schur_inv(self, b: CellField) -> CellField:
         solver = self.pressure_solve if self.coeff.theta > 0 else None
-        return apply_schur_inv(b, self.coeff, self.cfg.schur, solver)
+        return apply_schur_inv(b, self.coeff, solver)
 
     # -- application -------------------------------------------------------
 
@@ -127,7 +128,7 @@ class Preconditioner:
                 if not self.grid.periodic(a):
                     _zero_boundary(xu.components[a], a)
             # reuse the single Poisson solve inside the Schur inverse
-            s_inv = apply_schur_inv(b_c, coeff, self.cfg.schur, lambda _: phi)
+            s_inv = apply_schur_inv(b_c, coeff, lambda _: phi)
             x = StokesVector(xu, sign * s_inv)
         elif kind is P2:
             xu = self.velocity_solve(r.u)

@@ -51,8 +51,8 @@ class BubbleSpec:
     positive_outside: bool = True
 
     def __post_init__(self):
-        if self.r_mu < 1 or self.r_rho < 1:
-            raise ValueError("contrast ratios must be >= 1")
+        if not (1 <= self.r_mu < math.inf and 1 <= self.r_rho < math.inf):
+            raise ValueError("contrast ratios must be finite and >= 1")
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("smoothing width must be positive")
 
@@ -152,7 +152,11 @@ def cfl_to_theta(spec: CflSpec, mu0: float, rho0: float, h: float) -> float:
         return 0.0
     if spec.inviscid:
         return 1.0
-    return mu0 / (spec.beta * rho0 * h * h)
+    scale = spec.beta * rho0 * h * h
+    if scale == 0:
+        raise ValueError(f"unsteady flow (beta = {spec.beta}) needs beta rho0 h^2 "
+                         f"nonzero, got rho0 = {rho0} and h = {h}")
+    return mu0 / scale
 
 
 def make_rhs(grid: GridSpec, coeff: CoefficientSet, seed: int = 0):

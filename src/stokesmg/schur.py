@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CellField
+from .multigrid import MAX_CYCLES
 from .operators import (
     LAPLACIAN,
     STRESS,
@@ -36,12 +37,15 @@ PLUS = SchurSign.PLUS
 
 @dataclass(frozen=True)
 class SchurConfig:
+    """Sign of the Schur inverse and V-cycles per pressure solve, at most
+    :data:`multigrid.MAX_CYCLES`."""
+
     sign: SchurSign = MINUS
     pressure_cycles: int = 1
 
     def __post_init__(self):
-        if self.pressure_cycles < 1:
-            raise ValueError("need at least one pressure cycle")
+        if not 1 <= self.pressure_cycles <= MAX_CYCLES:
+            raise ValueError(f"need 1 to {MAX_CYCLES} pressure cycles")
 
 
 def schur_diagonal(coeff: CoefficientSet) -> np.ndarray:
@@ -56,12 +60,8 @@ def schur_diagonal(coeff: CoefficientSet) -> np.ndarray:
     raise ValueError(f"unknown viscous form {form}")
 
 
-def apply_schur_inv(
-    r: CellField,
-    coeff: CoefficientSet,
-    cfg: SchurConfig,
-    pressure_solve=None,
-) -> CellField:
+def apply_schur_inv(r: CellField, coeff: CoefficientSet,
+                    pressure_solve=None) -> CellField:
     """Approximate S^{-1} r = -theta * Lrho^{-1} r + V r.
 
     ``pressure_solve`` supplies the (inexact or exact) Poisson inverse and

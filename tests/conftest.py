@@ -90,21 +90,24 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-_sanitizer_runs = []
+#: tests that wait on a child process: the sanitizer run (test_sanitizers.py,
+#: about half a minute) and the benchmark's own suite
+#: (test_perfbench_suite.py, several seconds)
+CHILD_TESTS = ("test_kernel_properties_pass_under_sanitizers", "test_benchmark_suite_passes")
+_child_runs = []
 
 
 @pytest.hookimpl(trylast=True)
 def pytest_collection_modifyitems(items):
-    # the sanitizer run (test_sanitizers.py) takes about half a minute in a
-    # child process: start it once its test is selected (last, after -k and
-    # -m deselection), so it runs beside the rest of the suite
+    # start each child once its test is selected (last, after -k and -m
+    # deselection), so it runs beside the rest of the suite
     for item in items:
-        if item.name == "test_kernel_properties_pass_under_sanitizers":
+        if item.name in CHILD_TESTS:
             item.module.CHILD.start()
-            _sanitizer_runs.append(item.module.CHILD)
+            _child_runs.append(item.module.CHILD)
 
 
 def pytest_sessionfinish():
-    # a run stopped before the sanitizer test leaves no child behind
-    for run in _sanitizer_runs:
+    # a run stopped before a child's test leaves no child behind
+    for run in _child_runs:
         run.stop()

@@ -157,7 +157,7 @@ def test_criterion_2_multigrid_rate(rng):
         reached = None
         for cycle in range(1, 16):
             res = CellField(g, rhs.data - apply_Lrho(x, coeff).data)
-            x.data += vcycle(res, hier, params, "cell").data
+            x.data += vcycle(res, hier, params).data
             rn = norm2(CellField(g, rhs.data - apply_Lrho(x, coeff).data))
             ratios.append(rn / prev)
             prev = rn
@@ -222,7 +222,7 @@ def test_criterion_4_schur_exactness(rng):
     for form, mu0, gamma0, label in cases:
         coeff = constant_coefficients(g, mu0=mu0, gamma0=gamma0, viscous_form=form)
         p = random_cell(g, rng, mean_zero=True)
-        back = apply_schur_inv(exact_schur_apply(p, coeff), coeff, SchurConfig())
+        back = apply_schur_inv(exact_schur_apply(p, coeff), coeff)
         errs.append((label, norm2(back - p) / norm2(p)))
     ok = all(e <= 1e-10 for _, e in errs)
     report(4, ok, "inverse composition on mean-zero pressure: "

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from stokesmg import kernels, multigrid
-from stokesmg.grid import FREE_SLIP, NO_SLIP, PERIODIC, CellField, FaceField, StokesVector
+from stokesmg.grid import (
+    FREE_SLIP,
+    NO_SLIP,
+    PERIODIC,
+    CellField,
+    FaceField,
+    LayoutError,
+    StokesVector,
+)
 from stokesmg.multigrid import (
     SmootherParams,
     build_hierarchy,
@@ -223,20 +231,112 @@ def test_cell_smoother_moves_only_x(walls, dim, zero_guess, rng):
 @dims
 @pytest.mark.parametrize("zero_guess", [False, True])
 def test_cell_kernel_moves_only_x(walls, dim, zero_guess, rng):
-    # strided (Fortran-ordered) inputs reach the library as copies: neither
-    # is written, and x moves exactly as with C-ordered inputs
+    # fields built from Fortran-ordered arrays hold C-contiguous copies:
+    # the source arrays are not written, and x moves exactly as with
+    # C-ordered inputs
     g, coeff = case(walls, dim, STRESS, rng)
     diag = lrho_diagonal(g, coeff)
     rhs = random_cell(g, rng)
     phi = CellField.zeros(g) if zero_guess else random_cell(g, rng)
     want, start = phi.copy(), snapshot(phi)
     smooth_cell(want, rhs, g, coeff, diag, 0.8, zero_guess)
-    rhs_f, diag_f = (CellField(g, np.asfortranarray(f.data)) for f in (rhs, diag))
-    assert not rhs_f.data.flags.c_contiguous
-    before = snapshot(rhs_f, diag_f, coeff)
+    sources = [np.asfortranarray(f.data) for f in (rhs, diag)]
+    assert not any(src.flags.c_contiguous for src in sources)
+    before = snapshot(*sources, coeff)
+    rhs_f, diag_f = (CellField(g, src) for src in sources)
+    for f, src in zip((rhs_f, diag_f), sources):
+        assert f.data.flags.c_contiguous and not np.shares_memory(f.data, src)
     smooth_cell(phi, rhs_f, g, coeff, diag_f, 0.8, zero_guess)
-    assert_unchanged(before, rhs_f, diag_f, coeff)
+    assert_unchanged(before, *sources, coeff)
     assert snapshot(phi) == snapshot(want) != start
+
+
+def strided(arr):
+    """A non-contiguous view holding ``arr``'s values."""
+    out = np.empty(arr.shape[:-1] + (2 * arr.shape[-1],))[..., ::2]
+    out[...] = arr
+    assert not out.flags.c_contiguous
+    return out
+
+
+def strided_face(u, axis):
+    """``u`` with its ``axis`` component reassigned to a strided view."""
+    comps = list(u.components)
+    comps[axis] = strided(comps[axis])
+    u.components = tuple(comps)
+    return u
+
+
+def strided_cell(f):
+    """``f`` with its data reassigned to a strided view."""
+    f.data = strided(f.data)
+    return f
+
+
+def refusal_cases(g, coeff, rng):
+    """(name, call, iterate or None) of every stencil, each given one input
+    whose array was reassigned around the field constructor."""
+    last = g.dim - 1
+    u, p, phi = random_face(g, rng), random_cell(g, rng), random_cell(g, rng)
+    bad_u, bad_p = strided_face(random_face(g, rng), last), strided_cell(random_cell(g, rng))
+    bad_coeff = make_coefficients(g, 0.7, coeff.rho_cell, coeff.mu_cell, coeff.gamma_cell,
+                                  viscous_form=coeff.viscous_form)
+    strided_face(bad_coeff.rho_face, 0)
+    fdiag, cdiag = helmholtz_diagonal(g, coeff), lrho_diagonal(g, coeff)
+    return [
+        ("div", lambda: div(bad_u), None),
+        ("grad", lambda: grad(bad_p), None),
+        ("apply_Lrho", lambda: apply_Lrho(bad_p, coeff), None),
+        ("apply_Lrho rhs", lambda: apply_Lrho(p, coeff, bad_p), None),
+        ("apply_Lrho coeff", lambda: apply_Lrho(p, bad_coeff), None),
+        ("apply_viscous", lambda: apply_viscous(bad_u, coeff), None),
+        ("apply_A", lambda: apply_A(bad_u, coeff), None),
+        ("apply_A rhs", lambda: apply_A(u, coeff, rhs=bad_u), None),
+        ("apply_A coeff", lambda: apply_A(u, bad_coeff), None),
+        ("apply_M", lambda: apply_M(StokesVector(u, bad_p), coeff), None),
+        ("apply_M rhs", lambda: apply_M(StokesVector(u, p), coeff,
+                                        rhs=StokesVector(bad_u, p)), None),
+        ("helmholtz_diagonal", lambda: helmholtz_diagonal(g, bad_coeff), None),
+        ("lrho_diagonal", lambda: lrho_diagonal(g, bad_coeff), None),
+        ("smooth_cell iterate", lambda: smooth_cell(bad_p, p, g, coeff, cdiag, 0.8), bad_p),
+        ("smooth_cell rhs", lambda: smooth_cell(phi, bad_p, g, coeff, cdiag, 0.8), phi),
+        ("smooth_cell coeff", lambda: smooth_cell(phi, p, g, bad_coeff, cdiag, 0.8), phi),
+        ("smooth_face iterate", lambda: smooth_face(bad_u, u, g, coeff, fdiag, 0.8), bad_u),
+        ("smooth_face rhs", lambda: smooth_face(u, bad_u, g, coeff, fdiag, 0.8), u),
+        ("smooth_face coeff", lambda: smooth_face(u, u.copy(), g, bad_coeff, fdiag, 0.8), u),
+        ("restrict_cell", lambda: restrict_cell(bad_p), None),
+        ("prolong_cell", lambda: prolong_cell(bad_p), None),
+        ("restrict_face", lambda: restrict_face(bad_u), None),
+        ("prolong_face", lambda: prolong_face(bad_u), None),
+    ]
+
+
+class Untouchable:
+    """Stands in for the library: records every entry that is called."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append(name)
+
+
+@pytest.mark.parametrize("walls", ["no_slip", "mixed"])
+@dims
+def test_strided_field_arrays_are_refused_before_the_library(walls, dim, rng, monkeypatch):
+    # field constructors store C-contiguous arrays; one reassigned to a
+    # strided view afterwards is refused, not copied, and nothing runs
+    g, coeff = case(walls, dim, STRESS_BULK, rng)
+    cases = refusal_cases(g, coeff, rng)
+    library = Untouchable()
+    monkeypatch.setattr(kernels, "_library", library)
+    for name, call, iterate in cases:
+        start = iterate is not None and snapshot(iterate)
+        with pytest.raises(LayoutError):
+            call()
+        assert library.calls == [], name
+        if iterate is not None:
+            assert snapshot(iterate) == start, name
 
 
 @pytest.mark.parametrize("walls", [w for w in WALLS if w != "odd_periodic"])
@@ -246,10 +346,10 @@ def test_vcycle_and_mg_solve_leave_rhs(walls, dim, form, rng):
     g, coeff = case(walls, dim, form, rng)
     hier = build_hierarchy(g, coeff)
     params = SmootherParams(omega=0.8)
-    for kind, rhs in (("face", random_face(g, rng)), ("cell", random_cell(g, rng))):
+    for rhs in (random_face(g, rng), random_cell(g, rng)):
         before = snapshot(rhs, hier)
-        vcycle(rhs, hier, params, kind)
-        mg_solve(rhs, hier, params, 2, kind)
+        vcycle(rhs, hier, params)
+        mg_solve(rhs, hier, params, 2)
         assert_unchanged(before, rhs, hier)
 
 

@@ -397,8 +397,7 @@ def test_vcycles_and_preconditioners_are_linear(case, alpha, beta):
     def stokes():
         return StokesVector(face(), cell())
 
-    maps = [(lambda r, k=kind: multigrid.vcycle(r, hier, params, k), draw)
-            for kind, draw in (("face", face), ("cell", cell))]
+    maps = [(lambda r: multigrid.vcycle(r, hier, params), draw) for draw in (face, cell)]
     maps += [(Preconditioner(coeff, PrecondConfig(kind=kind), params).apply, stokes)
              for kind in PrecondKind if kind is not PrecondKind.IDENTITY]
     eps = np.finfo(float).eps

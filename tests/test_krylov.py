@@ -229,6 +229,22 @@ class TestHistory:
             runs.append(hist.rows())
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("max_iters", [1, 4, 7])
+    def test_huge_restart_is_sized_by_max_iters(self, max_iters):
+        # a window never holds more than max_iters iterations: a restart far
+        # beyond it allocates no larger basis and gives the same bits
+        g = mkgrid(16, bc=NO_SLIP)
+        coeff = bubble_coefficients(g, BubbleSpec(seed=3))
+        rhs, _ = make_rhs(g, coeff, seed=4)
+        runs = []
+        for restart in (max_iters, 10**12):
+            x, hist = gmres_solve(rhs, coeff, PrecondConfig(kind=P2),
+                                  GmresConfig(restart=restart, max_iters=max_iters,
+                                              rtol=1e-14))
+            runs.append((hist.status, hist.rows(), x.buffer.tobytes()))
+        assert runs[0][0] == "maxiter"
+        assert runs[0] == runs[1]
+
     def test_maxiter_status(self, rng):
         g = mkgrid(32, bc=NO_SLIP)
         coeff = bubble_coefficients(g, BubbleSpec(seed=13))

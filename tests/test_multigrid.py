@@ -8,12 +8,15 @@ from stokesmg.grid import (
     PERIODIC,
     CellField,
     FaceField,
+    LayoutError,
+    NodeEdgeField,
     norm2,
 )
 from stokesmg.multigrid import (
     SmootherParams,
     build_hierarchy,
     coarsen_coefficients,
+    mg_cycles,
     mg_solve,
     prolong_cell,
     prolong_face,
@@ -139,8 +142,8 @@ class TestCoarsenCoefficients:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("bc", [PERIODIC, NO_SLIP, FREE_SLIP])
     def test_every_level_array_is_c_contiguous(self, dim, bc, rng):
-        # the compiled kernels read coefficients in place and copy a strided
-        # view on every call
+        # the compiled kernels read coefficients in place and refuse a
+        # strided view
         g = mkgrid(16 if dim == 2 else 8, bc=bc, dim=dim)
         coeff = make_coefficients(g, 0.5, CellField(g, 1.0 + rng.random(g.cells)),
                                   CellField(g, 1.0 + rng.random(g.cells)),
@@ -424,9 +427,9 @@ class TestSmootherCost:
         levels = len(hier)
         assert levels >= 2
         calls = self.count_in_smoothers(monkeypatch)
-        vcycle(random_face(g, rng), hier, SmootherParams(), "face")
+        vcycle(random_face(g, rng), hier, SmootherParams())
         assert calls["face"] == calls["smooth_face"] - levels
-        vcycle(random_cell(g, rng), hier, SmootherParams(), "cell")
+        vcycle(random_cell(g, rng), hier, SmootherParams())
         assert calls["cell"] == calls["smooth_cell"] - levels
 
     @pytest.mark.parametrize("omega", [1.0, 0.8])
@@ -436,14 +439,14 @@ class TestSmootherCost:
         hier = build_hierarchy(g, coeff)
         params = SmootherParams(omega=omega)
         rhs = {"face": random_face(g, rng), "cell": random_cell(g, rng)}
-        skipped = {kind: vcycle(r, hier, params, kind) for kind, r in rhs.items()}
+        skipped = {kind: vcycle(r, hier, params) for kind, r in rhs.items()}
         for name in ("smooth_face", "smooth_cell"):
             original = getattr(multigrid, name)
             # drop the positional zero-iterate flag: every sweep applies A
             monkeypatch.setattr(multigrid, name,
                                 lambda *args, _f=original: _f(*args[:6]))
         for kind, r in rhs.items():
-            full = vcycle(r, hier, params, kind)
+            full = vcycle(r, hier, params)
             arrays = (full.data,) if kind == "cell" else full.components
             ref = (skipped[kind].data,) if kind == "cell" else skipped[kind].components
             for x, y in zip(arrays, ref):
@@ -486,9 +489,9 @@ class TestSmootherArguments:
         g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
         hier = build_hierarchy(g, coeff)
         params = SmootherParams()
-        for kind, rhs in (("face", random_face(g, rng)), ("cell", random_cell(g, rng))):
-            vcycle(rhs, hier, params, kind)
-            mg_solve(rhs, hier, params, 2, kind)
+        for rhs in (random_face(g, rng), random_cell(g, rng)):
+            vcycle(rhs, hier, params)
+            mg_solve(rhs, hier, params, 2)
         assert all(calls.values())
 
 
@@ -496,7 +499,7 @@ class TestVcycle:
     def test_zero_rhs(self):
         g = mkgrid(16, bc=NO_SLIP)
         hier = build_hierarchy(g, poisson_coeff(g))
-        out = vcycle(CellField.zeros(g), hier, SmootherParams(), "cell")
+        out = vcycle(CellField.zeros(g), hier, SmootherParams())
         assert norm2(out) == 0.0
 
     def test_linearity(self, rng):
@@ -505,9 +508,9 @@ class TestVcycle:
         params = SmootherParams()
         r1, r2 = random_cell(g, rng), random_cell(g, rng)
         a, b = 0.7, -1.3
-        combined = vcycle(CellField(g, a * r1.data + b * r2.data), hier, params, "cell")
-        split = a * vcycle(r1, hier, params, "cell").data \
-            + b * vcycle(r2, hier, params, "cell").data
+        combined = vcycle(CellField(g, a * r1.data + b * r2.data), hier, params)
+        split = a * vcycle(r1, hier, params).data \
+            + b * vcycle(r2, hier, params).data
         scale = max(norm2(combined), 1.0)
         assert np.abs(combined.data - split).max() <= 1e-12 * scale
 
@@ -517,16 +520,22 @@ class TestVcycle:
         hier = build_hierarchy(g, coeff)
         rhs = random_face(g, rng)
         p = SmootherParams()
-        out1 = vcycle(rhs, hier, p, "face")
-        out2 = vcycle(rhs, hier, p, "face")
+        out1 = vcycle(rhs, hier, p)
+        out2 = vcycle(rhs, hier, p)
         for a in range(2):
             assert np.array_equal(out1.components[a], out2.components[a])
 
-    def test_bad_kind_rejected(self):
+    def test_rhs_that_is_not_a_field_rejected(self):
+        # the right-hand side's type selects the cycle: a bare array or a
+        # node/edge field has no V-cycle
         g = mkgrid(16, bc=NO_SLIP)
         hier = build_hierarchy(g, poisson_coeff(g))
-        with pytest.raises(ValueError):
-            vcycle(CellField.zeros(g), hier, SmootherParams(), "nodes")
+        for rhs in (np.zeros(g.cells), NodeEdgeField.zeros(g)):
+            for solve in (lambda r: vcycle(r, hier, SmootherParams()),
+                          lambda r: mg_solve(r, hier, SmootherParams(), 2),
+                          lambda r: next(mg_cycles(r, hier, SmootherParams()))):
+                with pytest.raises(LayoutError):
+                    solve(rhs)
 
     def test_pressure_contraction_256(self, rng):
         g = mkgrid(256, bc=NO_SLIP)
@@ -538,7 +547,7 @@ class TestVcycle:
         prev = norm2(rhs)
         for cycle in range(4):
             res = CellField(g, rhs.data - apply_Lrho(x, coeff).data)
-            x.data += vcycle(res, hier, params, "cell").data
+            x.data += vcycle(res, hier, params).data
             rn = norm2(CellField(g, rhs.data - apply_Lrho(x, coeff).data))
             assert rn / prev <= 0.15
             prev = rn
@@ -551,15 +560,15 @@ class TestMgSolve:
         hier = build_hierarchy(g, coeff)
         rhs = random_cell(g, rng, mean_zero=True)
         params = SmootherParams()
-        a = mg_solve(rhs, hier, params, 1, "cell")
-        b = vcycle(rhs, hier, params, "cell")
+        a = mg_solve(rhs, hier, params, 1)
+        b = vcycle(rhs, hier, params)
         assert np.array_equal(a.data, b.data)
 
     def test_cycle_count_validated(self, rng):
         g = mkgrid(16, bc=NO_SLIP)
         hier = build_hierarchy(g, poisson_coeff(g))
         with pytest.raises(ValueError):
-            mg_solve(CellField.zeros(g), hier, SmootherParams(), 0, "cell")
+            mg_solve(CellField.zeros(g), hier, SmootherParams(), 0)
 
     def test_dozen_cycles_reach_1e10_512(self, rng):
         # publication-size pressure solve: about a dozen V-cycles to 1e-10
@@ -567,7 +576,7 @@ class TestMgSolve:
         coeff = poisson_coeff(g)
         hier = build_hierarchy(g, coeff)
         rhs = random_cell(g, rng, mean_zero=True)
-        x = mg_solve(rhs, hier, SmootherParams(), 12, "cell")
+        x = mg_solve(rhs, hier, SmootherParams(), 12)
         rel = norm2(CellField(g, rhs.data - apply_Lrho(x, coeff).data)) / norm2(rhs)
         assert rel <= 1e-10
 
@@ -578,7 +587,7 @@ class TestMgSolve:
         rhs = random_cell(g, rng, mean_zero=True)
         prev = norm2(rhs)
         for n in range(1, 6):
-            x = mg_solve(rhs, hier, SmootherParams(), n, "cell")
+            x = mg_solve(rhs, hier, SmootherParams(), n)
             rn = norm2(CellField(g, rhs.data - apply_Lrho(x, coeff).data))
             assert rn < prev
             prev = rn
@@ -593,7 +602,7 @@ class TestMgSolve:
         prev = norm2(rhs)
         for cycle in range(5):
             res = rhs - apply_A(x, coeff)
-            corr = vcycle(res, hier, params, "face")
+            corr = vcycle(res, hier, params)
             for a in range(2):
                 x.components[a][...] += corr.components[a]
             rn = norm2(rhs - apply_A(x, coeff))

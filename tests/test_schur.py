@@ -36,7 +36,7 @@ class TestDiagonalScalings:
         g = mkgrid(8, bc=PERIODIC)
         coeff = constant_coefficients(g, mu0=3.0, viscous_form=STRESS)
         r = random_cell(g, rng)
-        out = apply_schur_inv(r, coeff, SchurConfig())
+        out = apply_schur_inv(r, coeff)
         assert np.array_equal(out.data, 6.0 * r.data)
 
     def test_bulk_combination(self, rng):
@@ -44,14 +44,14 @@ class TestDiagonalScalings:
         coeff = constant_coefficients(g, mu0=3.0, gamma0=1.0,
                                       viscous_form=STRESS_BULK)
         r = random_cell(g, rng)
-        out = apply_schur_inv(r, coeff, SchurConfig())
+        out = apply_schur_inv(r, coeff)
         assert np.allclose(out.data, 5.0 * r.data)
 
     def test_laplacian_plain_viscosity(self, rng):
         g = mkgrid(8, bc=PERIODIC)
         coeff = constant_coefficients(g, mu0=3.0, viscous_form=LAPLACIAN)
         r = random_cell(g, rng)
-        out = apply_schur_inv(r, coeff, SchurConfig())
+        out = apply_schur_inv(r, coeff)
         assert np.array_equal(out.data, 3.0 * r.data)
 
     def test_variable_viscosity_uses_cell_values(self, rng):
@@ -59,14 +59,14 @@ class TestDiagonalScalings:
         mu = CellField(g, 1.0 + rng.random(g.cells))
         coeff = make_coefficients(g, 0.0, CellField(g, np.ones(g.cells)), mu)
         r = random_cell(g, rng)
-        out = apply_schur_inv(r, coeff, SchurConfig())
+        out = apply_schur_inv(r, coeff)
         assert np.allclose(out.data, 2.0 * mu.data * r.data)
 
     def test_unsteady_requires_pressure_solver(self, rng):
         g = mkgrid(8, bc=PERIODIC)
         coeff = constant_coefficients(g, theta=1.0)
         with pytest.raises(ValueError):
-            apply_schur_inv(random_cell(g, rng), coeff, SchurConfig())
+            apply_schur_inv(random_cell(g, rng), coeff)
 
 
 class TestInviscid:
@@ -85,7 +85,7 @@ class TestInviscid:
         lam = -(4 / h**2) * (np.sin(kx * h / 2) ** 2 + np.sin(ky * h / 2) ** 2)
         # sanity: mode is an eigenvector of the implementation Laplacian
         assert norm2(lap_pressure(mode) - lam * mode) <= 1e-12 * abs(lam) * norm2(mode)
-        out = apply_schur_inv(mode, coeff, SchurConfig(), solver.solve)
+        out = apply_schur_inv(mode, coeff, solver.solve)
         assert norm2(out - (1.0 / abs(lam)) * mode) <= 1e-10 * norm2(mode) / abs(lam)
 
     def test_exact_schur_is_scaled_laplacian(self, rng):
@@ -139,8 +139,7 @@ class TestCompositionExactness:
         p = random_cell(g, rng, mean_zero=True)
         s = exact_schur_apply(p, coeff)
         solver = DenseCellSolver(g, coeff) if theta > 0 else None
-        back = apply_schur_inv(s, coeff, SchurConfig(),
-                               solver.solve if solver else None)
+        back = apply_schur_inv(s, coeff, solver.solve if solver else None)
         assert norm2(back - p) <= 1e-10 * norm2(p)
 
     def test_linearity_of_inexact_inverse(self, rng):
@@ -150,10 +149,10 @@ class TestCompositionExactness:
         coeff = constant_coefficients(g, theta=1.0)
         hier = build_hierarchy(g, coeff)
         params = SmootherParams()
-        solve = lambda b: mg_solve(b, hier, params, 1, "cell")
+        solve = lambda b: mg_solve(b, hier, params, 1)
         p1, p2 = random_cell(g, rng), random_cell(g, rng)
         lhs = apply_schur_inv(CellField(g, 2.0 * p1.data + 3.0 * p2.data),
-                              coeff, SchurConfig(), solve)
-        rhs = CellField(g, 2.0 * apply_schur_inv(p1, coeff, SchurConfig(), solve).data
-                        + 3.0 * apply_schur_inv(p2, coeff, SchurConfig(), solve).data)
+                              coeff, solve)
+        rhs = CellField(g, 2.0 * apply_schur_inv(p1, coeff, solve).data
+                        + 3.0 * apply_schur_inv(p2, coeff, solve).data)
         assert norm2(lhs - rhs) <= 1e-12 * max(norm2(rhs), 1.0)
