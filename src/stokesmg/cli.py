@@ -45,8 +45,8 @@ from .grid import (
     norm2,
 )
 from .krylov import GmresConfig, gmres_solve
-from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, field_kind, mg_cycles
-from .operators import LAPLACIAN, STRESS, STRESS_BULK, rescale
+from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, mg_cycles
+from .operators import LAPLACIAN, STRESS, STRESS_BULK, apply_A, apply_Lrho, rescale
 from .precond import PrecondConfig, PrecondKind
 from .problems import (
     PRNG_NAME,
@@ -271,11 +271,13 @@ def build_solver(solver: dict):
 
 
 def expand_sweep(config: dict) -> list[dict]:
-    """Cartesian product over the ``sweep`` block's dotted paths."""
-    sweep = config.get("sweep", {})
-    if not sweep:
+    """Cartesian product over the ``sweep`` block's dotted paths; a block
+    that is present must be a nonempty object."""
+    if "sweep" not in config:
         return [copy.deepcopy(config)]
-    _require(isinstance(sweep, dict), "sweep must map config paths to value lists")
+    sweep = config["sweep"]
+    _require(isinstance(sweep, dict) and sweep,
+             "sweep must map config paths to value lists")
     paths = sorted(sweep)
     for p in paths:
         _require(isinstance(sweep[p], list) and sweep[p],
@@ -411,12 +413,13 @@ def _mg_bench_rows(grid, coeff, target: str, params: SmootherParams, max_cycles:
     if target == "pressure":
         rhs = CellField(grid, gen.standard_normal(grid.cells))
         rhs.data -= rhs.data.mean()
+        operator = apply_Lrho
     else:
         rhs = FaceField.zeros(grid)
         for a in range(grid.dim):
             view = rhs.interior(a)
             view[...] = gen.standard_normal(view.shape)
-    operator = field_kind(rhs).operator
+        operator = apply_A
     r0 = norm2(rhs)
     rows = [(target, sweeps, 0, r0, 1.0)]
     # the range comes first so zip stops before asking for an extra cycle

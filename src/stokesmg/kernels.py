@@ -164,7 +164,18 @@ def _compile(key: str, directory: str) -> str:
 
 
 _ptr, _dbl, _int, _long = ctypes.c_void_p, ctypes.c_double, ctypes.c_int, ctypes.c_long
-_ptrs, _grid = ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3)
+_Axes = ctypes.c_void_p * 3
+
+
+class _Level(ctypes.Structure):
+    """``smg_level`` of sweeps.c: one level of a V-cycle plan."""
+
+    _fields_ = [("g", _Grid3), ("diag", _Axes), ("mu", _ptr), ("gamma", _ptr),
+                ("rho", _Axes), ("ne", _Axes)]
+
+
+_ptrs, _grid, _plan = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3),
+                       ctypes.POINTER(_Level))
 
 #: result and argument types of each entry of sweeps.c
 SIGNATURES = {
@@ -182,6 +193,9 @@ SIGNATURES = {
     "smg_restrict_face": (_int, [_grid, _ptrs, _ptrs]),
     "smg_prolong_cell": (_int, [_grid, _ptr, _ptr]),
     "smg_prolong_face": (_int, [_grid, _ptrs, _ptrs]),
+    "smg_face_vcycle": (_int, [_long, _plan, _int, _dbl, _dbl, _int, _int, _int, _ptrs,
+                               _ptrs]),
+    "smg_cell_vcycle": (_int, [_long, _plan, _dbl, _int, _int, _int, _ptr, _ptr]),
     "smg_dot": (_dbl, [_long, _ptr, _ptr]),
     "smg_mgs_step": (_dbl, [_long, _dbl, _ptr, _ptr, _ptr]),
     "smg_combine": (None, [_long, _long, _ptr, _ptr, _ptr, _ptr]),
@@ -265,10 +279,8 @@ def _remember(obj, make):
     """``make(obj)``, computed once while ``obj`` lives.
 
     A grid description or an array's data address costs microseconds to
-    build, as much as a whole sweep on a coarse level, and the V-cycle
-    passes the same grids, coefficients and diagonals again and again, and
-    hands each level's residual, restriction and prolongation on from one
-    kernel to the next.
+    build, as much as a whole sweep on a coarse level, and callers pass the
+    same grids and coefficients again and again.
     """
     key = id(obj)
     hit = _memo.get(key)
@@ -313,8 +325,6 @@ def _start(grid: GridSpec):
 #: residual ``base - A u``, the saddle operator ``(A u + G p, -D u)`` and
 #: its residual
 _OPERATOR, _RESIDUAL, _SADDLE, _SADDLE_RESIDUAL = range(4)
-
-_Axes = ctypes.c_void_p * 3
 
 
 def _output(shape: tuple) -> tuple[np.ndarray, int]:
@@ -578,6 +588,48 @@ def prolong_face(coarse: FaceField) -> FaceField:
     out, ptrs = _outputs(lay, [fine.face_shape(a) for a in range(fine.dim)])
     _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components), ptrs))
     return FaceField(fine, out)
+
+
+# ---------------------------------------------------------------------------
+# V-cycles
+# ---------------------------------------------------------------------------
+
+
+def vcycle_plan(levels, diagonals) -> ctypes.Array:
+    """Per ``(grid, coefficients)`` level, finest first, the grid and the
+    addresses of the coefficients and of its diagonal.  The plan keeps
+    those arrays alive, should a field be given another array later."""
+    plan = (_Level * len(levels))()
+    plan.arrays = []
+    for level, (grid, coeff), diag in zip(plan, levels, diagonals, strict=True):
+        lay = _remember(grid, _layout)
+        face = isinstance(diag, FaceField)
+        level.g = lay.grid3
+        level.diag = (_faces(lay, diag.components) if face
+                      else _Axes(_address(diag.data, lay.cells)))
+        level.mu, level.gamma, level.rho, level.ne = _viscosity(lay, coeff)
+        plan.arrays += [coeff.mu_cell.data, coeff.gamma_cell.data,
+                        *coeff.rho_face.components, *coeff.mu_node_edge.arrays.values(),
+                        *(diag.components if face else [diag.data])]
+    return plan
+
+
+def vcycle(rhs, grid: GridSpec, coeff: CoefficientSet, plan: ctypes.Array, params):
+    """One V-cycle from zero on the finest ``grid`` of a plan with ``rhs``'s
+    kind of diagonals, in one library call: bitwise the recursion over the
+    sweeps, residuals and transfers here in ``tests/reference.py``."""
+    lib, lay = _start(grid)
+    counts = (params.omega, params.sweeps_down, params.sweeps_up, params.bottom_sweeps)
+    if isinstance(rhs, CellField):
+        x = CellField.zeros(grid)
+        _check(lib.smg_cell_vcycle(len(plan), plan, *counts, _address(rhs.data, lay.cells),
+                                   _address(x.data, lay.cells, True)))
+    else:
+        x = FaceField.zeros(grid)
+        _check(lib.smg_face_vcycle(len(plan), plan, _FORMS[coeff.viscous_form.value],
+                                   coeff.theta, *counts, _faces(lay, rhs.components),
+                                   _faces(lay, x.components, True)))
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,9 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
     each restart recomputes the residual from the current iterate.  A
     window holds at most ``m = min(restart, max_iters)`` iterations, so the
     basis and the least-squares arrays are sized by ``m``.
+
+    ``callback(k, iterate, rp, restarted)`` runs after iteration ``k``;
+    ``iterate()`` forms its iterate ``x + V y`` once, when first read.
     """
     n = len(b)
     m = min(restart, max_iters)
@@ -115,6 +118,13 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
     V = np.zeros((m + 1, n))  # the basis, reused by every restart
     k = 0
     first_cycle = True
+
+    def iterate() -> np.ndarray:
+        nonlocal xk
+        if xk is None:
+            xk = combine(V[: len(y)], y, x)
+        return xk
+
     while True:
         beta = _norm(r)
         if beta == 0.0:
@@ -156,19 +166,18 @@ def gmres_kernel(apply_op, b: np.ndarray, restart: int, max_iters: int,
             g[j] = cs[j] * g[j]
             rp = abs(g[j + 1])
             if not (math.isfinite(rp) and math.isfinite(arnoldi_norm)):
-                return xk, "nonfinite", k
+                return iterate(), "nonfinite", k
 
-            y = _solve_upper(H[: j + 1, : j + 1], g[: j + 1])
-            xk = combine(V[: j + 1], y, x)
+            y, xk = _solve_upper(H[: j + 1, : j + 1], g[: j + 1]), None
             if callback is not None:
-                callback(k, xk, rp, j == 0 and not first_cycle)
+                callback(k, iterate, rp, j == 0 and not first_cycle)
             if rp <= target:
-                return xk, "converged", k
+                return iterate(), "converged", k
             if arnoldi_norm <= breakdown_tol:
-                return xk, "breakdown", k
+                return iterate(), "breakdown", k
             np.divide(w, arnoldi_norm, out=V[j + 1])
             j += 1
-        x = xk
+        x = iterate()
         first_cycle = False
         if k >= max_iters:
             return x, "maxiter", k
@@ -243,9 +252,9 @@ def gmres_solve(
     target = gcfg.rtol * rp0 + gcfg.atol
     breakdown_tol = max(gcfg.atol, 1e-14 * rp0)
 
-    def callback(k, xvec, rp, restart_flag):
+    def callback(k, iterate, rp, restart_flag):
         if gcfg.track_true_residual:
-            rt = true_residual(StokesVector.view(grid, xvec), rhs, coeff)
+            rt = true_residual(StokesVector.view(grid, iterate()), rhs, coeff)
         else:
             rt = float("nan")
         history.add(k, P.scalar_vcycles, rp, rt, restart_flag)

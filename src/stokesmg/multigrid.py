@@ -4,18 +4,19 @@ The cell-centered solver targets the density-weighted Poisson operator and
 the staggered solver the velocity operator; both smooth with multicolored
 Gauss-Seidel, coarsen by a factor of two, and run a fixed number of bottom
 relaxations so that a cycle is a constant linear operator.  This module
-builds the hierarchy (coarsened coefficients and per-level diagonals) and
-runs the cycle; the smoother sweeps and the grid transfers are the
-functions of :mod:`kernels`, imported here.
+builds the hierarchy (coarsened coefficients, per-level diagonals and the
+V-cycle's argument plan) and repeats cycles; each V-cycle is one call of
+:func:`kernels.vcycle`.  The smoother sweeps, operators and grid transfers
+of :mod:`kernels` stay importable here, where tracing tools wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .grid import (
     CellField,
     FaceField,
@@ -24,7 +25,8 @@ from .grid import (
     NodeEdgeField,
     edge_planes,
 )
-from .kernels import (
+# the stand-alone stencils stay importable here, where tracing tools wrap them
+from .kernels import (  # noqa: F401
     apply_A,
     apply_Lrho,
     helmholtz_diagonal,
@@ -70,7 +72,9 @@ class MgHierarchy:
     """Grids and coarsened coefficients from finest to coarsest.
 
     Coarsening halves every axis and stops once any axis would drop below
-    two cells or turn odd; per-level smoother diagonals are cached lazily.
+    two cells or turn odd; per-level smoother diagonals and each field
+    kind's V-cycle plan (:func:`kernels.vcycle_plan`, a few hundred bytes
+    of addresses) are built lazily, at that kind's first cycle.
     """
 
     def __init__(self, levels: list[tuple[GridSpec, CoefficientSet]]):
@@ -79,6 +83,7 @@ class MgHierarchy:
         self.levels = levels
         self._diag_cell: dict[int, CellField] = {}
         self._diag_face: dict[int, FaceField] = {}
+        self._plans: dict[bool, object] = {}
 
     @property
     def grid(self) -> GridSpec:
@@ -107,6 +112,15 @@ class MgHierarchy:
                     )
             self._diag_face[level] = d
         return self._diag_face[level]
+
+    def plan(self, cell: bool):
+        """The V-cycle plan of cell (else face) right-hand sides; it points
+        at this hierarchy's coefficients and diagonals."""
+        if cell not in self._plans:
+            diag = self.diag_cell if cell else self.diag_face
+            self._plans[cell] = kernels.vcycle_plan(
+                self.levels, [diag(level) for level in range(len(self))])
+        return self._plans[cell]
 
 
 def build_hierarchy(grid: GridSpec, coeff: CoefficientSet) -> MgHierarchy:
@@ -194,71 +208,19 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
 # ---------------------------------------------------------------------------
 
 
-class FieldKind(NamedTuple):
-    """What the V-cycle needs of one field kind."""
-
-    zeros: Callable
-    operator: Callable
-    restrict: Callable
-    prolong: Callable
-    smooth: Callable
-    diagonal: Callable
-
-
-def field_kind(rhs) -> FieldKind:
-    """The V-cycle's pieces for a cell-centered or staggered right-hand side.
-
-    Built per call, not at import, so every piece is this module's current
-    attribute (wrappers installed on the module see each call).
-    """
-    if isinstance(rhs, CellField):
-        return FieldKind(CellField.zeros, apply_Lrho, restrict_cell,
-                         prolong_cell, smooth_cell, MgHierarchy.diag_cell)
-    if isinstance(rhs, FaceField):
-        return FieldKind(FaceField.zeros, apply_A, restrict_face,
-                         prolong_face, smooth_face, MgHierarchy.diag_face)
-    raise LayoutError(f"no V-cycle solves for a {type(rhs).__name__} right-hand side")
-
-
 def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams):
-    """One residual-correction V-cycle from a zero initial guess.
+    """One residual-correction V-cycle from a zero initial guess, in one
+    library call.
 
     A :class:`CellField` ``rhs`` selects the cell-centered pressure solver,
     a :class:`FaceField` the staggered velocity solver.  With fixed sweep
     counts the cycle is a constant linear operator in ``rhs``.
     """
-    return _vcycle_level(rhs, hierarchy, params, field_kind(rhs), 0)
-
-
-def _arrays(field) -> tuple[np.ndarray, ...]:
-    """The data arrays of a cell or face field."""
-    return (field.data,) if isinstance(field, CellField) else field.components
-
-
-def _vcycle_level(rhs, hierarchy, params, fk: FieldKind, level):
-    grid, coeff = hierarchy.levels[level]
-    x = fk.zeros(grid)
-    diag = fk.diagonal(hierarchy, level)
-
-    def smooth(sweeps, from_zero):
-        # the first sweep of a smoothing pass that starts from x = 0 skips
-        # the operator (the flag is positional for wrappers reading the
-        # smoother's arguments by position)
-        for k in range(sweeps):
-            fk.smooth(x, rhs, grid, coeff, diag, params.omega, from_zero and k == 0)
-
-    if level == len(hierarchy) - 1:
-        smooth(params.bottom_sweeps, True)
-        return x
-
-    smooth(params.sweeps_down, True)
-    # the fine residual is a temporary, freed before the coarse recursion
-    coarse_rhs = fk.restrict(fk.operator(x, coeff, rhs=rhs))
-    correction = _vcycle_level(coarse_rhs, hierarchy, params, fk, level + 1)
-    for xa, ca in zip(_arrays(x), _arrays(fk.prolong(correction))):
-        xa += ca
-    smooth(params.sweeps_up, False)
-    return x
+    cell = isinstance(rhs, CellField)
+    if not (cell or isinstance(rhs, FaceField)):
+        raise LayoutError(f"no V-cycle solves for a {type(rhs).__name__} right-hand side")
+    grid, coeff = hierarchy.levels[0]
+    return kernels.vcycle(rhs, grid, coeff, hierarchy.plan(cell), params)
 
 
 def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):
@@ -268,12 +230,12 @@ def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):
     The residual feeding the next cycle is formed only when the next
     iterate is requested, so stopping after any cycle costs nothing extra.
     """
-    fk = field_kind(rhs)
+    residual = apply_Lrho if isinstance(rhs, CellField) else apply_A
     coeff = hierarchy.levels[0][1]
-    x = _vcycle_level(rhs, hierarchy, params, fk, 0)
+    x = vcycle(rhs, hierarchy, params)
     while True:
         yield x
-        x = x + _vcycle_level(fk.operator(x, coeff, rhs=rhs), hierarchy, params, fk, 0)
+        x = x + vcycle(residual(x, coeff, rhs=rhs), hierarchy, params)
 
 
 def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams, n_cycles: int):

@@ -55,6 +55,8 @@ class BubbleSpec:
             raise ValueError("contrast ratios must be finite and >= 1")
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("smoothing width must be positive")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError("bubble radius must be positive and finite")
 
 
 def bubble_profile(grid: GridSpec, r: float, spec: BubbleSpec,

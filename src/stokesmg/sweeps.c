@@ -1,5 +1,5 @@
 /* The compiled stencils: the two-colour Gauss-Seidel sweeps of the multigrid
- * smoothers, the operators and the grid transfers.
+ * smoothers, the operators, the grid transfers and the V-cycle over them.
  *
  * smg_face_sweep relaxes every velocity component of A = theta rho - L_mu,
  * one after the other, and smg_cell_sweep the density-weighted pressure
@@ -15,10 +15,11 @@
  * smg_cell_diag form the diagonals the sweeps divide by, on the rows of
  * their black updates, so each coupling weight and wall rule is written
  * once, here.  smg_restrict_* and smg_prolong_* are the multigrid
- * transfers, one pass per axis.  smg_dot, smg_mgs_step and smg_combine
- * are the Krylov reductions over flat vectors, each summed in one
- * documented order (see below) that the loops in tests/reference.py
- * repeat.
+ * transfers, one pass per axis.  smg_face_vcycle and smg_cell_vcycle run a
+ * whole V-cycle in one call, level by level through the stages of those
+ * entries.  smg_dot, smg_mgs_step and smg_combine are the Krylov
+ * reductions over flat vectors, each summed in one documented order (see
+ * below) that the loops in tests/reference.py repeat.
  *
  * Every entry is rounded as the numpy formulation rounds it: the same
  * operations in the same order, with no fused multiply-add (the library is
@@ -30,7 +31,9 @@
  * nothing; per-axis pointer arrays (a field's components, the node/edge
  * planes) hold three entries, the unused ones NULL.
  * The caller passes the scalars it rounds itself (1/h^2, h).  No entry
- * writes its inputs.
+ * writes its inputs.  An entry allocates its workspace once and frees it
+ * before it returns (-1: the allocation failed); inside a V-cycle the
+ * stages share the cycle's one allocation.
  *
  * Each pass runs row by row along the contiguous last axis.  A row function
  * takes its neighbour offsets and wall tests for one column "at" (see
@@ -339,21 +342,35 @@ ROW_FUNCTION black_cell_row(const cell_t *c, const black_cell_at *o,
     }
 }
 
-int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
-                   const double *rhs, const double *diag, const double *const *rho)
+/* the faces of every coupled axis */
+static long cell_face_count(const cell_t *c)
+{
+    long nf = 0;
+    for (int x = c->g->first; x < 3; x++)
+        nf += count(c->sf[x]);
+    return nf;
+}
+
+/* entries of a cell sweep's workspace */
+static long cell_sweep_size(const grid3 *g, int zero_guess)
+{
+    cell_t c = {.g = g};
+    cell_shapes(&c);
+    long nc = count(c.sc);
+    return nc + (zero_guess ? 0 : nc + cell_face_count(&c));
+}
+
+static void cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
+                       const double *rhs, const double *diag, const double *const *rho,
+                       double *work)
 {
     cell_t c = {.g = g, .omega = omega, .p = p, .rhs = rhs, .diag = diag,
                 .rho = {rho[0], rho[1], rho[2]}};
     const long *sc = c.sc;
-    long nf = 0, zero3[3] = {0, 0, 0};
+    long zero3[3] = {0, 0, 0};
     cell_shapes(&c);
-    for (int x = g->first; x < 3; x++)
-        nf += count(c.sf[x]);
     long nc = count(sc);
 
-    double *work = malloc((nc + (zero_guess ? 0 : nc + nf)) * sizeof(double));
-    if (!work)
-        return -1;
     c.delta = work;
     memset(c.delta, 0, nc * sizeof(double));
 
@@ -376,24 +393,33 @@ int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
         LINE(0, sc[2], COLOUR_START(0, 0, 1), 2, black_cell_setup(&c, i, j, at, &o),
              black_cell_row(&c, &o, k0, k1));
     }
+}
 
+int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
+                   const double *rhs, const double *diag, const double *const *rho)
+{
+    double *work = malloc(cell_sweep_size(g, zero_guess) * sizeof(double));
+    if (!work)
+        return -1;
+    cell_sweep(g, omega, zero_guess, p, rhs, diag, rho, work);
     free(work);
     return 0;
 }
 
-/* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
-int smg_cell_apply(const grid3 *g, const double *p, const double *rhs,
-                   const double *const *rho, double *out)
+/* entries of a cell operator's workspace */
+static long cell_apply_size(const grid3 *g)
+{
+    cell_t c = {.g = g};
+    cell_shapes(&c);
+    return cell_face_count(&c);
+}
+
+static void cell_apply(const grid3 *g, const double *p, const double *rhs,
+                       const double *const *rho, double *out, double *work)
 {
     cell_t c = {.g = g, .p = (double *)p, .rhs = rhs, .r = out,
                 .rho = {rho[0], rho[1], rho[2]}};
-    long nf = 0;
     cell_shapes(&c);
-    for (int x = g->first; x < 3; x++)
-        nf += count(c.sf[x]);
-    double *work = malloc(nf * sizeof(double));
-    if (!work)
-        return -1;
     double *next = work;
     for (int x = g->first; x < 3; x++) {
         c.flux[x] = next;
@@ -401,6 +427,16 @@ int smg_cell_apply(const grid3 *g, const double *p, const double *rhs,
     }
     gradient_rows(&c);
     poisson_rows(&c);
+}
+
+/* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
+int smg_cell_apply(const grid3 *g, const double *p, const double *rhs,
+                   const double *const *rho, double *out)
+{
+    double *work = malloc(cell_apply_size(g) * sizeof(double));
+    if (!work)
+        return -1;
+    cell_apply(g, p, rhs, rho, out, work);
     free(work);
     return 0;
 }
@@ -471,9 +507,9 @@ static void face_shapes(face_t *f)
 }
 
 /* Points f at component a: its other coupled axes, their node/edge
- * viscosities (ne[x + y - 1] is the (x, y) plane) and wall velocities
- * (walls[(3 a + b) 2 + side], or none).  Returns the entries of its
- * tangential flux arrays. */
+ * viscosities (ne[x + y - 1] is the (x, y) plane; none when ne is NULL)
+ * and wall velocities (walls[(3 a + b) 2 + side], or none).  Returns the
+ * entries of its tangential flux arrays. */
 static long face_component(face_t *f, int a, const double *const *ne,
                            const double *const *walls)
 {
@@ -488,7 +524,7 @@ static long face_component(face_t *f, int a, const double *const *ne,
             continue;
         int m = f->nb++;
         f->bs[m] = b;
-        f->w[m] = ne[a + b - 1];
+        f->w[m] = ne ? ne[a + b - 1] : NULL;
         for (int side = 0; side < 2; side++)
             f->wall[m][side] = walls ? walls[(3 * a + b) * 2 + side] : NULL;
         shape_of(g, a, b, f->sn[m]);
@@ -824,27 +860,43 @@ ROW_FUNCTION black_face_row(const face_t *f, const black_face_at *o,
     }
 }
 
+/* entries of the largest component's tangential flux arrays on f->g */
+static long tangent_size(face_t *f)
+{
+    long nn = 0;
+    face_shapes(f);
+    for (int a = f->g->first; a < 3; a++) {
+        long n = face_component(f, a, NULL, NULL);
+        nn = n > nn ? n : nn;
+    }
+    return nn;
+}
+
+/* entries of a face sweep's workspace, sized for the largest component */
+static long face_sweep_size(const grid3 *g)
+{
+    face_t f = {.g = g};
+    long nn = tangent_size(&f), nf = 0;
+    for (int a = g->first; a < 3; a++)
+        nf = count(f.sf[a]) > nf ? count(f.sf[a]) : nf;
+    return 2 * nf + 2 * count(f.sc) + nn;
+}
+
 /* Relaxes u[a] for every coupled axis a in turn, each from its own
  * residual, which reads the components already relaxed.  zero_guess
  * promises that u is zero, so the first component takes rhs as its
- * residual.  The workspace is sized for the largest component. */
-int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
-                   int zero_guess, double *const *u, const double *const *rhs,
-                   const double *const *diag, const double *mu, const double *gamma,
-                   const double *const *rho, const double *const *ne)
+ * residual. */
+static void face_sweep(const grid3 *g, int form, double theta, double omega,
+                       int zero_guess, double *const *u, const double *const *rhs,
+                       const double *const *diag, const double *mu, const double *gamma,
+                       const double *const *rho, const double *const *ne, double *work)
 {
     face_t f = {.g = g, .form = form, .out = OUT_RESIDUAL, .theta = theta,
                 .omega = omega, .u = {u[0], u[1], u[2]}, .mu = mu, .gamma = gamma};
     face_shapes(&f);
-    long nc = count(f.sc), nf = 0, nn = 0;
-    for (int a = g->first; a < 3; a++) {
-        long n = face_component(&f, a, ne, NULL);
-        nn = n > nn ? n : nn;
+    long nc = count(f.sc), nf = 0;
+    for (int a = g->first; a < 3; a++)
         nf = count(f.sf[a]) > nf ? count(f.sf[a]) : nf;
-    }
-    double *work = malloc((2 * nf + 2 * nc + nn) * sizeof(double));
-    if (!work)
-        return -1;
     f.delta = work;
     f.fn = work + 2 * nf;
     f.divu = f.fn + nc;
@@ -877,7 +929,17 @@ int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
                  black_face_setup(&f, i, j, at, &o), black_face_row(&f, &o, k0, k1));
         }
     }
+}
 
+int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
+                   int zero_guess, double *const *u, const double *const *rhs,
+                   const double *const *diag, const double *mu, const double *gamma,
+                   const double *const *rho, const double *const *ne)
+{
+    double *work = malloc(face_sweep_size(g) * sizeof(double));
+    if (!work)
+        return -1;
+    face_sweep(g, form, theta, omega, zero_guess, u, rhs, diag, mu, gamma, rho, ne, work);
     free(work);
     return 0;
 }
@@ -935,31 +997,28 @@ void smg_face_diag(const grid3 *g, int form, double theta, const double *mu,
     }
 }
 
-/* Every component a of the velocity operator into res[a], as "out" asks:
- * A u, base - A u (base[a] the residual's right-hand side), the saddle
- * operator's A u + G p, with -D u into res_p, or the saddle residual
- * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
- * boundary faces.  walls may be NULL (zero wall velocities). */
-int smg_face_apply(const grid3 *g, int form, double theta, int out,
-                   const double *const *u, const double *p,
-                   const double *const *base, const double *base_p, const double *mu,
-                   const double *gamma, const double *const *rho,
-                   const double *const *ne, const double *const *walls,
-                   double *const *res, double *res_p)
+/* entries of a face operator's workspace */
+static long face_apply_size(const grid3 *g, int form, int out)
+{
+    face_t f = {.g = g};
+    long nn = tangent_size(&f);
+    int own_div = form == STRESS_BULK && out != OUT_SADDLE && out != OUT_SADDLE_RESIDUAL;
+    return count(f.sc) * (1 + own_div) + nn;
+}
+
+static void face_apply(const grid3 *g, int form, double theta, int out,
+                       const double *const *u, const double *p,
+                       const double *const *base, const double *base_p, const double *mu,
+                       const double *gamma, const double *const *rho,
+                       const double *const *ne, const double *const *walls,
+                       double *const *res, double *res_p, double *work)
 {
     face_t f = {.g = g, .form = form, .out = out, .theta = theta, .mu = mu,
                 .gamma = gamma, .u = {u[0], u[1], u[2]}};
     face_shapes(&f);
-    long nc = count(f.sc), nn = 0;
-    for (int a = g->first; a < 3; a++) {
-        long n = face_component(&f, a, ne, walls);
-        nn = n > nn ? n : nn;
-    }
+    long nc = count(f.sc);
     int saddle = out == OUT_SADDLE || out == OUT_SADDLE_RESIDUAL;
     int own_div = form == STRESS_BULK && !saddle;
-    double *work = malloc((nc * (1 + own_div) + nn) * sizeof(double));
-    if (!work)
-        return -1;
     f.fn = work;
     f.divu = saddle ? res_p : work + nc;
     if (form == STRESS_BULK || saddle)
@@ -986,6 +1045,25 @@ int smg_face_apply(const grid3 *g, int form, double theta, int out,
     if (out == OUT_SADDLE_RESIDUAL)
         for (long k = 0; k < nc; k++)
             res_p[k] = base_p[k] - -res_p[k];
+}
+
+/* Every component a of the velocity operator into res[a], as "out" asks:
+ * A u, base - A u (base[a] the residual's right-hand side), the saddle
+ * operator's A u + G p, with -D u into res_p, or the saddle residual
+ * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
+ * boundary faces.  walls may be NULL (zero wall velocities). */
+int smg_face_apply(const grid3 *g, int form, double theta, int out,
+                   const double *const *u, const double *p,
+                   const double *const *base, const double *base_p, const double *mu,
+                   const double *gamma, const double *const *rho,
+                   const double *const *ne, const double *const *walls,
+                   double *const *res, double *res_p)
+{
+    double *work = malloc(face_apply_size(g, form, out) * sizeof(double));
+    if (!work)
+        return -1;
+    face_apply(g, form, theta, out, u, p, base, base_p, mu, gamma, rho, ne, walls, res,
+               res_p, work);
     free(work);
     return 0;
 }
@@ -1076,18 +1154,16 @@ combine(int how, double *y, long ys, const double *p0, const double *p1, const d
 /* lines along the contiguous axis taken together by a pass */
 #define LINE_BLOCK 16
 
-/* One pass along x from src (shape s) into dst.  Every line along x has
- * the same taps: along axis 0 or 1 each tap combines the contiguous runs
- * of entries that follow x, along axis 2 a block of lines at a time. */
-static int transfer_pass(int pass, int per, int x, const double *src, const long *s,
-                         double *dst)
+/* One pass along x from src (shape s) into dst, taps holding room for
+ * the pass's output entries along x.  Every line along x has the same
+ * taps: along axis 0 or 1 each tap combines the contiguous runs of entries
+ * that follow x, along axis 2 a block of lines at a time. */
+static void transfer_pass(int pass, int per, int x, const double *src, const long *s,
+                          double *dst, tap_t *taps)
 {
     long n = s[x], m = pass_length(pass, per, n);
     long run = x == 0 ? s[1] * s[2] : (x == 1 ? s[2] : 1);
     long outer = x == 0 ? 1 : (x == 1 ? s[0] : s[0] * s[1]);
-    tap_t *taps = malloc(m * sizeof(tap_t));
-    if (!taps)
-        return -1;
     for (long t = 0; t < m; t++)
         taps[t] = tap(pass, per, t, n);
     if (x < 2) {
@@ -1110,69 +1186,125 @@ static int transfer_pass(int pass, int per, int x, const double *src, const long
             }
         }
     }
-    free(taps);
-    return 0;
 }
 
-/* Runs passes[k] along axes[k], k < np, from src of shape s into dst,
- * through temporaries. */
-static int transfer(const grid3 *g, int np, const int *passes, const int *axes,
-                    const double *src, const long *s, double *dst)
+/* doubles that hold the taps of m output entries */
+static long taps_size(long m)
+{
+    return (m * (long)sizeof(tap_t) + (long)sizeof(double) - 1) / (long)sizeof(double);
+}
+
+/* Runs passes[k] along axes[k], k < np, from src of shape s into dst, the
+ * passes between writing into work, which holds transfer_size entries;
+ * without work, returns that size. */
+static long transfer(const grid3 *g, int np, const int *passes, const int *axes,
+                     const double *src, const long *s, double *dst, double *work)
 {
     const double *in = src;
-    long shape[3] = {s[0], s[1], s[2]};
+    long shape[3] = {s[0], s[1], s[2]}, ntaps = 0, used = 0;
+    for (int k = 0; k < np; k++) {
+        long m = pass_length(passes[k], periodic(g, axes[k]), shape[axes[k]]);
+        ntaps = m > ntaps ? m : ntaps;
+        shape[axes[k]] = m;
+        if (k < np - 1)
+            used += count(shape);
+    }
+    used += taps_size(ntaps);
+    if (!work)
+        return used;
+    tap_t *taps = (tap_t *)work;
+    double *next = work + taps_size(ntaps);
+    memcpy(shape, s, sizeof shape);
     for (int k = 0; k < np; k++) {
         int x = axes[k], per = periodic(g, x);
-        long next[3] = {shape[0], shape[1], shape[2]};
-        next[x] = pass_length(passes[k], per, shape[x]);
-        double *out = k == np - 1 ? dst : malloc(count(next) * sizeof(double));
-        int status = out ? transfer_pass(passes[k], per, x, in, shape, out) : -1;
-        if (in != src)
-            free((double *)in);
-        if (status) {
-            if (out != dst)
-                free(out);
-            return -1;
-        }
+        double *out = k == np - 1 ? dst : next;
+        transfer_pass(passes[k], per, x, in, shape, out, taps);
+        shape[x] = pass_length(passes[k], per, shape[x]);
+        next += count(shape);
         in = out;
-        memcpy(shape, next, sizeof shape);
     }
+    return used;
+}
+
+/* The passes of a transfer of component a (a < 0: of a cell field): the
+ * first pass along each other coupled axis, the second along a. */
+static int transfer_plan(const grid3 *g, int a, int first, int second, int *passes,
+                         int *axes)
+{
+    int np = 0;
+    for (int b = g->first; b < 3; b++) {
+        if (b != a) {
+            passes[np] = first;
+            axes[np++] = b;
+        }
+    }
+    if (a >= 0) {
+        passes[np] = second;
+        axes[np++] = a;
+    }
+    return np;
+}
+
+/* Restriction (g fine) or prolongation (g coarse) of every component of a
+ * face field, as a face restriction runs it: means over the axes
+ * tangential to a, then the 1/4, 1/2, 1/4 stencil along a; a face
+ * prolongation: 3/4-1/4 interpolation along the axes tangential to a, then
+ * copies and means along a.  Without work, returns its size. */
+static long face_transfer(const grid3 *g, int restricting, const double *const *src,
+                          double *const *dst, double *work)
+{
+    long size = 0;
+    for (int a = g->first; a < 3; a++) {
+        int passes[3], axes[3];
+        int np = restricting ? transfer_plan(g, a, PAIR_MEAN, RESTRICT_NORMAL, passes, axes)
+                             : transfer_plan(g, a, PROLONG_TANGENT, PROLONG_NORMAL,
+                                             passes, axes);
+        long s[3];
+        shape_of(g, a, a, s);
+        long n = transfer(g, np, passes, axes, work ? src[a] : NULL, s,
+                          work ? dst[a] : NULL, work);
+        size = n > size ? n : size;
+    }
+    return size;
+}
+
+/* coarse = the 2^d-child means of fine; g is the fine grid.  Without
+ * work, returns its size. */
+static long restrict_cell(const grid3 *g, const double *fine, double *coarse, double *work)
+{
+    int passes[3], axes[3];
+    int np = transfer_plan(g, -1, PAIR_MEAN, 0, passes, axes);
+    long s[3];
+    shape_of(g, -1, -1, s);
+    return transfer(g, np, passes, axes, fine, s, coarse, work);
+}
+
+int smg_restrict_cell(const grid3 *g, const double *fine, double *coarse)
+{
+    double *work = malloc(restrict_cell(g, NULL, NULL, NULL) * sizeof(double));
+    if (!work)
+        return -1;
+    restrict_cell(g, fine, coarse, work);
+    free(work);
     return 0;
 }
 
-/* coarse = the 2^d-child means of fine; g is the fine grid */
-int smg_restrict_cell(const grid3 *g, const double *fine, double *coarse)
+static int face_transfer_entry(const grid3 *g, int restricting, const double *const *src,
+                               double *const *dst)
 {
-    int passes[3], axes[3], np = 0;
-    long s[3];
-    shape_of(g, -1, -1, s);
-    for (int x = g->first; x < 3; x++) {
-        passes[np] = PAIR_MEAN;
-        axes[np++] = x;
-    }
-    return transfer(g, np, passes, axes, fine, s, coarse);
+    double *work = malloc(face_transfer(g, restricting, NULL, NULL, NULL) * sizeof(double));
+    if (!work)
+        return -1;
+    face_transfer(g, restricting, src, dst, work);
+    free(work);
+    return 0;
 }
 
 /* coarse[a] = means over the axes tangential to a, then the 1/4, 1/2, 1/4
  * stencil along a; g is the fine grid */
 int smg_restrict_face(const grid3 *g, const double *const *fine, double *const *coarse)
 {
-    for (int a = g->first; a < 3; a++) {
-        int passes[3], axes[3], np = 0;
-        long s[3];
-        shape_of(g, a, a, s);
-        for (int b = g->first; b < 3; b++) {
-            if (b != a) {
-                passes[np] = PAIR_MEAN;
-                axes[np++] = b;
-            }
-        }
-        passes[np] = RESTRICT_NORMAL;
-        axes[np++] = a;
-        if (transfer(g, np, passes, axes, fine[a], s, coarse[a]))
-            return -1;
-    }
-    return 0;
+    return face_transfer_entry(g, 1, fine, coarse);
 }
 
 /* fine = each coarse value injected into its 2^d children; g is the
@@ -1197,22 +1329,208 @@ int smg_prolong_cell(const grid3 *g, const double *coarse, double *fine)
  * copies and means along a; g is the coarse grid */
 int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const *fine)
 {
-    for (int a = g->first; a < 3; a++) {
-        int passes[3], axes[3], np = 0;
-        long s[3];
-        shape_of(g, a, a, s);
-        for (int b = g->first; b < 3; b++) {
-            if (b != a) {
-                passes[np] = PROLONG_TANGENT;
-                axes[np++] = b;
-            }
+    return face_transfer_entry(g, 0, coarse, fine);
+}
+
+/* ------------------------------------------------------------------------
+ * V-cycles
+ * ------------------------------------------------------------------------
+ * smg_face_vcycle and smg_cell_vcycle run one residual-correction V-cycle
+ * from a zero guess over a plan of levels, finest first, with the stages
+ * of the entries above in the order the reference recursion in
+ * tests/reference.py calls those entries, so every output bit is theirs.
+ * Each call makes one allocation and frees it before it returns, laid out
+ * as a stack of frames, one per level (see cycle_level): a level's frame
+ * holds its sweeps' workspace, or its residual and then its prolonged
+ * correction, followed by the coarser level's right-hand side, iterate and
+ * frame.  The caller owns the finest iterate and right-hand side. */
+
+/* One level of a V-cycle plan: its grid and what its sweeps and residual
+ * read.  diag is the face diagonal per axis, or the cell diagonal first. */
+typedef struct {
+    grid3 g;
+    const double *diag[3];
+    const double *mu, *gamma, *rho[3], *ne[3];
+} smg_level;
+
+enum { FACE, CELL };
+
+typedef struct {
+    int kind, form;
+    long levels;
+    const smg_level *plan;
+    double theta, omega;
+    int down, up, bottom;
+} cycle_t;
+
+/* Entries of each component of a field of the kind on g, indexed by axis
+ * (a cell field has one, first); 0 for none.  Returns their sum. */
+static long parts(int kind, const grid3 *g, long n[3])
+{
+    long s[3], total = 0;
+    for (int a = 0; a < 3; a++) {
+        n[a] = 0;
+        if (kind == CELL ? a == 0 : a >= g->first) {
+            shape_of(g, kind == CELL ? -1 : a, kind == CELL ? -1 : a, s);
+            n[a] = count(s);
+            total += n[a];
         }
-        passes[np] = PROLONG_NORMAL;
-        axes[np++] = a;
-        if (transfer(g, np, passes, axes, coarse[a], s, fine[a]))
-            return -1;
     }
+    return total;
+}
+
+static long field_size(int kind, const grid3 *g)
+{
+    long n[3];
+    return parts(kind, g, n);
+}
+
+/* Points c at the components of a field stored from buf on; returns the
+ * entry after it. */
+static double *field_at(int kind, const grid3 *g, double *buf, double *c[3])
+{
+    long n[3];
+    parts(kind, g, n);
+    for (int a = 0; a < 3; a++) {
+        c[a] = n[a] ? buf : NULL;
+        buf += n[a];
+    }
+    return buf;
+}
+
+/* x = 0, or x += e when e is not NULL, at every entry of each component,
+ * boundary faces included */
+static void zero_or_add(int kind, const grid3 *g, double *const *x, const double *const *e)
+{
+    long n[3];
+    parts(kind, g, n);
+    for (int a = 0; a < 3; a++) {
+        if (!n[a])
+            continue;
+        if (!e)
+            memset(x[a], 0, n[a] * sizeof(double));
+        else
+            for (long k = 0; k < n[a]; k++)
+                x[a][k] += e[a][k];
+    }
+}
+
+static long most(long a, long b)
+{
+    return a > b ? a : b;
+}
+
+/* Entries of level l's frame: what its sweeps use, or its residual with
+ * the residual's workspace, or its residual or prolonged correction (at
+ * the frame's start) with level l + 1's right-hand side and iterate, then
+ * the transfer's workspace or level l + 1's frame. */
+static long frame_size(const cycle_t *cy, long l)
+{
+    const grid3 *g = &cy->plan[l].g;
+    long sweep = cy->kind == CELL ? cell_sweep_size(g, 0) : face_sweep_size(g);
+    if (l == cy->levels - 1)
+        return sweep;
+    const grid3 *gc = &cy->plan[l + 1].g;
+    long fine = field_size(cy->kind, g), coarse = 2 * field_size(cy->kind, gc);
+    long apply = cy->kind == CELL ? cell_apply_size(g)
+                                  : face_apply_size(g, cy->form, OUT_RESIDUAL);
+    long down = cy->kind == CELL ? restrict_cell(g, NULL, NULL, NULL)
+                                 : face_transfer(g, 1, NULL, NULL, NULL);
+    long up = cy->kind == CELL ? 0 : face_transfer(gc, 0, NULL, NULL, NULL);
+    long below = most(most(down, up), frame_size(cy, l + 1));
+    return most(most(sweep, fine + apply), fine + coarse + below);
+}
+
+/* sweeps relaxations of x on level lv, the first from x = 0 when from_zero */
+static void relax(const cycle_t *cy, const smg_level *lv, int sweeps, int from_zero,
+                  double *const *x, const double *const *rhs, double *work)
+{
+    for (int k = 0; k < sweeps; k++) {
+        int zero_guess = from_zero && k == 0;
+        if (cy->kind == CELL)
+            cell_sweep(&lv->g, cy->omega, zero_guess, x[0], rhs[0], lv->diag[0], lv->rho,
+                       work);
+        else
+            face_sweep(&lv->g, cy->form, cy->theta, cy->omega, zero_guess, x, rhs,
+                       lv->diag, lv->mu, lv->gamma, lv->rho, lv->ne, work);
+    }
+}
+
+/* x = the V-cycle of level l on rhs, in the frame_size entries from frame
+ * on.  The residual, and later the prolonged correction, take the frame's
+ * start; the coarse right-hand side and iterate follow it (over the
+ * residual's workspace, dead by then), then the coarse level's frame. */
+static void cycle_level(const cycle_t *cy, long l, double *const *x,
+                        const double *const *rhs, double *frame)
+{
+    const smg_level *lv = cy->plan + l;
+    const grid3 *g = &lv->g;
+    zero_or_add(cy->kind, g, x, NULL);
+    if (l == cy->levels - 1) {
+        relax(cy, lv, cy->bottom, 1, x, rhs, frame);
+        return;
+    }
+    relax(cy, lv, cy->down, 1, x, rhs, frame);
+
+    /* the residual, restricted to the coarse right-hand side */
+    const grid3 *gc = &lv[1].g;
+    double *r[3], *crhs[3], *cx[3];
+    double *after = field_at(cy->kind, g, frame, r);
+    double *below = field_at(cy->kind, gc, field_at(cy->kind, gc, after, crhs), cx);
+    if (cy->kind == CELL) {
+        cell_apply(g, x[0], rhs[0], lv->rho, r[0], after);
+        restrict_cell(g, r[0], crhs[0], below);
+    } else {
+        face_apply(g, cy->form, cy->theta, OUT_RESIDUAL, (const double *const *)x, NULL,
+                   rhs, NULL, lv->mu, lv->gamma, lv->rho, lv->ne, NULL, r, NULL, after);
+        face_transfer(g, 1, (const double *const *)r, crhs, below);
+    }
+
+    cycle_level(cy, l + 1, cx, (const double *const *)crhs, below);
+
+    /* the prolonged correction */
+    double *e[3];
+    field_at(cy->kind, g, frame, e);
+    if (cy->kind == CELL)
+        smg_prolong_cell(gc, cx[0], e[0]);
+    else
+        face_transfer(gc, 0, (const double *const *)cx, e, below);
+    zero_or_add(cy->kind, g, x, (const double *const *)e);
+    relax(cy, lv, cy->up, 0, x, rhs, frame);
+}
+
+static int vcycle(const cycle_t *cy, double *const *x, const double *const *rhs)
+{
+    double *block = malloc(frame_size(cy, 0) * sizeof(double));
+    if (!block)
+        return -1;
+    cycle_level(cy, 0, x, rhs, block);
+    free(block);
     return 0;
+}
+
+/* u = one V-cycle of the velocity operator on rhs from u = 0, over the
+ * plan's levels; down, up and bottom count the sweeps of each pass */
+int smg_face_vcycle(long levels, const smg_level *plan, int form, double theta,
+                    double omega, int down, int up, int bottom, const double *const *rhs,
+                    double *const *u)
+{
+    cycle_t cy = {.kind = FACE, .form = form, .levels = levels, .plan = plan,
+                  .theta = theta, .omega = omega, .down = down, .up = up,
+                  .bottom = bottom};
+    return vcycle(&cy, u, rhs);
+}
+
+/* p = one V-cycle of the pressure operator on rhs from p = 0 (see
+ * smg_face_vcycle) */
+int smg_cell_vcycle(long levels, const smg_level *plan, double omega, int down, int up,
+                    int bottom, const double *rhs, double *p)
+{
+    cycle_t cy = {.kind = CELL, .levels = levels, .plan = plan, .omega = omega,
+                  .down = down, .up = up, .bottom = bottom};
+    double *x[3] = {p, NULL, NULL};
+    const double *b[3] = {rhs, NULL, NULL};
+    return vcycle(&cy, x, b);
 }
 
 /* ------------------------------------------------------------------------

@@ -8,7 +8,8 @@ the package's row scaling must reproduce, and the numpy operators,
 transfers, two-colour sweep and smoother diagonals, which fix the rounding
 of the compiled library, and the Krylov reduction loops, which fix the
 summation order of the library's dot product, Gram-Schmidt step and basis
-combination.
+combination.  The V-cycle recursion over the library's stand-alone entries
+fixes the order of the stages the library's one-call V-cycle runs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from stokesmg import kernels
 from stokesmg.grid import FREE_SLIP, NO_SLIP, CellField, FaceField, GridSpec, StokesVector
 from stokesmg.multigrid import _block_mean
 from stokesmg.operators import (
@@ -783,6 +785,52 @@ def smooth_face(u, rhs, grid, coeff, diag, omega, zero_guess=False) -> None:
             res = np.subtract(rhs.components[a], apply_A_row(u, coeff, a))
         _sweep(grid, u.components[a], res, grid.interior_slices(a),
                diag.components[a], viscous_couplings(grid, coeff, a), omega)
+
+
+# ---------------------------------------------------------------------------
+# the V-cycle as a recursion over the library's stand-alone entries
+# ---------------------------------------------------------------------------
+
+
+def vcycle(rhs, hierarchy, params, level=0):
+    """The V-cycle that ``multigrid.vcycle`` runs in one library call, as a
+    recursion over :mod:`kernels`' stand-alone sweep, residual and transfer
+    entries, looked up at each call (tests replace them to watch the
+    cycle).  Per level: zero x, ``sweeps_down`` sweeps (the first from x =
+    0), the residual restricted to the coarser level's right-hand side, its
+    V-cycle prolonged and added to every entry of x, ``sweeps_up`` sweeps;
+    the coarsest level runs ``bottom_sweeps`` sweeps from x = 0."""
+    grid, coeff = hierarchy.levels[level]
+    if isinstance(rhs, CellField):
+        x, diag = CellField.zeros(grid), hierarchy.diag_cell(level)
+        smooth, residual = kernels.smooth_cell, kernels.apply_Lrho
+        restrict, prolong = kernels.restrict_cell, kernels.prolong_cell
+    else:
+        x, diag = FaceField.zeros(grid), hierarchy.diag_face(level)
+        smooth, residual = kernels.smooth_face, kernels.apply_A
+        restrict, prolong = kernels.restrict_face, kernels.prolong_face
+
+    def relax(sweeps, from_zero):
+        # the zero-iterate flag goes by position, as tracing wrappers of the
+        # smoothers read it
+        for k in range(sweeps):
+            smooth(x, rhs, grid, coeff, diag, params.omega, from_zero and k == 0)
+
+    if level == len(hierarchy) - 1:
+        relax(params.bottom_sweeps, True)
+        return x
+    relax(params.sweeps_down, True)
+    correction = vcycle(restrict(residual(x, coeff, rhs=rhs)), hierarchy, params,
+                        level + 1)
+    for xa, ca in zip(field_arrays(x), field_arrays(prolong(correction)), strict=True):
+        xa += ca
+    relax(params.sweeps_up, False)
+    return x
+
+
+def field_arrays(field) -> tuple[np.ndarray, ...]:
+    """The data arrays of a cell or face field."""
+    return (field.data,) if isinstance(field, CellField) else field.components
 
 
 # ---------------------------------------------------------------------------

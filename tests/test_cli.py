@@ -150,12 +150,15 @@ class TestRunCommand:
         ("problem.mu0", [1, "1"]),
         ("solver.gmres.restart", [10, True]),
         ("problem.mu0", [1, 10**400]),
+        # no path: the value is the whole sweep block, which when present
+        # must be a nonempty object
+        *[(None, block) for block in (0, 1, None, False, [], "", {})],
     ])
     def test_invalid_sweep_value_no_partial_outputs(self, tmp_path, path, values):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "problem": {"cells": 8, "kind": "constant", "bc": "no_slip"},
-            "sweep": {path: values},
+            "sweep": {path: values} if path else values,
         }))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2

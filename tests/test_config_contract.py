@@ -117,7 +117,7 @@ LEGAL = {
     "problem.bubble.r_mu": _float(lambda r: 1 <= r < math.inf),
     "problem.bubble.r_rho": _float(lambda r: 1 <= r < math.inf),
     "problem.bubble.epsilon": _nullable(_float(lambda e: e > 0)),
-    "problem.bubble.radius": _nullable(_float(lambda r: not math.isnan(r))),
+    "problem.bubble.radius": _nullable(_float(lambda r: 0 < r < math.inf)),
     "problem.bubble.noise_amp": _float(_finite),
     "problem.bubble.positive_outside": _flag,
     "solver.precond.kind": _name("P1", "P2", "P3", "P4", "P5", "identity"),

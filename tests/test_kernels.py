@@ -4,8 +4,9 @@ cache.
 The property tests draw grids, walls, viscous forms, coefficients and
 relaxation settings and require the compiled sweeps, operators (the saddle
 residual included), smoother diagonals and transfers to equal the numpy
-oracle in ``reference.py`` bit for bit, signed zeros included, and the
-Krylov reductions to equal its summation loops; others assemble the
+oracle in ``reference.py`` bit for bit, signed zeros included, the
+one-call V-cycles to equal its recursion over the stand-alone entries, and
+the Krylov reductions to equal its summation loops; others assemble the
 compiled operators densely and check D = -G^T and the symmetry of A and
 L_rho, one checks that the null projection removes exactly the null
 components, and one that the V-cycles and the preconditioners are linear
@@ -17,6 +18,7 @@ their own cache directories.
 """
 
 import ctypes
+import gc
 import json
 import os
 import re
@@ -219,6 +221,50 @@ def test_transfers_equal_oracle(case):
                       (multigrid.prolong_cell(coarse_p), reference.prolong_cell(coarse_p))):
         assert got.grid == want.grid
         assert same_bits([got.data], [want.data])
+
+
+VCYCLES = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+
+@VCYCLES
+@given(sweep_cases(counts=st.sampled_from([4, 6, 8, 12, 16])), st.sampled_from([1.0, 0.8]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(8, 11))
+def test_vcycle_equals_reference_recursion(case, omega, down, up, bottom):
+    # even counts of at least 4 coarsen at least once: hierarchies of two
+    # to four levels, odd coarse grids included; both right-hand sides are
+    # random on every face, boundary faces included
+    grid, coeff, _, _, rng = case
+    hier = multigrid.build_hierarchy(grid, coeff)
+    params = multigrid.SmootherParams(omega, down, up, bottom)
+    for rhs in (full_face(grid, rng), CellField(grid, rng.standard_normal(grid.cells))):
+        got = multigrid.vcycle(rhs, hier, params)
+        want = reference.vcycle(rhs, hier, params)
+        assert same_bits(reference.field_arrays(got), reference.field_arrays(want))
+
+
+def test_vcycle_plan_keeps_what_it_points_at():
+    # a hierarchy's plan holds addresses: when every coefficient and
+    # diagonal array is swapped for a copy after the first cycles, the old
+    # arrays must stay alive (the sanitizer run would report reading freed
+    # memory) and the cycles keep their bits
+    grid = GridSpec((8, 6, 4), 0.25, ((NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
+                                      (NO_SLIP, NO_SLIP)))
+    rng = np.random.default_rng(5)
+    coeff = make_coefficients(grid, 0.5, *(CellField(grid, 1.0 + rng.random(grid.cells))
+                                           for _ in range(3)), viscous_form=STRESS_BULK)
+    hier = multigrid.build_hierarchy(grid, coeff)
+    params = multigrid.SmootherParams()
+    rhs = (full_face(grid, rng), CellField(grid, rng.standard_normal(grid.cells)))
+    first = [reference.field_arrays(multigrid.vcycle(r, hier, params)) for r in rhs]
+    for level, (_, c) in enumerate(hier.levels):
+        for field in (c.mu_cell, c.gamma_cell, hier.diag_cell(level)):
+            field.data = field.data.copy()
+        for field in (c.rho_face, hier.diag_face(level)):
+            field.components = tuple(x.copy() for x in field.components)
+        c.mu_node_edge.arrays = {k: x.copy() for k, x in c.mu_node_edge.arrays.items()}
+    gc.collect()
+    for r, want in zip(rhs, first, strict=True):
+        assert same_bits(reference.field_arrays(multigrid.vcycle(r, hier, params)), want)
 
 
 # ---------------------------------------------------------------------------

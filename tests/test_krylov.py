@@ -245,6 +245,35 @@ class TestHistory:
         assert runs[0][0] == "maxiter"
         assert runs[0] == runs[1]
 
+    def test_untracked_solve_forms_the_iterate_once_per_window(self, monkeypatch):
+        # without the true residual nothing reads an iterate inside a
+        # restart window: combine runs once per window (at its end, or at
+        # the exit inside the last one), and the solve is the tracked one
+        calls = []
+        original = krylov.combine
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(krylov, "combine", counted)
+        g = mkgrid(32, bc=NO_SLIP)
+        coeff = bubble_coefficients(g, BubbleSpec(seed=8))
+        rhs, _ = make_rhs(g, coeff, seed=9)
+        runs = {}
+        for track in (True, False):
+            calls.clear()
+            x, hist = gmres_solve(rhs, coeff, PrecondConfig(kind=P2),
+                                  GmresConfig(restart=4, rtol=1e-10, max_iters=80,
+                                              track_true_residual=track))
+            runs[track] = (hist.status, x.buffer.tobytes(),
+                           [e.resid_precond for e in hist.entries], len(calls))
+        iters = len(runs[True][2]) - 1
+        assert runs[True][0] == "converged" and iters > 2 * 4
+        assert runs[True][3] == iters
+        assert runs[False][3] == -(-iters // 4)
+        assert runs[True][:3] == runs[False][:3]
+
     def test_maxiter_status(self, rng):
         g = mkgrid(32, bc=NO_SLIP)
         coeff = bubble_coefficients(g, BubbleSpec(seed=13))

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from stokesmg.operators import (
 )
 from stokesmg.problems import constant_coefficients, inviscid_coefficients
 
+import reference
 from conftest import MIXED_WALLS, mkgrid, random_cell, random_face
 from reference import _sweep, lrho_couplings, viscous_couplings
 
@@ -401,11 +404,12 @@ class TestSmootherCost:
 
     @classmethod
     def count_in_smoothers(cls, monkeypatch):
-        """Count smoother calls and the residuals their kernels form."""
+        """Count the reference V-cycle's smoother calls and the residuals
+        their kernels form."""
         calls = dict.fromkeys(["smooth_face", "smooth_cell", "face", "cell"], 0)
 
         def counted(name):
-            original = getattr(multigrid, name)
+            original = getattr(kernels, name)
 
             def run(*args, **kwargs):
                 calls[name] += 1
@@ -414,7 +418,7 @@ class TestSmootherCost:
             return run
 
         for name in ("smooth_face", "smooth_cell"):
-            monkeypatch.setattr(multigrid, name, counted(name))
+            monkeypatch.setattr(kernels, name, counted(name))
         cls.count_residuals(monkeypatch, calls)
         return calls
 
@@ -427,29 +431,30 @@ class TestSmootherCost:
         levels = len(hier)
         assert levels >= 2
         calls = self.count_in_smoothers(monkeypatch)
-        vcycle(random_face(g, rng), hier, SmootherParams())
+        reference.vcycle(random_face(g, rng), hier, SmootherParams())
         assert calls["face"] == calls["smooth_face"] - levels
-        vcycle(random_cell(g, rng), hier, SmootherParams())
+        reference.vcycle(random_cell(g, rng), hier, SmootherParams())
         assert calls["cell"] == calls["smooth_cell"] - levels
 
     @pytest.mark.parametrize("omega", [1.0, 0.8])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_zero_iterate_skip_is_exact_in_vcycles(self, dim, omega, rng, monkeypatch):
+        # the library's cycle skips the operator on zero iterates; the
+        # reference cycle with every sweep applying A gives the same bits
         g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
         hier = build_hierarchy(g, coeff)
         params = SmootherParams(omega=omega)
         rhs = {"face": random_face(g, rng), "cell": random_cell(g, rng)}
         skipped = {kind: vcycle(r, hier, params) for kind, r in rhs.items()}
         for name in ("smooth_face", "smooth_cell"):
-            original = getattr(multigrid, name)
+            original = getattr(kernels, name)
             # drop the positional zero-iterate flag: every sweep applies A
-            monkeypatch.setattr(multigrid, name,
+            monkeypatch.setattr(kernels, name,
                                 lambda *args, _f=original: _f(*args[:6]))
         for kind, r in rhs.items():
-            full = vcycle(r, hier, params)
-            arrays = (full.data,) if kind == "cell" else full.components
-            ref = (skipped[kind].data,) if kind == "cell" else skipped[kind].components
-            for x, y in zip(arrays, ref):
+            full = reference.vcycle(r, hier, params)
+            for x, y in zip(reference.field_arrays(full),
+                            reference.field_arrays(skipped[kind]), strict=True):
                 assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("grids", [MIXED_WALLS, ODD_PERIODIC],
@@ -472,11 +477,12 @@ class TestSmootherArguments:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_smoothers_are_called_positionally(self, dim, rng, monkeypatch):
         # span tracers wrap the smoothers as (x, rhs, grid, *rest), with no
-        # keyword arguments, so the library must pass every argument by position
+        # keyword arguments, so the reference V-cycle, which drives the
+        # stand-alone smoothers, passes every argument by position
         calls = dict.fromkeys(["smooth_face", "smooth_cell"], 0)
 
         def positional(name):
-            original = getattr(multigrid, name)
+            original = getattr(kernels, name)
 
             def run(x, rhs, grid, *rest):
                 calls[name] += 1
@@ -485,14 +491,57 @@ class TestSmootherArguments:
             return run
 
         for name in calls:
-            monkeypatch.setattr(multigrid, name, positional(name))
+            monkeypatch.setattr(kernels, name, positional(name))
         g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
         hier = build_hierarchy(g, coeff)
         params = SmootherParams()
         for rhs in (random_face(g, rng), random_cell(g, rng)):
-            vcycle(rhs, hier, params)
-            mg_solve(rhs, hier, params, 2)
+            reference.vcycle(rhs, hier, params)
         assert all(calls.values())
+
+
+class TestLibraryCalls:
+    @classmethod
+    def count_calls(cls, monkeypatch):
+        """Count every call of every library entry, by name."""
+        lib, calls = kernels.load(), {}
+        for name in kernels.SIGNATURES:
+            def run(*args, _f=getattr(lib, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args)
+
+            monkeypatch.setattr(lib, name, run)
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_library_call_per_vcycle(self, dim, rng, monkeypatch):
+        # a kind's first cycle also forms every level's diagonal, once
+        g, coeff = smoother_case(MIXED_WALLS, dim, STRESS_BULK, rng, theta=0.7)
+        hier = build_hierarchy(g, coeff)
+        assert len(hier) >= 2
+        calls = self.count_calls(monkeypatch)
+        params = SmootherParams()
+        for rhs, kind in ((random_face(g, rng), "face"), (random_cell(g, rng), "cell")):
+            vcycle(rhs, hier, params)
+            assert calls == {f"smg_{kind}_diag": len(hier), f"smg_{kind}_vcycle": 1}
+            calls.clear()
+            vcycle(rhs, hier, params)
+            assert calls == {f"smg_{kind}_vcycle": 1}
+            calls.clear()
+
+    def test_plans_hold_addresses_only(self, rng):
+        # a kind's plan takes a few hundred bytes per level, whatever the
+        # grid's size: no workspace outlives a cycle
+        per_level = []
+        for n in (8, 64):
+            g = mkgrid(n, bc=NO_SLIP)
+            hier = build_hierarchy(g, constant_coefficients(g, theta=0.0))
+            for rhs in (random_face(g, rng), random_cell(g, rng)):
+                vcycle(rhs, hier, SmootherParams())
+            per_level.append({cell: ctypes.sizeof(hier.plan(cell)) / len(hier)
+                              for cell in (True, False)})
+        assert per_level[0] == per_level[1]
+        assert all(size < 500 for size in per_level[0].values())
 
 
 class TestVcycle:
