@@ -389,7 +389,10 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
     # a forked pool starts all its workers at once: no more than there are points
     workers = min(jobs, len(tasks))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the workers share the cores: each runs its library calls on its part
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=kernels.set_threads,
+                initargs=(kernels.team_size(workers),)) as pool:
             results = list(pool.map(_run_point, tasks))
     else:
         results = [_run_point(t) for t in tasks]

@@ -22,6 +22,12 @@ Gram-Schmidt step fused with the next step's dot product) and
 documented order that depends on the vector length alone, never through
 BLAS.
 
+:func:`vcycle`, the operators and :func:`combine` run on the library's
+team of threads on grids of at least ``smg_team_min_entries`` entries:
+:func:`team_size` threads per process (one process of ``workers``), set
+at :func:`load` and by :func:`set_threads`.  Every result is bitwise the
+same at any team size.
+
 The library is built on first use with the system C compiler (``cc``) at
 ``-O2 -ffp-contract=off`` (no fused multiply-add, no fast-math, no
 host-specific code), so every entry rounds exactly as the numpy
@@ -66,7 +72,7 @@ if TYPE_CHECKING:
     from .operators import BoundaryValues, CoefficientSet
 
 COMPILER = "cc"
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweeps.c")
 #: marks the key compiled into a library, checked before it is loaded
 KEY_TAG = b"stokesmg-sweeps-key:"
@@ -199,6 +205,7 @@ SIGNATURES = {
     "smg_dot": (_dbl, [_long, _ptr, _ptr]),
     "smg_mgs_step": (_dbl, [_long, _dbl, _ptr, _ptr, _ptr]),
     "smg_combine": (None, [_long, _long, _ptr, _ptr, _ptr, _ptr]),
+    "smg_set_threads": (None, [_int]),
 }
 
 
@@ -210,13 +217,29 @@ def _bind(path: str):
     return lib
 
 
+def team_size(workers: int = 1) -> int:
+    """Threads per library call for a process that is one of ``workers``
+    running at once: the cores this process may run on, shared out."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this system
+        cores = os.cpu_count() or 1
+    return max(1, cores // workers)
+
+
+def set_threads(n: int) -> None:
+    """Run each parallel library call on ``n`` threads from now on (1: on
+    the calling thread alone).  Outputs do not depend on ``n``."""
+    (_library or load()).smg_set_threads(n)
+
+
 def load():
-    """The loaded stencil library, built first if the cache lacks it.
+    """The loaded stencil library, built first if the cache lacks it, with
+    its calls set to :func:`team_size` threads.
 
     A cold build takes about a second; a cached load takes a few
     milliseconds, most of them the compiler version check of the key.
     """
-    global _library
     if _library is not None:
         return _library
     key = library_key()
@@ -230,12 +253,18 @@ def load():
             # the cache cannot be written: build for this process only
             private = tempfile.mkdtemp(prefix="stokesmg-")
             try:
-                _library = _bind(_compile(key, private))
+                lib = _bind(_compile(key, private))
             finally:
                 shutil.rmtree(private, ignore_errors=True)
-            return _library
-    _library = _bind(path)
-    return _library
+            return _ready(lib)
+    return _ready(_bind(path))
+
+
+def _ready(lib):
+    global _library
+    lib.smg_set_threads(team_size())
+    _library = lib
+    return lib
 
 
 class _Layout(NamedTuple):

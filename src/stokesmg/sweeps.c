@@ -33,13 +33,26 @@
  * The caller passes the scalars it rounds itself (1/h^2, h).  No entry
  * writes its inputs.  An entry allocates its workspace once and frees it
  * before it returns (-1: the allocation failed); inside a V-cycle the
- * stages share the cycle's one allocation.
+ * stages share the cycle's one allocation, and the threads of a call share
+ * its workspace.
  *
  * Each pass runs row by row along the contiguous last axis.  A row function
  * takes its neighbour offsets and wall tests for one column "at" (see
  * LINE) and is kept out of line, so its loop is compiled once.
+ *
+ * The V-cycles, smg_face_apply, smg_cell_apply and smg_combine run on a
+ * team of threads (see "the team" below): each pass cuts its rows into
+ * chunks that the threads claim, and a stage waits for the chunks of the
+ * passes it reads.  No entry of a pass reads what another entry of the
+ * same pass writes, so an entry's operations do not depend on which
+ * thread runs it, and every output is bitwise the same at any team size.
+ * The other entries, and the Krylov dot products, run on the calling
+ * thread.
  */
 
+#define _POSIX_C_SOURCE 200809L
+
+#include <pthread.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -111,10 +124,324 @@ static inline long idx_along(long i, long j, long k, int x)
     return x == 0 ? i : (x == 1 ? j : k);
 }
 
-/* The rows (i, j) of a box [lo3, hi3). */
-#define ROWS(lo3, hi3)                          \
-    for (long i = lo3[0]; i < hi3[0]; i++)      \
-        for (long j = lo3[1]; j < hi3[1]; j++)
+/* ------------------------------------------------------------------------
+ * the team
+ * ------------------------------------------------------------------------
+ * A process has one team: the thread that calls an entry and up to
+ * TEAM_MAX - 1 helper threads, started at the first call that wants them
+ * and kept for the life of the process.  smg_set_threads sets how many
+ * threads a call uses (1 until it is called: no helper).  A call runs one task
+ * (team_run) on the calling thread, and every helper that wakes in time
+ * joins it and runs the same task.  Each pass of the task (SHARES, ROWS)
+ * cuts its items into chunks, which the threads claim one at a time, the
+ * caller from the first chunk on and the helpers from the last one back,
+ * so each thread runs through contiguous rows, and a thread that is late
+ * or descheduled holds up only a chunk it has claimed; a thread that
+ * reaches a pass whose chunks are all claimed skips it.
+ * team_sync waits until every chunk of the passes so far is done: passes
+ * between two syncs must not read what the others write.  A call whose
+ * grid holds fewer than TEAM_MIN_ENTRIES entries runs on the calling
+ * thread alone, and so does a V-cycle from its first level below that
+ * down and back.
+ *
+ * Between calls the helpers sleep on the team's condition variable, never
+ * spinning; a waiting thread inside a call spins for at most SPIN_ROUNDS
+ * rounds, then sleeps.  A call that finds the team busy (a second calling
+ * thread) runs alone.  A forked child starts with no helpers; its first
+ * call that wants them starts its own. */
+
+/* threads of the team at most */
+enum { TEAM_MAX = 64 };
+
+/* Entries (velocity faces and pressure cells) a grid needs before a call
+ * or V-cycle level on it runs on the team: 2D 128^2 (49k entries) and 3D
+ * 24^3 (57k) do, 2D 64^2 (12k) and 3D 16^3 (17k) do not.  Below it a
+ * chunk holds a few hundred entries, a few microseconds of work, and its
+ * claim and the waits cost about as much as the second thread saves. */
+#define TEAM_MIN_ENTRIES 32768
+
+/* read by the package's tests, which size their grids from it */
+const long smg_team_min_entries = TEAM_MIN_ENTRIES;
+
+/* rounds a waiting thread spins before it sleeps: tens of microseconds */
+#define SPIN_ROUNDS 2000
+
+/* chunks per thread of a pass, and passes whose claims can be open at
+ * once (more than a task runs between two syncs) */
+enum { CHUNKS = 8, RING = 16 };
+
+/* One thread's view of the running call: the call's thread count,
+ * whether the thread claims chunks from the back (a helper), and the
+ * passes and chunks it has met in it. */
+typedef struct {
+    int size, back;
+    unsigned pass, expected;
+} team_t;
+
+/* a team of the calling thread alone */
+#define SOLO (&(team_t){.size = 1})
+
+typedef void (*task_fn)(team_t *tm, void *arg);
+
+static struct {
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+    int want;     /* threads per call */
+    int forks;    /* the fork handlers are registered */
+    int helpers;  /* helper threads started in this process */
+    int busy;     /* a call holds the team */
+    int sleepers; /* threads asleep on wake */
+    unsigned job;  /* calls published, times 256, plus the call's thread count */
+    unsigned open; /* the running call's job word less its count, plus the
+                      helpers inside it; CLOSED once the caller is done */
+    unsigned completed; /* chunks done in the running call */
+    /* per pass mod RING: pass << 32 | chunks claimed from the back << 16 |
+       chunks claimed from the front */
+    unsigned long long slot[RING];
+    unsigned born[TEAM_MAX];  /* the job word a helper was started at */
+    task_fn task;
+    void *arg;
+} team = {.lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER, .want = 1};
+
+enum { CLOSED = 128, INSIDE = 127 };
+
+static unsigned load_word(const unsigned *word)
+{
+    return __atomic_load_n(word, __ATOMIC_SEQ_CST);
+}
+
+static inline void spin_pause(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/* Returns once *word differs from old, after spinning at most rounds
+ * rounds; then it sleeps until wake_sleepers wakes it. */
+static void await_change(const unsigned *word, unsigned old, long rounds)
+{
+    for (long k = 0; k < rounds; k++) {
+        if (load_word(word) != old)
+            return;
+        spin_pause();
+    }
+    pthread_mutex_lock(&team.lock);
+    __atomic_add_fetch(&team.sleepers, 1, __ATOMIC_SEQ_CST);
+    while (load_word(word) == old)
+        pthread_cond_wait(&team.wake, &team.lock);
+    __atomic_sub_fetch(&team.sleepers, 1, __ATOMIC_SEQ_CST);
+    pthread_mutex_unlock(&team.lock);
+}
+
+/* Wakes the threads asleep in await_change after a word they wait on was
+ * changed.  A sleeper counts itself before it reads the word, and the
+ * change (sequentially consistent) comes before the count is read, so
+ * either the sleeper sees the change or it is woken. */
+static void wake_sleepers(void)
+{
+    if (__atomic_load_n(&team.sleepers, __ATOMIC_SEQ_CST)) {
+        pthread_mutex_lock(&team.lock);
+        pthread_cond_broadcast(&team.wake);
+        pthread_mutex_unlock(&team.lock);
+    }
+}
+
+static void add_word(unsigned *word, unsigned n)
+{
+    __atomic_add_fetch(word, n, __ATOMIC_SEQ_CST);
+    wake_sleepers();
+}
+
+/* Waits until every chunk of the passes this thread has met is done. */
+static void team_sync(team_t *tm)
+{
+    unsigned done;
+    if (tm->size == 1)
+        return;
+    while ((int)((done = load_word(&team.completed)) - tm->expected) < 0)
+        await_change(&team.completed, done, SPIN_ROUNDS);
+}
+
+/* The next unclaimed chunk of this thread's current pass, of n (at most
+ * CHUNKS TEAM_MAX), from its end; -1 when none is left (or a later pass
+ * holds the slot: this one is done). */
+static long claim(const team_t *tm, long n)
+{
+    unsigned long long *slot = &team.slot[tm->pass % RING];
+    unsigned long long w = __atomic_load_n(slot, __ATOMIC_ACQUIRE);
+    for (;;) {
+        unsigned tag = (unsigned)(w >> 32);
+        long front = tag == tm->pass ? (long)(w & 0xffff) : 0;
+        long back = tag == tm->pass ? (long)(w >> 16 & 0xffff) : 0;
+        if ((int)(tag - tm->pass) > 0 || front + back >= n)
+            return -1;
+        unsigned long long next = (unsigned long long)tm->pass << 32
+                                  | (unsigned)(back + tm->back) << 16
+                                  | (unsigned)(front + !tm->back);
+        if (__atomic_compare_exchange_n(slot, &w, next, 0, __ATOMIC_ACQ_REL,
+                                        __ATOMIC_ACQUIRE))
+            return tm->back ? n - 1 - back : front;
+    }
+}
+
+/* A pass over n items: the chunk [lo, hi) being run, of chunks. */
+typedef struct {
+    long n, chunks, lo, hi;
+    unsigned claimed;
+} pass_t;
+
+static inline pass_t pass_begin(team_t *tm, long n)
+{
+    pass_t ps = {n, 1, 0, 0, 0};
+    if (tm->size > 1) {
+        ps.chunks = n < CHUNKS * tm->size ? n : CHUNKS * tm->size;
+        tm->pass++;
+        tm->expected += (unsigned)ps.chunks;
+    }
+    return ps;
+}
+
+/* Claims the pass's next chunk into ps->lo, ps->hi; 0 when none is left,
+ * once the chunks this thread ran are counted done. */
+static inline int pass_next(team_t *tm, pass_t *ps)
+{
+    if (tm->size == 1) {
+        ps->hi = ps->claimed++ ? 0 : ps->n;
+        return ps->hi > 0;
+    }
+    long c = ps->chunks ? claim(tm, ps->chunks) : -1;
+    if (c < 0) {
+        if (ps->claimed)
+            add_word(&team.completed, ps->claimed);
+        return 0;
+    }
+    ps->claimed++;
+    ps->lo = ps->n * c / ps->chunks;
+    ps->hi = ps->n * (c + 1) / ps->chunks;
+    return 1;
+}
+
+/* One pass over n items: the body runs once per chunk [ps.lo, ps.hi). */
+#define SHARES(tm, n, ps) for (pass_t ps = pass_begin(tm, n); pass_next(tm, &ps);)
+
+/* One pass over the rows (i, j) of a box [lo3, hi3). */
+#define ROWS(tm, lo3, hi3)                                                      \
+    SHARES(tm, ((hi3)[1] - (lo3)[1]) * ((hi3)[0] - (lo3)[0]), ps_)               \
+        for (long r_ = ps_.lo, n1_ = (hi3)[1] - (lo3)[1]; r_ < ps_.hi; r_++)     \
+            for (long i = (lo3)[0] + r_ / n1_, j = (lo3)[1] + r_ % n1_, once_ = 1; \
+                 once_; once_ = 0)
+
+/* Helper id: sleeps until a call wants it, joins the call if the caller
+ * has not finished it yet, and runs the task. */
+static void *helper_main(void *place)
+{
+    int id = (int)(long)place;
+    unsigned seen = team.born[id];
+    for (;;) {
+        await_change(&team.job, seen, 0);
+        seen = load_word(&team.job);
+        if (id >= (int)(seen & 255))
+            continue;
+        unsigned w = load_word(&team.open);
+        while ((w & ~255u) == (seen & ~255u) && !(w & CLOSED)
+               && !__atomic_compare_exchange_n(&team.open, &w, w + 1, 0, __ATOMIC_SEQ_CST,
+                                               __ATOMIC_SEQ_CST))
+            ;
+        if ((w & ~255u) != (seen & ~255u) || (w & CLOSED))
+            continue;
+        team_t tm = {.size = (int)(seen & 255), .back = 1};
+        team.task(&tm, team.arg);
+        __atomic_sub_fetch(&team.open, 1, __ATOMIC_SEQ_CST);
+        wake_sleepers();
+    }
+    return NULL;
+}
+
+/* fork: the child keeps no helper and no lock of the parent's */
+static void fork_prepare(void)
+{
+    pthread_mutex_lock(&team.lock);
+}
+
+static void fork_parent(void)
+{
+    pthread_mutex_unlock(&team.lock);
+}
+
+static void fork_child(void)
+{
+    pthread_mutex_init(&team.lock, NULL);
+    pthread_cond_init(&team.wake, NULL);
+    team.helpers = team.busy = team.sleepers = 0;
+}
+
+/* Starts helpers until want threads can run; returns how many can. */
+static int hire(int want)
+{
+    if (!team.forks && pthread_atfork(fork_prepare, fork_parent, fork_child) != 0)
+        return 1;
+    team.forks = 1;
+    pthread_attr_t attr;
+    if (team.helpers < want - 1 && pthread_attr_init(&attr) == 0) {
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        while (team.helpers < want - 1) {
+            pthread_t thread;
+            int id = team.helpers + 1;
+            team.born[id] = team.job;
+            if (pthread_create(&thread, &attr, helper_main, (void *)(long)id) != 0)
+                break;
+            team.helpers = id;
+        }
+        pthread_attr_destroy(&attr);
+    }
+    return team.helpers + 1 < want ? team.helpers + 1 : want;
+}
+
+/* Runs task(tm, arg) for a call on entries entries, on the calling thread
+ * and the helpers that join it, and returns once all have left it. */
+static void team_run(long entries, task_fn task, void *arg)
+{
+    team_t tm = {.size = 1};
+    int want = __atomic_load_n(&team.want, __ATOMIC_RELAXED);
+    int held = want > 1 && entries >= TEAM_MIN_ENTRIES
+               && !__atomic_exchange_n(&team.busy, 1, __ATOMIC_ACQUIRE);
+    if (held && (tm.size = hire(want)) > 1) {
+        unsigned job = (team.job & ~255u) + 256;
+        team.task = task;
+        team.arg = arg;
+        __atomic_store_n(&team.completed, 0, __ATOMIC_RELAXED);
+        for (int k = 0; k < RING; k++)
+            __atomic_store_n(&team.slot[k], 0, __ATOMIC_RELAXED);
+        __atomic_store_n(&team.open, job, __ATOMIC_SEQ_CST);
+        __atomic_store_n(&team.job, job + (unsigned)tm.size, __ATOMIC_SEQ_CST);
+        wake_sleepers();
+    }
+    task(&tm, arg);
+    if (tm.size > 1) {
+        unsigned w;
+        team_sync(&tm);
+        __atomic_fetch_or(&team.open, CLOSED, __ATOMIC_SEQ_CST);
+        while ((w = load_word(&team.open)) & INSIDE)
+            await_change(&team.open, w, SPIN_ROUNDS);
+    }
+    if (held)
+        __atomic_store_n(&team.busy, 0, __ATOMIC_RELEASE);
+}
+
+/* Threads a call uses from now on: n, within 1 and TEAM_MAX. */
+void smg_set_threads(int n)
+{
+    n = n < 1 ? 1 : (n > TEAM_MAX ? TEAM_MAX : n);
+    __atomic_store_n(&team.want, n, __ATOMIC_RELAXED);
+}
+
+/* x[k] = 0 at the n entries of x, as one pass */
+static void zero_pass(team_t *tm, double *x, long n)
+{
+    SHARES(tm, n, ps)
+        memset(x + ps.lo, 0, (ps.hi - ps.lo) * sizeof(double));
+}
 
 /* First column at or after lo of the colour whose index sum plus shift
  * has the given parity. */
@@ -147,21 +474,19 @@ static inline long idx_along(long i, long j, long k, int x)
         }                                                               \
     } while (0)
 
-/* Red entries of the box [lo3, hi3) of shape s: delta = omega res / diag
- * and x += delta. */
-static void relax_red(const long *s, const long *lo3, const long *hi3, long shift,
-                      double omega, const double *res, const double *diag,
-                      double *delta, double *x)
+/* Red entries of row (i, j) of shape s in columns [lo, hi): delta = omega
+ * res / diag and x += delta. */
+static inline void red_row(const long *s, long i, long j, long lo, long hi, long shift,
+                           double omega, const double *res, const double *diag,
+                           double *delta, double *x)
 {
-    ROWS(lo3, hi3) {
-        long r = row(s, i, j, -1, 0);
-        for (long k = COLOUR_START(lo3[2], shift, 0); k < hi3[2]; k += 2) {
-            double d = res[r + k] / diag[r + k];
-            if (omega != 1.0)
-                d *= omega;
-            delta[r + k] = d;
-            x[r + k] += d;
-        }
+    long r = row(s, i, j, -1, 0);
+    for (long k = COLOUR_START(lo, shift, 0); k < hi; k += 2) {
+        double d = res[r + k] / diag[r + k];
+        if (omega != 1.0)
+            d *= omega;
+        delta[r + k] = d;
+        x[r + k] += d;
     }
 }
 
@@ -236,12 +561,12 @@ ROW_FUNCTION gradient_row(const cell_t *c, int x, const gradient_at *o,
 }
 
 /* c->flux[x] for every coupled axis x */
-static void gradient_rows(const cell_t *c)
+static void gradient_rows(team_t *tm, const cell_t *c)
 {
     long zero3[3] = {0, 0, 0};
     for (int x = c->g->first; x < 3; x++) {
         const long *s = c->sf[x];
-        ROWS(zero3, s) {
+        ROWS(tm, zero3, s) {
             gradient_at o;
             LINE(0, s[2], 0, 1, gradient_setup(c, x, i, j, at, &o),
                  gradient_row(c, x, &o, k0, k1));
@@ -281,14 +606,10 @@ ROW_FUNCTION poisson_row(const cell_t *c, const poisson_at *o, long k0, long k1)
     }
 }
 
-static void poisson_rows(const cell_t *c)
+static void poisson_line(const cell_t *c, long i, long j)
 {
-    long zero3[3] = {0, 0, 0};
-    ROWS(zero3, c->sc) {
-        poisson_at o = {0};
-        LINE(0, c->sc[2], 0, 1, poisson_setup(c, i, j, at, &o),
-             poisson_row(c, &o, k0, k1));
-    }
+    poisson_at o = {0};
+    LINE(0, c->sc[2], 0, 1, poisson_setup(c, i, j, at, &o), poisson_row(c, &o, k0, k1));
 }
 
 /* black entries: face k joins cells k - 1 and k along x, with weight
@@ -360,9 +681,11 @@ static long cell_sweep_size(const grid3 *g, int zero_guess)
     return nc + (zero_guess ? 0 : nc + cell_face_count(&c));
 }
 
-static void cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
-                       const double *rhs, const double *diag, const double *const *rho,
-                       double *work)
+/* Each row's residual and red entries are one pass: the red entries read
+ * the row's residual alone. */
+static void cell_sweep(team_t *tm, const grid3 *g, double omega, int zero_guess,
+                       double *p, const double *rhs, const double *diag,
+                       const double *const *rho, double *work)
 {
     cell_t c = {.g = g, .omega = omega, .p = p, .rhs = rhs, .diag = diag,
                 .rho = {rho[0], rho[1], rho[2]}};
@@ -372,27 +695,29 @@ static void cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
     long nc = count(sc);
 
     c.delta = work;
-    memset(c.delta, 0, nc * sizeof(double));
-
-    if (zero_guess) {
-        c.r = (double *)rhs;
-    } else {
-        c.r = work + nc;
+    zero_pass(tm, c.delta, nc);
+    c.r = zero_guess ? (double *)rhs : work + nc;
+    if (!zero_guess) {
         double *next = c.r + nc;
         for (int x = g->first; x < 3; x++) {
             c.flux[x] = next;
             next += count(c.sf[x]);
         }
-        gradient_rows(&c);
-        poisson_rows(&c);
+        gradient_rows(tm, &c);
     }
-
-    relax_red(sc, zero3, sc, 0, omega, c.r, diag, c.delta, p);
-    ROWS(zero3, sc) {
+    team_sync(tm);
+    ROWS(tm, zero3, sc) {
+        if (!zero_guess)
+            poisson_line(&c, i, j);
+        red_row(sc, i, j, 0, sc[2], 0, omega, c.r, diag, c.delta, p);
+    }
+    team_sync(tm);
+    ROWS(tm, zero3, sc) {
         black_cell_at o = {0};
         LINE(0, sc[2], COLOUR_START(0, 0, 1), 2, black_cell_setup(&c, i, j, at, &o),
              black_cell_row(&c, &o, k0, k1));
     }
+    team_sync(tm);
 }
 
 int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
@@ -401,7 +726,7 @@ int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
     double *work = malloc(cell_sweep_size(g, zero_guess) * sizeof(double));
     if (!work)
         return -1;
-    cell_sweep(g, omega, zero_guess, p, rhs, diag, rho, work);
+    cell_sweep(SOLO, g, omega, zero_guess, p, rhs, diag, rho, work);
     free(work);
     return 0;
 }
@@ -414,8 +739,9 @@ static long cell_apply_size(const grid3 *g)
     return cell_face_count(&c);
 }
 
-static void cell_apply(const grid3 *g, const double *p, const double *rhs,
-                       const double *const *rho, double *out, double *work)
+static void cell_apply(team_t *tm, const grid3 *g, const double *p,
+                       const double *rhs, const double *const *rho, double *out,
+                       double *work)
 {
     cell_t c = {.g = g, .p = (double *)p, .rhs = rhs, .r = out,
                 .rho = {rho[0], rho[1], rho[2]}};
@@ -425,19 +751,39 @@ static void cell_apply(const grid3 *g, const double *p, const double *rhs,
         c.flux[x] = next;
         next += count(c.sf[x]);
     }
-    gradient_rows(&c);
-    poisson_rows(&c);
+    gradient_rows(tm, &c);
+    team_sync(tm);
+    long zero3[3] = {0, 0, 0};
+    ROWS(tm, zero3, c.sc)
+        poisson_line(&c, i, j);
+    team_sync(tm);
 }
+
+typedef struct {
+    const grid3 *g;
+    const double *p, *rhs, *const *rho;
+    double *out, *work;
+} cell_apply_args;
+
+static void cell_apply_task(team_t *tm, void *arg)
+{
+    const cell_apply_args *a = arg;
+    cell_apply(tm, a->g, a->p, a->rhs, a->rho, a->out, a->work);
+}
+
+/* entries of a grid's Stokes vector: its velocity faces and pressure
+ * cells, which decide whether a call on it runs on the team */
+static long stokes_entries(const grid3 *g);
 
 /* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
 int smg_cell_apply(const grid3 *g, const double *p, const double *rhs,
                    const double *const *rho, double *out)
 {
-    double *work = malloc(cell_apply_size(g) * sizeof(double));
-    if (!work)
+    cell_apply_args a = {g, p, rhs, rho, out, malloc(cell_apply_size(g) * sizeof(double))};
+    if (!a.work)
         return -1;
-    cell_apply(g, p, rhs, rho, out, work);
-    free(work);
+    team_run(stokes_entries(g), cell_apply_task, &a);
+    free(a.work);
     return 0;
 }
 
@@ -446,7 +792,7 @@ void smg_grad(const grid3 *g, const double *p, double *const *out)
 {
     cell_t c = {.g = g, .p = (double *)p, .flux = {out[0], out[1], out[2]}};
     cell_shapes(&c);
-    gradient_rows(&c);
+    gradient_rows(SOLO, &c);
 }
 
 /* the diagonal: per axis, 0 + (lower + upper) of the black rows' face
@@ -472,7 +818,7 @@ void smg_cell_diag(const grid3 *g, const double *const *rho, double *out)
     cell_t c = {.g = g, .r = out, .rho = {rho[0], rho[1], rho[2]}};
     long zero3[3] = {0, 0, 0};
     cell_shapes(&c);
-    ROWS(zero3, c.sc) {
+    ROWS(SOLO, zero3, c.sc) {
         black_cell_at o = {0};
         LINE(0, c.sc[2], 0, 1, black_cell_setup(&c, i, j, at, &o),
              cell_diag_row(&c, &o, k0, k1));
@@ -587,10 +933,10 @@ ROW_FUNCTION div_row(const face_t *f, const div_at *o, long k0, long k1)
 }
 
 /* f->divu = D u */
-static void div_rows(const face_t *f)
+static void div_rows(team_t *tm, const face_t *f)
 {
     long zero3[3] = {0, 0, 0};
-    ROWS(zero3, f->sc) {
+    ROWS(tm, zero3, f->sc) {
         div_at o = {0};
         LINE(0, f->sc[2], 0, 1, div_setup(f, i, j, at, &o), div_row(f, &o, k0, k1));
     }
@@ -744,15 +1090,16 @@ ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k
     }
 }
 
-/* The stage over component a's unknowns into f->r, from f->fn and f->ft
- * as workspace (and f->divu in the stress-bulk form). */
-static void operator_rows(const face_t *f)
+/* The fluxes of the stage over component a's unknowns, into f->fn and
+ * f->ft (reading f->divu in the stress-bulk form); residual_line then
+ * forms the stage's rows from them into f->r. */
+static void flux_rows(team_t *tm, const face_t *f)
 {
     const int a = f->a;
     const long *sc = f->sc;
     long zero3[3] = {0, 0, 0}, lo3[3], hi3[3];
     unknowns(f, lo3, hi3);
-    ROWS(zero3, sc) {
+    ROWS(tm, zero3, sc) {
         normal_at o;
         LINE(0, sc[2], 0, 1, normal_setup(f, i, j, at, &o),
              normal_row(f, &o, k0, k1));
@@ -763,24 +1110,28 @@ static void operator_rows(const face_t *f)
         long nlo[3] = {0, 0, 0}, nhi[3] = {s[0], s[1], s[2]};
         nlo[a] = lo3[a];
         nhi[a] = s[a] - f->bounded;
-        ROWS(nlo, nhi) {
+        ROWS(tm, nlo, nhi) {
             tangent_at o;
             LINE(nlo[2], nhi[2], nlo[2], 1, tangent_setup(f, m, i, j, at, &o),
                  tangent_row(f, m, &o, k0, k1));
         }
     }
-    ROWS(lo3, hi3) {
-        residual_at o;
-        LINE(lo3[2], hi3[2], lo3[2], 1, residual_setup(f, i, j, at, &o),
-             residual_row(f, &o, k0, k1));
-    }
+}
+
+/* row (i, j) of the box [lo3, hi3) of component a's unknowns */
+static void residual_line(const face_t *f, long i, long j, const long *lo3,
+                          const long *hi3)
+{
+    residual_at o;
+    LINE(lo3[2], hi3[2], lo3[2], 1, residual_setup(f, i, j, at, &o),
+         residual_row(f, &o, k0, k1));
 }
 
 /* Component a's boundary faces (not unknowns), into f->r: A u is zero
  * there, negated in steady flow (-L_mu u).  The saddle residual holds +0
  * there whatever its right-hand side holds, as the saddle operator does
  * (-0 + G p, G p being +0 on a wall). */
-static void wall_rows(const face_t *f)
+static void wall_rows(team_t *tm, const face_t *f)
 {
     if (!f->bounded)
         return;
@@ -790,7 +1141,7 @@ static void wall_rows(const face_t *f)
         long lo3[3] = {0, 0, 0}, hi3[3] = {s[0], s[1], s[2]};
         lo3[f->a] = end ? s[f->a] - 1 : 0;
         hi3[f->a] = lo3[f->a] + 1;
-        ROWS(lo3, hi3) {
+        ROWS(tm, lo3, hi3) {
             long r = row(s, i, j, -1, 0);
             for (long k = lo3[2]; k < hi3[2]; k++)
                 f->r[r + k] = f->out == OUT_SADDLE_RESIDUAL ? 0.0 : finish(f, zero, r + k);
@@ -886,10 +1237,11 @@ static long face_sweep_size(const grid3 *g)
  * residual, which reads the components already relaxed.  zero_guess
  * promises that u is zero, so the first component takes rhs as its
  * residual. */
-static void face_sweep(const grid3 *g, int form, double theta, double omega,
-                       int zero_guess, double *const *u, const double *const *rhs,
-                       const double *const *diag, const double *mu, const double *gamma,
-                       const double *const *rho, const double *const *ne, double *work)
+static void face_sweep(team_t *tm, const grid3 *g, int form, double theta,
+                       double omega, int zero_guess, double *const *u,
+                       const double *const *rhs, const double *const *diag,
+                       const double *mu, const double *gamma, const double *const *rho,
+                       const double *const *ne, double *work)
 {
     face_t f = {.g = g, .form = form, .out = OUT_RESIDUAL, .theta = theta,
                 .omega = omega, .u = {u[0], u[1], u[2]}, .mu = mu, .gamma = gamma};
@@ -911,23 +1263,31 @@ static void face_sweep(const grid3 *g, int form, double theta, double omega,
         f.rho = rho[a];
         f.ft[1] = f.ft[0] + count(f.sn[0]);
         unknowns(&f, lo3, hi3);
-        memset(f.delta, 0, count(sa) * sizeof(double));
+        zero_pass(tm, f.delta, count(sa));
 
-        if (zero_guess && a == g->first) {
-            f.r = (double *)rhs[a];
-        } else {
-            f.r = work + nf;
-            if (form == STRESS_BULK)
-                div_rows(&f);
-            operator_rows(&f);
+        int from_rhs = zero_guess && a == g->first;
+        f.r = from_rhs ? (double *)rhs[a] : work + nf;
+        if (!from_rhs) {
+            if (form == STRESS_BULK) {
+                div_rows(tm, &f);
+                team_sync(tm);
+            }
+            flux_rows(tm, &f);
         }
-
-        relax_red(sa, lo3, hi3, -f.bounded, omega, f.r, f.diag, f.delta, f.ua);
-        ROWS(lo3, hi3) {
+        team_sync(tm);
+        ROWS(tm, lo3, hi3) {
+            if (!from_rhs)
+                residual_line(&f, i, j, lo3, hi3);
+            red_row(sa, i, j, lo3[2], hi3[2], -f.bounded, omega, f.r, f.diag, f.delta,
+                    f.ua);
+        }
+        team_sync(tm);
+        ROWS(tm, lo3, hi3) {
             black_face_at o;
             LINE(lo3[2], hi3[2], COLOUR_START(lo3[2], -f.bounded, 1), 2,
                  black_face_setup(&f, i, j, at, &o), black_face_row(&f, &o, k0, k1));
         }
+        team_sync(tm);
     }
 }
 
@@ -939,7 +1299,8 @@ int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
     double *work = malloc(face_sweep_size(g) * sizeof(double));
     if (!work)
         return -1;
-    face_sweep(g, form, theta, omega, zero_guess, u, rhs, diag, mu, gamma, rho, ne, work);
+    face_sweep(SOLO, g, form, theta, omega, zero_guess, u, rhs, diag, mu, gamma, rho, ne,
+               work);
     free(work);
     return 0;
 }
@@ -989,7 +1350,7 @@ void smg_face_diag(const grid3 *g, int form, double theta, const double *mu,
             for (long k = 0; k < count(f.sf[a]); k++)
                 f.r[k] = 1.0;
         unknowns(&f, lo3, hi3);
-        ROWS(lo3, hi3) {
+        ROWS(SOLO, lo3, hi3) {
             black_face_at o;
             LINE(lo3[2], hi3[2], lo3[2], 1, black_face_setup(&f, i, j, at, &o),
                  face_diag_row(&f, &o, k0, k1));
@@ -1006,15 +1367,23 @@ static long face_apply_size(const grid3 *g, int form, int out)
     return count(f.sc) * (1 + own_div) + nn;
 }
 
-static void face_apply(const grid3 *g, int form, double theta, int out,
-                       const double *const *u, const double *p,
-                       const double *const *base, const double *base_p, const double *mu,
-                       const double *gamma, const double *const *rho,
-                       const double *const *ne, const double *const *walls,
-                       double *const *res, double *res_p, double *work)
+/* The arguments of smg_face_apply, and its workspace. */
+typedef struct {
+    const grid3 *g;
+    int form, out;
+    double theta;
+    const double *const *u, *p, *const *base, *base_p, *mu, *gamma;
+    const double *const *rho, *const *ne, *const *walls;
+    double *const *res, *res_p, *work;
+} face_apply_args;
+
+static void face_apply(team_t *tm, const face_apply_args *in)
 {
-    face_t f = {.g = g, .form = form, .out = out, .theta = theta, .mu = mu,
-                .gamma = gamma, .u = {u[0], u[1], u[2]}};
+    const grid3 *g = in->g;
+    int form = in->form, out = in->out;
+    double *const *res = in->res, *res_p = in->res_p, *work = in->work;
+    face_t f = {.g = g, .form = form, .out = out, .theta = in->theta, .mu = in->mu,
+                .gamma = in->gamma, .u = {in->u[0], in->u[1], in->u[2]}};
     face_shapes(&f);
     long nc = count(f.sc);
     int saddle = out == OUT_SADDLE || out == OUT_SADDLE_RESIDUAL;
@@ -1022,29 +1391,46 @@ static void face_apply(const grid3 *g, int form, double theta, int out,
     f.fn = work;
     f.divu = saddle ? res_p : work + nc;
     if (form == STRESS_BULK || saddle)
-        div_rows(&f);
+        div_rows(tm, &f);
     if (saddle) {
-        cell_t c = {.g = g, .p = (double *)p, .flux = {res[0], res[1], res[2]}};
+        cell_t c = {.g = g, .p = (double *)in->p, .flux = {res[0], res[1], res[2]}};
         cell_shapes(&c);
-        gradient_rows(&c);
+        gradient_rows(tm, &c);
     }
+    team_sync(tm);
     for (int a = g->first; a < 3; a++) {
-        face_component(&f, a, ne, walls);
-        f.rho = rho[a];
+        face_component(&f, a, in->ne, in->walls);
+        f.rho = in->rho[a];
         f.r = res[a];
-        f.base = saddle ? res[a] : (base ? base[a] : NULL);
-        f.rhs = out == OUT_SADDLE_RESIDUAL ? base[a] : NULL;
+        f.base = saddle ? res[a] : (in->base ? in->base[a] : NULL);
+        f.rhs = out == OUT_SADDLE_RESIDUAL ? in->base[a] : NULL;
         f.ft[0] = work + nc * (1 + own_div);
         f.ft[1] = f.ft[0] + count(f.sn[0]);
-        operator_rows(&f);
-        wall_rows(&f);
+        long lo3[3], hi3[3];
+        unknowns(&f, lo3, hi3);
+        flux_rows(tm, &f);
+        team_sync(tm);
+        ROWS(tm, lo3, hi3)
+            residual_line(&f, i, j, lo3, hi3);
+        wall_rows(tm, &f);
+        team_sync(tm);
     }
-    if (out == OUT_SADDLE)
-        for (long k = 0; k < nc; k++)
-            res_p[k] = -res_p[k];
-    if (out == OUT_SADDLE_RESIDUAL)
-        for (long k = 0; k < nc; k++)
-            res_p[k] = base_p[k] - -res_p[k];
+    if (saddle) {
+        SHARES(tm, nc, ps) {
+            if (out == OUT_SADDLE)
+                for (long k = ps.lo; k < ps.hi; k++)
+                    res_p[k] = -res_p[k];
+            else
+                for (long k = ps.lo; k < ps.hi; k++)
+                    res_p[k] = in->base_p[k] - -res_p[k];
+        }
+        team_sync(tm);
+    }
+}
+
+static void face_apply_task(team_t *tm, void *arg)
+{
+    face_apply(tm, arg);
 }
 
 /* Every component a of the velocity operator into res[a], as "out" asks:
@@ -1059,12 +1445,12 @@ int smg_face_apply(const grid3 *g, int form, double theta, int out,
                    const double *const *ne, const double *const *walls,
                    double *const *res, double *res_p)
 {
-    double *work = malloc(face_apply_size(g, form, out) * sizeof(double));
-    if (!work)
+    face_apply_args a = {g, form, out, theta, u, p, base, base_p, mu, gamma, rho, ne, walls,
+                         res, res_p, malloc(face_apply_size(g, form, out) * sizeof(double))};
+    if (!a.work)
         return -1;
-    face_apply(g, form, theta, out, u, p, base, base_p, mu, gamma, rho, ne, walls, res,
-               res_p, work);
-    free(work);
+    team_run(stokes_entries(g), face_apply_task, &a);
+    free(a.work);
     return 0;
 }
 
@@ -1073,7 +1459,7 @@ void smg_div(const grid3 *g, const double *const *u, double *out)
 {
     face_t f = {.g = g, .u = {u[0], u[1], u[2]}, .divu = out};
     face_shapes(&f);
-    div_rows(&f);
+    div_rows(SOLO, &f);
 }
 
 /* ------------------------------------------------------------------------
@@ -1151,74 +1537,74 @@ combine(int how, double *y, long ys, const double *p0, const double *p1, const d
     }
 }
 
-/* lines along the contiguous axis taken together by a pass */
+/* lines along the contiguous axis taken together by a pass, and output
+ * entries whose taps it holds at a time */
 #define LINE_BLOCK 16
+#define TAP_BLOCK 64
 
-/* One pass along x from src (shape s) into dst, taps holding room for
- * the pass's output entries along x.  Every line along x has the same
- * taps: along axis 0 or 1 each tap combines the contiguous runs of entries
- * that follow x, along axis 2 a block of lines at a time. */
-static void transfer_pass(int pass, int per, int x, const double *src, const long *s,
-                          double *dst, tap_t *taps)
+/* One pass along x from src (shape s) into dst.  Every line along x has
+ * the same taps: along axis 0 or 1 each tap combines the contiguous runs
+ * of entries that follow x, one run of output entry t of outer slab o at a
+ * time; along axis 2, a block of lines at a time over TAP_BLOCK taps. */
+static void transfer_pass(team_t *tm, int pass, int per, int x, const double *src,
+                          const long *s, double *dst)
 {
     long n = s[x], m = pass_length(pass, per, n);
     long run = x == 0 ? s[1] * s[2] : (x == 1 ? s[2] : 1);
     long outer = x == 0 ? 1 : (x == 1 ? s[0] : s[0] * s[1]);
-    for (long t = 0; t < m; t++)
-        taps[t] = tap(pass, per, t, n);
     if (x < 2) {
-        for (long o = 0; o < outer; o++) {
-            const double *in = src + o * n * run;
-            for (long t = 0; t < m; t++) {
-                const long *q = taps[t].q;
-                combine(taps[t].how, dst + (o * m + t) * run, 1, in + q[0] * run,
-                        in + q[1] * run, in + q[2] * run, 1, run);
+        SHARES(tm, outer * m, ps) {
+            for (long u = ps.lo; u < ps.hi; u++) {
+                long o = u / m, t = u % m;
+                const double *in = src + o * n * run;
+                tap_t tp = tap(pass, per, t, n);
+                combine(tp.how, dst + u * run, 1, in + tp.q[0] * run, in + tp.q[1] * run,
+                        in + tp.q[2] * run, 1, run);
             }
         }
-    } else {
-        for (long o = 0; o < outer; o += LINE_BLOCK) {
-            long lanes = outer - o < LINE_BLOCK ? outer - o : LINE_BLOCK;
-            const double *in = src + o * n;
-            for (long t = 0; t < m; t++) {
-                const long *q = taps[t].q;
-                combine(taps[t].how, dst + o * m + t, m, in + q[0], in + q[1], in + q[2],
-                        n, lanes);
+        return;
+    }
+    tap_t taps[TAP_BLOCK];
+    SHARES(tm, outer, ps) {
+        for (long t0 = 0; t0 < m; t0 += TAP_BLOCK) {
+            long nt = m - t0 < TAP_BLOCK ? m - t0 : TAP_BLOCK;
+            for (long t = 0; t < nt; t++)
+                taps[t] = tap(pass, per, t0 + t, n);
+            for (long o = ps.lo; o < ps.hi; o += LINE_BLOCK) {
+                long lanes = ps.hi - o < LINE_BLOCK ? ps.hi - o : LINE_BLOCK;
+                const double *in = src + o * n;
+                for (long t = 0; t < nt; t++) {
+                    const long *q = taps[t].q;
+                    combine(taps[t].how, dst + o * m + t0 + t, m, in + q[0], in + q[1],
+                            in + q[2], n, lanes);
+                }
             }
         }
     }
-}
-
-/* doubles that hold the taps of m output entries */
-static long taps_size(long m)
-{
-    return (m * (long)sizeof(tap_t) + (long)sizeof(double) - 1) / (long)sizeof(double);
 }
 
 /* Runs passes[k] along axes[k], k < np, from src of shape s into dst, the
  * passes between writing into work, which holds transfer_size entries;
  * without work, returns that size. */
-static long transfer(const grid3 *g, int np, const int *passes, const int *axes,
-                     const double *src, const long *s, double *dst, double *work)
+static long transfer(team_t *tm, const grid3 *g, int np, const int *passes,
+                     const int *axes, const double *src, const long *s, double *dst,
+                     double *work)
 {
     const double *in = src;
-    long shape[3] = {s[0], s[1], s[2]}, ntaps = 0, used = 0;
-    for (int k = 0; k < np; k++) {
-        long m = pass_length(passes[k], periodic(g, axes[k]), shape[axes[k]]);
-        ntaps = m > ntaps ? m : ntaps;
-        shape[axes[k]] = m;
-        if (k < np - 1)
-            used += count(shape);
+    long shape[3] = {s[0], s[1], s[2]}, used = 0;
+    for (int k = 0; k < np - 1; k++) {
+        shape[axes[k]] = pass_length(passes[k], periodic(g, axes[k]), shape[axes[k]]);
+        used += count(shape);
     }
-    used += taps_size(ntaps);
     if (!work)
         return used;
-    tap_t *taps = (tap_t *)work;
-    double *next = work + taps_size(ntaps);
+    double *next = work;
     memcpy(shape, s, sizeof shape);
     for (int k = 0; k < np; k++) {
         int x = axes[k], per = periodic(g, x);
         double *out = k == np - 1 ? dst : next;
-        transfer_pass(passes[k], per, x, in, shape, out, taps);
+        transfer_pass(tm, passes[k], per, x, in, shape, out);
+        team_sync(tm);
         shape[x] = pass_length(passes[k], per, shape[x]);
         next += count(shape);
         in = out;
@@ -1250,8 +1636,8 @@ static int transfer_plan(const grid3 *g, int a, int first, int second, int *pass
  * tangential to a, then the 1/4, 1/2, 1/4 stencil along a; a face
  * prolongation: 3/4-1/4 interpolation along the axes tangential to a, then
  * copies and means along a.  Without work, returns its size. */
-static long face_transfer(const grid3 *g, int restricting, const double *const *src,
-                          double *const *dst, double *work)
+static long face_transfer(team_t *tm, const grid3 *g, int restricting,
+                          const double *const *src, double *const *dst, double *work)
 {
     long size = 0;
     for (int a = g->first; a < 3; a++) {
@@ -1261,7 +1647,7 @@ static long face_transfer(const grid3 *g, int restricting, const double *const *
                                              passes, axes);
         long s[3];
         shape_of(g, a, a, s);
-        long n = transfer(g, np, passes, axes, work ? src[a] : NULL, s,
+        long n = transfer(tm, g, np, passes, axes, work ? src[a] : NULL, s,
                           work ? dst[a] : NULL, work);
         size = n > size ? n : size;
     }
@@ -1270,21 +1656,22 @@ static long face_transfer(const grid3 *g, int restricting, const double *const *
 
 /* coarse = the 2^d-child means of fine; g is the fine grid.  Without
  * work, returns its size. */
-static long restrict_cell(const grid3 *g, const double *fine, double *coarse, double *work)
+static long restrict_cell(team_t *tm, const grid3 *g, const double *fine,
+                          double *coarse, double *work)
 {
     int passes[3], axes[3];
     int np = transfer_plan(g, -1, PAIR_MEAN, 0, passes, axes);
     long s[3];
     shape_of(g, -1, -1, s);
-    return transfer(g, np, passes, axes, fine, s, coarse, work);
+    return transfer(tm, g, np, passes, axes, fine, s, coarse, work);
 }
 
 int smg_restrict_cell(const grid3 *g, const double *fine, double *coarse)
 {
-    double *work = malloc(restrict_cell(g, NULL, NULL, NULL) * sizeof(double));
+    double *work = malloc(restrict_cell(SOLO, g, NULL, NULL, NULL) * sizeof(double));
     if (!work)
         return -1;
-    restrict_cell(g, fine, coarse, work);
+    restrict_cell(SOLO, g, fine, coarse, work);
     free(work);
     return 0;
 }
@@ -1292,10 +1679,11 @@ int smg_restrict_cell(const grid3 *g, const double *fine, double *coarse)
 static int face_transfer_entry(const grid3 *g, int restricting, const double *const *src,
                                double *const *dst)
 {
-    double *work = malloc(face_transfer(g, restricting, NULL, NULL, NULL) * sizeof(double));
+    long size = face_transfer(SOLO, g, restricting, NULL, NULL, NULL);
+    double *work = malloc(size * sizeof(double));
     if (!work)
         return -1;
-    face_transfer(g, restricting, src, dst, work);
+    face_transfer(SOLO, g, restricting, src, dst, work);
     free(work);
     return 0;
 }
@@ -1307,21 +1695,27 @@ int smg_restrict_face(const grid3 *g, const double *const *fine, double *const *
     return face_transfer_entry(g, 1, fine, coarse);
 }
 
+static void prolong_cell(team_t *tm, const grid3 *g, const double *coarse,
+                         double *fine)
+{
+    long s[3], d[3], zero3[3] = {0, 0, 0};
+    shape_of(g, -1, -1, s);
+    for (int k = 0; k < 3; k++)
+        d[k] = k < g->first ? s[k] : 2 * s[k];
+    ROWS(tm, zero3, d) {
+        const double *in = coarse + row(s, i >> 1, j >> 1, -1, 0);
+        double *out = fine + row(d, i, j, -1, 0);
+        for (long k = 0; k < d[2]; k++)
+            out[k] = in[k >> 1];
+    }
+    team_sync(tm);
+}
+
 /* fine = each coarse value injected into its 2^d children; g is the
  * coarse grid */
 int smg_prolong_cell(const grid3 *g, const double *coarse, double *fine)
 {
-    long s[3], d[3];
-    shape_of(g, -1, -1, s);
-    for (int k = 0; k < 3; k++)
-        d[k] = k < g->first ? s[k] : 2 * s[k];
-    for (long i = 0; i < d[0]; i++)
-        for (long j = 0; j < d[1]; j++) {
-            const double *in = coarse + row(s, i >> 1, j >> 1, -1, 0);
-            double *out = fine + row(d, i, j, -1, 0);
-            for (long k = 0; k < d[2]; k++)
-                out[k] = in[k >> 1];
-        }
+    prolong_cell(SOLO, g, coarse, fine);
     return 0;
 }
 
@@ -1340,10 +1734,13 @@ int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const 
  * of the entries above in the order the reference recursion in
  * tests/reference.py calls those entries, so every output bit is theirs.
  * Each call makes one allocation and frees it before it returns, laid out
- * as a stack of frames, one per level (see cycle_level): a level's frame
- * holds its sweeps' workspace, or its residual and then its prolonged
- * correction, followed by the coarser level's right-hand side, iterate and
- * frame.  The caller owns the finest iterate and right-hand side. */
+ * as a stack of frames, one per level (see
+ * cycle_level): a level's frame holds its sweeps' workspace, or its
+ * residual and then its prolonged correction, followed by the coarser
+ * level's right-hand side, iterate and frame.  The caller owns the finest
+ * iterate and right-hand side.  The whole cycle is one task of the team;
+ * from the first level below TEAM_MIN_ENTRIES down and back, the calling
+ * thread runs alone while the helpers wait at one barrier. */
 
 /* One level of a V-cycle plan: its grid and what its sweeps and residual
  * read.  diag is the face diagonal per axis, or the cell diagonal first. */
@@ -1361,6 +1758,9 @@ typedef struct {
     const smg_level *plan;
     double theta, omega;
     int down, up, bottom;
+    double *const *x;
+    const double *const *rhs;
+    double *work;
 } cycle_t;
 
 /* Entries of each component of a field of the kind on g, indexed by axis
@@ -1385,6 +1785,11 @@ static long field_size(int kind, const grid3 *g)
     return parts(kind, g, n);
 }
 
+static long stokes_entries(const grid3 *g)
+{
+    return field_size(FACE, g) + field_size(CELL, g);
+}
+
 /* Points c at the components of a field stored from buf on; returns the
  * entry after it. */
 static double *field_at(int kind, const grid3 *g, double *buf, double *c[3])
@@ -1400,7 +1805,8 @@ static double *field_at(int kind, const grid3 *g, double *buf, double *c[3])
 
 /* x = 0, or x += e when e is not NULL, at every entry of each component,
  * boundary faces included */
-static void zero_or_add(int kind, const grid3 *g, double *const *x, const double *const *e)
+static void zero_or_add(team_t *tm, int kind, const grid3 *g, double *const *x,
+                        const double *const *e)
 {
     long n[3];
     parts(kind, g, n);
@@ -1408,11 +1814,13 @@ static void zero_or_add(int kind, const grid3 *g, double *const *x, const double
         if (!n[a])
             continue;
         if (!e)
-            memset(x[a], 0, n[a] * sizeof(double));
+            zero_pass(tm, x[a], n[a]);
         else
-            for (long k = 0; k < n[a]; k++)
-                x[a][k] += e[a][k];
+            SHARES(tm, n[a], ps)
+                for (long k = ps.lo; k < ps.hi; k++)
+                    x[a][k] += e[a][k];
     }
+    team_sync(tm);
 }
 
 static long most(long a, long b)
@@ -1434,24 +1842,24 @@ static long frame_size(const cycle_t *cy, long l)
     long fine = field_size(cy->kind, g), coarse = 2 * field_size(cy->kind, gc);
     long apply = cy->kind == CELL ? cell_apply_size(g)
                                   : face_apply_size(g, cy->form, OUT_RESIDUAL);
-    long down = cy->kind == CELL ? restrict_cell(g, NULL, NULL, NULL)
-                                 : face_transfer(g, 1, NULL, NULL, NULL);
-    long up = cy->kind == CELL ? 0 : face_transfer(gc, 0, NULL, NULL, NULL);
+    long down = cy->kind == CELL ? restrict_cell(SOLO, g, NULL, NULL, NULL)
+                                 : face_transfer(SOLO, g, 1, NULL, NULL, NULL);
+    long up = cy->kind == CELL ? 0 : face_transfer(SOLO, gc, 0, NULL, NULL, NULL);
     long below = most(most(down, up), frame_size(cy, l + 1));
     return most(most(sweep, fine + apply), fine + coarse + below);
 }
 
 /* sweeps relaxations of x on level lv, the first from x = 0 when from_zero */
-static void relax(const cycle_t *cy, const smg_level *lv, int sweeps, int from_zero,
-                  double *const *x, const double *const *rhs, double *work)
+static void relax(team_t *tm, const cycle_t *cy, const smg_level *lv, int sweeps,
+                  int from_zero, double *const *x, const double *const *rhs, double *work)
 {
     for (int k = 0; k < sweeps; k++) {
         int zero_guess = from_zero && k == 0;
         if (cy->kind == CELL)
-            cell_sweep(&lv->g, cy->omega, zero_guess, x[0], rhs[0], lv->diag[0], lv->rho,
-                       work);
+            cell_sweep(tm, &lv->g, cy->omega, zero_guess, x[0], rhs[0], lv->diag[0],
+                       lv->rho, work);
         else
-            face_sweep(&lv->g, cy->form, cy->theta, cy->omega, zero_guess, x, rhs,
+            face_sweep(tm, &lv->g, cy->form, cy->theta, cy->omega, zero_guess, x, rhs,
                        lv->diag, lv->mu, lv->gamma, lv->rho, lv->ne, work);
     }
 }
@@ -1460,17 +1868,23 @@ static void relax(const cycle_t *cy, const smg_level *lv, int sweeps, int from_z
  * on.  The residual, and later the prolonged correction, take the frame's
  * start; the coarse right-hand side and iterate follow it (over the
  * residual's workspace, dead by then), then the coarse level's frame. */
-static void cycle_level(const cycle_t *cy, long l, double *const *x,
+static void cycle_level(team_t *tm, const cycle_t *cy, long l, double *const *x,
                         const double *const *rhs, double *frame)
 {
     const smg_level *lv = cy->plan + l;
     const grid3 *g = &lv->g;
-    zero_or_add(cy->kind, g, x, NULL);
-    if (l == cy->levels - 1) {
-        relax(cy, lv, cy->bottom, 1, x, rhs, frame);
+    if (tm->size > 1 && stokes_entries(g) < TEAM_MIN_ENTRIES) {
+        SHARES(tm, 1, ps)
+            cycle_level(SOLO, cy, l, x, rhs, frame);
+        team_sync(tm);
         return;
     }
-    relax(cy, lv, cy->down, 1, x, rhs, frame);
+    zero_or_add(tm, cy->kind, g, x, NULL);
+    if (l == cy->levels - 1) {
+        relax(tm, cy, lv, cy->bottom, 1, x, rhs, frame);
+        return;
+    }
+    relax(tm, cy, lv, cy->down, 1, x, rhs, frame);
 
     /* the residual, restricted to the coarse right-hand side */
     const grid3 *gc = &lv[1].g;
@@ -1478,34 +1892,43 @@ static void cycle_level(const cycle_t *cy, long l, double *const *x,
     double *after = field_at(cy->kind, g, frame, r);
     double *below = field_at(cy->kind, gc, field_at(cy->kind, gc, after, crhs), cx);
     if (cy->kind == CELL) {
-        cell_apply(g, x[0], rhs[0], lv->rho, r[0], after);
-        restrict_cell(g, r[0], crhs[0], below);
+        cell_apply(tm, g, x[0], rhs[0], lv->rho, r[0], after);
+        restrict_cell(tm, g, r[0], crhs[0], below);
     } else {
-        face_apply(g, cy->form, cy->theta, OUT_RESIDUAL, (const double *const *)x, NULL,
-                   rhs, NULL, lv->mu, lv->gamma, lv->rho, lv->ne, NULL, r, NULL, after);
-        face_transfer(g, 1, (const double *const *)r, crhs, below);
+        face_apply_args a = {.g = g, .form = cy->form, .out = OUT_RESIDUAL,
+                             .theta = cy->theta, .u = (const double *const *)x,
+                             .base = rhs, .mu = lv->mu, .gamma = lv->gamma,
+                             .rho = lv->rho, .ne = lv->ne, .res = r, .work = after};
+        face_apply(tm, &a);
+        face_transfer(tm, g, 1, (const double *const *)r, crhs, below);
     }
 
-    cycle_level(cy, l + 1, cx, (const double *const *)crhs, below);
+    cycle_level(tm, cy, l + 1, cx, (const double *const *)crhs, below);
 
     /* the prolonged correction */
     double *e[3];
     field_at(cy->kind, g, frame, e);
     if (cy->kind == CELL)
-        smg_prolong_cell(gc, cx[0], e[0]);
+        prolong_cell(tm, gc, cx[0], e[0]);
     else
-        face_transfer(gc, 0, (const double *const *)cx, e, below);
-    zero_or_add(cy->kind, g, x, (const double *const *)e);
-    relax(cy, lv, cy->up, 0, x, rhs, frame);
+        face_transfer(tm, gc, 0, (const double *const *)cx, e, below);
+    zero_or_add(tm, cy->kind, g, x, (const double *const *)e);
+    relax(tm, cy, lv, cy->up, 0, x, rhs, frame);
 }
 
-static int vcycle(const cycle_t *cy, double *const *x, const double *const *rhs)
+static void cycle_task(team_t *tm, void *arg)
 {
-    double *block = malloc(frame_size(cy, 0) * sizeof(double));
-    if (!block)
+    const cycle_t *cy = arg;
+    cycle_level(tm, cy, 0, cy->x, cy->rhs, cy->work);
+}
+
+static int vcycle(cycle_t *cy)
+{
+    cy->work = malloc(frame_size(cy, 0) * sizeof(double));
+    if (!cy->work)
         return -1;
-    cycle_level(cy, 0, x, rhs, block);
-    free(block);
+    team_run(stokes_entries(&cy->plan->g), cycle_task, cy);
+    free(cy->work);
     return 0;
 }
 
@@ -1517,8 +1940,8 @@ int smg_face_vcycle(long levels, const smg_level *plan, int form, double theta,
 {
     cycle_t cy = {.kind = FACE, .form = form, .levels = levels, .plan = plan,
                   .theta = theta, .omega = omega, .down = down, .up = up,
-                  .bottom = bottom};
-    return vcycle(&cy, u, rhs);
+                  .bottom = bottom, .x = u, .rhs = rhs};
+    return vcycle(&cy);
 }
 
 /* p = one V-cycle of the pressure operator on rhs from p = 0 (see
@@ -1526,11 +1949,11 @@ int smg_face_vcycle(long levels, const smg_level *plan, int form, double theta,
 int smg_cell_vcycle(long levels, const smg_level *plan, double omega, int down, int up,
                     int bottom, const double *rhs, double *p)
 {
-    cycle_t cy = {.kind = CELL, .levels = levels, .plan = plan, .omega = omega,
-                  .down = down, .up = up, .bottom = bottom};
     double *x[3] = {p, NULL, NULL};
     const double *b[3] = {rhs, NULL, NULL};
-    return vcycle(&cy, x, b);
+    cycle_t cy = {.kind = CELL, .levels = levels, .plan = plan, .omega = omega,
+                  .down = down, .up = up, .bottom = bottom, .x = x, .rhs = b};
+    return vcycle(&cy);
 }
 
 /* ------------------------------------------------------------------------
@@ -1589,14 +2012,21 @@ double smg_mgs_step(long n, double h, const double *v, double *w, const double *
     return lanes(s);
 }
 
-/* out = x + (y[0] v_0 + ... + y[m-1] v_m-1) entry by entry, the products
- * added in order of i to 0.0; row v_i starts at V + i n, and out aliases
- * none of the inputs */
-void smg_combine(long n, long m, const double *V, const double *y, const double *x,
-                 double *out)
+typedef struct {
+    long n, m;
+    const double *V, *y, *x;
+    double *out;
+} combine_args;
+
+/* Items [lo, hi) of smg_combine: the blocks of four entries, then the
+ * entries after the last block as one more item. */
+static void combine_items(const combine_args *c, long lo, long hi)
 {
-    long k = 0;
-    for (; k + 4 <= n; k += 4) {
+    const long n = c->n, m = c->m, blocks = n / 4;
+    const double *V = c->V, *y = c->y, *x = c->x;
+    double *out = c->out;
+    long k = 4 * lo;
+    for (; k < 4 * (hi < blocks ? hi : blocks); k += 4) {
         double s[4] = {0.0, 0.0, 0.0, 0.0};
         for (long i = 0; i < m; i++) {
             const double *row = V + i * n + k;
@@ -1608,10 +2038,30 @@ void smg_combine(long n, long m, const double *V, const double *y, const double 
         for (int j = 0; j < 4; j++)
             out[k + j] = x[k + j] + s[j];
     }
+    if (hi <= blocks)
+        return;
     for (; k < n; k++) {
         double s = 0.0;
         for (long i = 0; i < m; i++)
             s += y[i] * V[i * n + k];
         out[k] = x[k] + s;
     }
+}
+
+static void combine_task(team_t *tm, void *arg)
+{
+    const combine_args *c = arg;
+    SHARES(tm, c->n / 4 + 1, ps)
+        combine_items(c, ps.lo, ps.hi);
+}
+
+/* out = x + (y[0] v_0 + ... + y[m-1] v_m-1) entry by entry, the products
+ * added in order of i to 0.0; row v_i starts at V + i n, and out aliases
+ * none of the inputs.  Each entry's sum is its own, so the team splits the
+ * entries. */
+void smg_combine(long n, long m, const double *V, const double *y, const double *x,
+                 double *out)
+{
+    combine_args c = {n, m, V, y, x, out};
+    team_run(n, combine_task, &c);
 }

@@ -90,10 +90,12 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-#: tests that wait on a child process: the sanitizer run (test_sanitizers.py,
-#: about half a minute) and the benchmark's own suite
-#: (test_perfbench_suite.py, several seconds)
-CHILD_TESTS = ("test_kernel_properties_pass_under_sanitizers", "test_benchmark_suite_passes")
+#: tests that wait on a child process: the sanitizer runs (test_sanitizers.py,
+#: about half a minute, and test_thread_sanitizer.py) and the benchmark's own
+#: suite (test_perfbench_suite.py, several seconds)
+CHILD_TESTS = ("test_kernel_properties_pass_under_sanitizers",
+               "test_team_property_passes_under_thread_sanitizer",
+               "test_benchmark_suite_passes")
 _child_runs = []
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stokesmg import cli
+from stokesmg import cli, kernels
 from stokesmg.cli import (
     CSV_HEADER,
     PRESETS,
@@ -201,11 +201,14 @@ class TestRunCommand:
                              ids=["two_points", "one_point"])
     def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch, kinds, jobs,
                                                   pools):
-        # a forked pool starts all max_workers processes at its first submit
+        # a forked pool starts all max_workers processes at its first submit;
+        # each worker sets its team to its share of the cores
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
+                assert (initializer, initargs) == (kernels.set_threads,
+                                                   (kernels.team_size(max_workers),))
                 started.append(max_workers)
 
             def __enter__(self):
@@ -464,3 +467,72 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+#: one process: 8^2 and 48^2 exact-subsolver runs, a 128^2 run whose V-cycles and
+#: operators run on the kernel team, then a sweep forked into two workers
+#: and the same sweep run sequentially; prints the thread counts and exit
+#: codes as JSON
+TEAM_SCRIPT = """
+import json, os, sys
+from stokesmg import cli, kernels
+
+root = sys.argv[1]
+
+def threads():
+    return len(os.listdir('/proc/self/task'))
+
+def run(name, config, *args):
+    path = os.path.join(root, name + '.json')
+    with open(path, 'w') as handle:
+        json.dump(config, handle)
+    return cli.main(['run', '--config', path, '--out', os.path.join(root, name), *args])
+
+problem = {'kind': 'bubble', 'bc': 'no_slip', 'beta': 'inf', 'seed': 0}
+exact = {'problem': {'kind': 'constant', 'dim': 2, 'cells': 48, 'bc': 'periodic',
+                     'beta': 'inf', 'seed': 0},
+         'solver': {'precond': {'kind': 'P1', 'exact_subsolvers': True},
+                    'gmres': {'rtol': 1e-10, 'max_iters': 10}}}
+large = {'problem': dict(problem, cells=128), 'solver': {'gmres': {'rtol': 1e-6}}}
+sweep = {'problem': dict(problem, cells=16), 'solver': {'gmres': {'rtol': 1e-8}},
+         'sweep': {'solver.precond.kind': ['P1', 'P2']}}
+# the first exact solve loads scipy's solvers and their BLAS threads
+codes = [run('warm', dict(exact, problem=dict(exact['problem'], cells=8)))]
+start = threads()
+codes.append(run('exact', exact))
+after_exact = threads()
+codes.append(run('large', large))
+after_large = threads()
+codes += [run('jobs2', sweep, '--jobs', '2'), run('jobs1', sweep, '--jobs', '1')]
+print(json.dumps({'team_size': kernels.team_size(), 'codes': codes, 'start': start,
+                  'after_exact': after_exact, 'after_large': after_large}))
+"""
+
+
+@pytest.fixture(scope="module")
+def team_run(tmp_path_factory):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    root = tmp_path_factory.mktemp("team")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    # a fork that hangs on a lock of the kernel team would hang here
+    proc = subprocess.run([sys.executable, "-c", TEAM_SCRIPT, str(root)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return root, json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestKernelTeam:
+    def test_small_exact_solve_starts_no_helper_thread(self, team_run):
+        _, report = team_run
+        assert report["codes"][:2] == [0, 0]
+        assert report["after_exact"] == report["start"]
+
+    def test_jobs_after_a_team_solve_finish_and_match_sequential(self, team_run):
+        root, report = team_run
+        assert report["codes"] == [0, 0, 0, 0, 0]
+        if report["team_size"] > 1:
+            # the large solve started the helpers before the pool forked
+            assert report["after_large"] > report["after_exact"]
+        for name in ("run_000.csv", "run_001.csv"):
+            assert (root / "jobs2" / name).read_bytes() == (root / "jobs1" / name).read_bytes()

@@ -25,6 +25,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -452,6 +453,121 @@ def test_vcycles_and_preconditioners_are_linear(case, alpha, beta):
         px, py = apply(x), apply(y)
         error = sup(apply(alpha * x + beta * y) - (alpha * px + beta * py))
         assert error <= 64 * eps * (abs(alpha) * sup(px) + abs(beta) * sup(py))
+
+
+# ---------------------------------------------------------------------------
+# team sizes
+# ---------------------------------------------------------------------------
+
+TEAM_SIZES = (1, 2, 3)
+TEAM = settings(derandomize=True, database=None, deadline=None, max_examples=12)
+
+
+def team_min_entries() -> int:
+    """Entries a grid needs before the library runs a call on it on its team."""
+    return ctypes.c_long.in_dll(kernels.load(), "smg_team_min_entries").value
+
+
+@st.composite
+def team_cases(draw):
+    """A grid above the team threshold (3D 22-30 cells per
+    axis, 2D 106-140), even counts so it coarsens or any counts, with
+    its walls, viscous form and coefficients, and a generator."""
+    dim = draw(st.sampled_from([2, 3]))
+    even = draw(st.booleans())
+    low, high = (22, 30) if dim == 3 else (106, 140)
+    counts = st.integers(low // 2, high // 2).map(lambda n: 2 * n) if even else \
+        st.integers(low, high)
+    cells = tuple(draw(counts) for _ in range(dim))
+    grid = GridSpec(cells, draw(st.sampled_from([1 / 64, 0.3])), draw_walls(draw, dim))
+    form = draw(st.sampled_from([LAPLACIAN, STRESS, STRESS_BULK]))
+    theta = draw(st.sampled_from([0.0, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu, rho = (CellField(grid, 1e2 ** rng.random(cells)) for _ in range(2))
+    gamma = CellField(grid, 1e2 * rng.random(cells))
+    coeff = make_coefficients(grid, theta, rho, mu, gamma, viscous_form=form)
+    return grid, coeff, rng
+
+
+def outputs_by_team_size(run) -> list[bytes]:
+    """``run()``'s arrays as bytes, per team size; the process's size is
+    restored after."""
+    out = []
+    try:
+        for n in TEAM_SIZES:
+            kernels.set_threads(n)
+            out.append(b"".join(arr.tobytes() for arr in run()))
+    finally:
+        kernels.set_threads(kernels.team_size())
+    return out
+
+
+@TEAM
+@given(team_cases(), st.integers(0, 11))
+def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
+    # every entry that runs on the team: both V-cycles, the face operator in
+    # each mode, the pressure operator with and without a right-hand side,
+    # and the basis combination, odd lengths included
+    grid, coeff, rng = case
+    assert StokesVector.buffer_size(grid) >= team_min_entries()
+    u, rhs, bvals = full_face(grid, rng), full_face(grid, rng), random_bvals(grid, rng)
+    p, q = (CellField(grid, rng.standard_normal(grid.cells)) for _ in range(2))
+    x, b = StokesVector(u, p), StokesVector(rhs, q)
+    n = StokesVector.buffer_size(grid) + int(rng.integers(0, 4))
+    V, y, z = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(n)
+    runs = [
+        lambda: [apply_M(x, coeff).buffer, apply_M(x, coeff, rhs=b).buffer],
+        lambda: [*apply_A(u, coeff, bvals).components,
+                 *apply_A(u, coeff, rhs=rhs).components,
+                 *apply_viscous(u, coeff, bvals).components],
+        lambda: [apply_Lrho(p, coeff).data, apply_Lrho(p, coeff, q).data],
+        lambda: [kernels.combine(V, y, z)],
+    ]
+    if grid.can_coarsen():
+        hier = multigrid.build_hierarchy(grid, coeff)
+        params = multigrid.SmootherParams(0.8, 2, 1, 8)
+        runs += [lambda: reference.field_arrays(multigrid.vcycle(rhs, hier, params)),
+                 lambda: reference.field_arrays(multigrid.vcycle(q, hier, params))]
+    for run in runs:
+        first, *others = outputs_by_team_size(run)
+        assert all(other == first for other in others)
+
+
+def test_concurrent_callers_get_their_own_results():
+    # two threads of the process call the library at once: a caller that
+    # finds the team busy runs alone; each must still get the bytes a lone
+    # caller gets
+    rng = np.random.default_rng(7)
+    cases = []
+    for cells in ((128, 112), (24, 24, 22)):
+        grid = GridSpec(cells, 1 / 64, ((NO_SLIP, FREE_SLIP),) * len(cells))
+        coeff = make_coefficients(grid, 0.7, *(CellField(grid, 1 + rng.random(cells))
+                                               for _ in range(3)), viscous_form=STRESS)
+        hier = multigrid.build_hierarchy(grid, coeff)
+        x = StokesVector(full_face(grid, rng), CellField(grid, rng.standard_normal(cells)))
+        cases.append(lambda x=x, coeff=coeff, hier=hier: [
+            apply_M(x, coeff).buffer,
+            *multigrid.vcycle(x.u, hier, multigrid.SmootherParams()).components,
+            multigrid.vcycle(x.p, hier, multigrid.SmootherParams()).data])
+    want = [[arr.tobytes() for arr in run()] for run in cases]
+    got = [[], []]
+
+    def repeat(k):
+        for _ in range(20):
+            got[k].append([arr.tobytes() for arr in cases[k]()])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=repeat, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[0]] * 20, [want[1]] * 20]
 
 
 # ---------------------------------------------------------------------------

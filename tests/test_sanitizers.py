@@ -24,7 +24,7 @@ import stokesmg
 from stokesmg import kernels
 
 FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-         "-ffp-contract=off", "-fPIC", "-shared")
+         "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stokesmg.__file__)))
 #: the build-and-cache tests of test_kernels.py, left out: they start
@@ -51,27 +51,29 @@ def runtime(name: str) -> str | None:
 
 
 class SanitizedRun:
-    """The child process: its directory holds the library cache, the
+    """The child process running ``script`` with the sanitizer runtimes
+    preloaded (the first is required, the others are added when present)
+    and ``options(logs)`` in its environment, which sends every report into
+    the directory ``logs``.  Its directory holds the library cache, the
     sanitizer logs and the child's output."""
 
-    def __init__(self):
+    def __init__(self, script: str, runtimes: tuple[str, ...], options):
+        self.script, self.runtimes, self.options = script, runtimes, options
         self.proc = None
         self.root = None
 
     def start(self) -> None:
-        asan = runtime("libasan.so")
-        if self.proc is not None or asan is None:
+        paths = [runtime(name) for name in self.runtimes]
+        if self.proc is not None or paths[0] is None:
             return
         self.root = tempfile.mkdtemp(prefix="stokesmg-sanitizers-")
         logs = os.path.join(self.root, "logs")
         os.mkdir(logs)
         env = dict(os.environ, PYTHONPATH=SRC,
                    XDG_CACHE_HOME=os.path.join(self.root, "cache"),
-                   LD_PRELOAD=" ".join(filter(None, (asan, runtime("libubsan.so")))),
-                   ASAN_OPTIONS=f"detect_leaks=0:log_path={logs}/asan",
-                   UBSAN_OPTIONS=f"print_stacktrace=1:log_path={logs}/ubsan")
+                   LD_PRELOAD=" ".join(filter(None, paths)), **self.options(logs))
         with open(os.path.join(self.root, "output"), "w") as output:
-            self.proc = subprocess.Popen([sys.executable, "-c", SCRIPT], cwd=TESTS,
+            self.proc = subprocess.Popen([sys.executable, "-c", self.script], cwd=TESTS,
                                          env=env, stdout=output,
                                          stderr=subprocess.STDOUT)
 
@@ -96,7 +98,9 @@ class SanitizedRun:
         self.proc = self.root = None
 
 
-CHILD = SanitizedRun()
+CHILD = SanitizedRun(SCRIPT, ("libasan.so", "libubsan.so"), lambda logs: {
+    "ASAN_OPTIONS": f"detect_leaks=0:log_path={logs}/asan",
+    "UBSAN_OPTIONS": f"print_stacktrace=1:log_path={logs}/ubsan"})
 
 
 def test_kernel_properties_pass_under_sanitizers():
