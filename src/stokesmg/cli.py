@@ -44,7 +44,7 @@ from .grid import (
     GridSpec,
     norm2,
 )
-from .krylov import GmresConfig, gmres_solve
+from .krylov import GmresConfig, gmres_solve, require_basis_size
 from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, mg_cycles
 from .operators import LAPLACIAN, STRESS, STRESS_BULK, apply_A, apply_Lrho, rescale
 from .precond import PrecondConfig, PrecondKind
@@ -374,7 +374,7 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
     grids = {}
     for cfg in points:
         validate_keys(cfg)
-        pcfg, _, _ = build_solver(cfg.get("solver", {}))
+        pcfg, gcfg, _ = build_solver(cfg.get("solver", {}))
         problem = cfg.get("problem", {})
         key = json.dumps(problem, sort_keys=True)
         if key not in grids:
@@ -383,6 +383,7 @@ def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> 
         _get(problem, "rescale", True, bool)
         if pcfg.exact_subsolvers:
             require_exact_size(grid)
+        require_basis_size(grid, gcfg)
     kernels.load()
     os.makedirs(outdir, exist_ok=True)
     tasks = [(i, cfg, seed_override) for i, cfg in enumerate(points)]

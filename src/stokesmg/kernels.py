@@ -10,10 +10,12 @@ transfers :func:`restrict_cell`, :func:`restrict_face`,
 :func:`prolong_cell` and :func:`prolong_face`.  Each checks its arrays,
 passes their addresses to one call of one entry of ``sweeps.c`` and
 returns the field (the sweeps relax in place; the face sweep relaxes every
-velocity component).  A field's components and the node/edge planes go as
-one array of per-axis pointers.  :mod:`operators` and :mod:`multigrid`
-import them; the package has no other copy of the stencils or of their
-coupling weights and wall rules.
+velocity component).  A field's components go as one array of per-axis
+pointers, and a coefficient set as one ``smg_level``: its grid, viscous
+form, theta and array addresses, built once per set and refused for a
+field on another grid.  :mod:`operators` and :mod:`multigrid` import them;
+the package has no other copy of the stencils or of their coupling weights
+and wall rules.
 
 The Krylov reductions are here too: :func:`sum_products` (every inner
 product and norm of the package), :func:`mgs_step` (one modified
@@ -174,34 +176,31 @@ _Axes = ctypes.c_void_p * 3
 
 
 class _Level(ctypes.Structure):
-    """``smg_level`` of sweeps.c: one level of a V-cycle plan."""
+    """``smg_level`` of sweeps.c: a coefficient set on its grid and, in a
+    V-cycle plan, the level's smoother diagonal."""
 
-    _fields_ = [("g", _Grid3), ("diag", _Axes), ("mu", _ptr), ("gamma", _ptr),
-                ("rho", _Axes), ("ne", _Axes)]
+    _fields_ = [("g", _Grid3), ("form", _int), ("theta", _dbl), ("diag", _Axes),
+                ("mu", _ptr), ("gamma", _ptr), ("rho", _Axes), ("ne", _Axes)]
 
 
-_ptrs, _grid, _plan = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3),
-                       ctypes.POINTER(_Level))
+_ptrs, _grid, _lv = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3),
+                     ctypes.POINTER(_Level))
 
 #: result and argument types of each entry of sweeps.c
 SIGNATURES = {
-    "smg_face_sweep": (_int, [_grid, _int, _dbl, _dbl, _int, _ptrs, _ptrs, _ptrs,
-                              _ptr, _ptr, _ptrs, _ptrs]),
-    "smg_cell_sweep": (_int, [_grid, _dbl, _int, _ptr, _ptr, _ptr, _ptrs]),
-    "smg_face_apply": (_int, [_grid, _int, _dbl, _int, _ptrs, _ptr, _ptrs, _ptr, _ptr,
-                              _ptr, _ptrs, _ptrs, _ptrs, _ptrs, _ptr]),
-    "smg_cell_apply": (_int, [_grid, _ptr, _ptr, _ptrs, _ptr]),
-    "smg_face_diag": (None, [_grid, _int, _dbl, _ptr, _ptr, _ptrs, _ptrs, _ptrs]),
-    "smg_cell_diag": (None, [_grid, _ptrs, _ptr]),
+    "smg_face_sweep": (_int, [_lv, _dbl, _int, _ptrs, _ptrs, _ptrs]),
+    "smg_cell_sweep": (_int, [_lv, _dbl, _int, _ptr, _ptr, _ptr]),
+    "smg_face_apply": (_int, [_lv, _int, _ptrs, _ptr, _ptrs, _ptr, _ptrs, _ptrs, _ptr]),
+    "smg_cell_apply": (_int, [_lv, _ptr, _ptr, _ptr]),
+    "smg_face_diag": (None, [_lv, _ptrs]),
+    "smg_cell_diag": (None, [_lv, _ptr]),
     "smg_grad": (None, [_grid, _ptr, _ptrs]),
     "smg_div": (None, [_grid, _ptrs, _ptr]),
     "smg_restrict_cell": (_int, [_grid, _ptr, _ptr]),
     "smg_restrict_face": (_int, [_grid, _ptrs, _ptrs]),
     "smg_prolong_cell": (_int, [_grid, _ptr, _ptr]),
     "smg_prolong_face": (_int, [_grid, _ptrs, _ptrs]),
-    "smg_face_vcycle": (_int, [_long, _plan, _int, _dbl, _dbl, _int, _int, _int, _ptrs,
-                               _ptrs]),
-    "smg_cell_vcycle": (_int, [_long, _plan, _dbl, _int, _int, _int, _ptr, _ptr]),
+    "smg_vcycle": (_int, [_int, _long, _lv, _dbl, _int, _int, _int, _ptrs, _ptrs]),
     "smg_dot": (_dbl, [_long, _ptr, _ptr]),
     "smg_mgs_step": (_dbl, [_long, _dbl, _ptr, _ptr, _ptr]),
     "smg_combine": (None, [_long, _long, _ptr, _ptr, _ptr, _ptr]),
@@ -300,16 +299,18 @@ def _layout(grid: GridSpec) -> _Layout:
                    tuple(grid.face_shape(a) for a in range(grid.dim)), tuple(planes))
 
 
-#: id(obj) -> (weak reference to obj, value) of the objects kernels read
+#: id(obj) -> (weak reference to obj, value) of the grids and coefficient
+#: sets kernels read
 _memo: dict[int, tuple] = {}
 
 
 def _remember(obj, make):
     """``make(obj)``, computed once while ``obj`` lives.
 
-    A grid description or an array's data address costs microseconds to
-    build, as much as a whole sweep on a coarse level, and callers pass the
-    same grids and coefficients again and again.
+    A grid's layout or a coefficient set's level takes about 6 or 12
+    microseconds to build (2D 8^2, a 2-core x86-64 VM), as long as a whole
+    sweep on a coarse level, and callers pass the same grids and
+    coefficients again and again.
     """
     key = id(obj)
     hit = _memo.get(key)
@@ -318,10 +319,6 @@ def _remember(obj, make):
     value = make(obj)
     _memo[key] = (weakref.ref(obj, lambda _, k=key: _memo.pop(k, None)), value)
     return value
-
-
-def _data(arr: np.ndarray) -> int:
-    return arr.ctypes.data
 
 
 _F64 = np.dtype(np.float64)
@@ -337,7 +334,7 @@ def _address(arr: np.ndarray, shape: tuple, iterate=False) -> int:
                           f"expected {shape} float64 in C order")
     if iterate and not arr.flags.writeable:
         raise LayoutError("smoother iterate must be writable")
-    return _remember(arr, _data)
+    return arr.ctypes.data
 
 
 def _check(status: int) -> None:
@@ -358,7 +355,7 @@ _OPERATOR, _RESIDUAL, _SADDLE, _SADDLE_RESIDUAL = range(4)
 
 def _output(shape: tuple) -> tuple[np.ndarray, int]:
     arr = np.empty(shape)
-    return arr, _remember(arr, _data)
+    return arr, arr.ctypes.data
 
 
 def _per_axis(lay: _Layout, addresses) -> _Axes:
@@ -376,15 +373,38 @@ def _outputs(lay: _Layout, shapes) -> tuple[tuple, _Axes]:
     return tuple(arr for arr, _ in pairs), _per_axis(lay, [addr for _, addr in pairs])
 
 
-def _viscosity(lay: _Layout, coeff) -> tuple:
-    """``mu``, ``gamma``, ``rho`` per face axis and the node/edge planes per
-    3D plane slot (NULL: no plane), as the velocity operator, its diagonal
-    and its sweep read them."""
+def _field(lay: _Layout, field, iterate=False) -> _Axes:
+    """A field's per-axis pointers: a face field's components on their 3D
+    axes, a cell field's data first."""
+    if isinstance(field, CellField):
+        return _Axes(_address(field.data, lay.cells, iterate))
+    return _faces(lay, field.components, iterate)
+
+
+def _describe(coeff: CoefficientSet) -> _Level:
+    """``coeff`` as sweeps.c reads it: its grid, viscous form, theta and
+    the addresses of its arrays, ``mu``, ``gamma``, ``rho`` per face axis
+    and the node/edge planes per 3D plane slot (NULL: no plane).  The level
+    keeps those arrays alive, should a field be given another array later."""
+    lay = _remember(coeff.grid, _layout)
     planes = coeff.mu_node_edge.arrays
-    return (_address(coeff.mu_cell.data, lay.cells),
-            _address(coeff.gamma_cell.data, lay.cells),
-            _faces(lay, coeff.rho_face.components),
-            _Axes(*[slot and _address(planes[slot[0]], slot[1]) for slot in lay.planes]))
+    level = _Level(g=lay.grid3, form=_FORMS[coeff.viscous_form.value], theta=coeff.theta,
+                   mu=_address(coeff.mu_cell.data, lay.cells),
+                   gamma=_address(coeff.gamma_cell.data, lay.cells),
+                   rho=_faces(lay, coeff.rho_face.components),
+                   ne=_Axes(*[slot and _address(planes[slot[0]], slot[1])
+                              for slot in lay.planes]))
+    level.arrays = [coeff.mu_cell.data, coeff.gamma_cell.data,
+                    *coeff.rho_face.components, *planes.values()]
+    return level
+
+
+def _level(grid: GridSpec, coeff: CoefficientSet) -> _Level:
+    """The level of ``coeff``, built once per coefficient set, for a call on
+    ``grid``: coefficients on another grid are refused."""
+    if coeff.grid != grid:
+        raise LayoutError(f"coefficients on {coeff.grid} applied on {grid}")
+    return _remember(coeff, _describe)
 
 
 def _walls(bvals, lay: _Layout):
@@ -435,8 +455,8 @@ def apply_Lrho(p: CellField, coeff: CoefficientSet,
     lib, lay = _start(p.grid)
     out, addr = _output(lay.cells)
     _check(lib.smg_cell_apply(
-        lay.grid3, _address(p.data, lay.cells), rhs and _address(rhs.data, lay.cells),
-        _faces(lay, coeff.rho_face.components), addr))
+        _level(p.grid, coeff), _address(p.data, lay.cells),
+        rhs and _address(rhs.data, lay.cells), addr))
     return CellField(p.grid, out)
 
 
@@ -445,7 +465,7 @@ def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
     cell sums -1/(rho h^2) over its faces, a wall face adding nothing."""
     lib, lay = _start(grid)
     out, addr = _output(lay.cells)
-    lib.smg_cell_diag(lay.grid3, _faces(lay, coeff.rho_face.components), addr)
+    lib.smg_cell_diag(_level(grid, coeff), addr)
     return CellField(grid, out)
 
 
@@ -470,10 +490,10 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     lib, lay = _start(u.grid)
     out, ptrs = _outputs(lay, lay.faces)
     # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
-    _check(lib.smg_face_apply(
-        lay.grid3, _FORMS[coeff.viscous_form.value], 0.0, _OPERATOR,
-        _faces(lay, u.components), None, None, None,
-        *_viscosity(lay, coeff), bvals and _walls(bvals, lay), ptrs, None))
+    steady = _Level.from_buffer_copy(_level(u.grid, coeff))
+    steady.theta = 0.0
+    _check(lib.smg_face_apply(steady, _OPERATOR, _faces(lay, u.components), None, None,
+                              None, bvals and _walls(bvals, lay), ptrs, None))
     for c in out:
         np.negative(c, out=c)
     return FaceField(u.grid, out)
@@ -489,10 +509,9 @@ def apply_A(u: FaceField, coeff: CoefficientSet,
     lib, lay = _start(u.grid)
     out, ptrs = _outputs(lay, lay.faces)
     _check(lib.smg_face_apply(
-        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
-        _OPERATOR if rhs is None else _RESIDUAL, _faces(lay, u.components),
-        None, rhs and _faces(lay, rhs.components), None,
-        *_viscosity(lay, coeff), bvals and _walls(bvals, lay), ptrs, None))
+        _level(u.grid, coeff), _OPERATOR if rhs is None else _RESIDUAL,
+        _faces(lay, u.components), None, rhs and _faces(lay, rhs.components), None,
+        bvals and _walls(bvals, lay), ptrs, None))
     return FaceField(u.grid, out)
 
 
@@ -506,12 +525,10 @@ def apply_M(x: StokesVector, coeff: CoefficientSet,
     lib, lay = _start(grid)
     out = StokesVector.view(grid, np.empty(StokesVector.buffer_size(grid)))
     _check(lib.smg_face_apply(
-        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
-        _SADDLE if rhs is None else _SADDLE_RESIDUAL,
+        _level(grid, coeff), _SADDLE if rhs is None else _SADDLE_RESIDUAL,
         _faces(lay, x.u.components), _address(x.p.data, lay.cells),
         rhs and _faces(lay, rhs.u.components), rhs and _address(rhs.p.data, lay.cells),
-        *_viscosity(lay, coeff), None, _faces(lay, out.u.components),
-        _address(out.p.data, lay.cells)))
+        None, _faces(lay, out.u.components), _address(out.p.data, lay.cells)))
     return out
 
 
@@ -520,8 +537,7 @@ def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
     are set to one."""
     lib, lay = _start(grid)
     out, ptrs = _outputs(lay, lay.faces)
-    lib.smg_face_diag(lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta,
-                      *_viscosity(lay, coeff), ptrs)
+    lib.smg_face_diag(_level(grid, coeff), ptrs)
     return FaceField(grid, out)
 
 
@@ -542,9 +558,8 @@ def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
     """
     lib, lay = _start(grid)
     _check(lib.smg_cell_sweep(
-        lay.grid3, omega, zero_guess, _address(phi.data, lay.cells, True),
-        _address(rhs.data, lay.cells), _address(diag.data, lay.cells),
-        _faces(lay, coeff.rho_face.components)))
+        _level(grid, coeff), omega, zero_guess, _address(phi.data, lay.cells, True),
+        _address(rhs.data, lay.cells), _address(diag.data, lay.cells)))
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -561,9 +576,8 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
     """
     lib, lay = _start(grid)
     _check(lib.smg_face_sweep(
-        lay.grid3, _FORMS[coeff.viscous_form.value], coeff.theta, omega, zero_guess,
-        _faces(lay, u.components, True), _faces(lay, rhs.components),
-        _faces(lay, diag.components), *_viscosity(lay, coeff)))
+        _level(grid, coeff), omega, zero_guess, _faces(lay, u.components, True),
+        _faces(lay, rhs.components), _faces(lay, diag.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,39 +639,30 @@ def prolong_face(coarse: FaceField) -> FaceField:
 
 
 def vcycle_plan(levels, diagonals) -> ctypes.Array:
-    """Per ``(grid, coefficients)`` level, finest first, the grid and the
-    addresses of the coefficients and of its diagonal.  The plan keeps
-    those arrays alive, should a field be given another array later."""
+    """Per ``(grid, coefficients)`` level, finest first, a copy of the
+    coefficients' level with the addresses of its diagonal.  The plan keeps
+    the levels and the diagonals' arrays alive, should a field be given
+    another array later."""
     plan = (_Level * len(levels))()
     plan.arrays = []
-    for level, (grid, coeff), diag in zip(plan, levels, diagonals, strict=True):
-        lay = _remember(grid, _layout)
-        face = isinstance(diag, FaceField)
-        level.g = lay.grid3
-        level.diag = (_faces(lay, diag.components) if face
-                      else _Axes(_address(diag.data, lay.cells)))
-        level.mu, level.gamma, level.rho, level.ne = _viscosity(lay, coeff)
-        plan.arrays += [coeff.mu_cell.data, coeff.gamma_cell.data,
-                        *coeff.rho_face.components, *coeff.mu_node_edge.arrays.values(),
-                        *(diag.components if face else [diag.data])]
+    for k, ((grid, coeff), diag) in enumerate(zip(levels, diagonals, strict=True)):
+        level = _level(grid, coeff)
+        plan[k] = level
+        plan[k].diag = _field(_remember(grid, _layout), diag)
+        plan.arrays += [level, *(diag.components if isinstance(diag, FaceField)
+                                 else [diag.data])]
     return plan
 
 
-def vcycle(rhs, grid: GridSpec, coeff: CoefficientSet, plan: ctypes.Array, params):
+def vcycle(rhs, grid: GridSpec, plan: ctypes.Array, params):
     """One V-cycle from zero on the finest ``grid`` of a plan with ``rhs``'s
     kind of diagonals, in one library call: bitwise the recursion over the
     sweeps, residuals and transfers here in ``tests/reference.py``."""
     lib, lay = _start(grid)
-    counts = (params.omega, params.sweeps_down, params.sweeps_up, params.bottom_sweeps)
-    if isinstance(rhs, CellField):
-        x = CellField.zeros(grid)
-        _check(lib.smg_cell_vcycle(len(plan), plan, *counts, _address(rhs.data, lay.cells),
-                                   _address(x.data, lay.cells, True)))
-    else:
-        x = FaceField.zeros(grid)
-        _check(lib.smg_face_vcycle(len(plan), plan, _FORMS[coeff.viscous_form.value],
-                                   coeff.theta, *counts, _faces(lay, rhs.components),
-                                   _faces(lay, x.components, True)))
+    x = type(rhs).zeros(grid)
+    _check(lib.smg_vcycle(isinstance(rhs, CellField), len(plan), plan, params.omega,
+                          params.sweeps_down, params.sweeps_up, params.bottom_sweeps,
+                          _field(lay, rhs), _field(lay, x, True)))
     return x
 
 

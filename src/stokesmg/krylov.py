@@ -19,6 +19,7 @@ the cores of parallel sweep workers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,18 @@ def _unknowns(x: StokesVector) -> StokesVector:
     return out
 
 
+def require_basis_size(grid: GridSpec, gcfg: GmresConfig) -> None:
+    """The GMRES basis cap: ``min(restart, max_iters) + 1`` Stokes vectors
+    on ``grid`` must fit in this machine's physical memory, else
+    ``ValueError``."""
+    rows = min(gcfg.restart, gcfg.max_iters) + 1
+    need = rows * StokesVector.buffer_size(grid) * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"a GMRES basis of {rows} vectors takes {need} bytes, more than "
+                         f"the {have} bytes of physical memory")
+
+
 def gmres_solve(
     rhs: StokesVector,
     coeff: CoefficientSet,
@@ -226,6 +239,7 @@ def gmres_solve(
     are not unknowns, are ignored.
     """
     grid: GridSpec = rhs.grid
+    require_basis_size(grid, gcfg)
     P = precond if precond is not None else Preconditioner(coeff, pcfg, smoother)
     history = ConvergenceHistory()
 

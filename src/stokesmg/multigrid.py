@@ -219,8 +219,7 @@ def vcycle(rhs, hierarchy: MgHierarchy, params: SmootherParams):
     cell = isinstance(rhs, CellField)
     if not (cell or isinstance(rhs, FaceField)):
         raise LayoutError(f"no V-cycle solves for a {type(rhs).__name__} right-hand side")
-    grid, coeff = hierarchy.levels[0]
-    return kernels.vcycle(rhs, grid, coeff, hierarchy.plan(cell), params)
+    return kernels.vcycle(rhs, hierarchy.grid, hierarchy.plan(cell), params)
 
 
 def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):

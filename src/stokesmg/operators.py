@@ -58,13 +58,16 @@ STRESS_BULK = ViscousForm.STRESS_BULK
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientSet:
     """Everything entering the velocity operator and the Schur diagonal.
 
     ``rho_face`` and ``mu_node_edge`` are arithmetic averages of the
     cell-centered fields (one-sided copies on wall boundaries); use
-    :func:`make_coefficients` to derive them consistently.
+    :func:`make_coefficients` to derive them consistently.  A set is frozen,
+    so every one has passed the checks below; :func:`dataclasses.replace`
+    derives a checked variant, and the kernels describe each set to the
+    compiled library once.
     """
 
     theta: float

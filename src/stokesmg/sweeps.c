@@ -15,8 +15,8 @@
  * smg_cell_diag form the diagonals the sweeps divide by, on the rows of
  * their black updates, so each coupling weight and wall rule is written
  * once, here.  smg_restrict_* and smg_prolong_* are the multigrid
- * transfers, one pass per axis.  smg_face_vcycle and smg_cell_vcycle run a
- * whole V-cycle in one call, level by level through the stages of those
+ * transfers, one pass per axis.  smg_vcycle runs a whole V-cycle of either
+ * operator in one call, level by level through the stages of those
  * entries.  smg_dot, smg_mgs_step and smg_combine are the Krylov
  * reductions over flat vectors, each summed in one documented order (see
  * below) that the loops in tests/reference.py repeat.
@@ -29,18 +29,21 @@
  * Arrays are C-contiguous float64 in the package's layouts.  A 2D grid is
  * addressed as a 3D grid whose leading axis has one cell and couples
  * nothing; per-axis pointer arrays (a field's components, the node/edge
- * planes) hold three entries, the unused ones NULL.
- * The caller passes the scalars it rounds itself (1/h^2, h).  No entry
- * writes its inputs.  An entry allocates its workspace once and frees it
- * before it returns (-1: the allocation failed); inside a V-cycle the
- * stages share the cycle's one allocation, and the threads of a call share
- * its workspace.
+ * planes) hold three entries, the unused ones NULL.  Every entry that reads
+ * coefficients takes them as one smg_level (the grid, the viscous form,
+ * theta and the coefficient arrays), which the caller builds once per
+ * coefficient set; a V-cycle takes one per level, each with its smoother's
+ * diagonal.  The caller passes the scalars it rounds itself (1/h^2, h).
+ * No entry writes its inputs.  An entry allocates its workspace once and
+ * frees it before it returns (-1: the allocation failed); inside a V-cycle
+ * the stages share the cycle's one allocation, and the threads of a call
+ * share its workspace.
  *
  * Each pass runs row by row along the contiguous last axis.  A row function
  * takes its neighbour offsets and wall tests for one column "at" (see
  * LINE) and is kept out of line, so its loop is compiled once.
  *
- * The V-cycles, smg_face_apply, smg_cell_apply and smg_combine run on a
+ * smg_vcycle, smg_face_apply, smg_cell_apply and smg_combine run on a
  * team of threads (see "the team" below): each pass cuts its rows into
  * chunks that the threads claim, and a stage waits for the chunks of the
  * passes it reads.  No entry of a pass reads what another entry of the
@@ -76,6 +79,23 @@ typedef struct {
     double inv_h2;     /* 1 / h^2 */
     double neg_inv_h2; /* -1 / h^2 */
 } grid3;
+
+/* A coefficient set on its grid, as every entry that reads coefficients
+ * takes it: the viscous form, theta, the cell viscosities mu and gamma, the
+ * face densities rho per axis and the node/edge viscosities ne per plane
+ * (ne[x + y - 1] the (x, y) plane, NULL for none).  In a V-cycle plan diag
+ * is the level's smoother diagonal: the face diagonal per axis, or the cell
+ * diagonal first. */
+typedef struct {
+    grid3 g;
+    int form;
+    double theta;
+    const double *diag[3];
+    const double *mu, *gamma, *rho[3], *ne[3];
+} smg_level;
+
+/* read by the package's tests, which check the binding's layout against it */
+const long smg_level_size = sizeof(smg_level);
 
 /* Shape of an array staggered along axes x and y (-1 for none). */
 static void shape_of(const grid3 *g, int x, int y, long s[3])
@@ -511,9 +531,10 @@ static inline double add_pair(double r, int periodic_axis, int has_lo, int has_h
 
 typedef struct {
     const grid3 *g;
+    const smg_level *lv; /* NULL: no densities */
     double omega;
     double *p; /* written by the sweep only */
-    const double *rhs, *diag, *rho[3];
+    const double *rhs, *diag;
     double *delta, *r, *flux[3];
     long sc[3], sf[3][3];
 } cell_t;
@@ -525,7 +546,7 @@ static void cell_shapes(cell_t *c)
         shape_of(c->g, x, x, c->sf[x]);
 }
 
-/* G p at the faces along x, divided by rho (by h when rho is NULL); wall
+/* G p at the faces along x, divided by rho (by h with no densities); wall
  * faces carry no flux */
 typedef struct { long rf, rc, rc1; int inner; } gradient_at;
 
@@ -542,7 +563,7 @@ static void gradient_setup(const cell_t *c, int x, long i, long j, long at,
 ROW_FUNCTION gradient_row(const cell_t *c, int x, const gradient_at *o,
                           long k0, long k1)
 {
-    const double *p = c->p, *rho = c->rho[x];
+    const double *p = c->p, *rho = c->lv ? c->lv->rho[x] : NULL;
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
     const int inner = o->inner;
     const double h = c->g->h;
@@ -636,7 +657,7 @@ ROW_FUNCTION black_cell_row(const cell_t *c, const black_cell_at *o,
 {
     const grid3 *g = c->g;
     const double *delta = c->delta, *res = c->r, *diag = c->diag;
-    const double *q0 = c->rho[0], *q1 = c->rho[1], *q2 = c->rho[2];
+    const double *q0 = c->lv->rho[0], *q1 = c->lv->rho[1], *q2 = c->lv->rho[2];
     const long rc = o->rc;
     const long a0 = o->r0[0], b0 = o->r1[0], lo0 = o->rlo[0], hi0 = o->rhi[0];
     const long a1 = o->r0[1], b1 = o->r1[1], lo1 = o->rlo[1], hi1 = o->rhi[1];
@@ -683,12 +704,11 @@ static long cell_sweep_size(const grid3 *g, int zero_guess)
 
 /* Each row's residual and red entries are one pass: the red entries read
  * the row's residual alone. */
-static void cell_sweep(team_t *tm, const grid3 *g, double omega, int zero_guess,
-                       double *p, const double *rhs, const double *diag,
-                       const double *const *rho, double *work)
+static void cell_sweep(team_t *tm, const smg_level *lv, double omega, int zero_guess,
+                       double *p, const double *rhs, const double *diag, double *work)
 {
-    cell_t c = {.g = g, .omega = omega, .p = p, .rhs = rhs, .diag = diag,
-                .rho = {rho[0], rho[1], rho[2]}};
+    const grid3 *g = &lv->g;
+    cell_t c = {.g = g, .lv = lv, .omega = omega, .p = p, .rhs = rhs, .diag = diag};
     const long *sc = c.sc;
     long zero3[3] = {0, 0, 0};
     cell_shapes(&c);
@@ -720,13 +740,13 @@ static void cell_sweep(team_t *tm, const grid3 *g, double omega, int zero_guess,
     team_sync(tm);
 }
 
-int smg_cell_sweep(const grid3 *g, double omega, int zero_guess, double *p,
-                   const double *rhs, const double *diag, const double *const *rho)
+int smg_cell_sweep(const smg_level *lv, double omega, int zero_guess, double *p,
+                   const double *rhs, const double *diag)
 {
-    double *work = malloc(cell_sweep_size(g, zero_guess) * sizeof(double));
+    double *work = malloc(cell_sweep_size(&lv->g, zero_guess) * sizeof(double));
     if (!work)
         return -1;
-    cell_sweep(SOLO, g, omega, zero_guess, p, rhs, diag, rho, work);
+    cell_sweep(SOLO, lv, omega, zero_guess, p, rhs, diag, work);
     free(work);
     return 0;
 }
@@ -739,15 +759,13 @@ static long cell_apply_size(const grid3 *g)
     return cell_face_count(&c);
 }
 
-static void cell_apply(team_t *tm, const grid3 *g, const double *p,
-                       const double *rhs, const double *const *rho, double *out,
-                       double *work)
+static void cell_apply(team_t *tm, const smg_level *lv, const double *p,
+                       const double *rhs, double *out, double *work)
 {
-    cell_t c = {.g = g, .p = (double *)p, .rhs = rhs, .r = out,
-                .rho = {rho[0], rho[1], rho[2]}};
+    cell_t c = {.g = &lv->g, .lv = lv, .p = (double *)p, .rhs = rhs, .r = out};
     cell_shapes(&c);
     double *next = work;
-    for (int x = g->first; x < 3; x++) {
+    for (int x = c.g->first; x < 3; x++) {
         c.flux[x] = next;
         next += count(c.sf[x]);
     }
@@ -760,15 +778,15 @@ static void cell_apply(team_t *tm, const grid3 *g, const double *p,
 }
 
 typedef struct {
-    const grid3 *g;
-    const double *p, *rhs, *const *rho;
+    const smg_level *lv;
+    const double *p, *rhs;
     double *out, *work;
 } cell_apply_args;
 
 static void cell_apply_task(team_t *tm, void *arg)
 {
     const cell_apply_args *a = arg;
-    cell_apply(tm, a->g, a->p, a->rhs, a->rho, a->out, a->work);
+    cell_apply(tm, a->lv, a->p, a->rhs, a->out, a->work);
 }
 
 /* entries of a grid's Stokes vector: its velocity faces and pressure
@@ -776,13 +794,12 @@ static void cell_apply_task(team_t *tm, void *arg)
 static long stokes_entries(const grid3 *g);
 
 /* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
-int smg_cell_apply(const grid3 *g, const double *p, const double *rhs,
-                   const double *const *rho, double *out)
+int smg_cell_apply(const smg_level *lv, const double *p, const double *rhs, double *out)
 {
-    cell_apply_args a = {g, p, rhs, rho, out, malloc(cell_apply_size(g) * sizeof(double))};
+    cell_apply_args a = {lv, p, rhs, out, malloc(cell_apply_size(&lv->g) * sizeof(double))};
     if (!a.work)
         return -1;
-    team_run(stokes_entries(g), cell_apply_task, &a);
+    team_run(stokes_entries(&lv->g), cell_apply_task, &a);
     free(a.work);
     return 0;
 }
@@ -803,7 +820,7 @@ ROW_FUNCTION cell_diag_row(const cell_t *c, const black_cell_at *o, long k0, lon
     for (long k = k0; k < k1; k++) {
         double d = 0.0;
         for (int x = c->g->first; x < 3; x++) {
-            const double *q = c->rho[x];
+            const double *q = c->lv->rho[x];
             double lo = o->has_lo[x] ? neg_inv_h2 / q[o->r0[x] + k] : 0.0;
             double hi = o->has_hi[x] ? neg_inv_h2 / q[o->r1[x] + k] : 0.0;
             d += 0.0 + (lo + hi);
@@ -813,9 +830,9 @@ ROW_FUNCTION cell_diag_row(const cell_t *c, const black_cell_at *o, long k0, lon
 }
 
 /* out = the diagonal of D (1/rho) G, which smg_cell_sweep divides by */
-void smg_cell_diag(const grid3 *g, const double *const *rho, double *out)
+void smg_cell_diag(const smg_level *lv, double *out)
 {
-    cell_t c = {.g = g, .r = out, .rho = {rho[0], rho[1], rho[2]}};
+    cell_t c = {.g = &lv->g, .lv = lv, .r = out};
     long zero3[3] = {0, 0, 0};
     cell_shapes(&c);
     ROWS(SOLO, zero3, c.sc) {
@@ -834,11 +851,12 @@ enum { OUT_A = 0, OUT_RESIDUAL = 1, OUT_SADDLE = 2, OUT_SADDLE_RESIDUAL = 3 };
 
 typedef struct {
     const grid3 *g;
-    int a, form, out, bounded, nb, bs[2]; /* bs: the other coupled axes */
-    double theta, omega;
+    const smg_level *lv; /* NULL in smg_div */
+    int a, out, bounded, nb, bs[2]; /* bs: the other coupled axes */
+    double omega;
     const double *u[3];
     double *ua; /* component a; written by the sweep only */
-    const double *base, *diag, *mu, *gamma, *rho, *w[2]; /* w[m]: (a, bs[m]) */
+    const double *base, *diag, *rho, *w[2]; /* at component a; w[m]: (a, bs[m]) */
     const double *rhs; /* the saddle residual's right-hand side at component a */
     const double *wall[2][2]; /* [m][side]: wall velocities, NULL for zero */
     double *delta, *r, *fn, *divu, *ft[2];
@@ -852,25 +870,25 @@ static void face_shapes(face_t *f)
         shape_of(f->g, x, x, f->sf[x]);
 }
 
-/* Points f at component a: its other coupled axes, their node/edge
- * viscosities (ne[x + y - 1] is the (x, y) plane; none when ne is NULL)
- * and wall velocities (walls[(3 a + b) 2 + side], or none).  Returns the
- * entries of its tangential flux arrays. */
-static long face_component(face_t *f, int a, const double *const *ne,
-                           const double *const *walls)
+/* Points f at component a: its density, its other coupled axes, their
+ * node/edge viscosities (none without coefficients) and wall velocities
+ * (walls[(3 a + b) 2 + side], or none).  Returns the entries of its
+ * tangential flux arrays. */
+static long face_component(face_t *f, int a, const double *const *walls)
 {
     const grid3 *g = f->g;
     long nn = 0;
     f->a = a;
     f->bounded = !periodic(g, a);
     f->ua = (double *)f->u[a];
+    f->rho = f->lv ? f->lv->rho[a] : NULL;
     f->nb = 0;
     for (int b = g->first; b < 3; b++) {
         if (b == a)
             continue;
         int m = f->nb++;
         f->bs[m] = b;
-        f->w[m] = ne ? ne[a + b - 1] : NULL;
+        f->w[m] = f->lv ? f->lv->ne[a + b - 1] : NULL;
         for (int side = 0; side < 2; side++)
             f->wall[m][side] = walls ? walls[(3 * a + b) * 2 + side] : NULL;
         shape_of(g, a, b, f->sn[m]);
@@ -954,9 +972,9 @@ static void normal_setup(const face_t *f, long i, long j, long at, normal_at *o)
 
 ROW_FUNCTION normal_row(const face_t *f, const normal_at *o, long k0, long k1)
 {
-    const double *ua = f->ua, *mu = f->mu, *gamma = f->gamma, *divu = f->divu;
+    const double *ua = f->ua, *mu = f->lv->mu, *gamma = f->lv->gamma, *divu = f->divu;
     const long rc = o->rc, rf = o->rf, r1 = o->r1;
-    const int doubled = f->form != LAPLACIAN, bulk_form = f->form == STRESS_BULK;
+    const int doubled = f->lv->form != LAPLACIAN, bulk_form = f->lv->form == STRESS_BULK;
     const double h = f->g->h;
     double *fn = f->fn;
     if (!bulk_form) { /* the common forms, without branches */
@@ -1010,7 +1028,7 @@ ROW_FUNCTION tangent_row(const face_t *f, int m, const tangent_at *o,
     const double *lo = f->wall[m][0], *hi = f->wall[m][1];
     const long rn = o->rn, rf = o->rf, rb = o->rb, ra1 = o->ra1, rb1 = o->rb1, rw = o->rw;
     const int lo_wall = o->lo_wall, hi_wall = o->hi_wall, slip = o->slip;
-    const int cross = f->form != LAPLACIAN;
+    const int cross = f->lv->form != LAPLACIAN;
     double *out = f->ft[m];
     if (!lo_wall && !hi_wall) { /* the common row, without branches */
         if (cross)
@@ -1070,8 +1088,8 @@ ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
     const long n0 = o->rn[0], m0 = o->rn1[0];
     const long n1 = f->nb == 2 ? o->rn[1] : n0, m1 = f->nb == 2 ? o->rn1[1] : m0;
-    const int two = f->nb == 2, mass_term = f->theta > 0;
-    const double theta = f->theta, inv_h2 = f->g->inv_h2;
+    const int two = f->nb == 2, mass_term = f->lv->theta > 0;
+    const double theta = f->lv->theta, inv_h2 = f->g->inv_h2;
     double *r = f->r;
     for (long k = k0; k < k1; k++) {
         double v = fn[rc + k] - fn[rc1 + k];
@@ -1136,7 +1154,7 @@ static void wall_rows(team_t *tm, const face_t *f)
     if (!f->bounded)
         return;
     const long *s = f->sf[f->a];
-    double zero = f->theta > 0 ? 0.0 : -0.0;
+    double zero = f->lv->theta > 0 ? 0.0 : -0.0;
     for (int end = 0; end < 2; end++) {
         long lo3[3] = {0, 0, 0}, hi3[3] = {s[0], s[1], s[2]};
         lo3[f->a] = end ? s[f->a] - 1 : 0;
@@ -1179,7 +1197,7 @@ static void black_face_setup(const face_t *f, long i, long j, long at,
 ROW_FUNCTION black_face_row(const face_t *f, const black_face_at *o,
                             long k0, long k1)
 {
-    const double *mu = f->mu, *gamma = f->gamma, *delta = f->delta;
+    const double *mu = f->lv->mu, *gamma = f->lv->gamma, *delta = f->delta;
     const double *res = f->r, *diag = f->diag;
     const double *w0 = f->w[0], *w1 = f->nb == 2 ? f->w[1] : f->w[0];
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1, rup = o->rup, rdn = o->rdn;
@@ -1189,7 +1207,7 @@ ROW_FUNCTION black_face_row(const face_t *f, const black_face_at *o,
     const int p0 = periodic(f->g, f->bs[0]), p1 = periodic(f->g, f->bs[last]);
     const int hl0 = o->has_lo[0], hh0 = o->has_hi[0];
     const int hl1 = o->has_lo[last], hh1 = o->has_hi[last];
-    const int form = f->form, bounded = f->bounded;
+    const int form = f->lv->form, bounded = f->bounded;
     const double inv_h2 = f->g->inv_h2, omega = f->omega;
     double *ua = f->ua;
     for (long k = k0; k < k1; k += 2) {
@@ -1217,7 +1235,7 @@ static long tangent_size(face_t *f)
     long nn = 0;
     face_shapes(f);
     for (int a = f->g->first; a < 3; a++) {
-        long n = face_component(f, a, NULL, NULL);
+        long n = face_component(f, a, NULL);
         nn = n > nn ? n : nn;
     }
     return nn;
@@ -1237,14 +1255,13 @@ static long face_sweep_size(const grid3 *g)
  * residual, which reads the components already relaxed.  zero_guess
  * promises that u is zero, so the first component takes rhs as its
  * residual. */
-static void face_sweep(team_t *tm, const grid3 *g, int form, double theta,
-                       double omega, int zero_guess, double *const *u,
-                       const double *const *rhs, const double *const *diag,
-                       const double *mu, const double *gamma, const double *const *rho,
-                       const double *const *ne, double *work)
+static void face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_guess,
+                       double *const *u, const double *const *rhs,
+                       const double *const *diag, double *work)
 {
-    face_t f = {.g = g, .form = form, .out = OUT_RESIDUAL, .theta = theta,
-                .omega = omega, .u = {u[0], u[1], u[2]}, .mu = mu, .gamma = gamma};
+    const grid3 *g = &lv->g;
+    face_t f = {.g = g, .lv = lv, .out = OUT_RESIDUAL, .omega = omega,
+                .u = {u[0], u[1], u[2]}};
     face_shapes(&f);
     long nc = count(f.sc), nf = 0;
     for (int a = g->first; a < 3; a++)
@@ -1257,10 +1274,9 @@ static void face_sweep(team_t *tm, const grid3 *g, int form, double theta,
     for (int a = g->first; a < 3; a++) {
         const long *sa = f.sf[a];
         long lo3[3], hi3[3];
-        face_component(&f, a, ne, NULL);
+        face_component(&f, a, NULL);
         f.base = rhs[a];
         f.diag = diag[a];
-        f.rho = rho[a];
         f.ft[1] = f.ft[0] + count(f.sn[0]);
         unknowns(&f, lo3, hi3);
         zero_pass(tm, f.delta, count(sa));
@@ -1268,7 +1284,7 @@ static void face_sweep(team_t *tm, const grid3 *g, int form, double theta,
         int from_rhs = zero_guess && a == g->first;
         f.r = from_rhs ? (double *)rhs[a] : work + nf;
         if (!from_rhs) {
-            if (form == STRESS_BULK) {
+            if (lv->form == STRESS_BULK) {
                 div_rows(tm, &f);
                 team_sync(tm);
             }
@@ -1291,16 +1307,13 @@ static void face_sweep(team_t *tm, const grid3 *g, int form, double theta,
     }
 }
 
-int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
-                   int zero_guess, double *const *u, const double *const *rhs,
-                   const double *const *diag, const double *mu, const double *gamma,
-                   const double *const *rho, const double *const *ne)
+int smg_face_sweep(const smg_level *lv, double omega, int zero_guess, double *const *u,
+                   const double *const *rhs, const double *const *diag)
 {
-    double *work = malloc(face_sweep_size(g) * sizeof(double));
+    double *work = malloc(face_sweep_size(&lv->g) * sizeof(double));
     if (!work)
         return -1;
-    face_sweep(SOLO, g, form, theta, omega, zero_guess, u, rhs, diag, mu, gamma, rho, ne,
-               work);
+    face_sweep(SOLO, lv, omega, zero_guess, u, rhs, diag, work);
     free(work);
     return 0;
 }
@@ -1313,12 +1326,13 @@ int smg_face_sweep(const grid3 *g, int form, double theta, double omega,
 ROW_FUNCTION face_diag_row(const face_t *f, const black_face_at *o, long k0, long k1)
 {
     const grid3 *g = f->g;
-    const double *mu = f->mu, *gamma = f->gamma, inv_h2 = g->inv_h2;
+    const smg_level *lv = f->lv;
+    const double *mu = lv->mu, *gamma = lv->gamma, inv_h2 = g->inv_h2;
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
     for (long k = k0; k < k1; k++) {
-        double d = f->theta * f->rho[rf + k];
-        d += 0.0 + (normal_weight(f->form, inv_h2, mu[rc1 + k], gamma[rc1 + k])
-                    + normal_weight(f->form, inv_h2, mu[rc + k], gamma[rc + k]));
+        double d = lv->theta * f->rho[rf + k];
+        d += 0.0 + (normal_weight(lv->form, inv_h2, mu[rc1 + k], gamma[rc1 + k])
+                    + normal_weight(lv->form, inv_h2, mu[rc + k], gamma[rc + k]));
         for (int m = 0; m < f->nb; m++) {
             int b = f->bs[m];
             double lo = inv_h2 * f->w[m][o->rn[m] + k];
@@ -1335,16 +1349,13 @@ ROW_FUNCTION face_diag_row(const face_t *f, const black_face_at *o, long k0, lon
 
 /* out[a] = the diagonal of A = theta rho - L_mu at every component a, which
  * smg_face_sweep divides by; boundary faces (not unknowns) hold 1 */
-void smg_face_diag(const grid3 *g, int form, double theta, const double *mu,
-                   const double *gamma, const double *const *rho,
-                   const double *const *ne, double *const *out)
+void smg_face_diag(const smg_level *lv, double *const *out)
 {
-    face_t f = {.g = g, .form = form, .theta = theta, .mu = mu, .gamma = gamma};
+    face_t f = {.g = &lv->g, .lv = lv};
     face_shapes(&f);
-    for (int a = g->first; a < 3; a++) {
+    for (int a = f.g->first; a < 3; a++) {
         long lo3[3], hi3[3];
-        face_component(&f, a, ne, NULL);
-        f.rho = rho[a];
+        face_component(&f, a, NULL);
         f.r = out[a];
         if (f.bounded)
             for (long k = 0; k < count(f.sf[a]); k++)
@@ -1369,21 +1380,18 @@ static long face_apply_size(const grid3 *g, int form, int out)
 
 /* The arguments of smg_face_apply, and its workspace. */
 typedef struct {
-    const grid3 *g;
-    int form, out;
-    double theta;
-    const double *const *u, *p, *const *base, *base_p, *mu, *gamma;
-    const double *const *rho, *const *ne, *const *walls;
+    const smg_level *lv;
+    int out;
+    const double *const *u, *p, *const *base, *base_p, *const *walls;
     double *const *res, *res_p, *work;
 } face_apply_args;
 
 static void face_apply(team_t *tm, const face_apply_args *in)
 {
-    const grid3 *g = in->g;
-    int form = in->form, out = in->out;
+    const grid3 *g = &in->lv->g;
+    int form = in->lv->form, out = in->out;
     double *const *res = in->res, *res_p = in->res_p, *work = in->work;
-    face_t f = {.g = g, .form = form, .out = out, .theta = in->theta, .mu = in->mu,
-                .gamma = in->gamma, .u = {in->u[0], in->u[1], in->u[2]}};
+    face_t f = {.g = g, .lv = in->lv, .out = out, .u = {in->u[0], in->u[1], in->u[2]}};
     face_shapes(&f);
     long nc = count(f.sc);
     int saddle = out == OUT_SADDLE || out == OUT_SADDLE_RESIDUAL;
@@ -1399,8 +1407,7 @@ static void face_apply(team_t *tm, const face_apply_args *in)
     }
     team_sync(tm);
     for (int a = g->first; a < 3; a++) {
-        face_component(&f, a, in->ne, in->walls);
-        f.rho = in->rho[a];
+        face_component(&f, a, in->walls);
         f.r = res[a];
         f.base = saddle ? res[a] : (in->base ? in->base[a] : NULL);
         f.rhs = out == OUT_SADDLE_RESIDUAL ? in->base[a] : NULL;
@@ -1438,18 +1445,15 @@ static void face_apply_task(team_t *tm, void *arg)
  * operator's A u + G p, with -D u into res_p, or the saddle residual
  * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
  * boundary faces.  walls may be NULL (zero wall velocities). */
-int smg_face_apply(const grid3 *g, int form, double theta, int out,
-                   const double *const *u, const double *p,
-                   const double *const *base, const double *base_p, const double *mu,
-                   const double *gamma, const double *const *rho,
-                   const double *const *ne, const double *const *walls,
-                   double *const *res, double *res_p)
+int smg_face_apply(const smg_level *lv, int out, const double *const *u, const double *p,
+                   const double *const *base, const double *base_p,
+                   const double *const *walls, double *const *res, double *res_p)
 {
-    face_apply_args a = {g, form, out, theta, u, p, base, base_p, mu, gamma, rho, ne, walls,
-                         res, res_p, malloc(face_apply_size(g, form, out) * sizeof(double))};
+    face_apply_args a = {lv, out, u, p, base, base_p, walls, res, res_p,
+                         malloc(face_apply_size(&lv->g, lv->form, out) * sizeof(double))};
     if (!a.work)
         return -1;
-    team_run(stokes_entries(g), face_apply_task, &a);
+    team_run(stokes_entries(&lv->g), face_apply_task, &a);
     free(a.work);
     return 0;
 }
@@ -1729,8 +1733,8 @@ int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const 
 /* ------------------------------------------------------------------------
  * V-cycles
  * ------------------------------------------------------------------------
- * smg_face_vcycle and smg_cell_vcycle run one residual-correction V-cycle
- * from a zero guess over a plan of levels, finest first, with the stages
+ * smg_vcycle runs one residual-correction V-cycle of either operator from
+ * a zero guess over a plan of levels, finest first, with the stages
  * of the entries above in the order the reference recursion in
  * tests/reference.py calls those entries, so every output bit is theirs.
  * Each call makes one allocation and frees it before it returns, laid out
@@ -1742,21 +1746,13 @@ int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const 
  * from the first level below TEAM_MIN_ENTRIES down and back, the calling
  * thread runs alone while the helpers wait at one barrier. */
 
-/* One level of a V-cycle plan: its grid and what its sweeps and residual
- * read.  diag is the face diagonal per axis, or the cell diagonal first. */
-typedef struct {
-    grid3 g;
-    const double *diag[3];
-    const double *mu, *gamma, *rho[3], *ne[3];
-} smg_level;
-
 enum { FACE, CELL };
 
 typedef struct {
-    int kind, form;
+    int kind;
     long levels;
     const smg_level *plan;
-    double theta, omega;
+    double omega;
     int down, up, bottom;
     double *const *x;
     const double *const *rhs;
@@ -1841,7 +1837,7 @@ static long frame_size(const cycle_t *cy, long l)
     const grid3 *gc = &cy->plan[l + 1].g;
     long fine = field_size(cy->kind, g), coarse = 2 * field_size(cy->kind, gc);
     long apply = cy->kind == CELL ? cell_apply_size(g)
-                                  : face_apply_size(g, cy->form, OUT_RESIDUAL);
+                                  : face_apply_size(g, cy->plan[l].form, OUT_RESIDUAL);
     long down = cy->kind == CELL ? restrict_cell(SOLO, g, NULL, NULL, NULL)
                                  : face_transfer(SOLO, g, 1, NULL, NULL, NULL);
     long up = cy->kind == CELL ? 0 : face_transfer(SOLO, gc, 0, NULL, NULL, NULL);
@@ -1856,11 +1852,9 @@ static void relax(team_t *tm, const cycle_t *cy, const smg_level *lv, int sweeps
     for (int k = 0; k < sweeps; k++) {
         int zero_guess = from_zero && k == 0;
         if (cy->kind == CELL)
-            cell_sweep(tm, &lv->g, cy->omega, zero_guess, x[0], rhs[0], lv->diag[0],
-                       lv->rho, work);
+            cell_sweep(tm, lv, cy->omega, zero_guess, x[0], rhs[0], lv->diag[0], work);
         else
-            face_sweep(tm, &lv->g, cy->form, cy->theta, cy->omega, zero_guess, x, rhs,
-                       lv->diag, lv->mu, lv->gamma, lv->rho, lv->ne, work);
+            face_sweep(tm, lv, cy->omega, zero_guess, x, rhs, lv->diag, work);
     }
 }
 
@@ -1892,13 +1886,11 @@ static void cycle_level(team_t *tm, const cycle_t *cy, long l, double *const *x,
     double *after = field_at(cy->kind, g, frame, r);
     double *below = field_at(cy->kind, gc, field_at(cy->kind, gc, after, crhs), cx);
     if (cy->kind == CELL) {
-        cell_apply(tm, g, x[0], rhs[0], lv->rho, r[0], after);
+        cell_apply(tm, lv, x[0], rhs[0], r[0], after);
         restrict_cell(tm, g, r[0], crhs[0], below);
     } else {
-        face_apply_args a = {.g = g, .form = cy->form, .out = OUT_RESIDUAL,
-                             .theta = cy->theta, .u = (const double *const *)x,
-                             .base = rhs, .mu = lv->mu, .gamma = lv->gamma,
-                             .rho = lv->rho, .ne = lv->ne, .res = r, .work = after};
+        face_apply_args a = {.lv = lv, .out = OUT_RESIDUAL, .u = (const double *const *)x,
+                             .base = rhs, .res = r, .work = after};
         face_apply(tm, &a);
         face_transfer(tm, g, 1, (const double *const *)r, crhs, below);
     }
@@ -1922,38 +1914,22 @@ static void cycle_task(team_t *tm, void *arg)
     cycle_level(tm, cy, 0, cy->x, cy->rhs, cy->work);
 }
 
-static int vcycle(cycle_t *cy)
+/* x = one V-cycle on rhs from x = 0 over the plan's levels: of the
+ * pressure operator when cell is nonzero (x and rhs hold the pressure
+ * first), else of the velocity operator (one component per axis).  down,
+ * up and bottom count the sweeps of each pass. */
+int smg_vcycle(int cell, long levels, const smg_level *plan, double omega, int down,
+               int up, int bottom, const double *const *rhs, double *const *x)
 {
-    cy->work = malloc(frame_size(cy, 0) * sizeof(double));
-    if (!cy->work)
+    cycle_t cy = {.kind = cell ? CELL : FACE, .levels = levels, .plan = plan,
+                  .omega = omega, .down = down, .up = up, .bottom = bottom, .x = x,
+                  .rhs = rhs};
+    cy.work = malloc(frame_size(&cy, 0) * sizeof(double));
+    if (!cy.work)
         return -1;
-    team_run(stokes_entries(&cy->plan->g), cycle_task, cy);
-    free(cy->work);
+    team_run(stokes_entries(&plan->g), cycle_task, &cy);
+    free(cy.work);
     return 0;
-}
-
-/* u = one V-cycle of the velocity operator on rhs from u = 0, over the
- * plan's levels; down, up and bottom count the sweeps of each pass */
-int smg_face_vcycle(long levels, const smg_level *plan, int form, double theta,
-                    double omega, int down, int up, int bottom, const double *const *rhs,
-                    double *const *u)
-{
-    cycle_t cy = {.kind = FACE, .form = form, .levels = levels, .plan = plan,
-                  .theta = theta, .omega = omega, .down = down, .up = up,
-                  .bottom = bottom, .x = u, .rhs = rhs};
-    return vcycle(&cy);
-}
-
-/* p = one V-cycle of the pressure operator on rhs from p = 0 (see
- * smg_face_vcycle) */
-int smg_cell_vcycle(long levels, const smg_level *plan, double omega, int down, int up,
-                    int bottom, const double *rhs, double *p)
-{
-    double *x[3] = {p, NULL, NULL};
-    const double *b[3] = {rhs, NULL, NULL};
-    cycle_t cy = {.kind = CELL, .levels = levels, .plan = plan, .omega = omega,
-                  .down = down, .up = up, .bottom = bottom, .x = x, .rhs = b};
-    return vcycle(&cy);
 }
 
 /* ------------------------------------------------------------------------

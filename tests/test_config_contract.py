@@ -213,3 +213,16 @@ def test_each_leaf_is_refused_or_legal(case, value):
             assert LEGAL[path](value), f"{path} = {value!r} ran (exit {code})"
             assert code in (0, 1, 3)
             assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_a_basis_beyond_physical_memory_is_refused():
+    # the property sets one leaf at a time, and a huge restart alone is
+    # bounded by max_iters; both huge would ask for 10^12 basis vectors
+    config = copy.deepcopy(BASES["steady-p2"][1])
+    config["solver"]["gmres"].update(restart=10**12, max_iters=10**12)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as handle:
+            json.dump(config, handle)
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+        assert not os.path.exists(out)

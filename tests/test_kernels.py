@@ -13,8 +13,8 @@ components, and one that the V-cycles and the preconditioners are linear
 at rounding level.  ``test_sanitizers.py`` runs these properties against
 a sanitizer build.  The build
 tests compile the source with every warning an error, check the ctypes
-bindings against the C prototypes and run the CLI in fresh processes with
-their own cache directories.
+bindings and structs against the C prototypes and typedefs and run the CLI
+in fresh processes with their own cache directories.
 """
 
 import ctypes
@@ -244,10 +244,11 @@ def test_vcycle_equals_reference_recursion(case, omega, down, up, bottom):
 
 
 def test_vcycle_plan_keeps_what_it_points_at():
-    # a hierarchy's plan holds addresses: when every coefficient and
-    # diagonal array is swapped for a copy after the first cycles, the old
-    # arrays must stay alive (the sanitizer run would report reading freed
-    # memory) and the cycles keep their bits
+    # a coefficient set's level and a hierarchy's plan hold addresses: when
+    # every coefficient and diagonal array is swapped for a copy after the
+    # first calls, the old arrays must stay alive (the sanitizer run would
+    # report reading freed memory) and the cycles and operators keep their
+    # bits
     grid = GridSpec((8, 6, 4), 0.25, ((NO_SLIP, FREE_SLIP), (PERIODIC, PERIODIC),
                                       (NO_SLIP, NO_SLIP)))
     rng = np.random.default_rng(5)
@@ -256,7 +257,14 @@ def test_vcycle_plan_keeps_what_it_points_at():
     hier = multigrid.build_hierarchy(grid, coeff)
     params = multigrid.SmootherParams()
     rhs = (full_face(grid, rng), CellField(grid, rng.standard_normal(grid.cells)))
-    first = [reference.field_arrays(multigrid.vcycle(r, hier, params)) for r in rhs]
+    x = StokesVector(full_face(grid, rng), rhs[1])
+
+    def calls():
+        return [reference.field_arrays(multigrid.vcycle(r, hier, params)) for r in rhs] + [
+            [apply_M(x, coeff).buffer], apply_A(x.u, coeff, rhs=rhs[0]).components,
+            [apply_Lrho(x.p, coeff).data], helmholtz_diagonal(grid, coeff).components]
+
+    first = calls()
     for level, (_, c) in enumerate(hier.levels):
         for field in (c.mu_cell, c.gamma_cell, hier.diag_cell(level)):
             field.data = field.data.copy()
@@ -264,8 +272,8 @@ def test_vcycle_plan_keeps_what_it_points_at():
             field.components = tuple(x.copy() for x in field.components)
         c.mu_node_edge.arrays = {k: x.copy() for k, x in c.mu_node_edge.arrays.items()}
     gc.collect()
-    for r, want in zip(rhs, first, strict=True):
-        assert same_bits(reference.field_arrays(multigrid.vcycle(r, hier, params)), want)
+    for got, want in zip(calls(), first, strict=True):
+        assert same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +637,20 @@ def test_source_compiles_without_warnings():
 
 #: the exported definitions of sweeps.c: result, name and parameter list
 C_ENTRY = re.compile(r"^(int|void|double)\s+(smg_\w+)\(([^)]*)\)\s*\{", re.M)
+#: the multi-line struct typedefs of sweeps.c: body and name
+C_STRUCT = re.compile(r"^typedef struct \{\n(.*?)^\} (\w+);", re.M | re.S)
+#: the C structs the bindings pass, by typedef name
+STRUCTS = {"grid3": kernels._Grid3, "smg_level": kernels._Level}
 
 
 def c_kind(parameter: str) -> str:
-    if "*" in parameter:
-        return "pointer"
-    kind = " ".join(parameter.split()[:-1])
+    """A parameter's kind: a pointer to one of ``STRUCTS`` by its name, any
+    other pointer alike, else its scalar type."""
+    words = parameter.replace("*", " * ").split()
+    if "*" in words:
+        structs = [w for w in words if w in STRUCTS]
+        return f"{structs[0]} *" if structs else "pointer"
+    kind = " ".join(words[:-1])
     assert kind in ("int", "long", "double"), parameter
     return kind
 
@@ -642,9 +658,19 @@ def c_kind(parameter: str) -> str:
 def ctypes_kind(t) -> str:
     if t is None:
         return "void"
-    if issubclass(t, (ctypes.c_void_p, ctypes._Pointer)):
+    if issubclass(t, ctypes._Pointer):
+        names = {cls: name for name, cls in STRUCTS.items()}
+        return f"{names[t._type_]} *" if t._type_ in names else "pointer"
+    if issubclass(t, ctypes.c_void_p):
         return "pointer"
     return {ctypes.c_int: "int", ctypes.c_long: "long", ctypes.c_double: "double"}[t]
+
+
+def c_members(body: str) -> list[str]:
+    """Member names of a struct body, in order."""
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    return [re.search(r"(\w+)\s*$", re.sub(r"\[\w*\]", "", part)).group(1)
+            for declaration in body.split(";")[:-1] for part in declaration.split(",")]
 
 
 def test_bindings_match_the_c_prototypes():
@@ -656,6 +682,17 @@ def test_bindings_match_the_c_prototypes():
     bound = {name: (ctypes_kind(restype), [ctypes_kind(t) for t in argtypes])
              for name, (restype, argtypes) in kernels.SIGNATURES.items()}
     assert defined == bound
+
+
+def test_bound_structs_match_the_c_typedefs():
+    # a member out of place shifts the ones after it: the library would read
+    # one coefficient's address as another's, or the form as theta
+    with open(kernels.SOURCE) as handle:
+        typedefs = {name: c_members(body) for body, name in C_STRUCT.findall(handle.read())}
+    for name, cls in STRUCTS.items():
+        assert [member for member, _ in cls._fields_] == typedefs[name], name
+    size = ctypes.c_long.in_dll(kernels.load(), "smg_level_size").value
+    assert ctypes.sizeof(kernels._Level) == size
 
 
 def test_failed_build_names_the_command_and_quotes_stderr(tmp_path, monkeypatch):

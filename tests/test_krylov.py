@@ -43,6 +43,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be"):
             GmresConfig(**{key: value})
 
+    def test_basis_beyond_physical_memory_rejected(self):
+        # the basis holds min(restart, max_iters) + 1 Stokes vectors: a
+        # bounded restart keeps it small whatever max_iters is, and both
+        # huge are refused before any allocation
+        g = mkgrid(8, bc=NO_SLIP)
+        krylov.require_basis_size(g, GmresConfig(restart=10, max_iters=10**12))
+        huge = GmresConfig(restart=10**12, max_iters=10**12)
+        with pytest.raises(ValueError, match="physical memory"):
+            krylov.require_basis_size(g, huge)
+        coeff = constant_coefficients(g, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="physical memory"):
+            gmres_solve(StokesVector.zeros(g), coeff, PrecondConfig(kind=IDENTITY), huge)
+
 
 class TestKernel:
     def test_two_by_two_diagonal_hand_solved(self):

@@ -372,7 +372,7 @@ class TestSmootherCost:
     # each smoother call is one library sweep, which forms its own residuals
     # (the face sweep one per component, the first skipped under zero_guess);
     # the position of each sweep's zero_guess argument
-    SWEEPS = {"smg_face_sweep": ("face", 4), "smg_cell_sweep": ("cell", 2)}
+    SWEEPS = {"smg_face_sweep": ("face", 2), "smg_cell_sweep": ("cell", 2)}
 
     @classmethod
     def count_residuals(cls, monkeypatch, calls, flags=None):
@@ -523,10 +523,10 @@ class TestLibraryCalls:
         params = SmootherParams()
         for rhs, kind in ((random_face(g, rng), "face"), (random_cell(g, rng), "cell")):
             vcycle(rhs, hier, params)
-            assert calls == {f"smg_{kind}_diag": len(hier), f"smg_{kind}_vcycle": 1}
+            assert calls == {f"smg_{kind}_diag": len(hier), "smg_vcycle": 1}
             calls.clear()
             vcycle(rhs, hier, params)
-            assert calls == {f"smg_{kind}_vcycle": 1}
+            assert calls == {"smg_vcycle": 1}
             calls.clear()
 
     def test_plans_hold_addresses_only(self, rng):

@@ -9,6 +9,7 @@ from stokesmg.grid import (
     PERIODIC,
     CellField,
     FaceField,
+    LayoutError,
     StokesVector,
     dot,
     norm2,
@@ -285,8 +286,7 @@ class TestViscous:
     def test_missing_coefficients_rejected(self, rng):
         g = mkgrid(4)
         coeff = make_variable_coeff(g, rng)
-        object.__setattr__  # no-op; CoefficientSet is a plain dataclass
-        coeff.mu_node_edge = None
+        object.__setattr__(coeff, "mu_node_edge", None)  # past the frozen dataclass
         with pytest.raises(AttributeError):
             apply_viscous(random_face(g, rng), coeff)
 
@@ -326,6 +326,21 @@ class TestApplyA:
         want = reference.ref_apply_A(u, coeff)
         for a in range(dim):
             assert np.allclose(got.components[a], want[a], atol=1e-12)
+
+    @pytest.mark.parametrize("cells, h", [(8, 0.5), (4, 1.0)])
+    def test_coefficients_on_another_grid_rejected(self, cells, h, rng):
+        # one grid per call: coefficients at another h would be read with the
+        # field's h, and of another shape out of bounds
+        g = mkgrid(8, bc=NO_SLIP)
+        coeff = make_variable_coeff(mkgrid(cells, bc=NO_SLIP, h=h), rng)
+        u, p = random_face(g, rng), random_cell(g, rng)
+        calls = [lambda: apply_A(u, coeff), lambda: apply_A(u, coeff, rhs=u),
+                 lambda: apply_viscous(u, coeff), lambda: apply_Lrho(p, coeff),
+                 lambda: apply_M(StokesVector(u, p), coeff),
+                 lambda: helmholtz_diagonal(g, coeff), lambda: lrho_diagonal(g, coeff)]
+        for call in calls:
+            with pytest.raises(LayoutError):
+                call()
 
 
 class TestRowScaling:
@@ -512,6 +527,21 @@ class TestCoefficients:
         arr[1, 2] = bad
         with pytest.raises(ValueError):
             dataclasses.replace(coeff)
+
+    def test_fields_are_frozen_and_replace_checks(self):
+        # a field set after construction would skip __post_init__'s checks
+        # (theta = NaN ran as steady flow), and the kernels describe each
+        # set to the library once
+        g = mkgrid(4)
+        ones = CellField(g, np.ones(g.cells))
+        coeff = make_coefficients(g, 1.0, ones, ones, ones)
+        for field in dataclasses.fields(coeff):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(coeff, field.name, np.nan)
+        assert coeff.theta == 1.0
+        with pytest.raises(ValueError):
+            dataclasses.replace(coeff, theta=np.nan)
+        assert dataclasses.replace(coeff, theta=0.5).theta == 0.5
 
     def test_velocity_null_components(self):
         ones = lambda g: CellField(g, np.ones(g.cells))
