@@ -19,14 +19,17 @@ Index conventions, fixed for the whole package:
   :class:`CellField`, :class:`FaceField` and :class:`NodeEdgeField` store
   ``np.ascontiguousarray(x, dtype=np.float64)`` (the same object when ``x``
   already is one, a copy otherwise), which the compiled kernels read in
-  place and refuse in any other form.
+  place and refuse in any other form.  A field's arrays are fixed at
+  construction (see :class:`_Fixed`); their values may change in place.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -171,19 +174,36 @@ class GridSpec:
         return tuple(np.meshgrid(*axes_1d, indexing="ij"))
 
 
-@dataclass
-class CellField:
+class _Fixed:
+    """A field whose attributes are fixed at construction: rebinding one to
+    another object raises, since the compiled kernels keep the addresses of
+    a coefficient set's arrays.  Rebinding the same object, as augmented
+    assignment after an in-place write (``f.data -= m``) does, is allowed.
+    The constructors check their arrays and then store them into
+    ``__dict__``, past this check."""
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__ and self.__dict__[name] is not value:
+            raise AttributeError(f"{type(self).__name__}.{name} is fixed at construction; "
+                                 "write into its arrays instead")
+        object.__setattr__(self, name, value)
+
+
+@dataclass(init=False)
+class CellField(_Fixed):
     """One scalar per cell."""
 
     grid: GridSpec
     data: np.ndarray
 
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.shape != self.grid.cells:
+    def __init__(self, grid: GridSpec, data: np.ndarray):
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.shape != grid.cells:
             raise LayoutError(
-                f"cell data shape {self.data.shape} != grid cells {self.grid.cells}"
+                f"cell data shape {data.shape} != grid cells {grid.cells}"
             )
+        fields = self.__dict__
+        fields["grid"], fields["data"] = grid, data
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> CellField:
@@ -213,23 +233,24 @@ class CellField:
         return CellField(self.grid, -self.data)
 
 
-@dataclass
-class FaceField:
+@dataclass(init=False)
+class FaceField(_Fixed):
     """A velocity-like field: one array per axis, each on its own faces."""
 
     grid: GridSpec
     components: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        comps = tuple(np.ascontiguousarray(c, dtype=np.float64) for c in self.components)
-        self.components = comps
-        if len(comps) != self.grid.dim:
+    def __init__(self, grid: GridSpec, components: tuple[np.ndarray, ...]):
+        comps = tuple(np.ascontiguousarray(c, dtype=np.float64) for c in components)
+        if len(comps) != grid.dim:
             raise LayoutError("need one component per axis")
         for a, c in enumerate(comps):
-            if c.shape != self.grid.face_shape(a):
+            if c.shape != grid.face_shape(a):
                 raise LayoutError(
-                    f"component {a} shape {c.shape} != {self.grid.face_shape(a)}"
+                    f"component {a} shape {c.shape} != {grid.face_shape(a)}"
                 )
+        fields = self.__dict__
+        fields["grid"], fields["components"] = grid, comps
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> FaceField:
@@ -272,30 +293,33 @@ def edge_planes(dim: int) -> tuple[tuple[int, int], ...]:
     return ((0, 1), (0, 2), (1, 2))
 
 
-@dataclass
-class NodeEdgeField:
+@dataclass(init=False)
+class NodeEdgeField(_Fixed):
     """Corner/edge coefficient storage.
 
     In 2D a single array on nodes; in 3D one array per edge orientation,
     keyed by the pair of axes in which the array is staggered (the ``(a, b)``
-    array holds the edges running along the remaining axis).
+    array holds the edges running along the remaining axis).  ``arrays`` is
+    a read-only mapping.
     """
 
     grid: GridSpec
-    arrays: dict[tuple[int, int], np.ndarray]
+    arrays: Mapping[tuple[int, int], np.ndarray]
 
-    def __post_init__(self):
-        want = edge_planes(self.grid.dim)
-        if tuple(sorted(self.arrays)) != want:
-            raise LayoutError(f"expected arrays keyed {want}, got {sorted(self.arrays)}")
-        for axes, arr in self.arrays.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            self.arrays[axes] = arr
-            if arr.shape != self.grid.node_edge_shape(axes):
+    def __init__(self, grid: GridSpec, arrays: Mapping[tuple[int, int], np.ndarray]):
+        want = edge_planes(grid.dim)
+        if tuple(sorted(arrays)) != want:
+            raise LayoutError(f"expected arrays keyed {want}, got {sorted(arrays)}")
+        arrays = {axes: np.ascontiguousarray(arr, dtype=np.float64)
+                  for axes, arr in arrays.items()}
+        for axes, arr in arrays.items():
+            if arr.shape != grid.node_edge_shape(axes):
                 raise LayoutError(
                     f"{axes} array shape {arr.shape} != "
-                    f"{self.grid.node_edge_shape(axes)}"
+                    f"{grid.node_edge_shape(axes)}"
                 )
+        fields = self.__dict__
+        fields["grid"], fields["arrays"] = grid, MappingProxyType(arrays)
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> NodeEdgeField:
@@ -306,6 +330,10 @@ class NodeEdgeField:
 
     def plane(self, a: int, b: int) -> np.ndarray:
         return self.arrays[tuple(sorted((a, b)))]
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle; the constructor rebuilds one
+        return NodeEdgeField, (self.grid, dict(self.arrays))
 
     def copy(self) -> NodeEdgeField:
         return NodeEdgeField(self.grid, {k: v.copy() for k, v in self.arrays.items()})

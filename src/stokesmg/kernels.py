@@ -10,12 +10,16 @@ transfers :func:`restrict_cell`, :func:`restrict_face`,
 :func:`prolong_cell` and :func:`prolong_face`.  Each checks its arrays,
 passes their addresses to one call of one entry of ``sweeps.c`` and
 returns the field (the sweeps relax in place; the face sweep relaxes every
-velocity component).  A field's components go as one array of per-axis
-pointers, and a coefficient set as one ``smg_level``: its grid, viscous
-form, theta and array addresses, built once per set and refused for a
-field on another grid.  :mod:`operators` and :mod:`multigrid` import them;
-the package has no other copy of the stencils or of their coupling weights
-and wall rules.
+velocity component).  A sweep, a diagonal and a transfer take the field
+kind, so each pair of them is one caller of :func:`_sweep`,
+:func:`_diagonal` or :func:`_transfer` and one library entry.  A field
+goes as one array of per-axis pointers (a cell field's first), refused on
+another grid than the call's, and a coefficient set as one ``smg_level``:
+its grid, viscous form, theta and array addresses, built once per set and
+refused for a call on another grid; a sweep's copy of it also holds the
+smoother diagonal.  :mod:`operators` and :mod:`multigrid` import them; the
+package has no other copy of the stencils or of their coupling weights and
+wall rules.
 
 The Krylov reductions are here too: :func:`sum_products` (every inner
 product and norm of the package), :func:`mgs_step` (one modified
@@ -188,18 +192,13 @@ _ptrs, _grid, _lv = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3),
 
 #: result and argument types of each entry of sweeps.c
 SIGNATURES = {
-    "smg_face_sweep": (_int, [_lv, _dbl, _int, _ptrs, _ptrs, _ptrs]),
-    "smg_cell_sweep": (_int, [_lv, _dbl, _int, _ptr, _ptr, _ptr]),
+    "smg_sweep": (_int, [_int, _lv, _dbl, _int, _ptrs, _ptrs]),
     "smg_face_apply": (_int, [_lv, _int, _ptrs, _ptr, _ptrs, _ptr, _ptrs, _ptrs, _ptr]),
     "smg_cell_apply": (_int, [_lv, _ptr, _ptr, _ptr]),
-    "smg_face_diag": (None, [_lv, _ptrs]),
-    "smg_cell_diag": (None, [_lv, _ptr]),
+    "smg_diag": (None, [_int, _lv, _ptrs]),
     "smg_grad": (None, [_grid, _ptr, _ptrs]),
     "smg_div": (None, [_grid, _ptrs, _ptr]),
-    "smg_restrict_cell": (_int, [_grid, _ptr, _ptr]),
-    "smg_restrict_face": (_int, [_grid, _ptrs, _ptrs]),
-    "smg_prolong_cell": (_int, [_grid, _ptr, _ptr]),
-    "smg_prolong_face": (_int, [_grid, _ptrs, _ptrs]),
+    "smg_transfer": (_int, [_int, _int, _grid, _ptrs, _ptrs]),
     "smg_vcycle": (_int, [_int, _long, _lv, _dbl, _int, _int, _int, _ptrs, _ptrs]),
     "smg_dot": (_dbl, [_long, _ptr, _ptr]),
     "smg_mgs_step": (_dbl, [_long, _dbl, _ptr, _ptr, _ptr]),
@@ -353,45 +352,51 @@ def _start(grid: GridSpec):
 _OPERATOR, _RESIDUAL, _SADDLE, _SADDLE_RESIDUAL = range(4)
 
 
-def _output(shape: tuple) -> tuple[np.ndarray, int]:
-    arr = np.empty(shape)
-    return arr, arr.ctypes.data
+def _on(kind, grid: GridSpec, field):
+    """``field``, refused unless it is a ``kind`` field on ``grid``, the
+    call's grid, even when its arrays have that grid's shapes: the library
+    would read another kind's pointers as ``kind``'s."""
+    if type(field) is not kind:
+        raise LayoutError(f"a {type(field).__name__} where a {kind.__name__} belongs")
+    if field.grid is not grid and field.grid != grid:
+        raise LayoutError(f"a field on {field.grid} in a call on {grid}")
+    return field
 
 
-def _per_axis(lay: _Layout, addresses) -> _Axes:
-    """One pointer per 3D axis, NULL on a 2D grid's leading one."""
-    return _Axes(*[None] * lay.lead, *addresses)
+def _cell(grid: GridSpec, p: CellField, iterate=False) -> int:
+    """Address of a cell field's data, for an entry that takes it alone."""
+    return _address(_on(CellField, grid, p).data, grid.cells, iterate)
 
 
-def _faces(lay: _Layout, arrays, iterate=False) -> _Axes:
-    return _per_axis(lay, [_address(c, s, iterate)
-                           for c, s in zip(arrays, lay.faces)])
+def _field(kind, grid: GridSpec, field, iterate=False) -> _Axes:
+    """A ``kind`` field's per-axis pointers: a face field's components on
+    their 3D axes, a cell field's data first; refused unless it is a
+    ``kind`` field on ``grid`` (:func:`_on`)."""
+    if kind is CellField:
+        return _Axes(_cell(grid, field, iterate))
+    lay, comps = _remember(grid, _layout), _on(FaceField, grid, field).components
+    return _Axes(*[None] * lay.lead,
+                 *[_address(c, s, iterate) for c, s in zip(comps, lay.faces)])
 
 
-def _outputs(lay: _Layout, shapes) -> tuple[tuple, _Axes]:
-    pairs = [_output(s) for s in shapes]
-    return tuple(arr for arr, _ in pairs), _per_axis(lay, [addr for _, addr in pairs])
-
-
-def _field(lay: _Layout, field, iterate=False) -> _Axes:
-    """A field's per-axis pointers: a face field's components on their 3D
-    axes, a cell field's data first."""
-    if isinstance(field, CellField):
-        return _Axes(_address(field.data, lay.cells, iterate))
-    return _faces(lay, field.components, iterate)
+def _empty(kind, grid: GridSpec):
+    """A field of ``kind`` on ``grid`` for a kernel to fill."""
+    if kind is CellField:
+        return CellField(grid, np.empty(grid.cells))
+    return FaceField(grid, tuple(np.empty(s) for s in _remember(grid, _layout).faces))
 
 
 def _describe(coeff: CoefficientSet) -> _Level:
     """``coeff`` as sweeps.c reads it: its grid, viscous form, theta and
     the addresses of its arrays, ``mu``, ``gamma``, ``rho`` per face axis
     and the node/edge planes per 3D plane slot (NULL: no plane).  The level
-    keeps those arrays alive, should a field be given another array later."""
-    lay = _remember(coeff.grid, _layout)
+    keeps those arrays alive for as long as it is used."""
+    grid = coeff.grid
+    lay = _remember(grid, _layout)
     planes = coeff.mu_node_edge.arrays
     level = _Level(g=lay.grid3, form=_FORMS[coeff.viscous_form.value], theta=coeff.theta,
-                   mu=_address(coeff.mu_cell.data, lay.cells),
-                   gamma=_address(coeff.gamma_cell.data, lay.cells),
-                   rho=_faces(lay, coeff.rho_face.components),
+                   mu=_cell(grid, coeff.mu_cell), gamma=_cell(grid, coeff.gamma_cell),
+                   rho=_field(FaceField, grid, coeff.rho_face),
                    ne=_Axes(*[slot and _address(planes[slot[0]], slot[1])
                               for slot in lay.planes]))
     level.arrays = [coeff.mu_cell.data, coeff.gamma_cell.data,
@@ -405,6 +410,17 @@ def _level(grid: GridSpec, coeff: CoefficientSet) -> _Level:
     if coeff.grid != grid:
         raise LayoutError(f"coefficients on {coeff.grid} applied on {grid}")
     return _remember(coeff, _describe)
+
+
+def _with_diagonal(kind, grid: GridSpec, coeff: CoefficientSet, diag) -> _Level:
+    """A copy of ``coeff``'s level holding the addresses of the smoother
+    diagonal ``diag`` of a ``kind`` field, for a sweep or a V-cycle plan.  The copy keeps that
+    level and the diagonal's arrays alive for as long as it is used."""
+    level = _level(grid, coeff)
+    out = _Level.from_buffer_copy(level)
+    out.diag = _field(kind, grid, diag)
+    out.arrays = [level, *(diag.components if kind is FaceField else [diag.data])]
+    return out
 
 
 def _walls(bvals, lay: _Layout):
@@ -434,17 +450,17 @@ def _walls(bvals, lay: _Layout):
 def div(u: FaceField) -> CellField:
     """Cell-centered divergence; reads stored boundary faces."""
     lib, lay = _start(u.grid)
-    out, addr = _output(lay.cells)
-    lib.smg_div(lay.grid3, _faces(lay, u.components), addr)
-    return CellField(u.grid, out)
+    out = _empty(CellField, u.grid)
+    lib.smg_div(lay.grid3, _field(FaceField, u.grid, u), _cell(u.grid, out))
+    return out
 
 
 def grad(p: CellField) -> FaceField:
     """Face-centered pressure gradient; wall-normal faces are zero."""
     lib, lay = _start(p.grid)
-    out, ptrs = _outputs(lay, lay.faces)
-    lib.smg_grad(lay.grid3, _address(p.data, lay.cells), ptrs)
-    return FaceField(p.grid, out)
+    out = _empty(FaceField, p.grid)
+    lib.smg_grad(lay.grid3, _cell(p.grid, p), _field(FaceField, p.grid, out))
+    return out
 
 
 def apply_Lrho(p: CellField, coeff: CoefficientSet,
@@ -452,21 +468,26 @@ def apply_Lrho(p: CellField, coeff: CoefficientSet,
     """Density-weighted pressure Poisson operator D (1/rho) G, summed from
     unscaled differences and scaled once by 1/h^2; with ``rhs``, the
     residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
-    lib, lay = _start(p.grid)
-    out, addr = _output(lay.cells)
-    _check(lib.smg_cell_apply(
-        _level(p.grid, coeff), _address(p.data, lay.cells),
-        rhs and _address(rhs.data, lay.cells), addr))
-    return CellField(p.grid, out)
+    grid = p.grid
+    lib, _ = _start(grid)
+    out = _empty(CellField, grid)
+    _check(lib.smg_cell_apply(_level(grid, coeff), _cell(grid, p), rhs and _cell(grid, rhs),
+                              _cell(grid, out)))
+    return out
+
+
+def _diagonal(kind, grid: GridSpec, coeff: CoefficientSet):
+    """The diagonal a sweep of a ``kind`` field on ``coeff`` divides by."""
+    lib, _ = _start(grid)
+    out = _empty(kind, grid)
+    lib.smg_diag(kind is CellField, _level(grid, coeff), _field(kind, grid, out))
+    return out
 
 
 def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
     """Diagonal of D (1/rho) G, which the pressure smoother divides by: each
     cell sums -1/(rho h^2) over its faces, a wall face adding nothing."""
-    lib, lay = _start(grid)
-    out, addr = _output(lay.cells)
-    lib.smg_cell_diag(_level(grid, coeff), addr)
-    return CellField(grid, out)
+    return _diagonal(CellField, grid, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +508,18 @@ def apply_viscous(u: FaceField, coeff: CoefficientSet,
     1/h^2 once, which for a power-of-two h rounds exactly like dividing
     each difference by h.
     """
-    lib, lay = _start(u.grid)
-    out, ptrs = _outputs(lay, lay.faces)
+    grid = u.grid
+    lib, lay = _start(grid)
+    out = _empty(FaceField, grid)
     # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
-    steady = _Level.from_buffer_copy(_level(u.grid, coeff))
+    steady = _Level.from_buffer_copy(_level(grid, coeff))
     steady.theta = 0.0
-    _check(lib.smg_face_apply(steady, _OPERATOR, _faces(lay, u.components), None, None,
-                              None, bvals and _walls(bvals, lay), ptrs, None))
-    for c in out:
+    _check(lib.smg_face_apply(steady, _OPERATOR, _field(FaceField, grid, u), None, None,
+                              None, bvals and _walls(bvals, lay),
+                              _field(FaceField, grid, out), None))
+    for c in out.components:
         np.negative(c, out=c)
-    return FaceField(u.grid, out)
+    return out
 
 
 def apply_A(u: FaceField, coeff: CoefficientSet,
@@ -506,13 +529,14 @@ def apply_A(u: FaceField, coeff: CoefficientSet,
     flow forms no mass term: -L_mu u); with ``rhs``, the residual
     ``rhs - A u`` instead, in the same pass, whose boundary faces carry
     ``rhs``."""
-    lib, lay = _start(u.grid)
-    out, ptrs = _outputs(lay, lay.faces)
+    grid = u.grid
+    lib, lay = _start(grid)
+    out = _empty(FaceField, grid)
     _check(lib.smg_face_apply(
-        _level(u.grid, coeff), _OPERATOR if rhs is None else _RESIDUAL,
-        _faces(lay, u.components), None, rhs and _faces(lay, rhs.components), None,
-        bvals and _walls(bvals, lay), ptrs, None))
-    return FaceField(u.grid, out)
+        _level(grid, coeff), _OPERATOR if rhs is None else _RESIDUAL,
+        _field(FaceField, grid, u), None, rhs and _field(FaceField, grid, rhs), None,
+        bvals and _walls(bvals, lay), _field(FaceField, grid, out), None))
+    return out
 
 
 def apply_M(x: StokesVector, coeff: CoefficientSet,
@@ -522,28 +546,34 @@ def apply_M(x: StokesVector, coeff: CoefficientSet,
     (they are not unknowns; ``rhs``'s are not read).  The result's fields
     view one fresh buffer."""
     grid = x.grid
-    lib, lay = _start(grid)
+    lib, _ = _start(grid)
     out = StokesVector.view(grid, np.empty(StokesVector.buffer_size(grid)))
     _check(lib.smg_face_apply(
         _level(grid, coeff), _SADDLE if rhs is None else _SADDLE_RESIDUAL,
-        _faces(lay, x.u.components), _address(x.p.data, lay.cells),
-        rhs and _faces(lay, rhs.u.components), rhs and _address(rhs.p.data, lay.cells),
-        None, _faces(lay, out.u.components), _address(out.p.data, lay.cells)))
+        _field(FaceField, grid, x.u), _cell(grid, x.p),
+        rhs and _field(FaceField, grid, rhs.u), rhs and _cell(grid, rhs.p), None,
+        _field(FaceField, grid, out.u), _cell(grid, out.p)))
     return out
 
 
 def helmholtz_diagonal(grid: GridSpec, coeff: CoefficientSet) -> FaceField:
     """Diagonal of A, which the velocity smoother divides by; boundary faces
     are set to one."""
-    lib, lay = _start(grid)
-    out, ptrs = _outputs(lay, lay.faces)
-    lib.smg_face_diag(_level(grid, coeff), ptrs)
-    return FaceField(grid, out)
+    return _diagonal(FaceField, grid, coeff)
 
 
 # ---------------------------------------------------------------------------
 # smoothers
 # ---------------------------------------------------------------------------
+
+
+def _sweep(kind, x, rhs, grid: GridSpec, coeff: CoefficientSet, diag, omega: float,
+           zero_guess: bool) -> None:
+    """One sweep of the ``kind`` field ``x`` in place, on the level of
+    ``coeff`` holding ``diag``."""
+    lib, _ = _start(grid)
+    _check(lib.smg_sweep(kind is CellField, _with_diagonal(kind, grid, coeff, diag), omega,
+                         zero_guess, _field(kind, grid, rhs), _field(kind, grid, x, True)))
 
 
 def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
@@ -556,10 +586,7 @@ def smooth_cell(phi: CellField, rhs: CellField, grid: GridSpec,
     maps zero to exactly +0 and ``r - (+0)`` is ``r``, so the result is
     bitwise the same.
     """
-    lib, lay = _start(grid)
-    _check(lib.smg_cell_sweep(
-        _level(grid, coeff), omega, zero_guess, _address(phi.data, lay.cells, True),
-        _address(rhs.data, lay.cells), _address(diag.data, lay.cells)))
+    _sweep(CellField, phi, rhs, grid, coeff, diag, omega, zero_guess)
 
 
 def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
@@ -574,10 +601,7 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
     is not applied; later components see the first one's update and apply
     theirs.  The result is bitwise the same (see :func:`smooth_cell`).
     """
-    lib, lay = _start(grid)
-    _check(lib.smg_face_sweep(
-        _level(grid, coeff), omega, zero_guess, _faces(lay, u.components, True),
-        _faces(lay, rhs.components), _faces(lay, diag.components)))
+    _sweep(FaceField, u, rhs, grid, coeff, diag, omega, zero_guess)
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +609,26 @@ def smooth_face(u: FaceField, rhs: FaceField, grid: GridSpec,
 # ---------------------------------------------------------------------------
 
 
+def _transfer(kind, src, restricting: bool):
+    """The ``kind`` field ``src`` restricted to the next coarser grid, or
+    prolonged to the next finer one."""
+    grid = src.grid
+    target = grid.coarsened() if restricting else grid.refined()
+    lib, lay = _start(grid)
+    out = _empty(kind, target)
+    _check(lib.smg_transfer(kind is CellField, restricting, lay.grid3,
+                            _field(kind, grid, src), _field(kind, target, out)))
+    return out
+
+
 def restrict_cell(fine: CellField) -> CellField:
     """Simple averaging of the 2^d fine children."""
-    coarse = fine.grid.coarsened()
-    lib, lay = _start(fine.grid)
-    out, addr = _output(coarse.cells)
-    _check(lib.smg_restrict_cell(lay.grid3, _address(fine.data, lay.cells), addr))
-    return CellField(coarse, out)
+    return _transfer(CellField, fine, True)
 
 
 def prolong_cell(coarse: CellField) -> CellField:
     """Direct injection of each coarse value into its 2^d children."""
-    fine = coarse.grid.refined()
-    lib, lay = _start(coarse.grid)
-    out, addr = _output(fine.cells)
-    _check(lib.smg_prolong_cell(lay.grid3, _address(coarse.data, lay.cells), addr))
-    return CellField(fine, out)
+    return _transfer(CellField, coarse, False)
 
 
 def restrict_face(fine: FaceField) -> FaceField:
@@ -610,11 +638,7 @@ def restrict_face(fine: FaceField) -> FaceField:
     direction applies the 1/4, 1/2, 1/4 stencil.  Boundary faces of the
     coarse result stay zero (they are not unknowns).
     """
-    coarse = fine.grid.coarsened()
-    lib, lay = _start(fine.grid)
-    out, ptrs = _outputs(lay, [coarse.face_shape(a) for a in range(coarse.dim)])
-    _check(lib.smg_restrict_face(lay.grid3, _faces(lay, fine.components), ptrs))
-    return FaceField(coarse, out)
+    return _transfer(FaceField, fine, True)
 
 
 def prolong_face(coarse: FaceField) -> FaceField:
@@ -626,11 +650,7 @@ def prolong_face(coarse: FaceField) -> FaceField:
     (constants prolong to constants); along the normal axis overlaying
     faces copy and the faces between average.
     """
-    fine = coarse.grid.refined()
-    lib, lay = _start(coarse.grid)
-    out, ptrs = _outputs(lay, [fine.face_shape(a) for a in range(fine.dim)])
-    _check(lib.smg_prolong_face(lay.grid3, _faces(lay, coarse.components), ptrs))
-    return FaceField(fine, out)
+    return _transfer(FaceField, coarse, False)
 
 
 # ---------------------------------------------------------------------------
@@ -640,29 +660,28 @@ def prolong_face(coarse: FaceField) -> FaceField:
 
 def vcycle_plan(levels, diagonals) -> ctypes.Array:
     """Per ``(grid, coefficients)`` level, finest first, a copy of the
-    coefficients' level with the addresses of its diagonal.  The plan keeps
-    the levels and the diagonals' arrays alive, should a field be given
-    another array later."""
-    plan = (_Level * len(levels))()
-    plan.arrays = []
-    for k, ((grid, coeff), diag) in enumerate(zip(levels, diagonals, strict=True)):
-        level = _level(grid, coeff)
-        plan[k] = level
-        plan[k].diag = _field(_remember(grid, _layout), diag)
-        plan.arrays += [level, *(diag.components if isinstance(diag, FaceField)
-                                 else [diag.data])]
+    coefficients' level holding the addresses of its diagonal
+    (:func:`_with_diagonal`); the plan keeps those copies alive and
+    remembers the kind of its diagonals, which is the kind it solves for."""
+    kind = type(diagonals[0])
+    held = [_with_diagonal(kind, grid, coeff, diag)
+            for (grid, coeff), diag in zip(levels, diagonals, strict=True)]
+    plan = (_Level * len(held))(*held)
+    plan.levels, plan.kind = held, kind
     return plan
 
 
 def vcycle(rhs, grid: GridSpec, plan: ctypes.Array, params):
-    """One V-cycle from zero on the finest ``grid`` of a plan with ``rhs``'s
-    kind of diagonals, in one library call: bitwise the recursion over the
+    """One V-cycle from zero on the finest ``grid`` of a plan, whose kind
+    ``rhs`` must have, in one library call: bitwise the recursion over the
     sweeps, residuals and transfers here in ``tests/reference.py``."""
-    lib, lay = _start(grid)
-    x = type(rhs).zeros(grid)
-    _check(lib.smg_vcycle(isinstance(rhs, CellField), len(plan), plan, params.omega,
+    lib, _ = _start(grid)
+    kind = plan.kind
+    rhs_axes = _field(kind, grid, rhs)
+    x = kind.zeros(grid)
+    _check(lib.smg_vcycle(kind is CellField, len(plan), plan, params.omega,
                           params.sweeps_down, params.sweeps_up, params.bottom_sweeps,
-                          _field(lay, rhs), _field(lay, x, True)))
+                          rhs_axes, _field(kind, grid, x, True)))
     return x
 
 

@@ -28,7 +28,7 @@ import numpy as np
 # wrap them, although a solve no longer copies through them
 from .grid import GridSpec, StokesVector, pack_stokes, unpack_stokes  # noqa: F401
 from .kernels import combine, mgs_step, sum_products
-from .multigrid import SmootherParams
+from .multigrid import SmootherParams, require_counts
 from .operators import CoefficientSet, apply_M
 from .precond import PrecondConfig, Preconditioner
 
@@ -42,6 +42,7 @@ class GmresConfig:
     track_true_residual: bool = True
 
     def __post_init__(self):
+        require_counts(self, "restart", "max_iters")
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
         if self.max_iters < 1:

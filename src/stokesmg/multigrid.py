@@ -12,6 +12,7 @@ of :mod:`kernels` stay importable here, where tracing tools wrap them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,17 @@ MAX_SWEEPS = 100
 MAX_CYCLES = 100
 
 
+def require_counts(config, *names) -> None:
+    """Refuse each count of ``config`` named that is not an integer (one
+    :func:`operator.index` refuses), which would fail only inside a solve."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SmootherParams:
     """Relaxation weight and sweep counts; every count is at most
@@ -60,6 +72,7 @@ class SmootherParams:
     bottom_sweeps: int = 8
 
     def __post_init__(self):
+        require_counts(self, "sweeps_down", "sweeps_up", "bottom_sweeps")
         if not 0 < self.omega <= 1:
             raise ValueError("omega must lie in (0, 1]")
         if not (1 <= self.sweeps_down <= MAX_SWEEPS and 1 <= self.sweeps_up <= MAX_SWEEPS):

@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .grid import CellField, FaceField, GridSpec, StokesVector
-from .multigrid import MAX_CYCLES, MgHierarchy, SmootherParams, build_hierarchy, mg_solve
+from .multigrid import (MAX_CYCLES, MgHierarchy, SmootherParams, build_hierarchy, mg_solve,
+                        require_counts)
 from .operators import (
     CoefficientSet,
     _zero_boundary,
@@ -53,6 +54,7 @@ class PrecondConfig:
     exact_subsolvers: bool = False
 
     def __post_init__(self):
+        require_counts(self, "velocity_cycles")
         if not 1 <= self.velocity_cycles <= MAX_CYCLES:
             raise ValueError(f"need 1 to {MAX_CYCLES} velocity cycles")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CellField
-from .multigrid import MAX_CYCLES
+from .multigrid import MAX_CYCLES, require_counts
 from .operators import (
     LAPLACIAN,
     STRESS,
@@ -44,6 +44,7 @@ class SchurConfig:
     pressure_cycles: int = 1
 
     def __post_init__(self):
+        require_counts(self, "pressure_cycles")
         if not 1 <= self.pressure_cycles <= MAX_CYCLES:
             raise ValueError(f"need 1 to {MAX_CYCLES} pressure cycles")
 

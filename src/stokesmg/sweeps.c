@@ -1,25 +1,27 @@
 /* The compiled stencils: the two-colour Gauss-Seidel sweeps of the multigrid
  * smoothers, the operators, the grid transfers and the V-cycle over them.
  *
- * smg_face_sweep relaxes every velocity component of A = theta rho - L_mu,
- * one after the other, and smg_cell_sweep the density-weighted pressure
- * operator D (1/rho) G, in place.  Each component (or the pressure) forms
- * the residual r = rhs - A x once, relaxes the red entries (even index sum
- * over the unknowns) from it Jacobi-style, brings r up to date at the black
- * entries from the red corrections alone, and relaxes the black entries.
+ * Each multigrid job is one stage that takes the field kind: a velocity
+ * field (FACE) of A = theta rho - L_mu, or a pressure field (CELL) of the
+ * density-weighted operator D (1/rho) G.  smg_sweep relaxes x in place,
+ * every velocity component one after the other.  Each component (or the
+ * pressure) forms the residual r = rhs - A x once, relaxes the red entries
+ * (even index sum over the unknowns) from it Jacobi-style, brings r up to
+ * date at the black entries from the red corrections alone, and relaxes the
+ * black entries.  smg_diag forms the diagonal the sweep divides by, on the
+ * rows of its black updates, so each coupling weight and wall rule is
+ * written once, here.  smg_transfer restricts or prolongs a field, one pass
+ * per axis.  smg_vcycle runs a whole V-cycle in one call, level by level
+ * through the same stages.
  *
  * The operators run the stages the sweeps form their residuals with:
  * smg_face_apply gives A u, rhs - A u, the saddle operator
  * (A u + G p, -D u) or its residual, smg_cell_apply D (1/rho) G p or its
- * residual, and smg_div and smg_grad D and G.  smg_face_diag and
- * smg_cell_diag form the diagonals the sweeps divide by, on the rows of
- * their black updates, so each coupling weight and wall rule is written
- * once, here.  smg_restrict_* and smg_prolong_* are the multigrid
- * transfers, one pass per axis.  smg_vcycle runs a whole V-cycle of either
- * operator in one call, level by level through the stages of those
- * entries.  smg_dot, smg_mgs_step and smg_combine are the Krylov
- * reductions over flat vectors, each summed in one documented order (see
- * below) that the loops in tests/reference.py repeat.
+ * residual, and smg_div and smg_grad D and G; one row function sums D, for
+ * the divergence and for the pressure operator alike.  smg_dot,
+ * smg_mgs_step and smg_combine are the Krylov reductions over flat
+ * vectors, each summed in one documented order (see below) that the loops
+ * in tests/reference.py repeat.
  *
  * Every entry is rounded as the numpy formulation rounds it: the same
  * operations in the same order, with no fused multiply-add (the library is
@@ -28,16 +30,18 @@
  *
  * Arrays are C-contiguous float64 in the package's layouts.  A 2D grid is
  * addressed as a 3D grid whose leading axis has one cell and couples
- * nothing; per-axis pointer arrays (a field's components, the node/edge
- * planes) hold three entries, the unused ones NULL.  Every entry that reads
+ * nothing; per-axis pointer arrays (a velocity field's components, the
+ * node/edge planes) hold three entries, the unused ones NULL, and a
+ * pressure field's takes the first.  Every entry that reads
  * coefficients takes them as one smg_level (the grid, the viscous form,
  * theta and the coefficient arrays), which the caller builds once per
- * coefficient set; a V-cycle takes one per level, each with its smoother's
- * diagonal.  The caller passes the scalars it rounds itself (1/h^2, h).
- * No entry writes its inputs.  An entry allocates its workspace once and
- * frees it before it returns (-1: the allocation failed); inside a V-cycle
- * the stages share the cycle's one allocation, and the threads of a call
- * share its workspace.
+ * coefficient set; a sweep takes a copy holding the smoother's diagonal, and
+ * a V-cycle one such copy per level.  The caller passes the scalars it
+ * rounds itself (1/h^2, h).  No entry writes its inputs.  An entry
+ * allocates its workspace once and frees it before it returns (-1: the
+ * allocation failed); a stage called without workspace returns the size it
+ * needs.  Inside a V-cycle the stages share the cycle's one allocation,
+ * and the threads of a call share its workspace.
  *
  * Each pass runs row by row along the contiguous last axis.  A row function
  * takes its neighbour offsets and wall tests for one column "at" (see
@@ -70,6 +74,7 @@ const char smg_key[] = SMG_KEY;
 
 enum { PERIODIC = 0, NO_SLIP = 1, FREE_SLIP = 2 };
 enum { LAPLACIAN = 0, STRESS = 1, STRESS_BULK = 2 };
+enum { FACE, CELL }; /* the field kinds */
 
 typedef struct {
     long n[3];        /* cells per axis */
@@ -104,9 +109,30 @@ static void shape_of(const grid3 *g, int x, int y, long s[3])
         s[k] = g->n[k] + ((k == x || k == y) && g->lo[k] != PERIODIC);
 }
 
+/* The shapes of the cells, sc, and of the faces along each coupled axis x,
+ * sf[x]. */
+static void shapes(const grid3 *g, long sc[3], long sf[3][3])
+{
+    shape_of(g, -1, -1, sc);
+    for (int x = g->first; x < 3; x++)
+        shape_of(g, x, x, sf[x]);
+}
+
 static long count(const long s[3])
 {
     return s[0] * s[1] * s[2];
+}
+
+static long most(long a, long b)
+{
+    return a > b ? a : b;
+}
+
+/* n entries of workspace, one at least: a stage takes NULL workspace as a
+ * request for its size, so a zero size must not allocate NULL */
+static double *workspace(long n)
+{
+    return malloc(most(n, 1) * sizeof(double));
 }
 
 static inline int periodic(const grid3 *g, int x)
@@ -539,11 +565,16 @@ typedef struct {
     long sc[3], sf[3][3];
 } cell_t;
 
-static void cell_shapes(cell_t *c)
+/* Points c->flux at the faces of every coupled axis, stored from buf on
+ * (NULL without buf); returns their count. */
+static long cell_fluxes(cell_t *c, double *buf)
 {
-    shape_of(c->g, -1, -1, c->sc);
-    for (int x = c->g->first; x < 3; x++)
-        shape_of(c->g, x, x, c->sf[x]);
+    long nf = 0;
+    for (int x = c->g->first; x < 3; x++) {
+        c->flux[x] = buf ? buf + nf : NULL;
+        nf += count(c->sf[x]);
+    }
+    return nf;
 }
 
 /* G p at the faces along x, divided by rho (by h with no densities); wall
@@ -595,11 +626,13 @@ static void gradient_rows(team_t *tm, const cell_t *c)
     }
 }
 
-/* D (1/rho) G p from the fluxes, scaled once by 1/h^2: r = rhs - it, or r
- * = it when rhs is NULL */
-typedef struct { long rc, r0[3], r1[3]; } poisson_at;
+/* D of the face arrays c->flux at the cells, their differences summed in
+ * axis order: with densities the pressure operator D (1/rho) G p from its
+ * fluxes, scaled once by 1/h^2, r = rhs - it (r = it when rhs is NULL);
+ * without, the divergence, r = it / h */
+typedef struct { long rc, r0[3], r1[3]; } div_at;
 
-static void poisson_setup(const cell_t *c, long i, long j, long at, poisson_at *o)
+static void div_setup(const cell_t *c, long i, long j, long at, div_at *o)
 {
     o->rc = row(c->sc, i, j, -1, 0);
     for (int x = c->g->first; x < 3; x++) {
@@ -608,29 +641,48 @@ static void poisson_setup(const cell_t *c, long i, long j, long at, poisson_at *
     }
 }
 
-ROW_FUNCTION poisson_row(const cell_t *c, const poisson_at *o, long k0, long k1)
+ROW_FUNCTION div_row(const cell_t *c, const div_at *o, long k0, long k1)
 {
     const double *f0 = c->flux[0], *f1 = c->flux[1], *f2 = c->flux[2], *rhs = c->rhs;
     const long a0 = o->r0[0], b0 = o->r1[0], a1 = o->r0[1], b1 = o->r1[1];
     const long a2 = o->r0[2], b2 = o->r1[2], rc = o->rc;
     const int three = c->g->first == 0;
-    const double inv_h2 = c->g->inv_h2;
+    const double h = c->g->h, inv_h2 = c->g->inv_h2;
     double *r = c->r;
+#define DIFFERENCES(k) \
+    ((three ? 0.0 + (f0[b0 + k] - f0[a0 + k]) : 0.0) + (f1[b1 + k] - f1[a1 + k]) \
+     + (f2[b2 + k] - f2[a2 + k]))
+    if (!c->lv) {
+        for (long k = k0; k < k1; k++)
+            r[rc + k] = DIFFERENCES(k) / h;
+        return;
+    }
     for (long k = k0; k < k1; k++) {
-        double v = 0.0;
-        if (three)
-            v += f0[b0 + k] - f0[a0 + k];
-        v += f1[b1 + k] - f1[a1 + k];
-        v += f2[b2 + k] - f2[a2 + k];
-        v *= inv_h2;
+        double v = DIFFERENCES(k) * inv_h2;
         r[rc + k] = rhs ? rhs[rc + k] - v : v;
     }
+#undef DIFFERENCES
 }
 
-static void poisson_line(const cell_t *c, long i, long j)
+static void div_line(const cell_t *c, long i, long j)
 {
-    poisson_at o = {0};
-    LINE(0, c->sc[2], 0, 1, poisson_setup(c, i, j, at, &o), poisson_row(c, &o, k0, k1));
+    div_at o = {0};
+    LINE(0, c->sc[2], 0, 1, div_setup(c, i, j, at, &o), div_row(c, &o, k0, k1));
+}
+
+static void div_rows(team_t *tm, const cell_t *c)
+{
+    long zero3[3] = {0, 0, 0};
+    ROWS(tm, zero3, c->sc)
+        div_line(c, i, j);
+}
+
+/* out = D u */
+static void divergence(team_t *tm, const grid3 *g, const double *const *u, double *out)
+{
+    cell_t c = {.g = g, .flux = {(double *)u[0], (double *)u[1], (double *)u[2]}, .r = out};
+    shapes(g, c.sc, c.sf);
+    div_rows(tm, &c);
 }
 
 /* black entries: face k joins cells k - 1 and k along x, with weight
@@ -684,52 +736,36 @@ ROW_FUNCTION black_cell_row(const cell_t *c, const black_cell_at *o,
     }
 }
 
-/* the faces of every coupled axis */
-static long cell_face_count(const cell_t *c)
-{
-    long nf = 0;
-    for (int x = c->g->first; x < 3; x++)
-        nf += count(c->sf[x]);
-    return nf;
-}
-
-/* entries of a cell sweep's workspace */
-static long cell_sweep_size(const grid3 *g, int zero_guess)
-{
-    cell_t c = {.g = g};
-    cell_shapes(&c);
-    long nc = count(c.sc);
-    return nc + (zero_guess ? 0 : nc + cell_face_count(&c));
-}
-
-/* Each row's residual and red entries are one pass: the red entries read
- * the row's residual alone. */
-static void cell_sweep(team_t *tm, const smg_level *lv, double omega, int zero_guess,
-                       double *p, const double *rhs, const double *diag, double *work)
+/* One sweep of the pressure p[0] against rhs[0], dividing by lv->diag[0];
+ * without work, returns its size.  Each row's residual and red entries are
+ * one pass: the red entries read the row's residual alone. */
+static long cell_sweep(team_t *tm, const smg_level *lv, double omega, int zero_guess,
+                       double *const *p, const double *const *rhs, double *work)
 {
     const grid3 *g = &lv->g;
-    cell_t c = {.g = g, .lv = lv, .omega = omega, .p = p, .rhs = rhs, .diag = diag};
+    cell_t c = {.g = g, .lv = lv, .omega = omega, .diag = lv->diag[0]};
     const long *sc = c.sc;
     long zero3[3] = {0, 0, 0};
-    cell_shapes(&c);
+    shapes(g, c.sc, c.sf);
     long nc = count(sc);
+    long size = nc + (zero_guess ? 0 : nc + cell_fluxes(&c, NULL));
+    if (!work)
+        return size;
 
+    c.p = p[0];
+    c.rhs = rhs[0];
     c.delta = work;
     zero_pass(tm, c.delta, nc);
-    c.r = zero_guess ? (double *)rhs : work + nc;
+    c.r = zero_guess ? (double *)c.rhs : work + nc;
     if (!zero_guess) {
-        double *next = c.r + nc;
-        for (int x = g->first; x < 3; x++) {
-            c.flux[x] = next;
-            next += count(c.sf[x]);
-        }
+        cell_fluxes(&c, c.r + nc);
         gradient_rows(tm, &c);
     }
     team_sync(tm);
     ROWS(tm, zero3, sc) {
         if (!zero_guess)
-            poisson_line(&c, i, j);
-        red_row(sc, i, j, 0, sc[2], 0, omega, c.r, diag, c.delta, p);
+            div_line(&c, i, j);
+        red_row(sc, i, j, 0, sc[2], 0, omega, c.r, c.diag, c.delta, c.p);
     }
     team_sync(tm);
     ROWS(tm, zero3, sc) {
@@ -738,43 +774,27 @@ static void cell_sweep(team_t *tm, const smg_level *lv, double omega, int zero_g
              black_cell_row(&c, &o, k0, k1));
     }
     team_sync(tm);
+    return size;
 }
 
-int smg_cell_sweep(const smg_level *lv, double omega, int zero_guess, double *p,
-                   const double *rhs, const double *diag)
+/* r[0] = D (1/rho) G p[0], or rhs[0] - it when rhs[0] is not NULL; without
+ * work, returns its size */
+static long cell_apply(team_t *tm, const smg_level *lv, const double *const *p,
+                       const double *const *rhs, double *const *r, double *work)
 {
-    double *work = malloc(cell_sweep_size(&lv->g, zero_guess) * sizeof(double));
+    cell_t c = {.g = &lv->g, .lv = lv};
+    shapes(c.g, c.sc, c.sf);
+    long size = cell_fluxes(&c, work);
     if (!work)
-        return -1;
-    cell_sweep(SOLO, lv, omega, zero_guess, p, rhs, diag, work);
-    free(work);
-    return 0;
-}
-
-/* entries of a cell operator's workspace */
-static long cell_apply_size(const grid3 *g)
-{
-    cell_t c = {.g = g};
-    cell_shapes(&c);
-    return cell_face_count(&c);
-}
-
-static void cell_apply(team_t *tm, const smg_level *lv, const double *p,
-                       const double *rhs, double *out, double *work)
-{
-    cell_t c = {.g = &lv->g, .lv = lv, .p = (double *)p, .rhs = rhs, .r = out};
-    cell_shapes(&c);
-    double *next = work;
-    for (int x = c.g->first; x < 3; x++) {
-        c.flux[x] = next;
-        next += count(c.sf[x]);
-    }
+        return size;
+    c.p = (double *)p[0];
+    c.rhs = rhs[0];
+    c.r = r[0];
     gradient_rows(tm, &c);
     team_sync(tm);
-    long zero3[3] = {0, 0, 0};
-    ROWS(tm, zero3, c.sc)
-        poisson_line(&c, i, j);
+    div_rows(tm, &c);
     team_sync(tm);
+    return size;
 }
 
 typedef struct {
@@ -786,7 +806,7 @@ typedef struct {
 static void cell_apply_task(team_t *tm, void *arg)
 {
     const cell_apply_args *a = arg;
-    cell_apply(tm, a->lv, a->p, a->rhs, a->out, a->work);
+    cell_apply(tm, a->lv, &a->p, &a->rhs, &a->out, a->work);
 }
 
 /* entries of a grid's Stokes vector: its velocity faces and pressure
@@ -796,7 +816,8 @@ static long stokes_entries(const grid3 *g);
 /* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
 int smg_cell_apply(const smg_level *lv, const double *p, const double *rhs, double *out)
 {
-    cell_apply_args a = {lv, p, rhs, out, malloc(cell_apply_size(&lv->g) * sizeof(double))};
+    cell_apply_args a = {lv, p, rhs, out,
+                         workspace(cell_apply(SOLO, lv, NULL, NULL, NULL, NULL))};
     if (!a.work)
         return -1;
     team_run(stokes_entries(&lv->g), cell_apply_task, &a);
@@ -808,7 +829,7 @@ int smg_cell_apply(const smg_level *lv, const double *p, const double *rhs, doub
 void smg_grad(const grid3 *g, const double *p, double *const *out)
 {
     cell_t c = {.g = g, .p = (double *)p, .flux = {out[0], out[1], out[2]}};
-    cell_shapes(&c);
+    shapes(g, c.sc, c.sf);
     gradient_rows(SOLO, &c);
 }
 
@@ -829,12 +850,12 @@ ROW_FUNCTION cell_diag_row(const cell_t *c, const black_cell_at *o, long k0, lon
     }
 }
 
-/* out = the diagonal of D (1/rho) G, which smg_cell_sweep divides by */
-void smg_cell_diag(const smg_level *lv, double *out)
+/* out = the diagonal of D (1/rho) G, which the pressure sweep divides by */
+static void cell_diag(const smg_level *lv, double *out)
 {
     cell_t c = {.g = &lv->g, .lv = lv, .r = out};
     long zero3[3] = {0, 0, 0};
-    cell_shapes(&c);
+    shapes(c.g, c.sc, c.sf);
     ROWS(SOLO, zero3, c.sc) {
         black_cell_at o = {0};
         LINE(0, c.sc[2], 0, 1, black_cell_setup(&c, i, j, at, &o),
@@ -851,7 +872,7 @@ enum { OUT_A = 0, OUT_RESIDUAL = 1, OUT_SADDLE = 2, OUT_SADDLE_RESIDUAL = 3 };
 
 typedef struct {
     const grid3 *g;
-    const smg_level *lv; /* NULL in smg_div */
+    const smg_level *lv;
     int a, out, bounded, nb, bs[2]; /* bs: the other coupled axes */
     double omega;
     const double *u[3];
@@ -863,15 +884,8 @@ typedef struct {
     long sc[3], sf[3][3], sn[2][3]; /* cells, faces, (a, bs[m]) nodes/edges */
 } face_t;
 
-static void face_shapes(face_t *f)
-{
-    shape_of(f->g, -1, -1, f->sc);
-    for (int x = f->g->first; x < 3; x++)
-        shape_of(f->g, x, x, f->sf[x]);
-}
-
 /* Points f at component a: its density, its other coupled axes, their
- * node/edge viscosities (none without coefficients) and wall velocities
+ * node/edge viscosities and wall velocities
  * (walls[(3 a + b) 2 + side], or none).  Returns the entries of its
  * tangential flux arrays. */
 static long face_component(face_t *f, int a, const double *const *walls)
@@ -881,14 +895,14 @@ static long face_component(face_t *f, int a, const double *const *walls)
     f->a = a;
     f->bounded = !periodic(g, a);
     f->ua = (double *)f->u[a];
-    f->rho = f->lv ? f->lv->rho[a] : NULL;
+    f->rho = f->lv->rho[a];
     f->nb = 0;
     for (int b = g->first; b < 3; b++) {
         if (b == a)
             continue;
         int m = f->nb++;
         f->bs[m] = b;
-        f->w[m] = f->lv ? f->lv->ne[a + b - 1] : NULL;
+        f->w[m] = f->lv->ne[a + b - 1];
         for (int side = 0; side < 2; side++)
             f->wall[m][side] = walls ? walls[(3 * a + b) * 2 + side] : NULL;
         shape_of(g, a, b, f->sn[m]);
@@ -919,45 +933,6 @@ static inline double normal_weight(int form, double inv_h2, double mu, double ga
     if (form == STRESS)
         return (2.0 * inv_h2) * mu;
     return inv_h2 * (2.0 * mu + (gamma - (2.0 / 3.0) * mu));
-}
-
-/* D u at the cells */
-typedef struct { long rc, r0[3], r1[3]; } div_at;
-
-static void div_setup(const face_t *f, long i, long j, long at, div_at *o)
-{
-    o->rc = row(f->sc, i, j, -1, 0);
-    for (int b = f->g->first; b < 3; b++) {
-        o->r0[b] = row(f->sf[b], i, j, -1, 0);
-        o->r1[b] = nbr(f->sf[b], i, j, at, b, 1);
-    }
-}
-
-ROW_FUNCTION div_row(const face_t *f, const div_at *o, long k0, long k1)
-{
-    const double *u0 = f->u[0], *u1 = f->u[1], *u2 = f->u[2];
-    const long a0 = o->r0[0], b0 = o->r1[0], a1 = o->r0[1], b1 = o->r1[1];
-    const long a2 = o->r0[2], b2 = o->r1[2], rc = o->rc;
-    const int three = f->g->first == 0;
-    const double h = f->g->h;
-    for (long k = k0; k < k1; k++) {
-        double s = 0.0;
-        if (three)
-            s += u0[b0 + k] - u0[a0 + k];
-        s += u1[b1 + k] - u1[a1 + k];
-        s += u2[b2 + k] - u2[a2 + k];
-        f->divu[rc + k] = s / h;
-    }
-}
-
-/* f->divu = D u */
-static void div_rows(team_t *tm, const face_t *f)
-{
-    long zero3[3] = {0, 0, 0};
-    ROWS(tm, zero3, f->sc) {
-        div_at o = {0};
-        LINE(0, f->sc[2], 0, 1, div_setup(f, i, j, at, &o), div_row(f, &o, k0, k1));
-    }
 }
 
 /* normal fluxes at the cells */
@@ -1229,43 +1204,35 @@ ROW_FUNCTION black_face_row(const face_t *f, const black_face_at *o,
     }
 }
 
-/* entries of the largest component's tangential flux arrays on f->g */
+/* entries of the largest component's tangential flux arrays on f->g, with
+ * f's shapes set */
 static long tangent_size(face_t *f)
 {
     long nn = 0;
-    face_shapes(f);
-    for (int a = f->g->first; a < 3; a++) {
-        long n = face_component(f, a, NULL);
-        nn = n > nn ? n : nn;
-    }
+    shapes(f->g, f->sc, f->sf);
+    for (int a = f->g->first; a < 3; a++)
+        nn = most(face_component(f, a, NULL), nn);
     return nn;
 }
 
-/* entries of a face sweep's workspace, sized for the largest component */
-static long face_sweep_size(const grid3 *g)
-{
-    face_t f = {.g = g};
-    long nn = tangent_size(&f), nf = 0;
-    for (int a = g->first; a < 3; a++)
-        nf = count(f.sf[a]) > nf ? count(f.sf[a]) : nf;
-    return 2 * nf + 2 * count(f.sc) + nn;
-}
-
 /* Relaxes u[a] for every coupled axis a in turn, each from its own
- * residual, which reads the components already relaxed.  zero_guess
- * promises that u is zero, so the first component takes rhs as its
- * residual. */
-static void face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_guess,
-                       double *const *u, const double *const *rhs,
-                       const double *const *diag, double *work)
+ * residual, which reads the components already relaxed, dividing by
+ * lv->diag[a]; without work, returns its size, sized for the largest
+ * component.  zero_guess promises that u is zero, so the first component
+ * takes rhs as its residual. */
+static long face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_guess,
+                       double *const *u, const double *const *rhs, double *work)
 {
     const grid3 *g = &lv->g;
-    face_t f = {.g = g, .lv = lv, .out = OUT_RESIDUAL, .omega = omega,
-                .u = {u[0], u[1], u[2]}};
-    face_shapes(&f);
-    long nc = count(f.sc), nf = 0;
+    face_t f = {.g = g, .lv = lv, .out = OUT_RESIDUAL, .omega = omega};
+    long nn = tangent_size(&f), nc = count(f.sc), nf = 0;
     for (int a = g->first; a < 3; a++)
-        nf = count(f.sf[a]) > nf ? count(f.sf[a]) : nf;
+        nf = most(count(f.sf[a]), nf);
+    long size = 2 * nf + 2 * nc + nn;
+    if (!work)
+        return size;
+    for (int a = g->first; a < 3; a++)
+        f.u[a] = u[a];
     f.delta = work;
     f.fn = work + 2 * nf;
     f.divu = f.fn + nc;
@@ -1276,7 +1243,7 @@ static void face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_g
         long lo3[3], hi3[3];
         face_component(&f, a, NULL);
         f.base = rhs[a];
-        f.diag = diag[a];
+        f.diag = lv->diag[a];
         f.ft[1] = f.ft[0] + count(f.sn[0]);
         unknowns(&f, lo3, hi3);
         zero_pass(tm, f.delta, count(sa));
@@ -1285,7 +1252,7 @@ static void face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_g
         f.r = from_rhs ? (double *)rhs[a] : work + nf;
         if (!from_rhs) {
             if (lv->form == STRESS_BULK) {
-                div_rows(tm, &f);
+                divergence(tm, g, f.u, f.divu);
                 team_sync(tm);
             }
             flux_rows(tm, &f);
@@ -1305,17 +1272,7 @@ static void face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_g
         }
         team_sync(tm);
     }
-}
-
-int smg_face_sweep(const smg_level *lv, double omega, int zero_guess, double *const *u,
-                   const double *const *rhs, const double *const *diag)
-{
-    double *work = malloc(face_sweep_size(&lv->g) * sizeof(double));
-    if (!work)
-        return -1;
-    face_sweep(SOLO, lv, omega, zero_guess, u, rhs, diag, work);
-    free(work);
-    return 0;
+    return size;
 }
 
 /* the diagonal at component a's unknowns: theta rho, then per coupling (the
@@ -1348,11 +1305,11 @@ ROW_FUNCTION face_diag_row(const face_t *f, const black_face_at *o, long k0, lon
 }
 
 /* out[a] = the diagonal of A = theta rho - L_mu at every component a, which
- * smg_face_sweep divides by; boundary faces (not unknowns) hold 1 */
-void smg_face_diag(const smg_level *lv, double *const *out)
+ * the velocity sweep divides by; boundary faces (not unknowns) hold 1 */
+static void face_diag(const smg_level *lv, double *const *out)
 {
     face_t f = {.g = &lv->g, .lv = lv};
-    face_shapes(&f);
+    shapes(f.g, f.sc, f.sf);
     for (int a = f.g->first; a < 3; a++) {
         long lo3[3], hi3[3];
         face_component(&f, a, NULL);
@@ -1369,16 +1326,8 @@ void smg_face_diag(const smg_level *lv, double *const *out)
     }
 }
 
-/* entries of a face operator's workspace */
-static long face_apply_size(const grid3 *g, int form, int out)
-{
-    face_t f = {.g = g};
-    long nn = tangent_size(&f);
-    int own_div = form == STRESS_BULK && out != OUT_SADDLE && out != OUT_SADDLE_RESIDUAL;
-    return count(f.sc) * (1 + own_div) + nn;
-}
-
-/* The arguments of smg_face_apply, and its workspace. */
+/* The arguments of smg_face_apply, and its workspace (NULL: face_apply
+ * returns its size and runs nothing). */
 typedef struct {
     const smg_level *lv;
     int out;
@@ -1386,23 +1335,27 @@ typedef struct {
     double *const *res, *res_p, *work;
 } face_apply_args;
 
-static void face_apply(team_t *tm, const face_apply_args *in)
+static long face_apply(team_t *tm, const face_apply_args *in)
 {
     const grid3 *g = &in->lv->g;
     int form = in->lv->form, out = in->out;
     double *const *res = in->res, *res_p = in->res_p, *work = in->work;
-    face_t f = {.g = g, .lv = in->lv, .out = out, .u = {in->u[0], in->u[1], in->u[2]}};
-    face_shapes(&f);
-    long nc = count(f.sc);
+    face_t f = {.g = g, .lv = in->lv, .out = out};
+    long nn = tangent_size(&f), nc = count(f.sc);
     int saddle = out == OUT_SADDLE || out == OUT_SADDLE_RESIDUAL;
     int own_div = form == STRESS_BULK && !saddle;
+    long size = nc * (1 + own_div) + nn;
+    if (!work)
+        return size;
+    for (int a = g->first; a < 3; a++)
+        f.u[a] = in->u[a];
     f.fn = work;
     f.divu = saddle ? res_p : work + nc;
     if (form == STRESS_BULK || saddle)
-        div_rows(tm, &f);
+        divergence(tm, g, f.u, f.divu);
     if (saddle) {
         cell_t c = {.g = g, .p = (double *)in->p, .flux = {res[0], res[1], res[2]}};
-        cell_shapes(&c);
+        shapes(g, c.sc, c.sf);
         gradient_rows(tm, &c);
     }
     team_sync(tm);
@@ -1433,6 +1386,7 @@ static void face_apply(team_t *tm, const face_apply_args *in)
         }
         team_sync(tm);
     }
+    return size;
 }
 
 static void face_apply_task(team_t *tm, void *arg)
@@ -1449,8 +1403,8 @@ int smg_face_apply(const smg_level *lv, int out, const double *const *u, const d
                    const double *const *base, const double *base_p,
                    const double *const *walls, double *const *res, double *res_p)
 {
-    face_apply_args a = {lv, out, u, p, base, base_p, walls, res, res_p,
-                         malloc(face_apply_size(&lv->g, lv->form, out) * sizeof(double))};
+    face_apply_args a = {lv, out, u, p, base, base_p, walls, res, res_p, NULL};
+    a.work = workspace(face_apply(SOLO, &a));
     if (!a.work)
         return -1;
     team_run(stokes_entries(&lv->g), face_apply_task, &a);
@@ -1461,9 +1415,7 @@ int smg_face_apply(const smg_level *lv, int out, const double *const *u, const d
 /* out = D u */
 void smg_div(const grid3 *g, const double *const *u, double *out)
 {
-    face_t f = {.g = g, .u = {u[0], u[1], u[2]}, .divu = out};
-    face_shapes(&f);
-    div_rows(SOLO, &f);
+    divergence(SOLO, g, u, out);
 }
 
 /* ------------------------------------------------------------------------
@@ -1635,70 +1587,8 @@ static int transfer_plan(const grid3 *g, int a, int first, int second, int *pass
     return np;
 }
 
-/* Restriction (g fine) or prolongation (g coarse) of every component of a
- * face field, as a face restriction runs it: means over the axes
- * tangential to a, then the 1/4, 1/2, 1/4 stencil along a; a face
- * prolongation: 3/4-1/4 interpolation along the axes tangential to a, then
- * copies and means along a.  Without work, returns its size. */
-static long face_transfer(team_t *tm, const grid3 *g, int restricting,
-                          const double *const *src, double *const *dst, double *work)
-{
-    long size = 0;
-    for (int a = g->first; a < 3; a++) {
-        int passes[3], axes[3];
-        int np = restricting ? transfer_plan(g, a, PAIR_MEAN, RESTRICT_NORMAL, passes, axes)
-                             : transfer_plan(g, a, PROLONG_TANGENT, PROLONG_NORMAL,
-                                             passes, axes);
-        long s[3];
-        shape_of(g, a, a, s);
-        long n = transfer(tm, g, np, passes, axes, work ? src[a] : NULL, s,
-                          work ? dst[a] : NULL, work);
-        size = n > size ? n : size;
-    }
-    return size;
-}
-
-/* coarse = the 2^d-child means of fine; g is the fine grid.  Without
- * work, returns its size. */
-static long restrict_cell(team_t *tm, const grid3 *g, const double *fine,
-                          double *coarse, double *work)
-{
-    int passes[3], axes[3];
-    int np = transfer_plan(g, -1, PAIR_MEAN, 0, passes, axes);
-    long s[3];
-    shape_of(g, -1, -1, s);
-    return transfer(tm, g, np, passes, axes, fine, s, coarse, work);
-}
-
-int smg_restrict_cell(const grid3 *g, const double *fine, double *coarse)
-{
-    double *work = malloc(restrict_cell(SOLO, g, NULL, NULL, NULL) * sizeof(double));
-    if (!work)
-        return -1;
-    restrict_cell(SOLO, g, fine, coarse, work);
-    free(work);
-    return 0;
-}
-
-static int face_transfer_entry(const grid3 *g, int restricting, const double *const *src,
-                               double *const *dst)
-{
-    long size = face_transfer(SOLO, g, restricting, NULL, NULL, NULL);
-    double *work = malloc(size * sizeof(double));
-    if (!work)
-        return -1;
-    face_transfer(SOLO, g, restricting, src, dst, work);
-    free(work);
-    return 0;
-}
-
-/* coarse[a] = means over the axes tangential to a, then the 1/4, 1/2, 1/4
- * stencil along a; g is the fine grid */
-int smg_restrict_face(const grid3 *g, const double *const *fine, double *const *coarse)
-{
-    return face_transfer_entry(g, 1, fine, coarse);
-}
-
+/* fine = each coarse value injected into its 2^d children; g is the
+ * coarse grid */
 static void prolong_cell(team_t *tm, const grid3 *g, const double *coarse,
                          double *fine)
 {
@@ -1715,38 +1605,117 @@ static void prolong_cell(team_t *tm, const grid3 *g, const double *coarse,
     team_sync(tm);
 }
 
-/* fine = each coarse value injected into its 2^d children; g is the
- * coarse grid */
-int smg_prolong_cell(const grid3 *g, const double *coarse, double *fine)
+/* Restriction (g fine) or prolongation (g coarse) of a field of the kind.
+ * A velocity field's restriction runs means over the axes tangential to
+ * each component a, then the 1/4, 1/2, 1/4 stencil along a, and its
+ * prolongation 3/4-1/4 interpolation along the axes tangential to a, then
+ * copies and means along a; a pressure field's restriction takes the means
+ * of the 2^d children (the plan of "component" a = -1), and its
+ * prolongation injects, with no workspace.  Without work, returns its
+ * size. */
+static long transfer_field(team_t *tm, int kind, int restricting, const grid3 *g,
+                           const double *const *src, double *const *dst, double *work)
 {
-    prolong_cell(SOLO, g, coarse, fine);
+    if (kind == CELL && !restricting) {
+        if (work)
+            prolong_cell(tm, g, src[0], dst[0]);
+        return 0;
+    }
+    long size = 0;
+    for (int a = kind == CELL ? -1 : g->first; a < (kind == CELL ? 0 : 3); a++) {
+        int passes[3], axes[3], c = a < 0 ? 0 : a;
+        int np = restricting ? transfer_plan(g, a, PAIR_MEAN, RESTRICT_NORMAL, passes, axes)
+                             : transfer_plan(g, a, PROLONG_TANGENT, PROLONG_NORMAL,
+                                             passes, axes);
+        long s[3];
+        shape_of(g, a, a, s);
+        size = most(transfer(tm, g, np, passes, axes, work ? src[c] : NULL, s,
+                             work ? dst[c] : NULL, work), size);
+    }
+    return size;
+}
+
+/* ------------------------------------------------------------------------
+ * the multigrid stages
+ * ------------------------------------------------------------------------
+ * One stage per job, for a field of either kind, as per-axis pointers (a
+ * pressure field's first): sweep and residual here, transfer_field above.
+ * The V-cycle and the stand-alone entries below call only these.  Without
+ * work, each returns its size. */
+
+/* one sweep of x against rhs on level lv, dividing by lv->diag */
+static long sweep(team_t *tm, int kind, const smg_level *lv, double omega, int zero_guess,
+                  double *const *x, const double *const *rhs, double *work)
+{
+    return kind == CELL ? cell_sweep(tm, lv, omega, zero_guess, x, rhs, work)
+                        : face_sweep(tm, lv, omega, zero_guess, x, rhs, work);
+}
+
+/* r = rhs - (the kind's operator on level lv) x */
+static long residual(team_t *tm, int kind, const smg_level *lv, const double *const *x,
+                     const double *const *rhs, double *const *r, double *work)
+{
+    if (kind == CELL)
+        return cell_apply(tm, lv, x, rhs, r, work);
+    face_apply_args a = {.lv = lv, .out = OUT_RESIDUAL, .u = x, .base = rhs, .res = r,
+                         .work = work};
+    return face_apply(tm, &a);
+}
+
+/* One sweep of x on the operator of level lv, which holds the diagonal:
+ * of the pressure operator when cell is nonzero, else of the velocity
+ * operator.  zero_guess promises that x is zero, so the (first component's)
+ * residual is rhs and the operator is not applied. */
+int smg_sweep(int cell, const smg_level *lv, double omega, int zero_guess,
+              const double *const *rhs, double *const *x)
+{
+    int kind = cell ? CELL : FACE;
+    double *work = workspace(sweep(SOLO, kind, lv, omega, zero_guess, NULL, NULL, NULL));
+    if (!work)
+        return -1;
+    sweep(SOLO, kind, lv, omega, zero_guess, x, rhs, work);
+    free(work);
     return 0;
 }
 
-/* fine[a] = 3/4-1/4 interpolation along the axes tangential to a, then
- * copies and means along a; g is the coarse grid */
-int smg_prolong_face(const grid3 *g, const double *const *coarse, double *const *fine)
+/* out = the diagonal a sweep of the kind divides by, on level lv */
+void smg_diag(int cell, const smg_level *lv, double *const *out)
 {
-    return face_transfer_entry(g, 0, coarse, fine);
+    if (cell)
+        cell_diag(lv, out[0]);
+    else
+        face_diag(lv, out);
+}
+
+/* dst = the restriction of src (g the fine grid) when restricting is
+ * nonzero, else its prolongation (g the coarse grid), of a pressure field
+ * when cell is nonzero, else of a velocity field */
+int smg_transfer(int cell, int restricting, const grid3 *g, const double *const *src,
+                 double *const *dst)
+{
+    int kind = cell ? CELL : FACE;
+    double *work = workspace(transfer_field(SOLO, kind, restricting, g, NULL, NULL, NULL));
+    if (!work)
+        return -1;
+    transfer_field(SOLO, kind, restricting, g, src, dst, work);
+    free(work);
+    return 0;
 }
 
 /* ------------------------------------------------------------------------
  * V-cycles
  * ------------------------------------------------------------------------
  * smg_vcycle runs one residual-correction V-cycle of either operator from
- * a zero guess over a plan of levels, finest first, with the stages
- * of the entries above in the order the reference recursion in
- * tests/reference.py calls those entries, so every output bit is theirs.
- * Each call makes one allocation and frees it before it returns, laid out
- * as a stack of frames, one per level (see
- * cycle_level): a level's frame holds its sweeps' workspace, or its
- * residual and then its prolonged correction, followed by the coarser
- * level's right-hand side, iterate and frame.  The caller owns the finest
- * iterate and right-hand side.  The whole cycle is one task of the team;
- * from the first level below TEAM_MIN_ENTRIES down and back, the calling
- * thread runs alone while the helpers wait at one barrier. */
-
-enum { FACE, CELL };
+ * a zero guess over a plan of levels, finest first, with the stages above
+ * in the order the reference recursion in tests/reference.py calls the
+ * stand-alone entries, so every output bit is theirs.  Each call makes one
+ * allocation and frees it before it returns, laid out as a stack of frames,
+ * one per level (see cycle_level): a level's frame holds its sweeps'
+ * workspace, or its residual and then its prolonged correction, followed
+ * by the coarser level's right-hand side, iterate and frame.  The caller
+ * owns the finest iterate and right-hand side.  The whole cycle is one task
+ * of the team; from the first level below TEAM_MIN_ENTRIES down and back,
+ * the calling thread runs alone while the helpers wait at one barrier. */
 
 typedef struct {
     int kind;
@@ -1819,43 +1788,31 @@ static void zero_or_add(team_t *tm, int kind, const grid3 *g, double *const *x,
     team_sync(tm);
 }
 
-static long most(long a, long b)
-{
-    return a > b ? a : b;
-}
-
 /* Entries of level l's frame: what its sweeps use, or its residual with
  * the residual's workspace, or its residual or prolonged correction (at
  * the frame's start) with level l + 1's right-hand side and iterate, then
  * the transfer's workspace or level l + 1's frame. */
 static long frame_size(const cycle_t *cy, long l)
 {
-    const grid3 *g = &cy->plan[l].g;
-    long sweep = cy->kind == CELL ? cell_sweep_size(g, 0) : face_sweep_size(g);
+    const smg_level *lv = cy->plan + l;
+    long own = sweep(SOLO, cy->kind, lv, 0.0, 0, NULL, NULL, NULL);
     if (l == cy->levels - 1)
-        return sweep;
-    const grid3 *gc = &cy->plan[l + 1].g;
+        return own;
+    const grid3 *g = &lv->g, *gc = &lv[1].g;
     long fine = field_size(cy->kind, g), coarse = 2 * field_size(cy->kind, gc);
-    long apply = cy->kind == CELL ? cell_apply_size(g)
-                                  : face_apply_size(g, cy->plan[l].form, OUT_RESIDUAL);
-    long down = cy->kind == CELL ? restrict_cell(SOLO, g, NULL, NULL, NULL)
-                                 : face_transfer(SOLO, g, 1, NULL, NULL, NULL);
-    long up = cy->kind == CELL ? 0 : face_transfer(SOLO, gc, 0, NULL, NULL, NULL);
+    long res = residual(SOLO, cy->kind, lv, NULL, NULL, NULL, NULL);
+    long down = transfer_field(SOLO, cy->kind, 1, g, NULL, NULL, NULL);
+    long up = transfer_field(SOLO, cy->kind, 0, gc, NULL, NULL, NULL);
     long below = most(most(down, up), frame_size(cy, l + 1));
-    return most(most(sweep, fine + apply), fine + coarse + below);
+    return most(most(own, fine + res), fine + coarse + below);
 }
 
 /* sweeps relaxations of x on level lv, the first from x = 0 when from_zero */
 static void relax(team_t *tm, const cycle_t *cy, const smg_level *lv, int sweeps,
                   int from_zero, double *const *x, const double *const *rhs, double *work)
 {
-    for (int k = 0; k < sweeps; k++) {
-        int zero_guess = from_zero && k == 0;
-        if (cy->kind == CELL)
-            cell_sweep(tm, lv, cy->omega, zero_guess, x[0], rhs[0], lv->diag[0], work);
-        else
-            face_sweep(tm, lv, cy->omega, zero_guess, x, rhs, lv->diag, work);
-    }
+    for (int k = 0; k < sweeps; k++)
+        sweep(tm, cy->kind, lv, cy->omega, from_zero && k == 0, x, rhs, work);
 }
 
 /* x = the V-cycle of level l on rhs, in the frame_size entries from frame
@@ -1885,25 +1842,15 @@ static void cycle_level(team_t *tm, const cycle_t *cy, long l, double *const *x,
     double *r[3], *crhs[3], *cx[3];
     double *after = field_at(cy->kind, g, frame, r);
     double *below = field_at(cy->kind, gc, field_at(cy->kind, gc, after, crhs), cx);
-    if (cy->kind == CELL) {
-        cell_apply(tm, lv, x[0], rhs[0], r[0], after);
-        restrict_cell(tm, g, r[0], crhs[0], below);
-    } else {
-        face_apply_args a = {.lv = lv, .out = OUT_RESIDUAL, .u = (const double *const *)x,
-                             .base = rhs, .res = r, .work = after};
-        face_apply(tm, &a);
-        face_transfer(tm, g, 1, (const double *const *)r, crhs, below);
-    }
+    residual(tm, cy->kind, lv, (const double *const *)x, rhs, r, after);
+    transfer_field(tm, cy->kind, 1, g, (const double *const *)r, crhs, below);
 
     cycle_level(tm, cy, l + 1, cx, (const double *const *)crhs, below);
 
     /* the prolonged correction */
     double *e[3];
     field_at(cy->kind, g, frame, e);
-    if (cy->kind == CELL)
-        prolong_cell(tm, gc, cx[0], e[0]);
-    else
-        face_transfer(tm, gc, 0, (const double *const *)cx, e, below);
+    transfer_field(tm, cy->kind, 0, gc, (const double *const *)cx, e, below);
     zero_or_add(tm, cy->kind, g, x, (const double *const *)e);
     relax(tm, cy, lv, cy->up, 0, x, rhs, frame);
 }
@@ -1924,7 +1871,7 @@ int smg_vcycle(int cell, long levels, const smg_level *plan, double omega, int d
     cycle_t cy = {.kind = cell ? CELL : FACE, .levels = levels, .plan = plan,
                   .omega = omega, .down = down, .up = up, .bottom = bottom, .x = x,
                   .rhs = rhs};
-    cy.work = malloc(frame_size(&cy, 0) * sizeof(double));
+    cy.work = workspace(frame_size(&cy, 0));
     if (!cy.work)
         return -1;
     team_run(stokes_entries(&plan->g), cycle_task, &cy);

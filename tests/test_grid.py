@@ -105,6 +105,31 @@ class TestFieldContainers:
         with pytest.raises(LayoutError):
             StokesVector(FaceField.zeros(g1), CellField.zeros(g2))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_arrays_are_fixed_at_construction(self, dim, rng):
+        # the kernels keep a coefficient set's addresses, so a field given
+        # another array would leave them reading the old one; values change
+        # in place, augmented assignment included
+        g = mkgrid(4, bc=NO_SLIP, dim=dim)
+        p, u, ne = random_cell(g, rng), random_face(g, rng), NodeEdgeField.zeros(g)
+        data, comps, plane = p.data, u.components, ne.arrays[(0, 1)]
+        with pytest.raises(AttributeError):
+            p.data = 5 * p.data
+        with pytest.raises(AttributeError):
+            u.components = tuple(c.copy() for c in comps)
+        with pytest.raises(AttributeError):
+            ne.arrays = dict(ne.arrays)
+        with pytest.raises(TypeError):
+            ne.arrays[(0, 1)] = plane.copy()
+        want = p.data - 1.0
+        p.data -= 1.0
+        u.components[0][...] += 1.0
+        ne.arrays[(0, 1)][...] = 2.0
+        assert p.data is data and u.components is comps and ne.arrays[(0, 1)] is plane
+        assert np.array_equal(p.data, want) and np.all(plane == 2.0)
+        # the read-only mapping of node/edge arrays still pickles
+        assert np.all(pickle.loads(pickle.dumps(ne)).arrays[(0, 1)] == 2.0)
+
     def test_interior_view_excludes_walls(self):
         g = mkgrid(4, bc=NO_SLIP)
         u = FaceField.zeros(g)

@@ -260,16 +260,18 @@ def strided(arr):
 
 
 def strided_face(u, axis):
-    """``u`` with its ``axis`` component reassigned to a strided view."""
+    """``u`` with its ``axis`` component reassigned to a strided view, around
+    the field's refusal of another array."""
     comps = list(u.components)
     comps[axis] = strided(comps[axis])
-    u.components = tuple(comps)
+    object.__setattr__(u, "components", tuple(comps))
     return u
 
 
 def strided_cell(f):
-    """``f`` with its data reassigned to a strided view."""
-    f.data = strided(f.data)
+    """``f`` with its data reassigned to a strided view, around the field's
+    refusal of another array."""
+    object.__setattr__(f, "data", strided(f.data))
     return f
 
 

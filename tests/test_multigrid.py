@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stokesmg import kernels, multigrid
+from stokesmg.krylov import GmresConfig
 from stokesmg.grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -38,6 +39,7 @@ from stokesmg.operators import (
     lrho_diagonal,
     make_coefficients,
 )
+from stokesmg.precond import PrecondConfig, SchurConfig
 from stokesmg.problems import constant_coefficients, inviscid_coefficients
 
 import reference
@@ -64,6 +66,20 @@ class TestSmootherParams:
     def test_defaults(self):
         p = SmootherParams()
         assert (p.omega, p.sweeps_down, p.sweeps_up, p.bottom_sweeps) == (1.0, 2, 2, 8)
+
+
+@pytest.mark.parametrize("make, key", [
+    (SmootherParams, "sweeps_down"), (SmootherParams, "sweeps_up"),
+    (SmootherParams, "bottom_sweeps"), (PrecondConfig, "velocity_cycles"),
+    (SchurConfig, "pressure_cycles"), (GmresConfig, "restart"), (GmresConfig, "max_iters")])
+def test_config_counts_are_integers(make, key):
+    # a fractional count would construct and fail only inside the first
+    # solve, in a library call or in GMRES
+    count = getattr(make(), key)
+    for value in (count + 0.5, float(count), str(count)):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            make(**{key: value})
+    assert getattr(make(**{key: np.int64(count)}), key) == count
 
 
 class TestHierarchy:
@@ -134,8 +150,7 @@ class TestCoarsenCoefficients:
 
     def test_3d_edge_overlay_mean(self, rng):
         g = mkgrid(4, bc=NO_SLIP, dim=3)
-        mu = random_cell(g, rng)
-        mu.data = np.abs(mu.data) + 1.0
+        mu = CellField(g, np.abs(random_cell(g, rng).data) + 1.0)
         coeff = make_coefficients(g, 0.0, CellField(g, np.ones(g.cells)), mu)
         out = coarsen_coefficients(coeff, g.coarsened())
         fine = coeff.mu_node_edge.plane(0, 1)  # z-oriented edges
@@ -371,24 +386,22 @@ class TestSmootherMatchesOperator:
 class TestSmootherCost:
     # each smoother call is one library sweep, which forms its own residuals
     # (the face sweep one per component, the first skipped under zero_guess);
-    # the position of each sweep's zero_guess argument
-    SWEEPS = {"smg_face_sweep": ("face", 2), "smg_cell_sweep": ("cell", 2)}
+    # smg_sweep takes the kind (nonzero: cell) first and zero_guess fourth
 
     @classmethod
     def count_residuals(cls, monkeypatch, calls, flags=None):
         """Count library sweeps whose ``zero_guess`` argument is false into
         ``calls``, and append every sweep's flag to ``flags[kind]``."""
         lib = kernels.load()
-        for name, (kind, flag) in cls.SWEEPS.items():
-            original = getattr(lib, name)
 
-            def run(*args, _f=original, _kind=kind, _flag=flag):
-                calls[_kind] += not args[_flag]
-                if flags is not None:
-                    flags[_kind].append(args[_flag])
-                return _f(*args)
+        def run(*args, _f=lib.smg_sweep):
+            kind = "cell" if args[0] else "face"
+            calls[kind] += not args[3]
+            if flags is not None:
+                flags[kind].append(args[3])
+            return _f(*args)
 
-            monkeypatch.setattr(lib, name, run)
+        monkeypatch.setattr(lib, "smg_sweep", run)
 
     @pytest.mark.parametrize("zero_guess", [False, True])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -521,9 +534,9 @@ class TestLibraryCalls:
         assert len(hier) >= 2
         calls = self.count_calls(monkeypatch)
         params = SmootherParams()
-        for rhs, kind in ((random_face(g, rng), "face"), (random_cell(g, rng), "cell")):
+        for rhs in (random_face(g, rng), random_cell(g, rng)):
             vcycle(rhs, hier, params)
-            assert calls == {f"smg_{kind}_diag": len(hier), "smg_vcycle": 1}
+            assert calls == {"smg_diag": len(hier), "smg_vcycle": 1}
             calls.clear()
             vcycle(rhs, hier, params)
             assert calls == {"smg_vcycle": 1}

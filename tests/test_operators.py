@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stokesmg import kernels
 from stokesmg.grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -13,6 +14,13 @@ from stokesmg.grid import (
     StokesVector,
     dot,
     norm2,
+)
+from stokesmg.multigrid import (
+    SmootherParams,
+    build_hierarchy,
+    smooth_cell,
+    smooth_face,
+    vcycle,
 )
 from stokesmg.operators import (
     LAPLACIAN,
@@ -338,6 +346,55 @@ class TestApplyA:
                  lambda: apply_viscous(u, coeff), lambda: apply_Lrho(p, coeff),
                  lambda: apply_M(StokesVector(u, p), coeff),
                  lambda: helmholtz_diagonal(g, coeff), lambda: lrho_diagonal(g, coeff)]
+        for call in calls:
+            with pytest.raises(LayoutError):
+                call()
+
+    @pytest.mark.parametrize("other", [{"bc": NO_SLIP, "h": 0.5}, {"bc": FREE_SLIP}],
+                             ids=["spacing", "walls"])
+    def test_fields_on_another_grid_rejected(self, other, rng):
+        # one grid per call, for fields too: a field on the same cells at
+        # another h, or with other walls, has the call's array shapes, and
+        # the field algebra already refuses to mix it in
+        g = mkgrid(8, bc=NO_SLIP)
+        coeff = make_variable_coeff(g, rng)
+        hier = build_hierarchy(g, coeff)
+        u, p = random_face(g, rng), random_cell(g, rng)
+        gx = mkgrid(8, **other)
+        ux, px = random_face(gx, rng), random_cell(gx, rng)
+        with pytest.raises(LayoutError):
+            u - ux
+        params = SmootherParams()
+        calls = [lambda: apply_A(u, coeff, rhs=ux), lambda: apply_Lrho(p, coeff, rhs=px),
+                 lambda: apply_M(StokesVector(u, p), coeff, rhs=StokesVector(ux, px)),
+                 lambda: vcycle(ux, hier, params), lambda: vcycle(px, hier, params),
+                 lambda: smooth_face(u, ux, g, coeff, hier.diag_face(0), 1.0),
+                 lambda: smooth_cell(px, p, g, coeff, hier.diag_cell(0), 1.0)]
+        for call in calls:
+            with pytest.raises(LayoutError):
+                call()
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fields_of_another_kind_rejected(self, dim, rng):
+        # a cell field where a face field belongs, or the reverse, would hand
+        # the library one pointer where it reads one per axis (or cell data
+        # read with face shapes): every entry refuses it before the call
+        g = mkgrid(4, bc=NO_SLIP, dim=dim)
+        coeff = make_variable_coeff(g, rng)
+        hier = build_hierarchy(g, coeff)
+        u, p = random_face(g, rng), random_cell(g, rng)
+        params = SmootherParams()
+        calls = [lambda: div(p), lambda: grad(u), lambda: apply_A(p, coeff),
+                 lambda: apply_A(u, coeff, rhs=p), lambda: apply_viscous(p, coeff),
+                 lambda: apply_Lrho(u, coeff), lambda: apply_Lrho(p, coeff, rhs=u),
+                 lambda: apply_M(StokesVector(p, p), coeff),
+                 lambda: apply_M(StokesVector(u, p), coeff, rhs=StokesVector(p, p)),
+                 lambda: smooth_face(p, u, g, coeff, hier.diag_face(0), 1.0),
+                 lambda: smooth_cell(p, p, g, coeff, hier.diag_face(0), 1.0),
+                 lambda: kernels.restrict_face(p), lambda: kernels.prolong_cell(u),
+                 lambda: kernels.vcycle(p, g, hier.plan(False), params),
+                 lambda: kernels.vcycle(u, g, hier.plan(True), params)]
         for call in calls:
             with pytest.raises(LayoutError):
                 call()
