@@ -25,7 +25,6 @@ from .operators import (
     LAPLACIAN,
     STRESS,
     STRESS_BULK,
-    BoundaryValues,
     CoefficientSet,
     RescaleSpec,
     ViscousForm,
@@ -35,7 +34,6 @@ from .operators import (
     apply_viscous,
     div,
     grad,
-    homogenize,
     lap_pressure,
     make_coefficients,
     rescale,

@@ -6,7 +6,7 @@ Index conventions, fixed for the whole package:
   ``(i, j)`` has its center at ``((i + 1/2) h, (j + 1/2) h)``.
 * The axis-``a`` velocity component lives on ``a``-faces.  Face ``i`` along
   its own axis is the *low* face of cell ``i``.  Wall-bounded axes store
-  ``n + 1`` entries (boundary faces included, holding prescribed values);
+  ``n + 1`` entries (boundary faces included, which are not unknowns);
   periodic axes store ``n`` (face 0 sits between cells ``n - 1`` and ``0``).
 * Node/edge arrays are staggered in two axes and cell-centered in the rest.
 * Unknown DOFs flatten axis-major (first index fastest, Fortran order), so

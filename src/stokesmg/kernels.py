@@ -75,7 +75,7 @@ from .grid import (
 )
 
 if TYPE_CHECKING:
-    from .operators import BoundaryValues, CoefficientSet
+    from .operators import CoefficientSet
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
@@ -193,7 +193,7 @@ _ptrs, _grid, _lv = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3),
 #: result and argument types of each entry of sweeps.c
 SIGNATURES = {
     "smg_sweep": (_int, [_int, _lv, _dbl, _int, _ptrs, _ptrs]),
-    "smg_face_apply": (_int, [_lv, _int, _ptrs, _ptr, _ptrs, _ptr, _ptrs, _ptrs, _ptr]),
+    "smg_face_apply": (_int, [_lv, _int, _ptrs, _ptr, _ptrs, _ptr, _ptrs, _ptr]),
     "smg_cell_apply": (_int, [_lv, _ptr, _ptr, _ptr]),
     "smg_diag": (None, [_int, _lv, _ptrs]),
     "smg_grad": (None, [_grid, _ptr, _ptrs]),
@@ -423,25 +423,6 @@ def _with_diagonal(kind, grid: GridSpec, coeff: CoefficientSet, diag) -> _Level:
     return out
 
 
-def _walls(bvals, lay: _Layout):
-    """Pointers to the tangential wall velocities the operator reads, at
-    ``(3 a + b) 2 + side`` in 3D axes; missing ones stay NULL (zero).  Wall
-    values are not fields: each is read from a C-contiguous copy that the
-    returned array's ``values`` keeps alive."""
-    grid = bvals.grid
-    walls = (ctypes.c_void_p * 18)()
-    walls.values = []
-    for a in range(grid.dim):
-        for b in range(grid.dim):
-            for side in (0, 1):
-                if b != a and not grid.periodic(b) and (b, side, a) in bvals.tangential:
-                    vals = np.ascontiguousarray(bvals.tangential_values(b, side, a))
-                    walls.values.append(vals)
-                    slot = (3 * (a + lay.lead) + b + lay.lead) * 2 + side
-                    walls[slot] = _address(vals, vals.shape)
-    return walls
-
-
 # ---------------------------------------------------------------------------
 # divergence, gradient and the pressure operator
 # ---------------------------------------------------------------------------
@@ -495,47 +476,44 @@ def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
 # ---------------------------------------------------------------------------
 
 
-def apply_viscous(u: FaceField, coeff: CoefficientSet,
-                  bvals: BoundaryValues | None = None) -> FaceField:
+def apply_viscous(u: FaceField, coeff: CoefficientSet) -> FaceField:
     """Discrete viscous term in the requested form.
 
     Laplacian: component-wise div(mu grad u_a).  Stress: the strain-tensor
     form with node/edge viscosities on the cross fluxes.  StressBulk adds
     the (gamma - 2/3 mu)(div u) isotropic flux.  Tangential momentum flux is
-    zero on free-slip walls; stencils reaching outside the domain use
-    one-sided differences against the wall values (distance h/2, hence a
-    factor two).  Unscaled fluxes are summed and each row is multiplied by
-    1/h^2 once, which for a power-of-two h rounds exactly like dividing
-    each difference by h.
+    zero on free-slip walls; on a no-slip wall, stencils reaching outside
+    the domain use one-sided differences against a zero wall velocity
+    (distance h/2, hence a factor two).  Unscaled fluxes are summed and each
+    row is multiplied by 1/h^2 once, which for a power-of-two h rounds
+    exactly like dividing each difference by h.
     """
     grid = u.grid
-    lib, lay = _start(grid)
+    lib, _ = _start(grid)
     out = _empty(FaceField, grid)
     # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
     steady = _Level.from_buffer_copy(_level(grid, coeff))
     steady.theta = 0.0
     _check(lib.smg_face_apply(steady, _OPERATOR, _field(FaceField, grid, u), None, None,
-                              None, bvals and _walls(bvals, lay),
-                              _field(FaceField, grid, out), None))
+                              None, _field(FaceField, grid, out), None))
     for c in out.components:
         np.negative(c, out=c)
     return out
 
 
 def apply_A(u: FaceField, coeff: CoefficientSet,
-            bvals: BoundaryValues | None = None,
             rhs: FaceField | None = None) -> FaceField:
     """Velocity operator theta*rho*u - L_mu u on the unknown faces (steady
     flow forms no mass term: -L_mu u); with ``rhs``, the residual
     ``rhs - A u`` instead, in the same pass, whose boundary faces carry
     ``rhs``."""
     grid = u.grid
-    lib, lay = _start(grid)
+    lib, _ = _start(grid)
     out = _empty(FaceField, grid)
     _check(lib.smg_face_apply(
         _level(grid, coeff), _OPERATOR if rhs is None else _RESIDUAL,
         _field(FaceField, grid, u), None, rhs and _field(FaceField, grid, rhs), None,
-        bvals and _walls(bvals, lay), _field(FaceField, grid, out), None))
+        _field(FaceField, grid, out), None))
     return out
 
 
@@ -551,7 +529,7 @@ def apply_M(x: StokesVector, coeff: CoefficientSet,
     _check(lib.smg_face_apply(
         _level(grid, coeff), _SADDLE if rhs is None else _SADDLE_RESIDUAL,
         _field(FaceField, grid, x.u), _cell(grid, x.p),
-        rhs and _field(FaceField, grid, rhs.u), rhs and _cell(grid, rhs.p), None,
+        rhs and _field(FaceField, grid, rhs.u), rhs and _cell(grid, rhs.p),
         _field(FaceField, grid, out.u), _cell(grid, out.p)))
     return out
 

@@ -231,8 +231,8 @@ def gmres_solve(
 ):
     """Solve M x = rhs with left-preconditioned restarted GMRES.
 
-    The right-hand side must already be homogenized (and, for dimensional
-    problems, rescaled).  Termination tests the preconditioned residual
+    Every wall velocity is zero; a dimensional problem's right-hand side
+    must already be rescaled.  Termination tests the preconditioned residual
     against ``rtol * r_P(0) + atol``; the history carries both residuals
     per iteration plus the cumulative scalar-V-cycle count.  A non-finite
     preconditioned right-hand side ends the solve with status ``nonfinite``

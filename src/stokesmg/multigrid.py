@@ -251,9 +251,14 @@ def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):
 
 
 def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams, n_cycles: int):
-    """Apply ``n_cycles`` V-cycles from a zero guess; linear in ``rhs``."""
-    if n_cycles < 1:
-        raise ValueError("need at least one cycle")
+    """Apply ``n_cycles`` V-cycles from a zero guess; linear in ``rhs``.
+    ``n_cycles`` is an integer from 1 to :data:`MAX_CYCLES`."""
+    try:
+        operator.index(n_cycles)
+    except TypeError:
+        raise ValueError(f"n_cycles must be an integer, got {n_cycles!r}") from None
+    if not 1 <= n_cycles <= MAX_CYCLES:
+        raise ValueError(f"need 1 to {MAX_CYCLES} cycles, got {n_cycles}")
     cycles = mg_cycles(rhs, hierarchy, params)
     for _ in range(n_cycles):
         x = next(cycles)

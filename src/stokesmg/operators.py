@@ -1,9 +1,8 @@
-"""Coefficients, boundary data, null projection and rescaling around the
-staggered-grid operators.
+"""Coefficients, null projection and rescaling around the staggered-grid
+operators.
 
 The coefficient set and its averaging onto faces and nodes/edges, the
-pressure Laplacian, prescribed wall velocities and boundary
-homogenization, the null components of the velocity operator and their
+pressure Laplacian, the null components of the velocity operator and their
 projection, and the system rescaling.  The operators themselves and the
 smoother diagonals (``div``, ``grad``, ``apply_Lrho``, ``lrho_diagonal``,
 ``apply_viscous``, ``apply_A``, ``helmholtz_diagonal`` and ``apply_M``) are
@@ -190,52 +189,8 @@ def lap_pressure(p: CellField) -> CellField:
 
 
 # ---------------------------------------------------------------------------
-# boundary data
+# null components and rescaling
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundaryValues:
-    """Prescribed wall velocities.
-
-    ``normal[(axis, side)]`` holds the normal component on that wall's
-    boundary faces (shape: the component array with its own axis dropped).
-    ``tangential[(axis, side, comp)]`` holds the ``comp`` velocity on the
-    wall plane of ``(axis, side)`` (shape: the ``comp`` array with ``axis``
-    dropped).  Missing entries mean zero; ``side`` is 0 (low) or 1 (high).
-    """
-
-    grid: GridSpec
-    normal: dict
-    tangential: dict
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> BoundaryValues:
-        return cls(grid, {}, {})
-
-    def normal_values(self, axis: int, side: int) -> np.ndarray:
-        shape = tuple(n for a, n in enumerate(self.grid.cells) if a != axis)
-        vals = self.normal.get((axis, side))
-        if vals is None:
-            return np.zeros(shape)
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != shape:
-            raise ValueError(f"normal values for axis {axis} must have shape {shape}")
-        return vals
-
-    def tangential_values(self, axis: int, side: int, comp: int) -> np.ndarray:
-        shape = tuple(
-            n for a, n in enumerate(self.grid.face_shape(comp)) if a != axis
-        )
-        vals = self.tangential.get((axis, side, comp))
-        if vals is None:
-            return np.zeros(shape)
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != shape:
-            raise ValueError(
-                f"tangential values for (axis {axis}, comp {comp}) must have shape {shape}"
-            )
-        return vals
 
 
 def velocity_null_components(grid: GridSpec, coeff: CoefficientSet) -> tuple[int, ...]:
@@ -270,56 +225,6 @@ def project_nulls(x: StokesVector, coeff: CoefficientSet) -> StokesVector:
         view = out.u.interior(a)
         view -= view.mean()
     return out
-
-
-# ---------------------------------------------------------------------------
-# boundary homogenization and rescaling
-# ---------------------------------------------------------------------------
-
-
-def boundary_lift(bvals: BoundaryValues) -> FaceField:
-    """FaceField holding the prescribed normal values on boundary faces."""
-    grid = bvals.grid
-    u_b = FaceField.zeros(grid)
-    for a in range(grid.dim):
-        if grid.periodic(a):
-            continue
-        arr = u_b.components[a]
-        arr[_sl(arr.ndim, a, 0)] = bvals.normal_values(a, 0)
-        arr[_sl(arr.ndim, a, -1)] = bvals.normal_values(a, 1)
-    return u_b
-
-
-def homogenize(bvals: BoundaryValues, coeff: CoefficientSet,
-               rhs: StokesVector) -> StokesVector:
-    """Subtract the affine boundary contribution from the right-hand side.
-
-    The returned right-hand side belongs to the strictly homogeneous
-    problem; adding ``bvals`` back onto the boundary faces of its solution
-    solves the original affine problem.  Raises if the prescribed normal
-    flow violates the divergence-theorem compatibility with the divergence
-    source carried in ``rhs.p``.
-    """
-    grid = rhs.grid
-    u_b = boundary_lift(bvals)
-    d = grid.dim
-    hd = grid.h**d
-    div_b = div(u_b)
-    boundary_flux = float(div_b.data.sum()) * hd
-    source_integral = -float(rhs.p.data.sum()) * hd
-    scale = max(
-        1.0,
-        float(np.abs(div_b.data).sum()) * hd,
-        float(np.abs(rhs.p.data).sum()) * hd,
-    )
-    if abs(boundary_flux - source_integral) > 1e-10 * scale:
-        raise ValueError(
-            "incompatible boundary data: net boundary flux "
-            f"{boundary_flux:g} != divergence-source integral {source_integral:g}"
-        )
-    contrib_u = apply_A(u_b, coeff, bvals)
-    contrib_p = -div_b
-    return StokesVector(rhs.u - contrib_u, rhs.p - contrib_p)
 
 
 @dataclass(frozen=True)

@@ -879,16 +879,14 @@ typedef struct {
     double *ua; /* component a; written by the sweep only */
     const double *base, *diag, *rho, *w[2]; /* at component a; w[m]: (a, bs[m]) */
     const double *rhs; /* the saddle residual's right-hand side at component a */
-    const double *wall[2][2]; /* [m][side]: wall velocities, NULL for zero */
     double *delta, *r, *fn, *divu, *ft[2];
     long sc[3], sf[3][3], sn[2][3]; /* cells, faces, (a, bs[m]) nodes/edges */
 } face_t;
 
-/* Points f at component a: its density, its other coupled axes, their
- * node/edge viscosities and wall velocities
- * (walls[(3 a + b) 2 + side], or none).  Returns the entries of its
- * tangential flux arrays. */
-static long face_component(face_t *f, int a, const double *const *walls)
+/* Points f at component a: its density, its other coupled axes and their
+ * node/edge viscosities.  Returns the entries of its tangential flux
+ * arrays. */
+static long face_component(face_t *f, int a)
 {
     const grid3 *g = f->g;
     long nn = 0;
@@ -903,8 +901,6 @@ static long face_component(face_t *f, int a, const double *const *walls)
         int m = f->nb++;
         f->bs[m] = b;
         f->w[m] = f->lv->ne[a + b - 1];
-        for (int side = 0; side < 2; side++)
-            f->wall[m][side] = walls ? walls[(3 * a + b) * 2 + side] : NULL;
         shape_of(g, a, b, f->sn[m]);
         nn += count(f->sn[m]);
     }
@@ -972,10 +968,10 @@ ROW_FUNCTION normal_row(const face_t *f, const normal_at *o, long k0, long k1)
     }
 }
 
-/* tangential fluxes at the (a, b) nodes or edges; a wall row takes the
- * one-sided difference against the wall velocity, a free-slip wall no
- * flux */
-typedef struct { long rn, rf, rb, ra1, rb1, rw; int lo_wall, hi_wall, slip; } tangent_at;
+/* tangential fluxes at the (a, b) nodes or edges; a no-slip wall row takes
+ * the one-sided difference against a zero wall velocity, a free-slip wall
+ * no flux */
+typedef struct { long rn, rf, rb, ra1, rb1; int lo_wall, hi_wall, slip; } tangent_at;
 
 static void tangent_setup(const face_t *f, int m, long i, long j, long at,
                           tangent_at *o)
@@ -989,8 +985,6 @@ static void tangent_setup(const face_t *f, int m, long i, long j, long at,
     o->rb = row(f->sf[b], i, j, -1, 0);
     o->ra1 = nbr(sa, i, j, at, b, -1);
     o->rb1 = nbr(f->sf[b], i, j, at, a, -1);
-    /* the wall planes have component a's shape without axis b */
-    o->rw = b == 0 ? j * sa[2] : (b == 1 ? i * sa[2] : i * sa[1] + j - at);
     o->lo_wall = !periodic(g, b) && jb == 0;
     o->hi_wall = !periodic(g, b) && jb == g->n[b];
     o->slip = (o->lo_wall && g->lo[b] == FREE_SLIP) || (o->hi_wall && g->hi[b] == FREE_SLIP);
@@ -1000,8 +994,7 @@ ROW_FUNCTION tangent_row(const face_t *f, int m, const tangent_at *o,
                          long k0, long k1)
 {
     const double *ua = f->ua, *ub = f->u[f->bs[m]], *w = f->w[m];
-    const double *lo = f->wall[m][0], *hi = f->wall[m][1];
-    const long rn = o->rn, rf = o->rf, rb = o->rb, ra1 = o->ra1, rb1 = o->rb1, rw = o->rw;
+    const long rn = o->rn, rf = o->rf, rb = o->rb, ra1 = o->ra1, rb1 = o->rb1;
     const int lo_wall = o->lo_wall, hi_wall = o->hi_wall, slip = o->slip;
     const int cross = f->lv->form != LAPLACIAN;
     double *out = f->ft[m];
@@ -1015,9 +1008,8 @@ ROW_FUNCTION tangent_row(const face_t *f, int m, const tangent_at *o,
                 out[rn + k] = (ua[rf + k] - ua[ra1 + k]) * w[rn + k];
         return;
     }
-    for (long k = k0; k < k1; k++) { /* a wall row */
-        double t = lo_wall ? (ua[rf + k] - (lo ? lo[rw + k] : 0.0)) * 2.0
-                           : ((hi ? hi[rw + k] : 0.0) - ua[ra1 + k]) * 2.0;
+    for (long k = k0; k < k1; k++) { /* a wall row; 0.0 - u, as -u would turn +0 into -0 */
+        double t = lo_wall ? ua[rf + k] * 2.0 : (0.0 - ua[ra1 + k]) * 2.0;
         if (cross)
             t += ub[rb + k] - ub[rb1 + k];
         t *= w[rn + k];
@@ -1211,7 +1203,7 @@ static long tangent_size(face_t *f)
     long nn = 0;
     shapes(f->g, f->sc, f->sf);
     for (int a = f->g->first; a < 3; a++)
-        nn = most(face_component(f, a, NULL), nn);
+        nn = most(face_component(f, a), nn);
     return nn;
 }
 
@@ -1241,7 +1233,7 @@ static long face_sweep(team_t *tm, const smg_level *lv, double omega, int zero_g
     for (int a = g->first; a < 3; a++) {
         const long *sa = f.sf[a];
         long lo3[3], hi3[3];
-        face_component(&f, a, NULL);
+        face_component(&f, a);
         f.base = rhs[a];
         f.diag = lv->diag[a];
         f.ft[1] = f.ft[0] + count(f.sn[0]);
@@ -1312,7 +1304,7 @@ static void face_diag(const smg_level *lv, double *const *out)
     shapes(f.g, f.sc, f.sf);
     for (int a = f.g->first; a < 3; a++) {
         long lo3[3], hi3[3];
-        face_component(&f, a, NULL);
+        face_component(&f, a);
         f.r = out[a];
         if (f.bounded)
             for (long k = 0; k < count(f.sf[a]); k++)
@@ -1331,7 +1323,7 @@ static void face_diag(const smg_level *lv, double *const *out)
 typedef struct {
     const smg_level *lv;
     int out;
-    const double *const *u, *p, *const *base, *base_p, *const *walls;
+    const double *const *u, *p, *const *base, *base_p;
     double *const *res, *res_p, *work;
 } face_apply_args;
 
@@ -1360,7 +1352,7 @@ static long face_apply(team_t *tm, const face_apply_args *in)
     }
     team_sync(tm);
     for (int a = g->first; a < 3; a++) {
-        face_component(&f, a, in->walls);
+        face_component(&f, a);
         f.r = res[a];
         f.base = saddle ? res[a] : (in->base ? in->base[a] : NULL);
         f.rhs = out == OUT_SADDLE_RESIDUAL ? in->base[a] : NULL;
@@ -1398,12 +1390,12 @@ static void face_apply_task(team_t *tm, void *arg)
  * A u, base - A u (base[a] the residual's right-hand side), the saddle
  * operator's A u + G p, with -D u into res_p, or the saddle residual
  * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
- * boundary faces.  walls may be NULL (zero wall velocities). */
+ * boundary faces.  Every wall velocity is zero. */
 int smg_face_apply(const smg_level *lv, int out, const double *const *u, const double *p,
                    const double *const *base, const double *base_p,
-                   const double *const *walls, double *const *res, double *res_p)
+                   double *const *res, double *res_p)
 {
-    face_apply_args a = {lv, out, u, p, base, base_p, walls, res, res_p, NULL};
+    face_apply_args a = {lv, out, u, p, base, base_p, res, res_p, NULL};
     a.work = workspace(face_apply(SOLO, &a));
     if (!a.work)
         return -1;

@@ -10,7 +10,6 @@ from stokesmg.grid import (
     GridSpec,
     StokesVector,
 )
-from stokesmg.operators import BoundaryValues
 
 
 # every boundary kind at once: no-slip, free-slip and periodic axes
@@ -43,23 +42,6 @@ def random_face(grid, rng):
         view = u.interior(a)
         view[...] = rng.standard_normal(view.shape)
     return u
-
-
-def random_bvals(grid, rng):
-    """Nonzero normal and tangential wall values on every bounded axis."""
-    bvals = BoundaryValues.zeros(grid)
-    for axis in range(grid.dim):
-        if grid.periodic(axis):
-            continue
-        for side in (0, 1):
-            shape = tuple(n for b, n in enumerate(grid.cells) if b != axis)
-            bvals.normal[(axis, side)] = rng.standard_normal(shape)
-            for comp in range(grid.dim):
-                if comp != axis:
-                    shape = tuple(n for b, n in enumerate(grid.face_shape(comp))
-                                  if b != axis)
-                    bvals.tangential[(axis, side, comp)] = rng.standard_normal(shape)
-    return bvals
 
 
 def random_stokes(grid, rng, mean_zero_p=False):

@@ -79,21 +79,14 @@ def ref_grad(p: CellField) -> list[np.ndarray]:
 class GhostVelocity:
     """Component accessor resolving periodic wrap and wall ghost reflection.
 
-    No-slip ghosts reflect through the prescribed wall value
-    (u_ghost = 2 u_wall - u_int); free-slip ghosts copy the interior value.
-    Only one layer outside the domain is ever consulted.
+    No-slip ghosts reflect through the zero wall velocity
+    (u_ghost = -u_int); free-slip ghosts copy the interior value.  Only one
+    layer outside the domain is ever consulted.
     """
 
-    def __init__(self, u: FaceField, bvals=None):
+    def __init__(self, u: FaceField):
         self.u = u
         self.grid = u.grid
-        self.bvals = bvals
-
-    def _wall_value(self, a: int, axis: int, side: int, idx_rest):
-        if self.bvals is None:
-            return 0.0
-        vals = self.bvals.tangential_values(axis, side, a)
-        return vals[idx_rest]
 
     def __call__(self, a: int, idx) -> float:
         grid = self.grid
@@ -112,11 +105,9 @@ class GhostVelocity:
             side = 0 if idx[axis] < 0 else 1
             interior = list(idx)
             interior[axis] = 0 if side == 0 else n - 1
-            rest = tuple(v for ax, v in enumerate(interior) if ax != axis)
             kind = grid.bc[axis][side]
             if kind is NO_SLIP:
-                wall = self._wall_value(a, axis, side, rest)
-                return 2.0 * wall - self(a, interior)
+                return -self(a, interior)
             if kind is FREE_SLIP:
                 return self(a, interior)
             raise AssertionError
@@ -138,12 +129,12 @@ def _edge_mu(mu_ne, a: int, b: int, idx):
     return arr[tuple(idx)]
 
 
-def ref_viscous(u: FaceField, coeff, bvals=None) -> list[np.ndarray]:
+def ref_viscous(u: FaceField, coeff) -> list[np.ndarray]:
     """Loop transcription of the three viscous forms with ghost handling."""
     grid = u.grid
     h2 = grid.h * grid.h
     form = coeff.viscous_form
-    ug = GhostVelocity(u, bvals)
+    ug = GhostVelocity(u)
     mu = coeff.mu_cell.data
     nf = 1.0 if form is LAPLACIAN else 2.0
     if form is STRESS_BULK:
@@ -199,9 +190,9 @@ def ref_viscous(u: FaceField, coeff, bvals=None) -> list[np.ndarray]:
     return out
 
 
-def ref_apply_A(u: FaceField, coeff, bvals=None) -> list[np.ndarray]:
+def ref_apply_A(u: FaceField, coeff) -> list[np.ndarray]:
     grid = u.grid
-    visc = ref_viscous(u, coeff, bvals)
+    visc = ref_viscous(u, coeff)
     out = []
     for a in range(grid.dim):
         arr = coeff.theta * coeff.rho_face.components[a] * u.components[a] - visc[a]
@@ -262,7 +253,7 @@ def _to_stagger(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     return np.pad(np.diff(arr, axis=axis), pad)
 
 
-def flux_scaled_apply_A(u: FaceField, coeff, bvals=None) -> list[np.ndarray]:
+def flux_scaled_apply_A(u: FaceField, coeff) -> list[np.ndarray]:
     grid = u.grid
     h = grid.h
     form = coeff.viscous_form
@@ -286,10 +277,8 @@ def flux_scaled_apply_A(u: FaceField, coeff, bvals=None) -> list[np.ndarray]:
                 continue
             flux_t = _to_stagger(ua, b, grid.periodic(b))
             if not grid.periodic(b):
-                lo, hi = ((0.0, 0.0) if bvals is None else
-                          (bvals.tangential_values(b, side, a) for side in (0, 1)))
-                flux_t[_at(ua.ndim, b, 0)] = (ua[_at(ua.ndim, b, 0)] - lo) * 2.0
-                flux_t[_at(ua.ndim, b, -1)] = (hi - ua[_at(ua.ndim, b, -1)]) * 2.0
+                flux_t[_at(ua.ndim, b, 0)] = ua[_at(ua.ndim, b, 0)] * 2.0
+                flux_t[_at(ua.ndim, b, -1)] = (0.0 - ua[_at(ua.ndim, b, -1)]) * 2.0
             flux_t = flux_t / h
             if form is not LAPLACIAN:
                 flux_t = flux_t + _to_stagger(u.components[b], a, grid.periodic(a)) / h
@@ -400,7 +389,7 @@ def apply_Lrho(p: CellField, coeff) -> CellField:
     return CellField(grid, out)
 
 
-def viscous_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarray:
+def viscous_row(u: FaceField, coeff, a: int, div_u=None) -> np.ndarray:
     """Row block ``a`` of :func:`apply_viscous`.  The stress-bulk form reads
     ``div_u``, computed here when not given."""
     grid = u.grid
@@ -424,17 +413,14 @@ def viscous_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarr
         if b == a:
             continue
         # d u_a / d x_b at the (a, b)-staggered positions; a wall row takes
-        # the one-sided difference against the wall velocity (distance h/2,
-        # hence the factor two)
+        # the one-sided difference against a zero wall velocity (distance
+        # h/2, hence the factor two); 0 - u keeps +0 where -u gives -0
         flux_t = _diff_center_to_stagger(ua, b, grid.periodic(b))
         if not grid.periodic(b):
             cut = _cuts(ua.ndim, b)
-            lo = bvals.tangential_values(b, 0, a) if bvals is not None else 0.0
-            hi = bvals.tangential_values(b, 1, a) if bvals is not None else 0.0
             first, last = flux_t[cut.first], flux_t[cut.last]
-            np.subtract(ua[cut.first], lo, out=first)
-            first *= 2.0
-            np.subtract(hi, ua[cut.last], out=last)
+            np.multiply(ua[cut.first], 2.0, out=first)
+            np.subtract(0.0, ua[cut.last], out=last)
             last *= 2.0
         if form is not LAPLACIAN:
             # d u_b / d x_a; u_b is cell-centered along a, so the wall
@@ -453,16 +439,16 @@ def viscous_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarr
     return res
 
 
-def apply_viscous(u: FaceField, coeff, bvals=None) -> FaceField:
+def apply_viscous(u: FaceField, coeff) -> FaceField:
     div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
     return FaceField(u.grid, tuple(
-        viscous_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)
+        viscous_row(u, coeff, a, div_u) for a in range(u.grid.dim)
     ))
 
 
-def apply_A_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarray:
+def apply_A_row(u: FaceField, coeff, a: int, div_u=None) -> np.ndarray:
     """Row block ``a`` of :func:`apply_A`; steady flow forms no mass term."""
-    out = viscous_row(u, coeff, a, bvals, div_u)
+    out = viscous_row(u, coeff, a, div_u)
     if coeff.theta == 0:
         return np.negative(out, out=out)
     m = coeff.theta * coeff.rho_face.components[a]
@@ -473,10 +459,10 @@ def apply_A_row(u: FaceField, coeff, a: int, bvals=None, div_u=None) -> np.ndarr
     return m
 
 
-def apply_A(u: FaceField, coeff, bvals=None, rhs=None) -> FaceField:
+def apply_A(u: FaceField, coeff, rhs=None) -> FaceField:
     """theta*rho*u - L_mu u, or ``rhs`` minus it."""
     div_u = div(u) if coeff.viscous_form is STRESS_BULK else None
-    comps = [apply_A_row(u, coeff, a, bvals, div_u) for a in range(u.grid.dim)]
+    comps = [apply_A_row(u, coeff, a, div_u) for a in range(u.grid.dim)]
     if rhs is not None:
         for c, b in zip(comps, rhs.components):
             np.subtract(b, c, out=c)
@@ -849,10 +835,11 @@ def _d1(n: int) -> sp.csr_matrix:
 
 
 def kron_stress_matrix(n: int, h: float, mu0: float, dim: int = 2,
-                       gamma0: float | None = None) -> np.ndarray:
+                       gamma0: float | None = None, form=STRESS) -> np.ndarray:
     """Dense -L_mu for periodic constant viscosity via Kronecker products.
 
-    With ``gamma0`` set, builds the bulk-augmented stress operator instead.
+    With ``gamma0`` set, builds the bulk-augmented stress operator instead;
+    the Laplacian ``form`` is block-diagonal, without the cross blocks.
     """
     D = _d1(n) / h           # face -> cell along one axis
     G = -_d1(n).T / h        # cell -> face along one axis
@@ -874,12 +861,12 @@ def kron_stress_matrix(n: int, h: float, mu0: float, dim: int = 2,
     for a in range(dim):
         for b in range(dim):
             if a == b:
-                op = 2.0 * (Gx[a] @ Dx[a])
+                op = (1.0 if form is LAPLACIAN else 2.0) * (Gx[a] @ Dx[a])
                 for c in range(dim):
                     if c != a:
                         op = op + Dx[c] @ Gx[c]
                 blocks[a][b] = mu0 * op
-            else:
+            elif form is not LAPLACIAN:
                 blocks[a][b] = mu0 * (Dx[b] @ Gx[a])
     if gamma0 is not None:
         for a in range(dim):

@@ -38,7 +38,6 @@ from stokesmg.operators import (
     LAPLACIAN,
     STRESS,
     STRESS_BULK,
-    BoundaryValues,
     apply_A,
     apply_Lrho,
     apply_M,
@@ -50,7 +49,7 @@ from stokesmg.operators import (
     make_coefficients,
 )
 
-from conftest import mkgrid, random_bvals, random_cell, random_face
+from conftest import mkgrid, random_cell, random_face
 
 # (cells, bc) per wall kind and dimension; the odd periodic counts make a
 # colour touch itself across the wrap and cannot be coarsened
@@ -82,8 +81,8 @@ def case(walls, dim, form, rng):
 
 
 def arrays_of(obj):
-    """Every float array reachable from a field, coefficient set, boundary
-    value set or hierarchy, in a fixed order."""
+    """Every float array reachable from a field, coefficient set or
+    hierarchy, in a fixed order."""
     if isinstance(obj, np.ndarray):
         return [obj]
     if isinstance(obj, CellField):
@@ -92,9 +91,6 @@ def arrays_of(obj):
         return list(obj.components)
     if isinstance(obj, StokesVector):
         return arrays_of(obj.u) + arrays_of(obj.p)
-    if isinstance(obj, BoundaryValues):
-        return ([obj.normal[k] for k in sorted(obj.normal)]
-                + [obj.tangential[k] for k in sorted(obj.tangential)])
     if isinstance(obj, multigrid.MgHierarchy):
         return [arr for _, c in obj.levels for arr in arrays_of(c)]
     # CoefficientSet
@@ -121,13 +117,11 @@ def assert_unchanged(before, *objs):
 def test_velocity_operators_leave_inputs(walls, dim, form, rng):
     g, coeff = case(walls, dim, form, rng)
     u, rhs = random_face(g, rng), random_face(g, rng)
-    bvals = random_bvals(g, rng)
-    before = snapshot(u, rhs, coeff, bvals)
+    before = snapshot(u, rhs, coeff)
     apply_A(u, coeff)
-    apply_A(u, coeff, bvals)
     apply_A(u, coeff, rhs=rhs)
-    apply_viscous(u, coeff, bvals)
-    assert_unchanged(before, u, rhs, coeff, bvals)
+    apply_viscous(u, coeff)
+    assert_unchanged(before, u, rhs, coeff)
 
 
 @walls
@@ -149,17 +143,15 @@ def test_saddle_and_pressure_operators_leave_inputs(walls, dim, rng):
 @dims
 @forms
 def test_operator_kernels_leave_inputs(walls, dim, form, rng):
-    # every operator and diagonal entry of the library; apply_viscous and
-    # apply_A with and without wall values and apply_A with a right-hand
-    # side, so each output mode of the velocity operator runs
+    # every operator and diagonal entry of the library; apply_viscous,
+    # apply_A and apply_A with a right-hand side, so each output mode of
+    # the velocity operator runs
     g, coeff = case(walls, dim, form, rng)
     u, base, p, rhs = random_face(g, rng), random_face(g, rng), random_cell(g, rng), random_cell(g, rng)
-    bvals = random_bvals(g, rng)
-    before = snapshot(u, base, p, rhs, coeff, bvals)
-    for wall_values in (None, bvals):
-        kernels.apply_viscous(u, coeff, wall_values)
-        kernels.apply_A(u, coeff, wall_values)
-        kernels.apply_A(u, coeff, wall_values, rhs=base)
+    before = snapshot(u, base, p, rhs, coeff)
+    kernels.apply_viscous(u, coeff)
+    kernels.apply_A(u, coeff)
+    kernels.apply_A(u, coeff, rhs=base)
     kernels.apply_M(StokesVector(u, p), coeff)
     kernels.apply_M(StokesVector(u, p), coeff, rhs=StokesVector(base, rhs))
     kernels.apply_Lrho(p, coeff)
@@ -168,7 +160,7 @@ def test_operator_kernels_leave_inputs(walls, dim, form, rng):
     kernels.div(u)
     kernels.helmholtz_diagonal(g, coeff)
     kernels.lrho_diagonal(g, coeff)
-    assert_unchanged(before, u, base, p, rhs, coeff, bvals)
+    assert_unchanged(before, u, base, p, rhs, coeff)
 
 
 @walls

@@ -63,7 +63,6 @@ from stokesmg.precond import PrecondConfig, Preconditioner, PrecondKind
 from stokesmg.spectrum import assemble_dense
 
 import reference
-from conftest import random_bvals
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stokesmg.__file__)))
 REPO = os.path.dirname(SRC)
@@ -157,16 +156,15 @@ def full_face(grid, rng):
 @given(sweep_cases())
 def test_velocity_operators_equal_oracle(case):
     grid, coeff, _, _, rng = case
-    u, rhs, bvals = full_face(grid, rng), full_face(grid, rng), random_bvals(grid, rng)
+    u, rhs = full_face(grid, rng), full_face(grid, rng)
     x = StokesVector(u, CellField(grid, rng.standard_normal(grid.cells)))
     b = StokesVector(rhs, CellField(grid, rng.standard_normal(grid.cells)))
     saddle = [(apply_M(x, coeff), reference.apply_M(x, coeff)),
               (apply_M(x, coeff, rhs=b), reference.saddle_residual(x, coeff, b))]
     pairs = [
         (apply_A(u, coeff), reference.apply_A(u, coeff)),
-        (apply_A(u, coeff, bvals), reference.apply_A(u, coeff, bvals)),
         (apply_A(u, coeff, rhs=rhs), reference.apply_A(u, coeff, rhs=rhs)),
-        (apply_viscous(u, coeff, bvals), reference.apply_viscous(u, coeff, bvals)),
+        (apply_viscous(u, coeff), reference.apply_viscous(u, coeff)),
         *[(got.u, want.u) for got, want in saddle],
     ]
     for got, want in pairs:
@@ -521,16 +519,16 @@ def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
     # and the basis combination, odd lengths included
     grid, coeff, rng = case
     assert StokesVector.buffer_size(grid) >= team_min_entries()
-    u, rhs, bvals = full_face(grid, rng), full_face(grid, rng), random_bvals(grid, rng)
+    u, rhs = full_face(grid, rng), full_face(grid, rng)
     p, q = (CellField(grid, rng.standard_normal(grid.cells)) for _ in range(2))
     x, b = StokesVector(u, p), StokesVector(rhs, q)
     n = StokesVector.buffer_size(grid) + int(rng.integers(0, 4))
     V, y, z = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(n)
     runs = [
         lambda: [apply_M(x, coeff).buffer, apply_M(x, coeff, rhs=b).buffer],
-        lambda: [*apply_A(u, coeff, bvals).components,
+        lambda: [*apply_A(u, coeff).components,
                  *apply_A(u, coeff, rhs=rhs).components,
-                 *apply_viscous(u, coeff, bvals).components],
+                 *apply_viscous(u, coeff).components],
         lambda: [apply_Lrho(p, coeff).data, apply_Lrho(p, coeff, q).data],
         lambda: [kernels.combine(V, y, z)],
     ]

@@ -626,11 +626,16 @@ class TestMgSolve:
         b = vcycle(rhs, hier, params)
         assert np.array_equal(a.data, b.data)
 
-    def test_cycle_count_validated(self, rng):
-        g = mkgrid(16, bc=NO_SLIP)
+    @pytest.mark.parametrize("n_cycles", [0, 2.5, "2", multigrid.MAX_CYCLES + 1])
+    def test_cycle_count_validated(self, n_cycles):
+        # refused as the configs refuse them: not a TypeError from range,
+        # and no solve past MAX_CYCLES
+        g = mkgrid(8, bc=NO_SLIP)
         hier = build_hierarchy(g, poisson_coeff(g))
-        with pytest.raises(ValueError):
-            mg_solve(CellField.zeros(g), hier, SmootherParams(), 0)
+        rhs = CellField.zeros(g)
+        with pytest.raises(ValueError, match="cycles"):
+            mg_solve(rhs, hier, SmootherParams(), n_cycles)
+        mg_solve(rhs, hier, SmootherParams(), multigrid.MAX_CYCLES)
 
     def test_dozen_cycles_reach_1e10_512(self, rng):
         # publication-size pressure solve: about a dozen V-cycles to 1e-10

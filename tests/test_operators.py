@@ -26,7 +26,6 @@ from stokesmg.operators import (
     LAPLACIAN,
     STRESS,
     STRESS_BULK,
-    BoundaryValues,
     CoefficientSet,
     apply_A,
     apply_Lrho,
@@ -34,11 +33,9 @@ from stokesmg.operators import (
     apply_viscous,
     average_cell_to_faces,
     average_cell_to_node_edge,
-    boundary_lift,
     div,
     grad,
     helmholtz_diagonal,
-    homogenize,
     lap_pressure,
     lrho_diagonal,
     make_coefficients,
@@ -255,8 +252,6 @@ class TestViscous:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_kron_oracle_periodic_constant(self, dim, form, rng):
-        if form is LAPLACIAN:
-            pytest.skip("kron oracle covers the coupled forms")
         n, h, mu0, gamma0 = (6 if dim == 2 else 4), 0.7, 1.3, 0.4
         g = mkgrid(n, bc=PERIODIC, dim=dim, h=h)
         ones = CellField(g, np.ones(g.cells))
@@ -265,7 +260,7 @@ class TestViscous:
             CellField(g, np.full(g.cells, gamma0)) if form is STRESS_BULK else None,
             form)
         A_kron = reference.kron_stress_matrix(
-            n, h, mu0, dim, gamma0 if form is STRESS_BULK else None)
+            n, h, mu0, dim, gamma0 if form is STRESS_BULK else None, form)
         from stokesmg.grid import pack_face, unpack_face
 
         nu = sum(g.n_face_unknowns(a) for a in range(dim))
@@ -408,29 +403,15 @@ class TestRowScaling:
         cells, bc = MIXED_WALLS[dim]
         g = mkgrid(cells, bc=bc, h=h)
         coeff = make_variable_coeff(g, rng, theta=theta, form=form)
-        normal, tangential = {}, {}
-        for b in range(dim):
-            if g.periodic(b):
-                continue
-            for side in (0, 1):
-                normal[(b, side)] = rng.standard_normal(
-                    tuple(n for ax, n in enumerate(g.cells) if ax != b))
-                for c in range(dim):
-                    if c != b:
-                        tangential[(b, side, c)] = rng.standard_normal(
-                            tuple(n for ax, n in enumerate(g.face_shape(c)) if ax != b))
-        bvals = BoundaryValues(g, normal, tangential)
-        # nonzero wall faces and wall values: the homogenize path
-        u_b = boundary_lift(bvals)
-        for a in range(dim):
-            u_b.interior(a)[...] = rng.standard_normal(u_b.interior(a).shape)
-        return g, coeff, bvals, u_b, random_face(g, rng), random_cell(g, rng)
+        # nonzero stored boundary faces: every face drawn
+        u_b = FaceField(g, tuple(rng.standard_normal(g.face_shape(a)) for a in range(dim)))
+        return g, coeff, u_b, random_face(g, rng), random_cell(g, rng)
 
     @staticmethod
-    def pairs(coeff, bvals, u_b, u, p):
-        """(package, oracle) arrays for A with and without wall data, and L_rho."""
-        for args in ((u_b, coeff, bvals), (u, coeff)):
-            yield from zip(apply_A(*args).components, reference.flux_scaled_apply_A(*args))
+    def pairs(coeff, u_b, u, p):
+        """(package, oracle) arrays for A with and without boundary faces, and L_rho."""
+        for v in (u_b, u):
+            yield from zip(apply_A(v, coeff).components, reference.flux_scaled_apply_A(v, coeff))
         yield apply_Lrho(p, coeff).data, reference.flux_scaled_apply_Lrho(p, coeff)
 
     @pytest.mark.parametrize("h", [1.0, 2.0**-6])
@@ -654,59 +635,6 @@ class TestDiagonals:
                 diag.data[idx], rel=1e-12)
 
 
-class TestHomogenize:
-    def test_zero_boundary_values_noop(self, rng):
-        g = mkgrid(8, bc=NO_SLIP)
-        coeff = make_variable_coeff(g, rng)
-        rhs = random_stokes(g, rng)
-        rhs.p.data -= rhs.p.data.mean()
-        out = homogenize(BoundaryValues.zeros(g), coeff, rhs)
-        assert norm2(out - rhs) == 0.0
-
-    def test_incompatible_data_rejected(self, rng):
-        g = mkgrid(8, bc=NO_SLIP)
-        coeff = make_variable_coeff(g, rng)
-        rhs = StokesVector.zeros(g)  # g = 0
-        bvals = BoundaryValues(g, {(0, 0): np.full(8, 1.0)}, {})  # net inflow
-        with pytest.raises(ValueError, match="incompatible"):
-            homogenize(bvals, coeff, rhs)
-
-    def test_manufactured_roundtrip(self, rng):
-        # an affine problem solved via the homogenized system matches the
-        # affine operator applied to (solution + boundary lift)
-        from stokesmg.krylov import GmresConfig, gmres_solve
-        from stokesmg.precond import PrecondConfig, PrecondKind
-
-        g = mkgrid(16, bc=NO_SLIP)
-        coeff = make_variable_coeff(g, rng, theta=1.0, form=STRESS)
-        # tangential lid velocity plus compatible normal in/outflow
-        lid = np.sin(2 * np.pi * (np.arange(17)) / 16.0)
-        inflow = np.sin(2 * np.pi * (np.arange(16) + 0.5) / 16.0)
-        bvals = BoundaryValues(
-            g,
-            {(0, 0): inflow.copy(), (0, 1): inflow.copy()},  # equal in/out: compatible
-            {(1, 1, 0): lid},
-        )
-        rhs = random_stokes(g, rng)
-        rhs.p.data -= rhs.p.data.mean()
-        net = float(div(boundary_lift(bvals)).data.sum())
-        rhs.p.data -= net / g.n_cell_unknowns() / g.h**2  # fold flux into source
-        hom = homogenize(bvals, coeff, rhs)
-        x, hist = gmres_solve(hom, coeff, PrecondConfig(kind=PrecondKind.P2),
-                              GmresConfig(rtol=1e-13, max_iters=60))
-        assert hist.converged
-        # rebuild the affine solution: interior solve + boundary values
-        full = x.copy()
-        lift = boundary_lift(bvals)
-        for a in range(2):
-            full.u.components[a][...] += lift.components[a]
-        resid_u = apply_A(full.u, coeff, bvals) + grad(full.p) - rhs.u
-        resid_p = -1.0 * div(full.u) - rhs.p
-        err = np.sqrt(sum(np.sum(resid_u.interior(a) ** 2) for a in range(2))
-                      + np.sum(resid_p.data ** 2))
-        assert err <= 1e-10 * max(1.0, norm2(rhs))
-
-
 class TestRescale:
     def test_unit_scale_unchanged(self, rng):
         g = mkgrid(8, h=1.0)
@@ -757,36 +685,3 @@ class TestRescale:
         assert h1.converged and h2.converged
         assert norm2(x_back - x_plain) <= 1e-6 * norm2(x_plain)
 
-
-class TestInhomogeneousBoundaries:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_affine_operator_matches_ghost_oracle(self, dim, rng):
-        # nonzero wall data feeds the one-sided stencils; compare against
-        # the loop oracle's ghost reflection through the wall values
-        g = mkgrid(4, bc=NO_SLIP, dim=dim, h=0.4)
-        coeff = make_variable_coeff(g, rng, theta=1.2, form=STRESS)
-        normal, tangential = {}, {}
-        for a in range(dim):
-            for side in (0, 1):
-                shape_n = tuple(n for ax, n in enumerate(g.cells) if ax != a)
-                normal[(a, side)] = rng.standard_normal(shape_n)
-                for c in range(dim):
-                    if c == a:
-                        continue
-                    shape_t = tuple(
-                        n for ax, n in enumerate(g.face_shape(c)) if ax != a)
-                    tangential[(a, side, c)] = rng.standard_normal(shape_t)
-        bvals = BoundaryValues(g, normal, tangential)
-        u = boundary_lift(bvals)
-        for a in range(dim):
-            u.interior(a)[...] = rng.standard_normal(u.interior(a).shape)
-        got = apply_A(u, coeff, bvals)
-        want = reference.ref_apply_A(u, coeff, bvals)
-        for a in range(dim):
-            assert np.allclose(got.components[a], want[a], atol=1e-12)
-
-    def test_boundary_value_shape_checked(self, rng):
-        g = mkgrid(4, bc=NO_SLIP)
-        bvals = BoundaryValues(g, {(0, 0): np.zeros(3)}, {})
-        with pytest.raises(ValueError, match="shape"):
-            bvals.normal_values(0, 0)
