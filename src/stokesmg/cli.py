@@ -44,7 +44,7 @@ from .grid import (
     GridSpec,
     norm2,
 )
-from .krylov import GmresConfig, gmres_solve, require_basis_size
+from .krylov import GmresConfig, gmres_solve, require_memory
 from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, mg_cycles
 from .operators import LAPLACIAN, STRESS, STRESS_BULK, apply_A, apply_Lrho, rescale
 from .precond import PrecondConfig, PrecondKind
@@ -368,22 +368,23 @@ def _run_point(args):
 def cmd_run(config: dict, outdir: str, jobs: int, seed_override: int | None) -> int:
     validate_keys(config)
     points = expand_sweep(config)
-    # validate every sweep point before any output is written, the solver
-    # block before the costlier problem block; each distinct problem block
-    # is built once
-    grids = {}
+    # validate every sweep point before any output is written: the solver
+    # block, then the grid and the sizes it implies, before the costlier
+    # problem block, and each distinct problem block once
+    built = set()
     for cfg in points:
         validate_keys(cfg)
         pcfg, gcfg, _ = build_solver(cfg.get("solver", {}))
         problem = cfg.get("problem", {})
-        key = json.dumps(problem, sort_keys=True)
-        if key not in grids:
-            grids[key] = build_problem(problem, seed_override)[0]
-        grid = grids[key]
-        _get(problem, "rescale", True, bool)
+        grid = build_grid(problem)
+        require_memory(grid, gcfg)
         if pcfg.exact_subsolvers:
             require_exact_size(grid)
-        require_basis_size(grid, gcfg)
+        key = json.dumps(problem, sort_keys=True)
+        if key not in built:
+            build_problem(problem, seed_override)
+            built.add(key)
+        _get(problem, "rescale", True, bool)
     kernels.load()
     os.makedirs(outdir, exist_ok=True)
     tasks = [(i, cfg, seed_override) for i, cfg in enumerate(points)]
@@ -451,6 +452,7 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     rtol = _get(bench, "rtol", 1e-12, float)
     _require(0 <= rtol < math.inf,
              f"mg_bench.rtol must be nonnegative and finite, got {rtol}")
+    require_memory(build_grid(problem))
     grid, coeff, _, seed = build_problem(problem)
     targets = ("pressure", "velocity") if target == "both" else (target,)
     if "velocity" in targets and coeff.theta == 0 and coeff.inviscid:

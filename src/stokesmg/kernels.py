@@ -22,14 +22,15 @@ package has no other copy of the stencils or of their coupling weights and
 wall rules.
 
 The Krylov reductions are here too: :func:`sum_products` (every inner
-product and norm of the package), :func:`mgs_step` (one modified
-Gram-Schmidt step fused with the next step's dot product) and
-:func:`combine` (a GMRES iterate from its basis).  Each sums in one
-documented order that depends on the vector length alone, never through
-BLAS.
+product and norm of the package), :func:`arnoldi` (a whole modified
+Gram-Schmidt step of GMRES: every dot product, update, norm and the
+normalization) and :func:`combine` (a GMRES iterate from its basis).
+Each sums in one documented blocked order that depends on the vector
+length alone, never through BLAS.
 
-:func:`vcycle`, the operators and :func:`combine` run on the library's
-team of threads on grids of at least ``smg_team_min_entries`` entries:
+:func:`vcycle`, the operators and the Krylov reductions run on the
+library's team of threads on grids (or vectors) of at least
+``smg_team_min_entries`` entries:
 :func:`team_size` threads per process (one process of ``workers``), set
 at :func:`load` and by :func:`set_threads`.  Every result is bitwise the
 same at any team size.
@@ -200,8 +201,8 @@ SIGNATURES = {
     "smg_div": (None, [_grid, _ptrs, _ptr]),
     "smg_transfer": (_int, [_int, _int, _grid, _ptrs, _ptrs]),
     "smg_vcycle": (_int, [_int, _long, _lv, _dbl, _int, _int, _int, _ptrs, _ptrs]),
-    "smg_dot": (_dbl, [_long, _ptr, _ptr]),
-    "smg_mgs_step": (_dbl, [_long, _dbl, _ptr, _ptr, _ptr]),
+    "smg_dot": (_int, [_long, _ptr, _ptr, _ptr]),
+    "smg_arnoldi": (_int, [_long, _long, _ptr, _ptr, _ptr]),
     "smg_combine": (None, [_long, _long, _ptr, _ptr, _ptr, _ptr]),
     "smg_set_threads": (None, [_int]),
 }
@@ -675,28 +676,38 @@ def _row(arr: np.ndarray) -> np.ndarray:
 
 def sum_products(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of ``a * b`` over all entries, in C order, by the library's dot
-    product: entry k's product is added to running partial sum k mod 4
-    (each starting at 0.0), and the four combine as ``(s0 + s1) + (s2 +
-    s3)``.  No BLAS call, so the result does not depend on the BLAS thread
-    count, and the order depends on the length alone."""
+    product.  The entries are cut into blocks of 4096; in each block, entry
+    k's product is added to running partial sum k mod 4 (each starting at
+    0.0), and the four combine as ``(s0 + s1) + (s2 + s3)``; the block sums
+    are then added left to right from the first one's.  No BLAS call, so the
+    result does not depend on the BLAS thread count, and the order depends
+    on the length alone, not on the team size."""
     a, b = _row(a), _row(b)
     if a.size != b.size:
         raise LayoutError(f"dot of {a.size} and {b.size} entries")
-    return (_library or load()).smg_dot(a.size, a.ctypes.data, b.ctypes.data)
+    out = ctypes.c_double()
+    _check((_library or load()).smg_dot(a.size, a.ctypes.data, b.ctypes.data,
+                                        ctypes.byref(out)))
+    return out.value
 
 
-def mgs_step(h: float, v: np.ndarray, w: np.ndarray, following: np.ndarray) -> float:
-    """One modified Gram-Schmidt step ``w -= h v`` in place (``h v``
-    rounded first), fused with the next step's dot product: returns
-    ``sum_products(following, w)`` of the updated ``w``, bitwise
-    (``following`` may be ``w`` itself, for its norm)."""
-    v, following = _row(v), _row(following)
-    if not (w.shape == v.shape == following.shape and w.dtype is _F64
-            and w.flags.c_contiguous and w.flags.writeable):
-        raise LayoutError("a Gram-Schmidt step needs equal lengths and a writable "
-                          "contiguous float64 w")
-    return (_library or load()).smg_mgs_step(v.size, h, v.ctypes.data, w.ctypes.data,
-                                             following.ctypes.data)
+def arnoldi(V: np.ndarray, j: int, w: np.ndarray) -> np.ndarray:
+    """One Arnoldi step of modified Gram-Schmidt, in place: for i = 0 ... j
+    in turn, ``h[i] = sum_products(V[i], w)`` and ``w -= h[i] V[i]``
+    (``h[i] V[i]`` rounded first); then ``h[j + 1] = sum_products(w, w)``
+    and, when that is positive and finite, ``V[j + 1] = w / sqrt(h[j +
+    1])`` (else row ``j + 1`` is left as it was).  Returns the ``j + 2``
+    values ``h``, each bitwise the dot product of the vectors it names, in
+    one library call."""
+    if not (V.ndim == 2 and 0 <= j and j + 2 <= V.shape[0] and w.shape == V.shape[1:]
+            and all(a.dtype is _F64 and a.flags.c_contiguous and a.flags.writeable
+                    for a in (V, w))):
+        raise LayoutError("an Arnoldi step needs a writable contiguous float64 basis of "
+                          "at least j + 2 rows and a w of its row length")
+    h = np.empty(j + 2)
+    _check((_library or load()).smg_arnoldi(w.size, j, V.ctypes.data, w.ctypes.data,
+                                            h.ctypes.data))
+    return h
 
 
 def combine(V: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@
  * (A u + G p, -D u) or its residual, smg_cell_apply D (1/rho) G p or its
  * residual, and smg_div and smg_grad D and G; one row function sums D, for
  * the divergence and for the pressure operator alike.  smg_dot,
- * smg_mgs_step and smg_combine are the Krylov reductions over flat
- * vectors, each summed in one documented order (see below) that the loops
- * in tests/reference.py repeat.
+ * smg_arnoldi (a whole Gram-Schmidt step of GMRES) and smg_combine are the
+ * Krylov reductions over flat vectors, each summed in one documented
+ * blocked order (see below) that the loops in tests/reference.py repeat.
  *
  * Every entry is rounded as the numpy formulation rounds it: the same
  * operations in the same order, with no fused multiply-add (the library is
@@ -37,7 +37,9 @@
  * theta and the coefficient arrays), which the caller builds once per
  * coefficient set; a sweep takes a copy holding the smoother's diagonal, and
  * a V-cycle one such copy per level.  The caller passes the scalars it
- * rounds itself (1/h^2, h).  No entry writes its inputs.  An entry
+ * rounds itself (1/h^2, h).  No entry writes its inputs, except the
+ * iterate a sweep relaxes and the vector and basis row smg_arnoldi
+ * orthogonalizes and normalizes in place.  An entry
  * allocates its workspace once and frees it before it returns (-1: the
  * allocation failed); a stage called without workspace returns the size it
  * needs.  Inside a V-cycle the stages share the cycle's one allocation,
@@ -47,18 +49,20 @@
  * takes its neighbour offsets and wall tests for one column "at" (see
  * LINE) and is kept out of line, so its loop is compiled once.
  *
- * smg_vcycle, smg_face_apply, smg_cell_apply and smg_combine run on a
- * team of threads (see "the team" below): each pass cuts its rows into
- * chunks that the threads claim, and a stage waits for the chunks of the
- * passes it reads.  No entry of a pass reads what another entry of the
- * same pass writes, so an entry's operations do not depend on which
- * thread runs it, and every output is bitwise the same at any team size.
- * The other entries, and the Krylov dot products, run on the calling
- * thread.
+ * smg_vcycle, smg_face_apply, smg_cell_apply and the Krylov reductions
+ * run on a team of threads (see "the team" below): each pass cuts its rows
+ * (or a reduction's blocks) into chunks that the threads claim, and a
+ * stage waits for the chunks of the passes it reads.  No entry of a pass
+ * reads what another entry of the same pass writes, and a reduction adds
+ * its block sums in block order, so an entry's operations do not depend on
+ * which thread runs it, and every output is bitwise the same at any team
+ * size.  The other entries run on the calling thread.
  */
 
 #define _POSIX_C_SOURCE 200809L
 
+#include <float.h>
+#include <math.h>
 #include <pthread.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1874,57 +1878,181 @@ int smg_vcycle(int cell, long levels, const smg_level *plan, double omega, int d
 /* ------------------------------------------------------------------------
  * Krylov reductions
  * ------------------------------------------------------------------------
- * Over contiguous vectors of n entries.  A dot product rounds each product
- * a[k] b[k], adds it to running partial sum k mod 4 (each starting at 0.0,
- * entries in increasing order) and combines the four as
- * (s0 + s1) + (s2 + s3).  The order depends on n alone, not on the
- * machine or on how the loop is compiled. */
+ * Over contiguous vectors of n entries, cut into blocks of RED_BLOCK
+ * entries (the last one shorter).  A dot product sums each block on its
+ * own: it rounds each product a[k] b[k], adds it to running partial sum
+ * k mod 4 (each starting at 0.0, entries in increasing order) and combines
+ * the four as (s0 + s1) + (s2 + s3).  It then adds the block sums left to
+ * right, starting from the first block's (n = 0 gives +0.0).  RED_BLOCK is
+ * a constant, so the order depends on n alone, not on the team size, the
+ * machine or how the loop is compiled: the team splits the blocks, and
+ * every thread that needs the result adds the same block sums in the same
+ * order.  An n of at most RED_BLOCK is one block, summed as one four-lane
+ * pass. */
+
+/* entries per block of a reduction: a multiple of 4, so lane k mod 4 of a
+ * block is lane k mod 4 of the vector */
+#define RED_BLOCK 4096
+
+static long red_blocks(long n)
+{
+    return (n + RED_BLOCK - 1) / RED_BLOCK;
+}
 
 static inline double lanes(const double s[4])
 {
     return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
-/* a . b */
-double smg_dot(long n, const double *a, const double *b)
+/* the block sums of block 0, 1, ..., blocks - 1, added in that order */
+static double add_blocks(const double *sums, long blocks)
+{
+    if (blocks == 0)
+        return 0.0;
+    double total = sums[0];
+    for (long b = 1; b < blocks; b++)
+        total += sums[b];
+    return total;
+}
+
+/* The sum of block b of next . w, after w -= h v over the block when v is
+ * not NULL (h v rounded first, each entry of w updated before it is read:
+ * next may be w itself). */
+static double block_sum(long n, long b, double h, const double *v, double *w,
+                        const double *next)
 {
     double s[4] = {0.0, 0.0, 0.0, 0.0};
-    long k = 0;
-    for (; k + 4 <= n; k += 4) {
-        s[0] += a[k] * b[k];
-        s[1] += a[k + 1] * b[k + 1];
-        s[2] += a[k + 2] * b[k + 2];
-        s[3] += a[k + 3] * b[k + 3];
+    long k = b * RED_BLOCK, end = k + RED_BLOCK < n ? k + RED_BLOCK : n;
+    /* one loop with and one without the update: a test of v inside a
+     * single loop made the update pass twice as slow */
+    if (v) {
+        for (; k + 4 <= end; k += 4) {
+            w[k] -= h * v[k];
+            s[0] += next[k] * w[k];
+            w[k + 1] -= h * v[k + 1];
+            s[1] += next[k + 1] * w[k + 1];
+            w[k + 2] -= h * v[k + 2];
+            s[2] += next[k + 2] * w[k + 2];
+            w[k + 3] -= h * v[k + 3];
+            s[3] += next[k + 3] * w[k + 3];
+        }
+        for (; k < end; k++) {
+            w[k] -= h * v[k];
+            s[k & 3] += next[k] * w[k];
+        }
+        return lanes(s);
     }
-    for (; k < n; k++)
-        s[k & 3] += a[k] * b[k];
+    for (; k + 4 <= end; k += 4) {
+        s[0] += next[k] * w[k];
+        s[1] += next[k + 1] * w[k + 1];
+        s[2] += next[k + 2] * w[k + 2];
+        s[3] += next[k + 3] * w[k + 3];
+    }
+    for (; k < end; k++)
+        s[k & 3] += next[k] * w[k];
     return lanes(s);
 }
 
-/* One modified Gram-Schmidt step, w -= h v entry by entry (h v rounded
- * first), in the same pass as the next step's dot product: returns
- * next . w of the updated w (next may be w itself).  Each entry of w is
- * updated before it is read, so the result is bitwise smg_dot(n, next, w)
- * after the update. */
-double smg_mgs_step(long n, double h, const double *v, double *w, const double *next)
+/* The pass forming each block's sum of next . w into sums (after
+ * w -= h v, see block_sum), a sync, and their total, which every thread
+ * forms alike. */
+static double blocked_pass(team_t *tm, long n, double h, const double *v, double *w,
+                           const double *next, double *sums)
 {
-    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    long blocks = red_blocks(n);
+    SHARES(tm, blocks, ps)
+        for (long b = ps.lo; b < ps.hi; b++)
+            sums[b] = block_sum(n, b, h, v, w, next);
+    team_sync(tm);
+    return add_blocks(sums, blocks);
+}
+
+typedef struct {
+    long n, j;
+    double *V, *w, *h, *sums;
+} krylov_args;
+
+static void dot_task(team_t *tm, void *arg)
+{
+    krylov_args *d = arg;
+    double total = blocked_pass(tm, d->n, 0.0, NULL, d->w, d->V, d->sums);
+    if (!tm->back)
+        *d->h = total;
+}
+
+/* *out = a . b; -1: the allocation failed */
+int smg_dot(long n, const double *a, const double *b, double *out)
+{
+    /* b as blocked_pass's w, which it writes only with an update to make */
+    krylov_args d = {.n = n, .V = (double *)a, .w = (double *)b, .h = out};
+    d.sums = workspace(red_blocks(n));
+    if (!d.sums)
+        return -1;
+    team_run(n, dot_task, &d);
+    free(d.sums);
+    return 0;
+}
+
+/* two doubles, divided as one instruction where the machine has one:
+ * each quotient is the IEEE quotient of its pair, as a scalar division's */
+typedef double pair __attribute__((vector_size(2 * sizeof(double))));
+
+/* out = w / d at n entries */
+static void divide(double *out, const double *w, double d, long n)
+{
+    const pair dd = {d, d};
     long k = 0;
-    for (; k + 4 <= n; k += 4) {
-        w[k] -= h * v[k];
-        s[0] += next[k] * w[k];
-        w[k + 1] -= h * v[k + 1];
-        s[1] += next[k + 1] * w[k + 1];
-        w[k + 2] -= h * v[k + 2];
-        s[2] += next[k + 2] * w[k + 2];
-        w[k + 3] -= h * v[k + 3];
-        s[3] += next[k + 3] * w[k + 3];
+    for (; k + 2 <= n; k += 2) {
+        pair x;
+        memcpy(&x, w + k, sizeof x);
+        x /= dd;
+        memcpy(out + k, &x, sizeof x);
     }
-    for (; k < n; k++) {
-        w[k] -= h * v[k];
-        s[k & 3] += next[k] * w[k];
+    for (; k < n; k++)
+        out[k] = w[k] / d;
+}
+
+/* The steps of smg_arnoldi.  Step i's block sums have their own row of
+ * sums: a thread that claimed no chunk of a pass can still be adding the
+ * previous step's sums while another thread writes the next step's. */
+static void arnoldi_task(team_t *tm, void *arg)
+{
+    krylov_args *a = arg;
+    const long n = a->n, j = a->j, blocks = red_blocks(n);
+    double *V = a->V, *w = a->w;
+    double h = blocked_pass(tm, n, 0.0, NULL, w, V, a->sums);
+    for (long i = 0; i <= j; i++) {
+        if (!tm->back)
+            a->h[i] = h;
+        const double *next = i < j ? V + (i + 1) * n : w;
+        h = blocked_pass(tm, n, h, V + i * n, w, next, a->sums + (i + 1) * blocks);
     }
-    return lanes(s);
+    if (!tm->back)
+        a->h[j + 1] = h;
+    if (!(h > 0.0 && h <= DBL_MAX))
+        return;
+    double norm = sqrt(h);
+    SHARES(tm, n, ps)
+        divide(V + (j + 1) * n + ps.lo, w + ps.lo, norm, ps.hi - ps.lo);
+}
+
+/* One Arnoldi step of modified Gram-Schmidt on w against the basis rows
+ * v_0 ... v_j (row v_i at V + i n): for i = 0 ... j in turn,
+ * h[i] = v_i . w and w -= h[i] v_i entry by entry (h[i] v_i rounded
+ * first); then h[j + 1] = w . w.  When that is positive and finite, row
+ * v_j+1 = w / sqrt(h[j + 1]), else it is left as it was.  Each dot is
+ * summed in the blocked order, fused into the pass of the update before
+ * it, so a step costs one pass and one sync of the team.  -1: the
+ * allocation failed. */
+int smg_arnoldi(long n, long j, double *V, double *w, double *h)
+{
+    krylov_args a = {.n = n, .j = j, .V = V, .w = w, .h = h};
+    a.sums = workspace((j + 2) * red_blocks(n));
+    if (!a.sums)
+        return -1;
+    team_run(n, arnoldi_task, &a);
+    free(a.sums);
+    return 0;
 }
 
 typedef struct {

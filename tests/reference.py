@@ -15,6 +15,7 @@ fixes the order of the stages the library's one-call V-cycle runs.
 from __future__ import annotations
 
 import functools
+import math
 import itertools
 from typing import NamedTuple
 
@@ -925,18 +926,45 @@ def dense_shifted_solve(A: np.ndarray, null_vectors: list[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+#: entries per block of the library's reductions
+RED_BLOCK = 4096
+
+
 def krylov_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b``: product k into running sum k mod 4, each from 0.0 in
-    increasing k, combined as (s0 + s1) + (s2 + s3)."""
-    lanes = [0.0, 0.0, 0.0, 0.0]
-    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-        lanes[k % 4] += x * y
-    return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+    """``a . b`` over blocks of ``RED_BLOCK`` entries: in each, product k
+    into running sum k mod 4, each from 0.0 in increasing k, combined as
+    (s0 + s1) + (s2 + s3); the block sums then added left to right from the
+    first one's (+0.0 for no entries)."""
+    a, b = a.tolist(), b.tolist()
+    sums = []
+    for start in range(0, len(a), RED_BLOCK):
+        lanes = [0.0, 0.0, 0.0, 0.0]
+        for k in range(start, min(start + RED_BLOCK, len(a))):
+            lanes[k % 4] += a[k] * b[k]
+        sums.append((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+    if not sums:
+        return 0.0
+    total = sums[0]
+    for s in sums[1:]:
+        total += s
+    return total
 
 
-def mgs_step(h: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w - h v`` entry by entry, ``h v`` rounded first."""
-    return np.array([wk - h * vk for vk, wk in zip(v.tolist(), w.tolist())])
+def arnoldi(V: np.ndarray, j: int, w: np.ndarray):
+    """One Arnoldi step on copies: ``(h, w, next)``, where for i = 0 ... j
+    in turn ``h[i] = V[i] . w`` and ``w = w - h[i] V[i]`` entry by entry
+    (``h[i] V[i]`` rounded first), ``h[j + 1] = w . w``, and ``next`` is
+    ``w / sqrt(h[j + 1])`` when that is positive and finite, else None."""
+    h, w = [], w.copy()
+    for i in range(j + 1):
+        h.append(krylov_dot(V[i], w))
+        w = np.array([wk - h[i] * vk for vk, wk in zip(V[i].tolist(), w.tolist())])
+    h.append(krylov_dot(w, w))
+    following = None
+    if 0.0 < h[-1] < math.inf:
+        norm = math.sqrt(h[-1])
+        following = np.array([wk / norm for wk in w.tolist()])
+    return np.array(h), w, following
 
 
 def combine(V: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,12 +17,16 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesmg import cli
+import pytest
+from stokesmg import cli, kernels, krylov
 from stokesmg.multigrid import MAX_CYCLES, MAX_SWEEPS
 
 VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e300, 1e-300, 10**400, 10**12, 2.5,
@@ -226,3 +230,69 @@ def test_a_basis_beyond_physical_memory_is_refused():
             json.dump(config, handle)
         assert cli.main(["run", "--config", cfg, "--out", out]) == 2
         assert not os.path.exists(out)
+
+
+#: a child process that runs one CLI command on a config holding a 2D
+#: 65536^2 grid (hundreds of GB for a solve) under an address-space limit
+#: of 4 GB, so a check that failed to refuse the grid ends in an
+#: allocation failure, not in tens of GB taken from the machine
+HUGE_GRID = "\n".join([
+    "import json, resource, sys",
+    "resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))",
+    "from stokesmg import cli",
+    "command, cfg, out = sys.argv[1:]",
+    "with open(cfg, 'w') as handle:",
+    "    json.dump({'problem': {'dim': 2, 'cells': [65536, 65536]}}, handle)",
+    "sys.exit(cli.main([command, '--config', cfg, '--out', out]))",
+])
+
+
+@pytest.mark.parametrize("command", ["run", "mg-bench"])
+def test_a_grid_beyond_physical_memory_is_refused_before_it_is_built(tmp_path, command):
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_GRID, command, str(tmp_path / "cfg.json"), str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-4000:]
+    assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,problem", [
+    ("P2", {"kind": "bubble", "dim": 2, "cells": 64}),
+    ("P5", {"kind": "bubble", "dim": 2, "cells": 64}),
+    ("P1", {"kind": "bubble", "dim": 3, "cells": 16, "beta": 1.0}),
+])
+def test_the_memory_estimate_bounds_a_solves_traced_peak(kind, problem):
+    # the estimate must bound what a solve allocates and stay within 2x of
+    # it; a first solve warms the process's one-time allocations
+    config = {"problem": problem,
+              "solver": {"precond": {"kind": kind}, "gmres": {"max_iters": 30}}}
+    kernels.load()
+    cli._run_point((0, config, None))
+    tracemalloc.start()
+    try:
+        cli._run_point((0, config, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, gcfg, _ = cli.build_solver(config["solver"])
+    estimate = krylov.solve_bytes(cli.build_grid(problem), gcfg)
+    assert peak <= estimate <= 2 * peak
+
+
+def test_every_preset_fits_the_memory_budget():
+    # every shipped preset, at its default and its paper scale, passes the
+    # cap that refuses a grid beyond physical memory
+    class Args:
+        config = None
+
+    for name in cli.PRESETS:
+        for paper_scale in (False, True):
+            args = Args()
+            args.preset, args.paper_scale = name, paper_scale
+            _, config = cli.load_config(args)
+            for point in cli.expand_sweep(config):
+                _, gcfg, _ = cli.build_solver(point.get("solver", {}))
+                krylov.require_memory(cli.build_grid(point.get("problem", {})), gcfg)

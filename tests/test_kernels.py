@@ -41,6 +41,7 @@ from stokesmg.grid import (
     CellField,
     FaceField,
     GridSpec,
+    LayoutError,
     StokesVector,
 )
 from stokesmg.operators import (
@@ -303,9 +304,13 @@ def float_bits(value) -> bytes:
 
 @st.composite
 def reduction_cases(draw):
-    """A length of 0-9, so the lane loop ends at every tail, and a
-    generator."""
-    return draw(st.integers(0, 9)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    """A length and a generator.  The lengths end the lane loop at every
+    tail (0-9), end the first block or cross into the second (4092-4100),
+    end the second or cross into the third (8191-8193), or reach the team
+    threshold, where the blocks are shared among threads."""
+    n = draw(st.one_of(st.integers(0, 9), st.integers(4092, 4100), st.integers(8191, 8193),
+                       st.just(team_min_entries() + 3)))
+    return n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
 @PROPERTY
@@ -316,15 +321,18 @@ def test_dot_equals_oracle(case):
     assert float_bits(kernels.sum_products(a, b)) == float_bits(reference.krylov_dot(a, b))
 
 
-def check_mgs_step(n, rng, following):
-    h = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
-    v, w = krylov_vector(rng, n), krylov_vector(rng, n)
-    want = reference.mgs_step(h, v, w)
-    nxt = w if following == "self" else krylov_vector(rng, n)
-    got = kernels.mgs_step(h, v, w, nxt)
-    assert w.tobytes() == want.tobytes()
-    oracle = reference.krylov_dot(want if following == "self" else nxt, want)
-    assert float_bits(got) == float_bits(oracle)
+def check_arnoldi(n, j, rng):
+    V = np.array([krylov_vector(rng, n) for _ in range(j + 3)]).reshape(j + 3, n)
+    w = krylov_vector(rng, n)
+    want_h, want_w, following = reference.arnoldi(V, j, w)
+    before = V.copy()
+    h = kernels.arnoldi(V, j, w)
+    assert h.tobytes() == want_h.tobytes()
+    assert w.tobytes() == want_w.tobytes()
+    if following is not None:
+        before[j + 1] = following
+    # row j + 1 is the normalized w, every other row is left as it was
+    assert V.tobytes() == before.tobytes()
 
 
 def check_combine(n, m, rng):
@@ -334,9 +342,31 @@ def check_combine(n, m, rng):
 
 
 @PROPERTY
-@given(reduction_cases(), st.sampled_from(["other", "self"]))
-def test_mgs_step_equals_oracle(case, following):
-    check_mgs_step(*case, following)
+@given(reduction_cases(), st.integers(0, 10))
+def test_arnoldi_equals_oracle(case, j):
+    n, rng = case
+    check_arnoldi(n, j, rng)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1e300, np.nan])
+def test_arnoldi_leaves_the_next_row_without_a_positive_finite_norm(bad):
+    # w -> 0 (an invariant subspace), w . w overflowing or NaN: GMRES stops
+    # before it reads row j + 1, so the step does not write it
+    V = np.zeros((3, 5))
+    V[0, 0], V[2] = 1.0, 7.0
+    w = np.zeros(5)
+    w[0], w[3] = 2.0, bad
+    h = kernels.arnoldi(V, 1, w)
+    assert not 0.0 < h[2] < np.inf
+    assert V[2].tolist() == [7.0] * 5
+
+
+def test_arnoldi_refuses_a_basis_it_cannot_write():
+    V, w = np.zeros((2, 4)), np.zeros(4)
+    for args in [(V, 1, w), (V, -1, w), (V, 0, np.zeros(3)), (V[:, ::2], 0, w[::2]),
+                 (V.astype(np.float32), 0, w)]:
+        with pytest.raises(LayoutError):
+            kernels.arnoldi(*args)
 
 
 @PROPERTY
@@ -351,7 +381,7 @@ def test_reductions_equal_oracle_at_benchmark_sizes(n):
     rng = np.random.default_rng(n)
     a, b = krylov_vector(rng, n), krylov_vector(rng, n)
     assert float_bits(kernels.sum_products(a, b)) == float_bits(reference.krylov_dot(a, b))
-    check_mgs_step(n, rng, "self")
+    check_arnoldi(n, 2, rng)
     check_combine(n, 3, rng)
 
 
@@ -511,12 +541,19 @@ def outputs_by_team_size(run) -> list[bytes]:
     return out
 
 
+def arnoldi_outputs(V, j, w):
+    """The values, basis and w of an Arnoldi step on copies of V and w."""
+    V, w = V.copy(), w.copy()
+    return [kernels.arnoldi(V, j, w), V, w]
+
+
 @TEAM
 @given(team_cases(), st.integers(0, 11))
 def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
     # every entry that runs on the team: both V-cycles, the face operator in
     # each mode, the pressure operator with and without a right-hand side,
-    # and the basis combination, odd lengths included
+    # the basis combination, the dot product and the Arnoldi step, odd
+    # lengths included
     grid, coeff, rng = case
     assert StokesVector.buffer_size(grid) >= team_min_entries()
     u, rhs = full_face(grid, rng), full_face(grid, rng)
@@ -524,6 +561,8 @@ def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
     x, b = StokesVector(u, p), StokesVector(rhs, q)
     n = StokesVector.buffer_size(grid) + int(rng.integers(0, 4))
     V, y, z = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(n)
+    j, odd = min(m, 10), n | 1
+    basis, a, w = (krylov_vector(rng, odd * k).reshape(-1, odd) for k in (j + 2, 1, 1))
     runs = [
         lambda: [apply_M(x, coeff).buffer, apply_M(x, coeff, rhs=b).buffer],
         lambda: [*apply_A(u, coeff).components,
@@ -531,6 +570,8 @@ def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
                  *apply_viscous(u, coeff).components],
         lambda: [apply_Lrho(p, coeff).data, apply_Lrho(p, coeff, q).data],
         lambda: [kernels.combine(V, y, z)],
+        lambda: [np.float64(kernels.sum_products(a, w))],
+        lambda: arnoldi_outputs(basis, j, w[0]),
     ]
     if grid.can_coarsen():
         hier = multigrid.build_hierarchy(grid, coeff)
@@ -554,10 +595,12 @@ def test_concurrent_callers_get_their_own_results():
                                                for _ in range(3)), viscous_form=STRESS)
         hier = multigrid.build_hierarchy(grid, coeff)
         x = StokesVector(full_face(grid, rng), CellField(grid, rng.standard_normal(cells)))
-        cases.append(lambda x=x, coeff=coeff, hier=hier: [
+        V = rng.standard_normal((5, StokesVector.buffer_size(grid)))
+        cases.append(lambda x=x, coeff=coeff, hier=hier, V=V: [
             apply_M(x, coeff).buffer,
             *multigrid.vcycle(x.u, hier, multigrid.SmootherParams()).components,
-            multigrid.vcycle(x.p, hier, multigrid.SmootherParams()).data])
+            multigrid.vcycle(x.p, hier, multigrid.SmootherParams()).data,
+            *arnoldi_outputs(V[:4], 2, V[4])])
     want = [[arr.tobytes() for arr in run()] for run in cases]
     got = [[], []]
 

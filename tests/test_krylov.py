@@ -48,10 +48,10 @@ class TestConfig:
         # bounded restart keeps it small whatever max_iters is, and both
         # huge are refused before any allocation
         g = mkgrid(8, bc=NO_SLIP)
-        krylov.require_basis_size(g, GmresConfig(restart=10, max_iters=10**12))
+        krylov.require_memory(g, GmresConfig(restart=10, max_iters=10**12))
         huge = GmresConfig(restart=10**12, max_iters=10**12)
         with pytest.raises(ValueError, match="physical memory"):
-            krylov.require_basis_size(g, huge)
+            krylov.require_memory(g, huge)
         coeff = constant_coefficients(g, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="physical memory"):
             gmres_solve(StokesVector.zeros(g), coeff, PrecondConfig(kind=IDENTITY), huge)

@@ -3,10 +3,10 @@
 OpenBLAS threads its level-1 and level-2 routines on long vectors.  A BLAS
 call on the run path would make results depend on the BLAS thread count and
 make parallel sweep workers oversubscribe the cores, so the modules every
-solve runs through compute inner products, norms, Gram-Schmidt steps and
+solve runs through compute inner products, norms, Arnoldi steps and
 basis combinations with the compiled library's reductions
-(``kernels.sum_products``, ``mgs_step`` and ``combine``), each summed in
-one documented order.  This test reads their source and fails
+(``kernels.sum_products``, ``arnoldi`` and ``combine``), each summed in
+one documented blocked order.  This test reads their source and fails
 on any construct that reaches BLAS: the ``@`` operator, ``np.dot``,
 ``np.vdot``, ``np.inner``, ``np.matmul``, ``np.tensordot``, any
 ``np.linalg`` call or ``linalg`` import, and ``np.einsum`` with an
