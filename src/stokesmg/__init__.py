@@ -31,7 +31,6 @@ from .operators import (
     apply_A,
     apply_Lrho,
     apply_M,
-    apply_viscous,
     div,
     grad,
     lap_pressure,

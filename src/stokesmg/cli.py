@@ -474,11 +474,13 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
 
 
 def cmd_spectrum(config: dict, outdir: str) -> int:
-    from .spectrum import analyze_stokes_spectrum
+    from .spectrum import analyze_stokes_spectrum, require_spectrum_size
 
     validate_keys(config)
     which = _get(config.get("spectrum", {}), "which", "precondS", str)
-    grid, coeff, _, _ = build_problem(config.get("problem", {}))
+    problem = config.get("problem", {})
+    require_spectrum_size(build_grid(problem))
+    grid, coeff, _, _ = build_problem(problem)
     kernels.load()
     report = analyze_stokes_spectrum(grid, coeff, which)
     os.makedirs(outdir, exist_ok=True)

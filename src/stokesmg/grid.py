@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -53,9 +54,10 @@ class LayoutError(ValueError):
 class GridSpec:
     """Uniform rectangular staggered grid.
 
-    ``cells`` holds the per-axis cell counts, ``h`` the (shared) grid
-    spacing and ``bc`` one ``(low, high)`` pair of boundary conditions per
-    axis.  Periodic conditions must match across an axis.  Solvers expect
+    ``cells`` holds the per-axis cell counts (integers, never truncated),
+    ``h`` the (shared) grid spacing and ``bc`` one ``(low, high)`` pair of
+    boundary conditions per axis, each stored as its member when given by
+    value (``"no_slip"``).  Periodic conditions must match across an axis.  Solvers expect
     every count to be even and at least 4, so at least one multigrid
     coarsening exists; counts of 2 or 3 are legal only for internally
     generated coarse levels and tiny dense test grids.
@@ -66,9 +68,13 @@ class GridSpec:
     bc: tuple[tuple[BoundaryCondition, BoundaryCondition], ...]
 
     def __post_init__(self):
-        cells = tuple(int(n) for n in self.cells)
+        try:
+            cells = tuple(operator.index(n) for n in self.cells)
+        except TypeError:
+            raise ValueError(f"cell counts must be integers, got {self.cells!r}") from None
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "bc", tuple((lo, hi) for lo, hi in self.bc))
+        object.__setattr__(self, "bc", tuple((BoundaryCondition(lo), BoundaryCondition(hi))
+                                             for lo, hi in self.bc))
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if len(self.bc) != self.dim:

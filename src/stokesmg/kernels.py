@@ -1,17 +1,17 @@
 """The stencil functions and the compiled library that runs them.
 
 Every stencil of the package is one function here: the operators
-:func:`div`, :func:`grad`, :func:`apply_Lrho`, :func:`apply_viscous`,
-:func:`apply_A` (also the V-cycle's residual) and :func:`apply_M` (also
-GMRES's true residual, ``rhs - M x``, in one buffer), the smoother
-diagonals :func:`lrho_diagonal` and :func:`helmholtz_diagonal`, the
-smoother sweeps :func:`smooth_cell` and :func:`smooth_face`, and the grid
-transfers :func:`restrict_cell`, :func:`restrict_face`,
-:func:`prolong_cell` and :func:`prolong_face`.  Each checks its arrays,
-passes their addresses to one call of one entry of ``sweeps.c`` and
-returns the field (the sweeps relax in place; the face sweep relaxes every
-velocity component).  A sweep, a diagonal and a transfer take the field
-kind, so each pair of them is one caller of :func:`_sweep`,
+:func:`div`, :func:`grad`, :func:`apply_Lrho`, :func:`apply_A` (each also
+the V-cycle's residual) and :func:`apply_M` (also GMRES's true residual,
+``rhs - M x``, in one buffer), the smoother diagonals
+:func:`lrho_diagonal` and :func:`helmholtz_diagonal`, the smoother sweeps
+:func:`smooth_cell` and :func:`smooth_face`, and the grid transfers
+:func:`restrict_cell`, :func:`restrict_face`, :func:`prolong_cell` and
+:func:`prolong_face`.  Each checks its arrays, passes their addresses to
+one call of one entry of ``sweeps.c`` and returns the field (the sweeps
+relax in place; the face sweep relaxes every velocity component).  An
+operator, a sweep, a diagonal and a transfer take the field kind, so each
+pair of them is one caller of :func:`_apply`, :func:`_sweep`,
 :func:`_diagonal` or :func:`_transfer` and one library entry.  A field
 goes as one array of per-axis pointers (a cell field's first), refused on
 another grid than the call's, and a coefficient set as one ``smg_level``:
@@ -67,6 +67,7 @@ import numpy as np
 from .grid import (
     FREE_SLIP,
     NO_SLIP,
+    PERIODIC,
     CellField,
     FaceField,
     GridSpec,
@@ -84,9 +85,10 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweeps.c")
 #: marks the key compiled into a library, checked before it is loaded
 KEY_TAG = b"stokesmg-sweeps-key:"
 
-#: sweeps.c's codes of the viscous forms, by ``ViscousForm`` value
+#: sweeps.c's codes of the viscous forms, by ``ViscousForm`` value, and of
+#: the boundary conditions
 _FORMS = {"laplacian": 0, "stress": 1, "stress_bulk": 2}
-_BC = {NO_SLIP: 1, FREE_SLIP: 2}
+_BC = {PERIODIC: 0, NO_SLIP: 1, FREE_SLIP: 2}
 
 _library = None
 
@@ -194,8 +196,8 @@ _ptrs, _grid, _lv = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(_Grid3),
 #: result and argument types of each entry of sweeps.c
 SIGNATURES = {
     "smg_sweep": (_int, [_int, _lv, _dbl, _int, _ptrs, _ptrs]),
-    "smg_face_apply": (_int, [_lv, _int, _ptrs, _ptr, _ptrs, _ptr, _ptrs, _ptr]),
-    "smg_cell_apply": (_int, [_lv, _ptr, _ptr, _ptr]),
+    "smg_apply": (_int, [_int, _lv, _ptrs, _ptrs, _ptrs]),
+    "smg_saddle": (_int, [_lv, _ptrs, _ptr, _ptrs, _ptr, _ptrs, _ptr]),
     "smg_diag": (None, [_int, _lv, _ptrs]),
     "smg_grad": (None, [_grid, _ptr, _ptrs]),
     "smg_div": (None, [_grid, _ptrs, _ptr]),
@@ -285,7 +287,7 @@ def _layout(grid: GridSpec) -> _Layout:
         n, lo, hi = 1, 0, 0
         if ax >= lead:
             n = grid.cells[ax - lead]
-            lo, hi = (_BC.get(bc, 0) for bc in grid.bc[ax - lead])
+            lo, hi = (_BC[bc] for bc in grid.bc[ax - lead])
         g.n[ax], g.lo[ax], g.hi[ax] = n, lo, hi
     g.h = grid.h
     g.inv_h2 = 1.0 / grid.h**2
@@ -345,12 +347,6 @@ def _check(status: int) -> None:
 def _start(grid: GridSpec):
     """The library and ``grid``'s layout."""
     return _library or load(), _remember(grid, _layout)
-
-
-#: ``OUT_*`` of sweeps.c, what ``smg_face_apply`` gives: ``A u``, the
-#: residual ``base - A u``, the saddle operator ``(A u + G p, -D u)`` and
-#: its residual
-_OPERATOR, _RESIDUAL, _SADDLE, _SADDLE_RESIDUAL = range(4)
 
 
 def _on(kind, grid: GridSpec, field):
@@ -445,17 +441,23 @@ def grad(p: CellField) -> FaceField:
     return out
 
 
+def _apply(kind, x, coeff: CoefficientSet, rhs):
+    """The operator of ``kind`` fields on ``coeff`` applied to ``x``, or,
+    with ``rhs``, the residual ``rhs - op x`` in the same pass."""
+    grid = x.grid
+    lib, _ = _start(grid)
+    out = _empty(kind, grid)
+    _check(lib.smg_apply(kind is CellField, _level(grid, coeff), _field(kind, grid, x),
+                         rhs and _field(kind, grid, rhs), _field(kind, grid, out)))
+    return out
+
+
 def apply_Lrho(p: CellField, coeff: CoefficientSet,
                rhs: CellField | None = None) -> CellField:
     """Density-weighted pressure Poisson operator D (1/rho) G, summed from
     unscaled differences and scaled once by 1/h^2; with ``rhs``, the
     residual ``rhs - D (1/rho) G p`` instead, in the same pass."""
-    grid = p.grid
-    lib, _ = _start(grid)
-    out = _empty(CellField, grid)
-    _check(lib.smg_cell_apply(_level(grid, coeff), _cell(grid, p), rhs and _cell(grid, rhs),
-                              _cell(grid, out)))
-    return out
+    return _apply(CellField, p, coeff, rhs)
 
 
 def _diagonal(kind, grid: GridSpec, coeff: CoefficientSet):
@@ -477,45 +479,16 @@ def lrho_diagonal(grid: GridSpec, coeff: CoefficientSet) -> CellField:
 # ---------------------------------------------------------------------------
 
 
-def apply_viscous(u: FaceField, coeff: CoefficientSet) -> FaceField:
-    """Discrete viscous term in the requested form.
-
-    Laplacian: component-wise div(mu grad u_a).  Stress: the strain-tensor
-    form with node/edge viscosities on the cross fluxes.  StressBulk adds
-    the (gamma - 2/3 mu)(div u) isotropic flux.  Tangential momentum flux is
-    zero on free-slip walls; on a no-slip wall, stencils reaching outside
-    the domain use one-sided differences against a zero wall velocity
-    (distance h/2, hence a factor two).  Unscaled fluxes are summed and each
-    row is multiplied by 1/h^2 once, which for a power-of-two h rounds
-    exactly like dividing each difference by h.
-    """
-    grid = u.grid
-    lib, _ = _start(grid)
-    out = _empty(FaceField, grid)
-    # L_mu u is -(A u) at theta = 0, boundary faces included; negation is exact
-    steady = _Level.from_buffer_copy(_level(grid, coeff))
-    steady.theta = 0.0
-    _check(lib.smg_face_apply(steady, _OPERATOR, _field(FaceField, grid, u), None, None,
-                              None, _field(FaceField, grid, out), None))
-    for c in out.components:
-        np.negative(c, out=c)
-    return out
-
-
 def apply_A(u: FaceField, coeff: CoefficientSet,
             rhs: FaceField | None = None) -> FaceField:
     """Velocity operator theta*rho*u - L_mu u on the unknown faces (steady
     flow forms no mass term: -L_mu u); with ``rhs``, the residual
     ``rhs - A u`` instead, in the same pass, whose boundary faces carry
-    ``rhs``."""
-    grid = u.grid
-    lib, _ = _start(grid)
-    out = _empty(FaceField, grid)
-    _check(lib.smg_face_apply(
-        _level(grid, coeff), _OPERATOR if rhs is None else _RESIDUAL,
-        _field(FaceField, grid, u), None, rhs and _field(FaceField, grid, rhs), None,
-        _field(FaceField, grid, out), None))
-    return out
+    ``rhs``.  L_mu is the viscous term in the coefficients' form (Laplacian,
+    stress or stress-bulk); on a no-slip wall, stencils reaching outside the
+    domain use one-sided differences against a zero wall velocity, and
+    free-slip walls carry no tangential momentum flux."""
+    return _apply(FaceField, u, coeff, rhs)
 
 
 def apply_M(x: StokesVector, coeff: CoefficientSet,
@@ -527,9 +500,8 @@ def apply_M(x: StokesVector, coeff: CoefficientSet,
     grid = x.grid
     lib, _ = _start(grid)
     out = StokesVector.view(grid, np.empty(StokesVector.buffer_size(grid)))
-    _check(lib.smg_face_apply(
-        _level(grid, coeff), _SADDLE if rhs is None else _SADDLE_RESIDUAL,
-        _field(FaceField, grid, x.u), _cell(grid, x.p),
+    _check(lib.smg_saddle(
+        _level(grid, coeff), _field(FaceField, grid, x.u), _cell(grid, x.p),
         rhs and _field(FaceField, grid, rhs.u), rhs and _cell(grid, rhs.p),
         _field(FaceField, grid, out.u), _cell(grid, out.p)))
     return out

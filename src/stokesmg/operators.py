@@ -5,7 +5,7 @@ The coefficient set and its averaging onto faces and nodes/edges, the
 pressure Laplacian, the null components of the velocity operator and their
 projection, and the system rescaling.  The operators themselves and the
 smoother diagonals (``div``, ``grad``, ``apply_Lrho``, ``lrho_diagonal``,
-``apply_viscous``, ``apply_A``, ``helmholtz_diagonal`` and ``apply_M``) are
+``apply_A``, ``helmholtz_diagonal`` and ``apply_M``) are
 the functions of :mod:`kernels`, imported here; the compiled library alone
 holds their coupling weights and wall rules, and their numpy formulation,
 which fixes every output bit, is the oracle in ``tests/reference.py``.
@@ -33,7 +33,6 @@ from .kernels import (
     apply_A,
     apply_Lrho,
     apply_M,
-    apply_viscous,
     div,
     grad,
     helmholtz_diagonal,
@@ -78,6 +77,7 @@ class CoefficientSet:
     viscous_form: ViscousForm = STRESS
 
     def __post_init__(self):
+        object.__setattr__(self, "viscous_form", ViscousForm(self.viscous_form))
         # min/max propagate NaN, and a NaN fails every comparison below
         if not 0 <= self.theta < np.inf:
             raise ValueError("theta must be nonnegative and finite")
@@ -178,11 +178,6 @@ def _sl(ndim: int, axis: int, what) -> tuple:
     return tuple(sl)
 
 
-def _zero_boundary(arr: np.ndarray, axis: int) -> None:
-    arr[_sl(arr.ndim, axis, 0)] = 0.0
-    arr[_sl(arr.ndim, axis, -1)] = 0.0
-
-
 def lap_pressure(p: CellField) -> CellField:
     """Scalar pressure Laplacian, exactly div(grad(p))."""
     return div(grad(p))
@@ -239,9 +234,6 @@ class RescaleSpec:
 
     def unscale_solution(self, x: StokesVector) -> StokesVector:
         return StokesVector(x.u, (1.0 / self.c) * x.p)
-
-    def scale_solution(self, x: StokesVector) -> StokesVector:
-        return StokesVector(x.u, self.c * x.p)
 
 
 def rescale(coeff: CoefficientSet, rhs: StokesVector):

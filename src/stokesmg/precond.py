@@ -17,7 +17,6 @@ from .multigrid import (MAX_CYCLES, MgHierarchy, SmootherParams, build_hierarchy
                         require_counts)
 from .operators import (
     CoefficientSet,
-    _zero_boundary,
     apply_A,
     div,
     grad,
@@ -54,6 +53,7 @@ class PrecondConfig:
     exact_subsolvers: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", PrecondKind(self.kind))
         require_counts(self, "velocity_cycles")
         if not 1 <= self.velocity_cycles <= MAX_CYCLES:
             raise ValueError(f"need 1 to {MAX_CYCLES} velocity cycles")
@@ -127,8 +127,6 @@ class Preconditioner:
                 xu.components[a][...] -= (
                     gphi.components[a] / coeff.rho_face.components[a]
                 )
-                if not self.grid.periodic(a):
-                    _zero_boundary(xu.components[a], a)
             # reuse the single Poisson solve inside the Schur inverse
             s_inv = apply_schur_inv(b_c, coeff, lambda _: phi)
             x = StokesVector(xu, sign * s_inv)
@@ -141,14 +139,12 @@ class Preconditioner:
         elif kind is P4:
             x = StokesVector(self.velocity_solve(r.u),
                              sign * self._schur_inv(r.p))
-        elif kind is P5:
+        else:  # P5
             xu_star = self.velocity_solve(r.u)
             xp = sign * self._schur_inv(div(xu_star) + r.p)
             # second solve restarted from xu_star: correct its residual
             b2 = apply_A(xu_star, coeff, rhs=r.u - grad(xp))
             xu = xu_star + self.velocity_solve(b2)
             x = StokesVector(xu, xp)
-        else:
-            raise ValueError(f"unknown preconditioner kind {kind}")
 
         return project_nulls(x, coeff)

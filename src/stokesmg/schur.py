@@ -19,7 +19,6 @@ from .multigrid import MAX_CYCLES, require_counts
 from .operators import (
     LAPLACIAN,
     STRESS,
-    STRESS_BULK,
     CoefficientSet,
     div,
     grad,
@@ -44,6 +43,7 @@ class SchurConfig:
     pressure_cycles: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "sign", SchurSign(self.sign))
         require_counts(self, "pressure_cycles")
         if not 1 <= self.pressure_cycles <= MAX_CYCLES:
             raise ValueError(f"need 1 to {MAX_CYCLES} pressure cycles")
@@ -56,9 +56,7 @@ def schur_diagonal(coeff: CoefficientSet) -> np.ndarray:
         return coeff.mu_cell.data
     if form is STRESS:
         return 2.0 * coeff.mu_cell.data
-    if form is STRESS_BULK:
-        return coeff.gamma_cell.data + (4.0 / 3.0) * coeff.mu_cell.data
-    raise ValueError(f"unknown viscous form {form}")
+    return coeff.gamma_cell.data + (4.0 / 3.0) * coeff.mu_cell.data  # STRESS_BULK
 
 
 def apply_schur_inv(r: CellField, coeff: CoefficientSet,

@@ -37,6 +37,14 @@ DenseMatrix = np.ndarray
 MAX_SPECTRUM_CELLS = 1024  # full spectra capped at 32x32
 
 
+def require_spectrum_size(grid: GridSpec) -> None:
+    """The one spectrum cap: at most ``MAX_SPECTRUM_CELLS`` cells on
+    ``grid``, else ``ValueError``."""
+    if grid.n_cell_unknowns() > MAX_SPECTRUM_CELLS:
+        raise ValueError(
+            f"{grid.n_cell_unknowns()} cells exceed spectrum cap {MAX_SPECTRUM_CELLS}")
+
+
 def _space_size(grid: GridSpec, space: str) -> int:
     if space == "cell":
         return grid.n_cell_unknowns()
@@ -159,10 +167,7 @@ def analyze_stokes_spectrum(grid: GridSpec, coeff: CoefficientSet,
     require steady flow; the preconditioned spectrum is computed from
     V^{1/2} S V^{1/2}, similar to V S with V the diagonal Schur inverse.
     """
-    if grid.n_cell_unknowns() > MAX_SPECTRUM_CELLS:
-        raise ValueError(
-            f"{grid.n_cell_unknowns()} cells exceed spectrum cap {MAX_SPECTRUM_CELLS}"
-        )
+    require_spectrum_size(grid)
     if which == "M":
         M = assemble_dense(lambda x: apply_M(x, coeff), grid)
         lam = sym_eigenvalues(M)

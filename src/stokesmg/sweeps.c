@@ -15,10 +15,11 @@
  * through the same stages.
  *
  * The operators run the stages the sweeps form their residuals with:
- * smg_face_apply gives A u, rhs - A u, the saddle operator
- * (A u + G p, -D u) or its residual, smg_cell_apply D (1/rho) G p or its
- * residual, and smg_div and smg_grad D and G; one row function sums D, for
- * the divergence and for the pressure operator alike.  smg_dot,
+ * smg_apply gives either kind's operator, or its residual rhs - A x, through
+ * the V-cycle's residual stage, smg_saddle the saddle operator
+ * (A u + G p, -D u) or its residual, and smg_div and smg_grad D and G; one
+ * row function sums D, for the divergence and for the pressure operator
+ * alike.  smg_dot,
  * smg_arnoldi (a whole Gram-Schmidt step of GMRES) and smg_combine are the
  * Krylov reductions over flat vectors, each summed in one documented
  * blocked order (see below) that the loops in tests/reference.py repeat.
@@ -49,8 +50,8 @@
  * takes its neighbour offsets and wall tests for one column "at" (see
  * LINE) and is kept out of line, so its loop is compiled once.
  *
- * smg_vcycle, smg_face_apply, smg_cell_apply and the Krylov reductions
- * run on a team of threads (see "the team" below): each pass cuts its rows
+ * smg_vcycle, smg_apply, smg_saddle and the Krylov reductions run on a
+ * team of threads (see "the team" below): each pass cuts its rows
  * (or a reduction's blocks) into chunks that the threads claim, and a
  * stage waits for the chunks of the passes it reads.  No entry of a pass
  * reads what another entry of the same pass writes, and a reduction adds
@@ -781,7 +782,7 @@ static long cell_sweep(team_t *tm, const smg_level *lv, double omega, int zero_g
     return size;
 }
 
-/* r[0] = D (1/rho) G p[0], or rhs[0] - it when rhs[0] is not NULL; without
+/* r[0] = D (1/rho) G p[0], or rhs[0] - it when rhs is not NULL; without
  * work, returns its size */
 static long cell_apply(team_t *tm, const smg_level *lv, const double *const *p,
                        const double *const *rhs, double *const *r, double *work)
@@ -792,41 +793,13 @@ static long cell_apply(team_t *tm, const smg_level *lv, const double *const *p,
     if (!work)
         return size;
     c.p = (double *)p[0];
-    c.rhs = rhs[0];
+    c.rhs = rhs ? rhs[0] : NULL;
     c.r = r[0];
     gradient_rows(tm, &c);
     team_sync(tm);
     div_rows(tm, &c);
     team_sync(tm);
     return size;
-}
-
-typedef struct {
-    const smg_level *lv;
-    const double *p, *rhs;
-    double *out, *work;
-} cell_apply_args;
-
-static void cell_apply_task(team_t *tm, void *arg)
-{
-    const cell_apply_args *a = arg;
-    cell_apply(tm, a->lv, &a->p, &a->rhs, &a->out, a->work);
-}
-
-/* entries of a grid's Stokes vector: its velocity faces and pressure
- * cells, which decide whether a call on it runs on the team */
-static long stokes_entries(const grid3 *g);
-
-/* out = D (1/rho) G p, or rhs - D (1/rho) G p when rhs is not NULL */
-int smg_cell_apply(const smg_level *lv, const double *p, const double *rhs, double *out)
-{
-    cell_apply_args a = {lv, p, rhs, out,
-                         workspace(cell_apply(SOLO, lv, NULL, NULL, NULL, NULL))};
-    if (!a.work)
-        return -1;
-    team_run(stokes_entries(&lv->g), cell_apply_task, &a);
-    free(a.work);
-    return 0;
 }
 
 /* out[x] = G p along each coupled axis x */
@@ -1322,16 +1295,18 @@ static void face_diag(const smg_level *lv, double *const *out)
     }
 }
 
-/* The arguments of smg_face_apply, and its workspace (NULL: face_apply
- * returns its size and runs nothing). */
+/* The arguments of an operator stage: the field kind, what a face stage
+ * stores (OUT_*), x (u, with the saddle's p), the right-hand sides (NULL:
+ * none), the outputs and the workspace (NULL: the stage returns its size
+ * and runs nothing). */
 typedef struct {
     const smg_level *lv;
-    int out;
+    int kind, out;
     const double *const *u, *p, *const *base, *base_p;
     double *const *res, *res_p, *work;
-} face_apply_args;
+} apply_args;
 
-static long face_apply(team_t *tm, const face_apply_args *in)
+static long face_apply(team_t *tm, const apply_args *in)
 {
     const grid3 *g = &in->lv->g;
     int form = in->lv->form, out = in->out;
@@ -1383,29 +1358,6 @@ static long face_apply(team_t *tm, const face_apply_args *in)
         team_sync(tm);
     }
     return size;
-}
-
-static void face_apply_task(team_t *tm, void *arg)
-{
-    face_apply(tm, arg);
-}
-
-/* Every component a of the velocity operator into res[a], as "out" asks:
- * A u, base - A u (base[a] the residual's right-hand side), the saddle
- * operator's A u + G p, with -D u into res_p, or the saddle residual
- * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
- * boundary faces.  Every wall velocity is zero. */
-int smg_face_apply(const smg_level *lv, int out, const double *const *u, const double *p,
-                   const double *const *base, const double *base_p,
-                   double *const *res, double *res_p)
-{
-    face_apply_args a = {lv, out, u, p, base, base_p, res, res_p, NULL};
-    a.work = workspace(face_apply(SOLO, &a));
-    if (!a.work)
-        return -1;
-    team_run(stokes_entries(&lv->g), face_apply_task, &a);
-    free(a.work);
-    return 0;
 }
 
 /* out = D u */
@@ -1635,9 +1587,10 @@ static long transfer_field(team_t *tm, int kind, int restricting, const grid3 *g
  * the multigrid stages
  * ------------------------------------------------------------------------
  * One stage per job, for a field of either kind, as per-axis pointers (a
- * pressure field's first): sweep and residual here, transfer_field above.
- * The V-cycle and the stand-alone entries below call only these.  Without
- * work, each returns its size. */
+ * pressure field's first): sweep and the operator stage (the residual, or
+ * the saddle's) here, transfer_field above.  The V-cycle and the
+ * stand-alone entries below call only these.  Without work, each returns
+ * its size. */
 
 /* one sweep of x against rhs on level lv, dividing by lv->diag */
 static long sweep(team_t *tm, int kind, const smg_level *lv, double omega, int zero_guess,
@@ -1647,15 +1600,90 @@ static long sweep(team_t *tm, int kind, const smg_level *lv, double omega, int z
                         : face_sweep(tm, lv, omega, zero_guess, x, rhs, work);
 }
 
-/* r = rhs - (the kind's operator on level lv) x */
+/* Entries of each component of a field of the kind on g, indexed by axis
+ * (a cell field has one, first); 0 for none.  Returns their sum. */
+static long parts(int kind, const grid3 *g, long n[3])
+{
+    long s[3], total = 0;
+    for (int a = 0; a < 3; a++) {
+        n[a] = 0;
+        if (kind == CELL ? a == 0 : a >= g->first) {
+            shape_of(g, kind == CELL ? -1 : a, kind == CELL ? -1 : a, s);
+            n[a] = count(s);
+            total += n[a];
+        }
+    }
+    return total;
+}
+
+static long field_size(int kind, const grid3 *g)
+{
+    long n[3];
+    return parts(kind, g, n);
+}
+
+/* entries of a grid's Stokes vector: its velocity faces and pressure
+ * cells, which decide whether a call on it runs on the team */
+static long stokes_entries(const grid3 *g)
+{
+    return field_size(FACE, g) + field_size(CELL, g);
+}
+
+/* the operator stage of either kind */
+static long operator_stage(team_t *tm, const apply_args *a)
+{
+    return a->kind == CELL ? cell_apply(tm, a->lv, a->u, a->base, a->res, a->work)
+                           : face_apply(tm, a);
+}
+
+/* r = rhs - (the kind's operator on level lv) x, or the operator alone
+ * when rhs is NULL */
 static long residual(team_t *tm, int kind, const smg_level *lv, const double *const *x,
                      const double *const *rhs, double *const *r, double *work)
 {
-    if (kind == CELL)
-        return cell_apply(tm, lv, x, rhs, r, work);
-    face_apply_args a = {.lv = lv, .out = OUT_RESIDUAL, .u = x, .base = rhs, .res = r,
-                         .work = work};
-    return face_apply(tm, &a);
+    apply_args a = {.lv = lv, .kind = kind, .out = rhs ? OUT_RESIDUAL : OUT_A, .u = x,
+                    .base = rhs, .res = r, .work = work};
+    return operator_stage(tm, &a);
+}
+
+static void operator_task(team_t *tm, void *arg)
+{
+    operator_stage(tm, arg);
+}
+
+/* Runs an operator stage as one task of the team, in its own workspace. */
+static int run_operator(apply_args *a)
+{
+    a->work = workspace(operator_stage(SOLO, a));
+    if (!a->work)
+        return -1;
+    team_run(stokes_entries(&a->lv->g), operator_task, a);
+    free(a->work);
+    return 0;
+}
+
+/* The residual stage as one entry: of the pressure operator when cell is
+ * nonzero (x, rhs and r hold the pressure first), else of the velocity
+ * operator, whose boundary faces carry rhs's, or -0 in steady flow. */
+int smg_apply(int cell, const smg_level *lv, const double *const *x,
+              const double *const *rhs, double *const *r)
+{
+    apply_args a = {.lv = lv, .kind = cell ? CELL : FACE, .out = rhs ? OUT_RESIDUAL : OUT_A,
+                    .u = x, .base = rhs, .res = r};
+    return run_operator(&a);
+}
+
+/* The saddle operator: every component a of A u + G p into res[a], with
+ * -D u into res_p; or, when base is not NULL, the saddle residual
+ * base[a] - (A u + G p), with base_p - (-D u) into res_p and +0 on the
+ * boundary faces.  Every wall velocity is zero. */
+int smg_saddle(const smg_level *lv, const double *const *u, const double *p,
+               const double *const *base, const double *base_p, double *const *res,
+               double *res_p)
+{
+    apply_args a = {lv, FACE, base ? OUT_SADDLE_RESIDUAL : OUT_SADDLE, u, p, base, base_p,
+                    res, res_p, NULL};
+    return run_operator(&a);
 }
 
 /* One sweep of x on the operator of level lv, which holds the diagonal:
@@ -1723,33 +1751,6 @@ typedef struct {
     const double *const *rhs;
     double *work;
 } cycle_t;
-
-/* Entries of each component of a field of the kind on g, indexed by axis
- * (a cell field has one, first); 0 for none.  Returns their sum. */
-static long parts(int kind, const grid3 *g, long n[3])
-{
-    long s[3], total = 0;
-    for (int a = 0; a < 3; a++) {
-        n[a] = 0;
-        if (kind == CELL ? a == 0 : a >= g->first) {
-            shape_of(g, kind == CELL ? -1 : a, kind == CELL ? -1 : a, s);
-            n[a] = count(s);
-            total += n[a];
-        }
-    }
-    return total;
-}
-
-static long field_size(int kind, const grid3 *g)
-{
-    long n[3];
-    return parts(kind, g, n);
-}
-
-static long stokes_entries(const grid3 *g)
-{
-    return field_size(FACE, g) + field_size(CELL, g);
-}
 
 /* Points c at the components of a field stored from buf on; returns the
  * entry after it. */

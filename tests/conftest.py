@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stokesmg.grid import (
     GridSpec,
     StokesVector,
 )
+from stokesmg.kernels import apply_A
 
 
 # every boundary kind at once: no-slip, free-slip and periodic axes
@@ -65,6 +68,12 @@ def divergence_free_face(grid, rng):
         d_c = (np.roll(pots[b], -1, axis=c) - pots[b]) / h
         comps.append(d_b - d_c)
     return FaceField(grid, tuple(comps))
+
+
+def viscous(u, coeff):
+    """The viscous term L_mu u in the coefficients' form: A u at theta = 0,
+    negated, boundary faces included (their -0 negates to +0)."""
+    return -apply_A(u, dataclasses.replace(coeff, theta=0.0))
 
 
 @pytest.fixture

@@ -32,8 +32,13 @@ from stokesmg.operators import (
     STRESS_BULK,
     CoefficientSet,
     _sl,
-    _zero_boundary,
 )
+
+
+def _zero_boundary(arr: np.ndarray, axis: int) -> None:
+    """Zero the two boundary planes of ``arr`` normal to ``axis``."""
+    arr[_sl(arr.ndim, axis, 0)] = 0.0
+    arr[_sl(arr.ndim, axis, -1)] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,13 @@ HUGE_GRID = "\n".join([
 ])
 
 
-@pytest.mark.parametrize("command", ["run", "mg-bench"])
+#: what each command's refusal of that grid says: a solve's memory cap, or
+#: the dense spectrum's cell cap
+REFUSAL = {"run": "physical memory", "mg-bench": "physical memory",
+           "spectrum": "exceed spectrum cap"}
+
+
+@pytest.mark.parametrize("command", ["run", "mg-bench", "spectrum"])
 def test_a_grid_beyond_physical_memory_is_refused_before_it_is_built(tmp_path, command):
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -255,7 +261,7 @@ def test_a_grid_beyond_physical_memory_is_refused_before_it_is_built(tmp_path, c
         [sys.executable, "-c", HUGE_GRID, command, str(tmp_path / "cfg.json"), str(out)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr[-4000:]
-    assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
+    assert REFUSAL[command] in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

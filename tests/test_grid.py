@@ -7,6 +7,7 @@ from stokesmg.grid import (
     FREE_SLIP,
     NO_SLIP,
     PERIODIC,
+    BoundaryCondition,
     CellField,
     FaceField,
     GridSpec,
@@ -35,6 +36,34 @@ class TestGridSpec:
             mkgrid((8, 1))
         with pytest.raises(ValueError):
             mkgrid(8, h=0.0)
+
+    @pytest.mark.parametrize("cells", [(8.9, 8), (8.0, 8), ("8", 8), (8, None)])
+    def test_non_integer_cell_counts_rejected(self, cells):
+        # a count is taken as it is or refused, never truncated
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(cells, 1.0, ((NO_SLIP, NO_SLIP),) * 2)
+        grid = GridSpec((np.int64(8), 6), 1.0, ((NO_SLIP, NO_SLIP),) * 2)
+        assert grid.cells == (8, 6) and all(type(n) is int for n in grid.cells)
+
+    @pytest.mark.parametrize("names", [("no_slip", "no_slip"), ("free_slip", "no_slip"),
+                                       ("periodic", "periodic")])
+    def test_boundary_conditions_take_their_type_at_construction(self, names, rng):
+        # a condition given by its value is its member, so the faces are
+        # sized, and the library is told the walls, as for the member
+        from stokesmg.operators import apply_A, make_coefficients
+
+        members = tuple(BoundaryCondition(name) for name in names)
+        by_name = GridSpec((8, 8), 0.25, (names, names))
+        grid = GridSpec((8, 8), 0.25, (members, members))
+        assert by_name == grid and all(b is m for b, m in zip(by_name.bc[0], members))
+        outputs = []
+        for g in (by_name, grid):
+            ones = CellField(g, np.ones(g.cells))
+            u = FaceField(g, tuple(np.ones(g.face_shape(a)) for a in range(2)))
+            outputs.append(apply_A(u, make_coefficients(g, 1.0, ones, ones)).components)
+        assert [c.tobytes() for c in outputs[0]] == [c.tobytes() for c in outputs[1]]
+        with pytest.raises(ValueError):
+            GridSpec((8, 8), 0.25, (("wall", "wall"),) * 2)
 
     @pytest.mark.parametrize("h", [np.inf, np.nan, -np.inf, 1e-200, 1e200, 1e-160,
                                    np.float64(1e200)])

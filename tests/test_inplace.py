@@ -41,7 +41,6 @@ from stokesmg.operators import (
     apply_A,
     apply_Lrho,
     apply_M,
-    apply_viscous,
     div,
     grad,
     helmholtz_diagonal,
@@ -120,7 +119,6 @@ def test_velocity_operators_leave_inputs(walls, dim, form, rng):
     before = snapshot(u, rhs, coeff)
     apply_A(u, coeff)
     apply_A(u, coeff, rhs=rhs)
-    apply_viscous(u, coeff)
     assert_unchanged(before, u, rhs, coeff)
 
 
@@ -143,13 +141,11 @@ def test_saddle_and_pressure_operators_leave_inputs(walls, dim, rng):
 @dims
 @forms
 def test_operator_kernels_leave_inputs(walls, dim, form, rng):
-    # every operator and diagonal entry of the library; apply_viscous,
-    # apply_A and apply_A with a right-hand side, so each output mode of
-    # the velocity operator runs
+    # every operator and diagonal entry of the library, the operators with
+    # and without a right-hand side
     g, coeff = case(walls, dim, form, rng)
     u, base, p, rhs = random_face(g, rng), random_face(g, rng), random_cell(g, rng), random_cell(g, rng)
     before = snapshot(u, base, p, rhs, coeff)
-    kernels.apply_viscous(u, coeff)
     kernels.apply_A(u, coeff)
     kernels.apply_A(u, coeff, rhs=base)
     kernels.apply_M(StokesVector(u, p), coeff)
@@ -283,7 +279,6 @@ def refusal_cases(g, coeff, rng):
         ("apply_Lrho", lambda: apply_Lrho(bad_p, coeff), None),
         ("apply_Lrho rhs", lambda: apply_Lrho(p, coeff, bad_p), None),
         ("apply_Lrho coeff", lambda: apply_Lrho(p, bad_coeff), None),
-        ("apply_viscous", lambda: apply_viscous(bad_u, coeff), None),
         ("apply_A", lambda: apply_A(bad_u, coeff), None),
         ("apply_A rhs", lambda: apply_A(u, coeff, rhs=bad_u), None),
         ("apply_A coeff", lambda: apply_A(u, bad_coeff), None),

@@ -51,7 +51,6 @@ from stokesmg.operators import (
     apply_A,
     apply_Lrho,
     apply_M,
-    apply_viscous,
     div,
     grad,
     helmholtz_diagonal,
@@ -64,6 +63,7 @@ from stokesmg.precond import PrecondConfig, Preconditioner, PrecondKind
 from stokesmg.spectrum import assemble_dense
 
 import reference
+from conftest import viscous
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stokesmg.__file__)))
 REPO = os.path.dirname(SRC)
@@ -165,7 +165,7 @@ def test_velocity_operators_equal_oracle(case):
     pairs = [
         (apply_A(u, coeff), reference.apply_A(u, coeff)),
         (apply_A(u, coeff, rhs=rhs), reference.apply_A(u, coeff, rhs=rhs)),
-        (apply_viscous(u, coeff), reference.apply_viscous(u, coeff)),
+        (viscous(u, coeff), reference.apply_viscous(u, coeff)),
         *[(got.u, want.u) for got, want in saddle],
     ]
     for got, want in pairs:
@@ -550,10 +550,10 @@ def arnoldi_outputs(V, j, w):
 @TEAM
 @given(team_cases(), st.integers(0, 11))
 def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
-    # every entry that runs on the team: both V-cycles, the face operator in
-    # each mode, the pressure operator with and without a right-hand side,
-    # the basis combination, the dot product and the Arnoldi step, odd
-    # lengths included
+    # every entry that runs on the team: both V-cycles, the saddle operator
+    # and its residual, the face and the cell operator each with and
+    # without a right-hand side, the basis combination, the dot product and
+    # the Arnoldi step, odd lengths included
     grid, coeff, rng = case
     assert StokesVector.buffer_size(grid) >= team_min_entries()
     u, rhs = full_face(grid, rng), full_face(grid, rng)
@@ -565,9 +565,7 @@ def test_parallel_calls_give_the_same_bytes_at_every_team_size(case, m):
     basis, a, w = (krylov_vector(rng, odd * k).reshape(-1, odd) for k in (j + 2, 1, 1))
     runs = [
         lambda: [apply_M(x, coeff).buffer, apply_M(x, coeff, rhs=b).buffer],
-        lambda: [*apply_A(u, coeff).components,
-                 *apply_A(u, coeff, rhs=rhs).components,
-                 *apply_viscous(u, coeff).components],
+        lambda: [*apply_A(u, coeff).components, *apply_A(u, coeff, rhs=rhs).components],
         lambda: [apply_Lrho(p, coeff).data, apply_Lrho(p, coeff, q).data],
         lambda: [kernels.combine(V, y, z)],
         lambda: [np.float64(kernels.sum_products(a, w))],

@@ -3,6 +3,7 @@ import pytest
 
 from stokesmg.grid import (
     CellField,
+    FaceField,
     StokesVector,
     norm2,
 )
@@ -12,6 +13,7 @@ from stokesmg.operators import (
     apply_M,
     grad,
     lap_pressure,
+    make_coefficients,
 )
 from stokesmg.precond import (
     IDENTITY,
@@ -198,3 +200,46 @@ class TestValidation:
         coeff = constant_coefficients(g)
         with pytest.raises(ValueError, match=match):
             Preconditioner(coeff, PrecondConfig(kind=P2, exact_subsolvers=True))
+
+    def test_kind_takes_its_type_at_construction(self):
+        # a kind given by its value is the member; an unknown one is refused
+        # before any hierarchy is built, not at the first apply
+        assert PrecondConfig(kind="P2").kind is P2
+        assert PrecondConfig(kind="identity").kind is IDENTITY
+        with pytest.raises(ValueError):
+            PrecondConfig(kind="P9")
+
+
+def positive_zero_on_walls(u) -> bool:
+    """Every boundary face of ``u`` holds +0.0, with no sign bit."""
+    planes = [np.take(c, end, axis=a) for a, c in enumerate(u.components)
+              if not u.grid.periodic(a) for end in (0, -1)]
+    return all(np.all(q == 0.0) and not np.signbit(q).any() for q in planes)
+
+
+class TestBoundaryFaces:
+    """Boundary faces are not unknowns.  Every velocity subsolve leaves +0.0
+    there (the V-cycle zeroes its iterate and relaxes only unknowns, the
+    exact solver unpacks into zeros) and so does ``grad``, so P1's corrected
+    velocity u - G phi / rho holds +0.0 there with no zeroing of its own."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("walls", ["no_slip", "free_slip", "mixed"])
+    def test_subsolves_grad_and_p1_hold_positive_zero_on_walls(self, dim, walls, rng):
+        bc = {"no_slip": NO_SLIP, "free_slip": FREE_SLIP,
+              "mixed": [(NO_SLIP, FREE_SLIP)] + [(PERIODIC, PERIODIC)] * (dim - 1)}[walls]
+        n = 16 if dim == 2 else 8
+        g = mkgrid(n, bc=bc, dim=dim, h=1.0 / n)
+        for theta in (0.0, 1.0):
+            mu, rho = (CellField(g, 1.0 + rng.random(g.cells)) for _ in range(2))
+            coeff = make_coefficients(g, theta, rho, mu)
+            for cycles, exact in ((1, False), (2, False), (1, True)):
+                pre = Preconditioner(coeff, PrecondConfig(
+                    kind=P1, velocity_cycles=cycles, exact_subsolvers=exact))
+                # random on every face, the boundary faces included
+                b = FaceField(g, tuple(rng.standard_normal(g.face_shape(a))
+                                       for a in range(dim)))
+                r = StokesVector(b, random_cell(g, rng))
+                assert positive_zero_on_walls(pre.velocity_solve(b))
+                assert positive_zero_on_walls(grad(r.p))
+                assert positive_zero_on_walls(pre.apply(r).u)

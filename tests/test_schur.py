@@ -12,6 +12,7 @@ from stokesmg.operators import (
 from stokesmg.problems import constant_coefficients, inviscid_coefficients
 from stokesmg.schur import (
     MINUS,
+    PLUS,
     SchurConfig,
     apply_schur_inv,
     exact_schur_apply,
@@ -29,6 +30,14 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SchurConfig(pressure_cycles=0)
+
+    def test_sign_takes_its_type_at_construction(self):
+        # a sign given by its value is its member, so "minus" runs the minus
+        # sign; an unknown one is refused
+        assert SchurConfig(sign="minus").sign is MINUS
+        assert SchurConfig(sign="plus").sign is PLUS
+        with pytest.raises(ValueError):
+            SchurConfig(sign="negative")
 
 
 class TestDiagonalScalings:
