@@ -26,7 +26,7 @@ rng = np.random.default_rng(3)
 grid = GridSpec((128, 128), 1.0, ((NO_SLIP, NO_SLIP),) * 2)
 coeff = constant_coefficients(grid, theta=1.0)
 hier = build_hierarchy(grid, coeff)
-print("hierarchy:", " -> ".join(str(lv[0].cells[0]) for lv in hier.levels))
+print("hierarchy:", " -> ".join(str(lv.grid.cells[0]) for lv in hier.levels))
 
 for target in ("pressure", "velocity"):
     print(f"\n=== {target} solver, relative residual per V-cycle ===")

@@ -35,44 +35,23 @@ import numpy as np
 
 from . import __version__, kernels
 from ._exact import require_exact_size
-from .grid import (
-    FREE_SLIP,
-    NO_SLIP,
-    PERIODIC,
-    CellField,
-    FaceField,
-    GridSpec,
-    norm2,
-)
+from .grid import BoundaryCondition, CellField, FaceField, GridSpec, norm2
 from .krylov import GmresConfig, gmres_solve, require_memory
-from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, mg_cycles
-from .operators import LAPLACIAN, STRESS, STRESS_BULK, apply_A, apply_Lrho, rescale
+from .multigrid import MAX_CYCLES, SmootherParams, build_hierarchy, mg_cycles, require_count
+from .operators import STRESS, ViscousForm, apply_A, apply_Lrho, rescale
 from .precond import PrecondConfig, PrecondKind
 from .problems import (
     PRNG_NAME,
     BubbleSpec,
     CflSpec,
     bubble_coefficients,
-    bubble_density,
     cfl_to_theta,
     constant_coefficients,
-    inviscid_coefficients,
     make_rhs,
 )
 from .schur import SchurConfig, SchurSign
 
 OUT_ENV_VAR = "STOKESMG_OUT"
-
-_BC = {
-    "periodic": PERIODIC,
-    "no_slip": NO_SLIP,
-    "free_slip": FREE_SLIP,
-}
-_FORM = {
-    "laplacian": LAPLACIAN,
-    "stress": STRESS,
-    "stress_bulk": STRESS_BULK,
-}
 
 CSV_HEADER = "iteration,scalar_vcycles,resid_precond,resid_true,restart_flag"
 MG_CSV_HEADER = "solver,sweeps,cycle,resid,resid_rel"
@@ -124,6 +103,14 @@ def _get(node: dict, key: str, default, kind: type, nullable: bool = False):
     :func:`_typed`; ``nullable`` also lets JSON null through."""
     value = node.get(key, default)
     return value if nullable and value is None else _typed(value, kind, key)
+
+
+def _member(enum_type, name: str, what: str):
+    """The member of ``enum_type`` whose value is the config name ``name``."""
+    try:
+        return enum_type(name)
+    except ValueError:
+        raise ConfigError(f"unknown {what} {name!r}") from None
 
 
 _LEAF = None
@@ -185,12 +172,9 @@ def build_grid(problem: dict) -> GridSpec:
     if not isinstance(bc_spec, list):
         bc_spec = [_typed(bc_spec, str, "bc")] * dim
     _require(len(bc_spec) == dim, "bc must be a name or one name per axis")
-    bc = []
-    for name in bc_spec:
-        _require(_typed(name, str, "bc entry") in _BC,
-                 f"unknown boundary condition {name!r}")
-        bc.append((_BC[name], _BC[name]))
-    return GridSpec(cells, h, tuple(bc))
+    bc = [_member(BoundaryCondition, _typed(name, str, "bc entry"), "boundary condition")
+          for name in bc_spec]
+    return GridSpec(cells, h, tuple((side, side) for side in bc))
 
 
 def _parse_beta(problem: dict) -> CflSpec:
@@ -206,15 +190,15 @@ def build_problem(problem: dict, seed_override: int | None = None):
     grid = build_grid(problem)
     kind = _get(problem, "kind", "constant", str)
     _require(kind in ("constant", "bubble"), f"unknown problem kind {kind!r}")
-    form_name = _get(problem, "viscous_form", "stress", str)
-    _require(form_name in _FORM, f"unknown viscous form {form_name!r}")
-    form = _FORM[form_name]
+    form = _member(ViscousForm, _get(problem, "viscous_form", "stress", str), "viscous form")
     mu0 = _get(problem, "mu0", 1.0, float)
     rho0 = _get(problem, "rho0", 1.0, float)
     gamma0 = _get(problem, "gamma0", 0.0, float)
     seed = _get(problem, "seed", 0, int) if seed_override is None else int(seed_override)
     cfl = _parse_beta(problem)
     theta = cfl_to_theta(cfl, mu0, rho0, grid.h)
+    if cfl.inviscid:  # theta * rho alone: no viscosity, no bulk term
+        mu0, gamma0, form = 0.0, 0.0, STRESS
 
     bubble_cfg = problem.get("bubble", {})
     spec = BubbleSpec(
@@ -227,13 +211,7 @@ def build_problem(problem: dict, seed_override: int | None = None):
         positive_outside=_get(bubble_cfg, "positive_outside", True, bool),
     )
 
-    if cfl.inviscid:
-        if kind == "bubble":
-            rho = bubble_density(grid, spec, rho0)
-        else:
-            rho = CellField.full(grid, rho0)
-        coeff = inviscid_coefficients(grid, rho, theta=theta)
-    elif kind == "bubble":
+    if kind == "bubble":
         coeff = bubble_coefficients(grid, spec, theta=theta, viscous_form=form,
                                     mu0=mu0, rho0=rho0, gamma0=gamma0)
     else:
@@ -246,9 +224,10 @@ def build_problem(problem: dict, seed_override: int | None = None):
 def build_solver(solver: dict):
     pre = solver.get("precond", {})
     pcfg = PrecondConfig(
-        kind=PrecondKind(_get(pre, "kind", "P2", str)),
+        kind=_member(PrecondKind, _get(pre, "kind", "P2", str), "preconditioner kind"),
         velocity_cycles=_get(pre, "velocity_cycles", 1, int),
-        schur=SchurConfig(sign=SchurSign(_get(pre, "schur_sign", "minus", str)),
+        schur=SchurConfig(sign=_member(SchurSign, _get(pre, "schur_sign", "minus", str),
+                                       "Schur sign"),
                           pressure_cycles=_get(pre, "pressure_cycles", 1, int)),
         exact_subsolvers=_get(pre, "exact_subsolvers", False, bool),
     )
@@ -447,16 +426,13 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     smoothers = [SmootherParams(sweeps_down=n, sweeps_up=n)
                  for n in (_typed(s, int, "sweeps entry") for s in sweeps_list)]
     max_cycles = _get(bench, "max_cycles", 15, int)
-    _require(1 <= max_cycles <= MAX_CYCLES,
-             f"mg_bench.max_cycles must lie in [1, {MAX_CYCLES}], got {max_cycles}")
+    require_count("mg_bench.max_cycles", max_cycles, 1, MAX_CYCLES)
     rtol = _get(bench, "rtol", 1e-12, float)
     _require(0 <= rtol < math.inf,
              f"mg_bench.rtol must be nonnegative and finite, got {rtol}")
     require_memory(build_grid(problem))
     grid, coeff, _, seed = build_problem(problem)
     targets = ("pressure", "velocity") if target == "both" else (target,)
-    if "velocity" in targets and coeff.theta == 0 and coeff.inviscid:
-        raise ConfigError("velocity benchmark needs a nonsingular operator")
     kernels.load()
     os.makedirs(outdir, exist_ok=True)
     lines = [MG_CSV_HEADER]

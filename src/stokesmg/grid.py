@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -55,12 +56,13 @@ class GridSpec:
     """Uniform rectangular staggered grid.
 
     ``cells`` holds the per-axis cell counts (integers, never truncated),
-    ``h`` the (shared) grid spacing and ``bc`` one ``(low, high)`` pair of
-    boundary conditions per axis, each stored as its member when given by
-    value (``"no_slip"``).  Periodic conditions must match across an axis.  Solvers expect
-    every count to be even and at least 4, so at least one multigrid
-    coarsening exists; counts of 2 or 3 are legal only for internally
-    generated coarse levels and tiny dense test grids.
+    ``h`` the (shared) grid spacing (a real number, stored as a float) and
+    ``bc`` one ``(low, high)`` pair of boundary conditions per axis, each
+    stored as its member when given by value (``"no_slip"``).  Periodic
+    conditions must match across an axis.  Solvers expect every count to be
+    even and at least 4, so at least one multigrid coarsening exists; counts
+    of 2 or 3 are legal only for internally generated coarse levels and tiny
+    dense test grids.
     """
 
     cells: tuple[int, ...]
@@ -81,14 +83,19 @@ class GridSpec:
             raise ValueError("need one (low, high) bc pair per axis")
         if any(n < 2 for n in cells):
             raise ValueError(f"cell counts must be >= 2, got {cells}")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError("grid spacing must be positive and finite")
+        # a bool is an int to Python, but no spacing
+        if isinstance(self.h, bool) or not isinstance(self.h, numbers.Real):
+            raise ValueError(f"grid spacing must be a real number, got {self.h!r}")
+        try:
+            h = float(self.h)
+        except OverflowError:  # an integer beyond the float range
+            h = math.inf
         # the stencils scale by 1/h^2, which must neither overflow nor vanish;
         # Python floats overflow to inf without a warning
-        h2 = float(self.h) * float(self.h)
-        if not (0 < h2 < math.inf and 0 < 1.0 / h2 < math.inf):
-            raise ValueError(
-                f"grid spacing {self.h!r}: h*h and 1/(h*h) must be positive and finite")
+        if not (h > 0 and 0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+            raise ValueError(f"grid spacing {h!r}: h, h*h and 1/(h*h) must be "
+                             "positive and finite")
+        object.__setattr__(self, "h", h)
         for axis, (lo, hi) in enumerate(self.bc):
             if (lo is PERIODIC) != (hi is PERIODIC):
                 raise ValueError(

@@ -610,13 +610,13 @@ def prolong_face(coarse: FaceField) -> FaceField:
 
 
 def vcycle_plan(levels, diagonals) -> ctypes.Array:
-    """Per ``(grid, coefficients)`` level, finest first, a copy of the
-    coefficients' level holding the addresses of its diagonal
-    (:func:`_with_diagonal`); the plan keeps those copies alive and
-    remembers the kind of its diagonals, which is the kind it solves for."""
+    """Per level's coefficient set, finest first, a copy of the set's
+    level holding the addresses of its diagonal (:func:`_with_diagonal`);
+    the plan keeps those copies alive and remembers the kind of its
+    diagonals, which is the kind it solves for."""
     kind = type(diagonals[0])
-    held = [_with_diagonal(kind, grid, coeff, diag)
-            for (grid, coeff), diag in zip(levels, diagonals, strict=True)]
+    held = [_with_diagonal(kind, coeff.grid, coeff, diag)
+            for coeff, diag in zip(levels, diagonals, strict=True)]
     plan = (_Level * len(held))(*held)
     plan.levels, plan.kind = held, kind
     return plan

@@ -29,7 +29,7 @@ import numpy as np
 # wrap them, although a solve no longer copies through them
 from .grid import GridSpec, StokesVector, edge_planes, pack_stokes, unpack_stokes  # noqa: F401
 from .kernels import arnoldi, combine, sum_products
-from .multigrid import SmootherParams, require_counts
+from .multigrid import SmootherParams, require_count
 from .operators import CoefficientSet, apply_M
 from .precond import PrecondConfig, Preconditioner
 
@@ -43,11 +43,8 @@ class GmresConfig:
     track_true_residual: bool = True
 
     def __post_init__(self):
-        require_counts(self, "restart", "max_iters")
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        require_count("restart", self.restart, 1)
+        require_count("max_iters", self.max_iters, 1)
         if not 0 < self.rtol < math.inf:
             raise ValueError("rtol must be positive and finite")
         if not 0 <= self.atol < math.inf:
@@ -217,16 +214,17 @@ SOLVE_VECTORS = 10
 def solve_bytes(grid: GridSpec, gcfg: GmresConfig | None = None) -> int:
     """Bytes a solve on ``grid`` allocates at most, estimated from the grid
     alone, before anything is built: two coefficient sets (as built and
-    rescaled), the coarse levels' coefficient sets and every level's
+    rescaled; each holds two cell arrays, the face density and the
+    node/edge viscosity), the coarse levels' sets and every level's
     smoother diagonals (a geometric series: at most 4/3 of the finest level
     in 2D, 8/7 in 3D), the V-cycle's block (two Stokes vectors),
     ``SOLVE_VECTORS`` Stokes vectors and, with ``gcfg``, the GMRES basis of
     ``min(restart, max_iters) + 1`` vectors.  Measured against the traced
-    peak of a solve (2D 64^2 to 256^2, 3D 16^3 to 48^3, P1-P5) it is 1.1 to
-    1.25 times that peak."""
+    peak of a solve (2D 64^2 to 256^2, 3D 16^3 to 48^3, P1-P5) it is 1.08
+    to 1.22 times that peak."""
     cells = math.prod(grid.cells)
     vector = StokesVector.buffer_size(grid)
-    coefficients = 3 * cells + (vector - cells) + sum(
+    coefficients = 2 * cells + (vector - cells) + sum(
         math.prod(grid.node_edge_shape(axes)) for axes in edge_planes(grid.dim))
     rows = min(gcfg.restart, gcfg.max_iters) + 1 if gcfg is not None else 0
     # in integers, exact at any grid size; the series sums to 2^d / (2^d - 1)

@@ -12,8 +12,9 @@ of :mod:`kernels` stay importable here, where tracing tools wrap them.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,15 +51,16 @@ MAX_SWEEPS = 100
 MAX_CYCLES = 100
 
 
-def require_counts(config, *names) -> None:
-    """Refuse each count of ``config`` named that is not an integer (one
-    :func:`operator.index` refuses), which would fail only inside a solve."""
-    for name in names:
-        value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def require_count(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """Refuse a count ``name`` that is not an integer (one
+    :func:`operator.index` refuses), which would fail only inside a solve,
+    or that lies outside ``[lo, hi]``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,16 @@ class SmootherParams:
     bottom_sweeps: int = 8
 
     def __post_init__(self):
-        require_counts(self, "sweeps_down", "sweeps_up", "bottom_sweeps")
+        require_count("sweeps_down", self.sweeps_down, 1, MAX_SWEEPS)
+        require_count("sweeps_up", self.sweeps_up, 1, MAX_SWEEPS)
+        require_count("bottom_sweeps", self.bottom_sweeps, 8, MAX_SWEEPS)
         if not 0 < self.omega <= 1:
             raise ValueError("omega must lie in (0, 1]")
-        if not (1 <= self.sweeps_down <= MAX_SWEEPS and 1 <= self.sweeps_up <= MAX_SWEEPS):
-            raise ValueError(f"need 1 to {MAX_SWEEPS} smoothing sweeps each way")
-        if not 8 <= self.bottom_sweeps <= MAX_SWEEPS:
-            raise ValueError(f"bottom level needs 8 to {MAX_SWEEPS} relaxations")
 
 
 class MgHierarchy:
-    """Grids and coarsened coefficients from finest to coarsest.
+    """Coefficient sets from the finest grid to the coarsest; each level is
+    its set, and its grid is the set's.
 
     Coarsening halves every axis and stops once any axis would drop below
     two cells or turn odd; per-level smoother diagonals and each field
@@ -90,7 +91,7 @@ class MgHierarchy:
     of addresses) are built lazily, at that kind's first cycle.
     """
 
-    def __init__(self, levels: list[tuple[GridSpec, CoefficientSet]]):
+    def __init__(self, levels: list[CoefficientSet]):
         if not levels:
             raise ValueError("empty hierarchy")
         self.levels = levels
@@ -100,15 +101,15 @@ class MgHierarchy:
 
     @property
     def grid(self) -> GridSpec:
-        return self.levels[0][0]
+        return self.levels[0].grid
 
     def __len__(self) -> int:
         return len(self.levels)
 
     def diag_cell(self, level: int) -> CellField:
         if level not in self._diag_cell:
-            g, c = self.levels[level]
-            d = lrho_diagonal(g, c)
+            c = self.levels[level]
+            d = lrho_diagonal(c.grid, c)
             if np.any(d.data == 0):
                 raise ZeroDivisionError("zero diagonal in pressure operator")
             self._diag_cell[level] = d
@@ -116,13 +117,11 @@ class MgHierarchy:
 
     def diag_face(self, level: int) -> FaceField:
         if level not in self._diag_face:
-            g, c = self.levels[level]
-            d = helmholtz_diagonal(g, c)
-            for a in range(g.dim):
-                if np.any(d.interior(a) == 0):
-                    raise ZeroDivisionError(
-                        "zero diagonal in velocity operator (theta = 0 with mu = 0 row)"
-                    )
+            c = self.levels[level]
+            d = helmholtz_diagonal(c.grid, c)
+            if any(np.any(d.interior(a) == 0) for a in range(c.grid.dim)):
+                raise ZeroDivisionError(
+                    "zero diagonal in velocity operator (theta = 0 with mu = 0 row)")
             self._diag_face[level] = d
         return self._diag_face[level]
 
@@ -141,13 +140,11 @@ def build_hierarchy(grid: GridSpec, coeff: CoefficientSet) -> MgHierarchy:
         raise ValueError(
             f"grid {grid.cells} cannot be coarsened; need even counts >= 4"
         )
-    levels = [(grid, coeff)]
-    g, c = grid, coeff
-    while g.can_coarsen():
-        gc = g.coarsened()
-        c = coarsen_coefficients(c, gc)
-        levels.append((gc, c))
-        g = gc
+    if coeff.grid != grid:
+        raise LayoutError(f"coefficients on {coeff.grid} for a hierarchy on {grid}")
+    levels = [coeff]
+    while levels[-1].grid.can_coarsen():
+        levels.append(coarsen_coefficients(levels[-1], levels[-1].grid.coarsened()))
     return MgHierarchy(levels)
 
 
@@ -178,42 +175,22 @@ def coarsen_coefficients(coeff: CoefficientSet, coarse_grid: GridSpec) -> Coeffi
     average their children, nodes inject, and (3D) edges average the two
     overlaying fine edges.
     """
-    grid = coeff.grid
-    dim = grid.dim
-    all_axes = range(dim)
+    all_axes = range(coarse_grid.dim)
 
-    rho_cell = CellField(coarse_grid, _block_mean(coeff.rho_cell.data, all_axes))
-    mu_cell = CellField(coarse_grid, _block_mean(coeff.mu_cell.data, all_axes))
-    gamma_cell = CellField(coarse_grid, _block_mean(coeff.gamma_cell.data, all_axes))
+    def cells(f: CellField) -> CellField:
+        return CellField(coarse_grid, _block_mean(f.data, all_axes))
 
-    face_comps = []
-    for a in all_axes:
-        arr = coeff.rho_face.components[a]
-        arr = _stagger_inject(arr, a)
-        arr = _block_mean(arr, [b for b in all_axes if b != a])
-        face_comps.append(arr)
-    rho_face = FaceField(coarse_grid, tuple(face_comps))
-
-    arrays = {}
-    for axes in edge_planes(dim):
-        arr = coeff.mu_node_edge.plane(*axes)
+    def staggered(arr: np.ndarray, axes) -> np.ndarray:
         for a in axes:
             arr = _stagger_inject(arr, a)
-        rest = [b for b in all_axes if b not in axes]
-        if rest:
-            arr = _block_mean(arr, rest)
-        arrays[axes] = arr
-    mu_ne = NodeEdgeField(coarse_grid, arrays)
+        return _block_mean(arr, [b for b in all_axes if b not in axes])
 
-    return CoefficientSet(
-        theta=coeff.theta,
-        rho_cell=rho_cell,
-        rho_face=rho_face,
-        mu_cell=mu_cell,
-        mu_node_edge=mu_ne,
-        gamma_cell=gamma_cell,
-        viscous_form=coeff.viscous_form,
-    )
+    faces = tuple(staggered(arr, (a,)) for a, arr in enumerate(coeff.rho_face.components))
+    planes = {axes: staggered(coeff.mu_node_edge.plane(*axes), axes)
+              for axes in edge_planes(coarse_grid.dim)}
+    return replace(coeff, rho_face=FaceField(coarse_grid, faces), mu_cell=cells(coeff.mu_cell),
+                   mu_node_edge=NodeEdgeField(coarse_grid, planes),
+                   gamma_cell=cells(coeff.gamma_cell))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +220,7 @@ def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):
     iterate is requested, so stopping after any cycle costs nothing extra.
     """
     residual = apply_Lrho if isinstance(rhs, CellField) else apply_A
-    coeff = hierarchy.levels[0][1]
+    coeff = hierarchy.levels[0]
     x = vcycle(rhs, hierarchy, params)
     while True:
         yield x
@@ -253,12 +230,7 @@ def mg_cycles(rhs, hierarchy: MgHierarchy, params: SmootherParams):
 def mg_solve(rhs, hierarchy: MgHierarchy, params: SmootherParams, n_cycles: int):
     """Apply ``n_cycles`` V-cycles from a zero guess; linear in ``rhs``.
     ``n_cycles`` is an integer from 1 to :data:`MAX_CYCLES`."""
-    try:
-        operator.index(n_cycles)
-    except TypeError:
-        raise ValueError(f"n_cycles must be an integer, got {n_cycles!r}") from None
-    if not 1 <= n_cycles <= MAX_CYCLES:
-        raise ValueError(f"need 1 to {MAX_CYCLES} cycles, got {n_cycles}")
+    require_count("n_cycles", n_cycles, 1, MAX_CYCLES)
     cycles = mg_cycles(rhs, hierarchy, params)
     for _ in range(n_cycles):
         x = next(cycles)

@@ -1,16 +1,16 @@
 """Coefficients, null projection and rescaling around the staggered-grid
 operators.
 
-The coefficient set and its averaging onto faces and nodes/edges, the
-pressure Laplacian, the null components of the velocity operator and their
-projection, and the system rescaling.  The operators themselves and the
-smoother diagonals (``div``, ``grad``, ``apply_Lrho``, ``lrho_diagonal``,
-``apply_A``, ``helmholtz_diagonal`` and ``apply_M``) are
-the functions of :mod:`kernels`, imported here; the compiled library alone
-holds their coupling weights and wall rules, and their numpy formulation,
-which fixes every output bit, is the oracle in ``tests/reference.py``.
-All operators are pure functions of their inputs; wall-normal output rows
-are zeroed because boundary faces are not unknowns.
+The coefficient set (only what the operators read) and the averaging that
+builds it from cell fields, the pressure Laplacian, the null components of
+the velocity operator and their projection, and the system rescaling.  The
+operators themselves and the smoother diagonals (``div``, ``grad``,
+``apply_Lrho``, ``lrho_diagonal``, ``apply_A``, ``helmholtz_diagonal`` and
+``apply_M``) are the functions of :mod:`kernels`, imported here; the
+compiled library alone holds their coupling weights and wall rules, and
+their numpy formulation, which fixes every output bit, is the oracle in
+``tests/reference.py``.  All operators are pure functions of their inputs;
+wall-normal output rows are zeroed because boundary faces are not unknowns.
 """
 
 from __future__ import annotations
@@ -58,18 +58,18 @@ STRESS_BULK = ViscousForm.STRESS_BULK
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Everything entering the velocity operator and the Schur diagonal.
+    """Exactly what the operators, smoothers and Schur inverse read.
 
-    ``rho_face`` and ``mu_node_edge`` are arithmetic averages of the
-    cell-centered fields (one-sided copies on wall boundaries); use
-    :func:`make_coefficients` to derive them consistently.  A set is frozen,
+    The density enters only on faces: ``rho_face`` and ``mu_node_edge`` are
+    arithmetic averages of cell-centered fields (one-sided copies on wall
+    boundaries), and :func:`make_coefficients` derives them from the cell
+    density and viscosity and checks the cell density.  A set is frozen,
     so every one has passed the checks below; :func:`dataclasses.replace`
     derives a checked variant, and the kernels describe each set to the
     compiled library once.
     """
 
     theta: float
-    rho_cell: CellField
     rho_face: FaceField
     mu_cell: CellField
     mu_node_edge: NodeEdgeField
@@ -81,11 +81,6 @@ class CoefficientSet:
         # min/max propagate NaN, and a NaN fails every comparison below
         if not 0 <= self.theta < np.inf:
             raise ValueError("theta must be nonnegative and finite")
-        rho_lo, rho_hi = self.rho_cell.data.min(), self.rho_cell.data.max()
-        if not -np.inf < rho_lo <= rho_hi < np.inf:
-            raise ValueError("density must be finite")
-        if self.theta > 0 and not rho_lo > 0:
-            raise ValueError("density must be positive for unsteady flow")
         mu_lo, mu_hi = self.mu_cell.data.min(), self.mu_cell.data.max()
         if not 0 <= mu_lo <= mu_hi < np.inf:
             raise ValueError("viscosity must be nonnegative and finite")
@@ -98,11 +93,7 @@ class CoefficientSet:
 
     @property
     def grid(self) -> GridSpec:
-        return self.rho_cell.grid
-
-    @property
-    def inviscid(self) -> bool:
-        return not np.any(self.mu_cell.data > 0)
+        return self.mu_cell.grid
 
 
 def average_cell_to_faces(f: CellField) -> FaceField:
@@ -139,11 +130,19 @@ def make_coefficients(
     gamma_cell: CellField | None = None,
     viscous_form: ViscousForm = STRESS,
 ) -> CoefficientSet:
+    """The set of cell-centered fields; the cell density must be finite,
+    and positive for unsteady flow, before it is averaged onto faces."""
+    theta = float(theta)
+    # min/max propagate NaN, and a NaN fails both comparisons
+    rho_lo, rho_hi = rho_cell.data.min(), rho_cell.data.max()
+    if not -np.inf < rho_lo <= rho_hi < np.inf:
+        raise ValueError("density must be finite")
+    if theta > 0 and not rho_lo > 0:
+        raise ValueError("density must be positive for unsteady flow")
     if gamma_cell is None:
         gamma_cell = CellField.zeros(grid)
     return CoefficientSet(
-        theta=float(theta),
-        rho_cell=rho_cell,
+        theta=theta,
         rho_face=average_cell_to_faces(rho_cell),
         mu_cell=mu_cell,
         mu_node_edge=average_cell_to_node_edge(mu_cell),

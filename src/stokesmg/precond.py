@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .grid import CellField, FaceField, GridSpec, StokesVector
 from .multigrid import (MAX_CYCLES, MgHierarchy, SmootherParams, build_hierarchy, mg_solve,
-                        require_counts)
+                        require_count)
 from .operators import (
     CoefficientSet,
     apply_A,
@@ -54,9 +54,7 @@ class PrecondConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PrecondKind(self.kind))
-        require_counts(self, "velocity_cycles")
-        if not 1 <= self.velocity_cycles <= MAX_CYCLES:
-            raise ValueError(f"need 1 to {MAX_CYCLES} velocity cycles")
+        require_count("velocity_cycles", self.velocity_cycles, 1, MAX_CYCLES)
 
 
 class Preconditioner:

@@ -2,7 +2,9 @@
 
 Constant-coefficient and bubble coefficient fields, random consistent
 right-hand sides with known solutions, and the viscous-CFL
-parameterization of the inertial coefficient.
+parameterization of the inertial coefficient.  Every problem, the inviscid
+limit included (``mu0 = 0``), is built from cell fields through
+:func:`operators.make_coefficients`.
 """
 
 from __future__ import annotations
@@ -74,6 +76,16 @@ def bubble_profile(grid: GridSpec, r: float, spec: BubbleSpec,
     return f
 
 
+def _bubble_field(grid: GridSpec, spec: BubbleSpec, stream: int, r: float,
+                  scale: float) -> CellField:
+    """``scale`` times the bubble profile of contrast ``r``, its noise drawn
+    from substream ``stream`` of the seed (0: viscosity, 1: density), so a
+    given seed describes one bubble across the whole viscous-CFL sweep."""
+    gen = _generators(spec.seed, 2)[stream]
+    noise = gen.random(grid.cells) if spec.noise_amp else None
+    return CellField(grid, scale * bubble_profile(grid, r, spec, noise))
+
+
 def bubble_coefficients(
     grid: GridSpec,
     spec: BubbleSpec,
@@ -83,24 +95,18 @@ def bubble_coefficients(
     rho0: float = 1.0,
     gamma0: float = 0.0,
 ) -> CoefficientSet:
-    """Bubble viscosity/density fields with independent noise streams."""
-    gen_mu, _ = _generators(spec.seed, 2)
-    noise_mu = gen_mu.random(grid.cells) if spec.noise_amp else None
-    mu = CellField(grid, mu0 * bubble_profile(grid, spec.r_mu, spec, noise_mu))
-    rho = bubble_density(grid, spec, rho0)
+    """Bubble viscosity/density fields with independent noise streams;
+    ``mu0 = 0`` gives the inviscid bubble, a zero viscosity field."""
+    mu = _bubble_field(grid, spec, 0, spec.r_mu, mu0) if mu0 else CellField.zeros(grid)
     gamma = CellField.full(grid, gamma0) if gamma0 else CellField.zeros(grid)
-    return make_coefficients(grid, theta, rho, mu, gamma, viscous_form)
+    return make_coefficients(grid, theta, bubble_density(grid, spec, rho0), mu, gamma,
+                             viscous_form)
 
 
 def bubble_density(grid: GridSpec, spec: BubbleSpec, rho0: float = 1.0) -> CellField:
-    """Only the density field of the bubble problem (for inviscid runs).
-
-    :func:`bubble_coefficients` draws its density here too, so a given seed
-    describes one bubble across the whole viscous-CFL sweep.
-    """
-    _, gen_rho = _generators(spec.seed, 2)
-    noise = gen_rho.random(grid.cells) if spec.noise_amp else None
-    return CellField(grid, rho0 * bubble_profile(grid, spec.r_rho, spec, noise))
+    """The density field of the bubble problem, the one
+    :func:`bubble_coefficients` builds."""
+    return _bubble_field(grid, spec, 1, spec.r_rho, rho0)
 
 
 def constant_coefficients(
@@ -117,12 +123,6 @@ def constant_coefficients(
         grid, theta, CellField.full(grid, rho0), CellField.full(grid, mu0),
         gamma, viscous_form,
     )
-
-
-def inviscid_coefficients(grid: GridSpec, rho_cell: CellField,
-                          theta: float = 1.0) -> CoefficientSet:
-    """A = theta*rho only; the viscous operator vanishes identically."""
-    return make_coefficients(grid, theta, rho_cell, CellField.zeros(grid))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CellField
-from .multigrid import MAX_CYCLES, require_counts
+from .multigrid import MAX_CYCLES, require_count
 from .operators import (
     LAPLACIAN,
     STRESS,
@@ -44,9 +44,7 @@ class SchurConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sign", SchurSign(self.sign))
-        require_counts(self, "pressure_cycles")
-        if not 1 <= self.pressure_cycles <= MAX_CYCLES:
-            raise ValueError(f"need 1 to {MAX_CYCLES} pressure cycles")
+        require_count("pressure_cycles", self.pressure_cycles, 1, MAX_CYCLES)
 
 
 def schur_diagonal(coeff: CoefficientSet) -> np.ndarray:

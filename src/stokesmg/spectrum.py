@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._exact import MAX_DENSE_DOFS, DenseFaceSolver, probe_columns
+from ._exact import DenseFaceSolver, probe_columns, require_exact_size
 from .grid import (
     GridSpec,
     pack_cell,
@@ -65,11 +65,11 @@ def assemble_dense(operator, grid: GridSpec, domain: str = "stokes",
 
     ``operator`` maps a field of the ``domain`` space to one of the
     ``codomain`` space ('cell', 'face' or 'stokes'); column j of the result
-    is the packed image of the j-th unit vector.
+    is the packed image of the j-th unit vector.  The grid must pass the
+    exact-subsolver size cap (:func:`_exact.require_exact_size`).
     """
+    require_exact_size(grid)
     n = _space_size(grid, domain)
-    if n > MAX_DENSE_DOFS:
-        raise ValueError(f"{n} unknowns exceed dense cap {MAX_DENSE_DOFS}")
     unpack = _UNPACK[domain]
     pack = _PACK[codomain]
     return probe_columns(lambda v: pack(operator(unpack(grid, v))), n)

@@ -792,7 +792,8 @@ def vcycle(rhs, hierarchy, params, level=0):
     0), the residual restricted to the coarser level's right-hand side, its
     V-cycle prolonged and added to every entry of x, ``sweeps_up`` sweeps;
     the coarsest level runs ``bottom_sweeps`` sweeps from x = 0."""
-    grid, coeff = hierarchy.levels[level]
+    coeff = hierarchy.levels[level]
+    grid = coeff.grid
     if isinstance(rhs, CellField):
         x, diag = CellField.zeros(grid), hierarchy.diag_cell(level)
         smooth, residual = kernels.smooth_cell, kernels.apply_Lrho

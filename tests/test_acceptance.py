@@ -29,10 +29,8 @@ from stokesmg.problems import (
     BubbleSpec,
     CflSpec,
     bubble_coefficients,
-    bubble_density,
     cfl_to_theta,
     constant_coefficients,
-    inviscid_coefficients,
     make_rhs,
 )
 from stokesmg.schur import MINUS, PLUS, SchurConfig, apply_schur_inv, exact_schur_apply
@@ -67,11 +65,9 @@ def bubble_solve(n, dim, kind_name, sign_name="minus", beta=math.inf,
     g = mkgrid(n, bc=NO_SLIP, dim=dim)
     cfl = CflSpec(beta)
     spec = BubbleSpec(r_mu=contrast, r_rho=contrast, seed=0)
-    if cfl.inviscid:
-        coeff = inviscid_coefficients(g, bubble_density(g, spec), theta=1.0)
-    else:
-        theta = cfl_to_theta(cfl, 1.0, 1.0, g.h)
-        coeff = bubble_coefficients(g, spec, theta=theta)
+    # beta = 0 is the bubble without viscosity, at theta = 1
+    theta = cfl_to_theta(cfl, 1.0, 1.0, g.h)
+    coeff = bubble_coefficients(g, spec, theta=theta, mu0=0.0 if cfl.inviscid else 1.0)
     rhs, _ = make_rhs(g, coeff, seed=1)
     coeff, rhs, _ = rescale(coeff, rhs)
     pcfg = PrecondConfig(kind=kind, schur=SchurConfig(sign=sign))
@@ -194,7 +190,7 @@ def test_criterion_3_exact_subsolver_identities():
         lines.append(f"periodic {kind.value}:{hist.iterations}")
 
     g = mkgrid(16, bc=NO_SLIP)
-    coeff = inviscid_coefficients(g, CellField(g, np.ones(g.cells)), theta=1.0)
+    coeff = constant_coefficients(g, mu0=0.0, theta=1.0)
     rhs, _ = make_rhs(g, coeff, seed=3)
     for kind, limit in ((P1, 1), (P2, 2), (P3, 2)):
         x, hist = gmres_solve(rhs, coeff,

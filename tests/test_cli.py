@@ -16,10 +16,14 @@ from stokesmg.cli import (
     ConfigError,
     build_grid,
     build_problem,
+    build_solver,
     expand_sweep,
     main,
     validate_keys,
 )
+from stokesmg.grid import CellField
+from stokesmg.operators import make_coefficients
+from stokesmg.problems import BubbleSpec, bubble_density
 
 
 def read_csv(path):
@@ -64,8 +68,15 @@ class TestConfigHandling:
             build_grid({"cells": 7})
         with pytest.raises(ConfigError):
             build_grid({"cells": 2})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown boundary condition 'slippery'"):
             build_grid({"bc": "slippery"})
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("kind", "P9", "preconditioner kind"), ("schur_sign", "sideways", "Schur sign")])
+    def test_unknown_solver_names(self, key, value, what):
+        # refused in the config's terms, not by the enum's own message
+        with pytest.raises(ConfigError, match=f"unknown {what} '{value}'"):
+            build_solver({"precond": {key: value}})
 
     def test_beta_parsing(self):
         _, coeff, _, _ = build_problem({"cells": 8, "kind": "constant",
@@ -74,7 +85,27 @@ class TestConfigHandling:
         _, coeff, _, _ = build_problem({"cells": 8, "kind": "constant", "beta": 1.0})
         assert coeff.theta == 1.0
         _, coeff, _, _ = build_problem({"cells": 8, "kind": "constant", "beta": 0})
-        assert coeff.inviscid and coeff.theta == 1.0
+        assert not coeff.mu_cell.data.any() and coeff.theta == 1.0
+
+    @pytest.mark.parametrize("kind", ["constant", "bubble"])
+    def test_inviscid_point_is_theta_rho_alone(self, kind):
+        # beta = 0 builds mu = 0, theta = 1 through the viscous path, whatever
+        # viscosity, bulk viscosity and form the config names
+        grid, coeff, _, _ = build_problem({
+            "cells": 8, "kind": kind, "beta": 0, "rho0": 2.0, "mu0": 3.0,
+            "gamma0": 0.5, "viscous_form": "laplacian", "seed": 4})
+        rho = (bubble_density(grid, BubbleSpec(seed=4), 2.0) if kind == "bubble"
+               else CellField.full(grid, 2.0))
+        want = make_coefficients(grid, 1.0, rho, CellField.zeros(grid))
+        assert coeff.theta == want.theta and coeff.viscous_form is want.viscous_form
+
+        def arrays(c):
+            planes = c.mu_node_edge.arrays
+            return [*c.rho_face.components, c.mu_cell.data, c.gamma_cell.data,
+                    *(planes[k] for k in sorted(planes))]
+
+        for got, ref in zip(arrays(coeff), arrays(want), strict=True):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestPresets:
@@ -396,7 +427,9 @@ class TestMgBench:
         reached1 = min(c for c, r in by_sweeps[1].items() if r <= 1e-10)
         assert reached1 > reached2  # one sweep converges strictly slower
 
-    def test_mismatched_beta_inviscid_velocity_rejected(self, tmp_path):
+    def test_mismatched_beta_inviscid_velocity_rejected(self, tmp_path, capsys):
+        # a singular velocity operator never reaches the benchmark: the
+        # coefficient set refuses steady flow without viscosity
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "problem": {"kind": "constant", "cells": 16, "bc": "no_slip",
@@ -405,6 +438,8 @@ class TestMgBench:
         }))
         assert main(["mg-bench", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+        assert "steady flow (theta = 0) needs nonzero viscosity" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSpectrumCommand:

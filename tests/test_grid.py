@@ -65,6 +65,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((8, 8), 0.25, (("wall", "wall"),) * 2)
 
+    @pytest.mark.parametrize("h", ["0.5", None, True, 10**400],
+                             ids=["str", "None", "bool", "int-beyond-float"])
+    def test_non_real_spacing_rejected(self, h):
+        # refused like any other bad spacing, with ValueError; a bool is an
+        # int to Python, but no spacing
+        with pytest.raises(ValueError, match="grid spacing"):
+            GridSpec((8, 8), h, ((NO_SLIP, NO_SLIP),) * 2)
+
+    def test_integer_spacing_stored_as_float(self):
+        grid = GridSpec((8, 8), 1, ((NO_SLIP, NO_SLIP),) * 2)
+        assert type(grid.h) is float and grid.h == 1.0
+
     @pytest.mark.parametrize("h", [np.inf, np.nan, -np.inf, 1e-200, 1e200, 1e-160,
                                    np.float64(1e200)])
     def test_nonfinite_spacing_rejected(self, h):

@@ -9,6 +9,8 @@ call.  Each test takes a byte copy of every input array before the call and
 compares afterwards.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,9 +93,9 @@ def arrays_of(obj):
     if isinstance(obj, StokesVector):
         return arrays_of(obj.u) + arrays_of(obj.p)
     if isinstance(obj, multigrid.MgHierarchy):
-        return [arr for _, c in obj.levels for arr in arrays_of(c)]
+        return [arr for c in obj.levels for arr in arrays_of(c)]
     # CoefficientSet
-    return (arrays_of(obj.rho_cell) + arrays_of(obj.rho_face)
+    return (arrays_of(obj.rho_face)
             + arrays_of(obj.mu_cell)
             + [obj.mu_node_edge.arrays[k] for k in sorted(obj.mu_node_edge.arrays)]
             + arrays_of(obj.gamma_cell))
@@ -269,8 +271,9 @@ def refusal_cases(g, coeff, rng):
     last = g.dim - 1
     u, p, phi = random_face(g, rng), random_cell(g, rng), random_cell(g, rng)
     bad_u, bad_p = strided_face(random_face(g, rng), last), strided_cell(random_cell(g, rng))
-    bad_coeff = make_coefficients(g, 0.7, coeff.rho_cell, coeff.mu_cell, coeff.gamma_cell,
-                                  viscous_form=coeff.viscous_form)
+    # a set of its own, with a face density field of its own to reassign
+    bad_coeff = dataclasses.replace(coeff, theta=0.7,
+                                    rho_face=FaceField(g, coeff.rho_face.components))
     strided_face(bad_coeff.rho_face, 0)
     fdiag, cdiag = helmholtz_diagonal(g, coeff), lrho_diagonal(g, coeff)
     return [

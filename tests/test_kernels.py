@@ -265,7 +265,7 @@ def test_vcycle_plan_keeps_what_it_points_at():
 
     first = calls()
     # fields refuse another array, so each is swapped around that check
-    for level, (_, c) in enumerate(hier.levels):
+    for level, c in enumerate(hier.levels):
         for field in (c.mu_cell, c.gamma_cell, hier.diag_cell(level)):
             object.__setattr__(field, "data", field.data.copy())
         for field in (c.rho_face, hier.diag_face(level)):

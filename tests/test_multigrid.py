@@ -40,7 +40,7 @@ from stokesmg.operators import (
     make_coefficients,
 )
 from stokesmg.precond import PrecondConfig, SchurConfig
-from stokesmg.problems import constant_coefficients, inviscid_coefficients
+from stokesmg.problems import constant_coefficients
 
 import reference
 from conftest import MIXED_WALLS, mkgrid, random_cell, random_face
@@ -86,13 +86,13 @@ class TestHierarchy:
     def test_power_of_two_bottoms_at_two(self):
         g = mkgrid(16, bc=NO_SLIP)
         hier = build_hierarchy(g, poisson_coeff(g))
-        assert [lv[0].cells for lv in hier.levels] == [
+        assert [lv.grid.cells for lv in hier.levels] == [
             (16, 16), (8, 8), (4, 4), (2, 2)]
 
     def test_48_bottoms_at_three(self):
         g = mkgrid((48, 48), bc=NO_SLIP)
         hier = build_hierarchy(g, poisson_coeff(g))
-        assert hier.levels[-1][0].cells == (3, 3)
+        assert hier.levels[-1].grid.cells == (3, 3)
 
     def test_uncoarsenable_grid_rejected(self):
         g = mkgrid(2, bc=NO_SLIP)
@@ -115,9 +115,8 @@ class TestCoarsenCoefficients:
         g = mkgrid(8, bc=NO_SLIP)
         coeff = constant_coefficients(g, mu0=3.0, rho0=2.0, theta=0.5)
         hier = build_hierarchy(g, coeff)
-        for lvl_grid, lvl_coeff in hier.levels:
+        for lvl_coeff in hier.levels:
             assert np.allclose(lvl_coeff.mu_cell.data, 3.0)
-            assert np.allclose(lvl_coeff.rho_cell.data, 2.0)
             assert np.allclose(lvl_coeff.mu_node_edge.plane(0, 1), 3.0)
             for a in range(2):
                 assert np.allclose(lvl_coeff.rho_face.components[a], 2.0)
@@ -168,8 +167,8 @@ class TestCoarsenCoefficients:
                                   CellField(g, rng.random(g.cells)))
         hier = build_hierarchy(g, coeff)
         assert len(hier) >= 3
-        for _, c in hier.levels:
-            arrays = [c.rho_cell.data, c.mu_cell.data, c.gamma_cell.data,
+        for c in hier.levels:
+            arrays = [c.mu_cell.data, c.gamma_cell.data,
                       *c.rho_face.components, *c.mu_node_edge.arrays.values()]
             assert all(arr.flags.c_contiguous for arr in arrays)
 
@@ -219,7 +218,7 @@ class TestTransfers:
     def test_transfers_return_the_hierarchy_grids(self, dim, rng):
         # a transfer hands on the hierarchy's own grid objects, built once
         g, coeff = smoother_case(MIXED_WALLS, dim, STRESS, rng)
-        grids = [level[0] for level in build_hierarchy(g, coeff).levels]
+        grids = [level.grid for level in build_hierarchy(g, coeff).levels]
         assert len(grids) >= 2
         for fine, coarse in zip(grids, grids[1:]):
             assert restrict_cell(CellField.zeros(fine)).grid is coarse
@@ -251,7 +250,7 @@ class TestSmoothers:
         # theta*rho*u = r with mu = 0 is diagonal; omega = 1 lands exactly
         g = mkgrid(8, bc=NO_SLIP)
         rho = CellField(g, 1.0 + rng.random(g.cells))
-        coeff = inviscid_coefficients(g, rho, theta=2.0)
+        coeff = make_coefficients(g, 2.0, rho, CellField.zeros(g))
         diag = helmholtz_diagonal(g, coeff)
         rhs = random_face(g, rng)
         u = FaceField.zeros(g)

@@ -164,7 +164,6 @@ class TestLrho:
         )
         coeff = CoefficientSet(
             theta=1.0,
-            rho_cell=CellField(g, np.ones(g.cells)),
             rho_face=rho_face,
             mu_cell=CellField(g, np.ones(g.cells)),
             mu_node_edge=average_cell_to_node_edge(CellField(g, np.ones(g.cells))),
@@ -296,10 +295,9 @@ class TestViscous:
 
 class TestApplyA:
     def test_inviscid_diagonal(self, rng):
-        from stokesmg.problems import inviscid_coefficients
-
         g = mkgrid(8, bc=NO_SLIP)
-        coeff = inviscid_coefficients(g, CellField(g, np.full(g.cells, 2.0)), theta=1.0)
+        coeff = make_coefficients(g, 1.0, CellField(g, np.full(g.cells, 2.0)),
+                                  CellField.zeros(g))
         u = random_face(g, rng)
         out = apply_A(u, coeff)
         for a in range(2):
@@ -556,8 +554,12 @@ class TestCoefficients:
     def test_invariants_enforced(self):
         g = mkgrid(4)
         ones = CellField(g, np.ones(g.cells))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="density must be positive for unsteady flow"):
             make_coefficients(g, 1.0, CellField.zeros(g), ones)  # rho <= 0
+        one_negative = CellField(g, np.ones(g.cells))
+        one_negative.data[1, 2] = -1.0
+        with pytest.raises(ValueError, match="density must be positive for unsteady flow"):
+            make_coefficients(g, 1.0, one_negative, ones)
         with pytest.raises(ValueError):
             make_coefficients(g, 1.0, ones, CellField(g, -np.ones(g.cells)))
         with pytest.raises(ValueError):
@@ -570,6 +572,13 @@ class TestCoefficients:
     def test_nonfinite_rejected(self, name, bad, theta):
         g = mkgrid(4)
         ones = CellField(g, np.ones(g.cells))
+        if name == "rho_cell":
+            # the cell density is checked where it is averaged onto faces
+            rho = CellField(g, np.ones(g.cells))
+            rho.data[1, 2] = bad
+            with pytest.raises(ValueError, match="density must be finite"):
+                make_coefficients(g, theta, rho, ones, ones)
+            return
         coeff = make_coefficients(g, theta, ones, ones, ones)
         if name == "theta":
             with pytest.raises(ValueError):

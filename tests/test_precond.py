@@ -25,7 +25,7 @@ from stokesmg.precond import (
     PrecondConfig,
     Preconditioner,
 )
-from stokesmg.problems import constant_coefficients, inviscid_coefficients, project_nulls
+from stokesmg.problems import constant_coefficients, project_nulls
 from stokesmg.schur import PLUS, SchurConfig
 
 from conftest import (
@@ -78,7 +78,7 @@ class TestExactIdentities:
     def test_inviscid_p2_nilpotent(self, bc, rng):
         # (P2^{-1} M - I)^2 = 0 in the inviscid limit, any boundaries
         g = mkgrid(8, bc=bc)
-        coeff = inviscid_coefficients(g, CellField(g, np.ones(g.cells)), theta=1.5)
+        coeff = constant_coefficients(g, mu0=0.0, theta=1.5)
         pre = Preconditioner(coeff, PrecondConfig(kind=P2, exact_subsolvers=True))
         z = random_stokes(g, rng, mean_zero_p=True)
         T = lambda v: pre.apply(apply_M(v, coeff))

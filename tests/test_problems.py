@@ -9,6 +9,7 @@ from stokesmg.problems import (
     BubbleSpec,
     CflSpec,
     bubble_coefficients,
+    bubble_density,
     bubble_profile,
     cfl_to_theta,
     constant_coefficients,
@@ -64,7 +65,7 @@ class TestBubbleProfile:
         assert prof.max() <= 100.0 + 1e-9
         coeff = bubble_coefficients(g, BubbleSpec(seed=0))
         assert coeff.mu_cell.data.min() > 1.0  # noise only adds
-        assert coeff.rho_cell.data.min() > 1.0
+        assert bubble_density(g, BubbleSpec(seed=0)).data.min() > 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,15 +80,18 @@ class TestBubbleCoefficients:
         a = bubble_coefficients(g, BubbleSpec(seed=7))
         b = bubble_coefficients(g, BubbleSpec(seed=7))
         assert np.array_equal(a.mu_cell.data, b.mu_cell.data)
-        assert np.array_equal(a.rho_cell.data, b.rho_cell.data)
+        for fa, fb in zip(a.rho_face.components, b.rho_face.components):
+            assert np.array_equal(fa, fb)
         c = bubble_coefficients(g, BubbleSpec(seed=8))
         assert not np.array_equal(a.mu_cell.data, c.mu_cell.data)
 
     def test_independent_noise_streams(self):
         g = mkgrid(16, bc=NO_SLIP)
         coeff = bubble_coefficients(g, BubbleSpec(seed=7))
-        # same tanh part, different noise: fields must differ
-        assert not np.array_equal(coeff.mu_cell.data, coeff.rho_cell.data)
+        # same tanh part, different noise: fields must differ (the set's
+        # density is the one bubble_density draws)
+        rho = bubble_density(g, BubbleSpec(seed=7))
+        assert not np.array_equal(coeff.mu_cell.data, rho.data)
 
     def test_theta_and_form_passthrough(self):
         g = mkgrid(16, bc=NO_SLIP)

@@ -9,7 +9,7 @@ from stokesmg.operators import (
     lap_pressure,
     make_coefficients,
 )
-from stokesmg.problems import constant_coefficients, inviscid_coefficients
+from stokesmg.problems import constant_coefficients
 from stokesmg.schur import (
     MINUS,
     PLUS,
@@ -84,7 +84,7 @@ class TestInviscid:
         # -Lp^{-1}, so a Fourier mode comes back divided by |lambda_k|
         n, h = 8, 1.0
         g = mkgrid(n, bc=PERIODIC, h=h)
-        coeff = inviscid_coefficients(g, CellField(g, np.ones(g.cells)), theta=1.0)
+        coeff = constant_coefficients(g, mu0=0.0, theta=1.0)
         solver = DenseCellSolver(g, coeff)
         kx, ky = 2 * np.pi * 1 / n, 2 * np.pi * 3 / n
         X, Y = np.meshgrid((np.arange(n) + 0.5) * h, (np.arange(n) + 0.5) * h,
@@ -101,7 +101,7 @@ class TestInviscid:
         # A = theta*rho0 diagonal: S p = -Lp p / (theta rho0) exactly
         g = mkgrid(8, bc=NO_SLIP)
         theta, rho0 = 2.0, 4.0
-        coeff = inviscid_coefficients(g, CellField(g, np.full(g.cells, rho0)), theta)
+        coeff = constant_coefficients(g, mu0=0.0, rho0=rho0, theta=theta)
         p = random_cell(g, rng, mean_zero=True)
         got = exact_schur_apply(p, coeff)
         want = (-1.0 / (theta * rho0)) * lap_pressure(p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 
+from stokesmg._exact import MAX_DENSE_DOFS
 from stokesmg.operators import STRESS, div, grad, lap_pressure
 from stokesmg.problems import BubbleSpec, bubble_coefficients, constant_coefficients
 from stokesmg.schur import schur_diagonal
@@ -50,6 +51,18 @@ class TestAssembleDense:
         g = mkgrid(256, bc=NO_SLIP)
         with pytest.raises(ValueError):
             assemble_dense(lambda x: x, g)
+
+    def test_one_cap_for_every_space(self):
+        # the exact subsolvers' cap counts the grid's Stokes unknowns, so a
+        # cell-space operator on a grid past it is refused before any probe
+        g = mkgrid(84, bc=NO_SLIP)
+        assert g.n_cell_unknowns() <= MAX_DENSE_DOFS < g.n_unknowns()
+
+        def probed(p):
+            raise AssertionError("a column was probed")
+
+        with pytest.raises(ValueError, match="capped"):
+            assemble_dense(probed, g, domain="cell", codomain="cell")
 
 
 class TestSymEigenvalues:
