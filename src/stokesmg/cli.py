@@ -422,7 +422,8 @@ def cmd_mg_bench(config: dict, outdir: str) -> int:
     target = _get(bench, "target", "both", str)
     _require(target in ("pressure", "velocity", "both"), f"bad mg-bench target {target!r}")
     sweeps_list = bench.get("sweeps", [1, 2, 3, 4])
-    _require(isinstance(sweeps_list, list), "mg_bench.sweeps must be a list")
+    _require(isinstance(sweeps_list, list) and sweeps_list,
+             "mg_bench.sweeps must be a nonempty list")
     smoothers = [SmootherParams(sweeps_down=n, sweeps_up=n)
                  for n in (_typed(s, int, "sweeps entry") for s in sweeps_list)]
     max_cycles = _get(bench, "max_cycles", 15, int)

@@ -51,6 +51,14 @@ class LayoutError(ValueError):
     """Two fields do not live on the same grid/staggering."""
 
 
+def require_real(name: str, value) -> None:
+    """Refuse a real ``name`` that is a ``bool`` (an int to Python, but
+    no real) or no real number at all, which would fail only at its first
+    comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular staggered grid.
@@ -83,9 +91,7 @@ class GridSpec:
             raise ValueError("need one (low, high) bc pair per axis")
         if any(n < 2 for n in cells):
             raise ValueError(f"cell counts must be >= 2, got {cells}")
-        # a bool is an int to Python, but no spacing
-        if isinstance(self.h, bool) or not isinstance(self.h, numbers.Real):
-            raise ValueError(f"grid spacing must be a real number, got {self.h!r}")
+        require_real("grid spacing", self.h)
         try:
             h = float(self.h)
         except OverflowError:  # an integer beyond the float range

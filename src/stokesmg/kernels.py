@@ -12,14 +12,16 @@ one call of one entry of ``sweeps.c`` and returns the field (the sweeps
 relax in place; the face sweep relaxes every velocity component).  An
 operator, a sweep, a diagonal and a transfer take the field kind, so each
 pair of them is one caller of :func:`_apply`, :func:`_sweep`,
-:func:`_diagonal` or :func:`_transfer` and one library entry.  A field
-goes as one array of per-axis pointers (a cell field's first), refused on
-another grid than the call's, and a coefficient set as one ``smg_level``:
-its grid, viscous form, theta and array addresses, built once per set and
-refused for a call on another grid; a sweep's copy of it also holds the
-smoother diagonal.  :mod:`operators` and :mod:`multigrid` import them; the
-package has no other copy of the stencils or of their coupling weights and
-wall rules.
+:func:`_diagonal` or :func:`_transfer` and one library entry; each
+transfer runs one pass per axis, the cell prolongation's an injection.  A
+field goes as one array of per-axis pointers (a cell field's first;
+:func:`grad`, :func:`div` and :func:`apply_M` pass a pressure as its data
+pointer alone), refused on another grid than the call's, and a
+coefficient set as one ``smg_level``: its grid, viscous form, theta and
+array addresses, built once per set and refused for a call on another
+grid; a sweep's copy of it also holds the smoother diagonal.
+:mod:`operators` and :mod:`multigrid` import them; the package has no
+other copy of the stencils or of their coupling weights and wall rules.
 
 The Krylov reductions are here too: :func:`sum_products` (every inner
 product and norm of the package), :func:`arnoldi` (a whole modified
@@ -98,7 +100,8 @@ class KernelBuildError(RuntimeError):
 
 
 class _Grid3(ctypes.Structure):
-    """``grid3`` of sweeps.c: a 2D grid leads with one dummy cell."""
+    """``grid3`` of sweeps.c: a 2D grid leads with one dummy cell; h and
+    1/h^2, rounded here, are its only scalars."""
 
     _fields_ = [
         ("n", ctypes.c_long * 3),
@@ -107,7 +110,6 @@ class _Grid3(ctypes.Structure):
         ("first", ctypes.c_int),
         ("h", ctypes.c_double),
         ("inv_h2", ctypes.c_double),
-        ("neg_inv_h2", ctypes.c_double),
     ]
 
 
@@ -291,7 +293,6 @@ def _layout(grid: GridSpec) -> _Layout:
         g.n[ax], g.lo[ax], g.hi[ax] = n, lo, hi
     g.h = grid.h
     g.inv_h2 = 1.0 / grid.h**2
-    g.neg_inv_h2 = -1.0 / grid.h**2
     planes = []
     for x, y in ((0, 1), (0, 2), (1, 2)):
         key = (x - lead, y - lead)
@@ -578,7 +579,8 @@ def restrict_cell(fine: CellField) -> CellField:
 
 
 def prolong_cell(coarse: CellField) -> CellField:
-    """Direct injection of each coarse value into its 2^d children."""
+    """Direct injection of each coarse value into its 2^d children, one
+    pass per axis."""
     return _transfer(CellField, coarse, False)
 
 

@@ -28,6 +28,7 @@ import numpy as np
 # pack_stokes and unpack_stokes stay importable here, where tracing tools
 # wrap them, although a solve no longer copies through them
 from .grid import GridSpec, StokesVector, edge_planes, pack_stokes, unpack_stokes  # noqa: F401
+from .grid import require_real
 from .kernels import arnoldi, combine, sum_products
 from .multigrid import SmootherParams, require_count
 from .operators import CoefficientSet, apply_M
@@ -45,6 +46,8 @@ class GmresConfig:
     def __post_init__(self):
         require_count("restart", self.restart, 1)
         require_count("max_iters", self.max_iters, 1)
+        require_real("rtol", self.rtol)
+        require_real("atol", self.atol)
         if not 0 < self.rtol < math.inf:
             raise ValueError("rtol must be positive and finite")
         if not 0 <= self.atol < math.inf:

@@ -13,7 +13,6 @@ of :mod:`kernels` stay importable here, where tracing tools wrap them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from .grid import (
     LayoutError,
     NodeEdgeField,
     edge_planes,
+    require_real,
 )
 # the stand-alone stencils stay importable here, where tracing tools wrap them
 from .kernels import (  # noqa: F401
@@ -52,13 +52,11 @@ MAX_CYCLES = 100
 
 
 def require_count(name: str, value, lo: int, hi: float = math.inf) -> None:
-    """Refuse a count ``name`` that is not an integer (one
-    :func:`operator.index` refuses), which would fail only inside a solve,
-    or that lies outside ``[lo, hi]``."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """Refuse a count ``name`` that is not an integer (a ``bool``, or a
+    value without ``__index__``), which would fail only inside a solve, or
+    that lies outside ``[lo, hi]``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not lo <= value <= hi:
         raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
@@ -77,6 +75,7 @@ class SmootherParams:
         require_count("sweeps_down", self.sweeps_down, 1, MAX_SWEEPS)
         require_count("sweeps_up", self.sweeps_up, 1, MAX_SWEEPS)
         require_count("bottom_sweeps", self.bottom_sweeps, 8, MAX_SWEEPS)
+        require_real("omega", self.omega)
         if not 0 < self.omega <= 1:
             raise ValueError("omega must lie in (0, 1]")
 

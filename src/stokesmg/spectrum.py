@@ -12,7 +12,7 @@ scipy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,25 +94,28 @@ def sym_eigenvalues(A: DenseMatrix) -> np.ndarray:
 
 @dataclass
 class SpectrumReport:
-    """Sorted eigenvalues plus the clustering statistics of the study."""
+    """Sorted eigenvalues plus the clustering statistics of the study,
+    computed from them, as the fields of its JSON report in order."""
 
     which: str
     n_dof: int
-    eigenvalues: np.ndarray
+    n_eigenvalues: int = field(init=False)
     tol_zero: float
     tol_unit: float
-    zero_multiplicity: int = 0
-    non_unit_count: int = 0
-    nonpositive_count: int = 0
-    min_nonzero: float = 0.0
-    max_nonzero: float = 0.0
-    frac_near_unit: float = 0.0
-    histogram_counts: list = field(default_factory=list)
-    histogram_edges: list = field(default_factory=list)
+    zero_multiplicity: int = field(init=False)
+    non_unit_count: int = field(init=False)
+    nonpositive_count: int = field(init=False)
+    min_nonzero: float = field(init=False, default=0.0)
+    max_nonzero: float = field(init=False, default=0.0)
+    frac_near_unit: float = field(init=False, default=0.0)
+    histogram_counts: list = field(init=False)
+    histogram_edges: list = field(init=False)
+    eigenvalues: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
         self.eigenvalues = np.sort(lam)
+        self.n_eigenvalues = len(self.eigenvalues)
         nz = self.eigenvalues[np.abs(self.eigenvalues) > self.tol_zero]
         self.zero_multiplicity = int(np.sum(np.abs(self.eigenvalues) <= self.tol_zero))
         self.non_unit_count = int(np.sum(np.abs(self.eigenvalues - 1.0) > self.tol_unit))
@@ -121,28 +124,14 @@ class SpectrumReport:
             self.min_nonzero = float(nz.min())
             self.max_nonzero = float(nz.max())
             self.frac_near_unit = float(np.mean((nz > 0.99) & (nz < 1.01)))
-        if not self.histogram_counts:
-            counts, edges = np.histogram(self.eigenvalues, bins=50)
-            self.histogram_counts = counts.tolist()
-            self.histogram_edges = edges.tolist()
+        counts, edges = np.histogram(self.eigenvalues, bins=50)
+        self.histogram_counts = counts.tolist()
+        self.histogram_edges = edges.tolist()
 
     def to_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "n_dof": self.n_dof,
-            "n_eigenvalues": len(self.eigenvalues),
-            "tol_zero": self.tol_zero,
-            "tol_unit": self.tol_unit,
-            "zero_multiplicity": self.zero_multiplicity,
-            "non_unit_count": self.non_unit_count,
-            "nonpositive_count": self.nonpositive_count,
-            "min_nonzero": self.min_nonzero,
-            "max_nonzero": self.max_nonzero,
-            "frac_near_unit": self.frac_near_unit,
-            "histogram_counts": self.histogram_counts,
-            "histogram_edges": self.histogram_edges,
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
+        report = asdict(self)
+        report["eigenvalues"] = self.eigenvalues.tolist()
+        return report
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)

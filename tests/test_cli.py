@@ -441,6 +441,19 @@ class TestMgBench:
         assert "steady flow (theta = 0) needs nonzero viscosity" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_empty_sweep_list_exit_2_no_outputs(self, tmp_path, capsys):
+        # a benchmark of no smoother would write a CSV of its header alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": {"kind": "constant", "dim": 2, "cells": 8, "bc": "no_slip",
+                        "beta": "inf"},
+            "mg_bench": {"sweeps": []},
+        }))
+        assert main(["mg-bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "mg_bench.sweeps must be a nonempty list" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSpectrumCommand:
     def test_report_written(self, tmp_path):

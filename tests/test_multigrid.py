@@ -5,6 +5,7 @@ import pytest
 
 from stokesmg import kernels, multigrid
 from stokesmg.krylov import GmresConfig
+from stokesmg.problems import BubbleSpec, CflSpec
 from stokesmg.grid import (
     FREE_SLIP,
     NO_SLIP,
@@ -80,6 +81,24 @@ def test_config_counts_are_integers(make, key):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             make(**{key: value})
     assert getattr(make(**{key: np.int64(count)}), key) == count
+
+
+@pytest.mark.parametrize("make, key", [
+    (SmootherParams, "sweeps_down"), (PrecondConfig, "velocity_cycles"),
+    (SchurConfig, "pressure_cycles"), (GmresConfig, "restart"), (GmresConfig, "max_iters")])
+def test_config_counts_refuse_bools(make, key):
+    # True is an int to Python, but no count
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got True"):
+        make(**{key: True})
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (SmootherParams, "omega", None), (GmresConfig, "rtol", None), (GmresConfig, "atol", "0"),
+    (BubbleSpec, "r_mu", "2"), (BubbleSpec, "epsilon", True), (CflSpec, "beta", "1")])
+def test_config_reals_refuse_non_reals(make, key, value):
+    # a comparison would raise TypeError, or take a bool as 0 or 1
+    with pytest.raises(ValueError, match=f"{key} must be a real number, got {value!r}"):
+        make(**{key: value})
 
 
 class TestHierarchy:
