@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CellField, GridSpec, StokesVector, require_real
+from .multigrid import require_count
 from .operators import (
     STRESS,
     CoefficientSet,
@@ -53,6 +54,7 @@ class BubbleSpec:
     positive_outside: bool = True
 
     def __post_init__(self):
+        require_count("seed", self.seed, 0)
         for name in ("r_mu", "r_rho", "epsilon", "radius", "noise_amp"):
             if getattr(self, name) is not None:
                 require_real(name, getattr(self, name))
@@ -174,6 +176,7 @@ def make_rhs(grid: GridSpec, coeff: CoefficientSet, seed: int = 0):
     velocity component with a null constant, so a draw on a grid of at
     least two cells per axis never comes out degenerate in practice.
     """
+    require_count("seed", seed, 0)
     gen = _generators(seed, 1)[0]
     x = StokesVector.zeros(grid)
     for a in range(grid.dim):

@@ -49,9 +49,14 @@
  *
  * Each pass runs row by row along the contiguous last axis.  A row function
  * takes its neighbour offsets and wall tests for one column "at" (see
- * LINE) and is kept out of line, so its loop is compiled once.  It is one
- * loop, its choices inside; a second loop, or terms written out that a
- * loop would repeat, stay only where a comment gives their measured cost.
+ * LINE) and is kept out of line.  It is one source loop.  Where a choice
+ * inside the loop would keep it from compiling to vector code, the loop is
+ * a ROW_INSTANCE taking that choice as a parameter, and the row function
+ * switches to a call with the choice as a literal constant, so each
+ * combination is compiled once, as a loop without a branch: residual_row's
+ * output mode, coupling count and mass term, gradient_row's wall test and
+ * densities.  A second loop, or terms written out that a loop would
+ * repeat, stay only where a comment gives their measured cost.
  *
  * smg_vcycle, smg_apply, smg_saddle and the Krylov reductions run on a
  * team of threads (see "the team" below): each pass cuts its rows
@@ -79,6 +84,8 @@
 const char smg_key[] = SMG_KEY;
 
 #define ROW_FUNCTION static __attribute__((noinline)) void
+/* a row's loop, compiled anew into each call that fixes its choices */
+#define ROW_INSTANCE static inline __attribute__((always_inline)) void
 
 enum { PERIODIC = 0, NO_SLIP = 1, FREE_SLIP = 2 };
 enum { LAPLACIAN = 0, STRESS = 1, STRESS_BULK = 2 };
@@ -598,17 +605,27 @@ static void gradient_setup(const cell_t *c, int x, long i, long j, long at,
     o->inner = periodic(c->g, x) || (jx > 0 && jx < c->g->n[x]);
 }
 
-ROW_FUNCTION gradient_row(const cell_t *c, int x, const gradient_at *o,
-                          long k0, long k1)
+ROW_INSTANCE gradient_loop(const cell_t *c, int x, const gradient_at *o, long k0, long k1,
+                          int inner, int densities)
 {
-    const double *p = c->p, *rho = c->lv ? c->lv->rho[x] : NULL;
+    const double *p = c->p, *rho = densities ? c->lv->rho[x] : NULL;
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
-    const int inner = o->inner;
     const double h = c->g->h;
     double *out = c->flux[x];
     for (long k = k0; k < k1; k++) {
         double d = inner ? p[rc + k] - p[rc1 + k] : 0.0;
-        out[rf + k] = d / (rho ? rho[rf + k] : h);
+        out[rf + k] = d / (densities ? rho[rf + k] : h);
+    }
+}
+
+ROW_FUNCTION gradient_row(const cell_t *c, int x, const gradient_at *o,
+                          long k0, long k1)
+{
+    switch (o->inner << 1 | (c->lv != NULL)) {
+#define GRADIENT(code)                                                          \
+    case code: gradient_loop(c, x, o, k0, k1, (code) >> 1, (code) & 1); break;
+        GRADIENT(0) GRADIENT(1) GRADIENT(2) GRADIENT(3)
+#undef GRADIENT
     }
 }
 
@@ -990,13 +1007,13 @@ ROW_FUNCTION tangent_row(const face_t *f, int m, const tangent_at *o,
 /* The stage's output from the operator row Au: Au itself, the residual
  * base - Au, Au + base with G p stored in base, or the saddle residual
  * rhs - (Au + base). */
-static inline double finish(const face_t *f, double Au, long at)
+static inline double finish(const face_t *f, int out, double Au, long at)
 {
-    if (f->out == OUT_RESIDUAL)
+    if (out == OUT_RESIDUAL)
         return f->base[at] - Au;
-    if (f->out == OUT_SADDLE)
+    if (out == OUT_SADDLE)
         return Au + f->base[at];
-    if (f->out == OUT_SADDLE_RESIDUAL)
+    if (out == OUT_SADDLE_RESIDUAL)
         return f->rhs[at] - (Au + f->base[at]);
     return Au;
 }
@@ -1016,14 +1033,14 @@ static void residual_setup(const face_t *f, long i, long j, long at, residual_at
     }
 }
 
-ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k1)
+ROW_INSTANCE residual_loop(const face_t *f, const residual_at *o, long k0, long k1,
+                          int out, int two, int mass_term)
 {
     const double *fn = f->fn, *ua = f->ua, *rho = f->rho;
-    const double *t0 = f->ft[0], *t1 = f->nb == 2 ? f->ft[1] : f->ft[0];
+    const double *t0 = f->ft[0], *t1 = two ? f->ft[1] : f->ft[0];
     const long rf = o->rf, rc = o->rc, rc1 = o->rc1;
     const long n0 = o->rn[0], m0 = o->rn1[0];
-    const long n1 = f->nb == 2 ? o->rn[1] : n0, m1 = f->nb == 2 ? o->rn1[1] : m0;
-    const int two = f->nb == 2, mass_term = f->lv->theta > 0;
+    const long n1 = two ? o->rn[1] : n0, m1 = two ? o->rn1[1] : m0;
     const double theta = f->lv->theta, inv_h2 = f->g->inv_h2;
     double *r = f->r;
     /* the couplings written out, not looped: a loop over them made a face
@@ -1041,7 +1058,19 @@ ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k
         } else {
             v = -v;
         }
-        r[rf + k] = finish(f, v, rf + k);
+        r[rf + k] = finish(f, out, v, rf + k);
+    }
+}
+
+ROW_FUNCTION residual_row(const face_t *f, const residual_at *o, long k0, long k1)
+{
+    switch (f->out << 2 | (f->nb == 2) << 1 | (f->lv->theta > 0)) {
+#define RESIDUAL(code)                                                          \
+    case code: residual_loop(f, o, k0, k1, (code) >> 2, (code) >> 1 & 1, (code) & 1); break;
+        RESIDUAL(0) RESIDUAL(1) RESIDUAL(2) RESIDUAL(3) RESIDUAL(4) RESIDUAL(5)
+        RESIDUAL(6) RESIDUAL(7) RESIDUAL(8) RESIDUAL(9) RESIDUAL(10) RESIDUAL(11)
+        RESIDUAL(12) RESIDUAL(13) RESIDUAL(14) RESIDUAL(15)
+#undef RESIDUAL
     }
 }
 
@@ -1099,7 +1128,8 @@ static void wall_rows(team_t *tm, const face_t *f)
         ROWS(tm, lo3, hi3) {
             long r = row(s, i, j, -1, 0);
             for (long k = lo3[2]; k < hi3[2]; k++)
-                f->r[r + k] = f->out == OUT_SADDLE_RESIDUAL ? 0.0 : finish(f, zero, r + k);
+                f->r[r + k] = f->out == OUT_SADDLE_RESIDUAL ? 0.0
+                                                            : finish(f, f->out, zero, r + k);
         }
     }
 }

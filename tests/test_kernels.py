@@ -669,17 +669,46 @@ def test_missing_compiler_exits_4_without_outputs(tmp_path, command):
 
 def test_source_compiles_without_warnings(tmp_path):
     # stricter than the build, which keeps its own flags and cache key; at
-    # the build's -O2 gcc's flow analysis runs, so its maybe-uninitialized,
-    # array-bounds and null-dereference warnings cover the stages' size-only
-    # mode, which takes NULL for every array
+    # the build's optimization gcc's flow analysis runs, so its
+    # maybe-uninitialized, array-bounds and null-dereference warnings cover
+    # the stages' size-only mode, which takes NULL for every array
     compiler = shutil.which(kernels.COMPILER)
     if compiler is None:
         pytest.skip(f"no C compiler '{kernels.COMPILER}'")
-    done = subprocess.run([compiler, "-O2", "-ffp-contract=off", "-pthread", "-c",
+    done = subprocess.run([compiler, *kernels.FLAGS, "-c",
                            "-Wall", "-Wextra", "-Wshadow", "-Wnull-dereference", "-Werror",
                            "-std=c99", kernels.SOURCE, "-o", str(tmp_path / "sweeps.o")],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+#: the row loops of sweeps.c compiled once per combination of their choices,
+#: and how many combinations each has
+INSTANCED_LOOPS = {"residual_loop": 16, "gradient_loop": 4}
+
+
+def test_compiled_row_instances_vectorize(tmp_path):
+    # a test per entry put back into one of these loops would keep it
+    # scalar; gcc reports each compiled instance by the line of the source
+    # loop
+    compiler = shutil.which(kernels.COMPILER)
+    if compiler is None:
+        pytest.skip(f"no C compiler '{kernels.COMPILER}'")
+    macros = subprocess.run([compiler, "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True).stdout
+    if "__GNUC__" not in macros or "__clang__" in macros:
+        pytest.skip("the vectorizer report read here is gcc's")
+    done = subprocess.run([compiler, *kernels.FLAGS, "-fopt-info-vec-all", kernels.SOURCE,
+                           "-o", str(tmp_path / "sweeps.so")], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = open(kernels.SOURCE).read().splitlines()
+    for body, instances in INSTANCED_LOOPS.items():
+        start = next(n for n, text in enumerate(lines) if re.search(rf"\b{body}\(", text))
+        loop = next(n for n in range(start, len(lines)) if lines[n].lstrip().startswith("for ("))
+        at = re.compile(rf"sweeps\.c:{loop + 1}:\d+: (.*)")
+        reports = [m.group(1) for m in map(at.search, done.stderr.splitlines()) if m]
+        assert sum("loop vectorized" in r for r in reports) >= instances, (body, reports)
+        assert not [r for r in reports if "missed" in r], (body, reports)
 
 
 #: the exported definitions of sweeps.c: result, name and parameter list

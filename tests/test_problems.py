@@ -73,6 +73,12 @@ class TestBubbleProfile:
         with pytest.raises(ValueError):
             BubbleSpec(epsilon=0.0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_non_count_seed_refused(self, seed):
+        # int(seed) would draw seed 1's stream for 1.5 and True
+        with pytest.raises(ValueError, match="seed"):
+            BubbleSpec(seed=seed)
+
 
 class TestBubbleCoefficients:
     def test_deterministic_per_seed(self):
@@ -146,6 +152,12 @@ class TestMakeRhs:
         r1, x1 = make_rhs(g, coeff, seed=5)
         r2, x2 = make_rhs(g, coeff, seed=5)
         assert norm2(r1 - r2) == 0.0 and norm2(x1 - x2) == 0.0
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_non_count_seed_refused(self, seed):
+        g = mkgrid(8, bc=NO_SLIP)
+        with pytest.raises(ValueError, match="seed"):
+            make_rhs(g, constant_coefficients(g), seed=seed)
 
     def test_solution_respects_null_spaces(self):
         g = mkgrid(16, bc=PERIODIC)
